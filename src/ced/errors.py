@@ -65,6 +65,10 @@ class LinkClosed(CedError):
     """Send attempted on a closed link."""
 
 
+class MalformedMessage(CedError):
+    """Wire bytes break the grammar: unknown tag, field past the end, or leftover bytes."""
+
+
 class TransportDown(CedError):
     """Control-plane message could not be sent; migration is abandoned."""
 
@@ -79,3 +83,4 @@ class ChannelBroken(CedError):
 
 class ScenarioError(CedError):
     """Scenario or workload configuration failed validation."""
+

@@ -10,35 +10,44 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 from ..scanops import ResultBlock
-from ..wire import encode_scalar
+from ..tsstore import BLOCK_ROWS
+from ..wire import encode_cells
 
 __all__ = ["ChecksumBuilder", "QueryResult", "MetricsReport", "emit"]
 
+_I64 = struct.Struct("<q")
+
 
 class ChecksumBuilder:
-    """Order-sensitive canonical checksum over client-visible rows."""
+    """Order-sensitive canonical checksum over client-visible rows.
+
+    SHA-256 over ``ts i64 | cell*`` per row, one cell per column in column
+    order, with ``cell`` as on the wire (see :mod:`ced.wire`).  Each cell is
+    encoded by its value's Python type, so the digest does not depend on the
+    declared column types or on how rows are split into blocks.
+    """
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
         self.rows = 0
 
     def update(self, block: ResultBlock) -> None:
-        out = bytearray()
-        for i, ts in enumerate(block.timestamps):
-            out += ts.to_bytes(8, "little", signed=True)
-            for _name, _vt, values in block.columns:
-                value = values[i]
-                if value is None:
-                    out += b"\x00"
-                else:
-                    out += b"\x01"
-                    encode_scalar(out, value)
-        self._hash.update(bytes(out))
+        # hash BLOCK_ROWS rows at a time, so that peak memory does not grow
+        # with the size of the block
+        for lo in range(0, block.row_count, BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            timestamps = block.timestamps[lo:hi]
+            columns = [encode_cells(values[lo:hi]) for _name, _vt, values in block.columns]
+            self._hash.update(b"".join(chain.from_iterable(
+                zip(map(_I64.pack, timestamps), *columns)
+            )))
         self.rows += block.row_count
 
     def hexdigest(self) -> str:

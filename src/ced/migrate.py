@@ -578,9 +578,10 @@ class CloudGateway:
         if msg.type is not MessageType.MIGRATION_REQUEST:
             return      # stray message for an already-released channel
         key = msg.channel.key()
-        existing = self.channels.get(key)
-        if existing is not None and not existing.terminated:
-            # duplicate request: idempotent re-confirmation
+        if key in self.channels:
+            # duplicate request: idempotent re-confirmation.  Never rebuild a
+            # seen key, even once its producer terminated: the new producer
+            # would get no delta and never terminate.
             self._confirm(msg.channel)
             return
         producer = self.make_producer(msg)

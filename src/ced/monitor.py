@@ -126,12 +126,14 @@ class ResourceMonitor:
             snapshot = sample(self.disk, self.cpu, now - self.period_s, now)
             self.history.append(snapshot)
             n_edge, n_cloud = self.placement_counts()
-            if n_edge:
-                self._evaluate(snapshot, "edge")
+            # acting clears the history, so a pass that acted ends the tick
+            if n_edge and self._evaluate(snapshot, "edge"):
+                continue
             if n_cloud:
                 self._evaluate(snapshot, "cloud")
 
-    def _evaluate(self, snapshot: ResourceSnapshot, placement: str) -> None:
+    def _evaluate(self, snapshot: ResourceSnapshot, placement: str) -> bool:
+        """Log one decision and act on it; True when it acted."""
         decision = decide(self.history, self.policy, placement)
         self.decision_log.append(
             (snapshot.timestamp, snapshot.io_usage, snapshot.cpu_usage, placement, decision)
@@ -139,6 +141,9 @@ class ResourceMonitor:
         if decision == MIGRATE_TO_CLOUD and self.on_migrate is not None:
             self.history.clear()        # restart dwell accumulation after acting
             self.on_migrate()
-        elif decision == FALL_BACK_TO_EDGE and self.on_fallback is not None:
+            return True
+        if decision == FALL_BACK_TO_EDGE and self.on_fallback is not None:
             self.history.clear()
             self.on_fallback()
+            return True
+        return False

@@ -677,26 +677,33 @@ class ProjectOp(_OperatorBase):
 
 
 class MergeOp(_OperatorBase):
-    """Timestamp-aligned merge of N single-series streams with null fill."""
+    """Timestamp-aligned merge of N single-series streams with null fill.
+
+    Each child has a cursor into its current block.  Rows are merged one at
+    a time, except that a run of rows on which every child has the same
+    timestamps is copied in bulk; the run's last row still takes the per-row
+    path, which is where a child whose block it ends is refilled.
+    """
 
     def __init__(self, children: Sequence[_OperatorBase], columns: Sequence[str]):
         if len(children) != len(columns):
             raise ValueError("one column name per child")
         self.children = list(children)
         self.columns = list(columns)
-        self._buf_ts: list[list[int]] = [[] for _ in children]
-        self._buf_values: list[list] = [[] for _ in children]
+        self._ts: list[list[int]] = [[] for _ in children]     # current block per child
+        self._values: list[list] = [[] for _ in children]
+        self._pos = [0] * len(children)                         # cursor into that block
         self._types: list[ValueType] = [ValueType.FLOAT64] * len(children)
         self._done = [False] * len(children)
 
     def has_next(self) -> bool:
-        return any(ts for ts in self._buf_ts) or any(
+        return any(p < len(ts) for ts, p in zip(self._ts, self._pos)) or any(
             not done and child.has_next() for done, child in zip(self._done, self.children)
         )
 
     def _refill(self, i: int):
         """True when child i has rows or is exhausted; PENDING/NOT_READY to back off."""
-        while not self._buf_ts[i] and not self._done[i]:
+        while self._pos[i] >= len(self._ts[i]) and not self._done[i]:
             if not self.children[i].has_next():
                 self._done[i] = True
                 break
@@ -706,30 +713,63 @@ class MergeOp(_OperatorBase):
             if block is None:
                 self._done[i] = True
                 break
-            self._buf_ts[i].extend(block.timestamps)
-            self._buf_values[i].extend(block.values)
+            self._ts[i] = block.timestamps
+            self._values[i] = block.values
+            self._pos[i] = 0
             self._types[i] = block.value_type
         return True
+
+    def _common_run(self, limit: int) -> int:
+        """Largest n <= limit such that all children's next n timestamps agree.
+
+        The children's heads must already agree.  Galloping keeps the cost
+        proportional to the run found rather than to ``limit``.
+        """
+        ts, pos = self._ts, self._pos
+        ref, p0 = ts[0], pos[0]
+        others = list(zip(ts[1:], pos[1:]))
+        lo, hi, step = 1, limit, 1          # the first lo rows agree; rows past hi do not
+        while lo < hi:
+            n = min(lo + step, hi)
+            segment = ref[p0 + lo:p0 + n]
+            if all(t[p + lo:p + n] == segment for t, p in others):
+                lo, step = n, step * 2
+            else:
+                hi, step = n - 1, 1
+        return lo
 
     def next_block(self):
         for i in range(len(self.children)):
             state = self._refill(i)
             if state is not True:
                 return state
+        ts_bufs, value_bufs, pos = self._ts, self._values, self._pos
+        width = len(self.children)
         out_ts: list[int] = []
         out_cols: list[list] = [[] for _ in self.children]
         while len(out_ts) < BLOCK_ROWS:
-            heads = [ts[0] if ts else None for ts in self._buf_ts]
+            heads = [t[p] if p < len(t) else None for t, p in zip(ts_bufs, pos)]
             live = [h for h in heads if h is not None]
             if not live:
                 break
             ts = min(live)
+            if len(live) == width and ts == max(live):
+                room = min(BLOCK_ROWS - len(out_ts), *(len(t) - p for t, p in zip(ts_bufs, pos)))
+                bulk = self._common_run(room) - 1
+                if bulk:
+                    p0 = pos[0]
+                    out_ts += ts_bufs[0][p0:p0 + bulk]
+                    for i, p in enumerate(pos):
+                        out_cols[i] += value_bufs[i][p:p + bulk]
+                        pos[i] = p + bulk
+                    continue
             out_ts.append(ts)
             for i, head in enumerate(heads):
                 if head == ts:
-                    out_cols[i].append(self._buf_values[i].pop(0))
-                    self._buf_ts[i].pop(0)
-                    if not self._buf_ts[i]:
+                    p = pos[i]
+                    out_cols[i].append(value_bufs[i][p])
+                    pos[i] = p + 1
+                    if p + 1 == len(ts_bufs[i]):
                         state = self._refill(i)
                         if state is not True and len(out_ts) < BLOCK_ROWS:
                             # hold assembled rows; resume once the child can serve
@@ -744,15 +784,17 @@ class MergeOp(_OperatorBase):
         )
 
     def _stash(self, out_ts, out_cols, state):
-        # push assembled rows back onto the fronts of the buffers, preserving order
+        # put assembled rows back in front of each child's unread rows, preserving order
         for i in range(len(self.children)):
             restored_ts, restored_values = [], []
             for ts, value in zip(out_ts, out_cols[i]):
                 if value is not None:
                     restored_ts.append(ts)
                     restored_values.append(value)
-            self._buf_ts[i][:0] = restored_ts
-            self._buf_values[i][:0] = restored_values
+            p = self._pos[i]
+            self._ts[i] = restored_ts + self._ts[i][p:]
+            self._values[i] = restored_values + self._values[i][p:]
+            self._pos[i] = 0
         return state
 
 

@@ -1,8 +1,19 @@
 """Wire encodings for everything that crosses the cloud-edge link.
 
-All integers are little-endian.  Typed scalars use a one-byte type tag
-followed by the value (bool u8, int i64, float f64, string u32+utf8);
-nullable cells prefix a presence byte.
+All integers are little-endian; ``|`` joins fields in order and ``[...]``
+is present or absent as a whole.  A typed scalar is a one-byte type tag (the
+ValueType) followed by its value; a nullable cell prefixes a presence byte:
+
+    scalar   := tag u8 | value
+    value    := bool u8 (tag 0) or int i64 (1) or float f64 (2)
+                or str_len u32 | str utf8 (3)
+    cell     := presence u8 | [tag u8 | value]    (absent iff presence is 0)
+
+Each cell is tagged by its value's Python type.  The result checksum
+(``ChecksumBuilder`` in ``ced.harness.metrics``) hashes ``ts i64 | cell*`` per
+row, one cell per column, with the same cell encoder (``encode_cells``).
+A tsblock with an unknown tag, a field running past its payload, or bytes
+left over after its last cell is rejected with MalformedMessage.
 
     channel  := addr_len u8 | addr utf8 | port u16 | fragment_id u32
                 | source_id u32 | query_id u64
@@ -40,10 +51,12 @@ Change-data batches (the delta streaming pipe):
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
 from .tsstore import SeriesPath, TsBlock, ValueType
 
@@ -57,6 +70,7 @@ __all__ = [
     "ChangeBatch",
     "encode_scalar",
     "decode_scalar",
+    "encode_cells",
     "encode_block",
     "decode_block",
     "encode_message",
@@ -152,93 +166,129 @@ class ChangeBatch:
     records: tuple[ChangeRecord, ...]
 
 
-# --- scalars ------------------------------------------------------------------
+# --- cells and scalars ---------------------------------------------------------
+
+_BOOL, _INT64, _FLOAT64, _STRING = (int(vt) for vt in ValueType)
+_CELL_INT64 = struct.Struct("<BBq")       # presence, tag, value
+_CELL_FLOAT64 = struct.Struct("<BBd")
+_CELL_STRING = struct.Struct("<BBI")      # presence, tag, utf-8 length
+
+
+def _string_cell(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return _CELL_STRING.pack(1, _STRING, len(raw)) + raw
+
+
+# One packer per exact Python type; bool is its own key, so it never packs as int.
+_CELL_PACKERS = {
+    type(None): lambda _: b"\x00",
+    bool: {True: b"\x01\x00\x01", False: b"\x01\x00\x00"}.__getitem__,
+    int: functools.partial(_CELL_INT64.pack, 1, _INT64),
+    float: functools.partial(_CELL_FLOAT64.pack, 1, _FLOAT64),
+    str: _string_cell,
+}
+
+
+def encode_cells(values) -> list[bytes]:
+    """One ``cell`` per value, each packed by the value's own type, not a column's."""
+    try:
+        return [_CELL_PACKERS[type(v)](v) for v in values]
+    except KeyError as exc:
+        raise TypeError(f"cannot encode {exc.args[0].__name__}") from None
+
 
 def encode_scalar(out: bytearray, value) -> None:
-    """Typed scalar with tag byte; value must not be None."""
-    if isinstance(value, bool):
-        out += _U8.pack(int(ValueType.BOOL))
-        out += _U8.pack(1 if value else 0)
-    elif isinstance(value, int):
-        out += _U8.pack(int(ValueType.INT64))
-        out += _I64.pack(value)
-    elif isinstance(value, float):
-        out += _U8.pack(int(ValueType.FLOAT64))
-        out += _F64.pack(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += _U8.pack(int(ValueType.STRING))
-        out += _U32.pack(len(raw))
-        out += raw
-    else:
-        raise TypeError(f"cannot encode {type(value).__name__}")
+    """Typed scalar with tag byte: a present cell without its presence byte."""
+    if value is None:
+        raise TypeError("cannot encode NoneType")
+    out += encode_cells((value,))[0][1:]
 
 
 def decode_scalar(buf: bytes, pos: int) -> tuple[object, int]:
-    vt = ValueType(buf[pos])
-    pos += 1
-    if vt is ValueType.BOOL:
-        return bool(buf[pos]), pos + 1
-    if vt is ValueType.INT64:
-        return _I64.unpack_from(buf, pos)[0], pos + 8
-    if vt is ValueType.FLOAT64:
-        return _F64.unpack_from(buf, pos)[0], pos + 8
-    ln = _U32.unpack_from(buf, pos)[0]
-    pos += 4
-    return buf[pos:pos + ln].decode("utf-8"), pos + ln
+    (value,), pos = _decode_cells(buf, pos, 1, nullable=False)
+    return value, pos
 
 
-def _encode_cell(out: bytearray, value) -> None:
-    if value is None:
-        out += b"\x00"
-    else:
-        out += b"\x01"
-        encode_scalar(out, value)
+def _decode_cells(buf: bytes, pos: int, n: int, nullable: bool = True) -> tuple[list, int]:
+    """Sequential parse of ``n`` cells (``nullable``) or typed scalars.
 
-
-def _decode_cell(buf: bytes, pos: int) -> tuple[object, int]:
-    present = buf[pos]
-    pos += 1
-    if not present:
-        return None, pos
-    return decode_scalar(buf, pos)
+    The returned position may lie past the end of ``buf`` when a string
+    length does; the caller compares it with the payload length.
+    """
+    values: list = []
+    append = values.append
+    unpack_u32, unpack_i64, unpack_f64 = _U32.unpack_from, _I64.unpack_from, _F64.unpack_from
+    for _ in range(n):
+        if nullable:
+            if not buf[pos]:
+                append(None)
+                pos += 1
+                continue
+            pos += 1
+        tag = buf[pos]
+        if tag == _STRING:
+            end = pos + 5 + unpack_u32(buf, pos + 1)[0]
+            append(buf[pos + 5:end].decode("utf-8"))
+            pos = end
+        elif tag == _FLOAT64:
+            append(unpack_f64(buf, pos + 1)[0])
+            pos += 9
+        elif tag == _INT64:
+            append(unpack_i64(buf, pos + 1)[0])
+            pos += 9
+        elif tag == _BOOL:
+            append(bool(buf[pos + 1]))
+            pos += 2
+        else:
+            raise MalformedMessage(f"unknown value tag {tag} at byte {pos}")
+    return values, pos
 
 
 # --- blocks ---------------------------------------------------------------------
 
+_BLOCK_HEAD = struct.Struct("<BBI")        # flags, value_type, row_count
+
+
 def encode_block(block: TsBlock) -> bytes:
-    out = bytearray()
     raw = str(block.series_id).encode("utf-8")
-    out += _U16.pack(len(raw))
-    out += raw
-    out += _U8.pack(1 if block.is_header_only else 0)
-    out += _U8.pack(int(block.value_type))
-    out += _U32.pack(block.row_count)
-    for ts in block.timestamps:
-        out += _I64.pack(ts)
-    for value in block.values:
-        _encode_cell(out, value)
-    return bytes(out)
+    n = block.row_count
+    return b"".join([
+        _U16.pack(len(raw)),
+        raw,
+        _BLOCK_HEAD.pack(1 if block.is_header_only else 0, block.value_type, n),
+        struct.pack(f"<{n}q", *block.timestamps),
+        *encode_cells(block.values),
+    ])
 
 
 def decode_block(buf: bytes, pos: int = 0) -> tuple[TsBlock, int]:
-    (series_len,) = _U16.unpack_from(buf, pos)
-    pos += 2
-    series = SeriesPath.parse(buf[pos:pos + series_len].decode("utf-8"))
-    pos += series_len
-    header_only = bool(buf[pos])
-    pos += 1
-    vt = ValueType(buf[pos])
-    pos += 1
-    (n,) = _U32.unpack_from(buf, pos)
-    pos += 4
-    timestamps = [v[0] for v in _I64.iter_unpack(buf[pos:pos + 8 * n])]
-    pos += 8 * n
-    values = []
-    for _ in range(n):
-        value, pos = _decode_cell(buf, pos)
-        values.append(value)
-    return TsBlock(series, timestamps, values, vt, is_header_only=header_only), pos
+    """Parse one ``tsblock``; raises MalformedMessage on any grammar violation."""
+    try:
+        (series_len,) = _U16.unpack_from(buf, pos)
+        pos += 2
+        series = SeriesPath.parse(buf[pos:pos + series_len].decode("utf-8"))
+        pos += series_len
+        header_only, vt, n = _BLOCK_HEAD.unpack_from(buf, pos)
+        vt = ValueType(vt)
+        pos += _BLOCK_HEAD.size
+        timestamps = list(struct.unpack_from(f"<{n}q", buf, pos))
+        pos += 8 * n
+        end = pos + 10 * n
+        if (
+            buf[pos:end:10] == b"\x01" * n
+            and buf[pos + 1:end:10] == bytes([_FLOAT64]) * n
+        ):
+            # stride 10 holds present-FLOAT64 at every cell: exactly the bytes a
+            # sequential parse would read, so unpack them in one pass
+            values = [v for _, _, v in _CELL_FLOAT64.iter_unpack(buf[pos:end])]
+            pos = end
+        else:
+            values, pos = _decode_cells(buf, pos, n)
+        if pos > len(buf):
+            raise MalformedMessage(f"cell runs {pos - len(buf)} bytes past the payload end")
+        return TsBlock(series, timestamps, values, vt, is_header_only=bool(header_only)), pos
+    except (IndexError, ValueError, struct.error) as exc:
+        raise MalformedMessage(f"malformed tsblock: {exc}") from exc
 
 
 # --- channel / delta --------------------------------------------------------------
@@ -336,7 +386,9 @@ def decode_message(buf: bytes) -> Message:
     elif t is MessageType.DELTA:
         msg.delta, _ = decode_delta(payload)
     elif t in (MessageType.PROBE, MessageType.DATA):
-        msg.block, _ = decode_block(payload)
+        msg.block, end = decode_block(payload)
+        if end != len(payload):
+            raise MalformedMessage(f"{len(payload) - end} bytes left after the last cell")
     elif t is MessageType.TERMINATE:
         msg.terminate_reason = TerminateReason(payload[0])
         if payload[1]:

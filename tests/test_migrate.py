@@ -6,7 +6,7 @@ import random
 import pytest
 from conftest import TABLE_II, make_cluster, make_scenario, run, small_workload
 
-from ced.harness.scenario import QuerySpec
+from ced.harness.scenario import CostModel, QuerySpec
 from ced.migrate import (
     BLOCK_STREAMING,
     PREDICATE_PUSHDOWN,
@@ -69,10 +69,12 @@ def test_request_carries_quintuple_and_sql_and_triple_echoes(tmp_path):
 
 def test_edge_continues_local_reading_until_confirmation(tmp_path):
     # huge rtt: confirmation arrives long after the forced trigger point, so
-    # several more chunks are read locally before the switch
+    # several more chunks are read locally before the switch.  A quarter-core
+    # edge makes Q1 take ~49 ms locally, so the query outlasts the round trip.
     scenario = make_scenario(
         forced_migration_at_rows=1000,
         link=LinkConfig(bandwidth_mbps=1000.0, rtt_ms=40.0),
+        cost=CostModel(edge_cpu_cores=0.25),
     )
     cluster, report = run(scenario, tmp_path)
     sink = cluster.contexts[0].coordinator.channels[0]

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ced.errors import GuardViolation, IndexKindMismatch, MisalignedOffset
 from ced.queryplan import Catalog, parse, plan
@@ -22,7 +24,7 @@ from ced.scanops import (
     resume_from_index,
     skip_to_offset,
 )
-from ced.tsstore import DataPoint, SeriesPath, SeriesStore, TsBlock, ValueType
+from ced.tsstore import BLOCK_ROWS, DataPoint, SeriesPath, SeriesStore, TsBlock, ValueType
 
 S = SeriesPath.parse("root.ln.e1.d1.t3")
 
@@ -367,3 +369,187 @@ def test_build_operator_from_plan_q1_shape(tmp_path):
     assert len(leaves) == 1 and leaves[0].has_filter_above
     rows = collect_rows(op)
     assert rows == [(999, "v999")]
+
+
+class ScriptedChild:
+    """Replays fixed next_block results and logs every call into a shared list."""
+
+    def __init__(self, name, script, log):
+        self.name = name
+        self.script = list(script)
+        self.log = log
+
+    def has_next(self):
+        self.log.append(f"{self.name}?")
+        return bool(self.script)
+
+    def next_block(self):
+        self.log.append(f"{self.name}!")
+        return self.script.pop(0)
+
+
+def _blocks(lo, hi, step, value):
+    """range(lo, hi, step) as full blocks of BLOCK_ROWS rows, the last one partial."""
+    span = BLOCK_ROWS * step
+    return [TsBlock(S, list(range(s, min(s + span, hi), step)),
+                    [value(t) for t in range(s, min(s + span, hi), step)],
+                    ValueType.FLOAT64)
+            for s in range(lo, hi, span)]
+
+
+MERGE_SCRIPTS = {
+    # a and b agree on 0..2199; b then drifts to odd timestamps and ends before a
+    "a": [*_blocks(0, 1000, 1, float), PENDING, *_blocks(1000, 2500, 1, float), NOT_READY,
+          *_blocks(2500, 3001, 2, float)],
+    "b": [*_blocks(0, 600, 1, str), *_blocks(600, 1600, 1, str), NOT_READY, *_blocks(1600, 2200, 1, str),
+          PENDING, *_blocks(2201, 2602, 2, str)],
+    # c is misaligned with both and ends first
+    "c": _blocks(3, 901, 3, int),
+}
+
+# child calls and MergeOp returns, recorded from the row-at-a-time MergeOp:
+# "a?" has_next, "a!" next_block, P PENDING, N NOT_READY, Bn an n-row block, E end
+MERGE_TRACES = {
+    "ab": (
+        "a? a! b? b! b? b! a? a! B1000 "
+        "a? a! b? b! N "
+        "b? b! a? a! B1000 "
+        "b? b! P "
+        "b? b! a? a! N "
+        "a? a! b? a? B802 E"
+    ),
+    "abc": (
+        "a? a! b? b! c? c! b? b! c? a? a! B1000 "
+        "a? a! b? b! N "
+        "b? b! a? a! B1000 "
+        "b? b! P "
+        "b? b! a? a! N "
+        "a? a! b? a? B802 E"
+    ),
+}
+
+
+def _reference_merge(children):
+    rows = {}
+    for k, name in enumerate(children):
+        for block in MERGE_SCRIPTS[name]:
+            if isinstance(block, TsBlock):
+                for ts, value in zip(block.timestamps, block.values):
+                    rows.setdefault(ts, [None] * len(children))[k] = value
+    return [(ts, tuple(rows[ts])) for ts in sorted(rows)]
+
+
+@pytest.mark.parametrize("children", sorted(MERGE_TRACES))
+def test_merge_child_calls_and_blocks_are_pinned(children):
+    log = []
+    merge = MergeOp([ScriptedChild(n, MERGE_SCRIPTS[n], log) for n in children], list(children))
+    rows = []
+    while True:
+        block = merge.next_block()
+        if block is PENDING or block is NOT_READY:
+            log.append("P" if block is PENDING else "N")
+            continue
+        if block is None:
+            log.append("E")
+            break
+        log.append(f"B{block.row_count}")
+        assert block.column_names == list(children)
+        rows.extend((ts, tuple(col[i] for _, _, col in block.columns))
+                    for i, ts in enumerate(block.timestamps))
+    assert " ".join(log) == MERGE_TRACES[children]
+    assert rows == _reference_merge(children)
+
+
+class RowMergeOp(MergeOp):
+    """Reference: the row-at-a-time merge over list buffers popped from the front."""
+
+    def __init__(self, children, columns):
+        super().__init__(children, columns)
+        self._buf_ts = [[] for _ in children]
+        self._buf_values = [[] for _ in children]
+
+    def _refill(self, i):
+        while not self._buf_ts[i] and not self._done[i]:
+            if not self.children[i].has_next():
+                self._done[i] = True
+                break
+            block = self.children[i].next_block()
+            if block is PENDING or block is NOT_READY:
+                return block
+            if block is None:
+                self._done[i] = True
+                break
+            self._buf_ts[i].extend(block.timestamps)
+            self._buf_values[i].extend(block.values)
+            self._types[i] = block.value_type
+        return True
+
+    def next_block(self):
+        for i in range(len(self.children)):
+            state = self._refill(i)
+            if state is not True:
+                return state
+        out_ts, out_cols = [], [[] for _ in self.children]
+        while len(out_ts) < BLOCK_ROWS:
+            heads = [ts[0] if ts else None for ts in self._buf_ts]
+            live = [h for h in heads if h is not None]
+            if not live:
+                break
+            ts = min(live)
+            out_ts.append(ts)
+            for i, head in enumerate(heads):
+                if head == ts:
+                    out_cols[i].append(self._buf_values[i].pop(0))
+                    self._buf_ts[i].pop(0)
+                    if not self._buf_ts[i]:
+                        state = self._refill(i)
+                        if state is not True and len(out_ts) < BLOCK_ROWS:
+                            for k in range(len(self.children)):
+                                kept = [(t, v) for t, v in zip(out_ts, out_cols[k]) if v is not None]
+                                self._buf_ts[k][:0] = [t for t, _ in kept]
+                                self._buf_values[k][:0] = [v for _, v in kept]
+                            return state
+                else:
+                    out_cols[i].append(None)
+        if not out_ts:
+            return None
+        return ResultBlock(out_ts, [(n, vt, c) for n, vt, c in zip(self.columns, self._types, out_cols)])
+
+
+@st.composite
+def merge_scripts(draw):
+    """Children over one timestamp domain with a few holes each, in random blocks."""
+    domain = range(draw(st.integers(1, 2600)))
+    scripts = {}
+    for name in "abc"[:draw(st.integers(1, 3))]:
+        holes = draw(st.sets(st.integers(0, len(domain)), max_size=6))
+        if draw(st.booleans()):
+            holes |= set(range(draw(st.integers(0, len(domain))), len(domain), 2))
+        stamps = [t for t in domain if t not in holes]
+        script, lo = [], 0
+        while lo < len(stamps):
+            hi = lo + draw(st.integers(1, 1000))
+            if draw(st.integers(0, 4)) == 0:
+                script.append(draw(st.sampled_from([PENDING, NOT_READY])))
+            script.append(TsBlock(S, stamps[lo:hi], [f"{name}{t}" for t in stamps[lo:hi]],
+                                  ValueType.STRING))
+            lo = hi
+        scripts[name] = script
+    return scripts
+
+
+def _trace(merge_cls, scripts):
+    log = []
+    merge = merge_cls([ScriptedChild(n, s, log) for n, s in scripts.items()], list(scripts))
+    while True:
+        block = merge.next_block()
+        log.append(block if block is None or block is PENDING or block is NOT_READY
+                   else (block.timestamps, block.columns))
+        if block is None:
+            return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(merge_scripts())
+def test_merge_matches_row_at_a_time_reference(scripts):
+    assert _trace(MergeOp, scripts) == _trace(RowMergeOp, scripts)

@@ -1,7 +1,10 @@
 """Byte-exact round-trips for every wire encoding."""
 
+import struct
+
 import pytest
 
+from ced.errors import MalformedMessage
 from ced.scanops import IndexKind, LogicalIndex
 from ced.tsstore import SeriesPath, TsBlock, ValueType
 from ced.wire import (
@@ -18,6 +21,7 @@ from ced.wire import (
     decode_message,
     encode_batch,
     encode_block,
+    encode_channel,
     encode_message,
 )
 
@@ -121,3 +125,72 @@ def test_probe_size_is_stable():
     # header-only payload: series + flags + type + row count, no row data
     data = Message(MessageType.DATA, CH, block=TsBlock(S, [1], [1.0], ValueType.FLOAT64))
     assert len(encoded) < len(encode_message(data))
+
+
+# --- pinned DATA block bytes -------------------------------------------------------
+
+# series_len u16 | "root.ln.e1.d1.t1" | flags u8 | value_type u8 | n u32 | ts i64 * 3
+_HEADER = "1000 726f6f742e6c6e2e65312e64312e7431 00 {vt:02x} 03000000 " \
+          "0000000000000000 e803000000000000 d007000000000000"
+
+
+@pytest.mark.parametrize("values,vt,cells", [
+    ([1.5, None, -0.25], ValueType.FLOAT64,
+     "01 02 000000000000f83f | 00 | 01 02 000000000000d0bf"),
+    ([7, None, -(2**40)], ValueType.INT64,
+     "01 01 0700000000000000 | 00 | 01 01 0000000000ffffff"),
+    ([True, None, False], ValueType.BOOL,
+     "01 00 01 | 00 | 01 00 00"),
+    (["v1", None, "ü"], ValueType.STRING,
+     "01 03 02000000 7631 | 00 | 01 03 02000000 c3bc"),
+])
+def test_block_bytes_are_pinned(values, vt, cells):
+    expected = bytes.fromhex((_HEADER.format(vt=int(vt)) + cells).replace("|", ""))
+    encoded = encode_block(TsBlock(S, [0, 1000, 2000], values, vt))
+    assert encoded == expected
+    decoded, consumed = decode_block(encoded)
+    assert consumed == len(expected)
+    assert decoded.values == values and decoded.value_type == vt
+
+
+# --- malformed blocks ------------------------------------------------------------
+
+_VT = 2 + len(str(S)) + 1                   # offset of the value_type byte
+_CELLS = _VT + 5 + 3 * 8                    # offset of the first cell
+_FLOATS = encode_block(TsBlock(S, [0, 1000, 2000], [1.5, 2.5, -0.25], ValueType.FLOAT64))
+# cells: "v1" at _CELLS (8 bytes), None at _CELLS + 8, "ü" at _CELLS + 9 (8 bytes)
+_STRINGS = encode_block(TsBlock(S, [0, 1000, 2000], ["v1", None, "ü"], ValueType.STRING))
+
+
+def _patch(buf: bytes, at: int, raw: bytes) -> bytes:
+    return buf[:at] + raw + buf[at + len(raw):]
+
+
+@pytest.mark.parametrize("encoded", [
+    _patch(_FLOATS, _CELLS + 11, b"\x09"),                 # unknown tag, 2nd float cell
+    _patch(_STRINGS, _CELLS + 1, b"\x07"),                 # unknown tag, 1st string cell
+    _patch(_STRINGS, _CELLS + 11, struct.pack("<I", 50)),  # string length past the end
+    _FLOATS[:-3],                                          # last cell cut short
+    _STRINGS[:_CELLS - 4],                                 # timestamps cut short
+    _patch(_FLOATS, _VT, b"\x05"),                         # unknown value type
+    _patch(_STRINGS, _CELLS + 6, b"\xc3\x28"),              # invalid utf-8
+], ids=["float-tag", "string-tag", "string-past-end", "short-cell",
+        "short-timestamps", "value-type", "utf8"])
+def test_malformed_block_is_rejected(encoded):
+    with pytest.raises(MalformedMessage):
+        decode_block(encoded)
+
+
+def test_intact_blocks_decode():
+    assert decode_block(_FLOATS)[0].values == [1.5, 2.5, -0.25]
+    assert decode_block(_STRINGS)[0].values == ["v1", None, "ü"]
+
+
+def test_leftover_bytes_after_the_last_cell_are_rejected():
+    head = bytearray([int(MessageType.DATA)])
+    encode_channel(head, CH)
+    payload = _FLOATS + b"\x00"
+    with pytest.raises(MalformedMessage):
+        decode_message(bytes(head) + struct.pack("<I", len(payload)) + payload)
+    intact = bytes(head) + struct.pack("<I", len(_FLOATS)) + _FLOATS
+    assert decode_message(intact).block.values == [1.5, 2.5, -0.25]
