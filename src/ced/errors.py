@@ -69,16 +69,8 @@ class MalformedMessage(CedError):
     """Wire bytes break the grammar: unknown tag, field past the end, or leftover bytes."""
 
 
-class TransportDown(CedError):
-    """Control-plane message could not be sent; migration is abandoned."""
-
-
 class GuardViolation(CedError):
-    """Delta state export attempted while blocks are still in flight (internal bug)."""
-
-
-class ChannelBroken(CedError):
-    """Streaming channel failed; the consumer must resume locally."""
+    """Delta state export attempted mid-chunk or mid-window (internal bug)."""
 
 
 class ScenarioError(CedError):

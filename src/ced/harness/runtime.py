@@ -49,14 +49,7 @@ from ..migrate import (
 from ..monitor import ResourceMonitor
 from ..netsim import Engine, FifoResource, Link, Signal
 from ..queryplan import Catalog, parse, plan
-from ..scanops import (
-    NOT_READY,
-    PENDING,
-    AggregationScanOp,
-    SeriesScanOp,
-    as_result_stream,
-    build_operator,
-)
+from ..scanops import NOT_READY, PENDING, as_result_stream, build_operator
 from ..tsstore import SeriesPath, SeriesStore
 from ..wire import decode_batch
 from .metrics import ChecksumBuilder, MetricsReport, QueryResult
@@ -113,11 +106,10 @@ class QueryContext:
     def _make_boundary_listener(self, leaf):
         threshold = self.cluster.scenario.forced_migration_at_rows
 
-        def on_boundary(index_value: int) -> None:
+        def on_boundary() -> None:
             if self.coordinator.migration_started or not self.running:
                 return
-            progress = leaf.rows_covered if isinstance(leaf, AggregationScanOp) else index_value
-            if progress >= threshold:
+            if leaf.rows_local >= threshold:
                 self.start_migration()
 
         return on_boundary
@@ -143,10 +135,7 @@ class QueryContext:
     # --- effort accounting ----------------------------------------------------
 
     def _local_effort(self) -> int:
-        total = 0
-        for leaf in self.leaf_ops:
-            total += leaf.rows_covered if isinstance(leaf, AggregationScanOp) else leaf.rows_local
-        return total
+        return sum(leaf.rows_local for leaf in self.leaf_ops)
 
     def _remote_rows(self) -> int:
         return sum(leaf.rows_remote for leaf in self.leaf_ops)
@@ -186,14 +175,13 @@ class QueryContext:
         self.end_s = cluster.engine.now
         self.running = False
         self.coordinator.cancel_open_channels("query complete")
-        cluster.notify_query_done()
 
     # --- reporting -------------------------------------------------------------------
 
     def result(self, run_label: str) -> QueryResult:
         sinks = self.coordinator.channels
         migrated = sum(1 for s in sinks if s.activation_index is not None)
-        remigrated = sum(1 for s in sinks if getattr(s, "outcome", None) == "remigrate")
+        remigrated = sum(1 for s in sinks if s.outcome == "remigrate")
         rejected = sum(1 for s in sinks if s.rejected)
         failures = sum(1 for s in sinks if s.failed)
         return QueryResult(
@@ -273,7 +261,6 @@ class Cluster:
             self.engine,
             self.cloud_transport,
             self.telemetry,
-            cache_lookup=self.cache.cache_lookup,
             make_producer=self._make_producer,
         )
         self.edge_transport.register_tag("syncreq", self._on_sync_request)
@@ -319,9 +306,6 @@ class Cluster:
 
     def _on_pipe_batch(self, envelope) -> None:
         self.cache.replay(decode_batch(envelope.payload))
-
-    def mark_dirty(self, series: str) -> None:
-        self._dirty_series.add(series)
 
     # --- cloud producer construction -----------------------------------------------
 
@@ -409,9 +393,6 @@ class Cluster:
 
     def any_running(self) -> bool:
         return any(ctx.running for ctx in self.contexts)
-
-    def notify_query_done(self) -> None:
-        pass    # hook for tests; periodic tasks poll any_running()
 
     def _io_hog_process(self):
         # open-loop demand: external tenants keep asking for disk time whether

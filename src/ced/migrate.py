@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import LinkClosed, TransportDown
+from .errors import LinkClosed
 from .netsim import Engine, Envelope, Link, SimEvent, Signal, Timer
 from .queryplan import OperatorNode
 from .scanops import NOT_READY, PENDING, LogicalIndex, RemoteEnd, RemoteSource
@@ -50,7 +50,6 @@ __all__ = [
     "SourceChannel",
     "MigrationCoordinator",
     "CloudGateway",
-    "select_transmission_mode",
     "leaf_transmission_mode",
     "filter_above_leaf",
 ]
@@ -144,15 +143,6 @@ class Transport:
 
 # --- transmission-mode selection -----------------------------------------------------
 
-def select_transmission_mode(plan: OperatorNode) -> str:
-    """Pushdown iff the plan contains a filter above a scan (WHERE present)."""
-    if plan.kind == "filter":
-        return PREDICATE_PUSHDOWN
-    if any(select_transmission_mode(c) == PREDICATE_PUSHDOWN for c in plan.children):
-        return PREDICATE_PUSHDOWN
-    return BLOCK_STREAMING
-
-
 def filter_above_leaf(tree: OperatorNode, leaf: OperatorNode) -> Optional[OperatorNode]:
     """The filter node directly above ``leaf``, if any."""
     if tree.kind == "filter" and tree.children[0] is leaf:
@@ -165,6 +155,7 @@ def filter_above_leaf(tree: OperatorNode, leaf: OperatorNode) -> Optional[Operat
 
 
 def leaf_transmission_mode(tree: OperatorNode, leaf: OperatorNode) -> str:
+    """Pushdown iff a filter sits directly above the leaf (its WHERE clause)."""
     return PREDICATE_PUSHDOWN if filter_above_leaf(tree, leaf) is not None else BLOCK_STREAMING
 
 
@@ -272,15 +263,17 @@ class SinkChannel(RemoteSource):
     def on_message(self, msg: Message) -> None:
         if msg.type is MessageType.CONFIRMATION:
             if self.phase == ChannelPhase.REQUESTED:
-                assert msg.confirmation == (
-                    self.channel_id.fragment_id,
-                    self.channel_id.source_id,
-                    self.channel_id.query_id,
-                ), "confirmation triple must echo the request"
-                self.phase = ChannelPhase.CONFIRMED
-                self.telemetry.confirmations += 1
-                self.telemetry.record(self.engine.now, "confirmed", self.channel_id)
-                self.on_confirmed(self)
+                if msg.confirmation == self.channel_id.triple():
+                    self.phase = ChannelPhase.CONFIRMED
+                    self.telemetry.confirmations += 1
+                    self.telemetry.record(self.engine.now, "confirmed", self.channel_id)
+                    self.on_confirmed(self)
+                else:
+                    # not an echo of this request: a rejection, and the producer is released
+                    self.rejected = True
+                    self.telemetry.rejections += 1
+                    self.telemetry.record(self.engine.now, "rejected", self.channel_id)
+                    self.cancel("confirmation does not echo the request")
             self.notify()
         elif msg.type is MessageType.REJECTION:
             self.rejected = True
@@ -379,7 +372,7 @@ class MigrationCoordinator:
                 self.channels.append(sink)
                 self._leaf_by_channel[channel_id.key()] = leaf
                 sink.send_request()
-        except (TransportDown, LinkClosed):
+        except LinkClosed:
             # compensation: local execution simply continues
             for sink in self.channels:
                 sink.phase = ChannelPhase.TERMINATED
@@ -465,10 +458,6 @@ class SourceChannel:
         self.remigrate_requested = True
         self._wake.notify()
 
-    def _aligned(self) -> bool:
-        state = self.leaf_op.state
-        return not state.in_flight_blocks and state.partial_window_accumulator is None
-
     def _produce(self):
         while True:
             if self.cancelled:
@@ -490,7 +479,7 @@ class SourceChannel:
             yield from self._send_block(block)
 
     def _should_remigrate(self) -> bool:
-        if not self._aligned() or self.leaf_op is None:
+        if self.leaf_op is None or not self.leaf_op.at_boundary():
             return False
         if self.remigrate_requested:
             return True
@@ -503,12 +492,11 @@ class SourceChannel:
     def _remigrate(self):
         # drain operator-held rows (e.g. a pushdown filter's buffer) before the
         # final delta, so the edge resume point covers exactly the shipped rows
-        if hasattr(self.root_op, "flush_partial"):
-            while True:
-                block = self.root_op.flush_partial()
-                if block is None:
-                    break
-                yield from self._send_block(block)
+        while True:
+            block = self.root_op.flush_partial()
+            if block is None:
+                break
+            yield from self._send_block(block)
         self._terminate(TerminateReason.REMIGRATION)
 
     def _send_block(self, block: TsBlock):
@@ -519,20 +507,15 @@ class SourceChannel:
         self.transport.send_message(Message(MessageType.DATA, self.channel_id, block=block))
         self.credits -= 1
 
-    def _leaf_effort(self) -> int:
-        if hasattr(self.leaf_op, "rows_covered"):
-            return self.leaf_op.rows_covered
-        return self.leaf_op.rows_local
-
     def _step(self):
         """One unit of work plus its simulated disk/CPU cost."""
         io_before = self.io_stats.bytes_read
-        effort_before = self._leaf_effort()
+        effort_before = self.leaf_op.rows_local
         block = self.root_op.next_block()
         assert block is not PENDING, "cloud operators read local cache only"
         yield from self.charge(
             self.io_stats.bytes_read - io_before,
-            self._leaf_effort() - effort_before,
+            self.leaf_op.rows_local - effort_before,
         )
         return block
 
@@ -563,13 +546,11 @@ class CloudGateway:
         engine: Engine,
         transport: Transport,
         telemetry: ProtocolTelemetry,
-        cache_lookup: Callable[[SeriesPath], bool],
         make_producer: Callable[[Message], Optional[SourceChannel]],
     ):
         self.engine = engine
         self.transport = transport
         self.telemetry = telemetry
-        self.cache_lookup = cache_lookup
         self.make_producer = make_producer
         self.channels: dict[tuple, SourceChannel] = {}    # the global mapping table
         transport.set_fallback(self.handle_message)
@@ -599,7 +580,7 @@ class CloudGateway:
             Message(
                 MessageType.CONFIRMATION,
                 channel,
-                confirmation=(channel.fragment_id, channel.source_id, channel.query_id),
+                confirmation=channel.triple(),
             )
         )
         self.telemetry.record(self.engine.now, "confirm", channel)

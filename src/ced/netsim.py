@@ -189,9 +189,6 @@ class Process:
         else:
             raise TypeError(f"process yielded {yielded!r}; expected delay or SimEvent")
 
-    def kill(self) -> None:
-        self.alive = False
-
 
 class BusyTracker:
     """Non-overlapping busy intervals with range queries (utilization sampling)."""

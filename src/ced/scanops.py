@@ -1,19 +1,34 @@
 """Collaborative scan operators under the Volcano next()/has_next() contract.
 
-Two leaf operators carry a resumable logical index:
+The collaborative scan is one migratable leaf.  It reads local storage,
+can hand its progress to a remote block stream mid-query and take it back,
+and carries a resumable logical index that either tier can resume from.
+The shared base owns the whole switch:
 
-* SeriesScanOp counts consumed rows, advancing only at chunk boundaries,
-  so an exported offset always lands exactly between chunks.
-* AggregationScanOp partitions its time domain into equal windows and uses
-  the start timestamp of the next unemitted window as its index; chunks
-  lying entirely before that window are skipped from metadata alone.
+* ``request_switch`` arms a switch that is taken only when ``at_boundary()``
+  holds, so the index handed to the remote side never falls inside a unit;
+* the remote poll loop: PENDING while nothing is buffered, then a
+  :class:`RemoteEnd` that either completes the scan (``complete``) or
+  resumes it locally from the index it carries (``remigrate``, ``broken``);
+* ``resume_local``, through which the constructors also start;
+* the counters ``rows_local`` (source rows read from local storage, the
+  work the simulator charges CPU time for) and ``rows_remote``.
 
-Either leaf can switch its data source mid-query from local storage to a
-remote block stream and back.  The remote side is any object with the
-small surface described by :class:`RemoteSource`; the migration machinery
-supplies the real implementation.  ``next_block`` returns PENDING when a
-remote source has nothing buffered yet, letting a cooperative driver wait
-without blocking.
+Each kind supplies its index kind and the local half: ``_open_local``
+(reposition, rejecting a misaligned index), ``at_boundary``, ``_has_local``,
+``_next_local`` and ``_index_after`` (the index after a remote block).
+
+* SeriesScanOp resumes from a ROW_OFFSET, the count of rows consumed.  It
+  advances only when the last block of a chunk is handed over, so a
+  boundary is "no block of a chunk in flight" and an exported offset
+  always lands exactly between chunks.
+* AggregationScanOp resumes from a WINDOW_START, the start of the next
+  unemitted window of an equal-width partition of its time range.  A
+  boundary is "no partially aggregated window held"; chunks lying wholly
+  before the window are skipped from metadata alone.
+
+The remote side is any object with the small surface described by
+:class:`RemoteSource`; the migration machinery supplies the real one.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import GuardViolation, IndexKindMismatch, MisalignedOffset
+from .errors import GuardViolation, IndexKindMismatch, MisalignedOffset, UnknownSeries
 from .queryplan import OperatorNode
 from .tsstore import (
     BLOCK_ROWS,
@@ -35,9 +50,7 @@ from .tsstore import (
 
 __all__ = [
     "PENDING",
-    "Pending",
     "NOT_READY",
-    "NotReady",
     "RemoteEnd",
     "RemoteSource",
     "IndexKind",
@@ -58,44 +71,25 @@ __all__ = [
 ]
 
 
-class Pending:
-    """Sentinel: no block available yet; retry after the channel makes progress."""
+class _Sentinel:
+    __slots__ = ("_name",)
 
-    _instance: Optional["Pending"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self) -> str:
-        return "<PENDING>"
+        return f"<{self._name}>"
 
 
-PENDING = Pending()
+# No block available yet; retry after the channel makes progress.
+PENDING = _Sentinel("PENDING")
 
-
-class NotReady:
-    """Sentinel: one unit of local work was done but no block is complete yet.
-
-    Callers re-invoke immediately (after charging simulated time for the
-    work observed); unlike PENDING there is nothing to wait for.  This
-    keeps every next_block call bounded to roughly one chunk of I/O, which
-    is what gives the simulation per-chunk timing granularity.
-    """
-
-    _instance: Optional["NotReady"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<NOT_READY>"
-
-
-NOT_READY = NotReady()
+# One unit of local work was done but no block is complete yet.  Callers
+# re-invoke immediately (after charging simulated time for the work
+# observed); unlike PENDING there is nothing to wait for.  This keeps every
+# next_block call bounded to roughly one chunk of I/O, which is what gives
+# the simulation per-chunk timing granularity.
+NOT_READY = _Sentinel("NOT_READY")
 
 
 @dataclass(frozen=True)
@@ -175,14 +169,14 @@ class ScanState:
 
     logical_index: LogicalIndex
     in_flight_blocks: list = field(default_factory=list)
-    source_mode: str = "local"                 # local | remote
+    source_mode: str = "local"                 # local | remote | done
     remote: Optional[RemoteSource] = None
     partial_window_accumulator: Optional[tuple] = None   # transient, never exported
 
     def export_index(self) -> LogicalIndex:
-        if self.in_flight_blocks:
+        if self.in_flight_blocks or self.partial_window_accumulator is not None:
             raise GuardViolation(
-                f"{len(self.in_flight_blocks)} blocks still in flight; "
+                f"{len(self.in_flight_blocks)} blocks or a partial window still in flight; "
                 "delta may only be packaged after full consumption"
             )
         return self.logical_index
@@ -251,48 +245,43 @@ class _OperatorBase:
     def next_block(self):
         raise NotImplementedError
 
+    def flush_partial(self) -> Optional[TsBlock]:
+        """Emit rows held back from a partial block; only a filter holds any."""
+        return None
 
-class SeriesScanOp(_OperatorBase):
-    """Leaf scan over one series; ≤1000-row blocks in timestamp order."""
 
-    def __init__(
-        self,
-        store: SeriesStore,
-        series: SeriesPath,
-        start_index: Optional[LogicalIndex] = None,
-        time_range: Optional[tuple[int, int]] = None,
-        has_filter_above: bool = False,
-    ):
-        if start_index is None:
-            start_index = LogicalIndex.row_offset(0)
-        if start_index.kind is not IndexKind.ROW_OFFSET:
-            raise IndexKindMismatch("series scan resumes from a row offset")
+class _ScanLeaf(_OperatorBase):
+    """The migratable leaf: the switch, the remote stream and the resume (see above)."""
+
+    index_kind: IndexKind
+
+    def __init__(self, store: SeriesStore, series: SeriesPath, start_index: LogicalIndex):
         self.store = store
         self.series = series
-        self.time_range = time_range
-        self.has_filter_above = has_filter_above
-        self.state = ScanState(logical_index=start_index)
-        self.rows_returned = 0
-        self.rows_local = 0
-        self.rows_remote = 0
-        self.boundary_listener: Optional[Callable[[int], None]] = None
+        self.rows_local = 0       # source rows read from local storage
+        self.rows_remote = 0      # rows received from the remote source
+        self.boundary_listener: Optional[Callable[[], None]] = None
         self.pending_remote: Optional[RemoteSource] = None
-        self._current_chunk_rows = 0
-        self._iterator = store.open_chunk_iterator(series, time_range)
-        if start_index.value:
-            if has_filter_above:
-                skip_to_offset(start_index.value, self._iterator,
-                               PositionFilter(start_index.value))
-            else:
-                skip_to_offset(start_index.value, self._iterator)
+        self.state = ScanState(logical_index=start_index)
+        self.resume_local(start_index)
 
     # -- migration hooks ----------------------------------------------------
 
     def request_switch(self, remote: RemoteSource) -> None:
-        """Arm a source switch; takes effect at the next chunk boundary."""
+        """Arm a source switch; it takes effect at the next boundary."""
         self.pending_remote = remote
 
-    def _try_switch(self) -> None:
+    def resume_local(self, index: LogicalIndex) -> None:
+        """Read locally from ``index``, which must be a boundary of this leaf."""
+        if index.kind is not self.index_kind:
+            raise IndexKindMismatch(f"{type(self).__name__} resumes from a {self.index_kind.value}")
+        self._open_local(index)
+        state = self.state
+        state.source_mode = "local"
+        state.remote = None
+        state.logical_index = index
+
+    def _switch(self) -> None:
         remote = self.pending_remote
         self.pending_remote = None
         index = self.state.export_index()    # guard: nothing in flight
@@ -300,61 +289,26 @@ class SeriesScanOp(_OperatorBase):
         self.state.remote = remote
         remote.activate(index)
 
-    def resume_local(self, index: LogicalIndex) -> None:
-        """Fall back to local reading from a chunk-aligned offset."""
-        if index.kind is not IndexKind.ROW_OFFSET:
-            raise IndexKindMismatch("series scan resumes from a row offset")
-        self.state.source_mode = "local"
-        self.state.remote = None
-        self.state.logical_index = index
-        self._iterator = self.store.open_chunk_iterator(self.series, self.time_range)
-        if index.value:
-            if self.has_filter_above:
-                skip_to_offset(index.value, self._iterator, PositionFilter(index.value))
-            else:
-                skip_to_offset(index.value, self._iterator)
-
     # -- volcano ----------------------------------------------------------------
 
     def has_next(self) -> bool:
-        if self.state.source_mode == "done":
-            return False
-        if self.state.in_flight_blocks:
-            return True
-        if self.state.source_mode == "remote":
+        mode = self.state.source_mode
+        if mode == "remote":
             return True     # until the termination marker is consumed
-        if self.pending_remote is not None:
-            return True
-        return self._iterator.has_next()
+        return mode != "done" and self._has_local()
 
     def next_block(self):
         state = self.state
-        if state.source_mode == "done":
-            return None
-        if state.source_mode == "local" and self.pending_remote is not None and not state.in_flight_blocks:
-            self._try_switch()
+        if state.source_mode == "local" and self.pending_remote is not None and self.at_boundary():
+            self._switch()
         if state.source_mode == "remote":
             return self._next_remote()
-        if not state.in_flight_blocks:
-            if not self._iterator.has_next():
-                return None
-            meta = self._iterator.advance()
-            state.in_flight_blocks = self.store.load_chunk_pages(meta)
-            self._current_chunk_rows = meta.row_count
-        block = state.in_flight_blocks.pop(0)
-        self.rows_returned += block.row_count
-        self.rows_local += block.row_count
-        if not state.in_flight_blocks:
-            new_offset = state.logical_index.value + self._current_chunk_rows
-            state.logical_index = LogicalIndex.row_offset(new_offset)
-            self._current_chunk_rows = 0
-            if self.boundary_listener is not None:
-                self.boundary_listener(new_offset)
-        return block
+        if state.source_mode == "done":
+            return None
+        return self._next_local()
 
     def _next_remote(self):
         remote = self.state.remote
-        assert remote is not None
         result = remote.poll()
         if result is PENDING:
             return PENDING
@@ -366,20 +320,89 @@ class SeriesScanOp(_OperatorBase):
             index = result.final_index if result.final_index is not None else self.state.logical_index
             self.resume_local(index)
             if self.boundary_listener is not None:
-                self.boundary_listener(index.value)
-            return self.next_block() if self._iterator.has_next() else None
-        assert isinstance(result, TsBlock)
-        self.rows_returned += result.row_count
+                self.boundary_listener()
+            return self.next_block() if self.has_next() else None
         self.rows_remote += result.row_count
-        self.state.logical_index = LogicalIndex.row_offset(
-            self.state.logical_index.value + result.row_count
-        )
+        self.state.logical_index = self._index_after(result)
         remote.acknowledge_consumed()
         return result
 
+    # -- per-kind hooks -------------------------------------------------------------
 
-class AggregationScanOp(_OperatorBase):
+    def _open_local(self, index: LogicalIndex) -> None:
+        raise NotImplementedError
+
+    def at_boundary(self) -> bool:
+        raise NotImplementedError
+
+    def _has_local(self) -> bool:
+        raise NotImplementedError
+
+    def _next_local(self):
+        raise NotImplementedError
+
+    def _index_after(self, block: TsBlock) -> LogicalIndex:
+        raise NotImplementedError
+
+
+class SeriesScanOp(_ScanLeaf):
+    """Leaf scan over one series; ≤1000-row blocks in timestamp order."""
+
+    index_kind = IndexKind.ROW_OFFSET
+
+    def __init__(
+        self,
+        store: SeriesStore,
+        series: SeriesPath,
+        start_index: Optional[LogicalIndex] = None,
+        has_filter_above: bool = False,
+    ):
+        self.has_filter_above = has_filter_above
+        self._current_chunk_rows = 0
+        super().__init__(store, series, start_index or LogicalIndex.row_offset(0))
+
+    def _open_local(self, index: LogicalIndex) -> None:
+        self._iterator = self.store.open_chunk_iterator(self.series)
+        if index.value:
+            position = PositionFilter(index.value) if self.has_filter_above else None
+            skip_to_offset(index.value, self._iterator, position)
+
+    def at_boundary(self) -> bool:
+        return not self.state.in_flight_blocks
+
+    def _has_local(self) -> bool:
+        return (
+            bool(self.state.in_flight_blocks)
+            or self.pending_remote is not None
+            or self._iterator.has_next()
+        )
+
+    def _next_local(self):
+        state = self.state
+        if not state.in_flight_blocks:
+            if not self._iterator.has_next():
+                return None
+            meta = self._iterator.advance()
+            state.in_flight_blocks = self.store.load_chunk_pages(meta)
+            self._current_chunk_rows = meta.row_count
+        block = state.in_flight_blocks.pop(0)
+        self.rows_local += block.row_count
+        if not state.in_flight_blocks:
+            new_offset = state.logical_index.value + self._current_chunk_rows
+            state.logical_index = LogicalIndex.row_offset(new_offset)
+            self._current_chunk_rows = 0
+            if self.boundary_listener is not None:
+                self.boundary_listener()
+        return block
+
+    def _index_after(self, block: TsBlock) -> LogicalIndex:
+        return LogicalIndex.row_offset(self.state.logical_index.value + block.row_count)
+
+
+class AggregationScanOp(_ScanLeaf):
     """Windowed count/max_value over one series with metadata-level skipping."""
+
+    index_kind = IndexKind.WINDOW_START
 
     def __init__(
         self,
@@ -392,84 +415,38 @@ class AggregationScanOp(_OperatorBase):
     ):
         if fn not in ("count", "max_value"):
             raise ValueError(f"unsupported aggregate {fn!r}")
-        if start_index is None:
-            start_index = LogicalIndex.window_start(spec.lo)
-        if start_index.kind is not IndexKind.WINDOW_START:
-            raise IndexKindMismatch("aggregation scan resumes from a window start")
-        if start_index.value != spec.hi:
-            spec.window_at(start_index.value)     # validates alignment
-        self.store = store
-        self.series = series
         self.spec = spec
         self.fn = fn
         self.label = label or f"{fn}({series.leaf})"
-        self.state = ScanState(logical_index=start_index)
-        self.rows_covered = 0                      # source rows consumed so far
-        self.rows_remote = 0                       # aggregate rows received over the channel
-        self.boundary_listener: Optional[Callable[[int], None]] = None
-        self.pending_remote: Optional[RemoteSource] = None
         self.chunks_skipped = 0
+        super().__init__(store, series, start_index or LogicalIndex.window_start(spec.lo))
         self._value_type = self._output_type()
-        self._reset_local_cursor()
 
     def _output_type(self) -> ValueType:
         if self.fn == "count":
             return ValueType.INT64
         try:
             return self.store.value_type(self.series)
-        except Exception:
+        except UnknownSeries:
             return ValueType.FLOAT64
 
-    def _reset_local_cursor(self) -> None:
+    def _open_local(self, index: LogicalIndex) -> None:
+        if index.value != self.spec.hi:
+            self.spec.window_at(index.value)     # validates alignment
         self._iterator = self.store.open_chunk_iterator(self.series)
         self._buf_ts: list[int] = []
         self._buf_values: list = []
         self._buf_pos = 0
 
-    # -- migration hooks -----------------------------------------------------
+    def at_boundary(self) -> bool:
+        return self.state.partial_window_accumulator is None
 
-    def request_switch(self, remote: RemoteSource) -> None:
-        self.pending_remote = remote
-
-    def _try_switch(self) -> None:
-        remote = self.pending_remote
-        self.pending_remote = None
-        index = self.state.export_index()
-        self.state.source_mode = "remote"
-        self.state.remote = remote
-        remote.activate(index)
-
-    def resume_local(self, index: LogicalIndex) -> None:
-        if index.kind is not IndexKind.WINDOW_START:
-            raise IndexKindMismatch("aggregation scan resumes from a window start")
-        if index.value != self.spec.hi:
-            self.spec.window_at(index.value)
-        self.state.source_mode = "local"
-        self.state.remote = None
-        self.state.logical_index = index
-        self.state.partial_window_accumulator = None
-        self._reset_local_cursor()
-
-    # -- volcano ------------------------------------------------------------------
-
-    def has_next(self) -> bool:
-        if self.state.source_mode == "remote":
-            return True
-        if self.state.source_mode == "done":
-            return False
+    def _has_local(self) -> bool:
         return self.state.logical_index.value < self.spec.hi
 
-    def next_block(self):
+    def _next_local(self):
         state = self.state
-        if (
-            state.source_mode == "local"
-            and self.pending_remote is not None
-            and state.partial_window_accumulator is None
-        ):
-            self._try_switch()
-        if state.source_mode == "remote":
-            return self._next_remote()
-        if state.source_mode == "done" or state.logical_index.value >= self.spec.hi:
+        if state.logical_index.value >= self.spec.hi:
             return None
         if state.partial_window_accumulator is None:
             window_start, window_end = self.spec.window_at(state.logical_index.value)
@@ -486,7 +463,8 @@ class AggregationScanOp(_OperatorBase):
                 return NOT_READY
             if ts is None or ts >= window_end:
                 break
-            self._consume_row()
+            self._buf_pos += 1
+            self.rows_local += 1
             if ts < window_start:
                 continue               # rows preceding the resume index
             count += 1
@@ -499,7 +477,7 @@ class AggregationScanOp(_OperatorBase):
             window_end if window_end < self.spec.hi else self.spec.hi
         )
         if self.boundary_listener is not None:
-            self.boundary_listener(state.logical_index.value)
+            self.boundary_listener()
         return block
 
     def _peek_row(self, window_start: int, window_end: int, loads_budget: int):
@@ -530,32 +508,8 @@ class AggregationScanOp(_OperatorBase):
             loads += 1
         return self._buf_ts[self._buf_pos], self._buf_values[self._buf_pos], loads
 
-    def _consume_row(self) -> None:
-        self._buf_pos += 1
-        self.rows_covered += 1
-
-    def _next_remote(self):
-        remote = self.state.remote
-        assert remote is not None
-        result = remote.poll()
-        if result is PENDING:
-            return PENDING
-        if isinstance(result, RemoteEnd):
-            if result.kind == "complete":
-                self.state.source_mode = "done"
-                return None
-            index = result.final_index if result.final_index is not None else self.state.logical_index
-            self.resume_local(index)
-            if self.boundary_listener is not None:
-                self.boundary_listener(index.value)
-            return self.next_block() if self.has_next() else None
-        assert isinstance(result, TsBlock)
-        self.rows_remote += result.row_count
-        last_window = result.timestamps[-1]
-        next_start = last_window + self.spec.width
-        self.state.logical_index = LogicalIndex.window_start(min(next_start, self.spec.hi))
-        remote.acknowledge_consumed()
-        return result
+    def _index_after(self, block: TsBlock) -> LogicalIndex:
+        return LogicalIndex.window_start(min(block.timestamps[-1] + self.spec.width, self.spec.hi))
 
 
 class FilterOp(_OperatorBase):

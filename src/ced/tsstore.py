@@ -251,9 +251,6 @@ class IoStats:
     chunks_loaded: int = 0
     reads: int = 0
 
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.bytes_read, self.chunks_loaded, self.reads)
-
 
 # --- row codecs -------------------------------------------------------------
 

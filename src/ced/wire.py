@@ -101,6 +101,10 @@ class ChannelId:
     def key(self) -> tuple:
         return ("chan", self.address, self.port, self.fragment_id, self.source_id, self.query_id)
 
+    def triple(self) -> tuple[int, int, int]:
+        """What a CONFIRMATION echoes back: fragment, source and query ids."""
+        return (self.fragment_id, self.source_id, self.query_id)
+
     def __str__(self) -> str:
         return f"{self.address}:{self.port}/f{self.fragment_id}/s{self.source_id}/q{self.query_id}"
 

@@ -4,7 +4,14 @@ import dataclasses
 import random
 
 import pytest
-from conftest import TABLE_II, make_cluster, make_scenario, run, small_workload
+from conftest import (
+    TABLE_II,
+    edge_baseline_checksum,
+    make_cluster,
+    make_scenario,
+    run,
+    small_workload,
+)
 
 from ced.harness.scenario import CostModel, QuerySpec
 from ced.migrate import (
@@ -13,7 +20,6 @@ from ced.migrate import (
     ChannelConfig,
     ChannelPhase,
     leaf_transmission_mode,
-    select_transmission_mode,
 )
 from ced.netsim import LinkConfig
 from ced.queryplan import Catalog, parse, plan
@@ -33,17 +39,17 @@ def catalog():
 
 def test_q1_selects_pushdown():
     tree = plan(parse(TABLE_II["Q1"]), catalog())
-    assert select_transmission_mode(tree) == PREDICATE_PUSHDOWN
+    assert [leaf_transmission_mode(tree, leaf) for leaf in tree.leaves()] == [PREDICATE_PUSHDOWN]
 
 
 def test_q3_selects_block_streaming():
     tree = plan(parse(TABLE_II["Q3"]), catalog())
-    assert select_transmission_mode(tree) == BLOCK_STREAMING
+    assert [leaf_transmission_mode(tree, leaf) for leaf in tree.leaves()] == [BLOCK_STREAMING] * 2
 
 
 def test_q4_aggregate_without_where_is_block_streaming():
     tree = plan(parse(TABLE_II["Q4"]), catalog())
-    assert select_transmission_mode(tree) == BLOCK_STREAMING
+    assert [leaf_transmission_mode(tree, leaf) for leaf in tree.leaves()] == [BLOCK_STREAMING]
 
 
 def test_leaf_mode_mixed_query():
@@ -61,8 +67,8 @@ def test_request_carries_quintuple_and_sql_and_triple_echoes(tmp_path):
     sink = cluster.contexts[0].coordinator.channels[0]
     assert sink.channel_id == ChannelId("cloud", 9000, 1, 1, 1)
     assert sink.sql == TABLE_II["Q1"]
-    # the confirmation assert inside SinkChannel.on_message verifies the echo;
-    # reaching streaming proves it passed
+    # SinkChannel.on_message rejects a confirmation that does not echo the
+    # request; reaching streaming proves it matched
     assert cluster.telemetry.confirmations == 1
     assert report.queries[0].migrated == 1
 
@@ -92,6 +98,31 @@ def test_rejection_keeps_edge_local(tmp_path):
     assert cluster.telemetry.rejections == 1
     leaf = cluster.contexts[0].leaf_ops[0]
     assert leaf.state.source_mode == "local"
+
+
+def test_mismatched_confirmation_is_a_rejection(tmp_path):
+    from ced.wire import Message, MessageType
+
+    scenario = make_scenario(forced_migration_at_rows=2000)
+    cluster = make_cluster(scenario, tmp_path)
+    transport = cluster.gateway.transport
+
+    def forged_confirm(channel):      # echoes the wrong triple
+        transport.send_message(Message(
+            MessageType.CONFIRMATION, channel,
+            confirmation=(channel.fragment_id, channel.source_id + 1, channel.query_id),
+        ))
+
+    cluster.gateway._confirm = forged_confirm
+    report = cluster.run()
+    q = report.queries[0]
+    sink = cluster.contexts[0].coordinator.channels[0]
+    assert q.checksum == edge_baseline_checksum(scenario.queries[0].sql, small_workload(), tmp_path)
+    assert (q.rejected, q.migrated) == (1, 0)
+    assert q.final_placement == "edge"
+    assert sink.activation_index is None and cluster.telemetry.switches == 0
+    assert cluster.telemetry.rejections == 1 and cluster.telemetry.confirmations == 0
+    assert cluster.gateway.active_count() == 0     # the producer got CANCEL
 
 
 def test_duplicate_request_is_idempotently_reconfirmed(tmp_path):
@@ -193,6 +224,26 @@ def test_all_probes_lost_edge_resumes_locally_exact(tmp_path):
     assert hit, "no seed exhausted the retry budget"
 
 
+def test_all_probes_lost_aggregation_resumes_locally_exact(tmp_path):
+    baseline = edge_baseline_checksum(TABLE_II["Q4"], small_workload(), tmp_path)
+    hit = False
+    for seed in range(60):
+        scenario = dataclasses.replace(
+            make_scenario(TABLE_II["Q4"], forced_migration_at_rows=2000),
+            name=f"agg-all-loss-{seed}",
+            link=LinkConfig(bandwidth_mbps=1000.0, rtt_ms=1.0, loss_rate=0.93, seed=seed),
+            channel=ChannelConfig(probe_retries=2, probe_timeout_s=0.003),
+        )
+        cluster, report = run(scenario, tmp_path)
+        q = report.queries[0]
+        assert q.checksum == baseline, f"seed {seed} lost exactness"
+        if cluster.telemetry.handshake_failures:
+            hit = True
+            assert q.final_placement == "edge"
+            assert q.handshake_failures == 1
+    assert hit, "no seed exhausted the retry budget"
+
+
 def test_handshake_timeout_channel_reaches_terminated(tmp_path):
     for seed in range(60):
         scenario = dataclasses.replace(
@@ -266,6 +317,19 @@ def test_remigration_pipe_closes_only_after_blocks_consumed(tmp_path):
         if sink.outcome == "remigrate":
             assert not sink.recv_queue       # fully drained before close
     assert q.final_placement == "edge"
+
+
+@pytest.mark.parametrize("name", ["Q4", "Q5"])
+def test_aggregation_remigration_resumes_locally_exact(tmp_path, name):
+    scenario = make_scenario(
+        TABLE_II[name], name=name,
+        forced_migration_at_rows=1000, forced_fallback_after_rows=3000,
+    )
+    cluster, report = run(scenario, tmp_path)
+    q = report.queries[0]
+    assert (q.migrated, q.remigrated) == (1, 1)
+    assert q.final_placement == "edge"
+    assert q.checksum == edge_baseline_checksum(TABLE_II[name], small_workload(), tmp_path, name)
 
 
 def test_transport_down_aborts_migration_and_query_completes(tmp_path):

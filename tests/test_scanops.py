@@ -16,6 +16,7 @@ from ced.scanops import (
     LogicalIndex,
     MergeOp,
     PositionFilter,
+    RemoteEnd,
     ResultBlock,
     SeriesScanOp,
     WindowSpec,
@@ -296,6 +297,115 @@ def test_misaligned_window_start_rejected(tmp_path):
     spec = WindowSpec(0, 600, 100)
     with pytest.raises(MisalignedOffset):
         AggregationScanOp(store, S, spec, "count", start_index=LogicalIndex.window_start(123))
+
+
+def test_export_guard_rejects_partial_window(tmp_path):
+    store = build_store(tmp_path, [600, 900])
+    op = AggregationScanOp(store, S, WindowSpec(0, 1500, 1500), "count")
+    assert op.next_block() is NOT_READY      # window 0 needs a second chunk load
+    assert op.state.partial_window_accumulator is not None
+    with pytest.raises(GuardViolation):
+        op.state.export_index()
+
+
+# --- source switch, for either leaf -------------------------------------------------
+
+SWITCH_LAYOUT = [600, 900, 500, 1200, 800, 700, 1300]     # 6000 rows, uneven chunks
+
+SWITCH_LEAVES = {
+    "series": lambda store, index=None: SeriesScanOp(store, S, start_index=index),
+    # 1500 ms windows span chunks, so windows are held partial across calls
+    "aggregation": lambda store, index=None: AggregationScanOp(
+        store, S, WindowSpec(0, 6000, 1500), "max_value", start_index=index
+    ),
+}
+
+
+def _mid_unit(leaf):
+    return bool(leaf.state.in_flight_blocks) or leaf.state.partial_window_accumulator is not None
+
+
+class StubRemote:
+    """A RemoteSource serving a fresh scan from the activated index.
+
+    The first poll is PENDING.  With ``end="remigrate"`` it streams until
+    its producer has emitted a block and stands at a boundary, then ends
+    with that boundary; ``end="broken"`` fails before any data, as a
+    handshake timeout does.
+    """
+
+    def __init__(self, make_leaf, store, end):
+        self.make_leaf = make_leaf
+        self.store = store
+        self.end = end
+        self.activated = []
+        self.blocks = []
+        self.final_index = None
+        self.items = []
+        self.acks = 0
+
+    def activate(self, index):
+        self.activated.append(index)
+        self.final_index = index
+        if self.end == "remigrate":
+            producer = self.make_leaf(self.store, index)
+            while not self.blocks or _mid_unit(producer):
+                block = producer.next_block()
+                if block is not NOT_READY:
+                    self.blocks.append(block)
+            self.final_index = producer.state.export_index()
+        self.items = [PENDING, *self.blocks, RemoteEnd(self.end, self.final_index)]
+
+    def poll(self):
+        return self.items.pop(0)
+
+    def acknowledge_consumed(self):
+        self.acks += 1
+
+
+@pytest.mark.parametrize("end", ["remigrate", "broken"])
+@pytest.mark.parametrize("kind", sorted(SWITCH_LEAVES))
+def test_leaf_switch_to_remote_and_back_equals_fresh_scan(tmp_path, kind, end):
+    make_leaf = SWITCH_LEAVES[kind]
+    store = build_store(tmp_path, SWITCH_LAYOUT)
+    fresh = collect_rows(make_leaf(store))
+    leaf = make_leaf(store)
+    remote = StubRemote(make_leaf, store, end)
+    armed_at = None
+    out, remote_indexes = [], []
+    while True:
+        block = leaf.next_block()
+        if block is PENDING:
+            assert leaf.state.source_mode == "remote"
+            continue
+        if block is None:
+            break
+        if block is not NOT_READY:
+            out.extend(zip(block.timestamps, block.values))
+            if leaf.state.source_mode == "remote":
+                remote_indexes.append(leaf.state.logical_index.value)
+        if armed_at is None and out and _mid_unit(leaf):
+            # armed mid-chunk / mid-window: the switch waits for the boundary
+            armed_at = leaf.state.logical_index.value
+            leaf.request_switch(remote)
+    assert out == fresh
+    assert not leaf.has_next() and leaf.state.source_mode == "local"
+
+    [index] = remote.activated
+    assert index.value > armed_at
+    if kind == "series":
+        boundaries = [sum(SWITCH_LAYOUT[:k]) for k in range(len(SWITCH_LAYOUT) + 1)]
+        assert index.value in boundaries                 # chunk-aligned row offset
+    else:
+        assert index.value % 1500 == 0                   # a window start
+    assert len(remote_indexes) == len(remote.blocks) == remote.acks
+    assert leaf.rows_remote == sum(b.row_count for b in remote.blocks)
+    if end == "remigrate":
+        # each remote block moves the index; the last lands on the producer's boundary
+        assert remote.blocks
+        assert [index.value] + remote_indexes == sorted(set([index.value] + remote_indexes))
+        assert remote_indexes[-1] == remote.final_index.value
+    assert remote.final_index.value <= fresh[-1][0]      # local rows follow the remote ones
 
 
 # --- filter / merge / project -----------------------------------------------------
