@@ -1,7 +1,35 @@
 """Scenario configuration: execution mode, load injection, protocol knobs.
 
 Scenario files are JSON with the same field names as the dataclasses
-below (see README for the schema); presets construct them in code.
+below; presets construct them in code.  Every key is optional except
+``queries``, and an omitted key takes the dataclass default::
+
+    {
+      "name": str, "mode": "edge_only" | "cloud_only" | "collaborative",
+      "queries": [{"name": str, "sql": str, "concurrency": int}, ...],
+      "workload": {WorkloadConfig fields: "sensor_count", "sampling_interval_ms",
+                   "total_rows", "seed", "device", "string_pool", "plant_value",
+                   "plant_sensor", "plant_count", "chunk_target_rows",
+                   "page_rows", "flush_every_rows"},
+      "link":    {"bandwidth_mbps", "rtt_ms", "loss_rate", "seed"},
+      "cost":    {CostModel fields: "edge_disk_mb_s", "cloud_disk_mb_s",
+                  "edge_cpu_cores", "cloud_cpu_cores", "row_cpu_cost_s",
+                  "recv_row_cost_s"},
+      "cache":   {"tau_hot", "capacity", "sync_bandwidth_threshold", "batch_size"},
+      "channel": {"probe_retries", "probe_timeout_s", "queue_depth"},
+      "policy":  {"io_high", "cpu_high", "low_watermark", "dwell"},
+      "io_throttle": float, "background_io_duty": float,
+      "cpu_load": int, "cpu_hog_duty": float,
+      "monitor_enabled": bool, "monitor_period_s": float,
+      "forced_migration_at_rows": int | null,
+      "forced_fallback_after_rows": int | null,
+      "warm_series": [sensor name, ...] or ["*"],
+      "mode_override": "block_streaming" | "predicate_pushdown" | null,
+      "seed": int
+    }
+
+An unknown key or an out-of-range value is a ``ScenarioError``; a query
+outside the SQL subset raises the parser's error.
 """
 
 from __future__ import annotations
@@ -113,7 +141,17 @@ class ScenarioConfig:
             raise ScenarioError("cloud_only runs require warm_series (cache must hold the data)")
 
     def scaled(self, factor: float) -> "ScenarioConfig":
-        return dataclasses.replace(self, workload=self.workload.scaled(factor))
+        """The same scenario over ``factor`` times the rows; row-count triggers scale too."""
+
+        def rows(value: Optional[int]) -> Optional[int]:
+            return None if value is None else max(1, int(value * factor))
+
+        return dataclasses.replace(
+            self,
+            workload=self.workload.scaled(factor),
+            forced_migration_at_rows=rows(self.forced_migration_at_rows),
+            forced_fallback_after_rows=rows(self.forced_fallback_after_rows),
+        )
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(
@@ -125,7 +163,7 @@ class ScenarioConfig:
 
 
 def load_scenario_file(path: Path) -> ScenarioConfig:
-    """Build a ScenarioConfig from a JSON file (schema documented in README)."""
+    """Build a ScenarioConfig from a JSON file (schema in the module docstring)."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:

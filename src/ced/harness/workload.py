@@ -6,16 +6,25 @@ timestamps.  String sensors draw from the pool v0..v999; float sensors
 are uniform in [0, 1000) with a configurable number of planted exact
 occurrences of one needle value so equality predicates like
 ``t3 = 497.44467`` have known matches.
+
+Generation is deterministic per ``(WorkloadConfig, page_rows)`` and flushed
+files are immutable, so the last dataset built into an empty store is kept
+as a copy of its files in a private temporary directory (removed at exit).
+The next ``generate`` of the same config into an empty store without a
+change listener copies those files in instead of rebuilding them.
 """
 
 from __future__ import annotations
 
+import atexit
 import random
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ScenarioError
-from ..tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
+from ..tsstore import SeriesPath, SeriesStore, ValueType
 
 __all__ = ["SENSOR_TYPE_CYCLE", "WorkloadConfig", "GeneratedDataset", "generate"]
 
@@ -104,24 +113,50 @@ def _make_values(config: WorkloadConfig, name: str, vt: ValueType) -> list:
     return values
 
 
+# (config, page_rows) of the last dataset built into an empty store, and a copy of it
+_last_built: Optional[tuple[tuple[WorkloadConfig, int], SeriesStore]] = None
+
+
+def _forget_last_built() -> None:
+    global _last_built
+    if _last_built is not None:
+        shutil.rmtree(_last_built[1].root, ignore_errors=True)
+        _last_built = None
+
+
+atexit.register(_forget_last_built)
+
+
 def generate(store: SeriesStore, config: WorkloadConfig) -> GeneratedDataset:
     """Populate ``store`` deterministically; one flush per flush_every_rows."""
+    global _last_built
     config.validate()
     device = SeriesPath.parse(config.device)
-    flush_every = config.flush_every_rows or config.total_rows
-    sensors = []
-    for name in config.sensor_names():
-        vt = config.sensor_type(name)
-        sensors.append((name, vt))
-        series = device.child(name)
+    sensors = [(name, config.sensor_type(name)) for name in config.sensor_names()]
+    series = [device.child(name) for name, _ in sensors]
+    dataset = GeneratedDataset(device, sensors, config.total_rows, config.sampling_interval_ms)
+
+    key = (config, store.page_rows)
+    reusable = store.change_listener is None and not store.series_names()
+    if reusable and _last_built is not None and _last_built[0] == key:
+        for s in series:
+            _last_built[1].copy_series(s, store)
+        return dataset
+
+    flush_every = max(1, config.flush_every_rows or config.total_rows)
+    interval = config.sampling_interval_ms
+    timestamps = range(0, config.total_rows * interval, interval)
+    for (name, vt), s in zip(sensors, series):
         values = _make_values(config, name, vt)
-        since_flush = 0
-        for i, value in enumerate(values):
-            store.append(series, DataPoint(i * config.sampling_interval_ms, value))
-            since_flush += 1
-            if since_flush >= flush_every:
-                store.flush(series, config.chunk_target_rows)
-                since_flush = 0
-        if since_flush:
-            store.flush(series, config.chunk_target_rows)
-    return GeneratedDataset(device, sensors, config.total_rows, config.sampling_interval_ms)
+        for start in range(0, config.total_rows, flush_every):
+            stop = start + flush_every
+            store.append_columns(s, timestamps[start:stop], values[start:stop])
+            store.flush(s, config.chunk_target_rows)
+
+    if reusable:
+        _forget_last_built()
+        copy = SeriesStore(tempfile.mkdtemp(prefix="ced-dataset-"), page_rows=store.page_rows)
+        for s in series:
+            store.copy_series(s, copy)
+        _last_built = (key, copy)
+    return dataset

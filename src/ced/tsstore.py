@@ -29,11 +29,15 @@ series; updates and deletes touch only rows still in the memtable
 from __future__ import annotations
 
 import enum
+import operator
+import shutil
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     CorruptChunk,
@@ -84,17 +88,26 @@ class ValueType(enum.IntEnum):
 
 Scalar = Union[bool, int, float, str]
 
+# fixed-width row layouts; "?" packs truth as 0/1, the same byte as _ROW_BOOL's "B"
+_ROW_CODES = {ValueType.BOOL: "q?", ValueType.INT64: "qq", ValueType.FLOAT64: "qd"}
+
+_SCALAR_CLASSES = (
+    (bool, ValueType.BOOL),             # before int: bool is an int subclass
+    (int, ValueType.INT64),
+    (float, ValueType.FLOAT64),
+    (str, ValueType.STRING),
+)
+
+
+def _value_type_of_class(cls: type) -> ValueType:
+    for base, vt in _SCALAR_CLASSES:
+        if issubclass(cls, base):
+            return vt
+    raise TypeError(f"unsupported scalar type: {cls.__name__}")
+
 
 def value_type_of(value: Scalar) -> ValueType:
-    if isinstance(value, bool):
-        return ValueType.BOOL
-    if isinstance(value, int):
-        return ValueType.INT64
-    if isinstance(value, float):
-        return ValueType.FLOAT64
-    if isinstance(value, str):
-        return ValueType.STRING
-    raise TypeError(f"unsupported scalar type: {type(value).__name__}")
+    return _value_type_of_class(type(value))
 
 
 @dataclass(frozen=True, order=True)
@@ -254,16 +267,19 @@ class IoStats:
 
 # --- row codecs -------------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def _rows_struct(vt: ValueType, n: int) -> struct.Struct:
+    """One packer for ``n`` interleaved fixed-width rows (``ts value`` pairs)."""
+    return struct.Struct("<" + _ROW_CODES[vt] * n)
+
+
 def _encode_rows(out: bytearray, vt: ValueType, timestamps: Sequence[int], values: Sequence) -> None:
-    if vt is ValueType.BOOL:
-        for ts, v in zip(timestamps, values):
-            out += _ROW_BOOL.pack(ts, 1 if v else 0)
-    elif vt is ValueType.INT64:
-        for ts, v in zip(timestamps, values):
-            out += _ROW_I64.pack(ts, v)
-    elif vt is ValueType.FLOAT64:
-        for ts, v in zip(timestamps, values):
-            out += _ROW_F64.pack(ts, v)
+    if vt is not ValueType.STRING:
+        n = len(timestamps)
+        flat: list = [None] * (2 * n)
+        flat[0::2] = timestamps
+        flat[1::2] = values
+        out += _rows_struct(vt, n).pack(*flat)
     else:
         for ts, v in zip(timestamps, values):
             raw = v.encode("utf-8")
@@ -426,20 +442,44 @@ class SeriesStore:
 
     def append(self, series: SeriesPath, point: DataPoint) -> None:
         """Buffer one point; timestamps must strictly increase per series."""
-        state = self._state(series)
-        if state.last_ts is not None and point.timestamp <= state.last_ts:
-            raise OutOfOrderTimestamp(
-                f"{series}: ts {point.timestamp} <= last {state.last_ts}"
-            )
-        vt = value_type_of(point.value)
-        if state.value_type is None:
-            state.value_type = vt
-        elif vt is not state.value_type:
-            raise TypeError(f"{series}: value type changed from {state.value_type.name} to {vt.name}")
-        state.mem_ts.append(point.timestamp)
-        state.mem_values.append(point.value)
-        state.last_ts = point.timestamp
-        self._emit(series, "insert", {"ts": point.timestamp, "value": point.value})
+        self.append_columns(series, (point.timestamp,), (point.value,))
+
+    def append_columns(self, series: SeriesPath, timestamps: Sequence[int], values: Sequence) -> None:
+        """Buffer a run of points given as two columns, all or nothing.
+
+        Timestamps must strictly increase, within the run and after the
+        series' last one, and every value must have the series' one value
+        type; each check is made once for the whole run.  A listener still
+        sees one ``insert`` per row, in order.
+        """
+        n = len(timestamps)
+        if n != len(values):
+            raise ValueError("timestamps and values length mismatch")
+        if n == 0:
+            return
+        key = str(series)
+        state = self._series.get(key)
+        last_ts = state.last_ts if state is not None else None
+        if last_ts is not None and timestamps[0] <= last_ts:
+            raise OutOfOrderTimestamp(f"{key}: ts {timestamps[0]} <= last {last_ts}")
+        if not all(map(operator.lt, timestamps, islice(timestamps, 1, None))):
+            t0, t1 = next(p for p in zip(timestamps, islice(timestamps, 1, None)) if p[1] <= p[0])
+            raise OutOfOrderTimestamp(f"{key}: ts {t1} <= last {t0}")
+        vt = state.value_type if state is not None else None
+        if vt is None:
+            vt = value_type_of(values[0])
+        for run_vt in {_value_type_of_class(cls) for cls in set(map(type, values))}:
+            if run_vt is not vt:
+                raise TypeError(f"{key}: value type changed from {vt.name} to {run_vt.name}")
+        if state is None:
+            state = self._series[key] = _SeriesState()
+        state.value_type = vt
+        state.mem_ts.extend(timestamps)
+        state.mem_values.extend(values)
+        state.last_ts = timestamps[-1]
+        if self.change_listener is not None:
+            for ts, value in zip(timestamps, values):
+                self.change_listener(key, "insert", {"ts": ts, "value": value})
 
     def update_point(self, series: SeriesPath, ts: int, value: Scalar) -> None:
         """Replace the value at ``ts``; only rows still in the memtable are mutable."""
@@ -652,19 +692,55 @@ class SeriesStore:
         """Install a snapshot produced by :meth:`export_snapshot` (replaces the series)."""
         series = SeriesPath.parse(snapshot["series"])
         self.remove_series(series)
-        state = self._state(series)
+        paths = []
         for name, blob in snapshot["files"]:
             path = self.root / name
             try:
                 path.write_bytes(blob)
             except OSError as exc:
                 raise StorageIoError(f"writing {path}: {exc}") from exc
-            state.files.append(TsFileHandle(path, read_file_index(path)))
-        state.mem_ts = list(snapshot["mem_ts"])
-        state.mem_values = list(snapshot["mem_values"])
-        state.value_type = snapshot["value_type"]
-        state.last_ts = snapshot["last_ts"]
-        state.file_counter = snapshot["file_counter"]
+            paths.append(path)
+        self._install(
+            series, paths, snapshot["mem_ts"], snapshot["mem_values"],
+            snapshot["value_type"], snapshot["last_ts"], snapshot["file_counter"],
+        )
+
+    def copy_series(self, series: SeriesPath, target: "SeriesStore") -> None:
+        """Give ``target`` a copy of ``series``: its files copied into target's
+        directory plus its memtable (replaces the series there)."""
+        state = self._known(series)
+        target.remove_series(series)
+        paths = []
+        for handle in state.files:
+            path = target.root / handle.path.name
+            try:
+                shutil.copyfile(handle.path, path)
+            except OSError as exc:
+                raise StorageIoError(f"copying {handle.path} to {path}: {exc}") from exc
+            paths.append(path)
+        target._install(
+            series, paths, state.mem_ts, state.mem_values,
+            state.value_type, state.last_ts, state.file_counter,
+        )
+
+    def _install(
+        self,
+        series: SeriesPath,
+        paths: list[Path],
+        mem_ts: Iterable[int],
+        mem_values: Iterable,
+        value_type: Optional[ValueType],
+        last_ts: Optional[int],
+        file_counter: int,
+    ) -> None:
+        """Make ``series`` the flushed files ``paths`` (already under root) plus a memtable."""
+        state = self._state(series)
+        state.files = [TsFileHandle(path, read_file_index(path)) for path in paths]
+        state.mem_ts = list(mem_ts)
+        state.mem_values = list(mem_values)
+        state.value_type = value_type
+        state.last_ts = last_ts
+        state.file_counter = file_counter
 
     def remove_series(self, series: SeriesPath) -> None:
         state = self._series.pop(str(series), None)

@@ -42,3 +42,34 @@ def test_preset_completes_with_one_checksum_per_query(preset_results, name):
 def test_preset_switches_every_query(preset_results, name):
     migrated = {q.name for q in preset_results(name) if q.migrated}
     assert migrated == set(QUERY_NAMES)
+
+
+FORCED_SCALE = 0.3
+FORCED_PRESETS = ("query_sweep", "bandwidth_sweep", "forced_migration")
+
+
+@pytest.fixture(scope="module")
+def forced_runs_at_scale(tmp_path_factory):
+    """(forced runs, edge_only checksum per SQL text) of the forced presets at FORCED_SCALE."""
+    root = tmp_path_factory.mktemp("forced")
+    forced, baseline = [], {}
+    for name in FORCED_PRESETS:
+        for i, (label, config) in enumerate(preset_runs(name)):
+            if config.mode == "cloud_only":
+                continue
+            config = config.scaled(FORCED_SCALE)
+            queries = run_scenario(config, root / f"{name}{i}", run_label=label).queries
+            if config.forced_migration_at_rows is not None:
+                forced.append((label, queries))
+            elif config.mode == "edge_only":
+                baseline.update((q.sql, q.checksum) for q in queries)
+    return forced, baseline
+
+
+def test_scaled_forced_runs_switch_and_stay_exact(forced_runs_at_scale):
+    forced, baseline = forced_runs_at_scale
+    assert len(forced) == 5 + 15 + 9
+    for label, queries in forced:
+        for q in queries:
+            assert q.migrated >= 1, label
+            assert q.checksum == baseline[q.sql], label

@@ -53,6 +53,83 @@ def test_append_equal_timestamp_rejected(store):
         store.append(S, DataPoint(5, 2.0))
 
 
+def append_points(store, series, timestamps, values):
+    for ts, v in zip(timestamps, values):
+        store.append(series, DataPoint(ts, v))
+
+
+def append_columns(store, series, timestamps, values):
+    store.append_columns(series, timestamps, values)
+
+
+LOADERS = [append_points, append_columns]
+
+
+@pytest.mark.parametrize("load", LOADERS)
+@pytest.mark.parametrize("timestamps", [[1, 3, 3], [1, 3, 2]])
+def test_load_out_of_order_within_a_run_rejected(store, load, timestamps):
+    with pytest.raises(OutOfOrderTimestamp):
+        load(store, S, timestamps, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("load", LOADERS)
+def test_load_out_of_order_across_calls_rejected(store, load):
+    load(store, S, [1, 2, 3], [1.0, 2.0, 3.0])
+    with pytest.raises(OutOfOrderTimestamp):
+        load(store, S, [3, 4], [4.0, 5.0])
+    assert scan_all(store, S) == [(1, 1.0), (2, 2.0), (3, 3.0)]
+
+
+@pytest.mark.parametrize("load", LOADERS)
+def test_load_mixed_bool_and_int_rejected(store, load):
+    with pytest.raises(TypeError):
+        load(store, S, [1, 2], [True, 1])
+
+
+@pytest.mark.parametrize(
+    "timestamps, values",
+    [([5, 6, 6], [1.0, 2.0, 3.0]), ([5, 6], [True, 1]), ([5, 6], [1.0, None])],
+)
+def test_rejected_bulk_load_changes_nothing(store, timestamps, values):
+    store.append_columns(S, [1, 2], [0.5, 1.5])
+    with pytest.raises((OutOfOrderTimestamp, TypeError)):
+        store.append_columns(S, timestamps, values)
+    with pytest.raises((OutOfOrderTimestamp, TypeError)):
+        store.append_columns(SeriesPath.parse("root.ln.e1.d1.fresh"), timestamps, values)
+    assert store.series_names() == [str(S)]
+    assert scan_all(store, S) == [(1, 0.5), (2, 1.5)]
+    store.append_columns(S, [3], [2.5])           # the store still takes good rows
+
+
+def test_bulk_load_equals_point_appends(tmp_path):
+    rng = random.Random(7)
+    timestamps = sorted(rng.sample(range(10_000), 2345))
+    stores = [SeriesStore(tmp_path / name, page_rows=300) for name in ("points", "columns")]
+    for vt, make in [
+        ("bool", lambda: rng.random() < 0.5),
+        ("int", lambda: rng.randrange(-(2**40), 2**40)),
+        ("float", lambda: rng.random()),
+        ("str", lambda: f"v{rng.randrange(50)}"),
+    ]:
+        series = S.parent.child(vt)
+        values = [make() for _ in timestamps]
+        append_points(stores[0], series, timestamps, values)
+        for cut in range(0, len(timestamps), 1000):
+            stores[1].append_columns(series, timestamps[cut:cut + 1000], values[cut:cut + 1000])
+        for st_ in stores:
+            st_.flush(series, chunk_target_rows=700)
+        assert stores[0].content_fingerprint(series) == stores[1].content_fingerprint(series)
+
+
+@pytest.mark.parametrize("load", LOADERS)
+def test_load_type_change_against_existing_series_rejected(store, load):
+    load(store, S, [1, 2], [1.0, 2.0])
+    with pytest.raises(TypeError):
+        load(store, S, [3, 4], [3, 4])
+    assert scan_all(store, S) == [(1, 1.0), (2, 2.0)]
+    assert store.value_type(S) is ValueType.FLOAT64
+
+
 def test_2500_appends_flush_scan_gives_1000_1000_500_blocks(store):
     fill(store, S, 2500)
     store.flush(S, chunk_target_rows=4000)
