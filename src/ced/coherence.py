@@ -20,13 +20,13 @@ lookups into misses.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import SequenceGap, UnknownPath
+from .codec import I64, U32, U64, Reader, write_blob, write_text
+from .errors import MalformedMessage, SequenceGap, UnknownPath
 from .tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
-from .wire import ChangeBatch, ChangeRecord, decode_scalar, encode_scalar
+from .wire import ChangeBatch, ChangeRecord, encode_batch, encode_scalar, read_scalar
 
 __all__ = [
     "PathCatalog",
@@ -38,12 +38,6 @@ __all__ = [
     "encode_snapshot",
     "decode_snapshot",
 ]
-
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
 
 
 class PathCatalog:
@@ -126,8 +120,6 @@ class DeltaPublisher:
         for prev, cur in zip(records, records[1:]):
             if cur.seq != prev.seq + 1:
                 raise SequenceGap(f"{series}: records jump from {prev.seq} to {cur.seq}")
-        from .wire import encode_batch   # local import keeps module load order flexible
-
         count = 0
         for i in range(0, len(records), self.batch_size):
             group = records[i:i + self.batch_size]
@@ -291,7 +283,10 @@ class CloudCache:
         elif record.op == "delete":
             self.mirror.delete_point(series, p["ts"])
         elif record.op == "flush":
-            assert p["page_rows"] == self.mirror.page_rows, "mirror page size must match edge"
+            if p["page_rows"] != self.mirror.page_rows:
+                raise ValueError(
+                    f"edge page_rows {p['page_rows']} != mirror page_rows {self.mirror.page_rows}"
+                )
             self.mirror.flush(series, p["chunk_target_rows"])
         else:
             raise ValueError(f"unsupported change op {record.op!r}")
@@ -328,77 +323,39 @@ class CloudCache:
 
 def encode_snapshot(snapshot: dict, seq: int) -> bytes:
     out = bytearray()
-    raw = snapshot["series"].encode("utf-8")
-    out += _U16.pack(len(raw))
-    out += raw
-    out += _U64.pack(seq)
+    write_text(out, snapshot["series"])
+    out += U64.pack(seq)
     vt = snapshot["value_type"]
-    if vt is None:
-        out += b"\x00"
-    else:
-        out += b"\x01"
-        out += _U8.pack(int(vt))
+    out += b"\x00" if vt is None else bytes((1, vt))
     last_ts = snapshot["last_ts"]
-    if last_ts is None:
-        out += b"\x00"
-    else:
-        out += b"\x01"
-        out += _I64.pack(last_ts)
-    out += _U32.pack(snapshot["file_counter"])
-    out += _U32.pack(len(snapshot["files"]))
+    out += b"\x00" if last_ts is None else b"\x01" + I64.pack(last_ts)
+    out += U32.pack(snapshot["file_counter"])
+    out += U32.pack(len(snapshot["files"]))
     for name, blob in snapshot["files"]:
-        raw_name = name.encode("utf-8")
-        out += _U16.pack(len(raw_name))
-        out += raw_name
-        out += _U32.pack(len(blob))
-        out += blob
-    out += _U32.pack(len(snapshot["mem_ts"]))
+        write_text(out, name)
+        write_blob(out, blob)
+    out += U32.pack(len(snapshot["mem_ts"]))
     for ts, value in zip(snapshot["mem_ts"], snapshot["mem_values"]):
-        out += _I64.pack(ts)
+        out += I64.pack(ts)
         encode_scalar(out, value)
     return bytes(out)
 
 
 def decode_snapshot(buf: bytes) -> tuple[dict, int]:
-    (series_len,) = _U16.unpack_from(buf, 0)
-    pos = 2 + series_len
-    series = buf[2:pos].decode("utf-8")
-    (seq,) = _U64.unpack_from(buf, pos)
-    pos += 8
-    vt = None
-    if buf[pos]:
-        vt = ValueType(buf[pos + 1])
-        pos += 2
-    else:
-        pos += 1
-    last_ts = None
-    if buf[pos]:
-        (last_ts,) = _I64.unpack_from(buf, pos + 1)
-        pos += 9
-    else:
-        pos += 1
-    (file_counter,) = _U32.unpack_from(buf, pos)
-    (file_count,) = _U32.unpack_from(buf, pos + 4)
-    pos += 8
-    files = []
-    for _ in range(file_count):
-        (name_len,) = _U16.unpack_from(buf, pos)
-        pos += 2
-        name = buf[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (blob_len,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        files.append((name, buf[pos:pos + blob_len]))
-        pos += blob_len
-    (mem_count,) = _U32.unpack_from(buf, pos)
-    pos += 4
+    """Parse one ``snapshot``; raises MalformedMessage on any grammar violation."""
+    r = Reader(buf, MalformedMessage)
+    series = r.text()
+    seq = r.u64()
+    vt = r.enum(ValueType, r.u8(), "value type") if r.u8() else None
+    last_ts = r.i64() if r.u8() else None
+    file_counter = r.u32()
+    files = [(r.text(), r.blob()) for _ in range(r.u32())]
     mem_ts, mem_values = [], []
-    for _ in range(mem_count):
-        (ts,) = _I64.unpack_from(buf, pos)
-        value, pos = decode_scalar(buf, pos + 8)
-        mem_ts.append(ts)
-        mem_values.append(value)
-    snapshot = {
+    for _ in range(r.u32()):
+        mem_ts.append(r.i64())
+        mem_values.append(read_scalar(r))
+    r.done()
+    return {
         "series": series,
         "files": files,
         "mem_ts": mem_ts,
@@ -406,5 +363,4 @@ def decode_snapshot(buf: bytes) -> tuple[dict, int]:
         "value_type": vt,
         "last_ts": last_ts,
         "file_counter": file_counter,
-    }
-    return snapshot, seq
+    }, seq

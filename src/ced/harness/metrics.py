@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import struct
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
+from ..codec import I64
 from ..scanops import ResultBlock
 from ..tsstore import BLOCK_ROWS
 from ..wire import encode_cells
 
 __all__ = ["ChecksumBuilder", "QueryResult", "MetricsReport", "emit"]
-
-_I64 = struct.Struct("<q")
 
 
 class ChecksumBuilder:
@@ -46,7 +44,7 @@ class ChecksumBuilder:
             timestamps = block.timestamps[lo:hi]
             columns = [encode_cells(values[lo:hi]) for _name, _vt, values in block.columns]
             self._hash.update(b"".join(chain.from_iterable(
-                zip(map(_I64.pack, timestamps), *columns)
+                zip(map(I64.pack, timestamps), *columns)
             )))
         self.rows += block.row_count
 

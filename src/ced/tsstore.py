@@ -1,4 +1,4 @@
-"""Columnar time-series storage: File -> Chunk -> Page -> rows.
+"""Columnar time-series storage: files of chunks of pages of rows.
 
 One store owns a directory; each flush of a series memtable produces one
 immutable ``.cedf`` file holding one or more chunks.  Readers iterate
@@ -21,9 +21,11 @@ On-disk format (all integers little-endian):
               | value_type u8 | row_count u32 | min_ts i64 | max_ts i64
     footer := index_offset u64 | magic "CEDF"
 
-Timestamps are integer milliseconds and strictly increase within a
-series; updates and deletes touch only rows still in the memtable
-(flushed files are immutable).
+The fields are ``ced.codec``'s.  Bytes that break this grammar (a field cut
+short, an unknown value type, page bounds or row counts that disagree with
+the rows) raise CorruptChunk.  Timestamps are integer milliseconds and
+strictly increase within a series; updates and deletes touch only rows
+still in the memtable (flushed files are immutable).
 """
 
 from __future__ import annotations
@@ -39,12 +41,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import (
-    CorruptChunk,
-    OutOfOrderTimestamp,
-    StorageIoError,
-    UnknownSeries,
-)
+from .codec import U16, U32, Reader, write_text
+from .errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSeries
 
 __all__ = [
     "BLOCK_ROWS",
@@ -52,8 +50,6 @@ __all__ = [
     "SeriesPath",
     "DataPoint",
     "TsBlock",
-    "Page",
-    "Chunk",
     "ChunkMeta",
     "TsFileHandle",
     "ChunkIterator",
@@ -67,16 +63,11 @@ BLOCK_ROWS = 1000
 MAGIC = b"CEDF"
 VERSION = 1
 
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
 _CHUNK_FIXED = struct.Struct("<BIIqq")   # value_type, page_count, row_count, min_ts, max_ts
 _PAGE_FIXED = struct.Struct("<Iqq")      # row_count, min_ts, max_ts
 _INDEX_FIXED = struct.Struct("<QIBIqq")  # offset, byte_len, value_type, row_count, min_ts, max_ts
-_ROW_BOOL = struct.Struct("<qB")
-_ROW_I64 = struct.Struct("<qq")
-_ROW_F64 = struct.Struct("<qd")
+_FOOTER = struct.Struct("<Q4s")          # index_offset, magic
+_STRING_ROW = struct.Struct("<qI")       # ts, utf-8 length
 
 
 class ValueType(enum.IntEnum):
@@ -88,8 +79,9 @@ class ValueType(enum.IntEnum):
 
 Scalar = Union[bool, int, float, str]
 
-# fixed-width row layouts; "?" packs truth as 0/1, the same byte as _ROW_BOOL's "B"
+# fixed-width row layouts; "?" packs truth as a 0/1 byte and reads any nonzero byte as True
 _ROW_CODES = {ValueType.BOOL: "q?", ValueType.INT64: "qq", ValueType.FLOAT64: "qd"}
+_ROW_SIZES = {vt: struct.calcsize("<" + code) for vt, code in _ROW_CODES.items()}
 
 _SCALAR_CLASSES = (
     (bool, ValueType.BOOL),             # before int: bool is an int subclass
@@ -189,49 +181,6 @@ class TsBlock:
         return cls(series_id, [], [], value_type, is_header_only=True)
 
 
-@dataclass
-class Page:
-    """Smallest on-disk unit: a run of rows with its time bounds."""
-
-    timestamps: list[int]
-    values: list
-    min_ts: int
-    max_ts: int
-
-    def __post_init__(self) -> None:
-        if not self.timestamps:
-            raise ValueError("page must be non-empty")
-        if self.min_ts != self.timestamps[0] or self.max_ts != self.timestamps[-1]:
-            raise ValueError("page time bounds disagree with rows")
-
-    @property
-    def row_count(self) -> int:
-        return len(self.timestamps)
-
-    def rows(self) -> Iterator[DataPoint]:
-        for ts, v in zip(self.timestamps, self.values):
-            yield DataPoint(ts, v)
-
-
-@dataclass
-class Chunk:
-    """Ordered pages plus summary metadata; the unit of logical indexing."""
-
-    pages: list[Page]
-    row_count: int
-    min_ts: int
-    max_ts: int
-
-    def __post_init__(self) -> None:
-        if self.row_count != sum(p.row_count for p in self.pages):
-            raise ValueError("chunk row_count disagrees with pages")
-        for prev, cur in zip(self.pages, self.pages[1:]):
-            if cur.min_ts <= prev.max_ts:
-                raise ValueError("chunk pages must be disjoint and ordered")
-        if self.pages and (self.min_ts != self.pages[0].min_ts or self.max_ts != self.pages[-1].max_ts):
-            raise ValueError("chunk time bounds disagree with pages")
-
-
 @dataclass(frozen=True)
 class ChunkMeta:
     """Index record for one chunk; everything needed to locate and skim it."""
@@ -269,7 +218,7 @@ class IoStats:
 
 @lru_cache(maxsize=32)
 def _rows_struct(vt: ValueType, n: int) -> struct.Struct:
-    """One packer for ``n`` interleaved fixed-width rows (``ts value`` pairs)."""
+    """One codec for ``n`` interleaved fixed-width rows (``ts value`` pairs)."""
     return struct.Struct("<" + _ROW_CODES[vt] * n)
 
 
@@ -283,74 +232,66 @@ def _encode_rows(out: bytearray, vt: ValueType, timestamps: Sequence[int], value
     else:
         for ts, v in zip(timestamps, values):
             raw = v.encode("utf-8")
-            out += _I64.pack(ts)
-            out += _U32.pack(len(raw))
+            out += _STRING_ROW.pack(ts, len(raw))
             out += raw
 
 
-def _decode_rows(buf: bytes, pos: int, vt: ValueType, n: int) -> tuple[list[int], list, int]:
-    timestamps: list[int] = []
-    values: list = []
-    if vt is ValueType.BOOL:
-        end = pos + 9 * n
-        for ts, v in _ROW_BOOL.iter_unpack(buf[pos:end]):
-            timestamps.append(ts)
-            values.append(bool(v))
-        pos = end
-    elif vt is ValueType.INT64:
-        end = pos + 16 * n
-        for ts, v in _ROW_I64.iter_unpack(buf[pos:end]):
-            timestamps.append(ts)
-            values.append(v)
-        pos = end
-    elif vt is ValueType.FLOAT64:
-        end = pos + 16 * n
-        for ts, v in _ROW_F64.iter_unpack(buf[pos:end]):
-            timestamps.append(ts)
-            values.append(v)
-        pos = end
-    else:
+def _read_rows(r: Reader, vt: ValueType, n: int, timestamps: list[int], values: list) -> None:
+    """Append ``n`` rows at the cursor to the two columns; bounds checked once."""
+    if vt is not ValueType.STRING:
+        raw = r.take(n * _ROW_SIZES[vt])         # bounds first: n may be corrupt
+        flat = _rows_struct(vt, n).unpack(raw)
+        timestamps += flat[0::2]
+        values += flat[1::2]
+        return
+    buf, pos = r.buf, r.pos
+    try:
         for _ in range(n):
-            ts = _I64.unpack_from(buf, pos)[0]
-            ln = _U32.unpack_from(buf, pos + 8)[0]
+            ts, ln = _STRING_ROW.unpack_from(buf, pos)
             pos += 12
             values.append(buf[pos:pos + ln].decode("utf-8"))
             timestamps.append(ts)
             pos += ln
-    return timestamps, values, pos
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise r.error(f"string row cut short or not utf-8 at byte {pos} ({exc})") from None
+    if pos > len(buf):
+        raise r.fail(f"string row runs {pos - len(buf)} bytes past the end")
+    r.pos = pos
 
 
-def _encode_chunk(series: str, vt: ValueType, pages: list[Page]) -> bytes:
-    out = bytearray()
-    raw_series = series.encode("utf-8")
-    out += _U16.pack(len(raw_series))
-    out += raw_series
-    row_count = sum(p.row_count for p in pages)
-    out += _CHUNK_FIXED.pack(int(vt), len(pages), row_count, pages[0].min_ts, pages[-1].max_ts)
-    for page in pages:
-        out += _PAGE_FIXED.pack(page.row_count, page.min_ts, page.max_ts)
-        _encode_rows(out, vt, page.timestamps, page.values)
-    return bytes(out)
+def _encode_chunk(
+    out: bytearray, series: str, vt: ValueType,
+    timestamps: Sequence[int], values: Sequence, page_rows: int,
+) -> None:
+    n = len(timestamps)
+    write_text(out, series)
+    out += _CHUNK_FIXED.pack(int(vt), -(-n // page_rows), n, timestamps[0], timestamps[-1])
+    for p0 in range(0, n, page_rows):
+        p1 = min(p0 + page_rows, n)
+        out += _PAGE_FIXED.pack(p1 - p0, timestamps[p0], timestamps[p1 - 1])
+        _encode_rows(out, vt, timestamps[p0:p1], values[p0:p1])
 
 
-def _decode_chunk(buf: bytes) -> tuple[str, ValueType, list[Page]]:
-    (series_len,) = _U16.unpack_from(buf, 0)
-    pos = 2 + series_len
-    series = buf[2:pos].decode("utf-8")
-    vt_raw, page_count, row_count, _min_ts, _max_ts = _CHUNK_FIXED.unpack_from(buf, pos)
-    pos += _CHUNK_FIXED.size
-    vt = ValueType(vt_raw)
-    pages: list[Page] = []
-    decoded_rows = 0
+def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[list[int], list]:
+    """The chunk's two columns, checked against its pages' headers and ``meta``."""
+    r = Reader(buf, CorruptChunk)
+    series = r.text()
+    vt_raw, page_count, row_count, _min_ts, _max_ts = r.unpack(_CHUNK_FIXED)
+    vt = r.enum(ValueType, vt_raw, "value type")
+    if (series, vt, row_count) != (meta.series, meta.value_type, meta.row_count):
+        raise r.fail(f"chunk of {row_count} {vt.name} rows of {series} disagrees with {meta}")
+    timestamps: list[int] = []
+    values: list = []
     for _ in range(page_count):
-        n, pmin, pmax = _PAGE_FIXED.unpack_from(buf, pos)
-        pos += _PAGE_FIXED.size
-        timestamps, values, pos = _decode_rows(buf, pos, vt, n)
-        pages.append(Page(timestamps, values, pmin, pmax))
-        decoded_rows += n
-    if decoded_rows != row_count:
-        raise CorruptChunk(f"{series}: chunk declares {row_count} rows, decoded {decoded_rows}")
-    return series, vt, pages
+        n, pmin, pmax = r.unpack(_PAGE_FIXED)
+        first = len(timestamps)
+        _read_rows(r, vt, n, timestamps, values)
+        if n == 0 or timestamps[first] != pmin or timestamps[-1] != pmax:
+            raise r.fail(f"{series}: page bounds [{pmin}, {pmax}] disagree with its {n} rows")
+    r.done()
+    if len(timestamps) != row_count:
+        raise CorruptChunk(f"{series}: chunk declares {row_count} rows, decoded {len(timestamps)}")
+    return timestamps, values
 
 
 class ChunkIterator:
@@ -521,35 +462,25 @@ class SeriesStore:
         state.file_counter += 1
         path = self.root / name
 
-        out = bytearray()
-        out += MAGIC
-        out += _U16.pack(VERSION)
+        out = bytearray(MAGIC)
+        out += U16.pack(VERSION)
         index: list[ChunkMeta] = []
         for c0 in range(0, len(ts), chunk_rows):
             c1 = min(c0 + chunk_rows, len(ts))
-            pages = [
-                Page(ts[p0:p1], values[p0:p1], ts[p0], ts[p1 - 1])
-                for p0 in range(c0, c1, self.page_rows)
-                for p1 in (min(p0 + self.page_rows, c1),)
-            ]
             offset = len(out)
-            encoded = _encode_chunk(str(series), vt, pages)
-            out += encoded
-            index.append(
-                ChunkMeta(str(series), path, offset, len(encoded), vt, c1 - c0, ts[c0], ts[c1 - 1])
-            )
+            _encode_chunk(out, str(series), vt, ts[c0:c1], values[c0:c1], self.page_rows)
+            index.append(ChunkMeta(
+                str(series), path, offset, len(out) - offset, vt, c1 - c0, ts[c0], ts[c1 - 1]
+            ))
         index_offset = len(out)
-        out += _U32.pack(len(index))
+        out += U32.pack(len(index))
         for meta in index:
-            raw = meta.series.encode("utf-8")
-            out += _U16.pack(len(raw))
-            out += raw
+            write_text(out, meta.series)
             out += _INDEX_FIXED.pack(
                 meta.offset, meta.byte_len, int(meta.value_type),
                 meta.row_count, meta.min_ts, meta.max_ts,
             )
-        out += _U64.pack(index_offset)
-        out += MAGIC
+        out += _FOOTER.pack(index_offset, MAGIC)
         try:
             path.write_bytes(bytes(out))
         except OSError as exc:
@@ -630,26 +561,19 @@ class SeriesStore:
 
     def load_chunk_pages(self, meta: ChunkMeta) -> list[TsBlock]:
         """Load one chunk and repackage its rows into TsBlocks of <= BLOCK_ROWS."""
-        series = SeriesPath.parse(meta.series)
         if meta.mem_rows is not None:
             timestamps, values = meta.mem_rows
             self.io.chunks_loaded += 1
         else:
-            buf = self._read_chunk_bytes(meta)
-            decoded_series, vt, pages = _decode_chunk(buf)
-            if decoded_series != meta.series:
-                raise CorruptChunk(f"chunk at {meta.offset} belongs to {decoded_series}")
-            decoded = sum(p.row_count for p in pages)
-            if decoded != meta.row_count:
-                raise CorruptChunk(
-                    f"{meta.series}: index says {meta.row_count} rows, chunk decodes {decoded}"
-                )
-            timestamps = [t for p in pages for t in p.timestamps]
-            values = [v for p in pages for v in p.values]
+            timestamps, values = _decode_chunk(self._read_chunk_bytes(meta), meta)
         blocks = []
-        for b0 in range(0, len(timestamps), BLOCK_ROWS):
-            b1 = min(b0 + BLOCK_ROWS, len(timestamps))
-            blocks.append(TsBlock(series, timestamps[b0:b1], values[b0:b1], meta.value_type))
+        try:
+            series = SeriesPath.parse(meta.series)
+            for b0 in range(0, len(timestamps), BLOCK_ROWS):
+                b1 = min(b0 + BLOCK_ROWS, len(timestamps))
+                blocks.append(TsBlock(series, timestamps[b0:b1], values[b0:b1], meta.value_type))
+        except ValueError as exc:          # a bad series path, or rows out of timestamp order
+            raise CorruptChunk(f"{meta.series}: {exc}") from None
         return blocks
 
     def _read_chunk_bytes(self, meta: ChunkMeta) -> bytes:
@@ -776,18 +700,19 @@ def read_file_index(path: Path) -> list[ChunkMeta]:
         buf = path.read_bytes()
     except OSError as exc:
         raise StorageIoError(f"reading {path}: {exc}") from exc
-    if buf[:4] != MAGIC or buf[-4:] != MAGIC:
+    footer = len(buf) - _FOOTER.size
+    if footer < 0 or buf[:4] != MAGIC or buf[-4:] != MAGIC:
         raise CorruptChunk(f"{path}: bad magic")
-    index_offset = _U64.unpack(buf[-12:-4])[0]
-    (count,) = _U32.unpack_from(buf, index_offset)
-    pos = index_offset + 4
+    r = Reader(buf, CorruptChunk, footer)
+    index_offset = r.pos = r.u64()
     metas: list[ChunkMeta] = []
-    for _ in range(count):
-        (series_len,) = _U16.unpack_from(buf, pos)
-        pos += 2
-        series = buf[pos:pos + series_len].decode("utf-8")
-        pos += series_len
-        offset, byte_len, vt_raw, rows, mn, mx = _INDEX_FIXED.unpack_from(buf, pos)
-        pos += _INDEX_FIXED.size
-        metas.append(ChunkMeta(series, path, offset, byte_len, ValueType(vt_raw), rows, mn, mx))
+    for _ in range(r.u32()):
+        series = r.text()
+        offset, byte_len, vt_raw, rows, mn, mx = r.unpack(_INDEX_FIXED)
+        vt = r.enum(ValueType, vt_raw, "value type")
+        if offset + byte_len > index_offset:
+            raise r.fail(f"{path}: chunk at {offset} runs past the index")
+        metas.append(ChunkMeta(series, path, offset, byte_len, vt, rows, mn, mx))
+    if r.pos != footer:
+        raise r.fail(f"{path}: index does not end at the footer")
     return metas

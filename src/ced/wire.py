@@ -12,8 +12,12 @@ ValueType) followed by its value; a nullable cell prefixes a presence byte:
 Each cell is tagged by its value's Python type.  The result checksum
 (``ChecksumBuilder`` in ``ced.harness.metrics``) hashes ``ts i64 | cell*`` per
 row, one cell per column, with the same cell encoder (``encode_cells``).
-A tsblock with an unknown tag, a field running past its payload, or bytes
-left over after its last cell is rejected with MalformedMessage.
+
+Every decoder of link bytes (tsblocks, messages and change batches here,
+cache snapshots in ``ced.coherence``) reads through ``ced.codec.Reader`` and
+rejects any grammar violation with MalformedMessage: a field cut short, bad
+UTF-8, an unknown value tag, value type, message type, direction, terminate
+reason, index kind or op code, or bytes left over after the last field.
 
     channel  := addr_len u8 | addr utf8 | port u16 | fragment_id u32
                 | source_id u32 | query_id u64
@@ -56,6 +60,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from .codec import F64, I64, U8, U16, U32, Reader, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
 from .tsstore import SeriesPath, TsBlock, ValueType
@@ -69,7 +74,7 @@ __all__ = [
     "ChangeRecord",
     "ChangeBatch",
     "encode_scalar",
-    "decode_scalar",
+    "read_scalar",
     "encode_cells",
     "encode_block",
     "decode_block",
@@ -78,14 +83,6 @@ __all__ = [
     "encode_batch",
     "decode_batch",
 ]
-
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-_CHANNEL_FIXED = struct.Struct("<HIIQ")   # port, fragment, source, query
 
 
 @dataclass(frozen=True, order=True)
@@ -208,44 +205,51 @@ def encode_scalar(out: bytearray, value) -> None:
     out += encode_cells((value,))[0][1:]
 
 
-def decode_scalar(buf: bytes, pos: int) -> tuple[object, int]:
-    (value,), pos = _decode_cells(buf, pos, 1, nullable=False)
-    return value, pos
+def read_scalar(r: Reader):
+    """The typed scalar at the cursor: the inverse of ``encode_scalar``."""
+    return _read_cells(r, 1, nullable=False)[0]
 
 
-def _decode_cells(buf: bytes, pos: int, n: int, nullable: bool = True) -> tuple[list, int]:
+def _read_cells(r: Reader, n: int, nullable: bool = True) -> list:
     """Sequential parse of ``n`` cells (``nullable``) or typed scalars.
 
-    The returned position may lie past the end of ``buf`` when a string
-    length does; the caller compares it with the payload length.
+    The loop reads ``r.buf`` inline; a field cut short or bad UTF-8 becomes
+    ``r``'s error, and the end position is checked once, after the loop.
     """
+    buf, pos = r.buf, r.pos
     values: list = []
     append = values.append
-    unpack_u32, unpack_i64, unpack_f64 = _U32.unpack_from, _I64.unpack_from, _F64.unpack_from
-    for _ in range(n):
-        if nullable:
-            if not buf[pos]:
-                append(None)
+    unpack_u32, unpack_i64, unpack_f64 = U32.unpack_from, I64.unpack_from, F64.unpack_from
+    try:
+        for _ in range(n):
+            if nullable:
+                if not buf[pos]:
+                    append(None)
+                    pos += 1
+                    continue
                 pos += 1
-                continue
-            pos += 1
-        tag = buf[pos]
-        if tag == _STRING:
-            end = pos + 5 + unpack_u32(buf, pos + 1)[0]
-            append(buf[pos + 5:end].decode("utf-8"))
-            pos = end
-        elif tag == _FLOAT64:
-            append(unpack_f64(buf, pos + 1)[0])
-            pos += 9
-        elif tag == _INT64:
-            append(unpack_i64(buf, pos + 1)[0])
-            pos += 9
-        elif tag == _BOOL:
-            append(bool(buf[pos + 1]))
-            pos += 2
-        else:
-            raise MalformedMessage(f"unknown value tag {tag} at byte {pos}")
-    return values, pos
+            tag = buf[pos]
+            if tag == _STRING:
+                end = pos + 5 + unpack_u32(buf, pos + 1)[0]
+                append(buf[pos + 5:end].decode("utf-8"))
+                pos = end
+            elif tag == _FLOAT64:
+                append(unpack_f64(buf, pos + 1)[0])
+                pos += 9
+            elif tag == _INT64:
+                append(unpack_i64(buf, pos + 1)[0])
+                pos += 9
+            elif tag == _BOOL:
+                append(bool(buf[pos + 1]))
+                pos += 2
+            else:
+                raise r.error(f"unknown value tag {tag} at byte {pos}")
+    except (IndexError, struct.error, UnicodeDecodeError) as exc:
+        raise r.error(f"cell cut short or not utf-8 at byte {pos} ({exc})") from None
+    if pos > len(buf):
+        raise r.fail(f"cell runs {pos - len(buf)} bytes past the end")
+    r.pos = pos
+    return values
 
 
 # --- blocks ---------------------------------------------------------------------
@@ -257,7 +261,7 @@ def encode_block(block: TsBlock) -> bytes:
     raw = str(block.series_id).encode("utf-8")
     n = block.row_count
     return b"".join([
-        _U16.pack(len(raw)),
+        U16.pack(len(raw)),
         raw,
         _BLOCK_HEAD.pack(1 if block.is_header_only else 0, block.value_type, n),
         struct.pack(f"<{n}q", *block.timestamps),
@@ -265,81 +269,64 @@ def encode_block(block: TsBlock) -> bytes:
     ])
 
 
-def decode_block(buf: bytes, pos: int = 0) -> tuple[TsBlock, int]:
-    """Parse one ``tsblock``; raises MalformedMessage on any grammar violation."""
+def decode_block(buf: bytes) -> tuple[TsBlock, int]:
+    """Parse the ``tsblock`` at the start of ``buf``; returns it and its length."""
+    r = Reader(buf, MalformedMessage)
+    series = r.text()
+    header_only, vt, n = r.unpack(_BLOCK_HEAD)
+    vt = r.enum(ValueType, vt, "value type")
+    timestamps = list(struct.unpack(f"<{n}q", r.take(8 * n)))
+    buf, pos = r.buf, r.pos
+    end = pos + 10 * n
+    if buf[pos:end:10] == b"\x01" * n and buf[pos + 1:end:10] == bytes([_FLOAT64]) * n:
+        # stride 10 holds present-FLOAT64 at every cell: exactly the bytes a
+        # sequential parse would read, so unpack them in one pass
+        values = [v for _, _, v in _CELL_FLOAT64.iter_unpack(r.take(10 * n))]
+    else:
+        values = _read_cells(r, n)
     try:
-        (series_len,) = _U16.unpack_from(buf, pos)
-        pos += 2
-        series = SeriesPath.parse(buf[pos:pos + series_len].decode("utf-8"))
-        pos += series_len
-        header_only, vt, n = _BLOCK_HEAD.unpack_from(buf, pos)
-        vt = ValueType(vt)
-        pos += _BLOCK_HEAD.size
-        timestamps = list(struct.unpack_from(f"<{n}q", buf, pos))
-        pos += 8 * n
-        end = pos + 10 * n
-        if (
-            buf[pos:end:10] == b"\x01" * n
-            and buf[pos + 1:end:10] == bytes([_FLOAT64]) * n
-        ):
-            # stride 10 holds present-FLOAT64 at every cell: exactly the bytes a
-            # sequential parse would read, so unpack them in one pass
-            values = [v for _, _, v in _CELL_FLOAT64.iter_unpack(buf[pos:end])]
-            pos = end
-        else:
-            values, pos = _decode_cells(buf, pos, n)
-        if pos > len(buf):
-            raise MalformedMessage(f"cell runs {pos - len(buf)} bytes past the payload end")
-        return TsBlock(series, timestamps, values, vt, is_header_only=bool(header_only)), pos
-    except (IndexError, ValueError, struct.error) as exc:
-        raise MalformedMessage(f"malformed tsblock: {exc}") from exc
+        return TsBlock(SeriesPath.parse(series), timestamps, values, vt, bool(header_only)), r.pos
+    except ValueError as exc:
+        raise r.fail(f"invalid tsblock ({exc})") from None
 
 
 # --- channel / delta --------------------------------------------------------------
 
+_CHANNEL_FIXED = struct.Struct("<HIIQ")    # port, fragment, source, query
+_INDEX = struct.Struct("<Bq")              # kind, value
+_INDEX_KINDS = (IndexKind.ROW_OFFSET, IndexKind.WINDOW_START)   # kind code -> IndexKind
+
+
 def encode_channel(out: bytearray, channel: ChannelId) -> None:
-    raw = channel.address.encode("utf-8")
-    out += _U8.pack(len(raw))
-    out += raw
+    write_text(out, channel.address, U8)
     out += _CHANNEL_FIXED.pack(channel.port, channel.fragment_id, channel.source_id, channel.query_id)
 
 
-def decode_channel(buf: bytes, pos: int) -> tuple[ChannelId, int]:
-    ln = buf[pos]
-    pos += 1
-    address = buf[pos:pos + ln].decode("utf-8")
-    pos += ln
-    port, fragment, source, query = _CHANNEL_FIXED.unpack_from(buf, pos)
-    return ChannelId(address, port, fragment, source, query), pos + _CHANNEL_FIXED.size
+def read_channel(r: Reader) -> ChannelId:
+    return ChannelId(r.text(U8), *r.unpack(_CHANNEL_FIXED))
 
 
-def encode_delta(delta: DeltaState) -> bytes:
-    out = bytearray()
+def encode_delta(out: bytearray, delta: DeltaState) -> None:
     encode_channel(out, delta.channel)
-    out += _U8.pack(int(delta.direction))
-    raw = delta.sql.encode("utf-8")
-    out += _U32.pack(len(raw))
-    out += raw
-    out += _U8.pack(0 if delta.logical_index.kind is IndexKind.ROW_OFFSET else 1)
-    out += _I64.pack(delta.logical_index.value)
-    return bytes(out)
+    out += U8.pack(int(delta.direction))
+    write_text(out, delta.sql, U32)
+    index = delta.logical_index
+    out += _INDEX.pack(_INDEX_KINDS.index(index.kind), index.value)
 
 
-def decode_delta(buf: bytes, pos: int = 0) -> tuple[DeltaState, int]:
-    channel, pos = decode_channel(buf, pos)
-    direction = Direction(buf[pos])
-    pos += 1
-    (ln,) = _U32.unpack_from(buf, pos)
-    pos += 4
-    sql = buf[pos:pos + ln].decode("utf-8")
-    pos += ln
-    kind = IndexKind.ROW_OFFSET if buf[pos] == 0 else IndexKind.WINDOW_START
-    pos += 1
-    (value,) = _I64.unpack_from(buf, pos)
-    return DeltaState(channel, sql, LogicalIndex(kind, value), direction), pos + 8
+def read_delta(r: Reader) -> DeltaState:
+    channel = read_channel(r)
+    direction = r.enum(Direction, r.u8(), "direction")
+    sql = r.text(U32)
+    kind, value = r.unpack(_INDEX)
+    index = LogicalIndex(r.enum(_INDEX_KINDS.__getitem__, kind, "index kind"), value)
+    return DeltaState(channel, sql, index, direction)
 
 
 # --- messages ----------------------------------------------------------------------
+
+_CONFIRMATION = struct.Struct("<IIQ")      # fragment, source, query
+
 
 def encode_message(msg: Message) -> bytes:
     payload = bytearray()
@@ -347,125 +334,98 @@ def encode_message(msg: Message) -> bytes:
     if t is MessageType.MIGRATION_REQUEST:
         payload += (msg.sql or "").encode("utf-8")
     elif t is MessageType.CONFIRMATION:
-        fragment, source, query = msg.confirmation
-        payload += struct.pack("<IIQ", fragment, source, query)
+        payload += _CONFIRMATION.pack(*msg.confirmation)
     elif t in (MessageType.REJECTION, MessageType.CANCEL):
         payload += (msg.reason or "").encode("utf-8")
     elif t is MessageType.DELTA:
-        payload += encode_delta(msg.delta)
+        encode_delta(payload, msg.delta)
     elif t in (MessageType.PROBE, MessageType.DATA):
         payload += encode_block(msg.block)
     elif t is MessageType.TERMINATE:
-        payload += _U8.pack(int(msg.terminate_reason))
+        payload += bytes((msg.terminate_reason, msg.delta is not None))
         if msg.delta is not None:
-            payload += b"\x01"
-            payload += encode_delta(msg.delta)
-        else:
-            payload += b"\x00"
-    elif t in (MessageType.ACK, MessageType.CREDIT):
-        pass
-    else:
+            encode_delta(payload, msg.delta)
+    elif t not in (MessageType.ACK, MessageType.CREDIT):
         raise ValueError(f"unhandled message type {t}")
-    out = bytearray()
-    out += _U8.pack(int(t))
+    out = bytearray(U8.pack(int(t)))
     encode_channel(out, msg.channel)
-    out += _U32.pack(len(payload))
-    out += payload
+    write_blob(out, payload)
     return bytes(out)
 
 
 def decode_message(buf: bytes) -> Message:
-    t = MessageType(buf[0])
-    channel, pos = decode_channel(buf, 1)
-    (ln,) = _U32.unpack_from(buf, pos)
-    pos += 4
-    payload = buf[pos:pos + ln]
-    msg = Message(t, channel)
+    """Parse one ``message``; raises MalformedMessage on any grammar violation."""
+    r = Reader(buf, MalformedMessage)
+    t = r.enum(MessageType, r.u8(), "message type")
+    msg = Message(t, read_channel(r))
+    p = Reader(r.blob(), MalformedMessage)
+    r.done()
     if t is MessageType.MIGRATION_REQUEST:
-        msg.sql = payload.decode("utf-8")
+        msg.sql = p.utf8(len(p.buf))
     elif t is MessageType.CONFIRMATION:
-        msg.confirmation = struct.unpack("<IIQ", payload)
+        msg.confirmation = p.unpack(_CONFIRMATION)
     elif t in (MessageType.REJECTION, MessageType.CANCEL):
-        msg.reason = payload.decode("utf-8")
+        msg.reason = p.utf8(len(p.buf))
     elif t is MessageType.DELTA:
-        msg.delta, _ = decode_delta(payload)
+        msg.delta = read_delta(p)
     elif t in (MessageType.PROBE, MessageType.DATA):
-        msg.block, end = decode_block(payload)
-        if end != len(payload):
-            raise MalformedMessage(f"{len(payload) - end} bytes left after the last cell")
+        msg.block, p.pos = decode_block(p.buf)
     elif t is MessageType.TERMINATE:
-        msg.terminate_reason = TerminateReason(payload[0])
-        if payload[1]:
-            msg.delta, _ = decode_delta(payload, 2)
+        msg.terminate_reason = p.enum(TerminateReason, p.u8(), "terminate reason")
+        if p.u8():
+            msg.delta = read_delta(p)
+    p.done()
     return msg
 
 
 # --- change batches -----------------------------------------------------------------
 
-_OP_CODES = {"insert": 0, "delete": 1, "update": 2, "flush": 3}
-_OP_NAMES = {v: k for k, v in _OP_CODES.items()}
+_OPS = ("insert", "delete", "update", "flush")     # op code -> op
+_BATCH_HEAD = struct.Struct("<QQI")                # first_seq, last_seq, record_count
+_RECORD_HEAD = struct.Struct("<QB")                # seq, op code
+_FLUSH_BODY = struct.Struct("<II")                 # chunk_target_rows, page_rows
 
 
 def _encode_record(record: ChangeRecord) -> bytes:
-    out = bytearray()
-    out += _U64.pack(record.seq)
-    out += _U8.pack(_OP_CODES[record.op])
+    out = bytearray(_RECORD_HEAD.pack(record.seq, _OPS.index(record.op)))
     p = record.payload
-    if record.op in ("insert", "update"):
-        out += _I64.pack(p["ts"])
-        encode_scalar(out, p["value"])
-    elif record.op == "delete":
-        out += _I64.pack(p["ts"])
+    if record.op == "flush":
+        out += _FLUSH_BODY.pack(p["chunk_target_rows"], p["page_rows"])
     else:
-        out += _U32.pack(p["chunk_target_rows"])
-        out += _U32.pack(p["page_rows"])
+        out += I64.pack(p["ts"])
+        if record.op != "delete":
+            encode_scalar(out, p["value"])
     return bytes(out)
 
 
-def _decode_record(buf: bytes, series: str) -> ChangeRecord:
-    (seq,) = _U64.unpack_from(buf, 0)
-    op = _OP_NAMES[buf[8]]
-    pos = 9
-    if op in ("insert", "update"):
-        (ts,) = _I64.unpack_from(buf, pos)
-        value, _ = decode_scalar(buf, pos + 8)
-        payload = {"ts": ts, "value": value}
-    elif op == "delete":
-        (ts,) = _I64.unpack_from(buf, pos)
-        payload = {"ts": ts}
-    else:
-        chunk_target, page_rows = struct.unpack_from("<II", buf, pos)
+def _read_record(r: Reader, series: str) -> ChangeRecord:
+    seq, code = r.unpack(_RECORD_HEAD)
+    op = r.enum(_OPS.__getitem__, code, "op code")
+    if op == "flush":
+        chunk_target, page_rows = r.unpack(_FLUSH_BODY)
         payload = {"chunk_target_rows": chunk_target, "page_rows": page_rows}
+    else:
+        payload = {"ts": r.i64()}
+        if op != "delete":
+            payload["value"] = read_scalar(r)
+    r.done()
     return ChangeRecord(seq, series, op, payload)
 
 
 def encode_batch(batch: ChangeBatch) -> bytes:
     out = bytearray()
-    raw = batch.series.encode("utf-8")
-    out += _U16.pack(len(raw))
-    out += raw
-    out += _U64.pack(batch.first_seq)
-    out += _U64.pack(batch.last_seq)
-    out += _U32.pack(len(batch.records))
+    write_text(out, batch.series)
+    out += _BATCH_HEAD.pack(batch.first_seq, batch.last_seq, len(batch.records))
     for record in batch.records:
-        encoded = _encode_record(record)
-        out += _U32.pack(len(encoded))
-        out += encoded
+        write_blob(out, _encode_record(record))
     return bytes(out)
 
 
 def decode_batch(buf: bytes) -> ChangeBatch:
-    (series_len,) = _U16.unpack_from(buf, 0)
-    pos = 2 + series_len
-    series = buf[2:pos].decode("utf-8")
-    (first_seq,) = _U64.unpack_from(buf, pos)
-    (last_seq,) = _U64.unpack_from(buf, pos + 8)
-    (count,) = _U32.unpack_from(buf, pos + 16)
-    pos += 20
-    records = []
-    for _ in range(count):
-        (ln,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        records.append(_decode_record(buf[pos:pos + ln], series))
-        pos += ln
-    return ChangeBatch(series, first_seq, last_seq, tuple(records))
+    """Parse one ``batch``; raises MalformedMessage on any grammar violation."""
+    r = Reader(buf, MalformedMessage)
+    series = r.text()
+    first_seq, last_seq, count = r.unpack(_BATCH_HEAD)
+    records = tuple(_read_record(Reader(r.blob(), MalformedMessage), series) for _ in range(count))
+    r.done()
+    return ChangeBatch(series, first_seq, last_seq, records)

@@ -1,4 +1,4 @@
-"""Shared helpers for scenario-level tests."""
+"""Shared test helpers: scenario factories and a prober for malformed wire input."""
 
 import dataclasses
 import itertools
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ced.errors import MalformedMessage
 from ced.harness.runtime import Cluster
 from ced.harness.scenario import QuerySpec, ScenarioConfig
 from ced.harness.workload import WorkloadConfig
@@ -60,3 +61,25 @@ def edge_baseline_checksum(sql, workload, tmp_path=None, name="Q"):
     scenario = make_scenario(sql, name=name, mode="edge_only", workload=workload, warm_series=())
     _, report = run(scenario, tmp_path)
     return report.queries[0].checksum
+
+
+def rejections(decode, sample: bytes, enum_offsets) -> list[str]:
+    """Corruptions of ``sample`` that ``decode`` fails to reject with MalformedMessage.
+
+    Tried: every strict prefix, one appended byte, and an unknown value at
+    each enum byte offset.
+    """
+    cases = [(f"prefix[:{n}]", sample[:n]) for n in range(len(sample))]
+    cases.append(("appended", sample + b"\x00"))
+    cases += [(f"enum@{at}", sample[:at] + b"\xee" + sample[at + 1:]) for at in enum_offsets]
+    missed = []
+    for name, buf in cases:
+        try:
+            decode(buf)
+        except MalformedMessage:
+            continue
+        except Exception as exc:             # the failure is reported below, by name
+            missed.append(f"{name}: {type(exc).__name__}")
+        else:
+            missed.append(f"{name}: accepted")
+    return missed

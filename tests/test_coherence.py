@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import rejections
 
 from ced.coherence import (
     ChangeLog,
@@ -13,7 +14,7 @@ from ced.coherence import (
     encode_snapshot,
 )
 from ced.errors import SequenceGap, UnknownPath
-from ced.tsstore import DataPoint, SeriesPath, SeriesStore
+from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
 from ced.wire import ChangeBatch, decode_batch
 
 T1 = SeriesPath.parse("root.ln.edge1.device1.t1")
@@ -295,3 +296,75 @@ def test_snapshot_codec_roundtrip(tmp_path):
     assert decoded["value_type"] == snap["value_type"]
     assert [n for n, _ in decoded["files"]] == [n for n, _ in snap["files"]]
     assert all(bytes(a) == bytes(b) for (_, a), (_, b) in zip(decoded["files"], snap["files"]))
+
+
+def test_replayed_flush_with_another_page_size_is_rejected(tmp_path):
+    log = ChangeLog()
+    edge = SeriesStore(tmp_path / "edge", page_rows=250, change_listener=log.on_store_change)
+    cache = CloudCache(SeriesStore(tmp_path / "cloud"), tau_hot=0)
+    for i in range(10):
+        edge.append(T1, DataPoint(i, float(i)))
+    cache.admit_snapshot(edge.export_snapshot(T1), log.current_seq(str(T1)))
+    log.mark_published(str(T1), log.current_seq(str(T1)))
+    publisher = DeltaPublisher(log, send=lambda series, p: cache.replay(decode_batch(p)))
+    edge.flush(T1)
+    with pytest.raises(ValueError, match="page"):
+        publisher.capture_and_publish(str(T1))
+    assert cache.mirror.memtable_len(T1) == 10          # the mirror did not flush
+
+
+# --- pinned and malformed snapshot bytes ---------------------------------------------------
+
+_SERIES = "1000 726f6f742e6c6e2e65312e64312e7431"      # series_len u16 | "root.ln.e1.d1.t1"
+
+
+def _snapshot(value_type, values, files=(("f.cedf", b"\x01\x02\x03"),)):
+    return {
+        "series": "root.ln.e1.d1.t1",
+        "files": list(files),
+        "mem_ts": [1000, 2000][:len(values)],
+        "mem_values": list(values),
+        "value_type": value_type,
+        "last_ts": 2000 if values else None,
+        "file_counter": len(files),
+    }
+
+
+@pytest.mark.parametrize("value_type,values,rows", [
+    (ValueType.BOOL, [True, False], "00 01 | d007000000000000 00 00"),
+    (ValueType.INT64, [7, -(2**40)], "01 0700000000000000 | d007000000000000 01 0000000000ffffff"),
+    (ValueType.FLOAT64, [1.5, -0.25],
+     "02 000000000000f83f | d007000000000000 02 000000000000d0bf"),
+    (ValueType.STRING, ["v1", "ü"], "03 02000000 7631 | d007000000000000 03 02000000 c3bc"),
+])
+def test_snapshot_bytes_are_pinned(value_type, values, rows):
+    # series | seq u64 | 1 | vt u8 | 1 | last_ts i64 | file_counter u32 | file_count u32
+    # | name_len u16 | "f.cedf" | blob_len u32 | blob | mem_count u32 | (ts i64 | typed scalar)*
+    expected = bytes.fromhex((
+        f"{_SERIES} 2a00000000000000 01 {int(value_type):02x} 01 d007000000000000 01000000 "
+        f"01000000 0600 662e63656466 03000000 010203 02000000 e803000000000000 {rows}"
+    ).replace("|", ""))
+    snapshot = _snapshot(value_type, values)
+    assert encode_snapshot(snapshot, 42) == expected
+    assert decode_snapshot(expected) == (snapshot, 42)
+
+
+def test_snapshot_bytes_without_value_type_or_last_ts_are_pinned():
+    # series | seq 0 | absent vt | absent last_ts | file_counter 0 | no files | no rows
+    expected = bytes.fromhex(f"{_SERIES} 0000000000000000 00 00 00000000 00000000 00000000")
+    snapshot = _snapshot(None, [], files=())
+    assert encode_snapshot(snapshot, 0) == expected
+    assert decode_snapshot(expected) == (snapshot, 0)
+
+
+@pytest.mark.parametrize("value_type,values", [
+    (ValueType.STRING, ["v1", "ü"]),
+    (ValueType.INT64, [7, -(2**40)]),
+], ids=["string", "int64"])
+def test_malformed_snapshot_is_rejected(value_type, values):
+    sample = encode_snapshot(_snapshot(value_type, values), 42)
+    # value type byte after series (18) + seq (8) + presence; first scalar tag after
+    # ... last_ts (9) + counters (8) + file (8 + 7) + mem_count (4) + ts (8)
+    vt_at = 18 + 8 + 1
+    tag_at = vt_at + 1 + 9 + 8 + 8 + 7 + 4 + 8
+    assert rejections(decode_snapshot, sample, [vt_at, tag_at]) == []

@@ -1,6 +1,7 @@
 """Storage engine: append/flush/iterate/load plus format round-trips."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -368,3 +369,97 @@ def test_header_only_block():
     assert b.row_count == 0 and b.is_header_only
     with pytest.raises(ValueError):
         TsBlock(S, [], [], ValueType.FLOAT64, is_header_only=False)
+
+
+# --- corrupt files -------------------------------------------------------------------
+
+_CHUNK_HEAD = 2 + len(str(S))                 # series_len u16 | series, then value_type u8
+
+
+def _tamper(path, at, raw):
+    buf = path.read_bytes()
+    path.write_bytes(buf[:at] + raw + buf[at + len(raw):])
+
+
+def _magic_only(store, path, meta):
+    path.write_bytes(b"CEDF")
+    read_file_index(path)
+
+
+def _footer_past_end(store, path, meta):
+    _tamper(path, path.stat().st_size - 12, struct.pack("<Q", path.stat().st_size + 100))
+    read_file_index(path)
+
+
+def _bytes_before_footer(store, path, meta):
+    buf = path.read_bytes()
+    path.write_bytes(buf[:-12] + b"\x00" + buf[-12:])
+    read_file_index(path)
+
+
+def _index_value_type(store, path, meta):
+    # index := entry_count u32 | series_len u16 | series | offset u64 | byte_len u32 | vt u8
+    index_offset = struct.unpack("<Q", path.read_bytes()[-12:-4])[0]
+    _tamper(path, index_offset + 4 + _CHUNK_HEAD + 12, b"\x09")
+    read_file_index(path)
+
+
+def _chunk_past_index(store, path, meta):
+    index_offset = struct.unpack("<Q", path.read_bytes()[-12:-4])[0]
+    _tamper(path, index_offset + 4 + _CHUNK_HEAD + 8, struct.pack("<I", 2**32 - 1))
+    read_file_index(path)
+
+
+def _index_series(store, path, meta):
+    index_offset = struct.unpack("<Q", path.read_bytes()[-12:-4])[0]
+    _tamper(path, index_offset + 4 + 2, b"X")              # "root..." -> "Xoot..."
+    store.load_chunk_pages(read_file_index(path)[0])
+
+
+def _chunk_value_type(store, path, meta):
+    _tamper(path, meta.offset + _CHUNK_HEAD, b"\x09")
+    store.load_chunk_pages(meta)
+
+
+def _page_max_ts(store, path, meta):
+    # chunk head: vt u8 | page_count u32 | row_count u32 | min_ts | max_ts; page: rows u32 | min_ts
+    _tamper(path, meta.offset + _CHUNK_HEAD + 25 + 4 + 8, struct.pack("<q", 5))
+    store.load_chunk_pages(meta)
+
+
+def _page_rows_past_end(store, path, meta):
+    _tamper(path, meta.offset + _CHUNK_HEAD + 25, struct.pack("<I", 10**6))
+    store.load_chunk_pages(meta)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _magic_only, _footer_past_end, _bytes_before_footer, _chunk_past_index,
+    _index_series, _index_value_type, _chunk_value_type, _page_max_ts, _page_rows_past_end,
+], ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("value", [float, str], ids=["float", "string"])
+def test_corrupt_file_raises_corrupt_chunk(store, corrupt, value):
+    fill(store, S, 10, value=value)
+    handle = store.flush(S)
+    with pytest.raises(CorruptChunk):
+        corrupt(store, handle.path, handle.chunk_index[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    value=st.sampled_from([float, str, bool, int]),
+    at=st.integers(min_value=0),
+    junk=st.binary(max_size=3),
+    cut=st.integers(min_value=0, max_value=3),
+)
+def test_any_corrupted_file_raises_only_corrupt_chunk(tmp_path_factory, value, at, junk, cut):
+    store = SeriesStore(tmp_path_factory.mktemp("corrupt"), chunk_target_rows=10, page_rows=4)
+    fill(store, S, 25, value=value)
+    path = store.flush(S).path
+    buf = path.read_bytes()
+    at %= len(buf) + 1
+    path.write_bytes(buf[:at] + junk + buf[at + cut:])
+    try:
+        for meta in read_file_index(path):
+            store.load_chunk_pages(meta)
+    except CorruptChunk:
+        pass

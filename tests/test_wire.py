@@ -3,7 +3,11 @@
 import struct
 
 import pytest
+from conftest import rejections
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ced.coherence import decode_snapshot, encode_snapshot
 from ced.errors import MalformedMessage
 from ced.scanops import IndexKind, LogicalIndex
 from ced.tsstore import SeriesPath, TsBlock, ValueType
@@ -194,3 +198,165 @@ def test_leftover_bytes_after_the_last_cell_are_rejected():
         decode_message(bytes(head) + struct.pack("<I", len(payload)) + payload)
     intact = bytes(head) + struct.pack("<I", len(_FLOATS)) + _FLOATS
     assert decode_message(intact).block.values == [1.5, 2.5, -0.25]
+
+
+# --- pinned message and change-batch bytes -------------------------------------------
+
+# addr_len u8 | "cloud" | port u16 | fragment_id u32 | source_id u32 | query_id u64
+_CHANNEL = "05 636c6f7564 2823 01000000 02000000 4d00000000000000"
+_SQL = "53454c4543542074312046524f4d20646576"          # "SELECT t1 FROM dev", 18 bytes
+_SERIES = "1000 726f6f742e6c6e2e65312e64312e7431"       # series_len u16 | "root.ln.e1.d1.t1"
+_ROWS, _WINDOW = LogicalIndex.row_offset(4000), LogicalIndex.window_start(600000)
+_INDEX = {_ROWS: "00 a00f000000000000", _WINDOW: "01 c027090000000000"}    # kind u8 | value i64
+
+
+def _delta(direction, index):
+    return DeltaState(CH, "SELECT t1 FROM dev", index, direction)
+
+
+def _delta_hex(direction, index):
+    # channel | direction u8 | sql_len u32 | sql | index: 56 bytes
+    return f"{_CHANNEL} {int(direction):02x} 12000000 {_SQL} {_INDEX[index]}"
+
+
+_PINNED_MESSAGES = [
+    (Message(MessageType.MIGRATION_REQUEST, CH, sql="SELECT t1 FROM dev"), "12000000", _SQL),
+    (Message(MessageType.CONFIRMATION, CH, confirmation=(1, 2, 77)),
+     "10000000", "01000000 02000000 4d00000000000000"),
+    (Message(MessageType.REJECTION, CH, reason="cache miss"), "0a000000", "6361636865206d697373"),
+    *[(Message(MessageType.DELTA, CH, delta=_delta(direction, index)),
+       "38000000", _delta_hex(direction, index))
+      for direction in Direction for index in (_ROWS, _WINDOW)],
+    (Message(MessageType.PROBE, CH, block=TsBlock.header_only(S)),
+     "18000000", f"{_SERIES} 01 01 00000000"),
+    (Message(MessageType.ACK, CH), "00000000", ""),
+    (Message(MessageType.DATA, CH, block=TsBlock(S, [1, 2], ["a", None], ValueType.STRING)),
+     "30000000",
+     f"{_SERIES} 00 03 02000000 0100000000000000 0200000000000000 01 03 01000000 61 00"),
+    (Message(MessageType.CREDIT, CH), "00000000", ""),
+    (Message(MessageType.TERMINATE, CH, terminate_reason=TerminateReason.CLOUD_COMPLETED),
+     "02000000", "00 00"),
+    (Message(MessageType.TERMINATE, CH, terminate_reason=TerminateReason.REMIGRATION,
+             delta=_delta(Direction.CLOUD_TO_EDGE, _WINDOW)),
+     "3a000000", "01 01 " + _delta_hex(Direction.CLOUD_TO_EDGE, _WINDOW)),
+    (Message(MessageType.CANCEL, CH, reason="timeout"), "07000000", "74696d656f7574"),
+]
+
+
+@pytest.mark.parametrize("msg,payload_len,payload", _PINNED_MESSAGES,
+                         ids=[m.type.name for m, _, _ in _PINNED_MESSAGES])
+def test_message_bytes_are_pinned(msg, payload_len, payload):
+    # message := type u8 | channel | payload_len u32 | payload
+    expected = bytes.fromhex(f"{int(msg.type):02x} {_CHANNEL} {payload_len} {payload}")
+    assert encode_message(msg) == expected
+    assert encode_message(decode_message(expected)) == expected
+
+
+_VALUES = (True, -7, 2.5, "vx")
+_TYPED = ("00 01", "01 f9ffffffffffffff", "02 0000000000000440", "03 02000000 7678")  # tag | value
+_PINNED_BATCH = ChangeBatch(str(S), 5, 14, (
+    *[ChangeRecord(5 + i, str(S), "insert", {"ts": 105 + i, "value": v})
+      for i, v in enumerate(_VALUES)],
+    *[ChangeRecord(9 + i, str(S), "update", {"ts": 109 + i, "value": v})
+      for i, v in enumerate(_VALUES)],
+    ChangeRecord(13, str(S), "delete", {"ts": 105}),
+    ChangeRecord(14, str(S), "flush", {"chunk_target_rows": 4000, "page_rows": 1000}),
+))
+
+
+def test_change_batch_bytes_are_pinned():
+    # batch := series | first_seq u64 | last_seq u64 | count u32 | (record_len u32 | record)*
+    # record := seq u64 | op u8 | body
+    records = [
+        f"{17 + len(bytes.fromhex(typed)):02x}000000 {seq:02x}00000000000000 {op} "
+        f"{ts:02x}00000000000000 {typed}"
+        for op, first in (("00", 5), ("02", 9))
+        for seq, ts, typed in zip(range(first, first + 4), range(100 + first, 104 + first), _TYPED)
+    ]
+    records.append("11000000 0d00000000000000 01 6900000000000000")
+    records.append("11000000 0e00000000000000 03 a00f0000 e8030000")
+    expected = bytes.fromhex(
+        f"{_SERIES} 0500000000000000 0e00000000000000 0a000000 " + " ".join(records)
+    )
+    assert encode_batch(_PINNED_BATCH) == expected
+    assert decode_batch(expected) == _PINNED_BATCH
+
+
+# --- malformed messages and change batches ---------------------------------------------
+
+_PAYLOAD = 1 + 24 + 4                        # message type, channel, payload_len
+_DIRECTION, _KIND = 24, 24 + 1 + 4 + 18      # offsets inside a delta with _SQL
+
+
+@pytest.mark.parametrize("msg,enum_offsets", [
+    (Message(MessageType.DELTA, CH, delta=_delta(Direction.EDGE_TO_CLOUD, _ROWS)),
+     [0, _PAYLOAD + _DIRECTION, _PAYLOAD + _KIND]),
+    (Message(MessageType.TERMINATE, CH, terminate_reason=TerminateReason.REMIGRATION,
+             delta=_delta(Direction.CLOUD_TO_EDGE, _WINDOW)),
+     [0, _PAYLOAD, _PAYLOAD + 2 + _DIRECTION, _PAYLOAD + 2 + _KIND]),
+    (Message(MessageType.CONFIRMATION, CH, confirmation=(1, 2, 77)), [0]),
+], ids=["delta", "terminate-with-delta", "confirmation"])
+def test_malformed_message_is_rejected(msg, enum_offsets):
+    sample = encode_message(msg)
+    assert encode_message(decode_message(sample)) == sample
+    assert rejections(decode_message, sample, enum_offsets) == []
+
+
+def test_empty_message_is_rejected():
+    with pytest.raises(MalformedMessage):
+        decode_message(b"")
+
+
+@pytest.mark.parametrize("records,enum_offsets", [
+    # first record starts at 38 (series 18, seqs 16, count 4) + record_len 4
+    ((ChangeRecord(5, str(S), "insert", {"ts": 105, "value": "vx"}),
+      ChangeRecord(6, str(S), "delete", {"ts": 105})), [42 + 8, 42 + 17]),
+    ((ChangeRecord(5, str(S), "update", {"ts": 105, "value": 2.5}),
+      ChangeRecord(6, str(S), "flush", {"chunk_target_rows": 4000, "page_rows": 1000})),
+     [42 + 8, 42 + 17]),
+], ids=["insert-delete", "update-flush"])
+def test_malformed_change_batch_is_rejected(records, enum_offsets):
+    batch = ChangeBatch(str(S), records[0].seq, records[-1].seq, records)
+    sample = encode_batch(batch)
+    assert decode_batch(sample) == batch
+    assert rejections(decode_batch, sample, enum_offsets) == []
+
+
+def test_record_with_bytes_after_its_body_is_rejected():
+    record = ChangeRecord(5, str(S), "delete", {"ts": 105})
+    intact = encode_batch(ChangeBatch(str(S), 5, 5, (record,)))
+    body = intact[42:]                                  # after record_len u32
+    with pytest.raises(MalformedMessage):
+        decode_batch(intact[:38] + struct.pack("<I", len(body) + 1) + body + b"\x00")
+
+
+@pytest.mark.parametrize("at", [2, 1 + 24 + 4], ids=["address", "sql"])
+def test_bad_utf8_in_a_text_field_is_rejected(at):
+    sample = encode_message(Message(MessageType.MIGRATION_REQUEST, CH, sql="SELECT t1 FROM dev"))
+    with pytest.raises(MalformedMessage):
+        decode_message(_patch(sample, at, b"\xc3\x28"))
+
+
+_LINK_SAMPLES = [(decode_message, encode_message(m)) for m, _, _ in _PINNED_MESSAGES] + [
+    (decode_batch, encode_batch(_PINNED_BATCH)),
+    (decode_snapshot, encode_snapshot({
+        "series": str(S), "files": [("f.cedf", b"CEDF")], "mem_ts": [1, 2],
+        "mem_values": ["v1", "ü"], "value_type": ValueType.STRING, "last_ts": 2, "file_counter": 1,
+    }, 7)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sample=st.sampled_from(_LINK_SAMPLES),
+    at=st.integers(min_value=0),
+    junk=st.binary(max_size=3),
+    cut=st.integers(min_value=0, max_value=3),
+)
+def test_any_corrupted_link_bytes_raise_only_malformed_message(sample, at, junk, cut):
+    decode, buf = sample
+    at %= len(buf) + 1
+    try:
+        decode(buf[:at] + junk + buf[at + cut:])
+    except MalformedMessage:
+        pass
