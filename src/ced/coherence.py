@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from .codec import I64, U32, U64, Reader, write_blob, write_text
 from .errors import MalformedMessage, SequenceGap, UnknownPath
-from .tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
+from .tsstore import DataPoint, SeriesPath, SeriesStore, ValueType, strictly_increasing
 from .wire import ChangeBatch, ChangeRecord, encode_batch, encode_scalar, read_scalar
 
 __all__ = [
@@ -310,9 +310,6 @@ class CloudCache:
             return None
         return self.edge_seq(str(series)) - entry.applied_seq
 
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 # --- snapshot wire codec ------------------------------------------------------------
 #
@@ -355,6 +352,8 @@ def decode_snapshot(buf: bytes) -> tuple[dict, int]:
         mem_ts.append(r.i64())
         mem_values.append(read_scalar(r))
     r.done()
+    if not strictly_increasing(mem_ts):
+        raise r.fail(f"{series}: memtable timestamps do not strictly increase")
     return {
         "series": series,
         "files": files,

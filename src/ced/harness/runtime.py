@@ -470,7 +470,8 @@ class Cluster:
         self.engine.spawn(self._coherence_tick())
 
         self.engine.run_until_idle()
-        assert not self.any_running(), "queries must finish before the engine idles"
+        if self.any_running():
+            raise ScenarioError("queries must finish before the engine idles")
         return self._build_report(label)
 
     def _build_report(self, label: str) -> MetricsReport:

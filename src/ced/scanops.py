@@ -34,7 +34,9 @@ The remote side is any object with the small surface described by
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import GuardViolation, IndexKindMismatch, MisalignedOffset, UnknownSeries
@@ -445,6 +447,12 @@ class AggregationScanOp(_ScanLeaf):
         return self.state.logical_index.value < self.spec.hi
 
     def _next_local(self):
+        """Aggregate the current window a chunk buffer at a time, by bisection.
+
+        At most one chunk is loaded per call; a window that needs another
+        returns NOT_READY with its running aggregate held.  Rows before the
+        window start (a resume inside a chunk) are read but not aggregated.
+        """
         state = self.state
         if state.logical_index.value >= self.spec.hi:
             return None
@@ -453,23 +461,44 @@ class AggregationScanOp(_ScanLeaf):
             count, maximum = 0, None
         else:
             (window_start, window_end), (count, maximum) = state.partial_window_accumulator
-        loads_budget = 1       # at most one chunk load per call
+        loaded = False          # at most one chunk load per call
+        iterator = self._iterator
         while True:
-            ts, value, loaded = self._peek_row(window_start, window_end, loads_budget)
-            loads_budget -= loaded
-            if ts == "defer":
+            buf_ts, pos = self._buf_ts, self._buf_pos
+            if pos < len(buf_ts):
+                end = bisect_left(buf_ts, window_end, pos)
+                first = bisect_left(buf_ts, window_start, pos, end)
+                if first < end:
+                    count += end - first
+                    if self.fn == "max_value":
+                        # max() keeps its current item unless a later one is
+                        # greater, exactly as a row loop with ``>``: ties and NaN
+                        rows = self._buf_values[first:end]
+                        maximum = max(rows) if maximum is None else max(chain((maximum,), rows))
+                self.rows_local += end - pos
+                self._buf_pos = end
+                if end < len(buf_ts):
+                    break                # the next row opens a later window
+            if not iterator.has_next():
+                break
+            meta = iterator.peek()
+            if meta.max_ts < window_start:
+                # entirely before the current window: no page I/O
+                iterator.skip_current()
+                self.chunks_skipped += 1
+                continue
+            if meta.min_ts >= window_end:
+                break                    # nothing more for this window
+            if loaded:
                 # another chunk is needed; persist the running aggregate and yield
                 state.partial_window_accumulator = ((window_start, window_end), (count, maximum))
                 return NOT_READY
-            if ts is None or ts >= window_end:
-                break
-            self._buf_pos += 1
-            self.rows_local += 1
-            if ts < window_start:
-                continue               # rows preceding the resume index
-            count += 1
-            if maximum is None or value > maximum:
-                maximum = value
+            iterator.advance()
+            blocks = self.store.load_chunk_pages(meta)
+            self._buf_ts = list(chain.from_iterable(b.timestamps for b in blocks))
+            self._buf_values = list(chain.from_iterable(b.values for b in blocks))
+            self._buf_pos = 0
+            loaded = True
         state.partial_window_accumulator = None
         result = count if self.fn == "count" else maximum
         block = TsBlock(self.series, [window_start], [result], self._value_type)
@@ -479,34 +508,6 @@ class AggregationScanOp(_ScanLeaf):
         if self.boundary_listener is not None:
             self.boundary_listener()
         return block
-
-    def _peek_row(self, window_start: int, window_end: int, loads_budget: int):
-        """Next source row without consuming; loads chunks lazily with metadata skip.
-
-        Returns (ts, value, loads) where ts is "defer" when the load budget
-        for this call is exhausted, or None at data end / window end.
-        """
-        loads = 0
-        while self._buf_pos >= len(self._buf_ts):
-            if not self._iterator.has_next():
-                return None, None, loads
-            meta = self._iterator.peek()
-            if meta.max_ts < window_start:
-                # entirely before the current window: no page I/O
-                self._iterator.skip_current()
-                self.chunks_skipped += 1
-                continue
-            if meta.min_ts >= window_end:
-                return meta.min_ts, None, loads   # nothing more for this window
-            if loads_budget - loads <= 0:
-                return "defer", None, loads
-            self._iterator.advance()
-            blocks = self.store.load_chunk_pages(meta)
-            self._buf_ts = [t for b in blocks for t in b.timestamps]
-            self._buf_values = [v for b in blocks for v in b.values]
-            self._buf_pos = 0
-            loads += 1
-        return self._buf_ts[self._buf_pos], self._buf_values[self._buf_pos], loads
 
     def _index_after(self, block: TsBlock) -> LogicalIndex:
         return LogicalIndex.window_start(min(block.timestamps[-1] + self.spec.width, self.spec.hi))

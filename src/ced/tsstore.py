@@ -23,9 +23,21 @@ On-disk format (all integers little-endian):
 
 The fields are ``ced.codec``'s.  Bytes that break this grammar (a field cut
 short, an unknown value type, page bounds or row counts that disagree with
-the rows) raise CorruptChunk.  Timestamps are integer milliseconds and
-strictly increase within a series; updates and deletes touch only rows
-still in the memtable (flushed files are immutable).
+the rows, rows out of timestamp order) raise CorruptChunk.  Timestamps are
+integer milliseconds and strictly increase within a series; updates and
+deletes touch only rows still in the memtable (flushed files are immutable).
+
+Timestamp order is checked once, by ``strictly_increasing``, where rows
+enter the program: ``append_columns`` (OutOfOrderTimestamp), a decoded
+chunk (CorruptChunk) and, in ``ced.wire`` and ``ced.coherence``, decoded
+link bytes (MalformedMessage).  A TsBlock built from those rows does not
+check it again.
+
+Decoded chunks are memoized process-wide, in one LRU keyed by ``(series,
+value type, row count, chunk bytes)`` and bounded to ``DECODE_MEMO_ROWS``
+retained rows.  The key holds the bytes, so an entry can never go stale and
+a hit implies every check the decode made.  Every load still reads the
+chunk's bytes and is charged in ``IoStats``; only the decode is skipped.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ import operator
 import shutil
 import struct
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -56,9 +69,19 @@ __all__ = [
     "IoStats",
     "SeriesStore",
     "read_file_index",
+    "strictly_increasing",
+    "DECODE_MEMO_ROWS",
+    "decode_memo",
 ]
 
 BLOCK_ROWS = 1000
+
+# Most decoded rows the process keeps for later loads of the same chunk bytes.
+# Concurrent scans of one dataset move in step, so a few chunks' worth catches
+# their repeats; a sequential scan misses and pays a bounded memory cost.  The
+# bound is per process, not per store: a finished run's stores can stay alive
+# until a cyclic garbage collection.
+DECODE_MEMO_ROWS = 16 * BLOCK_ROWS
 
 MAGIC = b"CEDF"
 VERSION = 1
@@ -144,15 +167,18 @@ class DataPoint:
     value: Scalar
 
 
-def _check_increasing(timestamps: Sequence[int], what: str) -> None:
-    for t0, t1 in zip(timestamps, timestamps[1:]):
-        if t1 <= t0:
-            raise ValueError(f"{what} timestamps must strictly increase ({t0} -> {t1})")
+def strictly_increasing(timestamps: Sequence[int]) -> bool:
+    """The one timestamp-order check, made where rows enter the program."""
+    return all(map(operator.lt, timestamps, islice(timestamps, 1, None)))
 
 
 @dataclass
 class TsBlock:
-    """Columnar batch of at most BLOCK_ROWS rows; the atomic transfer unit."""
+    """Columnar batch of at most BLOCK_ROWS rows; the atomic transfer unit.
+
+    Its timestamps strictly increase; that is checked where the rows enter
+    the program, not here.
+    """
 
     series_id: SeriesPath
     timestamps: list[int]
@@ -170,7 +196,6 @@ class TsBlock:
             raise ValueError("empty TsBlock must be header-only")
         if self.is_header_only and n != 0:
             raise ValueError("header-only TsBlock must carry no rows")
-        _check_increasing(self.timestamps, "TsBlock")
 
     @property
     def row_count(self) -> int:
@@ -211,7 +236,7 @@ class IoStats:
 
     bytes_read: int = 0
     chunks_loaded: int = 0
-    reads: int = 0
+    chunks_decoded: int = 0    # loads that missed the decode memo
 
 
 # --- row codecs -------------------------------------------------------------
@@ -291,7 +316,50 @@ def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[list[int], list]:
     r.done()
     if len(timestamps) != row_count:
         raise CorruptChunk(f"{series}: chunk declares {row_count} rows, decoded {len(timestamps)}")
+    if not strictly_increasing(timestamps):
+        raise CorruptChunk(f"{series}: chunk rows out of timestamp order")
     return timestamps, values
+
+
+def _series_path(text: str) -> SeriesPath:
+    try:
+        return SeriesPath.parse(text)
+    except ValueError as exc:
+        raise CorruptChunk(f"{text}: {exc}") from None
+
+
+_Columns = tuple[SeriesPath, list[int], list]
+
+
+class _DecodeMemo:
+    """LRU of decoded chunks, bounded by the rows it retains (see module docstring)."""
+
+    def __init__(self, max_rows: int):
+        self.max_rows = max_rows
+        self.rows = 0
+        self._entries: OrderedDict[tuple, _Columns] = OrderedDict()
+
+    def get(self, key: tuple) -> Optional[_Columns]:
+        columns = self._entries.get(key)
+        if columns is not None:
+            self._entries.move_to_end(key)
+        return columns
+
+    def put(self, key: tuple, columns: _Columns) -> None:
+        n = len(columns[1])
+        if n > self.max_rows:
+            return
+        while self.rows + n > self.max_rows:
+            self.rows -= len(self._entries.popitem(last=False)[1][1])
+        self._entries[key] = columns
+        self.rows += n
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.rows = 0
+
+
+decode_memo = _DecodeMemo(DECODE_MEMO_ROWS)
 
 
 class ChunkIterator:
@@ -403,7 +471,7 @@ class SeriesStore:
         last_ts = state.last_ts if state is not None else None
         if last_ts is not None and timestamps[0] <= last_ts:
             raise OutOfOrderTimestamp(f"{key}: ts {timestamps[0]} <= last {last_ts}")
-        if not all(map(operator.lt, timestamps, islice(timestamps, 1, None))):
+        if not strictly_increasing(timestamps):
             t0, t1 = next(p for p in zip(timestamps, islice(timestamps, 1, None)) if p[1] <= p[0])
             raise OutOfOrderTimestamp(f"{key}: ts {t1} <= last {t0}")
         vt = state.value_type if state is not None else None
@@ -560,21 +628,25 @@ class SeriesStore:
         return ChunkIterator(self, metas)
 
     def load_chunk_pages(self, meta: ChunkMeta) -> list[TsBlock]:
-        """Load one chunk and repackage its rows into TsBlocks of <= BLOCK_ROWS."""
+        """Load one chunk and repackage its rows into fresh TsBlocks of <= BLOCK_ROWS."""
         if meta.mem_rows is not None:
-            timestamps, values = meta.mem_rows
             self.io.chunks_loaded += 1
+            series = _series_path(meta.series)
+            timestamps, values = meta.mem_rows
         else:
-            timestamps, values = _decode_chunk(self._read_chunk_bytes(meta), meta)
-        blocks = []
-        try:
-            series = SeriesPath.parse(meta.series)
-            for b0 in range(0, len(timestamps), BLOCK_ROWS):
-                b1 = min(b0 + BLOCK_ROWS, len(timestamps))
-                blocks.append(TsBlock(series, timestamps[b0:b1], values[b0:b1], meta.value_type))
-        except ValueError as exc:          # a bad series path, or rows out of timestamp order
-            raise CorruptChunk(f"{meta.series}: {exc}") from None
-        return blocks
+            buf = self._read_chunk_bytes(meta)
+            key = (meta.series, meta.value_type, meta.row_count, buf)
+            columns = decode_memo.get(key)
+            if columns is None:
+                columns = (_series_path(meta.series), *_decode_chunk(buf, meta))
+                self.io.chunks_decoded += 1
+                decode_memo.put(key, columns)
+            series, timestamps, values = columns
+        vt = meta.value_type
+        return [
+            TsBlock(series, timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS], vt)
+            for b0 in range(0, len(timestamps), BLOCK_ROWS)
+        ]
 
     def _read_chunk_bytes(self, meta: ChunkMeta) -> bytes:
         assert meta.file_path is not None
@@ -588,7 +660,6 @@ class SeriesStore:
             raise CorruptChunk(f"{meta.file_path}: short read at offset {meta.offset}")
         self.io.bytes_read += meta.byte_len
         self.io.chunks_loaded += 1
-        self.io.reads += 1
         return buf
 
     # --- replication helpers ----------------------------------------------------

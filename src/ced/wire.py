@@ -17,7 +17,8 @@ Every decoder of link bytes (tsblocks, messages and change batches here,
 cache snapshots in ``ced.coherence``) reads through ``ced.codec.Reader`` and
 rejects any grammar violation with MalformedMessage: a field cut short, bad
 UTF-8, an unknown value tag, value type, message type, direction, terminate
-reason, index kind or op code, or bytes left over after the last field.
+reason, index kind or op code, bytes left over after the last field, or
+timestamps of a tsblock or snapshot memtable that do not strictly increase.
 
     channel  := addr_len u8 | addr utf8 | port u16 | fragment_id u32
                 | source_id u32 | query_id u64
@@ -63,7 +64,7 @@ from typing import Optional
 from .codec import F64, I64, U8, U16, U32, Reader, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
-from .tsstore import SeriesPath, TsBlock, ValueType
+from .tsstore import SeriesPath, TsBlock, ValueType, strictly_increasing
 
 __all__ = [
     "ChannelId",
@@ -276,6 +277,8 @@ def decode_block(buf: bytes) -> tuple[TsBlock, int]:
     header_only, vt, n = r.unpack(_BLOCK_HEAD)
     vt = r.enum(ValueType, vt, "value type")
     timestamps = list(struct.unpack(f"<{n}q", r.take(8 * n)))
+    if not strictly_increasing(timestamps):
+        raise r.fail("tsblock timestamps do not strictly increase")
     buf, pos = r.buf, r.pos
     end = pos + 10 * n
     if buf[pos:end:10] == b"\x01" * n and buf[pos + 1:end:10] == bytes([_FLOAT64]) * n:

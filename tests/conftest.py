@@ -11,6 +11,7 @@ from ced.errors import MalformedMessage
 from ced.harness.runtime import Cluster
 from ced.harness.scenario import QuerySpec, ScenarioConfig
 from ced.harness.workload import WorkloadConfig
+from ced.tsstore import decode_memo
 
 Q1_SQL = "SELECT t1 FROM dev WHERE t1='v999'"
 Q2_SQL = "SELECT t3 FROM dev WHERE t3=497.44467"
@@ -21,6 +22,13 @@ Q5_SQL = "SELECT max_value(t3) FROM dev GROUP BY 5m"
 TABLE_II = {"Q1": Q1_SQL, "Q2": Q2_SQL, "Q3": Q3_SQL, "Q4": Q4_SQL, "Q5": Q5_SQL}
 
 _counter = itertools.count()
+
+
+@pytest.fixture(autouse=True)
+def empty_decode_memo():
+    """Each test starts with no decoded chunk retained, so decode counts do not
+    depend on which tests ran before it in the process."""
+    decode_memo.clear()
 
 
 def small_workload(total_rows=6000, chunk_rows=1000, sensors=3, interval_ms=1000, seed=0):

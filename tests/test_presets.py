@@ -1,9 +1,11 @@
 """Every preset runs to completion at a small scale and stays exact across modes."""
 
 import pytest
+from conftest import make_cluster, make_scenario
 
+from ced.errors import ScenarioError
 from ced.harness.presets import list_presets, preset_runs
-from ced.harness.runtime import run_scenario
+from ced.harness.runtime import Cluster, run_scenario
 
 SCALE = 0.05
 QUERY_NAMES = ("Q1", "Q2", "Q3", "Q4", "Q5")      # Q1-Q3 scan series, Q4/Q5 aggregate
@@ -73,3 +75,12 @@ def test_scaled_forced_runs_switch_and_stay_exact(forced_runs_at_scale):
         for q in queries:
             assert q.migrated >= 1, label
             assert q.checksum == baseline[q.sql], label
+
+
+def test_queries_running_when_the_engine_idles_raise_scenario_error(monkeypatch, tmp_path):
+    # a raise, not an assert: under python -O the run would go on to report partial results
+    cluster = make_cluster(make_scenario(mode="edge_only", warm_series=()), tmp_path)
+    monkeypatch.setattr(Cluster, "any_running", lambda self: True)
+    monkeypatch.setattr(cluster.engine, "run_until_idle", lambda: None)
+    with pytest.raises(ScenarioError, match="must finish"):
+        cluster.run()

@@ -1,5 +1,6 @@
 """Scan operators: logical indexing, resume, skipping, filter/merge plumbing."""
 
+import math
 import random
 
 import pytest
@@ -663,3 +664,155 @@ def _trace(merge_cls, scripts):
 @given(merge_scripts())
 def test_merge_matches_row_at_a_time_reference(scripts):
     assert _trace(MergeOp, scripts) == _trace(RowMergeOp, scripts)
+
+
+# --- aggregation: window-at-a-time against the row-at-a-time reference --------------
+
+class RowAggregationScanOp(AggregationScanOp):
+    """Reference: the row-at-a-time window loop over its own chunk buffer."""
+
+    def _open_local(self, index):
+        super()._open_local(index)
+        self._rows_ts, self._rows_values, self._rows_pos = [], [], 0
+
+    def _next_local(self):
+        state = self.state
+        if state.logical_index.value >= self.spec.hi:
+            return None
+        if state.partial_window_accumulator is None:
+            window_start, window_end = self.spec.window_at(state.logical_index.value)
+            count, maximum = 0, None
+        else:
+            (window_start, window_end), (count, maximum) = state.partial_window_accumulator
+        loads_budget = 1
+        while True:
+            ts, value, loaded = self._peek_row(window_start, window_end, loads_budget)
+            loads_budget -= loaded
+            if ts == "defer":
+                state.partial_window_accumulator = ((window_start, window_end), (count, maximum))
+                return NOT_READY
+            if ts is None or ts >= window_end:
+                break
+            self._rows_pos += 1
+            self.rows_local += 1
+            if ts < window_start:
+                continue
+            count += 1
+            if maximum is None or value > maximum:
+                maximum = value
+        state.partial_window_accumulator = None
+        block = TsBlock(self.series, [window_start], [count if self.fn == "count" else maximum],
+                        self._value_type)
+        state.logical_index = LogicalIndex.window_start(min(window_end, self.spec.hi))
+        return block
+
+    def _peek_row(self, window_start, window_end, loads_budget):
+        loads = 0
+        while self._rows_pos >= len(self._rows_ts):
+            if not self._iterator.has_next():
+                return None, None, loads
+            meta = self._iterator.peek()
+            if meta.max_ts < window_start:
+                self._iterator.skip_current()
+                self.chunks_skipped += 1
+                continue
+            if meta.min_ts >= window_end:
+                return meta.min_ts, None, loads
+            if loads_budget - loads <= 0:
+                return "defer", None, loads
+            self._iterator.advance()
+            blocks = self.store.load_chunk_pages(meta)
+            self._rows_ts = [t for b in blocks for t in b.timestamps]
+            self._rows_values = [v for b in blocks for v in b.values]
+            self._rows_pos = 0
+            loads += 1
+        return self._rows_ts[self._rows_pos], self._rows_values[self._rows_pos], loads
+
+
+_NAN = float("nan")
+AGG_VALUE_POOLS = {
+    "float": [_NAN, 0.0, -0.0, 1.5, 1.5, -2.0, float("inf")],    # ties, NaN first or later
+    "int": [-3, 0, 7, 7, 2**40],
+    "str": ["", "a", "b", "b", "ab", "ü"],
+}
+
+
+@st.composite
+def aggregation_cases(draw):
+    """A series in random chunks (maybe a memtable tail), a window spec and a resume point."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    values = AGG_VALUE_POOLS[draw(st.sampled_from(sorted(AGG_VALUE_POOLS)))]
+    pool = rng.sample(values, draw(st.integers(1, 3)))    # few values: many ties
+    if draw(st.booleans()):
+        pool.append(values[0])                              # NaN, for FLOAT64
+    layout = draw(st.lists(st.integers(1, 1200), min_size=1, max_size=8))
+    ts = draw(st.integers(0, 50))
+    chunks = []
+    for size in layout:
+        rows = []
+        for _ in range(size):
+            rows.append((ts, rng.choice(pool)))
+            ts += rng.choice((1,) * 12 + (2, 3, 400))
+        chunks.append(rows)
+    first, last = chunks[0][0][0], chunks[-1][-1][0]
+    lo = rng.randint(first - 20, (first + last) // 2)
+    span = max(1, last - lo)
+    width = round(math.exp(rng.uniform(math.log(max(1, span // 600)), math.log(span))))   # log-uniform
+    hi = last + rng.randint(1, 40) if rng.random() < 0.5 else lo + rng.randint(1, last - lo + 40)
+    start = lo + width * rng.randint(0, (hi - lo - 1) // width)
+    return dict(
+        chunks=chunks, spec=WindowSpec(lo, hi, width), start=start,
+        page_rows=draw(st.sampled_from([3, 250, 1000])),
+        memtable_tail=draw(st.booleans()),
+    )
+
+
+def _aggregation_trace(op_cls, store, case, fn):
+    """Each call's return (NOT_READY, None or the block) and its rows_local delta."""
+    op = op_cls(store, S, case["spec"], fn, start_index=LogicalIndex.window_start(case["start"]))
+    loaded = store.io.chunks_loaded
+    log = []
+    while True:
+        before = op.rows_local
+        block = op.next_block()
+        delta = op.rows_local - before
+        if block is None or block is NOT_READY:
+            log.append((block, delta))
+        else:
+            log.append((block.timestamps, repr(block.values), block.value_type, delta))
+        if block is None:
+            return log, op.chunks_skipped, store.io.chunks_loaded - loaded
+
+
+@settings(max_examples=100, deadline=None)
+@given(aggregation_cases())
+@pytest.mark.parametrize("fn", ["count", "max_value"])
+def test_aggregation_matches_row_at_a_time_reference(tmp_path_factory, fn, case):
+    store = SeriesStore(tmp_path_factory.mktemp("agg"), page_rows=case["page_rows"])
+    for i, rows in enumerate(case["chunks"]):
+        store.append_columns(S, [t for t, _ in rows], [v for _, v in rows])
+        if i < len(case["chunks"]) - 1 or not case["memtable_tail"]:
+            store.flush(S, chunk_target_rows=len(rows))
+    expected = _aggregation_trace(RowAggregationScanOp, store, case, fn)
+    assert _aggregation_trace(AggregationScanOp, store, case, fn) == expected
+
+
+@pytest.mark.parametrize("chunks,expected", [
+    ([[_NAN, 1.5], [2.0]], "nan"),                 # NaN first: nothing compares greater
+    ([[1.5, _NAN], [_NAN, 2.0]], "2.0"),           # NaN later: skipped
+    ([[0.0], [-0.0]], "0.0"),                      # a tie keeps the first
+    ([[-0.0], [0.0, -1.0]], "-0.0"),
+])
+def test_max_value_carried_across_chunks_keeps_ties_and_nan(tmp_path, chunks, expected):
+    store = SeriesStore(tmp_path)
+    ts = 0
+    for values in chunks:
+        store.append_columns(S, range(ts, ts + len(values)), values)
+        store.flush(S)
+        ts += len(values)
+    case = {"spec": WindowSpec(0, ts, ts), "start": 0}
+    trace = _aggregation_trace(AggregationScanOp, store, case, "max_value")
+    assert trace == _aggregation_trace(RowAggregationScanOp, store, case, "max_value")
+    log, _, loaded = trace
+    assert [entry[1] for entry in log if len(entry) == 4] == [f"[{expected}]"]
+    assert loaded == len(chunks)

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from ced.errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSeries
 from ced.tsstore import (
     BLOCK_ROWS,
+    DECODE_MEMO_ROWS,
     DataPoint,
     SeriesPath,
     SeriesStore,
     TsBlock,
     ValueType,
+    decode_memo,
     read_file_index,
 )
 
@@ -245,6 +247,103 @@ def test_io_stats_count_exact_chunk_bytes(store):
     assert store.io.chunks_loaded == 1
 
 
+# --- decode memo ------------------------------------------------------------------
+
+def _block_rows(blocks):
+    return [(b.series_id, b.timestamps, b.values, b.value_type) for b in blocks]
+
+
+def test_memo_hit_equals_miss_and_every_load_is_charged(store):
+    fill(store, S, 2500)
+    meta = store.flush(S, chunk_target_rows=2500).chunk_index[0]
+    miss = store.load_chunk_pages(meta)
+    hit = store.load_chunk_pages(meta)
+    assert _block_rows(hit) == _block_rows(miss)
+    assert [b.row_count for b in hit] == [1000, 1000, 500]
+    assert store.io.bytes_read == 2 * meta.byte_len
+    assert store.io.chunks_loaded == 2
+    assert store.io.chunks_decoded == 1
+    assert decode_memo.rows == 2500
+
+
+def test_mutating_a_loaded_block_does_not_change_the_next_load(store):
+    fill(store, S, 1500)
+    meta = store.flush(S).chunk_index[0]
+    first = store.load_chunk_pages(meta)
+    for block in first:
+        block.timestamps.reverse()
+        block.values[0] = -1.0
+    again = store.load_chunk_pages(meta)
+    assert store.io.chunks_decoded == 1
+    assert [t for b in again for t in b.timestamps] == list(range(1500))
+    assert [v for b in again for v in b.values] == [float(i) for i in range(1500)]
+
+
+def test_reimported_file_of_the_same_name_decodes_fresh(tmp_path):
+    src_a, src_b = SeriesStore(tmp_path / "a"), SeriesStore(tmp_path / "b")
+    fill(src_a, S, 100)
+    fill(src_b, S, 100, value=lambda i: -float(i))
+    src_a.flush(S)
+    src_b.flush(S)
+    dst = SeriesStore(tmp_path / "dst")
+    dst.import_snapshot(src_a.export_snapshot(S))
+    assert scan_all(dst, S) == [(i, float(i)) for i in range(100)]
+    dst.remove_series(S)
+    dst.import_snapshot(src_b.export_snapshot(S))       # same file name, other bytes
+    assert scan_all(dst, S) == [(i, -float(i)) for i in range(100)]
+    assert dst.io.chunks_decoded == 2
+
+
+def test_corrupt_chunk_is_never_memoized(store):
+    fill(store, S, 10)
+    meta = store.flush(S).chunk_index[0]
+    store.load_chunk_pages(meta)
+    bad = type(meta)(
+        meta.series, meta.file_path, meta.offset, meta.byte_len,
+        meta.value_type, meta.row_count + 1, meta.min_ts, meta.max_ts,
+    )
+    for _ in range(2):                      # the intact bytes are memoized under another key
+        with pytest.raises(CorruptChunk):
+            store.load_chunk_pages(bad)
+    _tamper(meta.file_path, meta.offset + _CHUNK_HEAD + 25 + 4 + 8, struct.pack("<q", 5))
+    for _ in range(2):
+        with pytest.raises(CorruptChunk):
+            store.load_chunk_pages(meta)
+    assert store.io.chunks_loaded == 5 and store.io.chunks_decoded == 1
+    assert decode_memo.rows == 10
+
+
+def test_rows_retained_across_stores_never_exceed_the_bound(tmp_path):
+    assert DECODE_MEMO_ROWS == 16 * BLOCK_ROWS
+    stores = []
+    for i in range(7):                       # 7 x 2 x 1500 rows: more than the bound
+        s = SeriesStore(tmp_path / f"s{i}")
+        s.append_columns(S, range(3000), [float(i)] * 3000)
+        s.flush(S, chunk_target_rows=1500)
+        stores.append(s)
+        for meta in s.chunk_metas(S):
+            s.load_chunk_pages(meta)
+            assert decode_memo.rows <= DECODE_MEMO_ROWS
+    assert decode_memo.rows == 10 * 1500
+
+    def reload(s):
+        for meta in s.chunk_metas(S):
+            s.load_chunk_pages(meta)
+        return s.io.chunks_decoded
+
+    assert reload(stores[2]) == 2           # the oldest retained: a hit that makes it newest
+    assert reload(stores[0]) == 4           # evicted; decoding it again evicts stores[3]
+    assert reload(stores[2]) == 2
+    assert reload(stores[3]) == 4
+    big = SeriesStore(tmp_path / "big")
+    big.append_columns(S, range(DECODE_MEMO_ROWS + 1), [1] * (DECODE_MEMO_ROWS + 1))
+    meta = big.flush(S, chunk_target_rows=DECODE_MEMO_ROWS + 1).chunk_index[0]
+    big.load_chunk_pages(meta)               # larger than the bound: decoded, not retained
+    assert decode_memo.rows == 10 * 1500
+    big.load_chunk_pages(meta)
+    assert big.io.chunks_decoded == 2
+
+
 # --- invariants -------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -442,6 +541,19 @@ def test_corrupt_file_raises_corrupt_chunk(store, corrupt, value):
     handle = store.flush(S)
     with pytest.raises(CorruptChunk):
         corrupt(store, handle.path, handle.chunk_index[0])
+
+
+@pytest.mark.parametrize("stamps", [(4, 3), (3, 3)], ids=["swapped", "repeated"])
+@pytest.mark.parametrize("value", [float, str], ids=["float", "string"])
+def test_chunk_rows_out_of_timestamp_order_raise_corrupt_chunk(store, value, stamps):
+    fill(store, S, 10, value=value)       # one page; its header bounds are rows 0 and 9
+    meta = store.flush(S).chunk_index[0]
+    row = 16 if value is float else 13    # ts i64 | f64, or ts i64 | len u32 | one utf-8 byte
+    first = meta.offset + _CHUNK_HEAD + 25 + 20
+    for i, ts in zip((3, 4), stamps):
+        _tamper(meta.file_path, first + i * row, struct.pack("<q", ts))
+    with pytest.raises(CorruptChunk, match="timestamp"):
+        store.load_chunk_pages(meta)
 
 
 @settings(max_examples=200, deadline=None)

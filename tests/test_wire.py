@@ -185,6 +185,17 @@ def test_malformed_block_is_rejected(encoded):
         decode_block(encoded)
 
 
+@pytest.mark.parametrize("stamps", [(0, 2000, 1000), (0, 1000, 1000)], ids=["swapped", "repeated"])
+def test_data_block_out_of_timestamp_order_is_rejected(stamps):
+    encoded = _patch(_FLOATS, _CELLS - 24, struct.pack("<3q", *stamps))
+    with pytest.raises(MalformedMessage, match="timestamp"):
+        decode_block(encoded)
+    head = bytearray([int(MessageType.DATA)])
+    encode_channel(head, CH)
+    with pytest.raises(MalformedMessage, match="timestamp"):
+        decode_message(bytes(head) + struct.pack("<I", len(encoded)) + encoded)
+
+
 def test_intact_blocks_decode():
     assert decode_block(_FLOATS)[0].values == [1.5, 2.5, -0.25]
     assert decode_block(_STRINGS)[0].values == ["v1", None, "ü"]
@@ -335,6 +346,17 @@ def test_bad_utf8_in_a_text_field_is_rejected(at):
     sample = encode_message(Message(MessageType.MIGRATION_REQUEST, CH, sql="SELECT t1 FROM dev"))
     with pytest.raises(MalformedMessage):
         decode_message(_patch(sample, at, b"\xc3\x28"))
+
+
+def test_snapshot_memtable_out_of_timestamp_order_is_rejected():
+    snapshot = {
+        "series": str(S), "files": [], "mem_ts": [2, 1], "mem_values": [1.0, 2.0],
+        "value_type": ValueType.FLOAT64, "last_ts": 2, "file_counter": 0,
+    }
+    with pytest.raises(MalformedMessage, match="timestamp"):
+        decode_snapshot(encode_snapshot(snapshot, 3))
+    snapshot["mem_ts"] = [1, 2]
+    assert decode_snapshot(encode_snapshot(snapshot, 3))[0] == snapshot
 
 
 _LINK_SAMPLES = [(decode_message, encode_message(m)) for m, _, _ in _PINNED_MESSAGES] + [
