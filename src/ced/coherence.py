@@ -1,9 +1,7 @@
 """Cross-tier data state consistency.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
-* :class:`PathCatalog` maps hierarchical series prefixes to their owning
-  edge node (longest-prefix resolution).
 * :class:`ChangeLog` + :class:`DeltaPublisher` capture every mutation of
   the edge store as gapless per-series sequence numbers and push them to
   the cloud in batches over the link.
@@ -24,12 +22,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .codec import I64, U32, U64, Reader, write_blob, write_text
-from .errors import MalformedMessage, SequenceGap, UnknownPath
+from .errors import MalformedMessage, SequenceGap
 from .tsstore import DataPoint, SeriesPath, SeriesStore, ValueType, strictly_increasing
 from .wire import ChangeBatch, ChangeRecord, encode_batch, encode_scalar, read_scalar
 
 __all__ = [
-    "PathCatalog",
     "ChangeLog",
     "DeltaPublisher",
     "AdmissionDecision",
@@ -38,24 +35,6 @@ __all__ = [
     "encode_snapshot",
     "decode_snapshot",
 ]
-
-
-class PathCatalog:
-    """Hierarchical ⟨path prefix -> edge node⟩ mapping with longest-prefix lookup."""
-
-    def __init__(self) -> None:
-        self._prefixes: dict[tuple[str, ...], str] = {}
-
-    def register(self, prefix: SeriesPath, node_id: str) -> None:
-        self._prefixes[prefix.segments] = node_id
-
-    def resolve(self, path: SeriesPath) -> str:
-        segments = path.segments
-        for length in range(len(segments), 0, -1):
-            node = self._prefixes.get(segments[:length])
-            if node is not None:
-                return node
-        raise UnknownPath(str(path))
 
 
 class ChangeLog:
@@ -303,12 +282,6 @@ class CloudCache:
             return False
         self.hits += 1
         return True
-
-    def lag(self, series: SeriesPath) -> Optional[int]:
-        entry = self.entries.get(str(series))
-        if entry is None or self.edge_seq is None:
-            return None
-        return self.edge_seq(str(series)) - entry.applied_seq
 
 
 # --- snapshot wire codec ------------------------------------------------------------

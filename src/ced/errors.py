@@ -51,10 +51,6 @@ class MisalignedOffset(CedError):
 
 # --- coherence / replication ---
 
-class UnknownPath(CedError):
-    """No catalog prefix owns the requested path."""
-
-
 class SequenceGap(CedError):
     """Change records are not contiguous with the last published sequence."""
 

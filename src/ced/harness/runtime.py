@@ -27,7 +27,6 @@ from ..coherence import (
     ChangeLog,
     CloudCache,
     DeltaPublisher,
-    PathCatalog,
     decode_snapshot,
     encode_snapshot,
 )
@@ -60,7 +59,6 @@ __all__ = ["Cluster", "run_scenario"]
 
 CLOUD_ADDRESS = "cloud"
 CLOUD_PORT = 9000
-EDGE_NODE_ID = "edge1"
 
 _HOG_PERIOD_S = 0.02
 _TICK_PERIOD_S = 0.05
@@ -224,8 +222,6 @@ class Cluster:
         self.edge_store.change_listener = self._on_edge_change
 
         self.catalog = Catalog.from_store(self.edge_store, self.dataset.device)
-        self.path_catalog = PathCatalog()
-        self.path_catalog.register(self.dataset.device, EDGE_NODE_ID)
 
         self.link = Link(self.engine, scenario.link)
         self.edge_transport = Transport(self.engine, self.link, "edge", "cloud")

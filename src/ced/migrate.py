@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import LinkClosed
+from .errors import LinkClosed, PlanError
 from .netsim import Engine, Envelope, Link, SimEvent, Signal, Timer
 from .queryplan import OperatorNode
 from .scanops import NOT_READY, PENDING, LogicalIndex, RemoteEnd, RemoteSource
@@ -512,7 +512,8 @@ class SourceChannel:
         io_before = self.io_stats.bytes_read
         effort_before = self.leaf_op.rows_local
         block = self.root_op.next_block()
-        assert block is not PENDING, "cloud operators read local cache only"
+        if block is PENDING:
+            raise PlanError(f"{self.channel_id}: a cloud operator waits on a remote source")
         yield from self.charge(
             self.io_stats.bytes_read - io_before,
             self.leaf_op.rows_local - effort_before,

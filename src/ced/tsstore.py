@@ -38,6 +38,9 @@ value type, row count, chunk bytes)`` and bounded to ``DECODE_MEMO_ROWS``
 retained rows.  The key holds the bytes, so an entry can never go stale and
 a hit implies every check the decode made.  Every load still reads the
 chunk's bytes and is charged in ``IoStats``; only the decode is skipped.
+Link DATA blocks (``ced.wire.decode_message``, keyed by their payload
+bytes) share the memo and its bound, so chunks and link blocks evict each
+other in one LRU order.
 """
 
 from __future__ import annotations
@@ -270,13 +273,16 @@ def _read_rows(r: Reader, vt: ValueType, n: int, timestamps: list[int], values: 
         values += flat[1::2]
         return
     buf, pos = r.buf, r.pos
+    unpack_from = _STRING_ROW.unpack_from
+    append_ts, append_value = timestamps.append, values.append
     try:
         for _ in range(n):
-            ts, ln = _STRING_ROW.unpack_from(buf, pos)
+            ts, ln = unpack_from(buf, pos)
             pos += 12
-            values.append(buf[pos:pos + ln].decode("utf-8"))
-            timestamps.append(ts)
-            pos += ln
+            end = pos + ln
+            append_value(buf[pos:end].decode("utf-8"))
+            append_ts(ts)
+            pos = end
     except (struct.error, UnicodeDecodeError) as exc:
         raise r.error(f"string row cut short or not utf-8 at byte {pos} ({exc})") from None
     if pos > len(buf):
@@ -328,24 +334,27 @@ def _series_path(text: str) -> SeriesPath:
         raise CorruptChunk(f"{text}: {exc}") from None
 
 
-_Columns = tuple[SeriesPath, list[int], list]
+# a chunk's (series, value type, row count, chunk bytes), or a DATA payload's bytes
+_MemoKey = Union[tuple, bytes]
+# (series, timestamps, values[, value type]): one decoded chunk or link block
+_Columns = tuple
 
 
 class _DecodeMemo:
-    """LRU of decoded chunks, bounded by the rows it retains (see module docstring)."""
+    """LRU of decoded columns, bounded by the rows it retains (see module docstring)."""
 
     def __init__(self, max_rows: int):
         self.max_rows = max_rows
         self.rows = 0
-        self._entries: OrderedDict[tuple, _Columns] = OrderedDict()
+        self._entries: OrderedDict[_MemoKey, _Columns] = OrderedDict()
 
-    def get(self, key: tuple) -> Optional[_Columns]:
+    def get(self, key: _MemoKey) -> Optional[_Columns]:
         columns = self._entries.get(key)
         if columns is not None:
             self._entries.move_to_end(key)
         return columns
 
-    def put(self, key: tuple, columns: _Columns) -> None:
+    def put(self, key: _MemoKey, columns: _Columns) -> None:
         n = len(columns[1])
         if n > self.max_rows:
             return
@@ -524,8 +533,7 @@ class SeriesStore:
         if not state.mem_ts:
             raise StorageIoError(f"{series}: flush of empty memtable")
         chunk_rows = chunk_target_rows or self.chunk_target_rows
-        ts, values, vt = state.mem_ts, state.mem_values, state.value_type
-        assert vt is not None
+        ts, values, vt = state.mem_ts, state.mem_values, self.value_type(series)
         name = f"{series}__{state.file_counter:06d}.cedf"
         state.file_counter += 1
         path = self.root / name
@@ -649,7 +657,8 @@ class SeriesStore:
         ]
 
     def _read_chunk_bytes(self, meta: ChunkMeta) -> bytes:
-        assert meta.file_path is not None
+        if meta.file_path is None:
+            raise StorageIoError(f"{meta.series}: chunk has neither a file nor memtable rows")
         try:
             with open(meta.file_path, "rb") as fp:
                 fp.seek(meta.offset)

@@ -12,6 +12,13 @@ ValueType) followed by its value; a nullable cell prefixes a presence byte:
 Each cell is tagged by its value's Python type.  The result checksum
 (``ChecksumBuilder`` in ``ced.harness.metrics``) hashes ``ts i64 | cell*`` per
 row, one cell per column, with the same cell encoder (``encode_cells``).
+A column whose values share one exact Python type is packed a column at a
+time (``_pack_column`` for blocks, ``encode_cells`` for the checksum); a
+column with ``None`` or mixed types is packed cell by cell, to the same bytes.
+
+Decoded DATA blocks are memoized in ``ced.tsstore.decode_memo``, keyed by
+their payload bytes (``_decode_data``): concurrent queries that stream the
+same suffix receive the same payloads, and only the first is parsed.
 
 Every decoder of link bytes (tsblocks, messages and change batches here,
 cache snapshots in ``ced.coherence``) reads through ``ced.codec.Reader`` and
@@ -57,6 +64,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -64,7 +72,7 @@ from typing import Optional
 from .codec import F64, I64, U8, U16, U32, Reader, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
-from .tsstore import SeriesPath, TsBlock, ValueType, strictly_increasing
+from .tsstore import SeriesPath, TsBlock, ValueType, decode_memo, strictly_increasing
 
 __all__ = [
     "ChannelId",
@@ -190,10 +198,68 @@ _CELL_PACKERS = {
     str: _string_cell,
 }
 
+# Cell layout and tag per fixed-width Python type, for packing a column of one
+# type at once.
+_FIXED_LAYOUTS = {bool: ("BB?", _BOOL), int: ("BBq", _INT64), float: ("BBd", _FLOAT64)}
+
+
+@functools.lru_cache(maxsize=32)
+def _cells_struct(code: str, n: int) -> struct.Struct:
+    """One codec for ``n`` interleaved cells (or string cell heads) of layout ``code``."""
+    return struct.Struct("<" + code * n)
+
+
+def _column_type(values) -> Optional[type]:
+    """The one exact Python type of every value, or None for a mixed or empty column."""
+    types = set(map(type, values))
+    return types.pop() if len(types) == 1 else None
+
+
+def _string_column(values) -> tuple[tuple[bytes, ...], list[bytes]]:
+    """Cell heads and UTF-8 bodies of a column of str values.
+
+    One ``str.encode`` map, and the heads packed in one call, then split per cell.
+    """
+    raws = list(map(str.encode, values))
+    n = len(raws)
+    flat = [1, _STRING, None] * n
+    flat[2::3] = map(len, raws)
+    heads = _cells_struct("BBI", n).pack(*flat)
+    return _cells_struct(f"{_CELL_STRING.size}s", n).unpack(heads), raws
+
+
+def _pack_column(values) -> list[bytes]:
+    """Byte strings that join to the column's cells.
+
+    A column of bools, ints or floats alone packs with one cached ``Struct``
+    over the interleaved ``(1, tag, value)`` arguments; a column of str alone
+    interleaves its heads with its bodies.  Other columns, ``None`` cells
+    included, pack per cell.
+    """
+    kind = _column_type(values)
+    if kind is str:
+        heads, raws = _string_column(values)
+        parts: list = [None] * (2 * len(raws))
+        parts[0::2] = heads
+        parts[1::2] = raws
+        return parts
+    layout = _FIXED_LAYOUTS.get(kind)
+    if layout is None:
+        return encode_cells(values)
+    code, tag = layout
+    flat = [1, tag, None] * len(values)
+    flat[2::3] = values
+    return [_cells_struct(code, len(values)).pack(*flat)]
+
 
 def encode_cells(values) -> list[bytes]:
     """One ``cell`` per value, each packed by the value's own type, not a column's."""
+    kind = _column_type(values)
     try:
+        if kind is str:
+            return list(map(operator.add, *_string_column(values)))
+        if kind is not None:
+            return list(map(_CELL_PACKERS[kind], values))
         return [_CELL_PACKERS[type(v)](v) for v in values]
     except KeyError as exc:
         raise TypeError(f"cannot encode {exc.args[0].__name__}") from None
@@ -266,7 +332,7 @@ def encode_block(block: TsBlock) -> bytes:
         raw,
         _BLOCK_HEAD.pack(1 if block.is_header_only else 0, block.value_type, n),
         struct.pack(f"<{n}q", *block.timestamps),
-        *encode_cells(block.values),
+        *_pack_column(block.values),
     ])
 
 
@@ -371,14 +437,37 @@ def decode_message(buf: bytes) -> Message:
         msg.reason = p.utf8(len(p.buf))
     elif t is MessageType.DELTA:
         msg.delta = read_delta(p)
-    elif t in (MessageType.PROBE, MessageType.DATA):
+    elif t is MessageType.PROBE:
         msg.block, p.pos = decode_block(p.buf)
+    elif t is MessageType.DATA:
+        msg.block = _decode_data(p)
     elif t is MessageType.TERMINATE:
         msg.terminate_reason = p.enum(TerminateReason, p.u8(), "terminate reason")
         if p.u8():
             msg.delta = read_delta(p)
     p.done()
     return msg
+
+
+def _decode_data(p: Reader) -> TsBlock:
+    """The block of a whole DATA payload, through the decode memo.
+
+    The key is the payload's exact bytes.  A block with rows is retained
+    only after the payload decoded to its last byte, so a hit implies every
+    check ``decode_block`` made.  The memo keeps tuples and each call gets
+    fresh lists, so no caller holds the memo's columns.
+    """
+    columns = decode_memo.get(p.buf)
+    if columns is not None:
+        series, timestamps, values, vt = columns
+        p.pos = len(p.buf)
+        return TsBlock(series, list(timestamps), list(values), vt)
+    block, p.pos = decode_block(p.buf)
+    p.done()
+    if block.row_count:
+        columns = (block.series_id, tuple(block.timestamps), tuple(block.values), block.value_type)
+        decode_memo.put(p.buf, columns)
+    return block
 
 
 # --- change batches -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Path catalog, LRU cache admission, and delta-pipe replay."""
+"""LRU cache admission and delta-pipe replay."""
 
 import random
 
@@ -9,46 +9,14 @@ from ced.coherence import (
     ChangeLog,
     CloudCache,
     DeltaPublisher,
-    PathCatalog,
     decode_snapshot,
     encode_snapshot,
 )
-from ced.errors import SequenceGap, UnknownPath
+from ced.errors import SequenceGap
 from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
 from ced.wire import ChangeBatch, decode_batch
 
 T1 = SeriesPath.parse("root.ln.edge1.device1.t1")
-
-
-# --- path catalog --------------------------------------------------------
-
-def test_resolve_longest_prefix():
-    catalog = PathCatalog()
-    catalog.register(SeriesPath.parse("root.ln.edge1"), "edge1")
-    assert catalog.resolve(SeriesPath.parse("root.ln.edge1.device1.t1")) == "edge1"
-
-
-def test_unknown_path():
-    catalog = PathCatalog()
-    catalog.register(SeriesPath.parse("root.ln.edge1"), "edge1")
-    with pytest.raises(UnknownPath):
-        catalog.resolve(SeriesPath.parse("root.ln.edge2.device1.t1"))
-
-
-def test_two_sensors_same_device_resolve_to_same_node():
-    catalog = PathCatalog()
-    catalog.register(SeriesPath.parse("root.ln.edge1.device1"), "edge1")
-    a = catalog.resolve(SeriesPath.parse("root.ln.edge1.device1.t1"))
-    b = catalog.resolve(SeriesPath.parse("root.ln.edge1.device1.t2"))
-    assert a == b == "edge1"
-
-
-def test_more_specific_prefix_wins():
-    catalog = PathCatalog()
-    catalog.register(SeriesPath.parse("root.ln.edge2"), "edge2")
-    catalog.register(SeriesPath.parse("root.ln.edge2.special"), "edge2-fast")
-    assert catalog.resolve(SeriesPath.parse("root.ln.edge2.special.t1")) == "edge2-fast"
-    assert catalog.resolve(SeriesPath.parse("root.ln.edge2.other.t1")) == "edge2"
 
 
 # --- change log + publisher ----------------------------------------------------
@@ -269,7 +237,7 @@ def test_lookup_miss_until_replay_catches_up(tmp_path):
     for i in range(10, 15):
         h.edge.append(s, DataPoint(i, float(i)))     # 5 unreplayed changes
     assert not h.cache.cache_lookup(s)
-    assert h.cache.lag(s) == 5
+    assert h.cache.edge_seq(str(s)) - h.cache.entries[str(s)].applied_seq == 5
     h.publisher.capture_and_publish(str(s))
     assert h.cache.cache_lookup(s)
 

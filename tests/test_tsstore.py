@@ -11,6 +11,7 @@ from ced.errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, Unknow
 from ced.tsstore import (
     BLOCK_ROWS,
     DECODE_MEMO_ROWS,
+    ChunkMeta,
     DataPoint,
     SeriesPath,
     SeriesStore,
@@ -556,6 +557,20 @@ def test_chunk_rows_out_of_timestamp_order_raise_corrupt_chunk(store, value, sta
         store.load_chunk_pages(meta)
 
 
+@pytest.mark.parametrize("row,field,raw", [
+    (9, 8, struct.pack("<I", 50)),       # the last row's string runs past the chunk
+    (3, 8, struct.pack("<I", 2**31)),    # a middle row's string runs past the chunk
+    (3, 12, b"\xff"),                    # a row's one utf-8 byte is not utf-8
+], ids=["last-past-end", "middle-past-end", "utf8"])
+def test_string_row_cut_short_or_not_utf8_raises_corrupt_chunk(store, row, field, raw):
+    fill(store, S, 10, value=str)        # rows: ts i64 | len u32 | one utf-8 byte
+    meta = store.flush(S).chunk_index[0]
+    first = meta.offset + _CHUNK_HEAD + 25 + 20
+    _tamper(meta.file_path, first + row * 13 + field, raw)
+    with pytest.raises(CorruptChunk):
+        store.load_chunk_pages(meta)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     value=st.sampled_from([float, str, bool, int]),
@@ -575,3 +590,9 @@ def test_any_corrupted_file_raises_only_corrupt_chunk(tmp_path_factory, value, a
             store.load_chunk_pages(meta)
     except CorruptChunk:
         pass
+
+
+def test_chunk_without_file_or_memtable_rows_is_a_storage_error(store):
+    meta = ChunkMeta(str(S), None, 0, 0, ValueType.FLOAT64, 1, 0, 0)
+    with pytest.raises(StorageIoError):
+        store.load_chunk_pages(meta)

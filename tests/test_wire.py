@@ -7,10 +7,11 @@ from conftest import rejections
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ced import wire
 from ced.coherence import decode_snapshot, encode_snapshot
 from ced.errors import MalformedMessage
 from ced.scanops import IndexKind, LogicalIndex
-from ced.tsstore import SeriesPath, TsBlock, ValueType
+from ced.tsstore import DECODE_MEMO_ROWS, SeriesPath, SeriesStore, TsBlock, ValueType, decode_memo
 from ced.wire import (
     ChangeBatch,
     ChangeRecord,
@@ -25,6 +26,7 @@ from ced.wire import (
     decode_message,
     encode_batch,
     encode_block,
+    encode_cells,
     encode_channel,
     encode_message,
 )
@@ -382,3 +384,193 @@ def test_any_corrupted_link_bytes_raise_only_malformed_message(sample, at, junk,
         decode(buf[:at] + junk + buf[at + cut:])
     except MalformedMessage:
         pass
+
+
+# --- column-wise cell packing ----------------------------------------------------------
+
+def _reference_cell(v) -> bytes:
+    """The ``cell`` grammar, one value at a time, tagged by the value's exact type."""
+    if v is None:
+        return b"\x00"
+    if type(v) is bool:
+        return struct.pack("<BBB", 1, 0, v)
+    if type(v) is int:
+        return struct.pack("<BBq", 1, 1, v)
+    if type(v) is float:
+        return struct.pack("<BBd", 1, 2, v)
+    if type(v) is str:
+        raw = v.encode("utf-8")
+        return struct.pack("<BBI", 1, 3, len(raw)) + raw
+    raise TypeError(type(v).__name__)
+
+
+def _reference_block(block: TsBlock) -> bytes:
+    raw = str(block.series_id).encode("utf-8")
+    n = block.row_count
+    return b"".join([
+        struct.pack("<H", len(raw)), raw,
+        struct.pack("<BBI", block.is_header_only, block.value_type, n),
+        struct.pack(f"<{n}q", *block.timestamps),
+        *map(_reference_cell, block.values),
+    ])
+
+
+_I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_FLOATS_ANY = st.floats(allow_nan=True, allow_infinity=True)
+_SCALARS = st.one_of(st.none(), st.booleans(), _I64, _FLOATS_ANY, st.text())
+_COLUMNS = st.one_of(
+    st.lists(st.booleans(), max_size=40),
+    st.lists(_I64, max_size=40),
+    st.lists(_FLOATS_ANY, max_size=40),
+    st.lists(st.text(), max_size=40),
+    st.lists(_SCALARS, max_size=40),                     # mixed types and None
+    st.lists(st.sampled_from([True, 1, False, 0]), max_size=40),
+    st.lists(st.sampled_from([float("nan"), -0.0, 0.0, float("-inf")]), max_size=40),
+    st.lists(st.sampled_from(["", "ü", "日本", "a" * 300, None]), max_size=40),
+    st.lists(st.sampled_from([-(2**63), 2**63 - 1, 0]), max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_COLUMNS, vt=st.sampled_from(ValueType))
+def test_block_bytes_equal_the_per_cell_reference(values, vt):
+    block = TsBlock(S, list(range(len(values))), values, vt, is_header_only=not values)
+    encoded = encode_block(block)
+    assert encoded == _reference_block(block)
+    assert encode_cells(values) == [_reference_cell(v) for v in values]
+    decoded, consumed = decode_block(encoded)
+    assert consumed == len(encoded)
+    assert _reference_block(decoded) == encoded
+
+
+@pytest.mark.parametrize("values", [
+    [True, 1], [1, True], [0.0, -0.0, float("nan")], ["", "ü", None], [-(2**63), 2**63 - 1],
+], ids=["bool-then-int", "int-then-bool", "float-signs", "strings-none", "i64-bounds"])
+def test_edge_columns_equal_the_per_cell_reference(values):
+    block = TsBlock(S, list(range(len(values))), values, ValueType.INT64)
+    assert encode_block(block) == _reference_block(block)
+    assert encode_cells(values) == [_reference_cell(v) for v in values]
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("values,error", [
+    ([2**63], struct.error),
+    ([1, -(2**63) - 1], struct.error),
+    ([2.5, 2**64], struct.error),
+    ([_Text("v1")], TypeError),
+    (["v1", _Text("v2")], TypeError),
+    ([b"v1"], TypeError),
+    ([1.5, object()], TypeError),
+], ids=["int-high", "int-low", "int-in-mixed", "str-subclass", "str-subclass-mixed",
+        "bytes", "object-mixed"])
+def test_unencodable_cells_raise_as_before(values, error):
+    block = TsBlock(S, list(range(len(values))), values, ValueType.INT64)
+    with pytest.raises(error):
+        encode_block(block)
+    with pytest.raises(error):
+        encode_cells(values)
+
+
+# --- link decode memo ------------------------------------------------------------------
+
+def _data(block: TsBlock, trailing: bytes = b"") -> bytes:
+    payload = encode_block(block) + trailing
+    head = bytearray([int(MessageType.DATA)])
+    encode_channel(head, CH)
+    return bytes(head) + struct.pack("<I", len(payload)) + payload
+
+
+def _block_fields(block):
+    return (block.series_id, block.timestamps, block.values, block.value_type,
+            block.is_header_only)
+
+
+def _count_decodes(monkeypatch) -> list:
+    calls = []
+    real = wire.decode_block
+
+    def counted(buf):
+        calls.append(len(buf))
+        return real(buf)
+
+    monkeypatch.setattr(wire, "decode_block", counted)
+    return calls
+
+
+@pytest.mark.parametrize("values,vt", [
+    (["v1", None, "ü"], ValueType.STRING),
+    ([1.5, 2.5, -0.25], ValueType.FLOAT64),
+    ([True, 1, None], ValueType.BOOL),
+])
+def test_link_memo_hit_equals_miss(monkeypatch, values, vt):
+    calls = _count_decodes(monkeypatch)
+    block = TsBlock(S, [0, 1000, 2000], values, vt)
+    miss = decode_message(_data(block)).block
+    hit = decode_message(_data(block)).block
+    assert _block_fields(hit) == _block_fields(miss) == _block_fields(block)
+    assert len(calls) == 1
+    assert decode_memo.rows == 3
+
+
+def test_mutating_a_decoded_link_block_does_not_change_the_next_decode():
+    buf = _data(TsBlock(S, [0, 1000, 2000], ["v1", None, "ü"], ValueType.STRING))
+    for _ in range(3):                       # a miss, then hits
+        block = decode_message(buf).block
+        assert block.timestamps == [0, 1000, 2000]
+        assert block.values == ["v1", None, "ü"]
+        block.timestamps.reverse()
+        block.values[0] = "changed"
+        block.values.append("extra")
+
+
+def test_malformed_link_payload_is_never_retained(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    trailing = _data(TsBlock(S, [0, 1000, 2000], [1.5, 2.5, -0.25], ValueType.FLOAT64), b"\x00")
+    disordered = _data(TsBlock(S, [0, 2000, 1000], [1.5, 2.5, -0.25], ValueType.FLOAT64))
+    for buf in (trailing, disordered):
+        for _ in range(3):
+            with pytest.raises(MalformedMessage):
+                decode_message(buf)
+    assert len(calls) == 6
+    assert decode_memo.rows == 0
+
+
+def test_header_only_blocks_are_never_retained(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    for t in (MessageType.PROBE, MessageType.DATA):
+        buf = encode_message(Message(t, CH, block=TsBlock.header_only(S)))
+        for _ in range(2):
+            assert decode_message(buf).block.is_header_only
+    assert len(calls) == 4
+    assert decode_memo.rows == 0
+
+
+def test_rows_retained_across_chunks_and_link_blocks_never_exceed_the_bound(tmp_path, monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    store = SeriesStore(tmp_path / "s")
+    store.append_columns(S, range(6000), [float(i) for i in range(6000)])
+    store.flush(S, chunk_target_rows=1500)
+    links = [_data(TsBlock(S, list(range(1000)), [f"v{k}"] * 1000, ValueType.STRING))
+             for k in range(12)]
+    for meta in store.chunk_metas(S):        # 4 x 1500 chunk rows, then 12 x 1000 link rows
+        store.load_chunk_pages(meta)
+        assert decode_memo.rows <= DECODE_MEMO_ROWS
+    for buf in links:
+        decode_message(buf)
+        assert decode_memo.rows <= DECODE_MEMO_ROWS
+    assert decode_memo.rows == 2 * 1500 + 12 * 1000     # the two oldest chunks were evicted
+    assert len(calls) == 12
+    decode_message(links[-1])                # retained: a hit that makes it newest
+    assert len(calls) == 12
+    for meta in store.chunk_metas(S)[:3]:    # evicted chunks: decoded again, evicting
+        store.load_chunk_pages(meta)         # the other two chunks, then links[0]
+        assert decode_memo.rows <= DECODE_MEMO_ROWS
+    assert store.io.chunks_decoded == 7
+    decode_message(links[1])                 # still retained
+    assert len(calls) == 12
+    decode_message(links[0])                 # evicted by a chunk
+    assert len(calls) == 13
+    assert decode_memo.rows <= DECODE_MEMO_ROWS
