@@ -1,10 +1,9 @@
 """Field primitives shared by every byte format in ced.
 
-Store files (``tsstore``), link messages and change batches (``wire``),
-cache snapshots (``coherence``) and the result checksum
-(``harness.metrics``) are built from little-endian fixed-width fields
-(``U8 U16 U32 U64 I64 F64``) and from text and blobs prefixed by their
-length.  Writers append to a ``bytearray``.  A :class:`Reader` reads one
+Store files (``tsstore``), link messages (``wire``), cache snapshots
+(``coherence``) and the result checksum (``harness.metrics``) are built
+from little-endian fixed-width fields (``U8 U16 U32 U64 I64 F64``) and
+from text and blobs prefixed by their length.  Writers append to a ``bytearray``.  A :class:`Reader` reads one
 buffer field by field and raises the error class its caller names
 (``CorruptChunk`` for disk bytes, ``MalformedMessage`` for link bytes) on a
 short read, bad UTF-8, an unknown enum byte or leftover bytes.  Per-row

@@ -49,12 +49,6 @@ class MisalignedOffset(CedError):
     """Row offset falls inside a chunk; exported offsets are chunk-aligned."""
 
 
-# --- coherence / replication ---
-
-class SequenceGap(CedError):
-    """Change records are not contiguous with the last published sequence."""
-
-
 # --- transport / protocol ---
 
 class LinkClosed(CedError):

@@ -103,20 +103,6 @@ class MetricsReport:
             return 0.0
         return len(self.queries) / self.max_time
 
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.cache_lookups if self.cache_lookups else 0.0
-
-    def checksums(self) -> dict[str, str]:
-        """name -> checksum; concurrency instances of one query must agree."""
-        out: dict[str, str] = {}
-        for q in self.queries:
-            if q.name in out and out[q.name] != q.checksum:
-                out[q.name] = "MIXED"
-            else:
-                out.setdefault(q.name, q.checksum)
-        return out
-
 
 METRICS_COLUMNS = [
     "run", "name", "instance", "sql", "start_s", "end_s", "duration_s", "rows",

@@ -19,27 +19,18 @@ Execution modes:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..coherence import (
-    ChangeLog,
-    CloudCache,
-    DeltaPublisher,
-    decode_snapshot,
-    encode_snapshot,
-)
+from ..coherence import CloudCache, decode_snapshot, encode_snapshot
 from ..errors import CedError, ScenarioError
 from ..migrate import (
-    BLOCK_STREAMING,
     PREDICATE_PUSHDOWN,
     ChannelId,
     ChannelPhase,
     CloudGateway,
     MigrationCoordinator,
     ProtocolTelemetry,
-    SinkChannel,
     SourceChannel,
     Transport,
     filter_above_leaf,
@@ -50,9 +41,8 @@ from ..netsim import Engine, FifoResource, Link, Signal
 from ..queryplan import Catalog, parse, plan
 from ..scanops import NOT_READY, PENDING, as_result_stream, build_operator
 from ..tsstore import SeriesPath, SeriesStore
-from ..wire import decode_batch
 from .metrics import ChecksumBuilder, MetricsReport, QueryResult
-from .scenario import CLOUD_ONLY, COLLABORATIVE, EDGE_ONLY, ScenarioConfig
+from .scenario import CLOUD_ONLY, COLLABORATIVE, ScenarioConfig
 from .workload import generate
 
 __all__ = ["Cluster", "run_scenario"]
@@ -216,10 +206,6 @@ class Cluster:
             page_rows=workload.page_rows,
         )
         self.dataset = generate(self.edge_store, workload)
-        # CDC starts after bulk generation: the dataset is the pre-existing state
-        # a snapshot ships, so only post-generation mutations need sequence numbers.
-        self.changelog = ChangeLog()
-        self.edge_store.change_listener = self._on_edge_change
 
         self.catalog = Catalog.from_store(self.edge_store, self.dataset.device)
 
@@ -246,12 +232,6 @@ class Cluster:
             capacity=scenario.cache.capacity,
             bandwidth_ok=self._bandwidth_ok,
             sync_requester=self._request_sync,
-            edge_seq=self.changelog.current_seq,
-        )
-        self.publisher = DeltaPublisher(
-            self.changelog,
-            send=lambda series, payload: self.edge_transport.send_raw(("pipe", series), payload),
-            batch_size=scenario.cache.batch_size,
         )
         self.gateway = CloudGateway(
             self.engine,
@@ -261,18 +241,12 @@ class Cluster:
         )
         self.edge_transport.register_tag("syncreq", self._on_sync_request)
         self.cloud_transport.register_tag("sync", self._on_snapshot)
-        self.cloud_transport.register_tag("pipe", self._on_pipe_batch)
 
         self.monitor: Optional[ResourceMonitor] = None
         self.contexts: list[QueryContext] = []
         self._query_ids = itertools.count(1)
-        self._dirty_series: set[str] = set()
 
-    # --- coherence plumbing ---------------------------------------------------
-
-    def _on_edge_change(self, series: str, op: str, payload: dict) -> None:
-        self.changelog.on_store_change(series, op, payload)
-        self._dirty_series.add(series)
+    # --- cache sync plumbing ---------------------------------------------------
 
     def _bandwidth_ok(self) -> bool:
         threshold = self.scenario.cache.sync_bandwidth_threshold
@@ -290,18 +264,12 @@ class Cluster:
             if size:
                 yield self.edge_disk.acquire(size)
             snapshot = self.edge_store.export_snapshot(path)
-            seq = self.changelog.current_seq(series)
-            self.changelog.mark_published(series, seq)   # snapshot covers these
-            self.edge_transport.send_raw(("sync", series), encode_snapshot(snapshot, seq))
+            self.edge_transport.send_raw(("sync", series), encode_snapshot(snapshot))
 
         self.engine.spawn(ship())
 
     def _on_snapshot(self, envelope) -> None:
-        snapshot, seq = decode_snapshot(envelope.payload)
-        self.cache.admit_snapshot(snapshot, seq)
-
-    def _on_pipe_batch(self, envelope) -> None:
-        self.cache.replay(decode_batch(envelope.payload))
+        self.cache.admit_snapshot(decode_snapshot(envelope.payload))
 
     # --- cloud producer construction -----------------------------------------------
 
@@ -405,12 +373,10 @@ class Cluster:
             yield _HOG_PERIOD_S
 
     def _coherence_tick(self):
+        # only deferred syncs are left to retry, but each wake-up is an engine
+        # event that the pinned simulated figures count, so the period stays
         while self.any_running():
             yield _TICK_PERIOD_S
-            for series in sorted(self._dirty_series):
-                if self.changelog.pending(series):
-                    self.publisher.capture_and_publish(series)
-            self._dirty_series.clear()
             self.cache.retry_deferred()
 
     def _placement_counts(self) -> tuple[int, int]:
@@ -462,7 +428,6 @@ class Cluster:
                 keep_running=self.any_running,
             )
             self.monitor.start()
-        self._dirty_series.clear()
         self.engine.spawn(self._coherence_tick())
 
         self.engine.run_until_idle()

@@ -15,7 +15,7 @@ below; presets construct them in code.  Every key is optional except
       "cost":    {CostModel fields: "edge_disk_mb_s", "cloud_disk_mb_s",
                   "edge_cpu_cores", "cloud_cpu_cores", "row_cpu_cost_s",
                   "recv_row_cost_s"},
-      "cache":   {"tau_hot", "capacity", "sync_bandwidth_threshold", "batch_size"},
+      "cache":   {"tau_hot", "capacity", "sync_bandwidth_threshold"},
       "channel": {"probe_retries", "probe_timeout_s", "queue_depth"},
       "policy":  {"io_high", "cpu_high", "low_watermark", "dwell"},
       "io_throttle": float, "background_io_duty": float,
@@ -91,7 +91,6 @@ class CacheConfig:
     tau_hot: int = 3
     capacity: int = 8
     sync_bandwidth_threshold: float = 0.7
-    batch_size: int = 100
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ occurrences of one needle value so equality predicates like
 Generation is deterministic per ``(WorkloadConfig, page_rows)`` and flushed
 files are immutable, so the last dataset built into an empty store is kept
 as a copy of its files in a private temporary directory (removed at exit).
-The next ``generate`` of the same config into an empty store without a
-change listener copies those files in instead of rebuilding them.
+The next ``generate`` of the same config into an empty store copies those
+files in instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import atexit
 import random
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ScenarioError
@@ -90,10 +90,6 @@ class GeneratedDataset:
     def total_points(self) -> int:
         return self.rows_per_sensor * len(self.sensors)
 
-    @property
-    def time_span_ms(self) -> tuple[int, int]:
-        return (0, (self.rows_per_sensor - 1) * self.interval_ms)
-
 
 def _make_values(config: WorkloadConfig, name: str, vt: ValueType) -> list:
     rng = random.Random(f"{config.seed}:{name}")
@@ -137,7 +133,7 @@ def generate(store: SeriesStore, config: WorkloadConfig) -> GeneratedDataset:
     dataset = GeneratedDataset(device, sensors, config.total_rows, config.sampling_interval_ms)
 
     key = (config, store.page_rows)
-    reusable = store.change_listener is None and not store.series_names()
+    reusable = not store.series_names()
     if reusable and _last_built is not None and _last_built[0] == key:
         for s in series:
             _last_built[1].copy_series(s, store)

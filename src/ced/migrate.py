@@ -197,7 +197,6 @@ class SinkChannel(RemoteSource):
         self.recv_queue: list = []        # TsBlock | RemoteEnd items in arrival order
         self.marker_seen = False
         self.ack_seen = False
-        self.blocks_received = 0
         self.max_queue_seen = 0
         self._probe_attempts = 0
         self._probe_timer: Optional[Timer] = None
@@ -322,7 +321,6 @@ class SinkChannel(RemoteSource):
             self.telemetry.record(self.engine.now, f"closed_{item.kind}", self.channel_id)
             self.on_closed(self)
             return item
-        self.blocks_received += 1
         self.telemetry.blocks_streamed += 1
         return item
 
@@ -390,9 +388,6 @@ class MigrationCoordinator:
         # a cancelled channel must not flip the leaf source afterwards
         for leaf in self._leaf_by_channel.values():
             leaf.pending_remote = None
-
-    def all_terminated(self) -> bool:
-        return all(s.phase == ChannelPhase.TERMINATED for s in self.channels)
 
 
 # --- cloud side ------------------------------------------------------------------------

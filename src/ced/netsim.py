@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator, Optional
 
 from .errors import LinkClosed, ScenarioError
@@ -100,10 +100,6 @@ class Engine:
             budget -= 1
             if budget <= 0:
                 raise RuntimeError("event budget exhausted; simulation is not terminating")
-
-    @property
-    def idle(self) -> bool:
-        return not self._heap
 
 
 class SimEvent:
@@ -235,7 +231,6 @@ class FifoResource:
         self.name = name
         self.free_at = 0.0
         self.tracker = BusyTracker()
-        self.total_work = 0.0
 
     def acquire(self, work: float) -> SimEvent:
         """Schedule ``work`` units; the returned event triggers at completion."""
@@ -250,7 +245,6 @@ class FifoResource:
         end = start + duration
         self.free_at = end
         self.tracker.add(start, end)
-        self.total_work += work
         self.engine.schedule(end - self.engine.now, done.trigger)
         return done
 

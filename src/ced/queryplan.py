@@ -17,8 +17,8 @@ makes shipping only the SQL statement sufficient for migration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from .errors import PlanError, SqlSyntaxError, UnknownSeries, UnsupportedFeature
 from .tsstore import SeriesPath, ValueType

@@ -60,7 +60,6 @@ __all__ = [
     "WindowSpec",
     "ScanState",
     "skip_to_offset",
-    "PositionFilter",
     "SeriesScanOp",
     "AggregationScanOp",
     "FilterOp",
@@ -184,26 +183,7 @@ class ScanState:
         return self.logical_index
 
 
-@dataclass(frozen=True)
-class PositionFilter:
-    """Synthesized pushed-down predicate over cumulative row positions.
-
-    When a query carries a filter, the resume offset is injected as a
-    predicate instead of plain offset arithmetic; a chunk is satisfied iff
-    its position range reaches past the offset.
-    """
-
-    min_row: int
-
-    def is_satisfied(self, chunk_start_row: int, row_count: int) -> bool:
-        return chunk_start_row + row_count > self.min_row
-
-
-def skip_to_offset(
-    cur_offset: int,
-    iterator: ChunkIterator,
-    query_filter: Optional[PositionFilter] = None,
-) -> int:
+def skip_to_offset(cur_offset: int, iterator: ChunkIterator) -> int:
     """Position ``iterator`` at the first chunk not covered by ``cur_offset``.
 
     Returns the residual offset, which is 0 whenever the offset is
@@ -214,30 +194,17 @@ def skip_to_offset(
     """
     if cur_offset < 0:
         raise ValueError("offset must be >= 0")
-    if query_filter is None:
-        remaining = cur_offset
-        while iterator.has_next():
-            row_count = iterator.peek().row_count
-            if remaining >= row_count:
-                iterator.skip_current()
-                remaining -= row_count
-            else:
-                break
-        if iterator.has_next() and remaining > 0:
-            raise MisalignedOffset(f"offset lands {remaining} rows inside a chunk")
-        return remaining
-    # filter branch: identical positioning via the injected position predicate
-    position = 0
+    remaining = cur_offset
     while iterator.has_next():
         row_count = iterator.peek().row_count
-        if not query_filter.is_satisfied(position, row_count):
+        if remaining >= row_count:
             iterator.skip_current()
-            position += row_count
+            remaining -= row_count
         else:
             break
-    if iterator.has_next() and position != cur_offset:
-        raise MisalignedOffset(f"offset {cur_offset} lands inside the chunk at {position}")
-    return max(0, cur_offset - position)
+    if iterator.has_next() and remaining > 0:
+        raise MisalignedOffset(f"offset lands {remaining} rows inside a chunk")
+    return remaining
 
 
 class _OperatorBase:
@@ -357,17 +324,14 @@ class SeriesScanOp(_ScanLeaf):
         store: SeriesStore,
         series: SeriesPath,
         start_index: Optional[LogicalIndex] = None,
-        has_filter_above: bool = False,
     ):
-        self.has_filter_above = has_filter_above
         self._current_chunk_rows = 0
         super().__init__(store, series, start_index or LogicalIndex.row_offset(0))
 
     def _open_local(self, index: LogicalIndex) -> None:
         self._iterator = self.store.open_chunk_iterator(self.series)
         if index.value:
-            position = PositionFilter(index.value) if self.has_filter_above else None
-            skip_to_offset(index.value, self._iterator, position)
+            skip_to_offset(index.value, self._iterator)
 
     def at_boundary(self) -> bool:
         return not self.state.in_flight_blocks
@@ -787,10 +751,7 @@ def build_operator(
             leaf_sink(node, op)
         return op
     if node.kind == "filter":
-        child_node = node.children[0]
-        child = build_operator(child_node, store, leaf_sink)
-        if isinstance(child, SeriesScanOp):
-            child.has_filter_above = True
+        child = build_operator(node.children[0], store, leaf_sink)
         return FilterOp(child, node.param("op"), node.param("literal"))
     if node.kind == "merge":
         children = [build_operator(c, store, leaf_sink) for c in node.children]
@@ -799,33 +760,6 @@ def build_operator(
         child = build_operator(node.children[0], store, leaf_sink)
         return ProjectOp(child, list(node.param("columns")))
     raise ValueError(f"unknown operator kind {node.kind!r}")
-
-
-def resume_from_index(
-    index: LogicalIndex,
-    leaf: OperatorNode,
-    store: SeriesStore,
-    has_filter_above: bool = False,
-) -> _OperatorBase:
-    """Build a scan whose output is the suffix of a fresh scan after ``index``."""
-    if leaf.kind == "series_scan":
-        return SeriesScanOp(
-            store,
-            SeriesPath.parse(leaf.param("series")),
-            start_index=index,
-            has_filter_above=has_filter_above,
-        )
-    if leaf.kind == "agg_scan":
-        spec = WindowSpec(leaf.param("lo"), leaf.param("hi"), leaf.param("width"))
-        return AggregationScanOp(
-            store,
-            SeriesPath.parse(leaf.param("series")),
-            spec,
-            leaf.param("fn"),
-            start_index=index,
-            label=leaf.param("label"),
-        )
-    raise ValueError(f"{leaf.kind} is not a resumable leaf")
 
 
 def root_column_label(node: OperatorNode) -> str:

@@ -24,8 +24,8 @@ On-disk format (all integers little-endian):
 The fields are ``ced.codec``'s.  Bytes that break this grammar (a field cut
 short, an unknown value type, page bounds or row counts that disagree with
 the rows, rows out of timestamp order) raise CorruptChunk.  Timestamps are
-integer milliseconds and strictly increase within a series; updates and
-deletes touch only rows still in the memtable (flushed files are immutable).
+integer milliseconds and strictly increase within a series; flushed files
+are immutable.
 
 Timestamp order is checked once, by ``strictly_increasing``, where rows
 enter the program: ``append_columns`` (OutOfOrderTimestamp), a decoded
@@ -49,13 +49,12 @@ import enum
 import operator
 import shutil
 import struct
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .codec import U16, U32, Reader, write_text
 from .errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSeries
@@ -396,15 +395,9 @@ class ChunkIterator:
         self.chunks_skipped += 1
         return self.advance()
 
-    def remaining_metas(self) -> list[ChunkMeta]:
-        return self._metas[self._pos:]
-
     def __iter__(self) -> Iterator[ChunkMeta]:
         while self.has_next():
             yield self.advance()
-
-
-ChangeListener = Callable[[str, str, dict], None]
 
 
 class _SeriesState:
@@ -427,7 +420,6 @@ class SeriesStore:
         root: Union[str, Path],
         chunk_target_rows: int = 4000,
         page_rows: int = 1000,
-        change_listener: Optional[ChangeListener] = None,
     ):
         if chunk_target_rows < 1 or page_rows < 1:
             raise ValueError("chunk_target_rows and page_rows must be >= 1")
@@ -435,7 +427,6 @@ class SeriesStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.chunk_target_rows = chunk_target_rows
         self.page_rows = page_rows
-        self.change_listener = change_listener
         self.io = IoStats()
         self._series: dict[str, _SeriesState] = {}
 
@@ -454,10 +445,6 @@ class SeriesStore:
             raise UnknownSeries(str(series))
         return state
 
-    def _emit(self, series: SeriesPath, op: str, payload: dict) -> None:
-        if self.change_listener is not None:
-            self.change_listener(str(series), op, payload)
-
     def append(self, series: SeriesPath, point: DataPoint) -> None:
         """Buffer one point; timestamps must strictly increase per series."""
         self.append_columns(series, (point.timestamp,), (point.value,))
@@ -467,8 +454,7 @@ class SeriesStore:
 
         Timestamps must strictly increase, within the run and after the
         series' last one, and every value must have the series' one value
-        type; each check is made once for the whole run.  A listener still
-        sees one ``insert`` per row, in order.
+        type; each check is made once for the whole run.
         """
         n = len(timestamps)
         if n != len(values):
@@ -495,33 +481,6 @@ class SeriesStore:
         state.mem_ts.extend(timestamps)
         state.mem_values.extend(values)
         state.last_ts = timestamps[-1]
-        if self.change_listener is not None:
-            for ts, value in zip(timestamps, values):
-                self.change_listener(key, "insert", {"ts": ts, "value": value})
-
-    def update_point(self, series: SeriesPath, ts: int, value: Scalar) -> None:
-        """Replace the value at ``ts``; only rows still in the memtable are mutable."""
-        state = self._known(series)
-        idx = self._mem_index(state, ts)
-        if value_type_of(value) is not state.value_type:
-            raise TypeError(f"{series}: update changes value type")
-        state.mem_values[idx] = value
-        self._emit(series, "update", {"ts": ts, "value": value})
-
-    def delete_point(self, series: SeriesPath, ts: int) -> None:
-        """Remove the row at ``ts``; only rows still in the memtable are mutable."""
-        state = self._known(series)
-        idx = self._mem_index(state, ts)
-        del state.mem_ts[idx]
-        del state.mem_values[idx]
-        self._emit(series, "delete", {"ts": ts})
-
-    @staticmethod
-    def _mem_index(state: _SeriesState, ts: int) -> int:
-        idx = bisect_left(state.mem_ts, ts)
-        if idx == len(state.mem_ts) or state.mem_ts[idx] != ts:
-            raise KeyError(f"ts {ts} not in memtable (flushed rows are immutable)")
-        return idx
 
     def memtable_len(self, series: SeriesPath) -> int:
         state = self._series.get(str(series))
@@ -566,7 +525,6 @@ class SeriesStore:
         state.files.append(handle)
         state.mem_ts = []
         state.mem_values = []
-        self._emit(series, "flush", {"chunk_target_rows": chunk_rows, "page_rows": self.page_rows})
         return handle
 
     # --- read path ------------------------------------------------------------

@@ -20,12 +20,13 @@ Decoded DATA blocks are memoized in ``ced.tsstore.decode_memo``, keyed by
 their payload bytes (``_decode_data``): concurrent queries that stream the
 same suffix receive the same payloads, and only the first is parsed.
 
-Every decoder of link bytes (tsblocks, messages and change batches here,
-cache snapshots in ``ced.coherence``) reads through ``ced.codec.Reader`` and
-rejects any grammar violation with MalformedMessage: a field cut short, bad
-UTF-8, an unknown value tag, value type, message type, direction, terminate
-reason, index kind or op code, bytes left over after the last field, or
-timestamps of a tsblock or snapshot memtable that do not strictly increase.
+Every decoder of link bytes (tsblocks and messages here, cache snapshots in
+``ced.coherence``) reads through ``ced.codec.Reader`` and rejects any
+grammar violation with MalformedMessage: a field cut short, bad UTF-8, an
+unknown value tag, value type, message type, direction, terminate reason or
+index kind, bytes left over after the last field, timestamps of a tsblock
+or snapshot memtable that do not strictly increase, or a snapshot ``seq``
+other than 0.
 
     channel  := addr_len u8 | addr utf8 | port u16 | fragment_id u32
                 | source_id u32 | query_id u64
@@ -49,15 +50,6 @@ Message payloads by type:
     9 TERMINATE          reason u8 (0 completed, 1 remigration)
                          | presence u8 | [delta]
    10 CANCEL             reason utf8
-
-Change-data batches (the delta streaming pipe):
-
-    batch    := series_len u16 | series utf8 | first_seq u64 | last_seq u64
-                | record_count u32 | (record_len u32 | record) *
-    record   := seq u64 | op u8 (0 insert, 1 delete, 2 update, 3 flush) | body
-    insert/update body := ts i64 | typed scalar
-    delete body        := ts i64
-    flush body         := chunk_target_rows u32 | page_rows u32
 """
 
 from __future__ import annotations
@@ -80,8 +72,6 @@ __all__ = [
     "DeltaState",
     "MessageType",
     "Message",
-    "ChangeRecord",
-    "ChangeBatch",
     "encode_scalar",
     "read_scalar",
     "encode_cells",
@@ -89,8 +79,6 @@ __all__ = [
     "decode_block",
     "encode_message",
     "decode_message",
-    "encode_batch",
-    "decode_batch",
 ]
 
 
@@ -158,22 +146,6 @@ class Message:
     delta: Optional[DeltaState] = None
     block: Optional[TsBlock] = None
     terminate_reason: Optional[TerminateReason] = None
-
-
-@dataclass(frozen=True)
-class ChangeRecord:
-    seq: int
-    series: str
-    op: str                  # insert | delete | update | flush
-    payload: dict
-
-
-@dataclass(frozen=True)
-class ChangeBatch:
-    series: str
-    first_seq: int
-    last_seq: int
-    records: tuple[ChangeRecord, ...]
 
 
 # --- cells and scalars ---------------------------------------------------------
@@ -469,55 +441,3 @@ def _decode_data(p: Reader) -> TsBlock:
         decode_memo.put(p.buf, columns)
     return block
 
-
-# --- change batches -----------------------------------------------------------------
-
-_OPS = ("insert", "delete", "update", "flush")     # op code -> op
-_BATCH_HEAD = struct.Struct("<QQI")                # first_seq, last_seq, record_count
-_RECORD_HEAD = struct.Struct("<QB")                # seq, op code
-_FLUSH_BODY = struct.Struct("<II")                 # chunk_target_rows, page_rows
-
-
-def _encode_record(record: ChangeRecord) -> bytes:
-    out = bytearray(_RECORD_HEAD.pack(record.seq, _OPS.index(record.op)))
-    p = record.payload
-    if record.op == "flush":
-        out += _FLUSH_BODY.pack(p["chunk_target_rows"], p["page_rows"])
-    else:
-        out += I64.pack(p["ts"])
-        if record.op != "delete":
-            encode_scalar(out, p["value"])
-    return bytes(out)
-
-
-def _read_record(r: Reader, series: str) -> ChangeRecord:
-    seq, code = r.unpack(_RECORD_HEAD)
-    op = r.enum(_OPS.__getitem__, code, "op code")
-    if op == "flush":
-        chunk_target, page_rows = r.unpack(_FLUSH_BODY)
-        payload = {"chunk_target_rows": chunk_target, "page_rows": page_rows}
-    else:
-        payload = {"ts": r.i64()}
-        if op != "delete":
-            payload["value"] = read_scalar(r)
-    r.done()
-    return ChangeRecord(seq, series, op, payload)
-
-
-def encode_batch(batch: ChangeBatch) -> bytes:
-    out = bytearray()
-    write_text(out, batch.series)
-    out += _BATCH_HEAD.pack(batch.first_seq, batch.last_seq, len(batch.records))
-    for record in batch.records:
-        write_blob(out, _encode_record(record))
-    return bytes(out)
-
-
-def decode_batch(buf: bytes) -> ChangeBatch:
-    """Parse one ``batch``; raises MalformedMessage on any grammar violation."""
-    r = Reader(buf, MalformedMessage)
-    series = r.text()
-    first_seq, last_seq, count = r.unpack(_BATCH_HEAD)
-    records = tuple(_read_record(Reader(r.blob(), MalformedMessage), series) for _ in range(count))
-    r.done()
-    return ChangeBatch(series, first_seq, last_seq, records)

@@ -1,11 +1,15 @@
 """Every preset runs to completion at a small scale and stays exact across modes."""
 
+import json
+
 import pytest
 from conftest import make_cluster, make_scenario
 
 from ced.errors import ScenarioError
 from ced.harness.presets import list_presets, preset_runs
 from ced.harness.runtime import Cluster, run_scenario
+from ced.harness.scenario import load_scenario_file
+from ced.tsstore import SeriesPath
 
 SCALE = 0.05
 QUERY_NAMES = ("Q1", "Q2", "Q3", "Q4", "Q5")      # Q1-Q3 scan series, Q4/Q5 aggregate
@@ -46,6 +50,25 @@ def test_preset_switches_every_query(preset_results, name):
     assert migrated == set(QUERY_NAMES)
 
 
+# every run that fills the cache: all of cache_sweep and the cloud_only runs of query_sweep
+CACHE_RUNS = preset_runs("cache_sweep") + [
+    (label, config) for label, config in preset_runs("query_sweep") if config.mode == "cloud_only"
+]
+
+
+@pytest.mark.parametrize("label,config", CACHE_RUNS, ids=[label for label, _ in CACHE_RUNS])
+def test_cached_series_match_the_edge_after_a_run(tmp_path, label, config):
+    cluster = Cluster(config.scaled(SCALE), tmp_path)
+    cluster.run(label)
+    assert len(cluster.cache.entries) == len(cluster.warm_series_paths()), label
+    for key in cluster.cache.entries:
+        series = SeriesPath.parse(key)
+        assert (
+            cluster.cloud_store.content_fingerprint(series)
+            == cluster.edge_store.content_fingerprint(series)
+        ), key
+
+
 FORCED_SCALE = 0.3
 FORCED_PRESETS = ("query_sweep", "bandwidth_sweep", "forced_migration")
 
@@ -84,3 +107,13 @@ def test_queries_running_when_the_engine_idles_raise_scenario_error(monkeypatch,
     monkeypatch.setattr(cluster.engine, "run_until_idle", lambda: None)
     with pytest.raises(ScenarioError, match="must finish"):
         cluster.run()
+
+
+def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}],
+        "cache": {"tau_hot": 3, "batch_size": 100},
+    }))
+    with pytest.raises(ScenarioError, match="batch_size"):
+        load_scenario_file(path)

@@ -16,14 +16,12 @@ from ced.scanops import (
     FilterOp,
     LogicalIndex,
     MergeOp,
-    PositionFilter,
     RemoteEnd,
     ResultBlock,
     SeriesScanOp,
     WindowSpec,
     build_operator,
     collect_rows,
-    resume_from_index,
     skip_to_offset,
 )
 from ced.tsstore import BLOCK_ROWS, DataPoint, SeriesPath, SeriesStore, TsBlock, ValueType
@@ -82,8 +80,10 @@ def test_fresh_scan_blocks_and_offset_trace(tmp_path):
 
 def test_empty_series_returns_none(tmp_path):
     store = SeriesStore(tmp_path)
-    store.append(S, DataPoint(1, 1.0))
-    store.delete_point(S, 1)
+    store.import_snapshot({
+        "series": str(S), "files": [], "mem_ts": [], "mem_values": [],
+        "value_type": None, "last_ts": None, "file_counter": 0,
+    })
     op = SeriesScanOp(store, S)
     assert op.next_block() is None
     assert not op.has_next()
@@ -140,47 +140,19 @@ def test_intra_chunk_offset_rejected(tmp_path):
         skip_to_offset(1500, it)
 
 
-def test_filter_branch_matches_offset_arithmetic(tmp_path):
-    rng = random.Random(11)
-    for trial in range(30):
-        layout = [rng.randrange(1, 50) * 10 for _ in range(rng.randrange(1, 8))]
-        store = build_store(tmp_path, layout, name=f"d{trial}")
-        boundaries = [0]
-        for rows in layout:
-            boundaries.append(boundaries[-1] + rows)
-        offset = rng.choice(boundaries)
-        it_a = store.open_chunk_iterator(S)
-        it_b = store.open_chunk_iterator(S)
-        res_a = skip_to_offset(offset, it_a)
-        res_b = skip_to_offset(offset, it_b, PositionFilter(offset))
-        assert res_a == res_b == 0
-        assert [m.min_ts for m in it_a.remaining_metas()] == [
-            m.min_ts for m in it_b.remaining_metas()
-        ]
-
-
-# --- resume_from_index -----------------------------------------------------------
-
-def scan_leaf_node(store, sql="SELECT t3 FROM d1"):
-    catalog = Catalog.from_store(store, S.parent)
-    tree = plan(parse(sql), catalog)
-    return tree.leaves()[0], tree
-
+# --- resume from a start index -----------------------------------------------------
 
 def test_resume_suffix_equality_at_chunk_boundary(tmp_path):
     store = build_store(tmp_path, [4000, 2000])
     fresh = collect_rows(SeriesScanOp(store, S))
-    leaf, _ = scan_leaf_node(store)
-    resumed = collect_rows(resume_from_index(LogicalIndex.row_offset(4000), leaf, store))
+    resumed = collect_rows(SeriesScanOp(store, S, start_index=LogicalIndex.row_offset(4000)))
     assert resumed == fresh[4000:]
 
 
 def test_resume_zero_equals_fresh(tmp_path):
     store = build_store(tmp_path, [1200, 600])
-    leaf, _ = scan_leaf_node(store)
-    assert collect_rows(resume_from_index(LogicalIndex.row_offset(0), leaf, store)) == collect_rows(
-        SeriesScanOp(store, S)
-    )
+    resumed = SeriesScanOp(store, S, start_index=LogicalIndex.row_offset(0))
+    assert collect_rows(resumed) == collect_rows(SeriesScanOp(store, S))
 
 
 def test_resume_suffix_property_random_layouts(tmp_path):
@@ -200,12 +172,15 @@ def test_resume_suffix_property_random_layouts(tmp_path):
 
 def test_index_kind_mismatch(tmp_path):
     store = build_store(tmp_path, [100])
-    leaf, _ = scan_leaf_node(store)
     with pytest.raises(IndexKindMismatch):
-        resume_from_index(LogicalIndex.window_start(0), leaf, store)
-    agg_leaf, _ = scan_leaf_node(store, "SELECT count(t3) FROM d1 GROUP BY 10ms")
+        SeriesScanOp(store, S, start_index=LogicalIndex.window_start(0))
     with pytest.raises(IndexKindMismatch):
-        resume_from_index(LogicalIndex.row_offset(0), agg_leaf, store)
+        SeriesScanOp(store, S).resume_local(LogicalIndex.window_start(0))
+    spec = WindowSpec(0, 100, 10)
+    with pytest.raises(IndexKindMismatch):
+        AggregationScanOp(store, S, spec, "count", start_index=LogicalIndex.row_offset(0))
+    with pytest.raises(IndexKindMismatch):
+        AggregationScanOp(store, S, spec, "count").resume_local(LogicalIndex.row_offset(0))
 
 
 def test_export_guard_rejects_in_flight_blocks(tmp_path):
@@ -477,7 +452,7 @@ def test_build_operator_from_plan_q1_shape(tmp_path):
     leaves = []
     op = build_operator(tree, store, leaf_sink=lambda node, leaf: leaves.append(leaf))
     assert isinstance(op, FilterOp)
-    assert len(leaves) == 1 and leaves[0].has_filter_above
+    assert len(leaves) == 1 and isinstance(leaves[0], SeriesScanOp)
     rows = collect_rows(op)
     assert rows == [(999, "v999")]
 

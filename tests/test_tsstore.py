@@ -414,31 +414,6 @@ def test_file_index_roundtrip(store):
     ]
 
 
-# --- memtable mutations (update/delete feed the change pipe) ----------------------
-
-def test_update_and_delete_memtable_rows(store):
-    fill(store, S, 5)
-    store.update_point(S, 2, 99.0)
-    store.delete_point(S, 3)
-    assert scan_all(store, S) == [(0, 0.0), (1, 1.0), (2, 99.0), (4, 4.0)]
-
-
-def test_update_flushed_row_rejected(store):
-    fill(store, S, 5)
-    store.flush(S)
-    with pytest.raises(KeyError):
-        store.update_point(S, 2, 99.0)
-
-
-def test_change_listener_sees_ops_in_order(tmp_path):
-    log = []
-    store = SeriesStore(tmp_path, change_listener=lambda s, op, p: log.append((op, p.get("ts"))))
-    fill(store, S, 3)
-    store.update_point(S, 1, 9.0)
-    store.flush(S)
-    assert log == [("insert", 0), ("insert", 1), ("insert", 2), ("update", 1), ("flush", None)]
-
-
 # --- snapshot / fingerprint ----------------------------------------------------
 
 def test_snapshot_roundtrip_produces_identical_fingerprint(tmp_path):

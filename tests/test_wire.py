@@ -13,18 +13,14 @@ from ced.errors import MalformedMessage
 from ced.scanops import IndexKind, LogicalIndex
 from ced.tsstore import DECODE_MEMO_ROWS, SeriesPath, SeriesStore, TsBlock, ValueType, decode_memo
 from ced.wire import (
-    ChangeBatch,
-    ChangeRecord,
     ChannelId,
     DeltaState,
     Direction,
     Message,
     MessageType,
     TerminateReason,
-    decode_batch,
     decode_block,
     decode_message,
-    encode_batch,
     encode_block,
     encode_cells,
     encode_channel,
@@ -110,18 +106,6 @@ def test_delta_index_kinds():
     for index in (LogicalIndex.row_offset(12345), LogicalIndex.window_start(86_400_000)):
         msg = Message(MessageType.DELTA, CH, delta=DeltaState(CH, "SELECT t3 FROM dev", index))
         assert decode_message(encode_message(msg)).delta.logical_index == index
-
-
-def test_change_batch_roundtrip():
-    records = (
-        ChangeRecord(5, str(S), "insert", {"ts": 100, "value": 2.5}),
-        ChangeRecord(6, str(S), "update", {"ts": 100, "value": "vx"}),
-        ChangeRecord(7, str(S), "delete", {"ts": 100}),
-        ChangeRecord(8, str(S), "flush", {"chunk_target_rows": 4000, "page_rows": 1000}),
-    )
-    batch = ChangeBatch(str(S), 5, 8, records)
-    decoded = decode_batch(encode_batch(batch))
-    assert decoded == batch
 
 
 def test_probe_size_is_stable():
@@ -213,7 +197,7 @@ def test_leftover_bytes_after_the_last_cell_are_rejected():
     assert decode_message(intact).block.values == [1.5, 2.5, -0.25]
 
 
-# --- pinned message and change-batch bytes -------------------------------------------
+# --- pinned message bytes ------------------------------------------------------------
 
 # addr_len u8 | "cloud" | port u16 | fragment_id u32 | source_id u32 | query_id u64
 _CHANNEL = "05 636c6f7564 2823 01000000 02000000 4d00000000000000"
@@ -265,37 +249,7 @@ def test_message_bytes_are_pinned(msg, payload_len, payload):
     assert encode_message(decode_message(expected)) == expected
 
 
-_VALUES = (True, -7, 2.5, "vx")
-_TYPED = ("00 01", "01 f9ffffffffffffff", "02 0000000000000440", "03 02000000 7678")  # tag | value
-_PINNED_BATCH = ChangeBatch(str(S), 5, 14, (
-    *[ChangeRecord(5 + i, str(S), "insert", {"ts": 105 + i, "value": v})
-      for i, v in enumerate(_VALUES)],
-    *[ChangeRecord(9 + i, str(S), "update", {"ts": 109 + i, "value": v})
-      for i, v in enumerate(_VALUES)],
-    ChangeRecord(13, str(S), "delete", {"ts": 105}),
-    ChangeRecord(14, str(S), "flush", {"chunk_target_rows": 4000, "page_rows": 1000}),
-))
-
-
-def test_change_batch_bytes_are_pinned():
-    # batch := series | first_seq u64 | last_seq u64 | count u32 | (record_len u32 | record)*
-    # record := seq u64 | op u8 | body
-    records = [
-        f"{17 + len(bytes.fromhex(typed)):02x}000000 {seq:02x}00000000000000 {op} "
-        f"{ts:02x}00000000000000 {typed}"
-        for op, first in (("00", 5), ("02", 9))
-        for seq, ts, typed in zip(range(first, first + 4), range(100 + first, 104 + first), _TYPED)
-    ]
-    records.append("11000000 0d00000000000000 01 6900000000000000")
-    records.append("11000000 0e00000000000000 03 a00f0000 e8030000")
-    expected = bytes.fromhex(
-        f"{_SERIES} 0500000000000000 0e00000000000000 0a000000 " + " ".join(records)
-    )
-    assert encode_batch(_PINNED_BATCH) == expected
-    assert decode_batch(expected) == _PINNED_BATCH
-
-
-# --- malformed messages and change batches ---------------------------------------------
+# --- malformed messages ---------------------------------------------------------------
 
 _PAYLOAD = 1 + 24 + 4                        # message type, channel, payload_len
 _DIRECTION, _KIND = 24, 24 + 1 + 4 + 18      # offsets inside a delta with _SQL
@@ -320,29 +274,6 @@ def test_empty_message_is_rejected():
         decode_message(b"")
 
 
-@pytest.mark.parametrize("records,enum_offsets", [
-    # first record starts at 38 (series 18, seqs 16, count 4) + record_len 4
-    ((ChangeRecord(5, str(S), "insert", {"ts": 105, "value": "vx"}),
-      ChangeRecord(6, str(S), "delete", {"ts": 105})), [42 + 8, 42 + 17]),
-    ((ChangeRecord(5, str(S), "update", {"ts": 105, "value": 2.5}),
-      ChangeRecord(6, str(S), "flush", {"chunk_target_rows": 4000, "page_rows": 1000})),
-     [42 + 8, 42 + 17]),
-], ids=["insert-delete", "update-flush"])
-def test_malformed_change_batch_is_rejected(records, enum_offsets):
-    batch = ChangeBatch(str(S), records[0].seq, records[-1].seq, records)
-    sample = encode_batch(batch)
-    assert decode_batch(sample) == batch
-    assert rejections(decode_batch, sample, enum_offsets) == []
-
-
-def test_record_with_bytes_after_its_body_is_rejected():
-    record = ChangeRecord(5, str(S), "delete", {"ts": 105})
-    intact = encode_batch(ChangeBatch(str(S), 5, 5, (record,)))
-    body = intact[42:]                                  # after record_len u32
-    with pytest.raises(MalformedMessage):
-        decode_batch(intact[:38] + struct.pack("<I", len(body) + 1) + body + b"\x00")
-
-
 @pytest.mark.parametrize("at", [2, 1 + 24 + 4], ids=["address", "sql"])
 def test_bad_utf8_in_a_text_field_is_rejected(at):
     sample = encode_message(Message(MessageType.MIGRATION_REQUEST, CH, sql="SELECT t1 FROM dev"))
@@ -356,17 +287,16 @@ def test_snapshot_memtable_out_of_timestamp_order_is_rejected():
         "value_type": ValueType.FLOAT64, "last_ts": 2, "file_counter": 0,
     }
     with pytest.raises(MalformedMessage, match="timestamp"):
-        decode_snapshot(encode_snapshot(snapshot, 3))
+        decode_snapshot(encode_snapshot(snapshot))
     snapshot["mem_ts"] = [1, 2]
-    assert decode_snapshot(encode_snapshot(snapshot, 3))[0] == snapshot
+    assert decode_snapshot(encode_snapshot(snapshot)) == snapshot
 
 
 _LINK_SAMPLES = [(decode_message, encode_message(m)) for m, _, _ in _PINNED_MESSAGES] + [
-    (decode_batch, encode_batch(_PINNED_BATCH)),
     (decode_snapshot, encode_snapshot({
         "series": str(S), "files": [("f.cedf", b"CEDF")], "mem_ts": [1, 2],
         "mem_values": ["v1", "ü"], "value_type": ValueType.STRING, "last_ts": 2, "file_counter": 1,
-    }, 7)),
+    })),
 ]
 
 

@@ -1,5 +1,5 @@
-"""Dataset generation: pinned file bytes, the change-listener stream, reuse
-of the last built dataset, and ``ced gen``."""
+"""Dataset generation: pinned file bytes, the order of appends and flushes,
+reuse of the last built dataset, and ``ced gen``."""
 
 import dataclasses
 import hashlib
@@ -74,24 +74,35 @@ def test_generated_file_digests_are_pinned(tmp_path):
     assert dataset.total_points == 5 * 2500
 
 
-def test_listener_sees_one_insert_per_row_in_order(tmp_path):
+def test_generate_appends_rows_in_order_and_flushes_every_flush_every_rows(
+    tmp_path, monkeypatch
+):
     config = WorkloadConfig(
         sensor_count=4, total_rows=30, sampling_interval_ms=3, chunk_target_rows=8,
         page_rows=5, flush_every_rows=12, seed=1,
     )
     events = []
-    store = store_for(tmp_path, config, change_listener=lambda s, op, p: events.append((s, op, p)))
+    append_columns, flush = SeriesStore.append_columns, SeriesStore.flush
+
+    def recorded_append(self, series, timestamps, values):
+        events.append((str(series), "append", list(zip(timestamps, values))))
+        return append_columns(self, series, timestamps, values)
+
+    def recorded_flush(self, series, chunk_target_rows=None):
+        events.append((str(series), "flush", chunk_target_rows))
+        return flush(self, series, chunk_target_rows)
+
+    monkeypatch.setattr(SeriesStore, "append_columns", recorded_append)
+    monkeypatch.setattr(SeriesStore, "flush", recorded_flush)
+    store = store_for(tmp_path, config)
     generate(store, config)
-    flush = {"chunk_target_rows": 8, "page_rows": 5}
     expected = []
-    for name in config.sensor_names():
-        series = SeriesPath.parse(config.device).child(name)
+    for series in series_of(config):
         rows = scan_rows(store, series)
         assert [ts for ts, _ in rows] == [3 * i for i in range(30)]
-        for i, (ts, value) in enumerate(rows):
-            expected.append((str(series), "insert", {"ts": ts, "value": value}))
-            if i + 1 in (12, 24, 30):
-                expected.append((str(series), "flush", flush))
+        for start, stop in ((0, 12), (12, 24), (24, 30)):
+            expected.append((str(series), "append", rows[start:stop]))
+            expected.append((str(series), "flush", 8))
     assert events == expected
 
 
@@ -163,7 +174,7 @@ def test_reuse_survives_removal_of_the_first_store(tmp_path, flushes):
     assert file_bytes(second.root) == expected
 
 
-@pytest.mark.parametrize("variant", ["non_empty", "listener", "seed", "page_rows"])
+@pytest.mark.parametrize("variant", ["non_empty", "seed", "page_rows"])
 def test_other_stores_and_configs_build_from_scratch(tmp_path, flushes, variant):
     generate(store_for(tmp_path / "a", PINNED), PINNED)
     config, kw = PINNED, {}
@@ -171,8 +182,6 @@ def test_other_stores_and_configs_build_from_scratch(tmp_path, flushes, variant)
         config = dataclasses.replace(PINNED, seed=PINNED.seed + 1)
     elif variant == "page_rows":                  # same config, another store layout
         kw["page_rows"] = PINNED.page_rows + 1
-    elif variant == "listener":
-        kw["change_listener"] = lambda *event: None
     store = store_for(tmp_path / "b", config, **kw)
     if variant == "non_empty":
         store.append(SeriesPath.parse("root.other.dev.x"), DataPoint(0, 1))
