@@ -17,7 +17,6 @@ from .scenario import (
     CLOUD_ONLY,
     COLLABORATIVE,
     EDGE_ONLY,
-    CacheConfig,
     QuerySpec,
     ScenarioConfig,
 )
@@ -166,7 +165,6 @@ def preset_cache_sweep(seed: int = 0) -> list[tuple[str, ScenarioConfig]]:
             queries=queries,
             workload=workload,
             link=_FAST_LINK,
-            cache=CacheConfig(capacity=8),
             warm_series=string_sensors[:warm_count],
             cpu_load=4,
             monitor_period_s=0.02,

@@ -25,7 +25,6 @@ from typing import Optional
 from ..coherence import CloudCache, decode_snapshot, encode_snapshot
 from ..errors import CedError, ScenarioError
 from ..migrate import (
-    PREDICATE_PUSHDOWN,
     ChannelId,
     ChannelPhase,
     CloudGateway,
@@ -34,7 +33,6 @@ from ..migrate import (
     SourceChannel,
     Transport,
     filter_above_leaf,
-    leaf_transmission_mode,
 )
 from ..monitor import ResourceMonitor
 from ..netsim import Engine, FifoResource, Link, Signal
@@ -52,7 +50,6 @@ CLOUD_PORT = 9000
 
 _HOG_PERIOD_S = 0.02
 _TICK_PERIOD_S = 0.05
-_UTIL_WINDOW_S = 0.1
 
 
 class QueryContext:
@@ -226,13 +223,7 @@ class Cluster:
             chunk_target_rows=workload.chunk_target_rows,
             page_rows=workload.page_rows,
         )
-        self.cache = CloudCache(
-            self.cloud_store,
-            tau_hot=scenario.cache.tau_hot,
-            capacity=scenario.cache.capacity,
-            bandwidth_ok=self._bandwidth_ok,
-            sync_requester=self._request_sync,
-        )
+        self.cache = CloudCache(self.cloud_store)
         self.gateway = CloudGateway(
             self.engine,
             self.cloud_transport,
@@ -247,10 +238,6 @@ class Cluster:
         self._query_ids = itertools.count(1)
 
     # --- cache sync plumbing ---------------------------------------------------
-
-    def _bandwidth_ok(self) -> bool:
-        threshold = self.scenario.cache.sync_bandwidth_threshold
-        return self.link.utilization(_UTIL_WINDOW_S) < threshold
 
     def _request_sync(self, series: str) -> None:
         self.cloud_transport.send_raw(("syncreq", series), series.encode("utf-8"))
@@ -293,11 +280,8 @@ class Cluster:
         series = SeriesPath.parse(leaf_node.param("series"))
         if not self.cache.cache_lookup(series):
             return None
-        mode = self.scenario.mode_override or leaf_transmission_mode(tree, leaf_node)
-        if mode == PREDICATE_PUSHDOWN:
-            subtree = filter_above_leaf(tree, leaf_node) or leaf_node
-        else:
-            subtree = leaf_node
+        # predicate pushdown under a WHERE filter, block streaming otherwise
+        subtree = filter_above_leaf(tree, leaf_node) or leaf_node
 
         def build(delta):
             captured = []
@@ -343,15 +327,19 @@ class Cluster:
         if self.scenario.mode == CLOUD_ONLY or "*" in warm:
             return self.queried_series()
         device = self.dataset.device
-        return [device.child(sensor) for sensor in warm]
+        return [device.child(sensor) for sensor in dict.fromkeys(warm)]
 
     def warm_cache(self) -> None:
-        """Pre-experiment phase: drive the listed series hot and let syncs finish."""
-        for series in self.warm_series_paths():
-            for _ in range(self.scenario.cache.tau_hot + 1):
-                self.cache.record_access(series)
+        """Pre-experiment phase: sync each warm series not yet cached and let syncs finish."""
+        warm = self.warm_series_paths()
+        for series in warm:
+            if not self.edge_store.has_series(series):
+                raise ScenarioError(f"warm series {series} is not in the edge store")
+        for series in warm:
+            if str(series) not in self.cache.entries:
+                self._request_sync(str(series))
         self.engine.run_until_idle()
-        for series in self.warm_series_paths():
+        for series in warm:
             if not self.cache.cache_lookup(series):
                 raise ScenarioError(f"warm-up failed to sync {series}")
 
@@ -373,11 +361,10 @@ class Cluster:
             yield _HOG_PERIOD_S
 
     def _coherence_tick(self):
-        # only deferred syncs are left to retry, but each wake-up is an engine
-        # event that the pinned simulated figures count, so the period stays
+        # does nothing, but each wake-up is an engine event that the pinned
+        # simulated figures count, so the timer stays until they are re-recorded
         while self.any_running():
             yield _TICK_PERIOD_S
-            self.cache.retry_deferred()
 
     def _placement_counts(self) -> tuple[int, int]:
         n_edge = n_cloud = 0

@@ -15,7 +15,6 @@ below; presets construct them in code.  Every key is optional except
       "cost":    {CostModel fields: "edge_disk_mb_s", "cloud_disk_mb_s",
                   "edge_cpu_cores", "cloud_cpu_cores", "row_cpu_cost_s",
                   "recv_row_cost_s"},
-      "cache":   {"tau_hot", "capacity", "sync_bandwidth_threshold"},
       "channel": {"probe_retries", "probe_timeout_s", "queue_depth"},
       "policy":  {"io_high", "cpu_high", "low_watermark", "dwell"},
       "io_throttle": float, "background_io_duty": float,
@@ -24,7 +23,6 @@ below; presets construct them in code.  Every key is optional except
       "forced_migration_at_rows": int | null,
       "forced_fallback_after_rows": int | null,
       "warm_series": [sensor name, ...] or ["*"],
-      "mode_override": "block_streaming" | "predicate_pushdown" | null,
       "seed": int
     }
 
@@ -87,13 +85,6 @@ class QuerySpec:
 
 
 @dataclass(frozen=True)
-class CacheConfig:
-    tau_hot: int = 3
-    capacity: int = 8
-    sync_bandwidth_threshold: float = 0.7
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "scenario"
     mode: str = COLLABORATIVE
@@ -101,7 +92,6 @@ class ScenarioConfig:
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     link: LinkConfig = field(default_factory=LinkConfig)
     cost: CostModel = field(default_factory=CostModel)
-    cache: CacheConfig = field(default_factory=CacheConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     policy: ThresholdPolicy = field(default_factory=ThresholdPolicy)
 
@@ -117,7 +107,6 @@ class ScenarioConfig:
     forced_fallback_after_rows: Optional[int] = None
 
     warm_series: tuple[str, ...] = ()    # sensor names to pre-sync ("*" = all queried)
-    mode_override: Optional[str] = None  # force block_streaming / predicate_pushdown
     seed: int = 0
 
     def validate(self) -> None:
@@ -172,13 +161,12 @@ def load_scenario_file(path: Path) -> ScenarioConfig:
         workload = WorkloadConfig(**raw.pop("workload", {}))
         link = LinkConfig(**raw.pop("link", {}))
         cost = CostModel(**raw.pop("cost", {}))
-        cache = CacheConfig(**raw.pop("cache", {}))
         channel = ChannelConfig(**raw.pop("channel", {}))
         policy = ThresholdPolicy(**raw.pop("policy", {}))
         warm = tuple(raw.pop("warm_series", ()))
         config = ScenarioConfig(
             queries=queries, workload=workload, link=link, cost=cost,
-            cache=cache, channel=channel, policy=policy, warm_series=warm, **raw,
+            channel=channel, policy=policy, warm_series=warm, **raw,
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario {path}: {exc}") from exc

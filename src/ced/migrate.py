@@ -16,6 +16,11 @@ a bounded receive queue.
 Remigration works the same way in reverse: the producer stops at one of
 its own boundaries, sends a final delta plus the termination marker, and
 the edge resumes locally only after draining every queued block.
+
+The cloud producer runs one of two transmission modes, chosen by the plan
+(:func:`filter_above_leaf`): *predicate pushdown* runs the leaf's WHERE
+filter in the cloud and ships only matching rows; *block streaming* ships
+the leaf's blocks as they are.
 """
 
 from __future__ import annotations
@@ -50,12 +55,8 @@ __all__ = [
     "SourceChannel",
     "MigrationCoordinator",
     "CloudGateway",
-    "leaf_transmission_mode",
     "filter_above_leaf",
 ]
-
-BLOCK_STREAMING = "block_streaming"
-PREDICATE_PUSHDOWN = "predicate_pushdown"
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class Transport:
 # --- transmission-mode selection -----------------------------------------------------
 
 def filter_above_leaf(tree: OperatorNode, leaf: OperatorNode) -> Optional[OperatorNode]:
-    """The filter node directly above ``leaf``, if any."""
+    """The filter node directly above ``leaf`` (its WHERE clause), if any."""
     if tree.kind == "filter" and tree.children[0] is leaf:
         return tree
     for child in tree.children:
@@ -152,11 +153,6 @@ def filter_above_leaf(tree: OperatorNode, leaf: OperatorNode) -> Optional[Operat
         if found is not None:
             return found
     return None
-
-
-def leaf_transmission_mode(tree: OperatorNode, leaf: OperatorNode) -> str:
-    """Pushdown iff a filter sits directly above the leaf (its WHERE clause)."""
-    return PREDICATE_PUSHDOWN if filter_above_leaf(tree, leaf) is not None else BLOCK_STREAMING
 
 
 # --- edge side ------------------------------------------------------------------------
@@ -189,7 +185,6 @@ class SinkChannel(RemoteSource):
         self.on_closed = on_closed
 
         self.phase = ChannelPhase.REQUESTED
-        self.mode = BLOCK_STREAMING
         self.rejected = False
         self.failed = False
         self.outcome: Optional[str] = None

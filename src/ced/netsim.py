@@ -309,7 +309,6 @@ class Link:
         self._rng = random.Random(config.seed)
         self._handlers: dict[str, Callable[[Envelope], None]] = {}
         self._free_at: dict[str, float] = {}
-        self._trackers: dict[str, BusyTracker] = {}
         self.counters: dict[tuple[Any, str], ByteCounter] = {}
 
     def attach(self, endpoint: str, handler: Callable[[Envelope], None]) -> None:
@@ -340,8 +339,6 @@ class Link:
         tx = size / self.config.bytes_per_second
         end = start + tx
         self._free_at[direction] = end
-        tracker = self._trackers.setdefault(direction, BusyTracker())
-        tracker.add(start, end)
         envelope.enqueue_time = now
         envelope.deliver_time = end + self.config.one_way_s
         handler = self._handlers[dst]
@@ -354,17 +351,6 @@ class Link:
 
     def close(self) -> None:
         self.open = False
-
-    def utilization(self, window: float) -> float:
-        """Busiest-direction utilization over the trailing ``window`` seconds."""
-        if window <= 0:
-            return 0.0
-        t1 = self.engine.now
-        t0 = t1 - window
-        best = 0.0
-        for tracker in self._trackers.values():
-            best = max(best, tracker.busy_between(t0, t1) / window)
-        return min(1.0, best)
 
     def byte_report(self) -> dict[tuple[Any, str], ByteCounter]:
         """Cumulative per-(channel, direction) byte counts."""

@@ -325,7 +325,7 @@ class Catalog:
                 series = SeriesPath.parse(name)
                 try:
                     bounds = store.time_bounds(series)
-                except Exception:
+                except UnknownSeries:          # typed, but holds no rows yet
                     bounds = None
                 catalog.register_sensor(device, series.leaf, store.value_type(series), bounds)
         return catalog

@@ -1,4 +1,4 @@
-"""LRU cache admission from snapshots, and the snapshot codec."""
+"""Cache admission from snapshots, and the snapshot codec."""
 
 import pytest
 from conftest import rejections
@@ -7,22 +7,15 @@ from ced.coherence import CloudCache, decode_snapshot, encode_snapshot
 from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
 
 
-# --- cache admission / LRU ---------------------------------------------------------
+# --- admission and lookup ----------------------------------------------------------------
 
 class Harness:
     """Edge store + cache wired directly (no simulator)."""
 
-    def __init__(self, tmp_path, tau_hot=3, capacity=8, bandwidth_ok=None):
+    def __init__(self, tmp_path):
         self.edge = SeriesStore(tmp_path / "edge")
         self.mirror = SeriesStore(tmp_path / "cloud")
-        self.sync_requests = []
-        self.bandwidth_flag = [True]
-        ok = bandwidth_ok or (lambda: self.bandwidth_flag[0])
-        self.cache = CloudCache(
-            self.mirror, tau_hot=tau_hot, capacity=capacity,
-            bandwidth_ok=ok,
-            sync_requester=self.sync_requests.append,
-        )
+        self.cache = CloudCache(self.mirror)
 
     def series(self, name):
         return SeriesPath.parse(f"root.ln.edge1.device1.{name}")
@@ -35,56 +28,11 @@ class Harness:
         return s
 
     def ship_snapshot(self, series):
-        return self.cache.admit_snapshot(self.edge.export_snapshot(series))
+        self.cache.admit_snapshot(self.edge.export_snapshot(series))
 
 
-def test_admission_at_threshold_crossing(tmp_path):
-    h = Harness(tmp_path, tau_hot=3)
-    s = h.seed_series("t1")
-    kinds = [h.cache.record_access(s).kind for _ in range(4)]
-    assert kinds == ["none", "none", "none", "sync_scheduled"]
-    assert h.sync_requests == [str(s)]
-
-
-def test_admission_deferred_under_saturated_bandwidth(tmp_path):
-    h = Harness(tmp_path, tau_hot=3)
-    s = h.seed_series("t1")
-    h.bandwidth_flag[0] = False
-    kinds = [h.cache.record_access(s).kind for _ in range(4)]
-    assert kinds[-1] == "deferred"
-    assert h.sync_requests == []
-    h.bandwidth_flag[0] = True
-    assert h.cache.retry_deferred() == [str(s)]
-    assert h.sync_requests == [str(s)]
-
-
-def test_lru_eviction_on_capacity(tmp_path):
-    h = Harness(tmp_path, tau_hot=0, capacity=2)
-    names = ["t1", "t2", "t3"]
-    series = [h.seed_series(n) for n in names]
-    for s in series[:2]:
-        h.cache.record_access(s)
-        h.ship_snapshot(s)
-    h.cache.record_access(series[0])            # t1 is now more recent than t2
-    h.cache.record_access(series[2])
-    evicted = h.ship_snapshot(series[2])
-    assert evicted == str(series[1])            # LRU law: minimum last_access goes
-    assert set(h.cache.entries) == {str(series[0]), str(series[2])}
-    assert not h.mirror.has_series(series[1])
-
-
-def test_admission_law_never_below_threshold(tmp_path):
-    h = Harness(tmp_path, tau_hot=5)
-    s = h.seed_series("t1")
-    for _ in range(5):
-        h.cache.record_access(s)
-    assert not h.cache.entries and not h.sync_requests
-
-
-# --- lookup ---------------------------------------------------------------------
-
-def test_admitted_series_hits_until_evicted(tmp_path):
-    h = Harness(tmp_path, tau_hot=0, capacity=1)
+def test_admitted_series_hit_and_others_miss(tmp_path):
+    h = Harness(tmp_path)
     t1 = h.seed_series("t1", rows=30)
     h.edge.flush(t1, chunk_target_rows=10)
     h.seed_series("t1", rows=5)                 # rows left in the memtable ship too
@@ -92,9 +40,12 @@ def test_admitted_series_hits_until_evicted(tmp_path):
     h.ship_snapshot(t1)
     assert h.mirror.content_fingerprint(t1) == h.edge.content_fingerprint(t1)
     assert h.cache.cache_lookup(t1)
-    assert h.ship_snapshot(t2) == str(t1)
-    assert not h.cache.cache_lookup(t1) and h.cache.cache_lookup(t2)
-    assert (h.cache.lookups, h.cache.hits) == (3, 2)
+    assert not h.cache.cache_lookup(t2)
+    h.ship_snapshot(t2)
+    assert h.mirror.content_fingerprint(t2) == h.edge.content_fingerprint(t2)
+    assert h.cache.cache_lookup(t1) and h.cache.cache_lookup(t2)
+    assert h.cache.entries == {str(t1), str(t2)}
+    assert (h.cache.lookups, h.cache.hits) == (4, 3)
 
 
 def test_never_accessed_series_misses(tmp_path):

@@ -13,21 +13,16 @@ from conftest import (
     small_workload,
 )
 
+import ced.harness.runtime
 from ced.harness.scenario import CostModel, QuerySpec
-from ced.migrate import (
-    BLOCK_STREAMING,
-    PREDICATE_PUSHDOWN,
-    ChannelConfig,
-    ChannelPhase,
-    leaf_transmission_mode,
-)
+from ced.migrate import ChannelConfig, ChannelPhase, filter_above_leaf
 from ced.netsim import LinkConfig
 from ced.queryplan import Catalog, parse, plan
 from ced.tsstore import SeriesPath, ValueType
 from ced.wire import ChannelId
 
 
-# --- transmission mode selection ------------------------------------------------
+# --- transmission mode: predicate pushdown iff a filter sits above the leaf ----------
 
 def catalog():
     c = Catalog()
@@ -39,24 +34,24 @@ def catalog():
 
 def test_q1_selects_pushdown():
     tree = plan(parse(TABLE_II["Q1"]), catalog())
-    assert [leaf_transmission_mode(tree, leaf) for leaf in tree.leaves()] == [PREDICATE_PUSHDOWN]
+    assert [filter_above_leaf(tree, leaf) for leaf in tree.leaves()] == [tree]
 
 
 def test_q3_selects_block_streaming():
     tree = plan(parse(TABLE_II["Q3"]), catalog())
-    assert [leaf_transmission_mode(tree, leaf) for leaf in tree.leaves()] == [BLOCK_STREAMING] * 2
+    assert [filter_above_leaf(tree, leaf) for leaf in tree.leaves()] == [None] * 2
 
 
 def test_q4_aggregate_without_where_is_block_streaming():
     tree = plan(parse(TABLE_II["Q4"]), catalog())
-    assert [leaf_transmission_mode(tree, leaf) for leaf in tree.leaves()] == [BLOCK_STREAMING]
+    assert [filter_above_leaf(tree, leaf) for leaf in tree.leaves()] == [None]
 
 
 def test_leaf_mode_mixed_query():
     tree = plan(parse("SELECT t1, t3 FROM dev WHERE t1='v1'"), catalog())
     leaves = tree.leaves()
-    assert leaf_transmission_mode(tree, leaves[0]) == PREDICATE_PUSHDOWN   # t1 under filter
-    assert leaf_transmission_mode(tree, leaves[1]) == BLOCK_STREAMING
+    assert filter_above_leaf(tree, leaves[0]) is tree.children[0]   # t1 under filter
+    assert filter_above_leaf(tree, leaves[1]) is None
 
 
 # --- six-step exchange --------------------------------------------------------------
@@ -355,33 +350,32 @@ def bytes_to_edge(cluster):
     return total
 
 
-def test_pushdown_transfers_far_fewer_bytes_than_streaming(tmp_path):
-    results = {}
-    for mode in (None, BLOCK_STREAMING):
-        scenario = make_scenario(
-            forced_migration_at_rows=1000,
-            mode_override=mode,
-            workload=small_workload(total_rows=10_000),
-        )
-        cluster, report = run(scenario, tmp_path)
+def pushdown_and_streaming_runs(monkeypatch, scenario, tmp_path):
+    """(cluster, report) of ``scenario`` as planned, then with the cloud streaming blocks."""
+    pushdown = run(scenario, tmp_path)
+    monkeypatch.setattr(ced.harness.runtime, "filter_above_leaf", lambda tree, leaf: None)
+    return pushdown, run(scenario, tmp_path)
+
+
+def test_pushdown_transfers_far_fewer_bytes_than_streaming(monkeypatch, tmp_path):
+    scenario = make_scenario(
+        forced_migration_at_rows=1000, workload=small_workload(total_rows=10_000),
+    )
+    results = []
+    for cluster, report in pushdown_and_streaming_runs(monkeypatch, scenario, tmp_path):
         assert report.queries[0].migrated == 1
-        results[mode or "pushdown"] = (bytes_to_edge(cluster), report.queries[0].checksum)
-    pushdown_bytes, ck1 = results["pushdown"]
-    streaming_bytes, ck2 = results[BLOCK_STREAMING]
+        results.append((bytes_to_edge(cluster), report.queries[0].checksum))
+    (pushdown_bytes, ck1), (streaming_bytes, ck2) = results
     assert ck1 == ck2
     assert pushdown_bytes < streaming_bytes
     assert pushdown_bytes / streaming_bytes < 0.05
 
 
-def test_pushdown_equals_streaming_at_full_selectivity(tmp_path):
+def test_pushdown_equals_streaming_at_full_selectivity(monkeypatch, tmp_path):
     # always-true predicate: every row crosses either way
-    sql = "SELECT t3 FROM dev WHERE t3 >= -1.0"
-    sizes = {}
-    for mode in (None, BLOCK_STREAMING):
-        scenario = make_scenario(
-            sql, forced_migration_at_rows=1000, mode_override=mode,
-            workload=small_workload(total_rows=5000),
-        )
-        cluster, report = run(scenario, tmp_path)
-        sizes[mode or "pushdown"] = bytes_to_edge(cluster)
-    assert sizes["pushdown"] <= sizes[BLOCK_STREAMING]
+    scenario = make_scenario(
+        "SELECT t3 FROM dev WHERE t3 >= -1.0", forced_migration_at_rows=1000,
+        workload=small_workload(total_rows=5000),
+    )
+    pushdown, streaming = pushdown_and_streaming_runs(monkeypatch, scenario, tmp_path)
+    assert bytes_to_edge(pushdown[0]) <= bytes_to_edge(streaming[0])

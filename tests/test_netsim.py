@@ -186,7 +186,6 @@ def test_empty_report_and_no_traffic():
     engine = Engine()
     link, _ = make_link(engine)
     assert link.byte_report() == {}
-    assert link.utilization(1.0) == 0.0
 
 
 def test_ten_queued_messages_all_delivered_in_order():

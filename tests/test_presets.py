@@ -6,6 +6,7 @@ import pytest
 from conftest import make_cluster, make_scenario
 
 from ced.errors import ScenarioError
+from ced.harness import cli
 from ced.harness.presets import list_presets, preset_runs
 from ced.harness.runtime import Cluster, run_scenario
 from ced.harness.scenario import load_scenario_file
@@ -111,9 +112,40 @@ def test_queries_running_when_the_engine_idles_raise_scenario_error(monkeypatch,
 
 def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
     path = tmp_path / "scenario.json"
+    for key, value in (("cache", {"tau_hot": 3, "batch_size": 100}),
+                       ("mode_override", "block_streaming")):
+        path.write_text(json.dumps({
+            "queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}],
+            key: value,
+        }))
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario_file(path)
+
+
+# --- warm-up -----------------------------------------------------------------------
+
+def test_duplicate_warm_sensors_sync_once(tmp_path):
+    reports = []
+    for warm in (("t1", "t1", "t3"), ("t1", "t3")):
+        cluster = make_cluster(make_scenario(forced_migration_at_rows=2000, warm_series=warm), tmp_path)
+        reports.append(cluster.run("warm"))
+    assert reports[0] == reports[1]
+    assert reports[0].queries[0].migrated == 1
+
+
+def test_unknown_warm_sensor_is_a_scenario_error_before_any_sync(tmp_path):
+    cluster = make_cluster(make_scenario(warm_series=("t1", "t9")), tmp_path)
+    with pytest.raises(ScenarioError, match="t9"):
+        cluster.run()
+    assert cluster.link.byte_report() == {}
+
+
+def test_cli_reports_an_unknown_warm_sensor_as_an_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
     path.write_text(json.dumps({
         "queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}],
-        "cache": {"tau_hot": 3, "batch_size": 100},
+        "workload": {"sensor_count": 3, "total_rows": 3000},
+        "warm_series": ["t9"],
     }))
-    with pytest.raises(ScenarioError, match="batch_size"):
-        load_scenario_file(path)
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: warm series root.ln.edge1.dev.t9")

@@ -8,12 +8,13 @@ from ced.queryplan import (
     Predicate,
     Query,
     SelectItem,
+    SensorInfo,
     parse,
     plan,
     render,
     serialize_plan,
 )
-from ced.tsstore import SeriesPath, ValueType
+from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
 
 Q1 = "SELECT t1 FROM dev WHERE t1='v999'"
 Q2 = "SELECT t3 FROM dev WHERE t3=497.44467"
@@ -192,3 +193,27 @@ def test_suffix_resolution_is_unique_or_fails():
         plan(parse(Q1), catalog)   # 'dev' now ambiguous
     tree = plan(parse("SELECT t1 FROM edge1.dev"), catalog)
     assert tree.param("series") == "root.ln.edge1.dev.t1"
+
+
+# --- catalog from a store ------------------------------------------------------------
+
+def test_catalog_from_store_registers_a_typed_empty_series_without_bounds(tmp_path):
+    store = SeriesStore(tmp_path)
+    store.import_snapshot({
+        "series": str(DEV.child("t1")), "files": [], "mem_ts": [], "mem_values": [],
+        "value_type": ValueType.STRING, "last_ts": None, "file_counter": 0,
+    })
+    catalog = Catalog.from_store(store, DEV)
+    assert catalog.sensor_info(DEV, "t1") == SensorInfo(ValueType.STRING, None)
+
+
+def test_catalog_from_store_propagates_other_time_bounds_errors(monkeypatch, tmp_path):
+    store = SeriesStore(tmp_path)
+    store.append(DEV.child("t1"), DataPoint(0, "v1"))
+
+    def broken(series):
+        raise RuntimeError("index unreadable")
+
+    monkeypatch.setattr(store, "time_bounds", broken)
+    with pytest.raises(RuntimeError, match="index unreadable"):
+        Catalog.from_store(store, DEV)

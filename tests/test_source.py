@@ -1,9 +1,15 @@
 """Static checks over the ``ced`` package source."""
 
 import ast
+import dataclasses
+import json
+import re
+import typing
 from pathlib import Path
 
 import ced
+from ced.harness import scenario
+from ced.harness.presets import preset_runs
 
 SOURCE = Path(ced.__file__).parent
 
@@ -56,3 +62,46 @@ def test_no_unused_imports_in_the_package():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     ]
     assert found == []
+
+
+def _schema_keys(doc: str) -> tuple[set[str], dict[str, set[str]]]:
+    """Top-level keys of the JSON schema after ``::`` in ``doc``, and for each
+    key the quoted names inside its objects."""
+    body = doc[doc.index("::"):]
+    top: set[str] = set()
+    nested: dict[str, set[str]] = {}
+    brackets: list[str] = []
+    key = None
+    for token in re.finditer(r'"([^"]*)"(\s*:)?|[{}\[\]]', body):
+        text = token.group(0)
+        if text in "{[":
+            brackets.append(text)
+        elif text in "}]":
+            brackets.pop()
+            if not brackets:
+                break
+        elif len(brackets) == 1:
+            if token.group(2):
+                key = token.group(1)
+                top.add(key)
+        elif brackets[-1] == "{":
+            nested.setdefault(key, set()).add(token.group(1))
+    return top, nested
+
+
+def test_scenario_schema_docstring_names_every_accepted_field(tmp_path):
+    hints = typing.get_type_hints(scenario.ScenarioConfig)
+    fields = {f.name for f in dataclasses.fields(scenario.ScenarioConfig)}
+    nested = {}
+    for name in fields:
+        kind = hints[name]
+        if typing.get_origin(kind) is tuple:
+            kind = typing.get_args(kind)[0]
+        if dataclasses.is_dataclass(kind):
+            nested[name] = {f.name for f in dataclasses.fields(kind)}
+    assert _schema_keys(scenario.__doc__) == (fields, nested)
+    # and the loader takes each of those fields back
+    _, config = preset_runs("cache_sweep")[-1]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dataclasses.asdict(config)))
+    assert scenario.load_scenario_file(path) == config
