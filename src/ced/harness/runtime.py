@@ -19,17 +19,18 @@ Execution modes:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
 from ..coherence import CloudCache, decode_snapshot, encode_snapshot
-from ..errors import CedError, ScenarioError
+from ..errors import CedError, LinkClosed, ScenarioError
 from ..migrate import (
     ChannelId,
     ChannelPhase,
     CloudGateway,
-    MigrationCoordinator,
     ProtocolTelemetry,
+    SinkChannel,
     SourceChannel,
     Transport,
     filter_above_leaf,
@@ -75,13 +76,8 @@ class QueryContext:
             leaf_sink=lambda node, leaf: self.leaf_ops.append(leaf),
         )
         self.root = as_result_stream(self.plan_tree, op)
-        self.coordinator = MigrationCoordinator(
-            cluster.engine,
-            cluster.edge_transport,
-            cluster.scenario.channel,
-            cluster.telemetry,
-            notify=self.signal.notify,
-        )
+        self.channels: list[SinkChannel] = []      # one per leaf once migration starts
+        self.migration_started = False
         if cluster.scenario.forced_migration_at_rows is not None:
             for leaf in self.leaf_ops:
                 leaf.boundary_listener = self._make_boundary_listener(leaf)
@@ -92,30 +88,43 @@ class QueryContext:
         threshold = self.cluster.scenario.forced_migration_at_rows
 
         def on_boundary() -> None:
-            if self.coordinator.migration_started or not self.running:
+            if self.migration_started or not self.running:
                 return
             if leaf.rows_local >= threshold:
                 self.start_migration()
 
         return on_boundary
 
-    def start_migration(self) -> bool:
-        if self.coordinator.migration_started:
-            return False
-        channel_ids = [
-            ChannelId(CLOUD_ADDRESS, CLOUD_PORT, 1, i + 1, self.query_id)
-            for i in range(len(self.leaf_ops))
-        ]
-        return self.coordinator.request_migration(self.sql, channel_ids, self.leaf_ops)
+    def start_migration(self) -> None:
+        """Step 1: open one channel per leaf and send the quintuple + SQL."""
+        if self.migration_started:
+            return
+        self.migration_started = True
+        cluster = self.cluster
+        try:
+            for i, leaf in enumerate(self.leaf_ops):
+                sink = SinkChannel(
+                    cluster.engine, cluster.edge_transport,
+                    ChannelId(CLOUD_ADDRESS, CLOUD_PORT, 1, i + 1, self.query_id), self.sql,
+                    leaf.series, cluster.scenario.channel, cluster.telemetry, self.signal.notify,
+                    on_confirmed=leaf.request_switch,
+                )
+                self.channels.append(sink)
+                sink.send_request()
+        except LinkClosed:
+            # compensation: local execution simply continues
+            for sink in self.channels:
+                sink.phase = ChannelPhase.TERMINATED
+            self.migration_started = False
 
     def placement(self) -> str:
         for leaf in self.leaf_ops:
-            if leaf.state.source_mode in ("remote", "done"):
+            if leaf.source_mode in ("remote", "done"):
                 return "cloud"
         return "edge"
 
     def _channels_settled(self) -> bool:
-        return all(s.phase != ChannelPhase.REQUESTED for s in self.coordinator.channels)
+        return all(s.phase != ChannelPhase.REQUESTED for s in self.channels)
 
     # --- effort accounting ----------------------------------------------------
 
@@ -159,16 +168,18 @@ class QueryContext:
             self.checksum.update(block)
         self.end_s = cluster.engine.now
         self.running = False
-        self.coordinator.cancel_open_channels("query complete")
+        for sink in self.channels:
+            if sink.phase != ChannelPhase.TERMINATED:
+                sink.cancel("query complete")
+        # a cancelled channel must not flip the leaf source afterwards
+        for leaf in self.leaf_ops:
+            leaf.pending_remote = None
 
     # --- reporting -------------------------------------------------------------------
 
-    def result(self, run_label: str) -> QueryResult:
-        sinks = self.coordinator.channels
-        migrated = sum(1 for s in sinks if s.activation_index is not None)
-        remigrated = sum(1 for s in sinks if s.outcome == "remigrate")
-        rejected = sum(1 for s in sinks if s.rejected)
-        failures = sum(1 for s in sinks if s.failed)
+    def result(self, run_label: str, counts: Counter) -> QueryResult:
+        """The query's row; ``counts`` is the protocol event count per (query id, kind)."""
+        qid = self.query_id
         return QueryResult(
             run=run_label,
             name=self.name,
@@ -178,10 +189,10 @@ class QueryContext:
             end_s=self.end_s,
             rows=self.checksum.rows,
             checksum=self.checksum.hexdigest(),
-            migrated=migrated,
-            remigrated=remigrated,
-            rejected=rejected,
-            handshake_failures=failures,
+            migrated=counts[qid, "delta"],
+            remigrated=counts[qid, "closed_remigrate"],
+            rejected=counts[qid, "rejected"],
+            handshake_failures=counts[qid, "handshake_timeout"],
             final_placement=self.placement(),
         )
 
@@ -330,11 +341,13 @@ class Cluster:
         return [device.child(sensor) for sensor in dict.fromkeys(warm)]
 
     def warm_cache(self) -> None:
-        """Pre-experiment phase: sync each warm series not yet cached and let syncs finish."""
+        """Pre-experiment phase: check every named warm sensor against the edge
+        store (in every mode), sync each warm series not yet cached, let syncs finish."""
+        device = self.dataset.device
+        for sensor in self.scenario.warm_series:
+            if sensor != "*" and not self.edge_store.has_series(device.child(sensor)):
+                raise ScenarioError(f"warm series {device.child(sensor)} is not in the edge store")
         warm = self.warm_series_paths()
-        for series in warm:
-            if not self.edge_store.has_series(series):
-                raise ScenarioError(f"warm series {series} is not in the edge store")
         for series in warm:
             if str(series) not in self.cache.entries:
                 self._request_sync(str(series))
@@ -379,7 +392,7 @@ class Cluster:
 
     def _on_monitor_migrate(self) -> None:
         for ctx in self.contexts:
-            if ctx.running and not ctx.coordinator.migration_started:
+            if ctx.running and not ctx.migration_started:
                 ctx.start_migration()
 
     def _on_monitor_fallback(self) -> None:
@@ -424,8 +437,9 @@ class Cluster:
 
     def _build_report(self, label: str) -> MetricsReport:
         report = MetricsReport(run=label, mode=self.scenario.mode)
+        counts = self.telemetry.counts_by_query()
         for ctx in self.contexts:
-            report.queries.append(ctx.result(label))
+            report.queries.append(ctx.result(label, counts))
         if self.monitor is not None:
             report.decisions = list(self.monitor.decision_log)
         report.bytes_rows = list(self.link.iter_report_rows())

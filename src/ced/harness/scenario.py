@@ -22,7 +22,9 @@ below; presets construct them in code.  Every key is optional except
       "monitor_enabled": bool, "monitor_period_s": float,
       "forced_migration_at_rows": int | null,
       "forced_fallback_after_rows": int | null,
-      "warm_series": [sensor name, ...] or ["*"],
+      "warm_series": [sensor name, ...] or ["*"],   every name must be a sensor
+                     of the edge store; ["*"] and cloud_only mode warm the
+                     queried series,
       "seed": int
     }
 

@@ -21,15 +21,26 @@ The cloud producer runs one of two transmission modes, chosen by the plan
 (:func:`filter_above_leaf`): *predicate pushdown* runs the leaf's WHERE
 filter in the cloud and ships only matching rows; *block streaming* ships
 the leaf's blocks as they are.
+
+Every protocol fact is one event ``(time, kind, ChannelId)`` in
+:attr:`ProtocolTelemetry.events`, and every count (a cluster's switches
+and remigrations, a query's migrated, remigrated, rejected and
+handshake-failed channels) is derived from that log.  The edge records
+``request``, ``confirmed``, ``rejected``, ``delta``, ``probe``,
+``handshake_timeout``, ``streaming``, ``data_before_ack``,
+``cross_channel_block``, ``block`` (one per streamed block consumed) and
+``closed_complete`` / ``closed_remigrate``; the cloud records ``confirm``,
+``reject``, ``terminate_cloud_completed`` and ``terminate_remigration``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import LinkClosed, PlanError
-from .netsim import Engine, Envelope, Link, SimEvent, Signal, Timer
+from .errors import PlanError
+from .netsim import Engine, Envelope, Link, Signal, Timer
 from .queryplan import OperatorNode
 from .scanops import NOT_READY, PENDING, LogicalIndex, RemoteEnd, RemoteSource
 from .tsstore import SeriesPath, TsBlock
@@ -53,7 +64,6 @@ __all__ = [
     "Transport",
     "SinkChannel",
     "SourceChannel",
-    "MigrationCoordinator",
     "CloudGateway",
     "filter_above_leaf",
 ]
@@ -76,22 +86,27 @@ class ChannelPhase:
 
 @dataclass
 class ProtocolTelemetry:
-    """Counters shared by every channel of one simulated cluster."""
+    """The event log shared by every channel of one simulated cluster."""
 
-    requests: int = 0
-    confirmations: int = 0
-    rejections: int = 0
-    switches: int = 0
-    remigrations: int = 0
-    handshake_failures: int = 0
-    probes_sent: int = 0
-    data_before_ack: int = 0
-    cross_channel_blocks: int = 0
-    blocks_streamed: int = 0
-    events: list = field(default_factory=list)   # (time, kind, channel str)
+    events: list = field(default_factory=list)   # (time, kind, ChannelId)
 
     def record(self, time: float, kind: str, channel: ChannelId) -> None:
-        self.events.append((time, kind, str(channel)))
+        self.events.append((time, kind, channel))
+
+    def count(self, kind: str) -> int:
+        return sum(1 for _, k, _ in self.events if k == kind)
+
+    def counts_by_query(self) -> Counter:
+        """Events per ``(query id, kind)``, in one pass over the log."""
+        return Counter((channel.query_id, kind) for _, kind, channel in self.events)
+
+    @property
+    def switches(self) -> int:
+        return self.count("delta")
+
+    @property
+    def remigrations(self) -> int:
+        return self.count("closed_remigrate")
 
 
 class Transport:
@@ -171,7 +186,6 @@ class SinkChannel(RemoteSource):
         telemetry: ProtocolTelemetry,
         notify: Callable[[], None],
         on_confirmed: Callable[["SinkChannel"], None],
-        on_closed: Callable[["SinkChannel"], None],
     ):
         self.engine = engine
         self.transport = transport
@@ -182,12 +196,9 @@ class SinkChannel(RemoteSource):
         self.telemetry = telemetry
         self.notify = notify
         self.on_confirmed = on_confirmed
-        self.on_closed = on_closed
 
         self.phase = ChannelPhase.REQUESTED
-        self.rejected = False
         self.failed = False
-        self.outcome: Optional[str] = None
         self.activation_index: Optional[LogicalIndex] = None
         self.recv_queue: list = []        # TsBlock | RemoteEnd items in arrival order
         self.marker_seen = False
@@ -200,11 +211,11 @@ class SinkChannel(RemoteSource):
     # -- outbound ----------------------------------------------------------
 
     def send_request(self) -> None:
-        self.telemetry.requests += 1
-        self.telemetry.record(self.engine.now, "request", self.channel_id)
         self.transport.send_message(
             Message(MessageType.MIGRATION_REQUEST, self.channel_id, sql=self.sql)
         )
+        # recorded once sent: a closed link raises above, and no request left
+        self.telemetry.record(self.engine.now, "request", self.channel_id)
 
     def activate(self, index: LogicalIndex) -> None:
         """Ship the delta and begin the probe handshake (leaf just hit a boundary)."""
@@ -212,13 +223,12 @@ class SinkChannel(RemoteSource):
         self.phase = ChannelPhase.PROBING
         delta = DeltaState(self.channel_id, self.sql, index, Direction.EDGE_TO_CLOUD)
         self.transport.send_message(Message(MessageType.DELTA, self.channel_id, delta=delta))
-        self.telemetry.switches += 1
         self.telemetry.record(self.engine.now, "delta", self.channel_id)
         self._send_probe()
 
     def _send_probe(self) -> None:
         self._probe_attempts += 1
-        self.telemetry.probes_sent += 1
+        self.telemetry.record(self.engine.now, "probe", self.channel_id)
         probe = TsBlock.header_only(self.series)
         self.transport.send_message(
             Message(MessageType.PROBE, self.channel_id, block=probe), droppable=True
@@ -234,12 +244,11 @@ class SinkChannel(RemoteSource):
             return
         self.failed = True
         self.phase = ChannelPhase.TERMINATED
-        self.telemetry.handshake_failures += 1
         self.telemetry.record(self.engine.now, "handshake_timeout", self.channel_id)
         self.transport.send_message(
             Message(MessageType.CANCEL, self.channel_id, reason="handshake timeout")
         )
-        self.on_closed(self)
+        self.transport.unregister_channel(self.channel_id)
         self.notify()
 
     def cancel(self, reason: str) -> None:
@@ -250,7 +259,7 @@ class SinkChannel(RemoteSource):
             self._probe_timer.cancel()
         self.phase = ChannelPhase.TERMINATED
         self.transport.send_message(Message(MessageType.CANCEL, self.channel_id, reason=reason))
-        self.on_closed(self)
+        self.transport.unregister_channel(self.channel_id)
 
     # -- inbound --------------------------------------------------------------
 
@@ -259,22 +268,17 @@ class SinkChannel(RemoteSource):
             if self.phase == ChannelPhase.REQUESTED:
                 if msg.confirmation == self.channel_id.triple():
                     self.phase = ChannelPhase.CONFIRMED
-                    self.telemetry.confirmations += 1
                     self.telemetry.record(self.engine.now, "confirmed", self.channel_id)
                     self.on_confirmed(self)
                 else:
                     # not an echo of this request: a rejection, and the producer is released
-                    self.rejected = True
-                    self.telemetry.rejections += 1
                     self.telemetry.record(self.engine.now, "rejected", self.channel_id)
                     self.cancel("confirmation does not echo the request")
             self.notify()
         elif msg.type is MessageType.REJECTION:
-            self.rejected = True
             self.phase = ChannelPhase.TERMINATED
-            self.telemetry.rejections += 1
             self.telemetry.record(self.engine.now, "rejected", self.channel_id)
-            self.on_closed(self)
+            self.transport.unregister_channel(self.channel_id)
             self.notify()
         elif msg.type is MessageType.ACK:
             if not self.ack_seen:
@@ -286,9 +290,9 @@ class SinkChannel(RemoteSource):
             self.notify()
         elif msg.type is MessageType.DATA:
             if not self.ack_seen:
-                self.telemetry.data_before_ack += 1
+                self.telemetry.record(self.engine.now, "data_before_ack", self.channel_id)
             if str(msg.block.series_id) != str(self.series):
-                self.telemetry.cross_channel_blocks += 1
+                self.telemetry.record(self.engine.now, "cross_channel_block", self.channel_id)
             self.recv_queue.append(msg.block)
             self.max_queue_seen = max(self.max_queue_seen, len(self.recv_queue))
             self.notify()
@@ -310,79 +314,15 @@ class SinkChannel(RemoteSource):
         item = self.recv_queue.pop(0)
         if isinstance(item, RemoteEnd):
             self.phase = ChannelPhase.TERMINATED
-            self.outcome = item.kind
-            if item.kind == "remigrate":
-                self.telemetry.remigrations += 1
             self.telemetry.record(self.engine.now, f"closed_{item.kind}", self.channel_id)
-            self.on_closed(self)
+            self.transport.unregister_channel(self.channel_id)
             return item
-        self.telemetry.blocks_streamed += 1
+        self.telemetry.record(self.engine.now, "block", self.channel_id)
         return item
 
     def acknowledge_consumed(self) -> None:
         if not self.marker_seen and self.phase != ChannelPhase.TERMINATED:
             self.transport.send_message(Message(MessageType.CREDIT, self.channel_id))
-
-
-class MigrationCoordinator:
-    """Edge-side orchestration for one query: one channel per scan leaf."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        transport: Transport,
-        config: ChannelConfig,
-        telemetry: ProtocolTelemetry,
-        notify: Callable[[], None],
-    ):
-        self.engine = engine
-        self.transport = transport
-        self.config = config
-        self.telemetry = telemetry
-        self.notify = notify
-        self.channels: list[SinkChannel] = []
-        self._leaf_by_channel: dict[tuple, object] = {}
-        self.migration_started = False
-
-    def request_migration(
-        self,
-        sql: str,
-        channel_ids: list[ChannelId],
-        leaves: list,          # scan operator instances, same order as channel_ids
-    ) -> bool:
-        """Step 1: open one channel per leaf and send the quintuple + SQL."""
-        if self.migration_started:
-            return False
-        self.migration_started = True
-        try:
-            for channel_id, leaf in zip(channel_ids, leaves):
-                sink = SinkChannel(
-                    self.engine, self.transport, channel_id, sql,
-                    leaf.series, self.config, self.telemetry, self.notify,
-                    on_confirmed=lambda s, leaf=leaf: leaf.request_switch(s),
-                    on_closed=self._on_channel_closed,
-                )
-                self.channels.append(sink)
-                self._leaf_by_channel[channel_id.key()] = leaf
-                sink.send_request()
-        except LinkClosed:
-            # compensation: local execution simply continues
-            for sink in self.channels:
-                sink.phase = ChannelPhase.TERMINATED
-            self.migration_started = False
-            return False
-        return True
-
-    def _on_channel_closed(self, sink: SinkChannel) -> None:
-        self.transport.unregister_channel(sink.channel_id)
-
-    def cancel_open_channels(self, reason: str) -> None:
-        for sink in self.channels:
-            if sink.phase != ChannelPhase.TERMINATED:
-                sink.cancel(reason)
-        # a cancelled channel must not flip the leaf source afterwards
-        for leaf in self._leaf_by_channel.values():
-            leaf.pending_remote = None
 
 
 # --- cloud side ------------------------------------------------------------------------
@@ -417,10 +357,7 @@ class SourceChannel:
         self.leaf_op = None
         self.remigrate_requested = False
         self.cancelled = False
-        self.terminated = False
         self._wake = Signal(engine)
-        self._streaming = SimEvent(engine)
-        self._process = None
         transport.register_channel(channel_id, self.on_message)
 
     def on_message(self, msg: Message) -> None:
@@ -433,14 +370,12 @@ class SourceChannel:
                 self.transport.send_message(Message(MessageType.ACK, self.channel_id))
                 if self.phase == ChannelPhase.CONFIRMED:
                     self.phase = ChannelPhase.STREAMING
-                    self._process = self.engine.spawn(self._produce())
-                    self._streaming.trigger()
+                    self.engine.spawn(self._produce())
         elif msg.type is MessageType.CREDIT:
             self.credits += 1
             self._wake.notify()
         elif msg.type is MessageType.CANCEL:
             self.cancelled = True
-            self.terminated = True
             self.phase = ChannelPhase.TERMINATED
             self._wake.notify()
 
@@ -475,7 +410,7 @@ class SourceChannel:
             return True
         return (
             self.fallback_index is not None
-            and self.leaf_op.state.logical_index.value >= self.fallback_index
+            and self.leaf_op.logical_index.value >= self.fallback_index
             and self.root_op.has_next()
         )
 
@@ -511,16 +446,15 @@ class SourceChannel:
         return block
 
     def _terminate(self, reason: TerminateReason) -> None:
-        if self.terminated:
+        if self.phase == ChannelPhase.TERMINATED:
             return
-        self.terminated = True
         self.phase = ChannelPhase.TERMINATED
         delta = None
         if reason is TerminateReason.REMIGRATION:
             delta = DeltaState(
                 self.channel_id,
                 self.delta.sql,
-                self.leaf_op.state.export_index(),
+                self.leaf_op.export_index(),
                 Direction.CLOUD_TO_EDGE,
             )
         self.transport.send_message(
@@ -578,8 +512,8 @@ class CloudGateway:
 
     def request_remigration_all(self) -> None:
         for producer in self.channels.values():
-            if not producer.terminated:
+            if producer.phase != ChannelPhase.TERMINATED:
                 producer.request_remigration()
 
     def active_count(self) -> int:
-        return sum(1 for p in self.channels.values() if not p.terminated)
+        return sum(1 for p in self.channels.values() if p.phase != ChannelPhase.TERMINATED)

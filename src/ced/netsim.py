@@ -166,7 +166,6 @@ class Process:
         self.engine = engine
         self.gen = gen
         self.alive = True
-        self.done = SimEvent(engine)
         engine.schedule(0.0, lambda: self._step(None))
 
     def _step(self, send_value: Any) -> None:
@@ -174,9 +173,8 @@ class Process:
             return
         try:
             yielded = self.gen.send(send_value)
-        except StopIteration as stop:
+        except StopIteration:
             self.alive = False
-            self.done.trigger(stop.value)
             return
         if isinstance(yielded, SimEvent):
             yielded.add_callback(self._step)

@@ -358,7 +358,7 @@ class Catalog:
 class OperatorNode:
     """Logical plan node: scans are leaves, Filter is unary, Merge is n-ary."""
 
-    kind: str                      # series_scan | agg_scan | filter | project | merge
+    kind: str                      # series_scan | agg_scan | filter | merge
     params: tuple[tuple[str, object], ...]
     children: tuple["OperatorNode", ...] = ()
 

@@ -11,6 +11,7 @@ The shared base owns the whole switch:
   :class:`RemoteEnd` that either completes the scan (``complete``) or
   resumes it locally from the index it carries (``remigrate``, ``broken``);
 * ``resume_local``, through which the constructors also start;
+* ``export_index``, which hands out the logical index only at a boundary;
 * the counters ``rows_local`` (source rows read from local storage, the
   work the simulator charges CPU time for) and ``rows_remote``.
 
@@ -27,6 +28,11 @@ Each kind supplies its index kind and the local half: ``_open_local``
   boundary is "no partially aggregated window held"; chunks lying wholly
   before the window are skipped from metadata alone.
 
+The leaf holds its own state: the logical index, its source
+(``source_mode`` local, remote or done, and ``remote``), and the one unit
+in flight, a series scan's undelivered blocks of the current chunk or an
+aggregation's partially aggregated window.
+
 The remote side is any object with the small surface described by
 :class:`RemoteSource`; the migration machinery supplies the real one.
 """
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -58,12 +64,10 @@ __all__ = [
     "IndexKind",
     "LogicalIndex",
     "WindowSpec",
-    "ScanState",
     "skip_to_offset",
     "SeriesScanOp",
     "AggregationScanOp",
     "FilterOp",
-    "ProjectOp",
     "MergeOp",
     "ResultBlock",
     "RootAdapter",
@@ -164,25 +168,6 @@ class WindowSpec:
         return start, min(start + self.width, self.hi)
 
 
-@dataclass
-class ScanState:
-    """Execution state shared by both scan kinds; the exportable part is the index."""
-
-    logical_index: LogicalIndex
-    in_flight_blocks: list = field(default_factory=list)
-    source_mode: str = "local"                 # local | remote | done
-    remote: Optional[RemoteSource] = None
-    partial_window_accumulator: Optional[tuple] = None   # transient, never exported
-
-    def export_index(self) -> LogicalIndex:
-        if self.in_flight_blocks or self.partial_window_accumulator is not None:
-            raise GuardViolation(
-                f"{len(self.in_flight_blocks)} blocks or a partial window still in flight; "
-                "delta may only be packaged after full consumption"
-            )
-        return self.logical_index
-
-
 def skip_to_offset(cur_offset: int, iterator: ChunkIterator) -> int:
     """Position ``iterator`` at the first chunk not covered by ``cur_offset``.
 
@@ -231,7 +216,6 @@ class _ScanLeaf(_OperatorBase):
         self.rows_remote = 0      # rows received from the remote source
         self.boundary_listener: Optional[Callable[[], None]] = None
         self.pending_remote: Optional[RemoteSource] = None
-        self.state = ScanState(logical_index=start_index)
         self.resume_local(start_index)
 
     # -- migration hooks ----------------------------------------------------
@@ -245,54 +229,61 @@ class _ScanLeaf(_OperatorBase):
         if index.kind is not self.index_kind:
             raise IndexKindMismatch(f"{type(self).__name__} resumes from a {self.index_kind.value}")
         self._open_local(index)
-        state = self.state
-        state.source_mode = "local"
-        state.remote = None
-        state.logical_index = index
+        self.source_mode = "local"          # local | remote | done
+        self.remote: Optional[RemoteSource] = None
+        self.logical_index = index
+
+    def export_index(self) -> LogicalIndex:
+        """The index to resume from; only a boundary may be handed to the other tier."""
+        if not self.at_boundary():
+            raise GuardViolation(
+                f"{type(self).__name__} holds a unit in flight; "
+                "delta may only be packaged after full consumption"
+            )
+        return self.logical_index
 
     def _switch(self) -> None:
         remote = self.pending_remote
         self.pending_remote = None
-        index = self.state.export_index()    # guard: nothing in flight
-        self.state.source_mode = "remote"
-        self.state.remote = remote
+        index = self.export_index()
+        self.source_mode = "remote"
+        self.remote = remote
         remote.activate(index)
 
     # -- volcano ----------------------------------------------------------------
 
     def has_next(self) -> bool:
-        mode = self.state.source_mode
+        mode = self.source_mode
         if mode == "remote":
             return True     # until the termination marker is consumed
         return mode != "done" and self._has_local()
 
     def next_block(self):
-        state = self.state
-        if state.source_mode == "local" and self.pending_remote is not None and self.at_boundary():
+        if self.source_mode == "local" and self.pending_remote is not None and self.at_boundary():
             self._switch()
-        if state.source_mode == "remote":
+        if self.source_mode == "remote":
             return self._next_remote()
-        if state.source_mode == "done":
+        if self.source_mode == "done":
             return None
         return self._next_local()
 
     def _next_remote(self):
-        remote = self.state.remote
+        remote = self.remote
         result = remote.poll()
         if result is PENDING:
             return PENDING
         if isinstance(result, RemoteEnd):
             if result.kind == "complete":
-                self.state.source_mode = "done"
+                self.source_mode = "done"
                 return None
             # remigration or broken channel: continue locally from the index
-            index = result.final_index if result.final_index is not None else self.state.logical_index
+            index = result.final_index if result.final_index is not None else self.logical_index
             self.resume_local(index)
             if self.boundary_listener is not None:
                 self.boundary_listener()
             return self.next_block() if self.has_next() else None
         self.rows_remote += result.row_count
-        self.state.logical_index = self._index_after(result)
+        self.logical_index = self._index_after(result)
         remote.acknowledge_consumed()
         return result
 
@@ -325,6 +316,7 @@ class SeriesScanOp(_ScanLeaf):
         series: SeriesPath,
         start_index: Optional[LogicalIndex] = None,
     ):
+        self._in_flight: list[TsBlock] = []      # undelivered blocks of the current chunk
         self._current_chunk_rows = 0
         super().__init__(store, series, start_index or LogicalIndex.row_offset(0))
 
@@ -334,35 +326,35 @@ class SeriesScanOp(_ScanLeaf):
             skip_to_offset(index.value, self._iterator)
 
     def at_boundary(self) -> bool:
-        return not self.state.in_flight_blocks
+        return not self._in_flight
 
     def _has_local(self) -> bool:
         return (
-            bool(self.state.in_flight_blocks)
+            bool(self._in_flight)
             or self.pending_remote is not None
             or self._iterator.has_next()
         )
 
     def _next_local(self):
-        state = self.state
-        if not state.in_flight_blocks:
+        if not self._in_flight:
             if not self._iterator.has_next():
                 return None
             meta = self._iterator.advance()
-            state.in_flight_blocks = self.store.load_chunk_pages(meta)
+            self._in_flight = self.store.load_chunk_pages(meta)
             self._current_chunk_rows = meta.row_count
-        block = state.in_flight_blocks.pop(0)
+        block = self._in_flight.pop(0)
         self.rows_local += block.row_count
-        if not state.in_flight_blocks:
-            new_offset = state.logical_index.value + self._current_chunk_rows
-            state.logical_index = LogicalIndex.row_offset(new_offset)
+        if not self._in_flight:
+            self.logical_index = LogicalIndex.row_offset(
+                self.logical_index.value + self._current_chunk_rows
+            )
             self._current_chunk_rows = 0
             if self.boundary_listener is not None:
                 self.boundary_listener()
         return block
 
     def _index_after(self, block: TsBlock) -> LogicalIndex:
-        return LogicalIndex.row_offset(self.state.logical_index.value + block.row_count)
+        return LogicalIndex.row_offset(self.logical_index.value + block.row_count)
 
 
 class AggregationScanOp(_ScanLeaf):
@@ -377,14 +369,14 @@ class AggregationScanOp(_ScanLeaf):
         spec: WindowSpec,
         fn: str,
         start_index: Optional[LogicalIndex] = None,
-        label: Optional[str] = None,
     ):
         if fn not in ("count", "max_value"):
             raise ValueError(f"unsupported aggregate {fn!r}")
         self.spec = spec
         self.fn = fn
-        self.label = label or f"{fn}({series.leaf})"
         self.chunks_skipped = 0
+        # ((window start, end), (count, max)) of a window held across calls
+        self._partial: Optional[tuple] = None
         super().__init__(store, series, start_index or LogicalIndex.window_start(spec.lo))
         self._value_type = self._output_type()
 
@@ -405,10 +397,10 @@ class AggregationScanOp(_ScanLeaf):
         self._buf_pos = 0
 
     def at_boundary(self) -> bool:
-        return self.state.partial_window_accumulator is None
+        return self._partial is None
 
     def _has_local(self) -> bool:
-        return self.state.logical_index.value < self.spec.hi
+        return self.logical_index.value < self.spec.hi
 
     def _next_local(self):
         """Aggregate the current window a chunk buffer at a time, by bisection.
@@ -417,14 +409,13 @@ class AggregationScanOp(_ScanLeaf):
         returns NOT_READY with its running aggregate held.  Rows before the
         window start (a resume inside a chunk) are read but not aggregated.
         """
-        state = self.state
-        if state.logical_index.value >= self.spec.hi:
+        if self.logical_index.value >= self.spec.hi:
             return None
-        if state.partial_window_accumulator is None:
-            window_start, window_end = self.spec.window_at(state.logical_index.value)
+        if self._partial is None:
+            window_start, window_end = self.spec.window_at(self.logical_index.value)
             count, maximum = 0, None
         else:
-            (window_start, window_end), (count, maximum) = state.partial_window_accumulator
+            (window_start, window_end), (count, maximum) = self._partial
         loaded = False          # at most one chunk load per call
         iterator = self._iterator
         while True:
@@ -455,7 +446,7 @@ class AggregationScanOp(_ScanLeaf):
                 break                    # nothing more for this window
             if loaded:
                 # another chunk is needed; persist the running aggregate and yield
-                state.partial_window_accumulator = ((window_start, window_end), (count, maximum))
+                self._partial = ((window_start, window_end), (count, maximum))
                 return NOT_READY
             iterator.advance()
             blocks = self.store.load_chunk_pages(meta)
@@ -463,10 +454,10 @@ class AggregationScanOp(_ScanLeaf):
             self._buf_values = list(chain.from_iterable(b.values for b in blocks))
             self._buf_pos = 0
             loaded = True
-        state.partial_window_accumulator = None
+        self._partial = None
         result = count if self.fn == "count" else maximum
         block = TsBlock(self.series, [window_start], [result], self._value_type)
-        state.logical_index = LogicalIndex.window_start(
+        self.logical_index = LogicalIndex.window_start(
             window_end if window_end < self.spec.hi else self.spec.hi
         )
         if self.boundary_listener is not None:
@@ -574,25 +565,6 @@ class RootAdapter(_OperatorBase):
         if block is PENDING or block is NOT_READY or block is None:
             return block
         return ResultBlock(block.timestamps, [(self.column, block.value_type, block.values)])
-
-
-class ProjectOp(_OperatorBase):
-    """Column subset over ResultBlocks."""
-
-    def __init__(self, child: _OperatorBase, columns: Sequence[str]):
-        self.child = child
-        self.columns = list(columns)
-
-    def has_next(self) -> bool:
-        return self.child.has_next()
-
-    def next_block(self):
-        block = self.child.next_block()
-        if block is PENDING or block is NOT_READY or block is None:
-            return block
-        by_name = {name: (vt, values) for name, vt, values in block.columns}
-        picked = [(name, *by_name[name]) for name in self.columns]
-        return ResultBlock(block.timestamps, picked)
 
 
 class MergeOp(_OperatorBase):
@@ -746,7 +718,7 @@ def build_operator(
     if node.kind == "agg_scan":
         series = SeriesPath.parse(node.param("series"))
         spec = WindowSpec(node.param("lo"), node.param("hi"), node.param("width"))
-        op = AggregationScanOp(store, series, spec, node.param("fn"), label=node.param("label"))
+        op = AggregationScanOp(store, series, spec, node.param("fn"))
         if leaf_sink:
             leaf_sink(node, op)
         return op
@@ -756,9 +728,6 @@ def build_operator(
     if node.kind == "merge":
         children = [build_operator(c, store, leaf_sink) for c in node.children]
         return MergeOp(children, list(node.param("columns")))
-    if node.kind == "project":
-        child = build_operator(node.children[0], store, leaf_sink)
-        return ProjectOp(child, list(node.param("columns")))
     raise ValueError(f"unknown operator kind {node.kind!r}")
 
 
@@ -772,7 +741,7 @@ def root_column_label(node: OperatorNode) -> str:
 
 def as_result_stream(node: OperatorNode, op: _OperatorBase) -> _OperatorBase:
     """Ensure the tree root emits ResultBlocks for the client."""
-    if node.kind in ("merge", "project"):
+    if node.kind == "merge":
         return op
     return RootAdapter(op, root_column_label(node))
 

@@ -59,12 +59,12 @@ def test_leaf_mode_mixed_query():
 def test_request_carries_quintuple_and_sql_and_triple_echoes(tmp_path):
     scenario = make_scenario(forced_migration_at_rows=2000)
     cluster, report = run(scenario, tmp_path)
-    sink = cluster.contexts[0].coordinator.channels[0]
+    sink = cluster.contexts[0].channels[0]
     assert sink.channel_id == ChannelId("cloud", 9000, 1, 1, 1)
     assert sink.sql == TABLE_II["Q1"]
     # SinkChannel.on_message rejects a confirmation that does not echo the
     # request; reaching streaming proves it matched
-    assert cluster.telemetry.confirmations == 1
+    assert cluster.telemetry.count("confirmed") == 1
     assert report.queries[0].migrated == 1
 
 
@@ -78,7 +78,7 @@ def test_edge_continues_local_reading_until_confirmation(tmp_path):
         cost=CostModel(edge_cpu_cores=0.25),
     )
     cluster, report = run(scenario, tmp_path)
-    sink = cluster.contexts[0].coordinator.channels[0]
+    sink = cluster.contexts[0].channels[0]
     assert sink.activation_index is not None
     assert sink.activation_index.value > 1000      # kept reading past the trigger
     assert report.queries[0].rows == 5
@@ -90,9 +90,9 @@ def test_rejection_keeps_edge_local(tmp_path):
     q = report.queries[0]
     assert q.rejected == 1 and q.migrated == 0
     assert q.final_placement == "edge"
-    assert cluster.telemetry.rejections == 1
+    assert cluster.telemetry.count("rejected") == 1
     leaf = cluster.contexts[0].leaf_ops[0]
-    assert leaf.state.source_mode == "local"
+    assert leaf.source_mode == "local"
 
 
 def test_mismatched_confirmation_is_a_rejection(tmp_path):
@@ -111,12 +111,12 @@ def test_mismatched_confirmation_is_a_rejection(tmp_path):
     cluster.gateway._confirm = forged_confirm
     report = cluster.run()
     q = report.queries[0]
-    sink = cluster.contexts[0].coordinator.channels[0]
+    sink = cluster.contexts[0].channels[0]
     assert q.checksum == edge_baseline_checksum(scenario.queries[0].sql, small_workload(), tmp_path)
     assert (q.rejected, q.migrated) == (1, 0)
     assert q.final_placement == "edge"
     assert sink.activation_index is None and cluster.telemetry.switches == 0
-    assert cluster.telemetry.rejections == 1 and cluster.telemetry.confirmations == 0
+    assert cluster.telemetry.count("rejected") == 1 and cluster.telemetry.count("confirmed") == 0
     assert cluster.gateway.active_count() == 0     # the producer got CANCEL
 
 
@@ -125,7 +125,7 @@ def test_duplicate_request_is_idempotently_reconfirmed(tmp_path):
     cluster = make_cluster(scenario, tmp_path)
     report = cluster.run()
     assert report.queries[0].migrated == 1
-    sink = cluster.contexts[0].coordinator.channels[0]
+    sink = cluster.contexts[0].channels[0]
     from ced.wire import Message, MessageType
 
     before = cluster.telemetry.events.count
@@ -141,7 +141,7 @@ def test_duplicate_request_is_idempotently_reconfirmed(tmp_path):
 def test_delta_switch_lands_on_chunk_boundary(tmp_path):
     scenario = make_scenario(forced_migration_at_rows=2000)
     cluster, report = run(scenario, tmp_path)
-    sink = cluster.contexts[0].coordinator.channels[0]
+    sink = cluster.contexts[0].channels[0]
     assert sink.activation_index.value % 1000 == 0     # chunk-aligned
     assert sink.activation_index.value >= 2000
 
@@ -149,7 +149,7 @@ def test_delta_switch_lands_on_chunk_boundary(tmp_path):
 def test_migration_at_query_start_is_row_offset_zero(tmp_path):
     scenario = make_scenario(mode="cloud_only", warm_series=("t1",))
     cluster, report = run(scenario, tmp_path)
-    sink = cluster.contexts[0].coordinator.channels[0]
+    sink = cluster.contexts[0].channels[0]
     assert sink.activation_index.value == 0
     assert report.queries[0].migrated == 1
 
@@ -157,11 +157,23 @@ def test_migration_at_query_start_is_row_offset_zero(tmp_path):
 def test_aggregation_switch_exports_window_start(tmp_path):
     scenario = make_scenario(TABLE_II["Q4"], forced_migration_at_rows=1500)
     cluster, report = run(scenario, tmp_path)
-    sink = cluster.contexts[0].coordinator.channels[0]
+    sink = cluster.contexts[0].channels[0]
     from ced.scanops import IndexKind
 
     assert sink.activation_index.kind is IndexKind.WINDOW_START
     assert (sink.activation_index.value - 0) % 300_000 == 0
+
+
+def test_per_query_counts_come_from_that_query_s_channels(tmp_path):
+    scenario = make_scenario(
+        queries=(QuerySpec("Q1", TABLE_II["Q1"]), QuerySpec("Q2", TABLE_II["Q2"])),
+        warm_series=("t3",), forced_migration_at_rows=2000,
+    )
+    cluster, report = run(scenario, tmp_path)
+    q1, q2 = report.queries
+    assert (q1.rejected, q1.migrated) == (1, 0)      # t1 is not cached: a cache miss
+    assert (q2.migrated, q2.rejected) == (1, 0)
+    assert report.migrations == 1
 
 
 # --- handshake ---------------------------------------------------------------------------
@@ -170,9 +182,9 @@ def test_nominal_handshake_probe_then_ack_then_data(tmp_path):
     scenario = make_scenario(forced_migration_at_rows=2000)
     cluster, report = run(scenario, tmp_path)
     t = cluster.telemetry
-    assert t.probes_sent == 1
-    assert t.data_before_ack == 0
-    assert t.blocks_streamed > 0
+    assert t.count("probe") == 1
+    assert t.count("data_before_ack") == 0
+    assert t.count("block") > 0
     order = [kind for _, kind, _ in t.events]
     assert order.index("delta") < order.index("streaming")
 
@@ -188,9 +200,10 @@ def test_probe_lost_once_retry_succeeds(tmp_path):
             channel=ChannelConfig(probe_retries=3, probe_timeout_s=0.004),
         )
         cluster, report = run(scenario, tmp_path)
-        if cluster.telemetry.probes_sent >= 2 and cluster.telemetry.handshake_failures == 0:
+        t = cluster.telemetry
+        if t.count("probe") >= 2 and t.count("handshake_timeout") == 0:
             assert report.queries[0].migrated == 1
-            assert cluster.telemetry.data_before_ack == 0
+            assert t.count("data_before_ack") == 0
             return
     pytest.fail("no seed exercised the probe-retry path")
 
@@ -212,7 +225,7 @@ def test_all_probes_lost_edge_resumes_locally_exact(tmp_path):
             _, base_report = run(base_scenario, tmp_path)
             baseline = base_report.queries[0].checksum
         assert q.checksum == baseline, f"seed {seed} lost exactness"
-        if cluster.telemetry.handshake_failures:
+        if cluster.telemetry.count("handshake_timeout"):
             hit = True
             assert q.final_placement == "edge"
             assert q.handshake_failures == 1
@@ -232,7 +245,7 @@ def test_all_probes_lost_aggregation_resumes_locally_exact(tmp_path):
         cluster, report = run(scenario, tmp_path)
         q = report.queries[0]
         assert q.checksum == baseline, f"seed {seed} lost exactness"
-        if cluster.telemetry.handshake_failures:
+        if cluster.telemetry.count("handshake_timeout"):
             hit = True
             assert q.final_placement == "edge"
             assert q.handshake_failures == 1
@@ -248,8 +261,8 @@ def test_handshake_timeout_channel_reaches_terminated(tmp_path):
             channel=ChannelConfig(probe_retries=2, probe_timeout_s=0.003),
         )
         cluster, _ = run(scenario, tmp_path)
-        if cluster.telemetry.handshake_failures:
-            sink = cluster.contexts[0].coordinator.channels[0]
+        if cluster.telemetry.count("handshake_timeout"):
+            sink = cluster.contexts[0].channels[0]
             assert sink.phase == ChannelPhase.TERMINATED
             return
     pytest.fail("timeout path never exercised")
@@ -260,7 +273,7 @@ def test_handshake_timeout_channel_reaches_terminated(tmp_path):
 def test_stream_block_count_conservation(tmp_path):
     scenario = make_scenario(TABLE_II["Q3"], name="Q3", forced_migration_at_rows=2000)
     cluster, report = run(scenario, tmp_path)
-    sinks = cluster.contexts[0].coordinator.channels
+    sinks = cluster.contexts[0].channels
     produced = sum(p.leaf_op.rows_local for p in cluster.gateway.channels.values())
     received = sum(leaf.rows_remote for leaf in cluster.contexts[0].leaf_ops)
     assert produced == received > 0
@@ -270,7 +283,7 @@ def test_stream_block_count_conservation(tmp_path):
 def test_backpressure_queue_never_exceeds_depth(tmp_path):
     scenario = make_scenario(TABLE_II["Q3"], name="Q3", forced_migration_at_rows=1000)
     cluster, _ = run(scenario, tmp_path)
-    for sink in cluster.contexts[0].coordinator.channels:
+    for sink in cluster.contexts[0].channels:
         assert sink.max_queue_seen <= scenario.channel.queue_depth + 1  # +1: termination marker
 
 
@@ -281,10 +294,10 @@ def test_channel_isolation_under_concurrency(tmp_path):
         workload=small_workload(total_rows=4000),
     )
     cluster, report = run(scenario, tmp_path)
-    assert cluster.telemetry.cross_channel_blocks == 0
-    assert cluster.telemetry.blocks_streamed > 0
+    assert cluster.telemetry.count("cross_channel_block") == 0
+    assert cluster.telemetry.count("block") > 0
     # 4 queries x 2 scans -> 8 distinct quintuples
-    keys = {s.channel_id.key() for ctx in cluster.contexts for s in ctx.coordinator.channels}
+    keys = {s.channel_id.key() for ctx in cluster.contexts for s in ctx.channels}
     assert len(keys) == 8
 
 
@@ -292,7 +305,7 @@ def test_terminate_idempotent(tmp_path):
     scenario = make_scenario(forced_migration_at_rows=2000)
     cluster, _ = run(scenario, tmp_path)
     producer = next(iter(cluster.gateway.channels.values()))
-    assert producer.terminated
+    assert producer.phase == ChannelPhase.TERMINATED
     before = len(cluster.telemetry.events)
     from ced.wire import TerminateReason
 
@@ -308,8 +321,9 @@ def test_remigration_pipe_closes_only_after_blocks_consumed(tmp_path):
     cluster, report = run(scenario, tmp_path)
     q = report.queries[0]
     assert q.remigrated >= 1
-    for sink in cluster.contexts[0].coordinator.channels:
-        if sink.outcome == "remigrate":
+    remigrated = {ch for _, kind, ch in cluster.telemetry.events if kind == "closed_remigrate"}
+    for sink in cluster.contexts[0].channels:
+        if sink.channel_id in remigrated:
             assert not sink.recv_queue       # fully drained before close
     assert q.final_placement == "edge"
 
@@ -338,6 +352,7 @@ def test_transport_down_aborts_migration_and_query_completes(tmp_path):
     q = report.queries[0]
     assert q.migrated == 0
     assert q.checksum == base_report.queries[0].checksum
+    assert cluster.telemetry.count("request") == 0      # nothing was sent
 
 
 # --- pushdown economy --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every preset runs to completion at a small scale and stays exact across modes."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import make_cluster, make_scenario
 
 from ced.errors import ScenarioError
 from ced.harness import cli
+from ced.harness.metrics import emit
 from ced.harness.presets import list_presets, preset_runs
 from ced.harness.runtime import Cluster, run_scenario
 from ced.harness.scenario import load_scenario_file
@@ -17,21 +19,26 @@ QUERY_NAMES = ("Q1", "Q2", "Q3", "Q4", "Q5")      # Q1-Q3 scan series, Q4/Q5 agg
 
 
 @pytest.fixture(scope="module")
-def preset_results(tmp_path_factory):
-    """Query results of every run of a preset, computed once per module."""
+def preset_reports(tmp_path_factory):
+    """The report of every run of a preset, computed once per module."""
     cache = {}
 
-    def results(name):
+    def reports(name):
         if name not in cache:
             root = tmp_path_factory.mktemp(name)
             cache[name] = [
-                q
+                run_scenario(config.scaled(SCALE), root / str(i), run_label=label)
                 for i, (label, config) in enumerate(preset_runs(name))
-                for q in run_scenario(config.scaled(SCALE), root / str(i), run_label=label).queries
             ]
         return cache[name]
 
-    return results
+    return reports
+
+
+@pytest.fixture(scope="module")
+def preset_results(preset_reports):
+    """Query results of every run of a preset."""
+    return lambda name: [q for report in preset_reports(name) for q in report.queries]
 
 
 @pytest.mark.parametrize("name", list_presets())
@@ -43,6 +50,53 @@ def test_preset_completes_with_one_checksum_per_query(preset_results, name):
         assert q.end_s >= q.start_s
         checksums.setdefault(q.sql, set()).add(q.checksum)
     assert all(len(found) == 1 for found in checksums.values()), checksums
+
+
+# SHA-256 of the metrics.csv, decisions.csv and bytes.csv that each preset writes
+# at SCALE.  Simulated figures are model outputs, not targets: a change that
+# moves them re-records these digests on purpose and says why (ROADMAP aim 1).
+PRESET_CSV_DIGESTS = {
+    "bandwidth_sweep": {
+        "metrics": "c7d44124d2cc87797110c2ca9818982e9f19ba6fb20d2ccb2327371ad0c29d93",
+        "decisions": "0f241fe0fbe5512e071d8f663155d25fc796754ec13ef1b044e1fca9b8ea8c63",
+        "bytes": "94c807337a0de52df78c5ca056ecf91df2a47f36a12bb93311fc84498b789070",
+    },
+    "cache_sweep": {
+        "metrics": "8762be193461138bccb60642dbe3894ee6ad9e01b6f9857ce8ab1711da2486ad",
+        "decisions": "589559e1ece9738e3e102ab3b9ea6bab10b6b09d977bbbecd89d5c0f4af6830a",
+        "bytes": "322b9db48334f3ac4b693d0ce1197bb380ea556706ff39eb85e6eda922ceb7ab",
+    },
+    "cpu_sweep": {
+        "metrics": "b50e26a887658d22a99fb3ffaadb6b0c01c03a0176ca6665342881ac561934a7",
+        "decisions": "c04a22efa9265a520f4dc3a012c1769bea668bba8c36b04713225810be609a1b",
+        "bytes": "29b003d137956c54034a58d4552fa013f2bd1e53385390c59f5d5f8399ae30ca",
+    },
+    "forced_migration": {
+        "metrics": "415b19debc0c8f2601bbc1f4d279c820d2020548878c670931a2209e0e14321c",
+        "decisions": "0f241fe0fbe5512e071d8f663155d25fc796754ec13ef1b044e1fca9b8ea8c63",
+        "bytes": "79c09b6a6dbb310182340ba7a994775364ffb16ecd9085a8eda517b152a9bcef",
+    },
+    "io_sweep": {
+        "metrics": "bf2aeb9bfc7685f8f823576836618651928b88407a0215faf76838459cb35774",
+        "decisions": "0f241fe0fbe5512e071d8f663155d25fc796754ec13ef1b044e1fca9b8ea8c63",
+        "bytes": "6b0062b2c38c448be4b01014371f982a3bbb53026dce30f2204e8af8412cbc3c",
+    },
+    "query_sweep": {
+        "metrics": "f6a7f2318879244b4fda8ba6eb6d0c1777f87ce88e451253fd4de107e1ed8371",
+        "decisions": "0f241fe0fbe5512e071d8f663155d25fc796754ec13ef1b044e1fca9b8ea8c63",
+        "bytes": "5e4fbb64db58f11335dd264f996137f09eb99e4656e205d8f208761572adcb52",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list_presets())
+def test_preset_csvs_match_the_pinned_digests(preset_reports, tmp_path, name):
+    paths = emit(preset_reports(name), tmp_path)
+    digests = {kind: hashlib.sha256(path.read_bytes()).hexdigest() for kind, path in paths.items()}
+    assert digests == PRESET_CSV_DIGESTS[name], (
+        f"{name}: the simulated figures changed.  Re-recording PRESET_CSV_DIGESTS is a "
+        "deliberate re-baseline (ROADMAP aim 1): do it only with the reason in CHANGES.md"
+    )
 
 
 @pytest.mark.parametrize("name", ["query_sweep", "cpu_sweep"])
@@ -135,6 +189,14 @@ def test_duplicate_warm_sensors_sync_once(tmp_path):
 
 def test_unknown_warm_sensor_is_a_scenario_error_before_any_sync(tmp_path):
     cluster = make_cluster(make_scenario(warm_series=("t1", "t9")), tmp_path)
+    with pytest.raises(ScenarioError, match="t9"):
+        cluster.run()
+    assert cluster.link.byte_report() == {}
+
+
+def test_unknown_warm_sensor_is_a_scenario_error_in_cloud_only_mode(tmp_path):
+    # cloud_only warms the queried series, but a named sensor is still checked
+    cluster = make_cluster(make_scenario(mode="cloud_only", warm_series=("t9",)), tmp_path)
     with pytest.raises(ScenarioError, match="t9"):
         cluster.run()
     assert cluster.link.byte_report() == {}

@@ -63,7 +63,7 @@ def drain_scan(op):
         if block is None:
             return blocks, offsets
         blocks.append(block)
-        offsets.append(op.state.logical_index.value)
+        offsets.append(op.logical_index.value)
 
 
 # --- series scan -----------------------------------------------------------
@@ -188,7 +188,7 @@ def test_export_guard_rejects_in_flight_blocks(tmp_path):
     op = SeriesScanOp(store, S)
     op.next_block()   # one block of the chunk returned, one still in flight
     with pytest.raises(GuardViolation):
-        op.state.export_index()
+        op.export_index()
 
 
 # --- aggregation scan -------------------------------------------------------------
@@ -279,9 +279,9 @@ def test_export_guard_rejects_partial_window(tmp_path):
     store = build_store(tmp_path, [600, 900])
     op = AggregationScanOp(store, S, WindowSpec(0, 1500, 1500), "count")
     assert op.next_block() is NOT_READY      # window 0 needs a second chunk load
-    assert op.state.partial_window_accumulator is not None
+    assert not op.at_boundary()
     with pytest.raises(GuardViolation):
-        op.state.export_index()
+        op.export_index()
 
 
 # --- source switch, for either leaf -------------------------------------------------
@@ -298,7 +298,7 @@ SWITCH_LEAVES = {
 
 
 def _mid_unit(leaf):
-    return bool(leaf.state.in_flight_blocks) or leaf.state.partial_window_accumulator is not None
+    return not leaf.at_boundary()
 
 
 class StubRemote:
@@ -329,7 +329,7 @@ class StubRemote:
                 block = producer.next_block()
                 if block is not NOT_READY:
                     self.blocks.append(block)
-            self.final_index = producer.state.export_index()
+            self.final_index = producer.export_index()
         self.items = [PENDING, *self.blocks, RemoteEnd(self.end, self.final_index)]
 
     def poll(self):
@@ -352,20 +352,20 @@ def test_leaf_switch_to_remote_and_back_equals_fresh_scan(tmp_path, kind, end):
     while True:
         block = leaf.next_block()
         if block is PENDING:
-            assert leaf.state.source_mode == "remote"
+            assert leaf.source_mode == "remote"
             continue
         if block is None:
             break
         if block is not NOT_READY:
             out.extend(zip(block.timestamps, block.values))
-            if leaf.state.source_mode == "remote":
-                remote_indexes.append(leaf.state.logical_index.value)
+            if leaf.source_mode == "remote":
+                remote_indexes.append(leaf.logical_index.value)
         if armed_at is None and out and _mid_unit(leaf):
             # armed mid-chunk / mid-window: the switch waits for the boundary
-            armed_at = leaf.state.logical_index.value
+            armed_at = leaf.logical_index.value
             leaf.request_switch(remote)
     assert out == fresh
-    assert not leaf.has_next() and leaf.state.source_mode == "local"
+    assert not leaf.has_next() and leaf.source_mode == "local"
 
     [index] = remote.activated
     assert index.value > armed_at
@@ -384,7 +384,7 @@ def test_leaf_switch_to_remote_and_back_equals_fresh_scan(tmp_path, kind, end):
     assert remote.final_index.value <= fresh[-1][0]      # local rows follow the remote ones
 
 
-# --- filter / merge / project -----------------------------------------------------
+# --- filter / merge ----------------------------------------------------------------
 
 def test_filter_brute_force_oracle_single_match(tmp_path):
     store = build_store(tmp_path, [3000], value=lambda t: "v999" if t == 1700 else f"v{t % 999}")
@@ -651,20 +651,19 @@ class RowAggregationScanOp(AggregationScanOp):
         self._rows_ts, self._rows_values, self._rows_pos = [], [], 0
 
     def _next_local(self):
-        state = self.state
-        if state.logical_index.value >= self.spec.hi:
+        if self.logical_index.value >= self.spec.hi:
             return None
-        if state.partial_window_accumulator is None:
-            window_start, window_end = self.spec.window_at(state.logical_index.value)
+        if self._partial is None:
+            window_start, window_end = self.spec.window_at(self.logical_index.value)
             count, maximum = 0, None
         else:
-            (window_start, window_end), (count, maximum) = state.partial_window_accumulator
+            (window_start, window_end), (count, maximum) = self._partial
         loads_budget = 1
         while True:
             ts, value, loaded = self._peek_row(window_start, window_end, loads_budget)
             loads_budget -= loaded
             if ts == "defer":
-                state.partial_window_accumulator = ((window_start, window_end), (count, maximum))
+                self._partial = ((window_start, window_end), (count, maximum))
                 return NOT_READY
             if ts is None or ts >= window_end:
                 break
@@ -675,10 +674,10 @@ class RowAggregationScanOp(AggregationScanOp):
             count += 1
             if maximum is None or value > maximum:
                 maximum = value
-        state.partial_window_accumulator = None
+        self._partial = None
         block = TsBlock(self.series, [window_start], [count if self.fn == "count" else maximum],
                         self._value_type)
-        state.logical_index = LogicalIndex.window_start(min(window_end, self.spec.hi))
+        self.logical_index = LogicalIndex.window_start(min(window_end, self.spec.hi))
         return block
 
     def _peek_row(self, window_start, window_end, loads_budget):
