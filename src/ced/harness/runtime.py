@@ -112,10 +112,11 @@ class QueryContext:
                 self.channels.append(sink)
                 sink.send_request()
         except LinkClosed:
-            # compensation: local execution simply continues
+            # compensation: local execution simply continues.  A closed link
+            # stays closed, so migration_started stays set and nothing retries.
             for sink in self.channels:
                 sink.phase = ChannelPhase.TERMINATED
-            self.migration_started = False
+                cluster.edge_transport.unregister_channel(sink.channel_id)
 
     def placement(self) -> str:
         for leaf in self.leaf_ops:

@@ -33,7 +33,6 @@ __all__ = [
     "parse",
     "render",
     "plan",
-    "serialize_plan",
 ]
 
 AGGREGATE_FUNCTIONS = ("count", "max_value")
@@ -448,22 +447,3 @@ def _check_literal_type(predicate: Predicate, vt: ValueType) -> None:
         raise PlanError(f"sensor {predicate.sensor} is numeric, literal is a string")
     if vt is ValueType.BOOL and not isinstance(lit, (bool, int)):
         raise PlanError(f"sensor {predicate.sensor} is BOOL")
-
-
-def serialize_plan(node: OperatorNode) -> str:
-    """Canonical s-expression form; structural equality == string equality."""
-    params = " ".join(f"{k}={_fmt(v)}" for k, v in node.params)
-    if not node.children:
-        return f"({node.kind} {params})"
-    inner = " ".join(serialize_plan(child) for child in node.children)
-    return f"({node.kind} {params} {inner})" if params else f"({node.kind} {inner})"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return '"' + value.replace('"', '\\"') + '"'
-    if isinstance(value, tuple):
-        return "[" + ",".join(_fmt(v) for v in value) + "]"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

@@ -40,6 +40,7 @@ The remote side is any object with the small surface described by
 from __future__ import annotations
 
 import enum
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
@@ -72,7 +73,6 @@ __all__ = [
     "ResultBlock",
     "RootAdapter",
     "build_operator",
-    "collect_rows",
 ]
 
 
@@ -469,7 +469,16 @@ class AggregationScanOp(_ScanLeaf):
 
 
 class FilterOp(_OperatorBase):
-    """Row filter preserving order, re-batching output to <= BLOCK_ROWS rows."""
+    """Row filter preserving order, re-batching output to <= BLOCK_ROWS rows.
+
+    A row is kept when its value is not None and ``value <op> literal``.  An
+    equality filter with a bool, int, float or str literal that equals itself
+    finds its matches with repeated ``list.index``, one C-level scan per
+    block: that compares ``value == literal`` in the same direction as the
+    row loop, its identity shortcut agrees with ``==`` for such a literal, and
+    a ``None`` value never equals one.  A NaN literal, which does not equal
+    itself, and the other operators take the row loop.
+    """
 
     def __init__(self, child: _OperatorBase, op: str, literal, series: Optional[SeriesPath] = None):
         self.child = child
@@ -483,6 +492,9 @@ class FilterOp(_OperatorBase):
         self._buf_values: list = []
         self._child_done = False
         self._compare = _comparator(op)
+        self._find_equal = (
+            op == "=" and type(literal) in (bool, int, float, str) and literal == literal
+        )
 
     def has_next(self) -> bool:
         return bool(self._buf_ts) or (not self._child_done and self.child.has_next())
@@ -505,11 +517,22 @@ class FilterOp(_OperatorBase):
         self._value_type = block.value_type
         self.rows_in += block.row_count
         literal = self.literal
-        compare = self._compare
-        for ts, value in zip(block.timestamps, block.values):
-            if value is not None and compare(value, literal):
-                self._buf_ts.append(ts)
-                self._buf_values.append(value)
+        if self._find_equal:
+            timestamps, values = block.timestamps, block.values
+            i = -1
+            try:
+                while True:
+                    i = values.index(literal, i + 1)
+                    self._buf_ts.append(timestamps[i])
+                    self._buf_values.append(values[i])
+            except ValueError:
+                pass
+        else:
+            compare = self._compare
+            for ts, value in zip(block.timestamps, block.values):
+                if value is not None and compare(value, literal):
+                    self._buf_ts.append(ts)
+                    self._buf_values.append(value)
         if len(self._buf_ts) >= BLOCK_ROWS:
             return self._emit()
         return NOT_READY
@@ -689,18 +712,14 @@ class MergeOp(_OperatorBase):
         return state
 
 
+_COMPARATORS = {"=": operator.eq, "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
 def _comparator(op: str) -> Callable:
-    if op == "=":
-        return lambda a, b: a == b
-    if op == "<":
-        return lambda a, b: a < b
-    if op == ">":
-        return lambda a, b: a > b
-    if op == "<=":
-        return lambda a, b: a <= b
-    if op == ">=":
-        return lambda a, b: a >= b
-    raise ValueError(f"unknown comparison {op!r}")
+    try:
+        return _COMPARATORS[op]
+    except KeyError:
+        raise ValueError(f"unknown comparison {op!r}") from None
 
 
 def build_operator(
@@ -744,28 +763,3 @@ def as_result_stream(node: OperatorNode, op: _OperatorBase) -> _OperatorBase:
     if node.kind == "merge":
         return op
     return RootAdapter(op, root_column_label(node))
-
-
-def collect_rows(op: _OperatorBase, pump: Optional[Callable[[], None]] = None) -> list:
-    """Drain an operator synchronously (tests / local-only paths).
-
-    ``pump`` advances the surrounding simulation when a PENDING shows up;
-    without one, PENDING is an error because nothing can make progress.
-    """
-    rows = []
-    while True:
-        block = op.next_block()
-        if block is NOT_READY:
-            continue
-        if block is PENDING:
-            if pump is None:
-                raise RuntimeError("operator pending with no way to make progress")
-            pump()
-            continue
-        if block is None:
-            return rows
-        if isinstance(block, ResultBlock):
-            for i, ts in enumerate(block.timestamps):
-                rows.append((ts, tuple(values[i] for _, _, values in block.columns)))
-        else:
-            rows.extend(zip(block.timestamps, block.values))

@@ -156,9 +156,6 @@ class SeriesPath:
     def leaf(self) -> str:
         return self.segments[-1]
 
-    def starts_with(self, prefix: "SeriesPath") -> bool:
-        return self.segments[: len(prefix.segments)] == prefix.segments
-
     def __str__(self) -> str:
         return ".".join(self.segments)
 
@@ -481,10 +478,6 @@ class SeriesStore:
         state.mem_ts.extend(timestamps)
         state.mem_values.extend(values)
         state.last_ts = timestamps[-1]
-
-    def memtable_len(self, series: SeriesPath) -> int:
-        state = self._series.get(str(series))
-        return len(state.mem_ts) if state else 0
 
     def flush(self, series: SeriesPath, chunk_target_rows: Optional[int] = None) -> TsFileHandle:
         """Persist the memtable as one file of chunk_target-row chunks; clears the memtable."""

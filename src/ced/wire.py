@@ -11,10 +11,12 @@ ValueType) followed by its value; a nullable cell prefixes a presence byte:
 
 Each cell is tagged by its value's Python type.  The result checksum
 (``ChecksumBuilder`` in ``ced.harness.metrics``) hashes ``ts i64 | cell*`` per
-row, one cell per column, with the same cell encoder (``encode_cells``).
-A column whose values share one exact Python type is packed a column at a
-time (``_pack_column`` for blocks, ``encode_cells`` for the checksum); a
-column with ``None`` or mixed types is packed cell by cell, to the same bytes.
+row, one cell per column.  Where the values of a column share one exact
+Python type, cells are packed with one cached ``Struct`` call, not one per
+cell: a block's column by ``_pack_column``, and the checksum's rows by
+``encode_rows`` when every column has one type among bool, int, float and
+str.  Other columns, ``None`` cells included, are packed cell by cell
+(``encode_cells``), to the same bytes.
 
 Decoded DATA blocks are memoized in ``ced.tsstore.decode_memo``, keyed by
 their payload bytes (``_decode_data``): concurrent queries that stream the
@@ -59,6 +61,7 @@ import functools
 import operator
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .codec import F64, I64, U8, U16, U32, Reader, write_blob, write_text
@@ -75,6 +78,7 @@ __all__ = [
     "encode_scalar",
     "read_scalar",
     "encode_cells",
+    "encode_rows",
     "encode_block",
     "decode_block",
     "encode_message",
@@ -235,6 +239,76 @@ def encode_cells(values) -> list[bytes]:
         return [_CELL_PACKERS[type(v)](v) for v in values]
     except KeyError as exc:
         raise TypeError(f"cannot encode {exc.args[0].__name__}") from None
+
+
+# Cell layout per exact Python type, for packing whole rows; a str cell packs
+# its head (the UTF-8 length in the value's place), and its body goes after it.
+_ROW_LAYOUTS = {**_FIXED_LAYOUTS, str: ("BBI", _STRING)}
+_ROW_KINDS = frozenset(_ROW_LAYOUTS)
+
+
+@functools.lru_cache(maxsize=64)
+def _rows_codec(kinds: tuple, n: int) -> tuple[tuple, struct.Struct, Optional[struct.Struct]]:
+    """How to pack ``n`` rows of ``ts i64 | cell*`` whose columns hold exactly ``kinds``.
+
+    Returns one row's packing arguments with ``None`` where the timestamp and
+    each value go; the ``Struct`` over every row's fixed-width fields; and,
+    when a column is str, a ``Struct`` of ``Ns`` pieces that splits the packed
+    bytes just after each string cell head, where that cell's body goes.
+    """
+    row_args: tuple = (None,)
+    codes = "q"
+    heads_end = []              # offsets within a row just past each string cell head
+    for kind in kinds:
+        code, tag = _ROW_LAYOUTS[kind]
+        row_args += (1, tag, None)
+        codes += code
+        if kind is str:
+            heads_end.append(struct.calcsize("<" + codes))
+    packer = struct.Struct("<" + codes * n)
+    if not heads_end:
+        return row_args, packer, None
+    row_size = struct.calcsize("<" + codes)
+    inner = [b - a for a, b in zip(heads_end, heads_end[1:])]
+    pieces = [heads_end[0]]
+    pieces += (inner + [row_size - heads_end[-1] + heads_end[0]]) * (n - 1)
+    pieces += inner + [row_size - heads_end[-1]]
+    return row_args, packer, struct.Struct("<" + "".join(f"{p}s" for p in pieces))
+
+
+def encode_rows(timestamps, columns) -> Optional[bytes]:
+    """``ts i64 | cell*`` per row, one cell per column, in one ``Struct`` call.
+
+    Returns None unless every column's values share one exact Python type
+    among bool, int, float and str; the caller then packs cell by cell.
+    String bodies are interleaved with the pieces of the packed fixed-width
+    fields and joined once.
+    """
+    kinds = tuple(map(_column_type, columns))
+    if not _ROW_KINDS.issuperset(kinds):
+        return None
+    n = len(timestamps)
+    row_args, packer, splitter = _rows_codec(kinds, n)
+    width = len(row_args)
+    flat = list(row_args) * n
+    flat[0::width] = timestamps
+    if splitter is None:        # no str column: the packed fields are the rows
+        for slot, values in enumerate(columns, 1):
+            flat[3 * slot::width] = values
+        return packer.pack(*flat)
+    bodies = []
+    for slot, (kind, values) in enumerate(zip(kinds, columns), 1):
+        if kind is str:
+            raws = list(map(str.encode, values))
+            flat[3 * slot::width] = map(len, raws)
+            bodies.append(raws)
+        else:
+            flat[3 * slot::width] = values
+    pieces = splitter.unpack(packer.pack(*flat))
+    parts: list = [None] * (2 * len(pieces) - 1)
+    parts[0::2] = pieces
+    parts[1::2] = bodies[0] if len(bodies) == 1 else chain.from_iterable(zip(*bodies))
+    return b"".join(parts)
 
 
 def encode_scalar(out: bytearray, value) -> None:

@@ -1,0 +1,98 @@
+"""Check every preset's CSVs at full scale against pinned SHA-256 digests.
+
+    PYTHONPATH=src python tests/check_full_scale_digests.py [PRESET ...]
+
+Runs each named preset (all six by default) as ``ced run --scenario PRESET
+--scale 1`` would, into a temporary directory, and compares the SHA-256 of
+its ``metrics.csv``, ``decisions.csv`` and ``bytes.csv`` with
+``FULL_SCALE_DIGESTS``.  Exits 1 if any differs, naming the preset and
+printing the digests it found.  Tier-1 pins the same three files at a small
+scale (``tests/test_presets.py``); this check covers the scale the presets
+are reported at.  It takes about 9 s on a 2-core VM.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from ced.harness import cli
+from ced.harness.presets import list_presets
+
+# Simulated figures are model outputs, not targets: a change that moves them
+# re-records these digests on purpose and says why in CHANGES.md.
+FULL_SCALE_DIGESTS = {
+    "bandwidth_sweep": {
+        "metrics": "b3c04fe06e61c887114bf8f9a99850c200b2a84931b4a1dc0ace4ec7e3c1bb58",
+        "decisions": "0f241fe0fbe5512e071d8f663155d25fc796754ec13ef1b044e1fca9b8ea8c63",
+        "bytes": "48b596d313edc22451a4e26cd50647dd5298093c61927a9b149476c541e287d7",
+    },
+    "cache_sweep": {
+        "metrics": "889375f0e8fc6308d120f4f04d85bd8f43f30d0ca982ca78463c44b42b950262",
+        "decisions": "f74b313993a669bf6650836fd4f2ebe9f030a15f78a358f5fc379c987f98f87c",
+        "bytes": "e3d538a799f7f8fc95a65a22cf7184094aad4c4a74a0641ec2c0bdc41a8f2f72",
+    },
+    "cpu_sweep": {
+        "metrics": "c818dab9af42d06013a9d97e20afaea013cb9458319f2d68edbf2c46e7721a77",
+        "decisions": "d17be3c9c6bd21563536cad0340b864eac937583af7463686f9e2e07113c2b9e",
+        "bytes": "832b46c0e73d6dc41ea57f318ef140a907c4a134b3cef12887a85aec6171ac7e",
+    },
+    "forced_migration": {
+        "metrics": "1b04e46eda4867587d8a6a0858cea1821c4c7a85053a2ef890b9a4a7ea6e5d93",
+        "decisions": "0f241fe0fbe5512e071d8f663155d25fc796754ec13ef1b044e1fca9b8ea8c63",
+        "bytes": "270529736ca2a2b941aba1502703719324bd3ad5af19bc90a369e52fd965b614",
+    },
+    "io_sweep": {
+        "metrics": "8679515dea7b4baef5f46af35cac8aa2b50029f67c9ce9b4e20202e6c2978387",
+        "decisions": "ae998b8873d5a1bc5305ce8ccf3e30105c7f2d74ba413bda07dd6d81558248cd",
+        "bytes": "a6e4fbd576cc34f8fe5abe966d1ba18e161a6da5cb1a8ff5266ebefbc05d2970",
+    },
+    "query_sweep": {
+        "metrics": "3b042fe2ef39e70638215a8c926f5c4a77fc4b933acef6610684a428a5567a78",
+        "decisions": "0f241fe0fbe5512e071d8f663155d25fc796754ec13ef1b044e1fca9b8ea8c63",
+        "bytes": "5834638c3285a8c296f9f4a87d772de4406b49fb44646bc6c749440a8ec8bf44",
+    },
+}
+
+
+def preset_digests(name: str) -> dict[str, str]:
+    """SHA-256 of each CSV that ``ced run --scenario name --scale 1`` writes."""
+    with tempfile.TemporaryDirectory(prefix="ced-digests-") as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["run", "--scenario", name, "--scale", "1", "--out", out])
+        if status != 0:
+            raise SystemExit(f"{name}: ced run exited with status {status}")
+        return {
+            kind: hashlib.sha256((Path(out) / f"{kind}.csv").read_bytes()).hexdigest()
+            for kind in ("metrics", "decisions", "bytes")
+        }
+
+
+def main(argv: list[str]) -> int:
+    names = argv or list_presets()
+    failed = []
+    for name in names:
+        found = preset_digests(name)
+        if found == FULL_SCALE_DIGESTS.get(name):
+            print(f"{name}: full-scale CSVs match the pinned digests")
+            continue
+        failed.append(name)
+        print(f"{name}: full-scale CSVs differ from the pinned digests; found:")
+        for kind, digest in found.items():
+            print(f'        "{kind}": "{digest}",')
+    if failed:
+        print(
+            f"simulated figures changed for {', '.join(failed)}.  Re-recording "
+            "FULL_SCALE_DIGESTS is a deliberate re-baseline: do it only with the "
+            "reason in CHANGES.md"
+        )
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -353,6 +353,10 @@ def test_transport_down_aborts_migration_and_query_completes(tmp_path):
     assert q.migrated == 0
     assert q.checksum == base_report.queries[0].checksum
     assert cluster.telemetry.count("request") == 0      # nothing was sent
+    # the closed link is not retried: no channel is left registered, and at most one per leaf
+    ctx = cluster.contexts[0]
+    assert cluster.edge_transport._channel_handlers == {}
+    assert len(ctx.channels) <= len(ctx.leaf_ops)
 
 
 # --- pushdown economy --------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from ced.queryplan import (
     parse,
     plan,
     render,
-    serialize_plan,
 )
 from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
 
@@ -23,6 +22,25 @@ Q4 = "SELECT count(t1) FROM dev GROUP BY 5m"
 Q5 = "SELECT max_value(t3) FROM dev GROUP BY 5m"
 
 DEV = SeriesPath.parse("root.ln.edge1.dev")
+
+
+def serialize_plan(node) -> str:
+    """Canonical s-expression form; structural equality == string equality."""
+    params = " ".join(f"{k}={_fmt(v)}" for k, v in node.params)
+    if not node.children:
+        return f"({node.kind} {params})"
+    inner = " ".join(serialize_plan(child) for child in node.children)
+    return f"({node.kind} {params} {inner})" if params else f"({node.kind} {inner})"
+
+
+def _fmt(value) -> str:
+    if isinstance(value, str):
+        return '"' + value.replace('"', '\\"') + '"'
+    if isinstance(value, tuple):
+        return "[" + ",".join(_fmt(v) for v in value) + "]"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def make_catalog(bounds=(0, 9_999)):

@@ -21,7 +21,6 @@ from ced.scanops import (
     SeriesScanOp,
     WindowSpec,
     build_operator,
-    collect_rows,
     skip_to_offset,
 )
 from ced.tsstore import BLOCK_ROWS, DataPoint, SeriesPath, SeriesStore, TsBlock, ValueType
@@ -41,6 +40,25 @@ def build_store(tmp_path, chunk_rows_list, value=lambda i: float(i), start_ts=0,
     return store
 
 
+
+
+def collect_rows(op) -> list:
+    """Drain an operator synchronously into (ts, value) rows, or (ts, values) for a
+    ResultBlock; PENDING is an error, because nothing here can make progress."""
+    rows = []
+    while True:
+        block = op.next_block()
+        if block is NOT_READY:
+            continue
+        if block is PENDING:
+            raise RuntimeError("operator pending with no way to make progress")
+        if block is None:
+            return rows
+        if isinstance(block, ResultBlock):
+            for i, ts in enumerate(block.timestamps):
+                rows.append((ts, tuple(values[i] for _, _, values in block.columns)))
+        else:
+            rows.extend(zip(block.timestamps, block.values))
 
 
 def drain_blocks(op):
@@ -406,6 +424,38 @@ def test_filter_rebatches_to_block_rows(tmp_path):
     filt = FilterOp(SeriesScanOp(store, S), "=", 1.0)
     sizes = [b.row_count for b in drain_blocks(filt)]
     assert sizes == [1000, 500]
+
+
+NAN = float("nan")      # one NaN object, so a NaN literal can be the very object a row holds
+FILTER_POOL = [None, NAN, float("nan"), 0, 1, 2, True, False, 0.0, -0.0, 1.0, 2.5, "a", "", "ü"]
+FILTER_LITERALS = [0, 1, True, False, 0.0, -0.0, 1.0, 2.5, "a", "", "ü", NAN, float("nan")]
+
+
+def _reference_filter(blocks, literal):
+    """The row loop: a row is kept when its value is not None and ``value == literal``."""
+    return [(ts, value) for block in blocks for ts, value in zip(block.timestamps, block.values)
+            if value is not None and value == literal]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pattern=st.lists(st.sampled_from(FILTER_POOL), min_size=1, max_size=30),
+    sizes=st.lists(st.integers(min_value=1, max_value=BLOCK_ROWS), min_size=1, max_size=4),
+    literal=st.sampled_from(FILTER_LITERALS),
+)
+def test_equality_filter_keeps_the_rows_of_the_row_loop(pattern, sizes, literal):
+    blocks, ts = [], 0
+    for n in sizes:
+        blocks.append(TsBlock(S, list(range(ts, ts + n)),
+                              [pattern[i % len(pattern)] for i in range(ts, ts + n)],
+                              ValueType.FLOAT64))
+        ts += n
+    filt = FilterOp(ScriptedChild("s", blocks, []), "=", literal)
+    out = [(t, v) for block in drain_blocks(filt) for t, v in zip(block.timestamps, block.values)]
+    expected = _reference_filter(blocks, literal)
+    # the same rows, and in each the very value object the child produced
+    assert [(t, id(v)) for t, v in out] == [(t, id(v)) for t, v in expected]
+    assert (filt.rows_in, filt.rows_out) == (ts, len(expected))
 
 
 def test_merge_identical_timestamps_two_columns(tmp_path):
