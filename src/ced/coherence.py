@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from .codec import I64, U32, U64, Reader, write_blob, write_text
 from .errors import MalformedMessage
-from .tsstore import SeriesPath, SeriesStore, ValueType, strictly_increasing
-from .wire import encode_scalar, read_scalar
+from .tsstore import SeriesPath, SeriesStore, ValueType
 
 __all__ = [
     "CloudCache",
@@ -47,11 +46,11 @@ class CloudCache:
 #
 #   snapshot := series u16+utf8 | seq u64
 #               | vt_present u8 [vt u8] | last_ts_present u8 [i64] | file_counter u32
-#               | file_count u32 | (name u16+utf8 | blob u32+bytes)*
-#               | mem_count u32 | (ts i64 | typed scalar)*
+#               | file_count u32 | (name u16+utf8 | blob u32+bytes)* | mem_count u32
 #
-# ``seq`` is always 0.  Snapshot bytes are counted as link bytes, so the
-# field stays until the simulated figures are next re-baselined.
+# ``seq`` and ``mem_count`` are always 0: a snapshot carries flushed files
+# only.  Snapshot bytes are counted as link bytes, so the two fields stay
+# until the simulated figures are next re-baselined.
 
 def encode_snapshot(snapshot: dict) -> bytes:
     out = bytearray()
@@ -66,10 +65,7 @@ def encode_snapshot(snapshot: dict) -> bytes:
     for name, blob in snapshot["files"]:
         write_text(out, name)
         write_blob(out, blob)
-    out += U32.pack(len(snapshot["mem_ts"]))
-    for ts, value in zip(snapshot["mem_ts"], snapshot["mem_values"]):
-        out += I64.pack(ts)
-        encode_scalar(out, value)
+    out += U32.pack(0)
     return bytes(out)
 
 
@@ -84,18 +80,13 @@ def decode_snapshot(buf: bytes) -> dict:
     last_ts = r.i64() if r.u8() else None
     file_counter = r.u32()
     files = [(r.text(), r.blob()) for _ in range(r.u32())]
-    mem_ts, mem_values = [], []
-    for _ in range(r.u32()):
-        mem_ts.append(r.i64())
-        mem_values.append(read_scalar(r))
+    mem_count = r.u32()
+    if mem_count:
+        raise r.fail(f"{series}: snapshot mem_count is {mem_count}, not 0")
     r.done()
-    if not strictly_increasing(mem_ts):
-        raise r.fail(f"{series}: memtable timestamps do not strictly increase")
     return {
         "series": series,
         "files": files,
-        "mem_ts": mem_ts,
-        "mem_values": mem_values,
         "value_type": vt,
         "last_ts": last_ts,
         "file_counter": file_counter,

@@ -11,14 +11,12 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-from ..codec import I64
 from ..scanops import ResultBlock
 from ..tsstore import BLOCK_ROWS
-from ..wire import encode_cells, encode_rows
+from ..wire import encode_rows
 
 __all__ = ["ChecksumBuilder", "QueryResult", "MetricsReport", "emit"]
 
@@ -31,9 +29,9 @@ class ChecksumBuilder:
     encoded by its value's Python type, so the digest does not depend on the
     declared column types or on how rows are split into blocks.
 
-    Rows are packed ``BLOCK_ROWS`` at a time, in one ``encode_rows`` call when
-    every column holds one type among bool, int, float and str, and cell by
-    cell otherwise (``None`` cells, mixed types), to the same bytes.
+    Rows are packed ``BLOCK_ROWS`` at a time, in one ``encode_rows`` call; a
+    column with ``None`` cells or mixed types is packed cell by cell there,
+    and the other columns are not, to the same bytes.
     """
 
     def __init__(self) -> None:
@@ -44,21 +42,14 @@ class ChecksumBuilder:
         timestamps = block.timestamps
         columns = [values for _name, _vt, values in block.columns]
         if len(timestamps) <= BLOCK_ROWS:
-            self._hash_rows(timestamps, columns)
+            self._hash.update(encode_rows(timestamps, columns))
         else:
             # BLOCK_ROWS rows at a time, so that peak memory does not grow
             # with the size of the block
             for lo in range(0, len(timestamps), BLOCK_ROWS):
                 hi = lo + BLOCK_ROWS
-                self._hash_rows(timestamps[lo:hi], [values[lo:hi] for values in columns])
+                self._hash.update(encode_rows(timestamps[lo:hi], [values[lo:hi] for values in columns]))
         self.rows += len(timestamps)
-
-    def _hash_rows(self, timestamps: list, columns: list) -> None:
-        rows = encode_rows(timestamps, columns)
-        if rows is None:
-            cells = map(encode_cells, columns)
-            rows = b"".join(chain.from_iterable(zip(map(I64.pack, timestamps), *cells)))
-        self._hash.update(rows)
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()

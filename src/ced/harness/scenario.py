@@ -127,6 +127,19 @@ class ScenarioConfig:
             raise ScenarioError("background_io_duty must be in [0, 1)")
         if self.cpu_load < 0:
             raise ScenarioError("cpu_load must be >= 0")
+        if not (0.0 <= self.cpu_hog_duty < 1.0):
+            raise ScenarioError("cpu_hog_duty must be in [0, 1)")
+        if self.monitor_period_s <= 0:
+            raise ScenarioError("monitor_period_s must be > 0")
+        for name in ("forced_migration_at_rows", "forced_fallback_after_rows"):
+            if (getattr(self, name) or 0) < 0:
+                raise ScenarioError(f"{name} must be >= 0")
+        if self.channel.queue_depth < 1:
+            raise ScenarioError("channel.queue_depth must be >= 1")
+        if self.channel.probe_timeout_s <= 0:
+            raise ScenarioError("channel.probe_timeout_s must be > 0")
+        if self.channel.probe_retries < 0:
+            raise ScenarioError("channel.probe_retries must be >= 0")
         if self.mode == CLOUD_ONLY and not self.warm_series:
             raise ScenarioError("cloud_only runs require warm_series (cache must hold the data)")
 

@@ -55,6 +55,9 @@ class WorkloadConfig:
             raise ScenarioError("total_rows must be >= 1")
         if not (0 <= self.effective_plant_count <= self.total_rows):
             raise ScenarioError("plant_count out of range")
+        for name in ("string_pool", "chunk_target_rows", "page_rows"):
+            if getattr(self, name) < 1:
+                raise ScenarioError(f"{name} must be >= 1")
 
     @property
     def effective_plant_count(self) -> int:

@@ -21,11 +21,14 @@ On-disk format (all integers little-endian):
               | value_type u8 | row_count u32 | min_ts i64 | max_ts i64
     footer := index_offset u64 | magic "CEDF"
 
-The fields are ``ced.codec``'s.  Bytes that break this grammar (a field cut
-short, an unknown value type, page bounds or row counts that disagree with
-the rows, rows out of timestamp order) raise CorruptChunk.  Timestamps are
-integer milliseconds and strictly increase within a series; flushed files
-are immutable.
+The fields are ``ced.codec``'s, and a page's rows are one ``ced.codec``
+row layout per value type (``_ROW_LAYOUTS``): written by one ``pack_rows``
+call and, for the fixed-width types, read by one ``rows_struct`` unpack,
+made only after the page's bytes are known to be there.  Bytes that break
+this grammar (a field cut short, an unknown value type, page bounds or row
+counts that disagree with the rows, rows out of timestamp order) raise
+CorruptChunk.  Timestamps are integer milliseconds and strictly increase
+within a series; flushed files are immutable.
 
 Timestamp order is checked once, by ``strictly_increasing``, where rows
 enter the program: ``append_columns`` (OutOfOrderTimestamp), a decoded
@@ -51,12 +54,11 @@ import shutil
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .codec import U16, U32, Reader, write_text
+from .codec import STR, U16, U32, Reader, pack_rows, rows_struct, write_text
 from .errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSeries
 
 __all__ = [
@@ -92,7 +94,6 @@ _CHUNK_FIXED = struct.Struct("<BIIqq")   # value_type, page_count, row_count, mi
 _PAGE_FIXED = struct.Struct("<Iqq")      # row_count, min_ts, max_ts
 _INDEX_FIXED = struct.Struct("<QIBIqq")  # offset, byte_len, value_type, row_count, min_ts, max_ts
 _FOOTER = struct.Struct("<Q4s")          # index_offset, magic
-_STRING_ROW = struct.Struct("<qI")       # ts, utf-8 length
 
 
 class ValueType(enum.IntEnum):
@@ -104,9 +105,14 @@ class ValueType(enum.IntEnum):
 
 Scalar = Union[bool, int, float, str]
 
-# fixed-width row layouts; "?" packs truth as a 0/1 byte and reads any nonzero byte as True
-_ROW_CODES = {ValueType.BOOL: "q?", ValueType.INT64: "qq", ValueType.FLOAT64: "qd"}
-_ROW_SIZES = {vt: struct.calcsize("<" + code) for vt, code in _ROW_CODES.items()}
+# ``ced.codec`` row layout per value type: ``ts i64 | value``; "?" packs truth
+# as a 0/1 byte and reads any nonzero byte as True
+_ROW_LAYOUTS = {
+    vt: (("q", ()), (code, ()))
+    for vt, code in (
+        (ValueType.BOOL, "?"), (ValueType.INT64, "q"), (ValueType.FLOAT64, "d"), (ValueType.STRING, STR),
+    )
+}
 
 _SCALAR_CLASSES = (
     (bool, ValueType.BOOL),             # before int: bool is an int subclass
@@ -240,41 +246,27 @@ class IoStats:
 
 # --- row codecs -------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _rows_struct(vt: ValueType, n: int) -> struct.Struct:
-    """One codec for ``n`` interleaved fixed-width rows (``ts value`` pairs)."""
-    return struct.Struct("<" + _ROW_CODES[vt] * n)
-
-
 def _encode_rows(out: bytearray, vt: ValueType, timestamps: Sequence[int], values: Sequence) -> None:
-    if vt is not ValueType.STRING:
-        n = len(timestamps)
-        flat: list = [None] * (2 * n)
-        flat[0::2] = timestamps
-        flat[1::2] = values
-        out += _rows_struct(vt, n).pack(*flat)
-    else:
-        for ts, v in zip(timestamps, values):
-            raw = v.encode("utf-8")
-            out += _STRING_ROW.pack(ts, len(raw))
-            out += raw
+    out += pack_rows(_ROW_LAYOUTS[vt], (timestamps, values))
 
 
 def _read_rows(r: Reader, vt: ValueType, n: int, timestamps: list[int], values: list) -> None:
     """Append ``n`` rows at the cursor to the two columns; bounds checked once."""
+    layout = _ROW_LAYOUTS[vt]
+    row = rows_struct(layout, 1)        # one row's fixed-width fields
     if vt is not ValueType.STRING:
-        raw = r.take(n * _ROW_SIZES[vt])         # bounds first: n may be corrupt
-        flat = _rows_struct(vt, n).unpack(raw)
+        raw = r.take(n * row.size)      # bounds first: n may be corrupt
+        flat = rows_struct(layout, n).unpack(raw)
         timestamps += flat[0::2]
         values += flat[1::2]
         return
     buf, pos = r.buf, r.pos
-    unpack_from = _STRING_ROW.unpack_from
+    unpack_from, head = row.unpack_from, row.size
     append_ts, append_value = timestamps.append, values.append
     try:
         for _ in range(n):
             ts, ln = unpack_from(buf, pos)
-            pos += 12
+            pos += head
             end = pos + ln
             append_value(buf[pos:end].decode("utf-8"))
             append_ts(ts)
@@ -624,9 +616,16 @@ class SeriesStore:
 
     # --- replication helpers ----------------------------------------------------
 
-    def export_snapshot(self, series: SeriesPath) -> dict:
-        """Full physical state of one series: file blobs plus memtable rows."""
+    def _flushed(self, series: SeriesPath) -> _SeriesState:
+        """The series' state; only its flushed files are copied to another store."""
         state = self._known(series)
+        if state.mem_ts:
+            raise StorageIoError(f"{series}: {len(state.mem_ts)} rows are not flushed")
+        return state
+
+    def export_snapshot(self, series: SeriesPath) -> dict:
+        """Full physical state of one flushed series: its file blobs."""
+        state = self._flushed(series)
         files = []
         for handle in state.files:
             try:
@@ -636,8 +635,6 @@ class SeriesStore:
         return {
             "series": str(series),
             "files": files,
-            "mem_ts": list(state.mem_ts),
-            "mem_values": list(state.mem_values),
             "value_type": state.value_type,
             "last_ts": state.last_ts,
             "file_counter": state.file_counter,
@@ -656,14 +653,13 @@ class SeriesStore:
                 raise StorageIoError(f"writing {path}: {exc}") from exc
             paths.append(path)
         self._install(
-            series, paths, snapshot["mem_ts"], snapshot["mem_values"],
-            snapshot["value_type"], snapshot["last_ts"], snapshot["file_counter"],
+            series, paths, snapshot["value_type"], snapshot["last_ts"], snapshot["file_counter"],
         )
 
     def copy_series(self, series: SeriesPath, target: "SeriesStore") -> None:
-        """Give ``target`` a copy of ``series``: its files copied into target's
-        directory plus its memtable (replaces the series there)."""
-        state = self._known(series)
+        """Give ``target`` a copy of flushed ``series``: its files copied into
+        target's directory (replaces the series there)."""
+        state = self._flushed(series)
         target.remove_series(series)
         paths = []
         for handle in state.files:
@@ -673,26 +669,19 @@ class SeriesStore:
             except OSError as exc:
                 raise StorageIoError(f"copying {handle.path} to {path}: {exc}") from exc
             paths.append(path)
-        target._install(
-            series, paths, state.mem_ts, state.mem_values,
-            state.value_type, state.last_ts, state.file_counter,
-        )
+        target._install(series, paths, state.value_type, state.last_ts, state.file_counter)
 
     def _install(
         self,
         series: SeriesPath,
         paths: list[Path],
-        mem_ts: Iterable[int],
-        mem_values: Iterable,
         value_type: Optional[ValueType],
         last_ts: Optional[int],
         file_counter: int,
     ) -> None:
-        """Make ``series`` the flushed files ``paths`` (already under root) plus a memtable."""
+        """Make ``series`` the flushed files ``paths`` (already under root)."""
         state = self._state(series)
         state.files = [TsFileHandle(path, read_file_index(path)) for path in paths]
-        state.mem_ts = list(mem_ts)
-        state.mem_values = list(mem_values)
         state.value_type = value_type
         state.last_ts = last_ts
         state.file_counter = file_counter
@@ -721,8 +710,7 @@ class SeriesStore:
 
     def snapshot_size_bytes(self, series: SeriesPath) -> int:
         state = self._known(series)
-        n = sum(h.path.stat().st_size for h in state.files)
-        return n + 16 * len(state.mem_ts)
+        return sum(h.path.stat().st_size for h in state.files)
 
 
 def read_file_index(path: Path) -> list[ChunkMeta]:

@@ -1,22 +1,21 @@
 """Wire encodings for everything that crosses the cloud-edge link.
 
 All integers are little-endian; ``|`` joins fields in order and ``[...]``
-is present or absent as a whole.  A typed scalar is a one-byte type tag (the
-ValueType) followed by its value; a nullable cell prefixes a presence byte:
+is present or absent as a whole.  A cell is a presence byte and, when
+present, a one-byte type tag (the ValueType) and the value:
 
-    scalar   := tag u8 | value
+    cell     := presence u8 | [tag u8 | value]    (absent iff presence is 0)
     value    := bool u8 (tag 0) or int i64 (1) or float f64 (2)
                 or str_len u32 | str utf8 (3)
-    cell     := presence u8 | [tag u8 | value]    (absent iff presence is 0)
 
 Each cell is tagged by its value's Python type.  The result checksum
 (``ChecksumBuilder`` in ``ced.harness.metrics``) hashes ``ts i64 | cell*`` per
-row, one cell per column.  Where the values of a column share one exact
-Python type, cells are packed with one cached ``Struct`` call, not one per
-cell: a block's column by ``_pack_column``, and the checksum's rows by
-``encode_rows`` when every column has one type among bool, int, float and
-str.  Other columns, ``None`` cells included, are packed cell by cell
-(``encode_cells``), to the same bytes.
+row, one cell per column (``encode_rows``).  A block's cells and the
+checksum's rows are packed by ``ced.codec.pack_rows``: a column whose values
+share one exact Python type among bool, int, float and str is one layout
+column, packed with the others in one cached ``Struct`` call; any other
+column, ``None`` cells included, is packed cell by cell (``encode_cells``)
+and spliced in, to the same bytes.
 
 Decoded DATA blocks are memoized in ``ced.tsstore.decode_memo``, keyed by
 their payload bytes (``_decode_data``): concurrent queries that stream the
@@ -27,8 +26,8 @@ Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 grammar violation with MalformedMessage: a field cut short, bad UTF-8, an
 unknown value tag, value type, message type, direction, terminate reason or
 index kind, bytes left over after the last field, timestamps of a tsblock
-or snapshot memtable that do not strictly increase, or a snapshot ``seq``
-other than 0.
+that do not strictly increase, or a snapshot ``seq`` or ``mem_count`` other
+than 0.
 
     channel  := addr_len u8 | addr utf8 | port u16 | fragment_id u32
                 | source_id u32 | query_id u64
@@ -58,13 +57,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import operator
 import struct
 from dataclasses import dataclass
-from itertools import chain
-from typing import Optional
+from typing import Optional, Sequence
 
-from .codec import F64, I64, U8, U16, U32, Reader, write_blob, write_text
+from .codec import F64, I64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
 from .tsstore import SeriesPath, TsBlock, ValueType, decode_memo, strictly_increasing
@@ -75,8 +72,6 @@ __all__ = [
     "DeltaState",
     "MessageType",
     "Message",
-    "encode_scalar",
-    "read_scalar",
     "encode_cells",
     "encode_rows",
     "encode_block",
@@ -152,7 +147,7 @@ class Message:
     terminate_reason: Optional[TerminateReason] = None
 
 
-# --- cells and scalars ---------------------------------------------------------
+# --- cells -------------------------------------------------------------------------
 
 _BOOL, _INT64, _FLOAT64, _STRING = (int(vt) for vt in ValueType)
 _CELL_INT64 = struct.Struct("<BBq")       # presence, tag, value
@@ -174,157 +169,53 @@ _CELL_PACKERS = {
     str: _string_cell,
 }
 
-# Cell layout and tag per fixed-width Python type, for packing a column of one
-# type at once.
-_FIXED_LAYOUTS = {bool: ("BB?", _BOOL), int: ("BBq", _INT64), float: ("BBd", _FLOAT64)}
-
-
-@functools.lru_cache(maxsize=32)
-def _cells_struct(code: str, n: int) -> struct.Struct:
-    """One codec for ``n`` interleaved cells (or string cell heads) of layout ``code``."""
-    return struct.Struct("<" + code * n)
-
-
-def _column_type(values) -> Optional[type]:
-    """The one exact Python type of every value, or None for a mixed or empty column."""
-    types = set(map(type, values))
-    return types.pop() if len(types) == 1 else None
-
-
-def _string_column(values) -> tuple[tuple[bytes, ...], list[bytes]]:
-    """Cell heads and UTF-8 bodies of a column of str values.
-
-    One ``str.encode`` map, and the heads packed in one call, then split per cell.
-    """
-    raws = list(map(str.encode, values))
-    n = len(raws)
-    flat = [1, _STRING, None] * n
-    flat[2::3] = map(len, raws)
-    heads = _cells_struct("BBI", n).pack(*flat)
-    return _cells_struct(f"{_CELL_STRING.size}s", n).unpack(heads), raws
-
-
-def _pack_column(values) -> list[bytes]:
-    """Byte strings that join to the column's cells.
-
-    A column of bools, ints or floats alone packs with one cached ``Struct``
-    over the interleaved ``(1, tag, value)`` arguments; a column of str alone
-    interleaves its heads with its bodies.  Other columns, ``None`` cells
-    included, pack per cell.
-    """
-    kind = _column_type(values)
-    if kind is str:
-        heads, raws = _string_column(values)
-        parts: list = [None] * (2 * len(raws))
-        parts[0::2] = heads
-        parts[1::2] = raws
-        return parts
-    layout = _FIXED_LAYOUTS.get(kind)
-    if layout is None:
-        return encode_cells(values)
-    code, tag = layout
-    flat = [1, tag, None] * len(values)
-    flat[2::3] = values
-    return [_cells_struct(code, len(values)).pack(*flat)]
-
 
 def encode_cells(values) -> list[bytes]:
-    """One ``cell`` per value, each packed by the value's own type, not a column's."""
-    kind = _column_type(values)
+    """One ``cell`` per value, each packed by the value's own type."""
     try:
-        if kind is str:
-            return list(map(operator.add, *_string_column(values)))
-        if kind is not None:
-            return list(map(_CELL_PACKERS[kind], values))
         return [_CELL_PACKERS[type(v)](v) for v in values]
     except KeyError as exc:
         raise TypeError(f"cannot encode {exc.args[0].__name__}") from None
 
 
-# Cell layout per exact Python type, for packing whole rows; a str cell packs
-# its head (the UTF-8 length in the value's place), and its body goes after it.
-_ROW_LAYOUTS = {**_FIXED_LAYOUTS, str: ("BBI", _STRING)}
-_ROW_KINDS = frozenset(_ROW_LAYOUTS)
+# ``ced.codec`` layout of a column of cells per exact Python type: presence
+# byte and tag, then the value.
+_CELL_LAYOUTS = {
+    bool: ("?", (1, _BOOL)),
+    int: ("q", (1, _INT64)),
+    float: ("d", (1, _FLOAT64)),
+    str: (STR, (1, _STRING)),
+}
+_RAW_CELLS = (RAW, ())
+_TS = ("q", ())
 
 
-@functools.lru_cache(maxsize=64)
-def _rows_codec(kinds: tuple, n: int) -> tuple[tuple, struct.Struct, Optional[struct.Struct]]:
-    """How to pack ``n`` rows of ``ts i64 | cell*`` whose columns hold exactly ``kinds``.
+def _cell_column(values) -> tuple[tuple, Sequence]:
+    """The layout of a column of cells, and what ``pack_rows`` packs for it.
 
-    Returns one row's packing arguments with ``None`` where the timestamp and
-    each value go; the ``Struct`` over every row's fixed-width fields; and,
-    when a column is str, a ``Struct`` of ``Ns`` pieces that splits the packed
-    bytes just after each string cell head, where that cell's body goes.
+    A column whose values share one exact type among bool, int, float and str
+    packs its values; any other column (``None`` cells, mixed types, no
+    values) packs its cells, encoded one by one.
     """
-    row_args: tuple = (None,)
-    codes = "q"
-    heads_end = []              # offsets within a row just past each string cell head
-    for kind in kinds:
-        code, tag = _ROW_LAYOUTS[kind]
-        row_args += (1, tag, None)
-        codes += code
-        if kind is str:
-            heads_end.append(struct.calcsize("<" + codes))
-    packer = struct.Struct("<" + codes * n)
-    if not heads_end:
-        return row_args, packer, None
-    row_size = struct.calcsize("<" + codes)
-    inner = [b - a for a, b in zip(heads_end, heads_end[1:])]
-    pieces = [heads_end[0]]
-    pieces += (inner + [row_size - heads_end[-1] + heads_end[0]]) * (n - 1)
-    pieces += inner + [row_size - heads_end[-1]]
-    return row_args, packer, struct.Struct("<" + "".join(f"{p}s" for p in pieces))
+    types = set(map(type, values))
+    layout = _CELL_LAYOUTS.get(types.pop()) if len(types) == 1 else None
+    if layout is None:
+        return _RAW_CELLS, encode_cells(values)
+    return layout, values
 
 
-def encode_rows(timestamps, columns) -> Optional[bytes]:
-    """``ts i64 | cell*`` per row, one cell per column, in one ``Struct`` call.
-
-    Returns None unless every column's values share one exact Python type
-    among bool, int, float and str; the caller then packs cell by cell.
-    String bodies are interleaved with the pieces of the packed fixed-width
-    fields and joined once.
-    """
-    kinds = tuple(map(_column_type, columns))
-    if not _ROW_KINDS.issuperset(kinds):
-        return None
-    n = len(timestamps)
-    row_args, packer, splitter = _rows_codec(kinds, n)
-    width = len(row_args)
-    flat = list(row_args) * n
-    flat[0::width] = timestamps
-    if splitter is None:        # no str column: the packed fields are the rows
-        for slot, values in enumerate(columns, 1):
-            flat[3 * slot::width] = values
-        return packer.pack(*flat)
-    bodies = []
-    for slot, (kind, values) in enumerate(zip(kinds, columns), 1):
-        if kind is str:
-            raws = list(map(str.encode, values))
-            flat[3 * slot::width] = map(len, raws)
-            bodies.append(raws)
-        else:
-            flat[3 * slot::width] = values
-    pieces = splitter.unpack(packer.pack(*flat))
-    parts: list = [None] * (2 * len(pieces) - 1)
-    parts[0::2] = pieces
-    parts[1::2] = bodies[0] if len(bodies) == 1 else chain.from_iterable(zip(*bodies))
-    return b"".join(parts)
+def encode_rows(timestamps, columns) -> bytes:
+    """``ts i64 | cell*`` per row, one cell per column."""
+    layout, values = [_TS], [timestamps]
+    for column in columns:
+        cells, packed = _cell_column(column)
+        layout.append(cells)
+        values.append(packed)
+    return pack_rows(tuple(layout), values)
 
 
-def encode_scalar(out: bytearray, value) -> None:
-    """Typed scalar with tag byte: a present cell without its presence byte."""
-    if value is None:
-        raise TypeError("cannot encode NoneType")
-    out += encode_cells((value,))[0][1:]
-
-
-def read_scalar(r: Reader):
-    """The typed scalar at the cursor: the inverse of ``encode_scalar``."""
-    return _read_cells(r, 1, nullable=False)[0]
-
-
-def _read_cells(r: Reader, n: int, nullable: bool = True) -> list:
-    """Sequential parse of ``n`` cells (``nullable``) or typed scalars.
+def _read_cells(r: Reader, n: int) -> list:
+    """Sequential parse of ``n`` cells.
 
     The loop reads ``r.buf`` inline; a field cut short or bad UTF-8 becomes
     ``r``'s error, and the end position is checked once, after the loop.
@@ -335,12 +226,11 @@ def _read_cells(r: Reader, n: int, nullable: bool = True) -> list:
     unpack_u32, unpack_i64, unpack_f64 = U32.unpack_from, I64.unpack_from, F64.unpack_from
     try:
         for _ in range(n):
-            if nullable:
-                if not buf[pos]:
-                    append(None)
-                    pos += 1
-                    continue
+            if not buf[pos]:
+                append(None)
                 pos += 1
+                continue
+            pos += 1
             tag = buf[pos]
             if tag == _STRING:
                 end = pos + 5 + unpack_u32(buf, pos + 1)[0]
@@ -373,12 +263,13 @@ _BLOCK_HEAD = struct.Struct("<BBI")        # flags, value_type, row_count
 def encode_block(block: TsBlock) -> bytes:
     raw = str(block.series_id).encode("utf-8")
     n = block.row_count
+    cells, packed = _cell_column(block.values)
     return b"".join([
         U16.pack(len(raw)),
         raw,
         _BLOCK_HEAD.pack(1 if block.is_header_only else 0, block.value_type, n),
         struct.pack(f"<{n}q", *block.timestamps),
-        *_pack_column(block.values),
+        pack_rows((cells,), [packed]),
     ])
 
 

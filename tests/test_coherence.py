@@ -4,6 +4,7 @@ import pytest
 from conftest import rejections
 
 from ced.coherence import CloudCache, decode_snapshot, encode_snapshot
+from ced.errors import StorageIoError
 from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
 
 
@@ -35,8 +36,13 @@ def test_admitted_series_hit_and_others_miss(tmp_path):
     h = Harness(tmp_path)
     t1 = h.seed_series("t1", rows=30)
     h.edge.flush(t1, chunk_target_rows=10)
-    h.seed_series("t1", rows=5)                 # rows left in the memtable ship too
+    h.seed_series("t1", rows=5)
     t2 = h.seed_series("t2")
+    with pytest.raises(StorageIoError, match="not flushed"):
+        h.ship_snapshot(t1)                     # a snapshot carries flushed files only
+    assert not h.cache.entries
+    h.edge.flush(t1, chunk_target_rows=10)
+    h.edge.flush(t2)
     h.ship_snapshot(t1)
     assert h.mirror.content_fingerprint(t1) == h.edge.content_fingerprint(t1)
     assert h.cache.cache_lookup(t1)
@@ -60,12 +66,9 @@ def test_snapshot_codec_roundtrip(tmp_path):
     h = Harness(tmp_path)
     s = h.seed_series("t1", rows=30)
     h.edge.flush(s, chunk_target_rows=10)
-    for i in range(30, 35):
-        h.edge.append(s, DataPoint(i, float(i)))
     snap = h.edge.export_snapshot(s)
     decoded = decode_snapshot(encode_snapshot(snap))
     assert decoded["series"] == snap["series"]
-    assert decoded["mem_ts"] == snap["mem_ts"]
     assert decoded["value_type"] == snap["value_type"]
     assert [n for n, _ in decoded["files"]] == [n for n, _ in snap["files"]]
     assert all(bytes(a) == bytes(b) for (_, a), (_, b) in zip(decoded["files"], snap["files"]))
@@ -76,55 +79,44 @@ def test_snapshot_codec_roundtrip(tmp_path):
 _SERIES = "1000 726f6f742e6c6e2e65312e64312e7431"      # series_len u16 | "root.ln.e1.d1.t1"
 
 
-def _snapshot(value_type, values, files=(("f.cedf", b"\x01\x02\x03"),)):
+def _snapshot(value_type, last_ts=2000, files=(("f.cedf", b"\x01\x02\x03"),)):
     return {
         "series": "root.ln.e1.d1.t1",
         "files": list(files),
-        "mem_ts": [1000, 2000][:len(values)],
-        "mem_values": list(values),
         "value_type": value_type,
-        "last_ts": 2000 if values else None,
+        "last_ts": last_ts,
         "file_counter": len(files),
     }
 
 
-@pytest.mark.parametrize("value_type,values,rows", [
-    (ValueType.BOOL, [True, False], "00 01 | d007000000000000 00 00"),
-    (ValueType.INT64, [7, -(2**40)], "01 0700000000000000 | d007000000000000 01 0000000000ffffff"),
-    (ValueType.FLOAT64, [1.5, -0.25],
-     "02 000000000000f83f | d007000000000000 02 000000000000d0bf"),
-    (ValueType.STRING, ["v1", "ü"], "03 02000000 7631 | d007000000000000 03 02000000 c3bc"),
-])
-def test_snapshot_bytes_are_pinned(value_type, values, rows):
+@pytest.mark.parametrize("value_type", list(ValueType), ids=lambda vt: vt.name)
+def test_snapshot_bytes_are_pinned(value_type):
     # series | seq 0 | 1 | vt u8 | 1 | last_ts i64 | file_counter u32 | file_count u32
-    # | name_len u16 | "f.cedf" | blob_len u32 | blob | mem_count u32 | (ts i64 | typed scalar)*
-    expected = bytes.fromhex((
+    # | name_len u16 | "f.cedf" | blob_len u32 | blob | mem_count u32 (always 0)
+    expected = bytes.fromhex(
         f"{_SERIES} 0000000000000000 01 {int(value_type):02x} 01 d007000000000000 01000000 "
-        f"01000000 0600 662e63656466 03000000 010203 02000000 e803000000000000 {rows}"
-    ).replace("|", ""))
-    snapshot = _snapshot(value_type, values)
+        f"01000000 0600 662e63656466 03000000 010203 00000000"
+    )
+    snapshot = _snapshot(value_type)
     assert encode_snapshot(snapshot) == expected
     assert decode_snapshot(expected) == snapshot
 
 
 def test_snapshot_bytes_without_value_type_or_last_ts_are_pinned():
-    # series | seq 0 | absent vt | absent last_ts | file_counter 0 | no files | no rows
+    # series | seq 0 | absent vt | absent last_ts | file_counter 0 | no files | mem_count 0
     expected = bytes.fromhex(f"{_SERIES} 0000000000000000 00 00 00000000 00000000 00000000")
-    snapshot = _snapshot(None, [], files=())
+    snapshot = _snapshot(None, None, files=())
     assert encode_snapshot(snapshot) == expected
     assert decode_snapshot(expected) == snapshot
 
 
-@pytest.mark.parametrize("value_type,values", [
-    (ValueType.STRING, ["v1", "ü"]),
-    (ValueType.INT64, [7, -(2**40)]),
-], ids=["string", "int64"])
-def test_malformed_snapshot_is_rejected(value_type, values):
-    sample = encode_snapshot(_snapshot(value_type, values))
+@pytest.mark.parametrize("value_type", [ValueType.STRING, ValueType.INT64], ids=["string", "int64"])
+def test_malformed_snapshot_is_rejected(value_type):
+    sample = encode_snapshot(_snapshot(value_type))
     # seq after series (18), which must be 0; value type byte after seq (8) +
-    # presence; first scalar tag after last_ts (9) + counters (8) + file (8 + 7)
-    # + mem_count (4) + ts (8)
+    # presence; mem_count, which must be 0, after last_ts (9) + counters (8)
+    # + file (8 + 7)
     seq_at = 18
     vt_at = seq_at + 8 + 1
-    tag_at = vt_at + 1 + 9 + 8 + 8 + 7 + 4 + 8
-    assert rejections(decode_snapshot, sample, [seq_at, vt_at, tag_at]) == []
+    mem_count_at = vt_at + 1 + 9 + 8 + 8 + 7
+    assert rejections(decode_snapshot, sample, [seq_at, vt_at, mem_count_at]) == []

@@ -176,6 +176,23 @@ def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
             load_scenario_file(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("monitor_period_s", 0), ("monitor_period_s", -1),
+    ("cpu_hog_duty", -0.5), ("cpu_hog_duty", 1.0),
+    ("forced_migration_at_rows", -1), ("forced_fallback_after_rows", -1),
+    ("workload.page_rows", 0), ("workload.chunk_target_rows", 0), ("workload.string_pool", 0),
+    ("channel.queue_depth", 0), ("channel.probe_timeout_s", 0), ("channel.probe_retries", -1),
+])
+def test_out_of_range_scenario_value_is_a_scenario_error(tmp_path, key, value):
+    raw = {"queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}]}
+    section, _, name = key.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[name] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ScenarioError, match=name):
+        load_scenario_file(path)
+
+
 # --- warm-up -----------------------------------------------------------------------
 
 def test_duplicate_warm_sensors_sync_once(tmp_path):

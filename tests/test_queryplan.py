@@ -218,7 +218,7 @@ def test_suffix_resolution_is_unique_or_fails():
 def test_catalog_from_store_registers_a_typed_empty_series_without_bounds(tmp_path):
     store = SeriesStore(tmp_path)
     store.import_snapshot({
-        "series": str(DEV.child("t1")), "files": [], "mem_ts": [], "mem_values": [],
+        "series": str(DEV.child("t1")), "files": [],
         "value_type": ValueType.STRING, "last_ts": None, "file_counter": 0,
     })
     catalog = Catalog.from_store(store, DEV)

@@ -99,7 +99,7 @@ def test_fresh_scan_blocks_and_offset_trace(tmp_path):
 def test_empty_series_returns_none(tmp_path):
     store = SeriesStore(tmp_path)
     store.import_snapshot({
-        "series": str(S), "files": [], "mem_ts": [], "mem_values": [],
+        "series": str(S), "files": [],
         "value_type": None, "last_ts": None, "file_counter": 0,
     })
     op = SeriesScanOp(store, S)

@@ -64,6 +64,32 @@ def test_no_unused_imports_in_the_package():
     assert found == []
 
 
+def _repeated_struct_formats(tree: ast.Module) -> list[int]:
+    """Lines that call ``struct.Struct`` with a ``*`` in the format: a format repeated per row."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("struct.Struct", "Struct")
+        and any(
+            isinstance(part, ast.BinOp) and isinstance(part.op, ast.Mult)
+            for arg in node.args for part in ast.walk(arg)
+        )
+    ]
+
+
+def test_only_the_codec_builds_per_row_structs():
+    # ``ced.codec.pack_rows`` is the one row packer; every byte format is a layout of it
+    found = [
+        f"{path.relative_to(SOURCE)}:{line}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path != SOURCE / "codec.py"
+        for line in _repeated_struct_formats(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    assert _repeated_struct_formats(ast.parse((SOURCE / "codec.py").read_text(encoding="utf-8")))
+
+
 def _schema_keys(doc: str) -> tuple[set[str], dict[str, set[str]]]:
     """Top-level keys of the JSON schema after ``::`` in ``doc``, and for each
     key the quoted names inside its objects."""

@@ -2,6 +2,7 @@
 
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -421,12 +422,18 @@ def test_snapshot_roundtrip_produces_identical_fingerprint(tmp_path):
     src = SeriesStore(tmp_path / "src")
     fill(src, S, 2300)
     src.flush(S, chunk_target_rows=900)
-    for i in range(2300, 2350):
-        src.append(S, DataPoint(i, float(i)))
     dst = SeriesStore(tmp_path / "dst")
     dst.import_snapshot(src.export_snapshot(S))
     assert dst.content_fingerprint(S) == src.content_fingerprint(S)
     assert scan_all(dst, S) == scan_all(src, S)
+    # rows not yet flushed are refused: a snapshot or a copy carries files only
+    for i in range(2300, 2350):
+        src.append(S, DataPoint(i, float(i)))
+    with pytest.raises(StorageIoError, match="not flushed"):
+        src.export_snapshot(S)
+    with pytest.raises(StorageIoError, match="not flushed"):
+        src.copy_series(S, dst)
+    assert scan_all(dst, S) == [(i, float(i)) for i in range(2300)]
 
 
 def test_series_path_validation():
@@ -518,6 +525,20 @@ def test_corrupt_file_raises_corrupt_chunk(store, corrupt, value):
     handle = store.flush(S)
     with pytest.raises(CorruptChunk):
         corrupt(store, handle.path, handle.chunk_index[0])
+
+
+def test_corrupt_page_row_count_is_rejected_before_a_row_codec_is_built(store):
+    # a codec for the 10**6 rows the page claims would take tens of MiB
+    fill(store, S, 10)
+    handle = store.flush(S)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptChunk):
+            _page_rows_past_end(store, handle.path, handle.chunk_index[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("stamps", [(4, 3), (3, 3)], ids=["swapped", "repeated"])

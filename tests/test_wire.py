@@ -281,21 +281,23 @@ def test_bad_utf8_in_a_text_field_is_rejected(at):
         decode_message(_patch(sample, at, b"\xc3\x28"))
 
 
-def test_snapshot_memtable_out_of_timestamp_order_is_rejected():
+def test_snapshot_with_memtable_rows_is_rejected():
     snapshot = {
-        "series": str(S), "files": [], "mem_ts": [2, 1], "mem_values": [1.0, 2.0],
-        "value_type": ValueType.FLOAT64, "last_ts": 2, "file_counter": 0,
+        "series": str(S), "files": [], "value_type": ValueType.FLOAT64, "last_ts": 2,
+        "file_counter": 0,
     }
-    with pytest.raises(MalformedMessage, match="timestamp"):
-        decode_snapshot(encode_snapshot(snapshot))
-    snapshot["mem_ts"] = [1, 2]
-    assert decode_snapshot(encode_snapshot(snapshot)) == snapshot
+    buf = encode_snapshot(snapshot)
+    assert buf.endswith(bytes(4))               # mem_count u32, always 0
+    assert decode_snapshot(buf) == snapshot
+    one_row = struct.pack("<IqBd", 1, 2, int(ValueType.FLOAT64), 1.0)
+    with pytest.raises(MalformedMessage, match="mem_count"):
+        decode_snapshot(buf[:-4] + one_row)
 
 
 _LINK_SAMPLES = [(decode_message, encode_message(m)) for m, _, _ in _PINNED_MESSAGES] + [
     (decode_snapshot, encode_snapshot({
-        "series": str(S), "files": [("f.cedf", b"CEDF")], "mem_ts": [1, 2],
-        "mem_values": ["v1", "ü"], "value_type": ValueType.STRING, "last_ts": 2, "file_counter": 1,
+        "series": str(S), "files": [("f.cedf", b"CEDF")],
+        "value_type": ValueType.STRING, "last_ts": 2, "file_counter": 1,
     })),
 ]
 
