@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -77,7 +78,6 @@ class QueryContext:
         )
         self.root = as_result_stream(self.plan_tree, op)
         self.channels: list[SinkChannel] = []      # one per leaf once migration starts
-        self.migration_started = False
         if cluster.scenario.forced_migration_at_rows is not None:
             for leaf in self.leaf_ops:
                 leaf.boundary_listener = self._make_boundary_listener(leaf)
@@ -88,7 +88,7 @@ class QueryContext:
         threshold = self.cluster.scenario.forced_migration_at_rows
 
         def on_boundary() -> None:
-            if self.migration_started or not self.running:
+            if self.channels or not self.running:
                 return
             if leaf.rows_local >= threshold:
                 self.start_migration()
@@ -97,9 +97,8 @@ class QueryContext:
 
     def start_migration(self) -> None:
         """Step 1: open one channel per leaf and send the quintuple + SQL."""
-        if self.migration_started:
+        if self.channels:
             return
-        self.migration_started = True
         cluster = self.cluster
         try:
             for i, leaf in enumerate(self.leaf_ops):
@@ -113,10 +112,9 @@ class QueryContext:
                 sink.send_request()
         except LinkClosed:
             # compensation: local execution simply continues.  A closed link
-            # stays closed, so migration_started stays set and nothing retries.
+            # stays closed, so the channels stay listed and nothing retries.
             for sink in self.channels:
-                sink.phase = ChannelPhase.TERMINATED
-                cluster.edge_transport.unregister_channel(sink.channel_id)
+                sink.close()
 
     def placement(self) -> str:
         for leaf in self.leaf_ops:
@@ -127,19 +125,10 @@ class QueryContext:
     def _channels_settled(self) -> bool:
         return all(s.phase != ChannelPhase.REQUESTED for s in self.channels)
 
-    # --- effort accounting ----------------------------------------------------
-
-    def _local_effort(self) -> int:
-        return sum(leaf.rows_local for leaf in self.leaf_ops)
-
-    def _remote_rows(self) -> int:
-        return sum(leaf.rows_remote for leaf in self.leaf_ops)
-
     # --- the driver --------------------------------------------------------------
 
     def run_process(self):
         cluster = self.cluster
-        cost = cluster.scenario.cost
         self.start_s = cluster.engine.now
         if cluster.scenario.mode == CLOUD_ONLY:
             self.start_migration()
@@ -148,17 +137,9 @@ class QueryContext:
         while True:
             if not self.root.has_next():
                 break
-            io_before = cluster.edge_store.io.bytes_read
-            local_before = self._local_effort()
-            remote_before = self._remote_rows()
-            block = self.root.next_block()
-            io_delta = cluster.edge_store.io.bytes_read - io_before
-            if io_delta:
-                yield cluster.edge_disk.acquire(io_delta)
-            work = (self._local_effort() - local_before) * cost.row_cpu_cost_s
-            work += (self._remote_rows() - remote_before) * cost.recv_row_cost_s
-            if work:
-                yield cluster.edge_cpu.acquire(work)
+            block = yield from cluster._step(
+                cluster.edge_store, cluster.edge_disk, cluster.edge_cpu, self.root, self.leaf_ops
+            )
             if block is NOT_READY:
                 continue
             if block is PENDING:
@@ -170,8 +151,7 @@ class QueryContext:
         self.end_s = cluster.engine.now
         self.running = False
         for sink in self.channels:
-            if sink.phase != ChannelPhase.TERMINATED:
-                sink.cancel("query complete")
+            sink.cancel("query complete")
         # a cancelled channel must not flip the leaf source afterwards
         for leaf in self.leaf_ops:
             leaf.pending_remote = None
@@ -270,14 +250,26 @@ class Cluster:
     def _on_snapshot(self, envelope) -> None:
         self.cache.admit_snapshot(decode_snapshot(envelope.payload))
 
-    # --- cloud producer construction -----------------------------------------------
+    # --- simulated cost -----------------------------------------------------------
 
-    def _cloud_charge(self, io_bytes: int, effort_rows: int):
+    def _step(self, store, disk, cpu, root, leaves):
+        """Pull one block from ``root`` and charge the node's disk, then its CPU,
+        for the store bytes and the leaf rows that pull took."""
+        cost = self.scenario.cost
+        io_before = store.io.bytes_read
+        local_before = sum(leaf.rows_local for leaf in leaves)
+        remote_before = sum(leaf.rows_remote for leaf in leaves)
+        block = root.next_block()
+        io_bytes = store.io.bytes_read - io_before
         if io_bytes:
-            yield self.cloud_disk.acquire(io_bytes)
-        work = effort_rows * self.scenario.cost.row_cpu_cost_s
+            yield disk.acquire(io_bytes)
+        work = (sum(leaf.rows_local for leaf in leaves) - local_before) * cost.row_cpu_cost_s
+        work += (sum(leaf.rows_remote for leaf in leaves) - remote_before) * cost.recv_row_cost_s
         if work:
-            yield self.cloud_cpu.acquire(work)
+            yield cpu.acquire(work)
+        return block
+
+    # --- cloud producer construction -----------------------------------------------
 
     def _make_producer(self, msg) -> Optional[SourceChannel]:
         try:
@@ -304,23 +296,15 @@ class Cluster:
             leaf_op.resume_local(delta.logical_index)
             return root, leaf_op
 
-        fallback_index = None
-        rows = self.scenario.forced_fallback_after_rows
-        if rows is not None:
-            if leaf_node.kind == "series_scan":
-                fallback_index = rows
-            else:
-                fallback_index = leaf_node.param("lo") + rows * self.dataset.interval_ms
         return SourceChannel(
             self.engine,
             self.cloud_transport,
             msg.channel,
             build,
-            self.cloud_store.io,
-            self._cloud_charge,
+            partial(self._step, self.cloud_store, self.cloud_disk, self.cloud_cpu),
             self.telemetry,
             queue_depth=self.scenario.channel.queue_depth,
-            fallback_index=fallback_index,
+            fallback_after_rows=self.scenario.forced_fallback_after_rows,
         )
 
     # --- lifecycle -------------------------------------------------------------------
@@ -393,11 +377,8 @@ class Cluster:
 
     def _on_monitor_migrate(self) -> None:
         for ctx in self.contexts:
-            if ctx.running and not ctx.migration_started:
+            if ctx.running:
                 ctx.start_migration()
-
-    def _on_monitor_fallback(self) -> None:
-        self.gateway.request_remigration_all()
 
     def run(self, run_label: Optional[str] = None) -> MetricsReport:
         scenario = self.scenario
@@ -425,7 +406,7 @@ class Cluster:
                 period_s=scenario.monitor_period_s,
                 placement_counts=self._placement_counts,
                 on_migrate=self._on_monitor_migrate,
-                on_fallback=self._on_monitor_fallback,
+                on_fallback=self.gateway.request_remigration_all,
                 keep_running=self.any_running,
             )
             self.monitor.start()

@@ -20,22 +20,28 @@ below; presets construct them in code.  Every key is optional except
       "io_throttle": float, "background_io_duty": float,
       "cpu_load": int, "cpu_hog_duty": float,
       "monitor_enabled": bool, "monitor_period_s": float,
-      "forced_migration_at_rows": int | null,
-      "forced_fallback_after_rows": int | null,
+      "forced_migration_at_rows": int | null,    a query asks to migrate at the
+                     first boundary where an edge leaf has read this many rows,
+      "forced_fallback_after_rows": int | null,  a cloud producer falls back at
+                     the first boundary where its leaf has read this many rows,
       "warm_series": [sensor name, ...] or ["*"],   every name must be a sensor
                      of the edge store; ["*"] and cloud_only mode warm the
                      queried series,
       "seed": int
     }
 
-An unknown key or an out-of-range value is a ``ScenarioError``; a query
-outside the SQL subset raises the parser's error.
+An unknown key, a value of another type than its field's (an integer
+stands for a float, but a bool, NaN or an infinity for no number) or an
+out-of-range value is a ``ScenarioError``; a query outside the SQL subset
+raises the parser's error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -165,6 +171,35 @@ class ScenarioConfig:
         )
 
 
+def _from_json(kind, value, name: str):
+    """``value`` read as a field of type ``kind``; a value of another type is a ScenarioError."""
+    origin = typing.get_origin(kind)
+    if dataclasses.is_dataclass(kind):
+        if isinstance(value, dict):
+            hints = typing.get_type_hints(kind)
+            unknown = sorted(value.keys() - hints.keys())
+            if unknown:
+                raise ScenarioError(f"unknown keys {unknown} in {name}")
+            return kind(**{key: _from_json(hints[key], v, key) for key, v in value.items()})
+        expected = "a JSON object"
+    elif origin is tuple:
+        if isinstance(value, list):
+            return tuple(_from_json(typing.get_args(kind)[0], v, name) for v in value)
+        expected = "a JSON list"
+    elif origin is typing.Union:                 # Optional[X]
+        return None if value is None else _from_json(typing.get_args(kind)[0], value, name)
+    elif kind is float:
+        # a JSON integer is a float, but a bool, NaN or an infinity is no number here
+        if type(value) is int or (type(value) is float and math.isfinite(value)):
+            return value
+        expected = "a finite number"
+    else:
+        if type(value) is kind:                  # a bool is not an int
+            return value
+        expected = f"of type {kind.__name__}"
+    raise ScenarioError(f"{name} must be {expected}, not {value!r}")
+
+
 def load_scenario_file(path: Path) -> ScenarioConfig:
     """Build a ScenarioConfig from a JSON file (schema in the module docstring)."""
     try:
@@ -172,17 +207,7 @@ def load_scenario_file(path: Path) -> ScenarioConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
     try:
-        queries = tuple(QuerySpec(**q) for q in raw.pop("queries", []))
-        workload = WorkloadConfig(**raw.pop("workload", {}))
-        link = LinkConfig(**raw.pop("link", {}))
-        cost = CostModel(**raw.pop("cost", {}))
-        channel = ChannelConfig(**raw.pop("channel", {}))
-        policy = ThresholdPolicy(**raw.pop("policy", {}))
-        warm = tuple(raw.pop("warm_series", ()))
-        config = ScenarioConfig(
-            queries=queries, workload=workload, link=link, cost=cost,
-            channel=channel, policy=policy, warm_series=warm, **raw,
-        )
+        config = _from_json(ScenarioConfig, raw, "scenario")
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario {path}: {exc}") from exc
     config.validate()

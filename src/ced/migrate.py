@@ -22,14 +22,24 @@ The cloud producer runs one of two transmission modes, chosen by the plan
 filter in the cloud and ships only matching rows; *block streaming* ships
 the leaf's blocks as they are.
 
+Each channel end keeps its state in one field, ``phase``.  The edge
+end is ``PROBING`` from the delta until the ACK, and ``TERMINATED`` from
+the moment it can take no further block: a TERMINATE marker, a rejection,
+a cancel or a handshake timeout.  A timeout queues the end
+``RemoteEnd("broken", index)`` behind which the leaf resumes locally from
+the delta's index; like the ``complete`` and ``remigrate`` ends it reaches
+the leaf through ``poll``.  The cloud end is ``TERMINATED`` once it is
+cancelled or has sent its TERMINATE.
+
 Every protocol fact is one event ``(time, kind, ChannelId)`` in
 :attr:`ProtocolTelemetry.events`, and every count (a cluster's switches
 and remigrations, a query's migrated, remigrated, rejected and
 handshake-failed channels) is derived from that log.  The edge records
 ``request``, ``confirmed``, ``rejected``, ``delta``, ``probe``,
 ``handshake_timeout``, ``streaming``, ``data_before_ack``,
-``cross_channel_block``, ``block`` (one per streamed block consumed) and
-``closed_complete`` / ``closed_remigrate``; the cloud records ``confirm``,
+``cross_channel_block``, ``block`` (one per streamed block consumed) and,
+when the leaf consumes the queued end, ``closed_complete``,
+``closed_remigrate`` or ``closed_broken``; the cloud records ``confirm``,
 ``reject``, ``terminate_cloud_completed`` and ``terminate_remigration``.
 """
 
@@ -198,11 +208,8 @@ class SinkChannel(RemoteSource):
         self.on_confirmed = on_confirmed
 
         self.phase = ChannelPhase.REQUESTED
-        self.failed = False
         self.activation_index: Optional[LogicalIndex] = None
         self.recv_queue: list = []        # TsBlock | RemoteEnd items in arrival order
-        self.marker_seen = False
-        self.ack_seen = False
         self.max_queue_seen = 0
         self._probe_attempts = 0
         self._probe_timer: Optional[Timer] = None
@@ -236,19 +243,16 @@ class SinkChannel(RemoteSource):
         self._probe_timer = self.engine.schedule(self.config.probe_timeout_s, self._on_probe_timeout)
 
     def _on_probe_timeout(self) -> None:
-        if self.ack_seen or self.phase == ChannelPhase.TERMINATED:
+        if self.phase != ChannelPhase.PROBING:
             return
         if self._probe_attempts <= self.config.probe_retries:
             # at-least-once probe; the delta already sits in the reliable stream
             self._send_probe()
             return
-        self.failed = True
-        self.phase = ChannelPhase.TERMINATED
         self.telemetry.record(self.engine.now, "handshake_timeout", self.channel_id)
-        self.transport.send_message(
-            Message(MessageType.CANCEL, self.channel_id, reason="handshake timeout")
-        )
-        self.transport.unregister_channel(self.channel_id)
+        self.cancel("handshake timeout")
+        # the handshake never completed; resume exactly where the delta left off
+        self.recv_queue.append(RemoteEnd("broken", self.activation_index))
         self.notify()
 
     def cancel(self, reason: str) -> None:
@@ -257,8 +261,12 @@ class SinkChannel(RemoteSource):
             return
         if self._probe_timer:
             self._probe_timer.cancel()
-        self.phase = ChannelPhase.TERMINATED
+        self.close()
         self.transport.send_message(Message(MessageType.CANCEL, self.channel_id, reason=reason))
+
+    def close(self) -> None:
+        """Take no further message: the channel is terminated and unregistered."""
+        self.phase = ChannelPhase.TERMINATED
         self.transport.unregister_channel(self.channel_id)
 
     # -- inbound --------------------------------------------------------------
@@ -276,20 +284,18 @@ class SinkChannel(RemoteSource):
                     self.cancel("confirmation does not echo the request")
             self.notify()
         elif msg.type is MessageType.REJECTION:
-            self.phase = ChannelPhase.TERMINATED
             self.telemetry.record(self.engine.now, "rejected", self.channel_id)
-            self.transport.unregister_channel(self.channel_id)
+            self.close()
             self.notify()
         elif msg.type is MessageType.ACK:
-            if not self.ack_seen:
-                self.ack_seen = True
+            if self.phase == ChannelPhase.PROBING:
                 if self._probe_timer:
                     self._probe_timer.cancel()
                 self.phase = ChannelPhase.STREAMING
                 self.telemetry.record(self.engine.now, "streaming", self.channel_id)
             self.notify()
         elif msg.type is MessageType.DATA:
-            if not self.ack_seen:
+            if self.phase == ChannelPhase.PROBING:
                 self.telemetry.record(self.engine.now, "data_before_ack", self.channel_id)
             if str(msg.block.series_id) != str(self.series):
                 self.telemetry.record(self.engine.now, "cross_channel_block", self.channel_id)
@@ -297,7 +303,8 @@ class SinkChannel(RemoteSource):
             self.max_queue_seen = max(self.max_queue_seen, len(self.recv_queue))
             self.notify()
         elif msg.type is MessageType.TERMINATE:
-            self.marker_seen = True
+            # no credit after the marker; the handler stays until poll consumes the end
+            self.phase = ChannelPhase.TERMINATED
             final_index = msg.delta.logical_index if msg.delta is not None else None
             kind = "complete" if msg.terminate_reason is TerminateReason.CLOUD_COMPLETED else "remigrate"
             self.recv_queue.append(RemoteEnd(kind, final_index))
@@ -306,22 +313,18 @@ class SinkChannel(RemoteSource):
     # -- RemoteSource surface (consumed by the scan leaf) ---------------------------
 
     def poll(self):
-        if self.failed:
-            # handshake never completed; resume exactly where the delta left off
-            return RemoteEnd("broken", self.activation_index)
         if not self.recv_queue:
             return PENDING
         item = self.recv_queue.pop(0)
         if isinstance(item, RemoteEnd):
-            self.phase = ChannelPhase.TERMINATED
             self.telemetry.record(self.engine.now, f"closed_{item.kind}", self.channel_id)
-            self.transport.unregister_channel(self.channel_id)
+            self.close()
             return item
         self.telemetry.record(self.engine.now, "block", self.channel_id)
         return item
 
     def acknowledge_consumed(self) -> None:
-        if not self.marker_seen and self.phase != ChannelPhase.TERMINATED:
+        if self.phase != ChannelPhase.TERMINATED:
             self.transport.send_message(Message(MessageType.CREDIT, self.channel_id))
 
 
@@ -336,27 +339,24 @@ class SourceChannel:
         transport: Transport,
         channel_id: ChannelId,
         build_operator: Callable[[DeltaState], tuple],   # -> (root_op, leaf_op)
-        io_stats,                                        # cloud store IoStats
-        charge: Callable,                                # generator fn(io_bytes, effort_rows)
+        step: Callable,                 # generator fn(root, leaves) -> block, charging its cost
         telemetry: ProtocolTelemetry,
         queue_depth: int = 4,
-        fallback_index: Optional[int] = None,
+        fallback_after_rows: Optional[int] = None,
     ):
         self.engine = engine
         self.transport = transport
         self.channel_id = channel_id
         self.build_operator = build_operator
-        self.io_stats = io_stats
-        self.charge = charge
+        self.step = step
         self.telemetry = telemetry
-        self.fallback_index = fallback_index
+        self.fallback_after_rows = fallback_after_rows
         self.phase = ChannelPhase.CONFIRMED
         self.credits = queue_depth
         self.delta: Optional[DeltaState] = None
         self.root_op = None
         self.leaf_op = None
         self.remigrate_requested = False
-        self.cancelled = False
         self._wake = Signal(engine)
         transport.register_channel(channel_id, self.on_message)
 
@@ -366,7 +366,7 @@ class SourceChannel:
                 self.delta = msg.delta
                 self.root_op, self.leaf_op = self.build_operator(msg.delta)
         elif msg.type is MessageType.PROBE:
-            if self.delta is not None and not self.cancelled:
+            if self.delta is not None:
                 self.transport.send_message(Message(MessageType.ACK, self.channel_id))
                 if self.phase == ChannelPhase.CONFIRMED:
                     self.phase = ChannelPhase.STREAMING
@@ -375,7 +375,6 @@ class SourceChannel:
             self.credits += 1
             self._wake.notify()
         elif msg.type is MessageType.CANCEL:
-            self.cancelled = True
             self.phase = ChannelPhase.TERMINATED
             self._wake.notify()
 
@@ -385,7 +384,7 @@ class SourceChannel:
 
     def _produce(self):
         while True:
-            if self.cancelled:
+            if self.phase == ChannelPhase.TERMINATED:
                 return
             if self._should_remigrate():
                 yield from self._remigrate()
@@ -393,8 +392,10 @@ class SourceChannel:
             if self.credits <= 0:
                 yield self._wake.wait()
                 continue
-            block = yield from self._step()
-            if self.cancelled:
+            block = yield from self.step(self.root_op, (self.leaf_op,))
+            if block is PENDING:
+                raise PlanError(f"{self.channel_id}: a cloud operator waits on a remote source")
+            if self.phase == ChannelPhase.TERMINATED:
                 return
             if block is NOT_READY:
                 continue         # loop back through the remigration check
@@ -409,8 +410,8 @@ class SourceChannel:
         if self.remigrate_requested:
             return True
         return (
-            self.fallback_index is not None
-            and self.leaf_op.logical_index.value >= self.fallback_index
+            self.fallback_after_rows is not None
+            and self.leaf_op.rows_local >= self.fallback_after_rows
             and self.root_op.has_next()
         )
 
@@ -425,25 +426,12 @@ class SourceChannel:
         self._terminate(TerminateReason.REMIGRATION)
 
     def _send_block(self, block: TsBlock):
-        while self.credits <= 0 and not self.cancelled:
+        while self.credits <= 0 and self.phase != ChannelPhase.TERMINATED:
             yield self._wake.wait()
-        if self.cancelled:
+        if self.phase == ChannelPhase.TERMINATED:
             return
         self.transport.send_message(Message(MessageType.DATA, self.channel_id, block=block))
         self.credits -= 1
-
-    def _step(self):
-        """One unit of work plus its simulated disk/CPU cost."""
-        io_before = self.io_stats.bytes_read
-        effort_before = self.leaf_op.rows_local
-        block = self.root_op.next_block()
-        if block is PENDING:
-            raise PlanError(f"{self.channel_id}: a cloud operator waits on a remote source")
-        yield from self.charge(
-            self.io_stats.bytes_read - io_before,
-            self.leaf_op.rows_local - effort_before,
-        )
-        return block
 
     def _terminate(self, reason: TerminateReason) -> None:
         if self.phase == ChannelPhase.TERMINATED:

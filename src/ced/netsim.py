@@ -285,7 +285,6 @@ class Envelope:
     channel: Any
     payload: bytes
     droppable: bool = False
-    enqueue_time: float = 0.0
     deliver_time: float = 0.0
 
 
@@ -337,7 +336,6 @@ class Link:
         tx = size / self.config.bytes_per_second
         end = start + tx
         self._free_at[direction] = end
-        envelope.enqueue_time = now
         envelope.deliver_time = end + self.config.one_way_s
         handler = self._handlers[dst]
 

@@ -362,8 +362,7 @@ decode_memo = _DecodeMemo(DECODE_MEMO_ROWS)
 class ChunkIterator:
     """Forward iterator over chunk metadata, ascending min_ts, metadata-only until loaded."""
 
-    def __init__(self, store: "SeriesStore", metas: list[ChunkMeta]):
-        self._store = store
+    def __init__(self, metas: list[ChunkMeta]):
         self._metas = metas
         self._pos = 0
         self.chunks_skipped = 0
@@ -576,7 +575,7 @@ class SeriesStore:
         if time_range is not None:
             lo, hi = time_range
             metas = [m for m in metas if m.intersects(lo, hi)]
-        return ChunkIterator(self, metas)
+        return ChunkIterator(metas)
 
     def load_chunk_pages(self, meta: ChunkMeta) -> list[TsBlock]:
         """Load one chunk and repackage its rows into fresh TsBlocks of <= BLOCK_ROWS."""

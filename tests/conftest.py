@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from ced.errors import MalformedMessage
 from ced.harness.runtime import Cluster
@@ -22,6 +23,12 @@ Q5_SQL = "SELECT max_value(t3) FROM dev GROUP BY 5m"
 TABLE_II = {"Q1": Q1_SQL, "Q2": Q2_SQL, "Q3": Q3_SQL, "Q4": Q4_SQL, "Q5": Q5_SQL}
 
 _counter = itertools.count()
+
+# A test that sets no example count of its own (the protocol oracle) runs 60
+# examples in tier-1 and 300 under ``--hypothesis-profile=oracle``.
+settings.register_profile("tier1", max_examples=60)
+settings.register_profile("oracle", max_examples=300)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

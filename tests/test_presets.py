@@ -182,11 +182,22 @@ def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
     ("forced_migration_at_rows", -1), ("forced_fallback_after_rows", -1),
     ("workload.page_rows", 0), ("workload.chunk_target_rows", 0), ("workload.string_pool", 0),
     ("channel.queue_depth", 0), ("channel.probe_timeout_s", 0), ("channel.probe_retries", -1),
+    # a value of another type than its field's
+    ("io_throttle", "x"), ("cpu_load", 1.5), ("link.bandwidth_mbps", "fast"),
+    ("monitor_period_s", "0.1"), ("background_io_duty", None), ("workload.total_rows", 3000.5),
+    ("queries.concurrency", "2"), ("queries.concurrency", 1.5), ("queries.sql", 5),
+    ("channel.queue_depth", 1.5), ("warm_series", "t1"), ("scenario", "x"), ("scenario", 5),
+    ("link.bandwidth_mbps", float("nan")), ("io_throttle", float("inf")), ("cpu_hog_duty", True),
 ])
 def test_out_of_range_scenario_value_is_a_scenario_error(tmp_path, key, value):
     raw = {"queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}]}
     section, _, name = key.rpartition(".")
-    (raw.setdefault(section, {}) if section else raw)[name] = value
+    if name == "scenario":
+        raw = value                            # the whole file
+    elif section == "queries":
+        raw["queries"][0][name] = value
+    else:
+        (raw.setdefault(section, {}) if section else raw)[name] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(ScenarioError, match=name):

@@ -131,3 +131,59 @@ def test_scenario_schema_docstring_names_every_accepted_field(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(dataclasses.asdict(config)))
     assert scenario.load_scenario_file(path) == config
+
+
+def _write_only_attributes(package: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """``self.<name> = ...`` assignments in ``package`` whose name no module of
+    ``readers`` reads as an attribute, a ``getattr`` string or a keyword."""
+    read: set[str] = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                read.add(node.arg)
+            elif (
+                isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+            ):
+                read.add(node.args[1].value)
+    found = []
+    for where, tree in package.items():
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            )
+            for target in targets:
+                for part in ast.walk(target):
+                    if (
+                        isinstance(part, ast.Attribute) and isinstance(part.ctx, ast.Store)
+                        and ast.unparse(part.value) == "self" and part.attr not in read
+                    ):
+                        found.append(f"{where}:{part.lineno} self.{part.attr}")
+    return found
+
+
+def test_write_only_attributes_detector():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self, x):\n"
+        "        self.kept, self.dropped = x, x\n"
+        "        self.by_name: int = 0\n"
+        "        self.by_keyword = 0\n"
+        "    def f(self):\n"
+        "        return self.kept, getattr(self, 'by_name'), g(by_keyword=1)\n"
+    )
+    assert _write_only_attributes({"a.py": tree}, [tree]) == ["a.py:3 self.dropped"]
+
+
+def test_no_write_only_attributes_in_the_package():
+    # state that is set and never read is code to delete, not to keep in step
+    root = SOURCE.parent.parent
+    trees = {
+        str(path.relative_to(root)): ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for folder in (SOURCE, root / "tests", root / "perfbench")
+        for path in sorted(folder.rglob("*.py"))
+    }
+    package = {where: tree for where, tree in trees.items() if where.startswith("src")}
+    assert _write_only_attributes(package, list(trees.values())) == []
