@@ -36,14 +36,15 @@ chunk (CorruptChunk) and, in ``ced.wire`` and ``ced.coherence``, decoded
 link bytes (MalformedMessage).  A TsBlock built from those rows does not
 check it again.
 
-Decoded chunks are memoized process-wide, in one LRU keyed by ``(series,
-value type, row count, chunk bytes)`` and bounded to ``DECODE_MEMO_ROWS``
-retained rows.  The key holds the bytes, so an entry can never go stale and
-a hit implies every check the decode made.  Every load still reads the
-chunk's bytes and is charged in ``IoStats``; only the decode is skipped.
-Link DATA blocks (``ced.wire.decode_message``, keyed by their payload
-bytes) share the memo and its bound, so chunks and link blocks evict each
-other in one LRU order.
+Decoded chunks are memoized process-wide, in an LRU (``decode_memo``, a
+``RowMemo``) keyed by ``(series, value type, row count, chunk bytes)`` and
+bounded to ``DECODE_MEMO_ROWS`` retained rows.  The key holds the bytes, so
+an entry can never go stale and a hit implies every check the decode made.
+Every load still reads the chunk's bytes and is charged in ``IoStats``; only
+the decode is skipped.  ``ced.wire`` keeps two more ``RowMemo``s under the
+same bound, one of packed DATA blocks and one of decoded ones, so chunks
+and link blocks never evict each other and the three memos retain at most
+``3 * DECODE_MEMO_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ __all__ = [
     "read_file_index",
     "strictly_increasing",
     "DECODE_MEMO_ROWS",
+    "RowMemo",
     "decode_memo",
 ]
 
@@ -322,14 +324,16 @@ def _series_path(text: str) -> SeriesPath:
         raise CorruptChunk(f"{text}: {exc}") from None
 
 
-# a chunk's (series, value type, row count, chunk bytes), or a DATA payload's bytes
+# a chunk's (series, value type, row count, chunk bytes), a DATA payload's
+# bytes, or a block's (series, value type, first ts, last ts, row count)
 _MemoKey = Union[tuple, bytes]
-# (series, timestamps, values[, value type]): one decoded chunk or link block
+# (series or payload, timestamps, values[, value type]): the second field
+# holds one entry per retained row
 _Columns = tuple
 
 
-class _DecodeMemo:
-    """LRU of decoded columns, bounded by the rows it retains (see module docstring)."""
+class RowMemo:
+    """LRU of columns, bounded by the rows it retains (see module docstring)."""
 
     def __init__(self, max_rows: int):
         self.max_rows = max_rows
@@ -343,6 +347,10 @@ class _DecodeMemo:
         return columns
 
     def put(self, key: _MemoKey, columns: _Columns) -> None:
+        """Retain ``columns`` as the newest entry, replacing any under ``key``."""
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.rows -= len(old[1])
         n = len(columns[1])
         if n > self.max_rows:
             return
@@ -356,7 +364,7 @@ class _DecodeMemo:
         self.rows = 0
 
 
-decode_memo = _DecodeMemo(DECODE_MEMO_ROWS)
+decode_memo = RowMemo(DECODE_MEMO_ROWS)
 
 
 class ChunkIterator:

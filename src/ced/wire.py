@@ -17,9 +17,19 @@ column, packed with the others in one cached ``Struct`` call; any other
 column, ``None`` cells included, is packed cell by cell (``encode_cells``)
 and spliced in, to the same bytes.
 
-Decoded DATA blocks are memoized in ``ced.tsstore.decode_memo``, keyed by
-their payload bytes (``_decode_data``): concurrent queries that stream the
-same suffix receive the same payloads, and only the first is parsed.
+Concurrent queries that stream the same suffix send and receive the same
+DATA blocks, so each end memoizes them in a ``ced.tsstore.RowMemo`` of its
+own, bounded to ``DECODE_MEMO_ROWS`` rows like the store's chunk memo, so
+chunks and link blocks never evict each other.  ``pack_memo`` holds packed
+blocks keyed by ``(series, value type, first ts, last ts, row count)``; a
+lookup hits only when every timestamp and value of the block is the very
+object the entry holds (``encode_block``).  The cloud's producers slice
+their blocks from one memoized chunk, so their blocks hold the same
+objects.  The entry keeps those objects alive, so an identity is never
+reused, and values that are equal but pack apart (0.0 and -0.0, NaNs of
+other bits, 1 and True and 1.0) never hit each other's entry.
+``link_memo`` holds decoded blocks keyed by their payload bytes
+(``_decode_data``), so only the first copy of a payload is parsed.
 
 Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 ``ced.coherence``) reads through ``ced.codec.Reader`` and rejects any
@@ -57,6 +67,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -64,7 +75,7 @@ from typing import Optional, Sequence
 from .codec import F64, I64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
-from .tsstore import SeriesPath, TsBlock, ValueType, decode_memo, strictly_increasing
+from .tsstore import DECODE_MEMO_ROWS, RowMemo, SeriesPath, TsBlock, ValueType, strictly_increasing
 
 __all__ = [
     "ChannelId",
@@ -153,6 +164,8 @@ _BOOL, _INT64, _FLOAT64, _STRING = (int(vt) for vt in ValueType)
 _CELL_INT64 = struct.Struct("<BBq")       # presence, tag, value
 _CELL_FLOAT64 = struct.Struct("<BBd")
 _CELL_STRING = struct.Struct("<BBI")      # presence, tag, utf-8 length
+_STRING_HEAD = struct.Struct("<HI")       # presence and tag as one u16, utf-8 length
+_PRESENT_STRING = 1 | _STRING << 8
 
 
 def _string_cell(value: str) -> bytes:
@@ -255,12 +268,66 @@ def _read_cells(r: Reader, n: int) -> list:
     return values
 
 
+def _read_string_cells(r: Reader, n: int) -> list:
+    """``_read_cells`` for cells that are all present STRING, one unpack each.
+
+    On the first other cell, or any bytes a cell cannot be read from, the
+    cells are parsed again from the first by ``_read_cells``, which returns
+    them or raises its own MalformedMessage.
+    """
+    buf, pos = r.buf, r.pos
+    values: list = []
+    append = values.append
+    unpack_head = _STRING_HEAD.unpack_from
+    try:
+        for _ in range(n):
+            head, size = unpack_head(buf, pos)
+            if head != _PRESENT_STRING:
+                break
+            pos += 6
+            append(buf[pos:pos + size].decode("utf-8"))
+            pos += size
+        else:
+            if pos <= len(buf):
+                r.pos = pos
+                return values
+    except (struct.error, UnicodeDecodeError):
+        pass
+    return _read_cells(r, n)
+
+
 # --- blocks ---------------------------------------------------------------------
 
 _BLOCK_HEAD = struct.Struct("<BBI")        # flags, value_type, row_count
 
+# (payload, timestamps, values) of recently packed blocks, and the
+# (series, timestamps, values, value type) of recently decoded DATA payloads
+pack_memo = RowMemo(DECODE_MEMO_ROWS)
+link_memo = RowMemo(DECODE_MEMO_ROWS)
+
 
 def encode_block(block: TsBlock) -> bytes:
+    """The ``tsblock`` bytes of ``block``, packed once per distinct block.
+
+    A block with rows is looked up in ``pack_memo``; the entry's payload is
+    returned only when the block holds the entry's very timestamp and value
+    objects, otherwise the block is packed and replaces the entry.
+    """
+    timestamps, values, n = block.timestamps, block.values, block.row_count
+    if not n or block.is_header_only:
+        return _pack_block(block)
+    key = (block.series_id, block.value_type, timestamps[0], timestamps[-1], n)
+    entry = pack_memo.get(key)
+    if (entry is not None and len(values) == len(entry[2])
+            and all(map(operator.is_, timestamps, entry[1]))
+            and all(map(operator.is_, values, entry[2]))):
+        return entry[0]
+    payload = _pack_block(block)
+    pack_memo.put(key, (payload, tuple(timestamps), tuple(values)))
+    return payload
+
+
+def _pack_block(block: TsBlock) -> bytes:
     raw = str(block.series_id).encode("utf-8")
     n = block.row_count
     cells, packed = _cell_column(block.values)
@@ -288,6 +355,8 @@ def decode_block(buf: bytes) -> tuple[TsBlock, int]:
         # stride 10 holds present-FLOAT64 at every cell: exactly the bytes a
         # sequential parse would read, so unpack them in one pass
         values = [v for _, _, v in _CELL_FLOAT64.iter_unpack(r.take(10 * n))]
+    elif vt is ValueType.STRING:
+        values = _read_string_cells(r, n)
     else:
         values = _read_cells(r, n)
     try:
@@ -387,14 +456,14 @@ def decode_message(buf: bytes) -> Message:
 
 
 def _decode_data(p: Reader) -> TsBlock:
-    """The block of a whole DATA payload, through the decode memo.
+    """The block of a whole DATA payload, through ``link_memo``.
 
     The key is the payload's exact bytes.  A block with rows is retained
     only after the payload decoded to its last byte, so a hit implies every
     check ``decode_block`` made.  The memo keeps tuples and each call gets
     fresh lists, so no caller holds the memo's columns.
     """
-    columns = decode_memo.get(p.buf)
+    columns = link_memo.get(p.buf)
     if columns is not None:
         series, timestamps, values, vt = columns
         p.pos = len(p.buf)
@@ -403,6 +472,6 @@ def _decode_data(p: Reader) -> TsBlock:
     p.done()
     if block.row_count:
         columns = (block.series_id, tuple(block.timestamps), tuple(block.values), block.value_type)
-        decode_memo.put(p.buf, columns)
+        link_memo.put(p.buf, columns)
     return block
 

@@ -13,6 +13,7 @@ from ced.harness.runtime import Cluster
 from ced.harness.scenario import QuerySpec, ScenarioConfig
 from ced.harness.workload import WorkloadConfig
 from ced.tsstore import decode_memo
+from ced.wire import link_memo, pack_memo
 
 Q1_SQL = "SELECT t1 FROM dev WHERE t1='v999'"
 Q2_SQL = "SELECT t3 FROM dev WHERE t3=497.44467"
@@ -32,10 +33,12 @@ settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)
-def empty_decode_memo():
-    """Each test starts with no decoded chunk retained, so decode counts do not
-    depend on which tests ran before it in the process."""
-    decode_memo.clear()
+def empty_memos():
+    """Each test starts with no decoded chunk, packed block or decoded link
+    block retained, so pack and decode counts do not depend on which tests ran
+    before it in the process."""
+    for memo in (decode_memo, pack_memo, link_memo):
+        memo.clear()
 
 
 def small_workload(total_rows=6000, chunk_rows=1000, sensors=3, interval_ms=1000, seed=0):

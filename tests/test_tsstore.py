@@ -14,6 +14,7 @@ from ced.tsstore import (
     DECODE_MEMO_ROWS,
     ChunkMeta,
     DataPoint,
+    RowMemo,
     SeriesPath,
     SeriesStore,
     TsBlock,
@@ -345,6 +346,23 @@ def test_rows_retained_across_stores_never_exceed_the_bound(tmp_path):
     assert decode_memo.rows == 10 * 1500
     big.load_chunk_pages(meta)
     assert big.io.chunks_decoded == 2
+
+
+def test_putting_a_retained_key_again_replaces_its_entry_and_its_rows():
+    memo = RowMemo(10)
+    memo.put("a", ("a1", (1, 2, 3)))
+    memo.put("b", ("b", (1, 2)))
+    memo.put("a", ("a2", (1, 2, 3, 4)))     # replaces "a" and makes it the newest
+    assert memo.rows == 6
+    assert memo.get("a") == ("a2", (1, 2, 3, 4))
+    memo.put("c", ("c", (1, 2, 3, 4)))      # fits the bound exactly: nothing evicted
+    assert memo.rows == 10 and memo.get("b") is not None
+    memo.put("d", ("d", (1,)))              # evicts the oldest, "a"
+    assert memo.get("a") is None
+    assert memo.rows == 2 + 4 + 1
+    memo.put("b", ("b2", tuple(range(11))))  # larger than the bound: the old entry goes too
+    assert memo.get("b") is None
+    assert memo.rows == 4 + 1
 
 
 # --- invariants -------------------------------------------------------------

@@ -3,13 +3,15 @@
 import struct
 
 import pytest
-from conftest import rejections
+from conftest import TABLE_II, make_scenario, rejections, run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ced import wire
+from ced.codec import Reader
 from ced.coherence import decode_snapshot, encode_snapshot
 from ced.errors import MalformedMessage
+from ced.harness.scenario import QuerySpec
 from ced.scanops import IndexKind, LogicalIndex
 from ced.tsstore import DECODE_MEMO_ROWS, SeriesPath, SeriesStore, TsBlock, ValueType, decode_memo
 from ced.wire import (
@@ -25,6 +27,8 @@ from ced.wire import (
     encode_cells,
     encode_channel,
     encode_message,
+    link_memo,
+    pack_memo,
 )
 
 S = SeriesPath.parse("root.ln.e1.d1.t1")
@@ -444,7 +448,8 @@ def test_link_memo_hit_equals_miss(monkeypatch, values, vt):
     hit = decode_message(_data(block)).block
     assert _block_fields(hit) == _block_fields(miss) == _block_fields(block)
     assert len(calls) == 1
-    assert decode_memo.rows == 3
+    assert link_memo.rows == 3
+    assert decode_memo.rows == 0
 
 
 def test_mutating_a_decoded_link_block_does_not_change_the_next_decode():
@@ -467,7 +472,7 @@ def test_malformed_link_payload_is_never_retained(monkeypatch):
             with pytest.raises(MalformedMessage):
                 decode_message(buf)
     assert len(calls) == 6
-    assert decode_memo.rows == 0
+    assert link_memo.rows == 0
 
 
 def test_header_only_blocks_are_never_retained(monkeypatch):
@@ -477,32 +482,242 @@ def test_header_only_blocks_are_never_retained(monkeypatch):
         for _ in range(2):
             assert decode_message(buf).block.is_header_only
     assert len(calls) == 4
-    assert decode_memo.rows == 0
+    assert link_memo.rows == 0
+    assert pack_memo.rows == 0
 
 
-def test_rows_retained_across_chunks_and_link_blocks_never_exceed_the_bound(tmp_path, monkeypatch):
-    calls = _count_decodes(monkeypatch)
+def _chunk_store(tmp_path, rows=6000, chunk_rows=1500) -> SeriesStore:
     store = SeriesStore(tmp_path / "s")
-    store.append_columns(S, range(6000), [float(i) for i in range(6000)])
-    store.flush(S, chunk_target_rows=1500)
-    links = [_data(TsBlock(S, list(range(1000)), [f"v{k}"] * 1000, ValueType.STRING))
-             for k in range(12)]
-    for meta in store.chunk_metas(S):        # 4 x 1500 chunk rows, then 12 x 1000 link rows
-        store.load_chunk_pages(meta)
-        assert decode_memo.rows <= DECODE_MEMO_ROWS
+    store.append_columns(S, range(rows), [float(i) for i in range(rows)])
+    store.flush(S, chunk_target_rows=chunk_rows)
+    return store
+
+
+def _links(count: int, rows: int = 1000) -> list[bytes]:
+    return [_data(TsBlock(S, list(range(k * rows, (k + 1) * rows)), [f"v{k}"] * rows, ValueType.STRING))
+            for k in range(count)]
+
+
+def test_loading_chunks_never_evicts_a_link_block(tmp_path, monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    links = _links(4)
     for buf in links:
         decode_message(buf)
+    store = _chunk_store(tmp_path, rows=24000)   # 16 x 1500 chunk rows: more than the bound
+    for meta in store.chunk_metas(S):
+        store.load_chunk_pages(meta)
         assert decode_memo.rows <= DECODE_MEMO_ROWS
-    assert decode_memo.rows == 2 * 1500 + 12 * 1000     # the two oldest chunks were evicted
-    assert len(calls) == 12
-    decode_message(links[-1])                # retained: a hit that makes it newest
-    assert len(calls) == 12
-    for meta in store.chunk_metas(S)[:3]:    # evicted chunks: decoded again, evicting
-        store.load_chunk_pages(meta)         # the other two chunks, then links[0]
-        assert decode_memo.rows <= DECODE_MEMO_ROWS
-    assert store.io.chunks_decoded == 7
-    decode_message(links[1])                 # still retained
-    assert len(calls) == 12
-    decode_message(links[0])                 # evicted by a chunk
-    assert len(calls) == 13
-    assert decode_memo.rows <= DECODE_MEMO_ROWS
+    assert link_memo.rows == 4 * 1000
+    for buf in links:                        # every one still retained
+        decode_message(buf)
+    assert len(calls) == 4
+
+
+def test_decoding_link_blocks_never_evicts_a_chunk(tmp_path, monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    store = _chunk_store(tmp_path)
+    for meta in store.chunk_metas(S):
+        store.load_chunk_pages(meta)
+    for buf in _links(20):                   # 20 x 1000 link rows: more than the bound
+        decode_message(buf)
+        assert link_memo.rows <= DECODE_MEMO_ROWS
+    assert len(calls) == 20
+    assert link_memo.rows == 16 * 1000       # the four oldest were evicted
+    for meta in store.chunk_metas(S):        # every chunk still retained
+        store.load_chunk_pages(meta)
+    assert store.io.chunks_decoded == 4
+    assert decode_memo.rows == 4 * 1500
+
+
+def test_each_memo_stays_within_its_bound(tmp_path, monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    store = _chunk_store(tmp_path, rows=30000)
+    links = _links(20)
+    for meta, buf in zip(store.chunk_metas(S), links):   # interleaved: 20 chunks and 20 links
+        store.load_chunk_pages(meta)
+        decode_message(buf)
+        for memo in (decode_memo, link_memo, pack_memo):
+            assert memo.rows <= DECODE_MEMO_ROWS
+    assert decode_memo.rows == 10 * 1500
+    assert link_memo.rows == pack_memo.rows == 16 * 1000
+    decode_message(links[4])                 # the oldest retained link block: a hit
+    assert len(calls) == 20
+    decode_message(links[3])                 # evicted, in its own memo's order
+    assert len(calls) == 21
+
+
+# --- block pack memo -------------------------------------------------------------------
+
+def _count_packs(monkeypatch) -> list:
+    packs = []
+    real = wire._pack_block
+
+    def counted(block):
+        packs.append(real(block))
+        return packs[-1]
+
+    monkeypatch.setattr(wire, "_pack_block", counted)
+    return packs
+
+
+def _nan(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+def _assert_packs_like_the_uncached_packer(block):
+    assert encode_block(block) == wire._pack_block(block) == _reference_block(block)
+
+
+def test_signed_zeros_pack_apart():
+    ts = [0, 1000]                           # the same timestamp objects in both blocks
+    for values in ([0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]):
+        _assert_packs_like_the_uncached_packer(TsBlock(S, ts, values, ValueType.FLOAT64))
+
+
+def test_nan_objects_pack_by_their_own_bits():
+    ts = [0, 1000]
+    for values in ([_nan(0), 1.5], [_nan(1), 1.5], [float("nan"), 1.5]):
+        _assert_packs_like_the_uncached_packer(TsBlock(S, ts, values, ValueType.FLOAT64))
+
+
+@pytest.mark.parametrize("vt", [ValueType.INT64, ValueType.BOOL, ValueType.FLOAT64])
+def test_one_true_and_one_point_zero_pack_apart(vt):
+    ts = [0, 1000]
+    for _ in range(2):
+        for one in (1, True, 1.0):
+            for block_vt in (vt, ValueType.INT64, ValueType.BOOL, ValueType.FLOAT64):
+                _assert_packs_like_the_uncached_packer(TsBlock(S, ts, [one, one], block_vt))
+
+
+def test_equal_values_decoded_by_another_store_are_packed_again(tmp_path, monkeypatch):
+    packs = _count_packs(monkeypatch)
+    blocks = []
+    for name in ("a", "b"):
+        decode_memo.clear()                  # so the second store decodes its own objects
+        store = SeriesStore(tmp_path / name)
+        store.append_columns(S, range(0, 3000, 3), [i / 7 for i in range(1000)])
+        blocks += store.load_chunk_pages(store.flush(S).chunk_index[0])
+    a, b = blocks
+    assert a.values == b.values and a.values[0] is not b.values[0]
+    assert encode_block(a) == encode_block(b) == _reference_block(b)
+    assert len(packs) == 2
+
+
+def test_a_block_mutated_after_packing_is_packed_again(monkeypatch):
+    packs = _count_packs(monkeypatch)
+    block = TsBlock(S, [0, 1000, 2000], ["v1", "v2", "v3"], ValueType.STRING)
+    encode_block(block)
+    block.values[1] = "changed"
+    _assert_packs_like_the_uncached_packer(block)
+    block.timestamps[1] = 1500               # first and last timestamps unchanged
+    _assert_packs_like_the_uncached_packer(block)
+    block.values.append("extra")
+    _assert_packs_like_the_uncached_packer(block)
+    block.values.pop()
+    _assert_packs_like_the_uncached_packer(block)
+    assert len(packs) == 1 + 4 * 2           # a miss each time, and the uncached call
+
+
+def test_the_blocks_of_one_memoized_chunk_loaded_by_four_scans_are_packed_once(tmp_path, monkeypatch):
+    packs = _count_packs(monkeypatch)
+    store = _chunk_store(tmp_path, rows=2500, chunk_rows=2500)
+    meta = store.chunk_metas(S)[0]
+    sent = [encode_message(Message(MessageType.DATA, CH, block=block))
+            for _ in range(4) for block in store.load_chunk_pages(meta)]
+    assert store.io.chunks_decoded == 1
+    assert len(packs) == 3                   # 1000 + 1000 + 500 rows
+    assert sent == sent[:3] * 4
+    assert [decode_message(buf).block.values for buf in sent[:3]] == [
+        [float(i) for i in range(b0, min(b0 + 1000, 2500))] for b0 in (0, 1000, 2000)]
+
+
+def test_concurrent_cloud_queries_pack_each_distinct_block_once(tmp_path, monkeypatch):
+    packs = _count_packs(monkeypatch)
+    q3 = QuerySpec("Q3", TABLE_II["Q3"], concurrency=4)
+    run(make_scenario(TABLE_II["Q3"], mode="cloud_only", queries=(q3,)), tmp_path)
+    data = [p for p in packs if not decode_block(p)[0].is_header_only]
+    assert len(data) == len(set(data)) == 2 * 6      # two series of six 1000-row blocks
+
+
+# A sequence of blocks over one series and a few time ranges whose timestamps
+# and values are drawn from a pool of objects, each either the pooled object
+# or an equal one in another object; a step may instead mutate an earlier
+# block in place.
+_POOL_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, 2**40]),
+    st.sampled_from([0.0, -0.0, 1.0, float("inf")]), st.integers(0, 3).map(_nan),
+    st.sampled_from(["", "v1", "ü-ü"]),
+)
+_TS_POOL = [10**12 + 1000 * i for i in range(4)]
+
+
+def _copy(v):
+    """An equal value, in another object where Python makes one."""
+    if type(v) is float:
+        return struct.unpack("<d", struct.pack("<d", v))[0]
+    if type(v) is int:
+        return int(str(v))
+    if type(v) is str:
+        return (v + "x")[:-1]
+    return v
+
+
+_ROW = st.tuples(st.integers(0, 5), st.booleans())           # pool index, copied?
+_STEP = st.one_of(
+    st.tuples(st.just("new"), st.sampled_from(ValueType), st.integers(0, 2), st.integers(1, 2),
+              st.booleans(), st.lists(_ROW, min_size=3, max_size=3)),
+    st.tuples(st.just("mutate"), st.integers(0), st.integers(0, 2), _ROW),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(_POOL_VALUES, min_size=6, max_size=6), steps=st.lists(_STEP, max_size=12))
+def test_encode_block_equals_the_uncached_packer(pool, steps):
+    pack_memo.clear()
+    blocks = []
+    for step in steps:
+        if step[0] == "new":
+            _, vt, start, n, copy_ts, rows = step
+            ts = _TS_POOL[start:start + n]
+            if copy_ts:
+                ts = [_copy(t) for t in ts]
+            values = [_copy(pool[i]) if copied else pool[i] for i, copied in rows[:len(ts)]]
+            blocks.append(TsBlock(S, list(ts), values, vt))
+            block = blocks[-1]
+        elif blocks:
+            _, which, row, (i, copied) = step
+            block = blocks[which % len(blocks)]
+            block.values[row % block.row_count] = _copy(pool[i]) if copied else pool[i]
+        else:
+            continue
+        assert encode_block(block) == wire._pack_block(block)
+
+
+# --- string cells ----------------------------------------------------------------------
+
+_CELL_VALUES = st.one_of(st.text(max_size=6), st.none(), st.booleans(), _I64, _FLOATS_ANY)
+
+
+def _read_or_error(read, buf: bytes, n: int):
+    r = Reader(buf, MalformedMessage)
+    try:
+        return read(r, n), r.pos
+    except MalformedMessage as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(st.lists(st.text(max_size=6), max_size=8), st.lists(_CELL_VALUES, max_size=8)),
+    lead=st.binary(max_size=2),
+    extra=st.integers(-2, 2),
+    at=st.integers(min_value=0),
+    junk=st.binary(max_size=3),
+    cut=st.integers(0, 3),
+)
+def test_string_cells_read_like_the_sequential_parse(values, lead, extra, at, junk, cut):
+    cells = lead + b"".join(encode_cells(values))
+    for buf in (cells, cells[:at % (len(cells) + 1)] + junk + cells[at % (len(cells) + 1) + cut:]):
+        n = max(0, len(values) + extra)
+        expected = _read_or_error(wire._read_cells, buf, n)
+        assert _read_or_error(wire._read_string_cells, buf, n) == expected
