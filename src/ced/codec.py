@@ -9,9 +9,10 @@ buffer field by field and raises the error class its caller names
 short read, bad UTF-8, an unknown enum byte or leftover bytes.  Per-row
 and per-cell loops read ``Reader.buf`` inline and check bounds once per run.
 
-Rows of fields are packed by :func:`pack_rows`, the one row packer: store
-rows (``ts | value``), DATA block cells and checksum rows (``ts | cell*``)
-are three layouts of it.  A layout gives each column as ``(code, prefix)``:
+Rows of fields are packed by :func:`pack_rows`, the one row packer: a store
+page's two columns (timestamps, then values or a STRING column's lengths;
+one field per row), DATA block cells and checksum rows (``ts | cell*``) are
+layouts of it.  A layout gives each column as ``(code, prefix)``:
 ``prefix`` is a tuple of u8 constants written before the value (a cell's
 presence byte and tag), and ``code`` is a ``struct`` code for a fixed-width
 value, ``STR`` for a str written as its UTF-8 length u32 followed by the

@@ -13,19 +13,23 @@ On-disk format (all integers little-endian):
     chunk  := series_len u16 | series utf8 | value_type u8
               | page_count u32 | row_count u32 | min_ts i64 | max_ts i64
               | page*
-    page   := row_count u32 | min_ts i64 | max_ts i64 | row*
-    row    := ts i64 | value
-    value  := BOOL u8 | INT64 i64 | FLOAT64 f64 | STRING u32 + utf8
+    page   := row_count u32 | min_ts i64 | max_ts i64 | ts i64 * n | column
+    column := BOOL u8 * n | INT64 i64 * n | FLOAT64 f64 * n
+              | STRING len u32 * n + utf8 bodies, concatenated
     index  := entry_count u32 | entry*
     entry  := series_len u16 | series utf8 | chunk_offset u64 | byte_len u32
               | value_type u8 | row_count u32 | min_ts i64 | max_ts i64
     footer := index_offset u64 | magic "CEDF"
 
-The fields are ``ced.codec``'s, and a page's rows are one ``ced.codec``
-row layout per value type (``_ROW_LAYOUTS``): written by one ``pack_rows``
-call and, for the fixed-width types, read by one ``rows_struct`` unpack,
-made only after the page's bytes are known to be there.  Bytes that break
-this grammar (a field cut short, an unknown value type, page bounds or row
+A page holds its ``n`` rows as two columns: timestamps, then values.  The
+fields are ``ced.codec``'s, and each column is one ``ced.codec`` layout,
+written by one ``pack_rows`` call (a STRING column's lengths, followed by
+its bodies) and read by one ``rows_struct`` unpack, made only after both
+columns' bytes are known to be there.  A STRING page's bodies are decoded
+as one UTF-8 blob and sliced by the lengths' running sums; when the blob is
+not all ASCII, each body is decoded on its own, so a character split across
+two bodies is an error.  Bytes that break this grammar (a file of another
+version, a field cut short, an unknown value type, page bounds or row
 counts that disagree with the rows, rows out of timestamp order) raise
 CorruptChunk.  Timestamps are integer milliseconds and strictly increase
 within a series; flushed files are immutable.
@@ -55,11 +59,11 @@ import shutil
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
-from .codec import STR, U16, U32, Reader, pack_rows, rows_struct, write_text
+from .codec import U16, U32, Reader, pack_rows, rows_struct, write_text
 from .errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSeries
 
 __all__ = [
@@ -90,7 +94,7 @@ BLOCK_ROWS = 1000
 DECODE_MEMO_ROWS = 16 * BLOCK_ROWS
 
 MAGIC = b"CEDF"
-VERSION = 1
+VERSION = 2                 # pages of columns; read_file_index rejects any other
 
 _CHUNK_FIXED = struct.Struct("<BIIqq")   # value_type, page_count, row_count, min_ts, max_ts
 _PAGE_FIXED = struct.Struct("<Iqq")      # row_count, min_ts, max_ts
@@ -107,12 +111,13 @@ class ValueType(enum.IntEnum):
 
 Scalar = Union[bool, int, float, str]
 
-# ``ced.codec`` row layout per value type: ``ts i64 | value``; "?" packs truth
-# as a 0/1 byte and reads any nonzero byte as True
-_ROW_LAYOUTS = {
-    vt: (("q", ()), (code, ()))
+# ``ced.codec`` layouts of a page's two columns; "?" packs truth as a 0/1 byte
+# and reads any nonzero byte as True, and a STRING column packs its lengths
+_TS_COLUMN = (("q", ()),)
+_VALUE_COLUMNS = {
+    vt: ((code, ()),)
     for vt, code in (
-        (ValueType.BOOL, "?"), (ValueType.INT64, "q"), (ValueType.FLOAT64, "d"), (ValueType.STRING, STR),
+        (ValueType.BOOL, "?"), (ValueType.INT64, "q"), (ValueType.FLOAT64, "d"), (ValueType.STRING, "I"),
     )
 }
 
@@ -246,38 +251,39 @@ class IoStats:
     chunks_decoded: int = 0    # loads that missed the decode memo
 
 
-# --- row codecs -------------------------------------------------------------
+# --- page columns ------------------------------------------------------------
 
 def _encode_rows(out: bytearray, vt: ValueType, timestamps: Sequence[int], values: Sequence) -> None:
-    out += pack_rows(_ROW_LAYOUTS[vt], (timestamps, values))
+    out += pack_rows(_TS_COLUMN, (timestamps,))
+    if vt is not ValueType.STRING:
+        out += pack_rows(_VALUE_COLUMNS[vt], (values,))
+        return
+    bodies = list(map(str.encode, values))
+    out += pack_rows(_VALUE_COLUMNS[vt], (list(map(len, bodies)),))
+    out += b"".join(bodies)
 
 
 def _read_rows(r: Reader, vt: ValueType, n: int, timestamps: list[int], values: list) -> None:
-    """Append ``n`` rows at the cursor to the two columns; bounds checked once."""
-    layout = _ROW_LAYOUTS[vt]
-    row = rows_struct(layout, 1)        # one row's fixed-width fields
+    """Append the ``n`` rows of the columns at the cursor; bounds checked per column."""
+    layout = _VALUE_COLUMNS[vt]
+    raw_ts = r.take(n * rows_struct(_TS_COLUMN, 1).size)   # bounds first: n may be corrupt
+    raw_values = r.take(n * rows_struct(layout, 1).size)
+    timestamps += rows_struct(_TS_COLUMN, n).unpack(raw_ts)
+    column = rows_struct(layout, n).unpack(raw_values)
     if vt is not ValueType.STRING:
-        raw = r.take(n * row.size)      # bounds first: n may be corrupt
-        flat = rows_struct(layout, n).unpack(raw)
-        timestamps += flat[0::2]
-        values += flat[1::2]
+        values += column
         return
-    buf, pos = r.buf, r.pos
-    unpack_from, head = row.unpack_from, row.size
-    append_ts, append_value = timestamps.append, values.append
+    offsets = list(accumulate(column, initial=0))
+    blob = r.take(offsets[-1])
+    spans = zip(offsets, islice(offsets, 1, None))
     try:
-        for _ in range(n):
-            ts, ln = unpack_from(buf, pos)
-            pos += head
-            end = pos + ln
-            append_value(buf[pos:end].decode("utf-8"))
-            append_ts(ts)
-            pos = end
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise r.error(f"string row cut short or not utf-8 at byte {pos} ({exc})") from None
-    if pos > len(buf):
-        raise r.fail(f"string row runs {pos - len(buf)} bytes past the end")
-    r.pos = pos
+        text = blob.decode("utf-8")
+        if len(text) == len(blob):      # all ASCII: a body's bytes are its characters
+            values += [text[a:b] for a, b in spans]
+        else:                           # a character split across two bodies fails here
+            values += [blob[a:b].decode("utf-8") for a, b in spans]
+    except UnicodeDecodeError as exc:
+        raise r.fail(f"string body not utf-8 ({exc.reason})") from None
 
 
 def _encode_chunk(
@@ -729,6 +735,9 @@ def read_file_index(path: Path) -> list[ChunkMeta]:
     footer = len(buf) - _FOOTER.size
     if footer < 0 or buf[:4] != MAGIC or buf[-4:] != MAGIC:
         raise CorruptChunk(f"{path}: bad magic")
+    version = U16.unpack_from(buf, len(MAGIC))[0]
+    if version != VERSION:
+        raise CorruptChunk(f"{path}: format version {version}, not {VERSION}")
     r = Reader(buf, CorruptChunk, footer)
     index_offset = r.pos = r.u64()
     metas: list[ChunkMeta] = []

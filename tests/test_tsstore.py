@@ -564,26 +564,88 @@ def test_corrupt_page_row_count_is_rejected_before_a_row_codec_is_built(store):
 def test_chunk_rows_out_of_timestamp_order_raise_corrupt_chunk(store, value, stamps):
     fill(store, S, 10, value=value)       # one page; its header bounds are rows 0 and 9
     meta = store.flush(S).chunk_index[0]
-    row = 16 if value is float else 13    # ts i64 | f64, or ts i64 | len u32 | one utf-8 byte
-    first = meta.offset + _CHUNK_HEAD + 25 + 20
+    first = meta.offset + _CHUNK_HEAD + 25 + 20   # the page's timestamp column, ts i64 each
     for i, ts in zip((3, 4), stamps):
-        _tamper(meta.file_path, first + i * row, struct.pack("<q", ts))
+        _tamper(meta.file_path, first + i * 8, struct.pack("<q", ts))
     with pytest.raises(CorruptChunk, match="timestamp"):
         store.load_chunk_pages(meta)
 
 
-@pytest.mark.parametrize("row,field,raw", [
-    (9, 8, struct.pack("<I", 50)),       # the last row's string runs past the chunk
-    (3, 8, struct.pack("<I", 2**31)),    # a middle row's string runs past the chunk
-    (3, 12, b"\xff"),                    # a row's one utf-8 byte is not utf-8
+_LENGTHS = 10 * 8               # in a page of ten rows, the lengths follow the timestamps
+_BODIES = _LENGTHS + 10 * 4     # and the bodies follow the lengths
+
+
+@pytest.mark.parametrize("at,raw", [
+    (_LENGTHS + 9 * 4, struct.pack("<I", 50)),      # the last row's string runs past the chunk
+    (_LENGTHS + 3 * 4, struct.pack("<I", 2**31)),   # a middle row's string runs past the chunk
+    (_BODIES + 3, b"\xff"),                         # a row's one utf-8 byte is not utf-8
 ], ids=["last-past-end", "middle-past-end", "utf8"])
-def test_string_row_cut_short_or_not_utf8_raises_corrupt_chunk(store, row, field, raw):
-    fill(store, S, 10, value=str)        # rows: ts i64 | len u32 | one utf-8 byte
+def test_string_row_cut_short_or_not_utf8_raises_corrupt_chunk(store, at, raw):
+    fill(store, S, 10, value=str)        # columns: ts i64 * 10 | len u32 * 10 | one utf-8 byte * 10
     meta = store.flush(S).chunk_index[0]
     first = meta.offset + _CHUNK_HEAD + 25 + 20
-    _tamper(meta.file_path, first + row * 13 + field, raw)
+    _tamper(meta.file_path, first + at, raw)
     with pytest.raises(CorruptChunk):
         store.load_chunk_pages(meta)
+
+
+def _string_page(store, values):
+    """One flushed one-page STRING chunk of ``values``, and where its lengths are."""
+    store.append_columns(S, range(len(values)), values)
+    meta = store.flush(S).chunk_index[0]
+    assert scan_all(store, S) == list(enumerate(values))
+    return meta, meta.offset + _CHUNK_HEAD + 25 + 20 + 8 * len(values)
+
+
+def test_a_character_split_across_two_string_bodies_raises_corrupt_chunk(store):
+    meta, lengths = _string_page(store, ["\u00e9", ""])              # bodies b"\xc3\xa9", b""
+    _tamper(meta.file_path, lengths, struct.pack("<II", 1, 1))      # b"\xc3", b"\xa9": "é" only joined
+    with pytest.raises(CorruptChunk, match="utf-8"):
+        store.load_chunk_pages(meta)
+
+
+def test_string_lengths_that_sum_past_the_chunk_raise_corrupt_chunk(store):
+    meta, lengths = _string_page(store, ["ab", "cd", "ef"])
+    _tamper(meta.file_path, lengths, struct.pack("<III", 2, 2, 3))  # each fits, the sum does not
+    with pytest.raises(CorruptChunk, match="past the end"):
+        store.load_chunk_pages(meta)
+
+
+@pytest.mark.parametrize("first", ["ab", "\u00e9\u20ac"], ids=["ascii", "multibyte"])
+def test_a_string_body_that_is_not_utf8_raises_corrupt_chunk(store, first):
+    meta, lengths = _string_page(store, [first, "cd"])
+    _tamper(meta.file_path, lengths + 8 + len(first.encode()), b"\xff")   # "cd" -> b"\xffd"
+    with pytest.raises(CorruptChunk, match="utf-8"):
+        store.load_chunk_pages(meta)
+
+
+@pytest.mark.parametrize("version", [1, 3])
+def test_a_file_of_another_format_version_raises_corrupt_chunk(store, version):
+    fill(store, S, 10)
+    path = store.flush(S).path
+    _tamper(path, 4, struct.pack("<H", version))        # header := magic | version u16
+    with pytest.raises(CorruptChunk, match="version"):
+        read_file_index(path)
+
+
+_STRINGS = st.text(
+    st.sampled_from(["a", "Z", "0", " ", "\u00e9", "\u00df", "\u20ac", "\u4e2d", "\U0001f600", "\U00010348"]),
+    max_size=4,
+)                                       # ASCII, empty, and 2-, 3- and 4-byte UTF-8 characters
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(_STRINGS, min_size=1, max_size=60),
+    page_rows=st.sampled_from([1, 3, 7, 13]),
+    chunk_rows=st.integers(min_value=1, max_value=40),
+)
+def test_string_pages_of_any_utf8_roundtrip(tmp_path_factory, values, page_rows, chunk_rows):
+    store = SeriesStore(tmp_path_factory.mktemp("utf8"), chunk_target_rows=chunk_rows, page_rows=page_rows)
+    store.append_columns(S, range(0, 3 * len(values), 3), values)
+    memtable = scan_all(store, S)
+    store.flush(S)
+    assert scan_all(store, S) == memtable == list(zip(range(0, 3 * len(values), 3), values))
 
 
 @settings(max_examples=200, deadline=None)

@@ -27,27 +27,52 @@ PINNED = WorkloadConfig(
 )
 
 PINNED_SHA256 = {
-    "t1__000000": "94e2e6fc06b6663680a9aa327234f4594a423ae1ac05eac83e779c3c115990ef",
-    "t1__000001": "e2285b46e4257bc7d8ec8b961c0f74fe8f8a36b36f0f79e8f91946efab01bf8d",
-    "t1__000002": "136c07a8a208e15de13433520a73a80760b1179d2eebd623693273f088269108",
-    "t2__000000": "b9248a0539ae15cc2960d89b6bde170590b3892a4029a747e9f0d3b76d1d7238",
-    "t2__000001": "7c1d073b038ee209bc51d980143a1c021fa19df30c7dcdc84b82ea55826a70af",
-    "t2__000002": "d6717a5d2f9272254b972a5ac65c6eea572474ea402492ece6ab45c001ad4038",
-    "t3__000000": "b190671ce949528423606ac2d9992ca61692143323888e8384d71467338de053",
-    "t3__000001": "90eb96bfd738d20edee14c3088e87c1a8f187a0d13d94220ef1a478d0c08d2ac",
-    "t3__000002": "f988e5ea3dab1493facd651938334f90adc26a87493de7ee82a8744d533afa92",
-    "t4__000000": "075fc1565d96f97e117d3d3d8cf6cf0951ce0b07f5c21e4d2fc00e102523d1d3",
-    "t4__000001": "d339960555f44f39682db41d4085ee0fbad93b7852172462e3811a035215c733",
-    "t4__000002": "65fb0564fa1d3515553c6b8297f7da6d5a8f9f5e6fab26a162ab7c9ae553730e",
-    "t5__000000": "43cf28d6e433bdabc667692c32c17e9421924524c86eead3bffb95c87078229c",
-    "t5__000001": "e33f1f61e51df3107a3f9d238b69101ccfef07e6404f1537e1621442033cd958",
-    "t5__000002": "8b34b374881b62c9df1331366fcbbe11ed89ea92334ee9c47090b3b87dfea799",
+    "t1__000000": "a25973fcdc6cb638b7246fdf7c31ea016f9728d14f1653a67e937138afbb8624",
+    "t1__000001": "02901437caaa1d3c4a3cc2e7df04cef6da482f534e7fdfafce30ca8a9a548632",
+    "t1__000002": "63ba1d65ee19be28ce692c2bb73074ce07332cd4409b80341fa086384f9c6d89",
+    "t2__000000": "8fac152d7c1d15886007aed332c4776bc3fb460ed3199bc03ced003f550ff5f7",
+    "t2__000001": "0ab9d06124c5d1789a76c4a3b99e934a7456b192b940bab2cacf5eeaf8b91217",
+    "t2__000002": "c16c98adc5a7a1815b37a7e7d7f87637c6063e4dc14d2feae8bcef3f5f2bc0c2",
+    "t3__000000": "6dc2cae0bd03613149fc6dc45c9e5ccb374d1890c927f0c949f05ee73eb95d3a",
+    "t3__000001": "2672d51abfee0c0d9cd61073675b95b1bd4e344845902eb05b365e3dfe6efeed",
+    "t3__000002": "53ee468a57822602a7b618e9e146839536883b32034276f916c9fd50671a1fa9",
+    "t4__000000": "0e31aaf0fca2420f34b26e529f94b54b4dd000a1667ddee629c0a2fcc0e4194f",
+    "t4__000001": "610365731c4ce471388290cd033959aaa8eceebc025cd82418ca0fcb012bbc82",
+    "t4__000002": "bd0460a99ce2fb93a65a5eba595678a1a1183d34af2052393ab5b05e8d221cd1",
+    "t5__000000": "b8fcafa99fd5c9725861429be26fe5df80f398f0de7e036ac18f21ddb21a279c",
+    "t5__000001": "7daa90441edd13bf67b7dafc11ec759b49bc94807bf733c6a60f84358be7d1f6",
+    "t5__000002": "1ec5901d256be0e7dd726fddda9968fc3df5da51ff79837f299fff6f66557f42",
+}
+
+# byte length of each file; the same under the row layout of format version 1,
+# so chunk offsets, bytes read and snapshot bytes are the same too
+PINNED_BYTES = {
+    "t1__000000": 16208,
+    "t1__000001": 16210,
+    "t1__000002": 8104,
+    "t2__000000": 9326,
+    "t2__000001": 9326,
+    "t2__000002": 4664,
+    "t3__000000": 16326,
+    "t3__000001": 16326,
+    "t3__000002": 8164,
+    "t4__000000": 16326,
+    "t4__000001": 16326,
+    "t4__000002": 8164,
+    "t5__000000": 16218,
+    "t5__000001": 16224,
+    "t5__000002": 8108,
 }
 
 
 def store_for(root, config, **kw):
     kw.setdefault("page_rows", config.page_rows)
     return SeriesStore(root, chunk_target_rows=config.chunk_target_rows, **kw)
+
+
+def file_sizes(root):
+    prefix = PINNED.device + "."
+    return {p.name[len(prefix):-len(".cedf")]: p.stat().st_size for p in sorted(root.iterdir())}
 
 
 def file_digests(root):
@@ -70,6 +95,7 @@ def scan_rows(store, series):
 def test_generated_file_digests_are_pinned(tmp_path):
     store = store_for(tmp_path, PINNED)
     dataset = generate(store, PINNED)
+    assert file_sizes(tmp_path) == PINNED_BYTES
     assert file_digests(tmp_path) == PINNED_SHA256
     assert dataset.total_points == 5 * 2500
 
