@@ -16,7 +16,7 @@ from typing import Iterable
 
 from ..scanops import ResultBlock
 from ..tsstore import BLOCK_ROWS
-from ..wire import encode_rows
+from ..wire import encode_rows, encode_rows_once
 
 __all__ = ["ChecksumBuilder", "QueryResult", "MetricsReport", "emit"]
 
@@ -31,7 +31,9 @@ class ChecksumBuilder:
 
     Rows are packed ``BLOCK_ROWS`` at a time, in one ``encode_rows`` call; a
     column with ``None`` cells or mixed types is packed cell by cell there,
-    and the other columns are not, to the same bytes.
+    and the other columns are not, to the same bytes.  A block of exactly
+    ``BLOCK_ROWS`` rows is packed once for all the concurrent queries that
+    return it (``ced.wire.encode_rows_once``); a shorter one is packed anew.
     """
 
     def __init__(self) -> None:
@@ -42,10 +44,10 @@ class ChecksumBuilder:
         timestamps = block.timestamps
         columns = [values for _name, _vt, values in block.columns]
         if len(timestamps) <= BLOCK_ROWS:
-            self._hash.update(encode_rows(timestamps, columns))
+            self._hash.update(encode_rows_once(timestamps, columns))
         else:
             # BLOCK_ROWS rows at a time, so that peak memory does not grow
-            # with the size of the block
+            # with the size of the block; no other block repeats these slices
             for lo in range(0, len(timestamps), BLOCK_ROWS):
                 hi = lo + BLOCK_ROWS
                 self._hash.update(encode_rows(timestamps[lo:hi], [values[lo:hi] for values in columns]))

@@ -17,6 +17,7 @@ files in instead of rebuilding them.
 from __future__ import annotations
 
 import atexit
+import itertools
 import random
 import shutil
 import tempfile
@@ -94,16 +95,27 @@ class GeneratedDataset:
         return self.rows_per_sensor * len(self.sensors)
 
 
+def _randbelow(rng: random.Random, bound: int, n: int) -> list[int]:
+    """``[rng.randrange(bound) for _ in range(n)]``: CPython's ``randrange``
+    draws ``getrandbits(bound.bit_length())`` until one is below ``bound``,
+    and so do these batches, stopping after the ``n``-th accepted draw."""
+    k = bound.bit_length()
+    draws: list[int] = []
+    while len(draws) < n:
+        draws += [r for r in map(rng.getrandbits, itertools.repeat(k, n - len(draws))) if r < bound]
+    return draws
+
+
 def _make_values(config: WorkloadConfig, name: str, vt: ValueType) -> list:
     rng = random.Random(f"{config.seed}:{name}")
     n = config.total_rows
     if vt is ValueType.STRING:
-        pool = config.string_pool
-        return [f"v{rng.randrange(pool)}" for _ in range(n)]
+        names = [f"v{i}" for i in range(config.string_pool)]
+        return [names[i] for i in _randbelow(rng, config.string_pool, n)]
     if vt is ValueType.BOOL:
         return [rng.random() < 0.5 for _ in range(n)]
     if vt is ValueType.INT64:
-        return [rng.randrange(0, 1000) for _ in range(n)]
+        return _randbelow(rng, 1000, n)
     values = [rng.random() * 1000.0 for _ in range(n)]
     if name == config.plant_sensor and config.effective_plant_count:
         count = min(config.effective_plant_count, n)

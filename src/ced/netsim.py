@@ -78,25 +78,15 @@ class Engine:
     def spawn(self, gen: Generator) -> "Process":
         return Process(self, gen)
 
-    def _dispatch_next(self) -> None:
-        time, _, timer, fn = heapq.heappop(self._heap)
-        self.now = time
-        if not timer.cancelled:
-            self.events_dispatched += 1
-            fn()
-
-    def advance(self, until: float) -> None:
-        """Dispatch every event with time <= ``until`` in order, then set now = until."""
-        while self._heap and self._heap[0][0] <= until:
-            self._dispatch_next()
-        if until > self.now:
-            self.now = until
-
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Dispatch until the heap is empty (the normal way to finish a scenario)."""
         budget = max_events
         while self._heap:
-            self._dispatch_next()
+            time, _, timer, fn = heapq.heappop(self._heap)
+            self.now = time
+            if not timer.cancelled:
+                self.events_dispatched += 1
+                fn()
             budget -= 1
             if budget <= 0:
                 raise RuntimeError("event budget exhausted; simulation is not terminating")

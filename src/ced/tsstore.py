@@ -46,9 +46,9 @@ bounded to ``DECODE_MEMO_ROWS`` retained rows.  The key holds the bytes, so
 an entry can never go stale and a hit implies every check the decode made.
 Every load still reads the chunk's bytes and is charged in ``IoStats``; only
 the decode is skipped.  ``ced.wire`` keeps two more ``RowMemo``s under the
-same bound, one of packed DATA blocks and one of decoded ones, so chunks
-and link blocks never evict each other and the three memos retain at most
-``3 * DECODE_MEMO_ROWS`` rows.
+same bound, one of packed DATA blocks and checksum rows and one of decoded
+DATA blocks, so chunks and link blocks never evict each other and the three
+memos retain at most ``3 * DECODE_MEMO_ROWS`` rows.
 """
 
 from __future__ import annotations

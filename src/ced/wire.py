@@ -17,17 +17,20 @@ column, packed with the others in one cached ``Struct`` call; any other
 column, ``None`` cells included, is packed cell by cell (``encode_cells``)
 and spliced in, to the same bytes.
 
-Concurrent queries that stream the same suffix send and receive the same
-DATA blocks, so each end memoizes them in a ``ced.tsstore.RowMemo`` of its
+Concurrent queries that stream the same suffix send, receive and checksum
+the same rows, so each end memoizes them in a ``ced.tsstore.RowMemo`` of its
 own, bounded to ``DECODE_MEMO_ROWS`` rows like the store's chunk memo, so
 chunks and link blocks never evict each other.  ``pack_memo`` holds packed
-blocks keyed by ``(series, value type, first ts, last ts, row count)``; a
-lookup hits only when every timestamp and value of the block is the very
-object the entry holds (``encode_block``).  The cloud's producers slice
-their blocks from one memoized chunk, so their blocks hold the same
-objects.  The entry keeps those objects alive, so an identity is never
-reused, and values that are equal but pack apart (0.0 and -0.0, NaNs of
-other bits, 1 and True and 1.0) never hit each other's entry.
+DATA blocks, keyed by ``(series, value type, first ts, last ts, row count)``,
+and packed result blocks of exactly ``BLOCK_ROWS`` rows (``encode_rows_once``),
+keyed by ``(first ts, last ts, row count, column count)``, a shape no DATA key
+has.  A lookup (``_pack_once``) hits only when the entry has as many columns
+and every element of every column is the very object the entry holds.  The
+cloud's producers slice their blocks from one memoized chunk, and concurrent
+queries' result rows come from the same memoized chunks or link blocks, so
+they hold the same objects.  The entry keeps those objects alive, so an
+identity is never reused, and values that are equal but pack apart (0.0 and
+-0.0, NaNs of other bits, 1 and True and 1.0) never hit each other's entry.
 ``link_memo`` holds decoded blocks keyed by their payload bytes
 (``_decode_data``), so only the first copy of a payload is parsed.
 
@@ -75,7 +78,9 @@ from typing import Optional, Sequence
 from .codec import F64, I64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
-from .tsstore import DECODE_MEMO_ROWS, RowMemo, SeriesPath, TsBlock, ValueType, strictly_increasing
+from .tsstore import (
+    BLOCK_ROWS, DECODE_MEMO_ROWS, RowMemo, SeriesPath, TsBlock, ValueType, strictly_increasing,
+)
 
 __all__ = [
     "ChannelId",
@@ -85,6 +90,7 @@ __all__ = [
     "Message",
     "encode_cells",
     "encode_rows",
+    "encode_rows_once",
     "encode_block",
     "decode_block",
     "encode_message",
@@ -227,6 +233,15 @@ def encode_rows(timestamps, columns) -> bytes:
     return pack_rows(tuple(layout), values)
 
 
+def encode_rows_once(timestamps, columns) -> bytes:
+    """``encode_rows``, packed once per distinct block of exactly
+    ``BLOCK_ROWS`` rows; a shorter block is packed on every call."""
+    if len(timestamps) != BLOCK_ROWS:
+        return encode_rows(timestamps, columns)
+    key = (timestamps[0], timestamps[-1], BLOCK_ROWS, len(columns))
+    return _pack_once(key, (timestamps, *columns), lambda: encode_rows(timestamps, columns))
+
+
 def _read_cells(r: Reader, n: int) -> list:
     """Sequential parse of ``n`` cells.
 
@@ -300,30 +315,35 @@ def _read_string_cells(r: Reader, n: int) -> list:
 
 _BLOCK_HEAD = struct.Struct("<BBI")        # flags, value_type, row_count
 
-# (payload, timestamps, values) of recently packed blocks, and the
+# (payload, *columns) of recently packed blocks and checksum rows, and the
 # (series, timestamps, values, value type) of recently decoded DATA payloads
 pack_memo = RowMemo(DECODE_MEMO_ROWS)
 link_memo = RowMemo(DECODE_MEMO_ROWS)
 
 
 def encode_block(block: TsBlock) -> bytes:
-    """The ``tsblock`` bytes of ``block``, packed once per distinct block.
-
-    A block with rows is looked up in ``pack_memo``; the entry's payload is
-    returned only when the block holds the entry's very timestamp and value
-    objects, otherwise the block is packed and replaces the entry.
-    """
+    """The ``tsblock`` bytes of ``block``, packed once per distinct block."""
     timestamps, values, n = block.timestamps, block.values, block.row_count
     if not n or block.is_header_only:
         return _pack_block(block)
     key = (block.series_id, block.value_type, timestamps[0], timestamps[-1], n)
+    return _pack_once(key, (timestamps, values), lambda: _pack_block(block))
+
+
+def _pack_once(key: tuple, columns: Sequence[Sequence], pack) -> bytes:
+    """``pack()``, or the payload ``pack_memo`` retains under ``key``.
+
+    The payload is returned only when the entry has as many columns as
+    ``columns`` and every element of every column is the very object the
+    entry holds; otherwise ``pack()`` replaces the entry.
+    """
     entry = pack_memo.get(key)
-    if (entry is not None and len(values) == len(entry[2])
-            and all(map(operator.is_, timestamps, entry[1]))
-            and all(map(operator.is_, values, entry[2]))):
+    if entry is not None and len(entry) == len(columns) + 1 and all(
+            len(column) == len(kept) and all(map(operator.is_, column, kept))
+            for column, kept in zip(columns, entry[1:])):
         return entry[0]
-    payload = _pack_block(block)
-    pack_memo.put(key, (payload, tuple(timestamps), tuple(values)))
+    payload = pack()
+    pack_memo.put(key, (payload, *map(tuple, columns)))
     return payload
 
 

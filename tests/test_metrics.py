@@ -4,13 +4,17 @@ import hashlib
 import struct
 
 import pytest
+from conftest import TABLE_II, make_scenario, run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ced.codec import I64
+from ced import wire
 from ced.harness.metrics import ChecksumBuilder
+from ced.harness.scenario import QuerySpec
 from ced.scanops import ResultBlock
-from ced.tsstore import BLOCK_ROWS, ValueType
+from ced.tsstore import BLOCK_ROWS, DECODE_MEMO_ROWS, SeriesPath, TsBlock, ValueType
+from ced.wire import encode_block, pack_memo
 
 ROWS = 2 * BLOCK_ROWS + 500
 
@@ -156,3 +160,141 @@ def test_unencodable_cells_raise_as_before(values, error, repeat):
                                             ("b", ValueType.INT64, column)])
     with pytest.raises(error):
         ChecksumBuilder().update(block)
+
+
+# --- full blocks through the pack memo ----------------------------------------------------
+
+def _count_packs(monkeypatch) -> list:
+    packs = []
+    real = wire.encode_rows
+
+    def counted(timestamps, columns):
+        packs.append(len(timestamps))
+        return real(timestamps, columns)
+
+    monkeypatch.setattr(wire, "encode_rows", counted)
+    return packs
+
+
+def _nan(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+def _full_columns(start=0):
+    """The timestamps and two columns of BLOCK_ROWS rows: strings and floats."""
+    rows = range(start, start + BLOCK_ROWS)
+    return [i * 1000 for i in rows], [[f"v{i % 700}" for i in rows], [i * 0.37 for i in rows]]
+
+
+def _result(timestamps, columns) -> ResultBlock:
+    """A block over new lists that hold the given objects, as each query's block does."""
+    return ResultBlock(list(timestamps), [(f"c{j}", ValueType.FLOAT64, list(values))
+                                          for j, values in enumerate(columns)])
+
+
+def test_memo_hits_equal_misses(monkeypatch):
+    packs = _count_packs(monkeypatch)
+    slices = [_full_columns(k * BLOCK_ROWS) for k in range(3)]
+    rows = [s for s in slices for _ in range(4)]         # four queries return each block
+    blocks = [_result(ts, columns) for ts, columns in rows]
+    hits = digest(blocks)
+    assert len(packs) == 3                   # each distinct block packed once
+    builder = ChecksumBuilder()
+    for block in blocks:
+        pack_memo.clear()
+        builder.update(block)
+    assert (builder.rows, builder.hexdigest()) == hits
+    assert hits[1] == _reference_digest([t for ts, _ in rows for t in ts],
+                                        [[v for _, cols in rows for v in cols[j]] for j in range(2)])
+
+
+@pytest.mark.parametrize("first,lookalikes", [
+    (0.0, [-0.0, 0.0]),
+    (1, [True, 1.0, 1]),
+    (_nan(0), [_nan(1), float("nan"), _nan(0) + 0.0]),
+    (None, [None, 0.0]),
+], ids=["signed-zero", "one-true-one-point-zero", "nan-bits", "none"])
+def test_equal_values_in_other_objects_never_hit(first, lookalikes):
+    timestamps, columns = _full_columns()
+    for value in [first, *lookalikes]:
+        # the same timestamp and value objects but one cell, at the middle row
+        column = list(columns[1])
+        column[BLOCK_ROWS // 2] = value
+        block = _result(timestamps, [columns[0], column])
+        assert digest([block])[1] == _reference_digest(timestamps, [columns[0], column])
+
+
+def test_a_data_block_and_a_result_block_never_answer_each_other():
+    timestamps, (_, values) = _full_columns()
+    series = SeriesPath.parse("root.ln.e1.d1.t3")
+    reference = _reference_digest(timestamps, [values])
+    block = TsBlock(series, timestamps, values, ValueType.FLOAT64)
+    data = encode_block(block)
+    assert digest([_result(timestamps, [values])])[1] == reference
+    pack_memo.clear()
+    assert digest([_result(timestamps, [values])])[1] == reference
+    assert encode_block(block) == data
+    assert pack_memo.rows == 2 * BLOCK_ROWS
+
+
+def test_an_entry_with_fewer_columns_is_never_returned():
+    timestamps, columns = _full_columns()
+    key = (timestamps[0], timestamps[-1], BLOCK_ROWS, 2)
+    pack_memo.put(key, (b"short", tuple(timestamps), tuple(columns[0])))
+    assert digest([_result(timestamps, columns)])[1] == _reference_digest(timestamps, columns)
+    series = SeriesPath.parse("root.ln.e1.d1.t1")
+    block = TsBlock(series, timestamps, columns[0], ValueType.STRING)
+    pack_memo.put((series, ValueType.STRING, timestamps[0], timestamps[-1], BLOCK_ROWS),
+                  (b"short", tuple(timestamps)))
+    assert encode_block(block) != b"short"
+
+
+def test_mutating_a_block_after_update_does_not_change_the_next_digest(monkeypatch):
+    packs = _count_packs(monkeypatch)
+    timestamps, columns = _full_columns()
+    block = _result(timestamps, columns)
+    for row in (0, 500, BLOCK_ROWS - 1):
+        digest([block])
+        block.columns[0][2][row] = "changed"
+        block.columns[1][2][row] = -1.5
+        assert digest([block])[1] == _reference_digest(block.timestamps,
+                                                       [values for _, _, values in block.columns])
+    block.timestamps[500] = int(str(block.timestamps[500]))      # equal, in another object
+    digest([block])
+    assert len(packs) == 1 + 3 + 1           # a miss after each mutation, a hit before it
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1])
+def test_a_short_block_never_enters_the_memo(rows):
+    timestamps, columns = _full_columns()
+    block = _result(timestamps[:rows], [values[:rows] for values in columns])
+    assert digest([block] * 2) == (2 * rows, _reference_digest(
+        timestamps[:rows] * 2, [values[:rows] * 2 for values in columns]))
+    assert pack_memo.rows == 0
+    digest([_result(timestamps, columns)])
+    assert pack_memo.rows == BLOCK_ROWS
+
+
+def test_the_slices_of_a_long_block_never_enter_the_memo():
+    # a long block comes from outside the engine, and no other block repeats its slices
+    assert digest([fixed_block()] * 2) == (2 * ROWS, _reference_digest(
+        fixed_block().timestamps * 2, [values * 2 for _, _, values in fixed_block().columns]))
+    assert pack_memo.rows == 0
+
+
+def test_the_memo_stays_within_its_bound():
+    builder = ChecksumBuilder()
+    for k in range(2 * DECODE_MEMO_ROWS // BLOCK_ROWS):
+        builder.update(_result(*_full_columns(k * BLOCK_ROWS)))
+        assert pack_memo.rows <= DECODE_MEMO_ROWS
+    assert pack_memo.rows == DECODE_MEMO_ROWS
+
+
+@pytest.mark.parametrize("mode", ["edge_only", "cloud_only"])
+def test_concurrent_queries_pack_each_full_block_once(tmp_path, monkeypatch, mode):
+    packs = _count_packs(monkeypatch)
+    q3 = QuerySpec("Q3", TABLE_II["Q3"], concurrency=4)
+    _, report = run(make_scenario(TABLE_II["Q3"], mode=mode, queries=(q3,)), tmp_path)
+    assert [q.rows for q in report.queries] == [6 * BLOCK_ROWS] * 4
+    assert len({q.checksum for q in report.queries}) == 1
+    assert packs == [BLOCK_ROWS] * 6

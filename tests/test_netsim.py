@@ -25,18 +25,6 @@ def test_schedule_dispatch_order_and_ties():
     assert engine.now == 2.0
 
 
-def test_advance_dispatches_only_due_events_and_moves_clock():
-    engine = Engine()
-    seen = []
-    engine.schedule(1.0, lambda: seen.append(1))
-    engine.schedule(5.0, lambda: seen.append(5))
-    engine.advance(3.0)
-    assert seen == [1]
-    assert engine.now == 3.0
-    engine.advance(10.0)
-    assert seen == [1, 5]
-
-
 def test_timer_cancel():
     engine = Engine()
     seen = []

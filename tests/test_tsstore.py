@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ced import codec
 from ced.errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSeries
 from ced.tsstore import (
     BLOCK_ROWS,
@@ -549,6 +550,7 @@ def test_corrupt_page_row_count_is_rejected_before_a_row_codec_is_built(store):
     # a codec for the 10**6 rows the page claims would take tens of MiB
     fill(store, S, 10)
     handle = store.flush(S)
+    codec._rows_codec.cache_clear()        # so no earlier test has built that codec already
     tracemalloc.start()
     try:
         with pytest.raises(CorruptChunk):

@@ -4,13 +4,14 @@ reuse of the last built dataset, and ``ced gen``."""
 import dataclasses
 import hashlib
 import json
+import random
 import shutil
 
 import pytest
 
 from ced.errors import OutOfOrderTimestamp
 from ced.harness.cli import main as ced_main
-from ced.harness.workload import WorkloadConfig, generate
+from ced.harness.workload import WorkloadConfig, _randbelow, generate
 from ced.tsstore import DataPoint, SeriesPath, SeriesStore
 
 # all four value types (t1 STRING, t2 BOOL, t3 FLOAT64, t4 INT64, t5 STRING),
@@ -98,6 +99,14 @@ def test_generated_file_digests_are_pinned(tmp_path):
     assert file_sizes(tmp_path) == PINNED_BYTES
     assert file_digests(tmp_path) == PINNED_SHA256
     assert dataset.total_points == 5 * 2500
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 1000, 1024, 1025])
+@pytest.mark.parametrize("seed", [0, 5, "3:t1", "13:t4"])
+def test_batched_draws_equal_randrange(bound, seed):
+    batched, reference = random.Random(seed), random.Random(seed)
+    assert _randbelow(batched, bound, 3000) == [reference.randrange(bound) for _ in range(3000)]
+    assert batched.getstate() == reference.getstate()      # no draw taken past the last
 
 
 def test_generate_appends_rows_in_order_and_flushes_every_flush_every_rows(
