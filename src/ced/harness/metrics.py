@@ -12,13 +12,30 @@ import csv
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ..scanops import ResultBlock
 from ..tsstore import BLOCK_ROWS
 from ..wire import encode_rows, encode_rows_once
 
 __all__ = ["ChecksumBuilder", "QueryResult", "MetricsReport", "emit"]
+
+
+_CELL_TYPES = frozenset((int, float, bool, type(None)))    # always pack, an int within i64
+
+
+def _always_packs(timestamps, columns) -> bool:
+    """Whether ``encode_rows`` packs these rows without an error."""
+    if not set(map(type, timestamps)) <= {int}:
+        return False
+    ints = list(timestamps)
+    for values in columns:
+        types = set(map(type, values))
+        if not types <= _CELL_TYPES:
+            return False
+        if int in types:
+            ints += values if len(types) == 1 else [v for v in values if type(v) is int]
+    return not ints or (-(1 << 63) <= min(ints) and max(ints) < 1 << 63)
 
 
 class ChecksumBuilder:
@@ -33,27 +50,50 @@ class ChecksumBuilder:
     column with ``None`` cells or mixed types is packed cell by cell there,
     and the other columns are not, to the same bytes.  A block of exactly
     ``BLOCK_ROWS`` rows is packed once for all the concurrent queries that
-    return it (``ced.wire.encode_rows_once``); a shorter one is packed anew.
+    return it (``ced.wire.encode_rows_once``).  Shorter blocks with no str and
+    no int outside i64 are copied into fewer than ``BLOCK_ROWS`` pending rows;
+    any other block is packed after them, so a bad value raises from its ``update``.
     """
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
         self.rows = 0
+        self._timestamps, self._columns = [], []     # pending rows, see above
 
     def update(self, block: ResultBlock) -> None:
         timestamps = block.timestamps
         columns = [values for _name, _vt, values in block.columns]
-        if len(timestamps) <= BLOCK_ROWS:
-            self._hash.update(encode_rows_once(timestamps, columns))
+        if len(timestamps) < BLOCK_ROWS and _always_packs(timestamps, columns):
+            if len(columns) != len(self._columns):
+                self._hash_pending()
+                self._columns = [[] for _ in columns]
+            self._timestamps += timestamps
+            for pending, values in zip(self._columns, columns):
+                pending += values
+            if len(self._timestamps) >= BLOCK_ROWS:
+                self._hash_pending(BLOCK_ROWS)
         else:
-            # BLOCK_ROWS rows at a time, so that peak memory does not grow
-            # with the size of the block; no other block repeats these slices
-            for lo in range(0, len(timestamps), BLOCK_ROWS):
-                hi = lo + BLOCK_ROWS
-                self._hash.update(encode_rows(timestamps[lo:hi], [values[lo:hi] for values in columns]))
+            self._hash_pending()
+            if len(timestamps) <= BLOCK_ROWS:
+                self._hash.update(encode_rows_once(timestamps, columns))
+            else:
+                # BLOCK_ROWS rows at a time, so that peak memory does not grow
+                # with the size of the block; no other block repeats these slices
+                for lo in range(0, len(timestamps), BLOCK_ROWS):
+                    hi = lo + BLOCK_ROWS
+                    self._hash.update(encode_rows(timestamps[lo:hi], [values[lo:hi] for values in columns]))
         self.rows += len(timestamps)
 
+    def _hash_pending(self, n: Optional[int] = None) -> None:
+        """Hash the first ``n`` pending rows, or all of them."""
+        timestamps, columns = self._timestamps, self._columns
+        if timestamps:
+            self._hash.update(encode_rows(timestamps[:n], [values[:n] for values in columns]))
+            for values in (timestamps, *columns):
+                del values[:n]
+
     def hexdigest(self) -> str:
+        self._hash_pending()
         return self._hash.hexdigest()
 
 

@@ -257,14 +257,18 @@ class Cluster:
         for the store bytes and the leaf rows that pull took."""
         cost = self.scenario.cost
         io_before = store.io.bytes_read
-        local_before = sum(leaf.rows_local for leaf in leaves)
-        remote_before = sum(leaf.rows_remote for leaf in leaves)
+        local = remote = 0
+        for leaf in leaves:
+            local -= leaf.rows_local
+            remote -= leaf.rows_remote
         block = root.next_block()
         io_bytes = store.io.bytes_read - io_before
         if io_bytes:
             yield disk.acquire(io_bytes)
-        work = (sum(leaf.rows_local for leaf in leaves) - local_before) * cost.row_cpu_cost_s
-        work += (sum(leaf.rows_remote for leaf in leaves) - remote_before) * cost.recv_row_cost_s
+        for leaf in leaves:
+            local += leaf.rows_local
+            remote += leaf.rows_remote
+        work = local * cost.row_cpu_cost_s + remote * cost.recv_row_cost_s
         if work:
             yield cpu.acquire(work)
         return block

@@ -502,6 +502,3 @@ class CloudGateway:
         for producer in self.channels.values():
             if producer.phase != ChannelPhase.TERMINATED:
                 producer.request_remigration()
-
-    def active_count(self) -> int:
-        return sum(1 for p in self.channels.values() if p.phase != ChannelPhase.TERMINATED)

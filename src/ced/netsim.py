@@ -5,6 +5,9 @@ event heap and is the only source of time; everything else (disk reads,
 CPU slices, network deliveries, protocol timeouts) is expressed as events
 on that heap.  Ties are broken by an insertion sequence number, so a run
 is fully reproducible given the same seeds and the same call order.
+Only :meth:`Engine.schedule` returns a cancellable :class:`Timer`; a callback
+that nobody cancels (a resume, a sleep, a completion, a delivery) goes on the
+heap with no handle, and takes its sequence number just the same.
 
 Cooperative processes are plain generators.  A process may yield:
 
@@ -25,6 +28,7 @@ import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generator, Iterator, Optional
 
 from .errors import LinkClosed, ScenarioError
@@ -62,7 +66,7 @@ class Engine:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Timer, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Optional[Timer], Callable[[], None]]] = []
         self._seq = 0
         self.events_dispatched = 0
 
@@ -75,21 +79,30 @@ class Engine:
         heapq.heappush(self._heap, (timer.time, self._seq, timer, fn))
         return timer
 
+    def _after(self, delay: float, fn: Callable[[], None]) -> None:
+        """``schedule`` with no handle, for a callback nobody cancels; ``delay >= 0``."""
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + delay, self._seq, None, fn))
+
     def spawn(self, gen: Generator) -> "Process":
         return Process(self, gen)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Dispatch until the heap is empty (the normal way to finish a scenario)."""
-        budget = max_events
-        while self._heap:
-            time, _, timer, fn = heapq.heappop(self._heap)
-            self.now = time
-            if not timer.cancelled:
-                self.events_dispatched += 1
-                fn()
-            budget -= 1
-            if budget <= 0:
-                raise RuntimeError("event budget exhausted; simulation is not terminating")
+        heap, pop, budget = self._heap, heapq.heappop, max_events
+        dispatched = self.events_dispatched
+        try:
+            while heap:
+                time, _, timer, fn = pop(heap)
+                self.now = time
+                if timer is None or not timer.cancelled:
+                    dispatched += 1
+                    fn()
+                budget -= 1
+                if budget <= 0:
+                    raise RuntimeError("event budget exhausted; simulation is not terminating")
+        finally:
+            self.events_dispatched = dispatched
 
 
 class SimEvent:
@@ -109,12 +122,13 @@ class SimEvent:
         self.triggered = True
         self.value = value
         waiters, self._waiters = self._waiters, []
+        after = self.engine._after
         for resume in waiters:
-            self.engine.schedule(0.0, lambda resume=resume: resume(value))
+            after(0.0, partial(resume, value))
 
     def add_callback(self, fn: Callable[[Any], None]) -> None:
         if self.triggered:
-            self.engine.schedule(0.0, lambda: fn(self.value))
+            self.engine._after(0.0, partial(fn, self.value))
         else:
             self._waiters.append(fn)
 
@@ -156,7 +170,9 @@ class Process:
         self.engine = engine
         self.gen = gen
         self.alive = True
-        engine.schedule(0.0, lambda: self._step(None))
+        self._resume = self._step
+        self._wake = partial(self._step, None)
+        engine._after(0.0, self._wake)
 
     def _step(self, send_value: Any) -> None:
         if not self.alive:
@@ -166,10 +182,12 @@ class Process:
         except StopIteration:
             self.alive = False
             return
-        if isinstance(yielded, SimEvent):
-            yielded.add_callback(self._step)
+        if type(yielded) is SimEvent or isinstance(yielded, SimEvent):
+            yielded.add_callback(self._resume)
         elif isinstance(yielded, (int, float)):
-            self.engine.schedule(float(yielded), lambda: self._step(None))
+            if yielded < 0:
+                raise ValueError(f"negative delay: {float(yielded)}")
+            self.engine._after(float(yielded), self._wake)
         else:
             raise TypeError(f"process yielded {yielded!r}; expected delay or SimEvent")
 
@@ -233,7 +251,7 @@ class FifoResource:
         end = start + duration
         self.free_at = end
         self.tracker.add(start, end)
-        self.engine.schedule(end - self.engine.now, done.trigger)
+        self.engine._after(end - self.engine.now, done.trigger)
         return done
 
     def utilization(self, t0: float, t1: float) -> float:
@@ -333,14 +351,10 @@ class Link:
             counter.delivered += size
             handler(envelope)
 
-        self.engine.schedule(envelope.deliver_time - now, deliver)
+        self.engine._after(envelope.deliver_time - now, deliver)
 
     def close(self) -> None:
         self.open = False
-
-    def byte_report(self) -> dict[tuple[Any, str], ByteCounter]:
-        """Cumulative per-(channel, direction) byte counts."""
-        return dict(self.counters)
 
     def iter_report_rows(self) -> Iterator[tuple[str, str, int, int, int]]:
         """Stable (channel, direction, sent, delivered, dropped) rows for CSV export."""

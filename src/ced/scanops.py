@@ -449,9 +449,8 @@ class AggregationScanOp(_ScanLeaf):
                 self._partial = ((window_start, window_end), (count, maximum))
                 return NOT_READY
             iterator.advance()
-            blocks = self.store.load_chunk_pages(meta)
-            self._buf_ts = list(chain.from_iterable(b.timestamps for b in blocks))
-            self._buf_values = list(chain.from_iterable(b.values for b in blocks))
+            # the chunk's own columns, read in place and never changed
+            _series, self._buf_ts, self._buf_values = self.store.load_chunk_columns(meta)
             self._buf_pos = 0
             loaded = True
         self._partial = None
@@ -567,10 +566,6 @@ class ResultBlock:
     @property
     def row_count(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def column_names(self) -> list[str]:
-        return [name for name, _, _ in self.columns]
 
 
 class RootAdapter(_OperatorBase):

@@ -45,10 +45,12 @@ Decoded chunks are memoized process-wide, in an LRU (``decode_memo``, a
 bounded to ``DECODE_MEMO_ROWS`` retained rows.  The key holds the bytes, so
 an entry can never go stale and a hit implies every check the decode made.
 Every load still reads the chunk's bytes and is charged in ``IoStats``; only
-the decode is skipped.  ``ced.wire`` keeps two more ``RowMemo``s under the
-same bound, one of packed DATA blocks and checksum rows and one of decoded
-DATA blocks, so chunks and link blocks never evict each other and the three
-memos retain at most ``3 * DECODE_MEMO_ROWS`` rows.
+the decode is skipped.  ``load_chunk_columns`` returns the memo's own column
+lists, read-only, and ``load_chunk_pages`` slices them into fresh blocks.
+``ced.wire`` keeps two more ``RowMemo``s under the same bound, one of packed
+DATA blocks and checksum rows and one of decoded DATA blocks, so chunks and
+link blocks never evict each other and the three memos retain at most
+``3 * DECODE_MEMO_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -553,11 +555,6 @@ class SeriesStore:
             raise UnknownSeries(f"{series}: no data")
         return min(lows), max(highs)
 
-    def total_rows(self, series: SeriesPath) -> int:
-        state = self._known(series)
-        n = sum(m.row_count for h in state.files for m in h.chunk_index)
-        return n + len(state.mem_ts)
-
     def chunk_metas(self, series: SeriesPath) -> list[ChunkMeta]:
         """All chunk metadata in ascending min_ts order, memtable snapshot last."""
         state = self._known(series)
@@ -591,24 +588,29 @@ class SeriesStore:
             metas = [m for m in metas if m.intersects(lo, hi)]
         return ChunkIterator(metas)
 
-    def load_chunk_pages(self, meta: ChunkMeta) -> list[TsBlock]:
-        """Load one chunk and repackage its rows into fresh TsBlocks of <= BLOCK_ROWS."""
+    def load_chunk_columns(self, meta: ChunkMeta) -> tuple[SeriesPath, list[int], list]:
+        """Load one chunk, charged in ``IoStats``: its series and its two columns.
+
+        The lists are the decode memo's own (a hit returns the miss's lists) or
+        a memtable chunk's snapshot, and are read-only: never change them.
+        """
         if meta.mem_rows is not None:
             self.io.chunks_loaded += 1
-            series = _series_path(meta.series)
-            timestamps, values = meta.mem_rows
-        else:
-            buf = self._read_chunk_bytes(meta)
-            key = (meta.series, meta.value_type, meta.row_count, buf)
-            columns = decode_memo.get(key)
-            if columns is None:
-                columns = (_series_path(meta.series), *_decode_chunk(buf, meta))
-                self.io.chunks_decoded += 1
-                decode_memo.put(key, columns)
-            series, timestamps, values = columns
-        vt = meta.value_type
+            return (_series_path(meta.series), *meta.mem_rows)
+        buf = self._read_chunk_bytes(meta)
+        key = (meta.series, meta.value_type, meta.row_count, buf)
+        columns = decode_memo.get(key)
+        if columns is None:
+            columns = (_series_path(meta.series), *_decode_chunk(buf, meta))
+            self.io.chunks_decoded += 1
+            decode_memo.put(key, columns)
+        return columns
+
+    def load_chunk_pages(self, meta: ChunkMeta) -> list[TsBlock]:
+        """Load one chunk and repackage its rows into fresh TsBlocks of <= BLOCK_ROWS."""
+        series, timestamps, values = self.load_chunk_columns(meta)
         return [
-            TsBlock(series, timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS], vt)
+            TsBlock(series, timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS], meta.value_type)
             for b0 in range(0, len(timestamps), BLOCK_ROWS)
         ]
 
@@ -708,18 +710,6 @@ class SeriesStore:
                 handle.path.unlink(missing_ok=True)
             except OSError as exc:
                 raise StorageIoError(f"removing {handle.path}: {exc}") from exc
-
-    def content_fingerprint(self, series: SeriesPath) -> bytes:
-        """Byte-exact physical content: concatenated file bytes plus encoded memtable."""
-        state = self._known(series)
-        out = bytearray()
-        for handle in state.files:
-            out += handle.path.read_bytes()
-        out += b"|mem|"
-        vt = state.value_type or ValueType.INT64
-        out += bytes([int(vt)])
-        _encode_rows(out, vt, state.mem_ts, state.mem_values)
-        return bytes(out)
 
     def snapshot_size_bytes(self, series: SeriesPath) -> int:
         state = self._known(series)

@@ -12,7 +12,8 @@ from ced.errors import MalformedMessage
 from ced.harness.runtime import Cluster
 from ced.harness.scenario import QuerySpec, ScenarioConfig
 from ced.harness.workload import WorkloadConfig
-from ced.tsstore import decode_memo
+from ced.migrate import ChannelPhase
+from ced.tsstore import ValueType, _encode_rows, decode_memo
 from ced.wire import link_memo, pack_memo
 
 Q1_SQL = "SELECT t1 FROM dev WHERE t1='v999'"
@@ -79,6 +80,31 @@ def edge_baseline_checksum(sql, workload, tmp_path=None, name="Q"):
     scenario = make_scenario(sql, name=name, mode="edge_only", workload=workload, warm_series=())
     _, report = run(scenario, tmp_path)
     return report.queries[0].checksum
+
+
+def content_fingerprint(store, series) -> bytes:
+    """Byte-exact physical content of ``series`` in ``store``: its files'
+    bytes, then its memtable rows encoded as a page's columns."""
+    state = store._known(series)
+    out = bytearray()
+    for handle in state.files:
+        out += handle.path.read_bytes()
+    out += b"|mem|"
+    vt = state.value_type or ValueType.INT64
+    out += bytes([int(vt)])
+    _encode_rows(out, vt, state.mem_ts, state.mem_values)
+    return bytes(out)
+
+
+def total_rows(store, series) -> int:
+    """Rows of ``series`` in ``store``, flushed and in the memtable."""
+    metas = store.chunk_metas(series)
+    return sum(m.row_count for m in metas)
+
+
+def active_producers(gateway) -> int:
+    """Cloud producers of ``gateway`` that have not terminated."""
+    return sum(p.phase != ChannelPhase.TERMINATED for p in gateway.channels.values())
 
 
 def rejections(decode, sample: bytes, enum_offsets) -> list[str]:

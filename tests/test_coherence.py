@@ -1,7 +1,7 @@
 """Cache admission from snapshots, and the snapshot codec."""
 
 import pytest
-from conftest import rejections
+from conftest import content_fingerprint, rejections, total_rows
 
 from ced.coherence import CloudCache, decode_snapshot, encode_snapshot
 from ced.errors import StorageIoError
@@ -23,7 +23,7 @@ class Harness:
 
     def seed_series(self, name, rows=10):
         s = self.series(name)
-        start = self.edge.total_rows(s) if self.edge.has_series(s) else 0
+        start = total_rows(self.edge, s) if self.edge.has_series(s) else 0
         for i in range(rows):
             self.edge.append(s, DataPoint(start + i, float(i)))
         return s
@@ -44,11 +44,11 @@ def test_admitted_series_hit_and_others_miss(tmp_path):
     h.edge.flush(t1, chunk_target_rows=10)
     h.edge.flush(t2)
     h.ship_snapshot(t1)
-    assert h.mirror.content_fingerprint(t1) == h.edge.content_fingerprint(t1)
+    assert content_fingerprint(h.mirror, t1) == content_fingerprint(h.edge, t1)
     assert h.cache.cache_lookup(t1)
     assert not h.cache.cache_lookup(t2)
     h.ship_snapshot(t2)
-    assert h.mirror.content_fingerprint(t2) == h.edge.content_fingerprint(t2)
+    assert content_fingerprint(h.mirror, t2) == content_fingerprint(h.edge, t2)
     assert h.cache.cache_lookup(t1) and h.cache.cache_lookup(t2)
     assert h.cache.entries == {str(t1), str(t2)}
     assert (h.cache.lookups, h.cache.hits) == (4, 3)

@@ -298,3 +298,109 @@ def test_concurrent_queries_pack_each_full_block_once(tmp_path, monkeypatch, mod
     assert [q.rows for q in report.queries] == [6 * BLOCK_ROWS] * 4
     assert len({q.checksum for q in report.queries}) == 1
     assert packs == [BLOCK_ROWS] * 6
+
+
+# --- short blocks hashed in batches -------------------------------------------------------
+
+_KINDS = {
+    "int": [-(2**63), 2**63 - 1, 0, -7],
+    "float": [0.5, -0.0, float("nan"), float("-inf")],
+    "bool": [True, False],
+    "none": [None],
+    "str": ["v1", "", "日本"],
+    "mixed": [1, 0.0, True, None, -(2**63)],
+    "mixed-str": [1.5, "x", None],
+}
+_SIZES = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2500]
+
+
+def _kind_block(start, rows, kinds) -> ResultBlock:
+    return ResultBlock(
+        [start + i for i in range(rows)],
+        [(kind, ValueType.INT64, [_KINDS[kind][(start + i) % len(_KINDS[kind])]
+                                  for i in range(rows)]) for kind in kinds],
+    )
+
+
+def _reference_of(blocks) -> str:
+    h = hashlib.sha256()
+    for block in blocks:
+        for i, ts in enumerate(block.timestamps):
+            h.update(I64.pack(ts))
+            for _, _, values in block.columns:
+                h.update(_reference_cell(values[i]))
+    return h.hexdigest()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SIZES), st.sampled_from(sorted(_KINDS)),
+                          st.sampled_from(sorted(_KINDS))), min_size=1, max_size=6))
+def test_interleaved_short_and_long_blocks_equal_the_per_row_reference(plan):
+    builder, blocks, start = ChecksumBuilder(), [], 0
+    for rows, first, second in plan:
+        block = _kind_block(start, rows, (first, second))
+        builder.update(block)
+        blocks.append(block)
+        start += rows
+    assert (builder.rows, builder.hexdigest()) == (start, _reference_of(blocks))
+
+
+def test_fewer_than_block_rows_are_ever_pending():
+    builder, start = ChecksumBuilder(), 0
+    for rows, kind in [(BLOCK_ROWS - 1, "float"), (1, "int"), (BLOCK_ROWS - 1, "none"),
+                       (BLOCK_ROWS - 1, "mixed"), (BLOCK_ROWS + 1, "float"), (5, "bool"),
+                       (BLOCK_ROWS, "int"), (7, "int"), (3, "str")]:
+        builder.update(_kind_block(start, rows, (kind,)))
+        start += rows
+        pending = len(builder._timestamps)
+        assert pending < BLOCK_ROWS
+        if rows >= BLOCK_ROWS or kind == "str":
+            assert pending == 0
+
+
+def test_short_blocks_of_other_column_counts_equal_the_reference():
+    blocks = [_kind_block(0, 3, ("float",)), _kind_block(3, 2, ("int", "none")),
+              _kind_block(5, 4, ()), _kind_block(9, 1, ("bool",))]
+    assert digest(blocks) == (10, _reference_of(blocks))
+
+
+def test_a_lone_surrogate_in_a_short_block_raises_from_its_update():
+    builder = ChecksumBuilder()
+    builder.update(_kind_block(0, 5, ("float",)))
+    with pytest.raises(UnicodeEncodeError):
+        builder.update(ResultBlock([5], [("a", ValueType.STRING, ["\ud800"])]))
+    assert builder.rows == 5
+    assert builder.hexdigest() == _reference_of([_kind_block(0, 5, ("float",))])
+
+
+@pytest.mark.parametrize("timestamps,error", [
+    ([2**63], struct.error), ([-(2**63) - 1], struct.error), (["a"], struct.error),
+    ([1.5], struct.error), ([object()], struct.error),
+])
+def test_a_short_block_with_unpackable_timestamps_raises_from_its_update(timestamps, error):
+    builder = ChecksumBuilder()
+    builder.update(_kind_block(0, 2, ("float",)))
+    with pytest.raises(error):
+        builder.update(ResultBlock(timestamps, [("a", ValueType.FLOAT64, [0.5])]))
+    assert builder.hexdigest() == _reference_of([_kind_block(0, 2, ("float",))])
+
+
+def test_hexdigest_twice_gives_one_value_and_updates_go_on_after_it():
+    blocks = [_kind_block(0, 7, ("float", "int")), _kind_block(7, 1, ("none", "bool"))]
+    builder = ChecksumBuilder()
+    builder.update(blocks[0])
+    first = builder.hexdigest()
+    assert builder.hexdigest() == first == _reference_of(blocks[:1])
+    builder.update(blocks[1])
+    assert builder.hexdigest() == builder.hexdigest() == _reference_of(blocks)
+
+
+def test_mutating_a_short_block_after_update_does_not_change_the_digest():
+    block = _kind_block(0, 10, ("float", "mixed"))
+    expected = _reference_of([_kind_block(0, 10, ("float", "mixed"))])
+    builder = ChecksumBuilder()
+    builder.update(block)
+    block.timestamps[3] = -1
+    block.columns[0][2][4] = 2.5
+    block.columns[1][2].clear()
+    assert builder.hexdigest() == expected

@@ -6,6 +6,7 @@ import random
 import pytest
 from conftest import (
     TABLE_II,
+    active_producers,
     edge_baseline_checksum,
     make_cluster,
     make_scenario,
@@ -117,7 +118,7 @@ def test_mismatched_confirmation_is_a_rejection(tmp_path):
     assert q.final_placement == "edge"
     assert sink.activation_index is None and cluster.telemetry.switches == 0
     assert cluster.telemetry.count("rejected") == 1 and cluster.telemetry.count("confirmed") == 0
-    assert cluster.gateway.active_count() == 0     # the producer got CANCEL
+    assert active_producers(cluster.gateway) == 0     # the producer got CANCEL
 
 
 def test_duplicate_request_is_idempotently_reconfirmed(tmp_path):
@@ -133,7 +134,7 @@ def test_duplicate_request_is_idempotently_reconfirmed(tmp_path):
         Message(MessageType.MIGRATION_REQUEST, sink.channel_id, sql=sink.sql)
     )
     # no new producer; the confirmation was simply re-sent
-    assert cluster.gateway.active_count() == 0
+    assert active_producers(cluster.gateway) == 0
     confirms = [e for e in cluster.telemetry.events if e[1] == "confirm"]
     assert len(confirms) == 2
 
@@ -363,7 +364,7 @@ def test_transport_down_aborts_migration_and_query_completes(tmp_path):
 
 def bytes_to_edge(cluster):
     total = 0
-    for (channel, direction), counter in cluster.link.byte_report().items():
+    for (channel, direction), counter in cluster.link.counters.items():
         if direction == "cloud->edge" and isinstance(channel, tuple) and channel[0] == "chan":
             total += counter.delivered
     return total

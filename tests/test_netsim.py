@@ -10,6 +10,7 @@ from ced.netsim import (
     FifoResource,
     Link,
     LinkConfig,
+    Signal,
     SimEvent,
 )
 
@@ -147,7 +148,7 @@ def test_byte_conservation_sent_equals_delivered_plus_dropped():
     for i in range(200):
         link.send("edge", "cloud", Envelope(channel="c", payload=bytes(50), droppable=True))
     engine.run_until_idle()
-    counter = link.byte_report()[("c", "edge->cloud")]
+    counter = link.counters[("c", "edge->cloud")]
     assert counter.sent == 200 * 50
     assert counter.sent == counter.delivered + counter.dropped
     assert counter.dropped > 0
@@ -173,7 +174,7 @@ def test_send_after_close_raises():
 def test_empty_report_and_no_traffic():
     engine = Engine()
     link, _ = make_link(engine)
-    assert link.byte_report() == {}
+    assert link.counters == {}
 
 
 def test_ten_queued_messages_all_delivered_in_order():
@@ -186,3 +187,101 @@ def test_ten_queued_messages_all_delivered_in_order():
     # each message is 125 B = 1000 bits at 1 Mbps -> 1 ms serialization each,
     # plus 2 ms one-way: last delivery at 10 ms + 2 ms
     assert engine.now == pytest.approx(0.012)
+
+
+# --- a scripted mix: the exact dispatch order and count ---------------------------------
+
+def _scripted_mix():
+    """Timers with ties, a cancel and zero delays, processes on events triggered
+    before and after they are yielded, a latched and a waited Signal, and a
+    resource's completions; returns the log and the dispatch count."""
+    engine = Engine()
+    log = []
+    disk = FifoResource(engine, rate=10.0)
+    early, late = SimEvent(engine), SimEvent(engine)
+    early.trigger("early")
+    signal = Signal(engine)
+    signal.notify()                      # no waiter yet: latched
+
+    def note(what):
+        log.append((engine.now, what))
+
+    def worker(name, work):
+        note(f"{name} start")
+        yield disk.acquire(work)
+        note(f"{name} disk")
+        note(f"{name} {(yield early)}")
+        yield 0
+        note(f"{name} zero")
+        note(f"{name} {(yield late)}")
+        yield 0.25
+        note(f"{name} slept")
+
+    def waiter():
+        yield signal.wait()
+        note("signal latched")
+        yield signal.wait()
+        note("signal notified")
+
+    engine.spawn(worker("a", 5.0))
+    engine.schedule(0.0, lambda: note("timer zero"))
+    engine.spawn(worker("b", 2.5))
+    engine.spawn(waiter())
+    engine.schedule(1.0, lambda: note("timer tie 1"))
+    engine.schedule(1.0, lambda: note("cancelled")).cancel()
+    engine.schedule(1.0, lambda: note("timer tie 2"))
+    engine.schedule(0.75, signal.notify)
+    engine.schedule(1.0, lambda: late.trigger("late"))
+    engine.run_until_idle()
+    return log, engine.events_dispatched
+
+
+def test_a_scripted_mix_dispatches_in_a_pinned_order_and_count():
+    log, dispatched = _scripted_mix()
+    assert log == [
+        (0.0, "a start"),
+        (0.0, "timer zero"),
+        (0.0, "b start"),
+        (0.0, "signal latched"),
+        (0.5, "a disk"),
+        (0.5, "a early"),
+        (0.5, "a zero"),
+        (0.75, "signal notified"),
+        (0.75, "b disk"),
+        (0.75, "b early"),
+        (0.75, "b zero"),
+        (1.0, "timer tie 1"),
+        (1.0, "timer tie 2"),
+        (1.0, "a late"),
+        (1.0, "b late"),
+        (1.25, "a slept"),
+        (1.25, "b slept"),
+    ]
+    # 3 process starts, 5 timers (the cancelled one is neither run nor counted),
+    # 6 resumes and completions per worker and 2 signal resumes
+    assert dispatched == 22
+
+
+def test_a_negative_sleep_raises():
+    engine = Engine()
+
+    def proc():
+        yield -1.0
+
+    engine.spawn(proc())
+    with pytest.raises(ValueError, match="negative delay"):
+        engine.run_until_idle()
+    with pytest.raises(ValueError, match="negative delay"):
+        engine.schedule(-0.5, lambda: None)
+
+
+def test_a_callback_that_raises_is_counted():
+    engine = Engine()
+    engine.schedule(1.0, lambda: None)
+    engine.schedule(2.0, lambda: 1 / 0)
+    engine.schedule(3.0, lambda: None)
+    with pytest.raises(ZeroDivisionError):
+        engine.run_until_idle()
+    assert (engine.now, engine.events_dispatched) == (2.0, 2)
+    engine.run_until_idle()
+    assert (engine.now, engine.events_dispatched) == (3.0, 3)

@@ -4,7 +4,7 @@ import hashlib
 import json
 
 import pytest
-from conftest import make_cluster, make_scenario
+from conftest import content_fingerprint, make_cluster, make_scenario
 
 from ced.errors import ScenarioError
 from ced.harness import cli
@@ -119,8 +119,8 @@ def test_cached_series_match_the_edge_after_a_run(tmp_path, label, config):
     for key in cluster.cache.entries:
         series = SeriesPath.parse(key)
         assert (
-            cluster.cloud_store.content_fingerprint(series)
-            == cluster.edge_store.content_fingerprint(series)
+            content_fingerprint(cluster.cloud_store, series)
+            == content_fingerprint(cluster.edge_store, series)
         ), key
 
 
@@ -219,7 +219,7 @@ def test_unknown_warm_sensor_is_a_scenario_error_before_any_sync(tmp_path):
     cluster = make_cluster(make_scenario(warm_series=("t1", "t9")), tmp_path)
     with pytest.raises(ScenarioError, match="t9"):
         cluster.run()
-    assert cluster.link.byte_report() == {}
+    assert cluster.link.counters == {}
 
 
 def test_unknown_warm_sensor_is_a_scenario_error_in_cloud_only_mode(tmp_path):
@@ -227,7 +227,7 @@ def test_unknown_warm_sensor_is_a_scenario_error_in_cloud_only_mode(tmp_path):
     cluster = make_cluster(make_scenario(mode="cloud_only", warm_series=("t9",)), tmp_path)
     with pytest.raises(ScenarioError, match="t9"):
         cluster.run()
-    assert cluster.link.byte_report() == {}
+    assert cluster.link.counters == {}
 
 
 def test_cli_reports_an_unknown_warm_sensor_as_an_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ tier-1 runs a short sweep, ``--hypothesis-profile=oracle`` a longer one.
 import re
 import tempfile
 
-from conftest import TABLE_II, make_cluster, make_scenario, small_workload
+from conftest import TABLE_II, active_producers, make_cluster, make_scenario, small_workload
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -83,7 +83,7 @@ def test_collaborative_runs_match_edge_only_and_close_every_channel(drawn):
         cluster = make_cluster(make_scenario(**knobs), workdir)
         report = cluster.run()
     assert {(q.rows, q.checksum) for q in report.queries} == {expected}
-    assert cluster.gateway.active_count() == 0
+    assert active_producers(cluster.gateway) == 0
     assert cluster.edge_transport._channel_handlers == {}
     assert all(s.phase == ChannelPhase.TERMINATED for c in cluster.contexts for s in c.channels)
     assert {kind for _, kind, _ in cluster.telemetry.events} <= DOCUMENTED_KINDS

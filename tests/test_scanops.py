@@ -469,7 +469,7 @@ def test_merge_identical_timestamps_two_columns(tmp_path):
         if block is None:
             break
         assert isinstance(block, ResultBlock)
-        assert block.column_names == ["a", "b"]
+        assert [name for name, _, _ in block.columns] == ["a", "b"]
         out.extend(zip(block.timestamps, block.columns[0][2], block.columns[1][2]))
     assert len(out) == 500
     assert all(a == b for _, a, b in out)
@@ -589,7 +589,7 @@ def test_merge_child_calls_and_blocks_are_pinned(children):
             log.append("E")
             break
         log.append(f"B{block.row_count}")
-        assert block.column_names == list(children)
+        assert [name for name, _, _ in block.columns] == list(children)
         rows.extend((ts, tuple(col[i] for _, _, col in block.columns))
                     for i, ts in enumerate(block.timestamps))
     assert " ".join(log) == MERGE_TRACES[children]

@@ -5,11 +5,13 @@ import struct
 import tracemalloc
 
 import pytest
+from conftest import content_fingerprint
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ced import codec
 from ced.errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSeries
+from ced.scanops import AggregationScanOp, WindowSpec
 from ced.tsstore import (
     BLOCK_ROWS,
     DECODE_MEMO_ROWS,
@@ -20,6 +22,7 @@ from ced.tsstore import (
     SeriesStore,
     TsBlock,
     ValueType,
+    _decode_chunk,
     decode_memo,
     read_file_index,
 )
@@ -125,7 +128,7 @@ def test_bulk_load_equals_point_appends(tmp_path):
             stores[1].append_columns(series, timestamps[cut:cut + 1000], values[cut:cut + 1000])
         for st_ in stores:
             st_.flush(series, chunk_target_rows=700)
-        assert stores[0].content_fingerprint(series) == stores[1].content_fingerprint(series)
+        assert content_fingerprint(stores[0], series) == content_fingerprint(stores[1], series)
 
 
 @pytest.mark.parametrize("load", LOADERS)
@@ -269,6 +272,39 @@ def test_memo_hit_equals_miss_and_every_load_is_charged(store):
     assert store.io.chunks_loaded == 2
     assert store.io.chunks_decoded == 1
     assert decode_memo.rows == 2500
+
+
+def test_column_loads_are_charged_and_a_hit_returns_the_lists_of_the_miss(store):
+    fill(store, S, 2500)
+    meta = store.flush(S, chunk_target_rows=2500).chunk_index[0]
+    miss = store.load_chunk_columns(meta)
+    hit = store.load_chunk_columns(meta)
+    assert miss[0] == S
+    assert miss[1] == list(range(2500)) and miss[2] == [float(i) for i in range(2500)]
+    assert all(a is b for a, b in zip(hit, miss))
+    store.load_chunk_pages(meta)
+    assert (store.io.bytes_read, store.io.chunks_loaded, store.io.chunks_decoded) == (
+        3 * meta.byte_len, 3, 1)
+    for i in range(2500, 2510):
+        store.append(S, DataPoint(i, float(i)))
+    tail = store.chunk_metas(S)[-1]
+    assert store.load_chunk_columns(tail) == (S, *tail.mem_rows)
+    assert (store.io.bytes_read, store.io.chunks_loaded) == (3 * meta.byte_len, 4)
+
+
+def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
+    fill(store, S, 3000, value=lambda i: float((i * 7919) % 1000))
+    store.flush(S, chunk_target_rows=1200)
+    for fn in ("count", "max_value"):
+        op = AggregationScanOp(store, S, WindowSpec(0, 3000, 7), fn)
+        while op.next_block() is not None:
+            pass
+    metas = store.chunk_metas(S)
+    assert store.io.chunks_loaded == 2 * len(metas)
+    for meta in metas:
+        buf = meta.file_path.read_bytes()[meta.offset:meta.offset + meta.byte_len]
+        retained = decode_memo.get((meta.series, meta.value_type, meta.row_count, buf))
+        assert retained[1:] == _decode_chunk(buf, meta)
 
 
 def test_mutating_a_loaded_block_does_not_change_the_next_load(store):
@@ -443,7 +479,7 @@ def test_snapshot_roundtrip_produces_identical_fingerprint(tmp_path):
     src.flush(S, chunk_target_rows=900)
     dst = SeriesStore(tmp_path / "dst")
     dst.import_snapshot(src.export_snapshot(S))
-    assert dst.content_fingerprint(S) == src.content_fingerprint(S)
+    assert content_fingerprint(dst, S) == content_fingerprint(src, S)
     assert scan_all(dst, S) == scan_all(src, S)
     # rows not yet flushed are refused: a snapshot or a copy carries files only
     for i in range(2300, 2350):

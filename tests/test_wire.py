@@ -699,9 +699,12 @@ _CELL_VALUES = st.one_of(st.text(max_size=6), st.none(), st.booleans(), _I64, _F
 
 
 def _read_or_error(read, buf: bytes, n: int):
+    """The cells ``read`` parses, re-encoded so that they compare cell-exactly
+    (NaN bits, -0.0 against 0.0, True against 1), and the end position; or
+    its error."""
     r = Reader(buf, MalformedMessage)
     try:
-        return read(r, n), r.pos
+        return encode_cells(read(r, n)), r.pos
     except MalformedMessage as exc:
         return str(exc)
 

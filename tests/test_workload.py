@@ -8,6 +8,7 @@ import random
 import shutil
 
 import pytest
+from conftest import content_fingerprint, total_rows
 
 from ced.errors import OutOfOrderTimestamp
 from ced.harness.cli import main as ced_main
@@ -175,9 +176,9 @@ def test_second_generate_reuses_the_built_files(tmp_path, flushes):
     assert file_bytes(second.root) == file_bytes(first.root)
     assert file_digests(second.root) == PINNED_SHA256
     for series in series_of(PINNED):
-        assert second.content_fingerprint(series) == first.content_fingerprint(series)
+        assert content_fingerprint(second, series) == content_fingerprint(first, series)
         assert second.time_bounds(series) == first.time_bounds(series)
-        assert second.total_rows(series) == first.total_rows(series)
+        assert total_rows(second, series) == total_rows(first, series)
         assert second.value_type(series) is first.value_type(series)
         assert all(m.file_path.parent == second.root for m in second.chunk_metas(series))
         assert scan_rows(second, series) == scan_rows(first, series)
@@ -194,7 +195,7 @@ def test_reused_store_flushes_its_next_file_in_sequence(tmp_path):
     store.append(series, DataPoint(10**9, 1.0))
     handle = store.flush(series)
     assert handle.path.name == f"{series}__000001.cedf"
-    assert store.total_rows(series) == config.total_rows + 1
+    assert total_rows(store, series) == config.total_rows + 1
 
 
 def test_reuse_survives_removal_of_the_first_store(tmp_path, flushes):
@@ -227,7 +228,7 @@ def test_other_stores_and_configs_build_from_scratch(tmp_path, flushes, variant)
     flushes.clear()
     generate(fresh, config)
     for series in series_of(config):
-        assert store.content_fingerprint(series) == fresh.content_fingerprint(series)
+        assert content_fingerprint(store, series) == content_fingerprint(fresh, series)
 
 
 def test_ced_gen_writes_the_generated_bytes(tmp_path, capsys):
