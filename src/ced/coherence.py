@@ -48,6 +48,8 @@ class CloudCache:
 #               | vt_present u8 [vt u8] | last_ts_present u8 [i64] | file_counter u32
 #               | file_count u32 | (name u16+utf8 | blob u32+bytes)* | mem_count u32
 #
+# ``series`` must parse as a SeriesPath and each ``name`` must be one plain
+# path component, since the mirror writes the file under that name.
 # ``seq`` and ``mem_count`` are always 0: a snapshot carries flushed files
 # only.  Snapshot bytes are counted as link bytes, so the two fields stay
 # until the simulated figures are next re-baselined.
@@ -73,13 +75,22 @@ def decode_snapshot(buf: bytes) -> dict:
     """Parse one ``snapshot``; raises MalformedMessage on any grammar violation."""
     r = Reader(buf, MalformedMessage)
     series = r.text()
+    try:
+        SeriesPath.parse(series)
+    except ValueError as exc:
+        raise r.fail(f"snapshot series {series!r}: {exc}") from None
     seq = r.u64()
     if seq:
         raise r.fail(f"{series}: snapshot seq is {seq}, not 0")
     vt = r.enum(ValueType, r.u8(), "value type") if r.u8() else None
     last_ts = r.i64() if r.u8() else None
     file_counter = r.u32()
-    files = [(r.text(), r.blob()) for _ in range(r.u32())]
+    files = []
+    for _ in range(r.u32()):
+        name = r.text()
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise r.fail(f"{series}: snapshot file name {name!r} is not one path component")
+        files.append((name, r.blob()))
     mem_count = r.u32()
     if mem_count:
         raise r.fail(f"{series}: snapshot mem_count is {mem_count}, not 0")

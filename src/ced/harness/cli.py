@@ -8,7 +8,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 import tempfile
@@ -19,7 +18,7 @@ from ..tsstore import SeriesStore
 from .metrics import emit
 from .presets import list_presets, preset_runs
 from .runtime import run_scenario
-from .scenario import load_scenario_file
+from .scenario import load_config_file, load_scenario_file
 from .workload import WorkloadConfig, generate
 
 
@@ -55,8 +54,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    raw = json.loads(Path(args.workload).read_text())
-    config = WorkloadConfig(**raw)
+    config = load_config_file(WorkloadConfig, Path(args.workload), "workload")
     outdir = Path(args.out)
     store = SeriesStore(
         outdir, chunk_target_rows=config.chunk_target_rows, page_rows=config.page_rows

@@ -12,30 +12,13 @@ import csv
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..scanops import ResultBlock
 from ..tsstore import BLOCK_ROWS
 from ..wire import encode_rows, encode_rows_once
 
 __all__ = ["ChecksumBuilder", "QueryResult", "MetricsReport", "emit"]
-
-
-_CELL_TYPES = frozenset((int, float, bool, type(None)))    # always pack, an int within i64
-
-
-def _always_packs(timestamps, columns) -> bool:
-    """Whether ``encode_rows`` packs these rows without an error."""
-    if not set(map(type, timestamps)) <= {int}:
-        return False
-    ints = list(timestamps)
-    for values in columns:
-        types = set(map(type, values))
-        if not types <= _CELL_TYPES:
-            return False
-        if int in types:
-            ints += values if len(types) == 1 else [v for v in values if type(v) is int]
-    return not ints or (-(1 << 63) <= min(ints) and max(ints) < 1 << 63)
 
 
 class ChecksumBuilder:
@@ -46,54 +29,33 @@ class ChecksumBuilder:
     encoded by its value's Python type, so the digest does not depend on the
     declared column types or on how rows are split into blocks.
 
-    Rows are packed ``BLOCK_ROWS`` at a time, in one ``encode_rows`` call; a
-    column with ``None`` cells or mixed types is packed cell by cell there,
-    and the other columns are not, to the same bytes.  A block of exactly
-    ``BLOCK_ROWS`` rows is packed once for all the concurrent queries that
-    return it (``ced.wire.encode_rows_once``).  Shorter blocks with no str and
-    no int outside i64 are copied into fewer than ``BLOCK_ROWS`` pending rows;
-    any other block is packed after them, so a bad value raises from its ``update``.
+    Each block is hashed when it arrives, at most ``BLOCK_ROWS`` rows per
+    ``encode_rows`` call, so a value that does not pack raises from that
+    block's ``update``.  A column with ``None`` cells or mixed types is packed
+    cell by cell there, and the other columns are not, to the same bytes.  A
+    block of exactly ``BLOCK_ROWS`` rows is packed once for all the concurrent
+    queries that return it (``ced.wire.encode_rows_once``); a shorter one is
+    packed anew.
     """
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
         self.rows = 0
-        self._timestamps, self._columns = [], []     # pending rows, see above
 
     def update(self, block: ResultBlock) -> None:
         timestamps = block.timestamps
         columns = [values for _name, _vt, values in block.columns]
-        if len(timestamps) < BLOCK_ROWS and _always_packs(timestamps, columns):
-            if len(columns) != len(self._columns):
-                self._hash_pending()
-                self._columns = [[] for _ in columns]
-            self._timestamps += timestamps
-            for pending, values in zip(self._columns, columns):
-                pending += values
-            if len(self._timestamps) >= BLOCK_ROWS:
-                self._hash_pending(BLOCK_ROWS)
+        if len(timestamps) <= BLOCK_ROWS:
+            self._hash.update(encode_rows_once(timestamps, columns))
         else:
-            self._hash_pending()
-            if len(timestamps) <= BLOCK_ROWS:
-                self._hash.update(encode_rows_once(timestamps, columns))
-            else:
-                # BLOCK_ROWS rows at a time, so that peak memory does not grow
-                # with the size of the block; no other block repeats these slices
-                for lo in range(0, len(timestamps), BLOCK_ROWS):
-                    hi = lo + BLOCK_ROWS
-                    self._hash.update(encode_rows(timestamps[lo:hi], [values[lo:hi] for values in columns]))
+            # BLOCK_ROWS rows at a time, so that peak memory does not grow
+            # with the size of the block; no other block repeats these slices
+            for lo in range(0, len(timestamps), BLOCK_ROWS):
+                hi = lo + BLOCK_ROWS
+                self._hash.update(encode_rows(timestamps[lo:hi], [values[lo:hi] for values in columns]))
         self.rows += len(timestamps)
 
-    def _hash_pending(self, n: Optional[int] = None) -> None:
-        """Hash the first ``n`` pending rows, or all of them."""
-        timestamps, columns = self._timestamps, self._columns
-        if timestamps:
-            self._hash.update(encode_rows(timestamps[:n], [values[:n] for values in columns]))
-            for values in (timestamps, *columns):
-                del values[:n]
-
     def hexdigest(self) -> str:
-        self._hash_pending()
         return self._hash.hexdigest()
 
 
@@ -164,36 +126,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path: Path, columns: list[str], rows: Iterable[tuple]) -> None:
+    with open(path, "w", newline="") as fp:
+        writer = csv.writer(fp)
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def emit(reports: Iterable[MetricsReport], outdir: Path) -> dict[str, Path]:
     """Write metrics.csv / decisions.csv / bytes.csv with a stable column order."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     reports = list(reports)
-    paths = {
-        "metrics": outdir / "metrics.csv",
-        "decisions": outdir / "decisions.csv",
-        "bytes": outdir / "bytes.csv",
-    }
-    with open(paths["metrics"], "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(METRICS_COLUMNS)
-        for report in reports:
-            for q in report.queries:
-                writer.writerow([_fmt(v) for v in (
-                    report.run, q.name, q.instance, q.sql, q.start_s, q.end_s,
-                    q.duration_s, q.rows, q.checksum, q.migrated, q.remigrated,
-                    q.rejected, q.handshake_failures, q.final_placement,
-                )])
-    with open(paths["decisions"], "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(DECISIONS_COLUMNS)
-        for report in reports:
-            for time_s, io, cpu, placement, decision in report.decisions:
-                writer.writerow([_fmt(v) for v in (report.run, time_s, io, cpu, placement, decision)])
-    with open(paths["bytes"], "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(BYTES_COLUMNS)
-        for report in reports:
-            for channel, direction, sent, delivered, dropped in report.bytes_rows:
-                writer.writerow([_fmt(v) for v in (report.run, channel, direction, sent, delivered, dropped)])
+    paths = {kind: outdir / f"{kind}.csv" for kind in ("metrics", "decisions", "bytes")}
+    _write_csv(paths["metrics"], METRICS_COLUMNS, (
+        (r.run, q.name, q.instance, q.sql, q.start_s, q.end_s, q.duration_s, q.rows, q.checksum,
+         q.migrated, q.remigrated, q.rejected, q.handshake_failures, q.final_placement)
+        for r in reports for q in r.queries
+    ))
+    _write_csv(paths["decisions"], DECISIONS_COLUMNS,
+               ((r.run, *decision) for r in reports for decision in r.decisions))
+    _write_csv(paths["bytes"], BYTES_COLUMNS,
+               ((r.run, *row) for r in reports for row in r.bytes_rows))
     return paths

@@ -348,18 +348,11 @@ class Cluster:
     def any_running(self) -> bool:
         return any(ctx.running for ctx in self.contexts)
 
-    def _io_hog_process(self):
-        # open-loop demand: external tenants keep asking for disk time whether
-        # or not the queue is drained, which is what sustains high io_usage
-        duty = self.scenario.background_io_duty
+    def _hog_process(self, resource: FifoResource, duty: float):
+        # open-loop demand: external tenants keep asking for disk or CPU time
+        # whether or not the queue is drained, which is what sustains high usage
         while self.any_running():
-            self.edge_disk.acquire(duty * _HOG_PERIOD_S * self.edge_disk.rate)
-            yield _HOG_PERIOD_S
-
-    def _cpu_hog_process(self):
-        duty = self.scenario.cpu_hog_duty
-        while self.any_running():
-            self.edge_cpu.acquire(duty * _HOG_PERIOD_S * self.edge_cpu.rate)
+            resource.acquire(duty * _HOG_PERIOD_S * resource.rate)
             yield _HOG_PERIOD_S
 
     def _coherence_tick(self):
@@ -398,9 +391,9 @@ class Cluster:
             self.engine.spawn(ctx.run_process())
 
         if scenario.background_io_duty > 0:
-            self.engine.spawn(self._io_hog_process())
+            self.engine.spawn(self._hog_process(self.edge_disk, scenario.background_io_duty))
         for _ in range(scenario.cpu_load):
-            self.engine.spawn(self._cpu_hog_process())
+            self.engine.spawn(self._hog_process(self.edge_cpu, scenario.cpu_hog_duty))
         if scenario.mode == COLLABORATIVE and scenario.monitor_enabled:
             self.monitor = ResourceMonitor(
                 self.engine,

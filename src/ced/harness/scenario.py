@@ -151,6 +151,8 @@ class ScenarioConfig:
 
     def scaled(self, factor: float) -> "ScenarioConfig":
         """The same scenario over ``factor`` times the rows; row-count triggers scale too."""
+        if not 0 < factor < math.inf:
+            raise ScenarioError(f"scale must be a finite number > 0, not {factor!r}")
 
         def rows(value: Optional[int]) -> Optional[int]:
             return None if value is None else max(1, int(value * factor))
@@ -200,15 +202,21 @@ def _from_json(kind, value, name: str):
     raise ScenarioError(f"{name} must be {expected}, not {value!r}")
 
 
-def load_scenario_file(path: Path) -> ScenarioConfig:
-    """Build a ScenarioConfig from a JSON file (schema in the module docstring)."""
+def load_config_file(kind, path: Path, what: str):
+    """A validated ``kind`` built from a JSON file; a file that cannot be read
+    or parsed, or that holds a bad value, is a ScenarioError."""
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:         # ValueError: bad UTF-8 or bad JSON
+        raise ScenarioError(f"cannot load {what} {path}: {exc}") from exc
     try:
-        config = _from_json(ScenarioConfig, raw, "scenario")
+        config = _from_json(kind, raw, what)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad scenario {path}: {exc}") from exc
+        raise ScenarioError(f"bad {what} {path}: {exc}") from exc
     config.validate()
     return config
+
+
+def load_scenario_file(path: Path) -> ScenarioConfig:
+    """Build a ScenarioConfig from a JSON file (schema in the module docstring)."""
+    return load_config_file(ScenarioConfig, path, "scenario")

@@ -31,7 +31,6 @@ __all__ = [
     "OperatorNode",
     "Catalog",
     "parse",
-    "render",
     "plan",
 ]
 
@@ -56,13 +55,6 @@ class Predicate:
     sensor: str
     op: str
     literal: Literal
-
-    def render(self) -> str:
-        if isinstance(self.literal, str):
-            lit = "'" + self.literal.replace("'", "''") + "'"
-        else:
-            lit = repr(self.literal)
-        return f"{self.sensor} {self.op} {lit}"
 
 
 @dataclass(frozen=True)
@@ -271,17 +263,6 @@ class _Parser:
 def parse(sql: str) -> Query:
     """Parse one statement; a pure function of the text."""
     return _Parser(_lex(sql)).parse_query()
-
-
-def render(query: Query) -> str:
-    """Canonical SQL text; parse(render(q)) == q."""
-    parts = ["SELECT ", ", ".join(item.render() for item in query.select_items),
-             " FROM ", ".".join(query.source)]
-    if query.predicate:
-        parts += [" WHERE ", query.predicate.render()]
-    if query.group_by_ms is not None:
-        parts += [" GROUP BY ", f"{query.group_by_ms}ms"]
-    return "".join(parts)
 
 
 # --- catalog -------------------------------------------------------------------

@@ -44,7 +44,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import GuardViolation, IndexKindMismatch, MisalignedOffset, UnknownSeries
 from .queryplan import OperatorNode
@@ -153,12 +153,6 @@ class WindowSpec:
         if self.width <= 0:
             raise ValueError("window width must be positive")
 
-    def windows(self) -> Iterator[tuple[int, int]]:
-        start = self.lo
-        while start < self.hi:
-            yield start, min(start + self.width, self.hi)
-            start += self.width
-
     def is_boundary(self, ts: int) -> bool:
         return ts == self.hi or (self.lo <= ts and (ts - self.lo) % self.width == 0)
 
@@ -183,7 +177,7 @@ def skip_to_offset(cur_offset: int, iterator: ChunkIterator) -> int:
     while iterator.has_next():
         row_count = iterator.peek().row_count
         if remaining >= row_count:
-            iterator.skip_current()
+            iterator.advance()
             remaining -= row_count
         else:
             break
@@ -439,7 +433,7 @@ class AggregationScanOp(_ScanLeaf):
             meta = iterator.peek()
             if meta.max_ts < window_start:
                 # entirely before the current window: no page I/O
-                iterator.skip_current()
+                iterator.advance()
                 self.chunks_skipped += 1
                 continue
             if meta.min_ts >= window_end:

@@ -63,7 +63,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .codec import U16, U32, Reader, pack_rows, rows_struct, write_text
 from .errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSeries
@@ -164,10 +164,6 @@ class SeriesPath:
         return SeriesPath(self.segments + (segment,))
 
     @property
-    def parent(self) -> "SeriesPath":
-        return SeriesPath(self.segments[:-1])
-
-    @property
     def leaf(self) -> str:
         return self.segments[-1]
 
@@ -233,9 +229,6 @@ class ChunkMeta:
     min_ts: int
     max_ts: int
     mem_rows: Optional[tuple[list, list]] = None   # (timestamps, values) snapshot
-
-    def intersects(self, lo: int, hi: int) -> bool:
-        return self.min_ts < hi and self.max_ts >= lo
 
 
 @dataclass
@@ -381,7 +374,6 @@ class ChunkIterator:
     def __init__(self, metas: list[ChunkMeta]):
         self._metas = metas
         self._pos = 0
-        self.chunks_skipped = 0
 
     def has_next(self) -> bool:
         return self._pos < len(self._metas)
@@ -393,15 +385,6 @@ class ChunkIterator:
         meta = self._metas[self._pos]
         self._pos += 1
         return meta
-
-    def skip_current(self) -> ChunkMeta:
-        """Pass over the current chunk without any page I/O."""
-        self.chunks_skipped += 1
-        return self.advance()
-
-    def __iter__(self) -> Iterator[ChunkMeta]:
-        while self.has_next():
-            yield self.advance()
 
 
 class _SeriesState:
@@ -578,15 +561,9 @@ class SeriesStore:
             )
         return metas
 
-    def open_chunk_iterator(
-        self, series: SeriesPath, time_range: Optional[tuple[int, int]] = None
-    ) -> ChunkIterator:
-        """Iterator over chunks intersecting ``[lo, hi)``, metadata-only access."""
-        metas = self.chunk_metas(series)
-        if time_range is not None:
-            lo, hi = time_range
-            metas = [m for m in metas if m.intersects(lo, hi)]
-        return ChunkIterator(metas)
+    def open_chunk_iterator(self, series: SeriesPath) -> ChunkIterator:
+        """Iterator over the series' chunks, metadata-only access."""
+        return ChunkIterator(self.chunk_metas(series))
 
     def load_chunk_columns(self, meta: ChunkMeta) -> tuple[SeriesPath, list[int], list]:
         """Load one chunk, charged in ``IoStats``: its series and its two columns.

@@ -13,7 +13,7 @@ from ced.harness.runtime import Cluster
 from ced.harness.scenario import QuerySpec, ScenarioConfig
 from ced.harness.workload import WorkloadConfig
 from ced.migrate import ChannelPhase
-from ced.tsstore import ValueType, _encode_rows, decode_memo
+from ced.tsstore import SeriesPath, ValueType, _encode_rows, decode_memo
 from ced.wire import link_memo, pack_memo
 
 Q1_SQL = "SELECT t1 FROM dev WHERE t1='v999'"
@@ -100,6 +100,11 @@ def total_rows(store, series) -> int:
     """Rows of ``series`` in ``store``, flushed and in the memtable."""
     metas = store.chunk_metas(series)
     return sum(m.row_count for m in metas)
+
+
+def parent(path: SeriesPath) -> SeriesPath:
+    """The series path one segment up."""
+    return SeriesPath(path.segments[:-1])
 
 
 def active_producers(gateway) -> int:

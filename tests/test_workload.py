@@ -237,3 +237,25 @@ def test_ced_gen_writes_the_generated_bytes(tmp_path, capsys):
     assert ced_main(["gen", "--workload", str(config_file), "--out", str(tmp_path / "out")]) == 0
     assert "generated 12500 points: 5 sensors x 2500 rows" in capsys.readouterr().out
     assert file_digests(tmp_path / "out") == PINNED_SHA256
+
+
+@pytest.mark.parametrize("content,message", [
+    (json.dumps({"sensor_count": 2, "colour": "red"}), "unknown keys ['colour'] in workload"),
+    (json.dumps({"total_rows": "100"}), "total_rows must be of type int, not '100'"),
+    (json.dumps({"sensor_count": 2.0}), "sensor_count must be of type int, not 2.0"),
+    (json.dumps([1, 2]), "workload must be a JSON object"),
+    (json.dumps({"total_rows": 0}), "total_rows must be >= 1"),
+    ('{"total_rows": ', "cannot load workload"),
+    (b"\xff\xfe", "cannot load workload"),
+    (None, "cannot load workload"),
+])
+def test_ced_gen_reports_a_bad_workload_file_as_an_error(tmp_path, capsys, content, message):
+    config_file = tmp_path / "workload.json"
+    if isinstance(content, bytes):
+        config_file.write_bytes(content)
+    elif content is not None:
+        config_file.write_text(content)
+    assert ced_main(["gen", "--workload", str(config_file), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
