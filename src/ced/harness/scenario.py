@@ -26,9 +26,12 @@ below; presets construct them in code.  Every key is optional except
                      the first boundary where its leaf has read this many rows,
       "warm_series": [sensor name, ...] or ["*"],   every name must be a sensor
                      of the edge store; ["*"] and cloud_only mode warm the
-                     queried series,
-      "seed": int
+                     queried series
     }
+
+There is no top-level seed: ``ced run --seed N`` seeds the workload and
+the link through ``ScenarioConfig.with_seed``, and each section's own
+``seed`` key seeds that section alone.
 
 An unknown key, a value of another type than its field's (an integer
 stands for a float, but a bool, NaN or an infinity for no number) or an
@@ -115,7 +118,6 @@ class ScenarioConfig:
     forced_fallback_after_rows: Optional[int] = None
 
     warm_series: tuple[str, ...] = ()    # sensor names to pre-sync ("*" = all queried)
-    seed: int = 0
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -165,9 +167,9 @@ class ScenarioConfig:
         )
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
+        """The same scenario with its workload and its link seeded by ``seed``."""
         return dataclasses.replace(
             self,
-            seed=seed,
             workload=dataclasses.replace(self.workload, seed=seed),
             link=dataclasses.replace(self.link, seed=seed),
         )

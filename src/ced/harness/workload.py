@@ -56,8 +56,9 @@ class WorkloadConfig:
             raise ScenarioError("total_rows must be >= 1")
         if not (0 <= self.effective_plant_count <= self.total_rows):
             raise ScenarioError("plant_count out of range")
-        for name in ("string_pool", "chunk_target_rows", "page_rows"):
-            if getattr(self, name) < 1:
+        for name in ("string_pool", "chunk_target_rows", "page_rows", "flush_every_rows"):
+            value = getattr(self, name)
+            if value is not None and value < 1:          # flush_every_rows may be None
                 raise ScenarioError(f"{name} must be >= 1")
 
     @property
@@ -154,7 +155,7 @@ def generate(store: SeriesStore, config: WorkloadConfig) -> GeneratedDataset:
             _last_built[1].copy_series(s, store)
         return dataset
 
-    flush_every = max(1, config.flush_every_rows or config.total_rows)
+    flush_every = config.flush_every_rows or config.total_rows
     interval = config.sampling_interval_ms
     timestamps = range(0, config.total_rows * interval, interval)
     for (name, vt), s in zip(sensors, series):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional, Sequence
@@ -473,13 +473,13 @@ class FilterOp(_OperatorBase):
     itself, and the other operators take the row loop.
     """
 
-    def __init__(self, child: _OperatorBase, op: str, literal, series: Optional[SeriesPath] = None):
+    def __init__(self, child: _OperatorBase, op: str, literal):
         self.child = child
         self.op = op
         self.literal = literal
         self.rows_in = 0
         self.rows_out = 0
-        self._series = series
+        self._series: Optional[SeriesPath] = None
         self._value_type: Optional[ValueType] = None
         self._buf_ts: list[int] = []
         self._buf_values: list = []
@@ -534,10 +534,7 @@ class FilterOp(_OperatorBase):
         if not self._buf_ts:
             return None if self._child_done else NOT_READY
         n = min(BLOCK_ROWS, len(self._buf_ts))
-        block = TsBlock(
-            self._series, self._buf_ts[:n], self._buf_values[:n],
-            self._value_type or ValueType.FLOAT64,
-        )
+        block = TsBlock(self._series, self._buf_ts[:n], self._buf_values[:n], self._value_type)
         del self._buf_ts[:n]
         del self._buf_values[:n]
         self.rows_out += block.row_count
@@ -582,10 +579,18 @@ class RootAdapter(_OperatorBase):
 class MergeOp(_OperatorBase):
     """Timestamp-aligned merge of N single-series streams with null fill.
 
-    Each child has a cursor into its current block.  Rows are merged one at
-    a time, except that a run of rows on which every child has the same
-    timestamps is copied in bulk; the run's last row still takes the per-row
-    path, which is where a child whose block it ends is refilled.
+    Each child has a cursor into its current block, and each child's
+    timestamps strictly increase.  Rows are emitted a segment at a time: a
+    segment is every buffered row up to ``end``, the earliest last timestamp
+    among the children's current blocks, capped at ``BLOCK_ROWS`` rows in the
+    output block.  When the children's timestamp slices are equal the
+    segment is that slice; otherwise it is their sorted union, and a child
+    without a row at a timestamp gives ``None`` there.  A segment that
+    reaches ``end`` has used up a block, and each child whose block it used
+    up is refilled in child order.  If a refill answers PENDING or NOT_READY
+    before the output block is full, each child's rows read during this call
+    are put back ahead of its unread rows, by position, so the next call
+    reads them again.
     """
 
     def __init__(self, children: Sequence[_OperatorBase], columns: Sequence[str]):
@@ -622,83 +627,47 @@ class MergeOp(_OperatorBase):
             self._types[i] = block.value_type
         return True
 
-    def _common_run(self, limit: int) -> int:
-        """Largest n <= limit such that all children's next n timestamps agree.
-
-        The children's heads must already agree.  Galloping keeps the cost
-        proportional to the run found rather than to ``limit``.
-        """
-        ts, pos = self._ts, self._pos
-        ref, p0 = ts[0], pos[0]
-        others = list(zip(ts[1:], pos[1:]))
-        lo, hi, step = 1, limit, 1          # the first lo rows agree; rows past hi do not
-        while lo < hi:
-            n = min(lo + step, hi)
-            segment = ref[p0 + lo:p0 + n]
-            if all(t[p + lo:p + n] == segment for t, p in others):
-                lo, step = n, step * 2
-            else:
-                hi, step = n - 1, 1
-        return lo
-
     def next_block(self):
         for i in range(len(self.children)):
             state = self._refill(i)
             if state is not True:
                 return state
         ts_bufs, value_bufs, pos = self._ts, self._values, self._pos
-        width = len(self.children)
+        # per child, each block read during this call and where the reading began
+        read = [[(t, v, p)] for t, v, p in zip(ts_bufs, value_bufs, pos)]
         out_ts: list[int] = []
         out_cols: list[list] = [[] for _ in self.children]
         while len(out_ts) < BLOCK_ROWS:
-            heads = [t[p] if p < len(t) else None for t, p in zip(ts_bufs, pos)]
-            live = [h for h in heads if h is not None]
-            if not live:
+            ends = [t[-1] for t, p in zip(ts_bufs, pos) if p < len(t)]
+            if not ends:
                 break
-            ts = min(live)
-            if len(live) == width and ts == max(live):
-                room = min(BLOCK_ROWS - len(out_ts), *(len(t) - p for t, p in zip(ts_bufs, pos)))
-                bulk = self._common_run(room) - 1
-                if bulk:
-                    p0 = pos[0]
-                    out_ts += ts_bufs[0][p0:p0 + bulk]
-                    for i, p in enumerate(pos):
-                        out_cols[i] += value_bufs[i][p:p + bulk]
-                        pos[i] = p + bulk
-                    continue
-            out_ts.append(ts)
-            for i, head in enumerate(heads):
-                if head == ts:
-                    p = pos[i]
-                    out_cols[i].append(value_bufs[i][p])
-                    pos[i] = p + 1
-                    if p + 1 == len(ts_bufs[i]):
-                        state = self._refill(i)
-                        if state is not True and len(out_ts) < BLOCK_ROWS:
-                            # hold assembled rows; resume once the child can serve
-                            return self._stash(out_ts, out_cols, state)
-                else:
-                    out_cols[i].append(None)
+            end = min(ends)
+            slices = [t[p:bisect_right(t, end, p)] for t, p in zip(ts_bufs, pos)]
+            first = slices[0]
+            aligned = all(s == first for s in slices)
+            segment = (first if aligned else sorted(set().union(*slices)))[:BLOCK_ROWS - len(out_ts)]
+            out_ts += segment
+            for i, (s, values, p) in enumerate(zip(slices, value_bufs, pos)):
+                n = len(segment) if aligned else bisect_right(s, segment[-1])
+                cells = values[p:p + n]
+                out_cols[i] += cells if aligned else map(dict(zip(s, cells)).get, segment)
+                pos[i] = p + n
+            for i, t in enumerate(ts_bufs):
+                if pos[i] == len(t) and not self._done[i]:
+                    state = self._refill(i)
+                    if state is not True and len(out_ts) < BLOCK_ROWS:
+                        for k, blocks in enumerate(read):      # put back by position
+                            ts_bufs[k] = [x for bt, _, start in blocks for x in bt[start:]]
+                            value_bufs[k] = [x for _, bv, start in blocks for x in bv[start:]]
+                            pos[k] = 0
+                        return state
+                    read[i].append((ts_bufs[i], value_bufs[i], pos[i]))
         if not out_ts:
             return None
         return ResultBlock(
             out_ts,
             [(name, vt, col) for name, vt, col in zip(self.columns, self._types, out_cols)],
         )
-
-    def _stash(self, out_ts, out_cols, state):
-        # put assembled rows back in front of each child's unread rows, preserving order
-        for i in range(len(self.children)):
-            restored_ts, restored_values = [], []
-            for ts, value in zip(out_ts, out_cols[i]):
-                if value is not None:
-                    restored_ts.append(ts)
-                    restored_values.append(value)
-            p = self._pos[i]
-            self._ts[i] = restored_ts + self._ts[i][p:]
-            self._values[i] = restored_values + self._values[i][p:]
-            self._pos[i] = 0
-        return state
 
 
 _COMPARATORS = {"=": operator.eq, "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}

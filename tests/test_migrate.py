@@ -16,6 +16,7 @@ from conftest import (
 
 import ced.harness.runtime
 from ced.harness.scenario import CostModel, QuerySpec
+from ced.harness.workload import WorkloadConfig
 from ced.migrate import ChannelConfig, ChannelPhase, filter_above_leaf
 from ced.netsim import LinkConfig
 from ced.queryplan import Catalog, parse, plan
@@ -340,6 +341,24 @@ def test_aggregation_remigration_resumes_locally_exact(tmp_path, name):
     assert (q.migrated, q.remigrated) == (1, 1)
     assert q.final_placement == "edge"
     assert q.checksum == edge_baseline_checksum(TABLE_II[name], small_workload(), tmp_path, name)
+
+
+def test_sparse_window_pair_is_exact_in_every_mode(tmp_path):
+    # every other 5m window is empty, so both merged columns are None on half the rows
+    sql = "SELECT max_value(t3), max_value(t4) FROM dev GROUP BY 5m"
+    workload = WorkloadConfig(sensor_count=4, sampling_interval_ms=600_000, total_rows=600,
+                              chunk_target_rows=100)
+    results = {}
+    for mode, kw in [("edge_only", dict(warm_series=())),
+                     ("cloud_only", dict(warm_series=("t3", "t4"))),
+                     ("collaborative", dict(warm_series=("t3", "t4"), forced_migration_at_rows=150))]:
+        _, report = run(make_scenario(sql, mode=mode, workload=workload, **kw), tmp_path)
+        q = report.queries[0]
+        results[mode] = (q.rows, q.checksum)
+        if mode == "collaborative":
+            assert q.migrated == 2
+    assert results["edge_only"][0] == 1199
+    assert results["cloud_only"] == results["collaborative"] == results["edge_only"]
 
 
 def test_transport_down_aborts_migration_and_query_completes(tmp_path):

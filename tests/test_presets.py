@@ -181,6 +181,7 @@ def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
     ("cpu_hog_duty", -0.5), ("cpu_hog_duty", 1.0),
     ("forced_migration_at_rows", -1), ("forced_fallback_after_rows", -1),
     ("workload.page_rows", 0), ("workload.chunk_target_rows", 0), ("workload.string_pool", 0),
+    ("workload.flush_every_rows", 0), ("workload.flush_every_rows", -5),
     ("channel.queue_depth", 0), ("channel.probe_timeout_s", 0), ("channel.probe_retries", -1),
     # a value of another type than its field's
     ("io_throttle", "x"), ("cpu_load", 1.5), ("link.bandwidth_mbps", "fast"),
@@ -239,6 +240,14 @@ def test_cli_reports_an_unknown_warm_sensor_as_an_error(tmp_path, capsys):
     }))
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: warm series root.ln.edge1.dev.t9")
+
+
+def test_cli_reports_a_scenario_seed_key_as_unknown(tmp_path, capsys):
+    # `ced run --seed` seeds the workload and the link; a scenario file names no seed
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}], "seed": 7}))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown keys ['seed']")
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-3", "0"])

@@ -628,6 +628,7 @@ class RowMergeOp(MergeOp):
             if state is not True:
                 return state
         out_ts, out_cols = [], [[] for _ in self.children]
+        given = [[] for _ in self.children]         # the (ts, value) rows each child gave this call
         while len(out_ts) < BLOCK_ROWS:
             heads = [ts[0] if ts else None for ts in self._buf_ts]
             live = [h for h in heads if h is not None]
@@ -637,15 +638,15 @@ class RowMergeOp(MergeOp):
             out_ts.append(ts)
             for i, head in enumerate(heads):
                 if head == ts:
-                    out_cols[i].append(self._buf_values[i].pop(0))
-                    self._buf_ts[i].pop(0)
+                    value = self._buf_values[i].pop(0)
+                    out_cols[i].append(value)
+                    given[i].append((self._buf_ts[i].pop(0), value))
                     if not self._buf_ts[i]:
                         state = self._refill(i)
                         if state is not True and len(out_ts) < BLOCK_ROWS:
-                            for k in range(len(self.children)):
-                                kept = [(t, v) for t, v in zip(out_ts, out_cols[k]) if v is not None]
-                                self._buf_ts[k][:0] = [t for t, _ in kept]
-                                self._buf_values[k][:0] = [v for _, v in kept]
+                            for k, rows in enumerate(given):
+                                self._buf_ts[k][:0] = [t for t, _ in rows]
+                                self._buf_values[k][:0] = [v for _, v in rows]
                             return state
                 else:
                     out_cols[i].append(None)
@@ -656,7 +657,7 @@ class RowMergeOp(MergeOp):
 
 @st.composite
 def merge_scripts(draw):
-    """Children over one timestamp domain with a few holes each, in random blocks."""
+    """Children over one timestamp domain with a few holes and None cells each, in random blocks."""
     domain = range(draw(st.integers(1, 2600)))
     scripts = {}
     for name in "abc"[:draw(st.integers(1, 3))]:
@@ -664,12 +665,14 @@ def merge_scripts(draw):
         if draw(st.booleans()):
             holes |= set(range(draw(st.integers(0, len(domain))), len(domain), 2))
         stamps = [t for t in domain if t not in holes]
+        nulls = draw(st.sets(st.sampled_from(stamps), max_size=6)) if stamps else set()
         script, lo = [], 0
         while lo < len(stamps):
             hi = lo + draw(st.integers(1, 1000))
             if draw(st.integers(0, 4)) == 0:
                 script.append(draw(st.sampled_from([PENDING, NOT_READY])))
-            script.append(TsBlock(S, stamps[lo:hi], [f"{name}{t}" for t in stamps[lo:hi]],
+            script.append(TsBlock(S, stamps[lo:hi],
+                                  [None if t in nulls else f"{name}{t}" for t in stamps[lo:hi]],
                                   ValueType.STRING))
             lo = hi
         scripts[name] = script

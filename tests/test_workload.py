@@ -245,6 +245,8 @@ def test_ced_gen_writes_the_generated_bytes(tmp_path, capsys):
     (json.dumps({"sensor_count": 2.0}), "sensor_count must be of type int, not 2.0"),
     (json.dumps([1, 2]), "workload must be a JSON object"),
     (json.dumps({"total_rows": 0}), "total_rows must be >= 1"),
+    (json.dumps({"flush_every_rows": 0}), "flush_every_rows must be >= 1"),
+    (json.dumps({"flush_every_rows": -5}), "flush_every_rows must be >= 1"),
     ('{"total_rows": ', "cannot load workload"),
     (b"\xff\xfe", "cannot load workload"),
     (None, "cannot load workload"),
