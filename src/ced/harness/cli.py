@@ -13,7 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ..errors import ScenarioError
+from ..errors import PlanError, ScenarioError, SqlSyntaxError, UnknownSeries, UnsupportedFeature
 from ..tsstore import SeriesStore
 from .metrics import emit
 from .presets import list_presets, preset_runs
@@ -28,8 +28,6 @@ def _cmd_run(args) -> int:
     else:
         config = load_scenario_file(Path(args.scenario))
         runs = [(config.name, config)]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     reports = []
     for label, config in runs:
         if args.seed is not None:
@@ -47,7 +45,7 @@ def _cmd_run(args) -> int:
             f"mean_time={report.query_execution_time:.6f}s qps={report.qps:.3f} "
             f"migrations={report.migrations}"
         )
-    paths = emit(reports, outdir)
+    paths = emit(reports, Path(args.out))
     for kind, path in sorted(paths.items()):
         print(f"wrote {path}")
     return 0
@@ -106,7 +104,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, SqlSyntaxError, UnsupportedFeature, PlanError, UnknownSeries) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,8 @@ below; presets construct them in code.  Every key is optional except
       "forced_migration_at_rows": int | null,    a query asks to migrate at the
                      first boundary where an edge leaf has read this many rows,
       "forced_fallback_after_rows": int | null,  a cloud producer falls back at
-                     the first boundary where its leaf has read this many rows,
+                     the first boundary where its leaf has read this many rows
+                     (both must be null in edge_only mode),
       "warm_series": [sensor name, ...] or ["*"],   every name must be a sensor
                      of the edge store; ["*"] and cloud_only mode warm the
                      queried series
@@ -81,6 +82,9 @@ class CostModel:
             raise ScenarioError("disk rates must be positive")
         if min(self.edge_cpu_cores, self.cloud_cpu_cores) <= 0:
             raise ScenarioError("core budgets must be positive")
+        for name in ("row_cpu_cost_s", "recv_row_cost_s"):
+            if getattr(self, name) < 0:
+                raise ScenarioError(f"cost.{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,8 @@ class ScenarioConfig:
         for name in ("forced_migration_at_rows", "forced_fallback_after_rows"):
             if (getattr(self, name) or 0) < 0:
                 raise ScenarioError(f"{name} must be >= 0")
+            if self.mode == EDGE_ONLY and getattr(self, name) is not None:
+                raise ScenarioError(f"{name} must be null: edge_only queries never leave the edge")
         if self.channel.queue_depth < 1:
             raise ScenarioError("channel.queue_depth must be >= 1")
         if self.channel.probe_timeout_s <= 0:

@@ -5,7 +5,8 @@ integer payloads, sampled on a fixed interval with strictly increasing
 timestamps.  String sensors draw from the pool v0..v999; float sensors
 are uniform in [0, 1000) with a configurable number of planted exact
 occurrences of one needle value so equality predicates like
-``t3 = 497.44467`` have known matches.
+``t3 = 497.44467`` have known matches.  Each sensor's rows are written by
+one ``SeriesStore.flush`` per ``flush_every_rows`` slice, one file each.
 
 Generation is deterministic per ``(WorkloadConfig, page_rows)`` and flushed
 files are immutable, so the last dataset built into an empty store is kept
@@ -45,7 +46,7 @@ class WorkloadConfig:
     plant_count: Optional[int] = None        # default: ~1/1000 of rows, at least 1
     chunk_target_rows: int = 4000
     page_rows: int = 1000
-    flush_every_rows: Optional[int] = None   # default: single flush at the end
+    flush_every_rows: Optional[int] = None   # default: one flush of all rows
 
     def validate(self) -> None:
         if self.sensor_count < 1:
@@ -140,7 +141,7 @@ atexit.register(_forget_last_built)
 
 
 def generate(store: SeriesStore, config: WorkloadConfig) -> GeneratedDataset:
-    """Populate ``store`` deterministically; one flush per flush_every_rows."""
+    """Populate ``store`` deterministically; one file per flush_every_rows."""
     global _last_built
     config.validate()
     device = SeriesPath.parse(config.device)
@@ -162,8 +163,7 @@ def generate(store: SeriesStore, config: WorkloadConfig) -> GeneratedDataset:
         values = _make_values(config, name, vt)
         for start in range(0, config.total_rows, flush_every):
             stop = start + flush_every
-            store.append_columns(s, timestamps[start:stop], values[start:stop])
-            store.flush(s, config.chunk_target_rows)
+            store.flush(s, timestamps[start:stop], values[start:stop], config.chunk_target_rows)
 
     if reusable:
         _forget_last_built()

@@ -1,10 +1,11 @@
 """Columnar time-series storage: files of chunks of pages of rows.
 
-One store owns a directory; each flush of a series memtable produces one
-immutable ``.cedf`` file holding one or more chunks.  Readers iterate
-chunk metadata (from the file footer index) without touching page data,
-and load a chunk's pages on demand, repackaged into TsBlocks of at most
-``BLOCK_ROWS`` rows.
+One store owns a directory and holds immutable ``.cedf`` files only: each
+``flush`` writes a run of one series' rows as one file of one or more chunks,
+and changes the series' state only once the file is written.  Readers
+iterate chunk metadata (from the file footer index) without touching page
+data, and load a chunk's pages on demand, repackaged into TsBlocks of at
+most ``BLOCK_ROWS`` rows.
 
 On-disk format (all integers little-endian):
 
@@ -32,10 +33,10 @@ two bodies is an error.  Bytes that break this grammar (a file of another
 version, a field cut short, an unknown value type, page bounds or row
 counts that disagree with the rows, rows out of timestamp order) raise
 CorruptChunk.  Timestamps are integer milliseconds and strictly increase
-within a series; flushed files are immutable.
+within a series.
 
 Timestamp order is checked once, by ``strictly_increasing``, where rows
-enter the program: ``append_columns`` (OutOfOrderTimestamp), a decoded
+enter the program: ``flush`` (OutOfOrderTimestamp), a decoded
 chunk (CorruptChunk) and, in ``ced.wire`` and ``ced.coherence``, decoded
 link bytes (MalformedMessage).  A TsBlock built from those rows does not
 check it again.
@@ -72,7 +73,6 @@ __all__ = [
     "BLOCK_ROWS",
     "ValueType",
     "SeriesPath",
-    "DataPoint",
     "TsBlock",
     "ChunkMeta",
     "TsFileHandle",
@@ -171,12 +171,6 @@ class SeriesPath:
         return ".".join(self.segments)
 
 
-@dataclass(frozen=True)
-class DataPoint:
-    timestamp: int
-    value: Scalar
-
-
 def strictly_increasing(timestamps: Sequence[int]) -> bool:
     """The one timestamp-order check, made where rows enter the program."""
     return all(map(operator.lt, timestamps, islice(timestamps, 1, None)))
@@ -221,14 +215,15 @@ class ChunkMeta:
     """Index record for one chunk; everything needed to locate and skim it."""
 
     series: str
-    file_path: Optional[Path]          # None for the in-memory (memtable) chunk
+    file_path: Path
     offset: int
     byte_len: int
     value_type: ValueType
     row_count: int
     min_ts: int
     max_ts: int
-    mem_rows: Optional[tuple[list, list]] = None   # (timestamps, values) snapshot
+    # always None; kept because perfbench/tracer.py keys each load by id(meta.mem_rows)
+    mem_rows: None = None
 
 
 @dataclass
@@ -388,11 +383,9 @@ class ChunkIterator:
 
 
 class _SeriesState:
-    __slots__ = ("mem_ts", "mem_values", "value_type", "files", "last_ts", "file_counter")
+    __slots__ = ("value_type", "files", "last_ts", "file_counter")
 
     def __init__(self) -> None:
-        self.mem_ts: list[int] = []
-        self.mem_values: list = []
         self.value_type: Optional[ValueType] = None
         self.files: list[TsFileHandle] = []
         self.last_ts: Optional[int] = None
@@ -400,7 +393,7 @@ class _SeriesState:
 
 
 class SeriesStore:
-    """Directory-backed store with one memtable per series and immutable flushed files."""
+    """Directory-backed store of immutable flushed files, one or more per series."""
 
     def __init__(
         self,
@@ -432,63 +425,51 @@ class SeriesStore:
             raise UnknownSeries(str(series))
         return state
 
-    def append(self, series: SeriesPath, point: DataPoint) -> None:
-        """Buffer one point; timestamps must strictly increase per series."""
-        self.append_columns(series, (point.timestamp,), (point.value,))
-
-    def append_columns(self, series: SeriesPath, timestamps: Sequence[int], values: Sequence) -> None:
-        """Buffer a run of points given as two columns, all or nothing.
+    def flush(
+        self,
+        series: SeriesPath,
+        timestamps: Sequence[int],
+        values: Sequence,
+        chunk_target_rows: Optional[int] = None,
+    ) -> TsFileHandle:
+        """Write a run of rows, given as two columns, as one file of
+        chunk_target-row chunks, all or nothing.
 
         Timestamps must strictly increase, within the run and after the
         series' last one, and every value must have the series' one value
-        type; each check is made once for the whole run.
+        type; each check is made once for the whole run.  The series' state
+        changes only once the file is written.
         """
         n = len(timestamps)
         if n != len(values):
             raise ValueError("timestamps and values length mismatch")
-        if n == 0:
-            return
         key = str(series)
-        state = self._series.get(key)
-        last_ts = state.last_ts if state is not None else None
-        if last_ts is not None and timestamps[0] <= last_ts:
-            raise OutOfOrderTimestamp(f"{key}: ts {timestamps[0]} <= last {last_ts}")
+        if n == 0:
+            raise StorageIoError(f"{key}: flush of no rows")
+        state = self._series.get(key) or _SeriesState()
+        if state.last_ts is not None and timestamps[0] <= state.last_ts:
+            raise OutOfOrderTimestamp(f"{key}: ts {timestamps[0]} <= last {state.last_ts}")
         if not strictly_increasing(timestamps):
             t0, t1 = next(p for p in zip(timestamps, islice(timestamps, 1, None)) if p[1] <= p[0])
             raise OutOfOrderTimestamp(f"{key}: ts {t1} <= last {t0}")
-        vt = state.value_type if state is not None else None
+        vt = state.value_type
         if vt is None:
             vt = value_type_of(values[0])
         for run_vt in {_value_type_of_class(cls) for cls in set(map(type, values))}:
             if run_vt is not vt:
                 raise TypeError(f"{key}: value type changed from {vt.name} to {run_vt.name}")
-        if state is None:
-            state = self._series[key] = _SeriesState()
-        state.value_type = vt
-        state.mem_ts.extend(timestamps)
-        state.mem_values.extend(values)
-        state.last_ts = timestamps[-1]
 
-    def flush(self, series: SeriesPath, chunk_target_rows: Optional[int] = None) -> TsFileHandle:
-        """Persist the memtable as one file of chunk_target-row chunks; clears the memtable."""
-        state = self._known(series)
-        if not state.mem_ts:
-            raise StorageIoError(f"{series}: flush of empty memtable")
         chunk_rows = chunk_target_rows or self.chunk_target_rows
-        ts, values, vt = state.mem_ts, state.mem_values, self.value_type(series)
-        name = f"{series}__{state.file_counter:06d}.cedf"
-        state.file_counter += 1
-        path = self.root / name
-
+        path = self.root / f"{key}__{state.file_counter:06d}.cedf"
         out = bytearray(MAGIC)
         out += U16.pack(VERSION)
         index: list[ChunkMeta] = []
-        for c0 in range(0, len(ts), chunk_rows):
-            c1 = min(c0 + chunk_rows, len(ts))
+        for c0 in range(0, n, chunk_rows):
+            c1 = min(c0 + chunk_rows, n)
             offset = len(out)
-            _encode_chunk(out, str(series), vt, ts[c0:c1], values[c0:c1], self.page_rows)
+            _encode_chunk(out, key, vt, timestamps[c0:c1], values[c0:c1], self.page_rows)
             index.append(ChunkMeta(
-                str(series), path, offset, len(out) - offset, vt, c1 - c0, ts[c0], ts[c1 - 1]
+                key, path, offset, len(out) - offset, vt, c1 - c0, timestamps[c0], timestamps[c1 - 1]
             ))
         index_offset = len(out)
         out += U32.pack(len(index))
@@ -505,9 +486,11 @@ class SeriesStore:
             raise StorageIoError(f"writing {path}: {exc}") from exc
 
         handle = TsFileHandle(path, index)
+        self._series[key] = state
         state.files.append(handle)
-        state.mem_ts = []
-        state.mem_values = []
+        state.value_type = vt
+        state.last_ts = timestamps[-1]
+        state.file_counter += 1
         return handle
 
     # --- read path ------------------------------------------------------------
@@ -525,40 +508,20 @@ class SeriesStore:
         return state.value_type
 
     def time_bounds(self, series: SeriesPath) -> tuple[int, int]:
-        """(min_ts, max_ts) across flushed files and the memtable."""
+        """(min_ts, max_ts) across the series' files."""
         state = self._known(series)
-        lows, highs = [], []
-        for handle in state.files:
-            lows.append(handle.chunk_index[0].min_ts)
-            highs.append(handle.chunk_index[-1].max_ts)
-        if state.mem_ts:
-            lows.append(state.mem_ts[0])
-            highs.append(state.mem_ts[-1])
-        if not lows:
+        if not state.files:
             raise UnknownSeries(f"{series}: no data")
-        return min(lows), max(highs)
+        return (
+            min(h.chunk_index[0].min_ts for h in state.files),
+            max(h.chunk_index[-1].max_ts for h in state.files),
+        )
 
     def chunk_metas(self, series: SeriesPath) -> list[ChunkMeta]:
-        """All chunk metadata in ascending min_ts order, memtable snapshot last."""
+        """All chunk metadata in ascending min_ts order."""
         state = self._known(series)
         metas = [m for h in state.files for m in h.chunk_index]
         metas.sort(key=lambda m: m.min_ts)
-        if state.mem_ts:
-            snap_ts = list(state.mem_ts)
-            snap_values = list(state.mem_values)
-            metas.append(
-                ChunkMeta(
-                    str(series),
-                    None,
-                    0,
-                    0,
-                    state.value_type or ValueType.INT64,
-                    len(snap_ts),
-                    snap_ts[0],
-                    snap_ts[-1],
-                    mem_rows=(snap_ts, snap_values),
-                )
-            )
         return metas
 
     def open_chunk_iterator(self, series: SeriesPath) -> ChunkIterator:
@@ -568,12 +531,9 @@ class SeriesStore:
     def load_chunk_columns(self, meta: ChunkMeta) -> tuple[SeriesPath, list[int], list]:
         """Load one chunk, charged in ``IoStats``: its series and its two columns.
 
-        The lists are the decode memo's own (a hit returns the miss's lists) or
-        a memtable chunk's snapshot, and are read-only: never change them.
+        The lists are the decode memo's own (a hit returns the miss's lists),
+        and are read-only: never change them.
         """
-        if meta.mem_rows is not None:
-            self.io.chunks_loaded += 1
-            return (_series_path(meta.series), *meta.mem_rows)
         buf = self._read_chunk_bytes(meta)
         key = (meta.series, meta.value_type, meta.row_count, buf)
         columns = decode_memo.get(key)
@@ -592,8 +552,6 @@ class SeriesStore:
         ]
 
     def _read_chunk_bytes(self, meta: ChunkMeta) -> bytes:
-        if meta.file_path is None:
-            raise StorageIoError(f"{meta.series}: chunk has neither a file nor memtable rows")
         try:
             with open(meta.file_path, "rb") as fp:
                 fp.seek(meta.offset)
@@ -608,16 +566,9 @@ class SeriesStore:
 
     # --- replication helpers ----------------------------------------------------
 
-    def _flushed(self, series: SeriesPath) -> _SeriesState:
-        """The series' state; only its flushed files are copied to another store."""
-        state = self._known(series)
-        if state.mem_ts:
-            raise StorageIoError(f"{series}: {len(state.mem_ts)} rows are not flushed")
-        return state
-
     def export_snapshot(self, series: SeriesPath) -> dict:
-        """Full physical state of one flushed series: its file blobs."""
-        state = self._flushed(series)
+        """Full physical state of one series: its file blobs."""
+        state = self._known(series)
         files = []
         for handle in state.files:
             try:
@@ -649,9 +600,9 @@ class SeriesStore:
         )
 
     def copy_series(self, series: SeriesPath, target: "SeriesStore") -> None:
-        """Give ``target`` a copy of flushed ``series``: its files copied into
+        """Give ``target`` a copy of ``series``: its files copied into
         target's directory (replaces the series there)."""
-        state = self._flushed(series)
+        state = self._known(series)
         target.remove_series(series)
         paths = []
         for handle in state.files:

@@ -13,7 +13,7 @@ from ced.harness.runtime import Cluster
 from ced.harness.scenario import QuerySpec, ScenarioConfig
 from ced.harness.workload import WorkloadConfig
 from ced.migrate import ChannelPhase
-from ced.tsstore import SeriesPath, ValueType, _encode_rows, decode_memo
+from ced.tsstore import SeriesPath, decode_memo
 from ced.wire import link_memo, pack_memo
 
 Q1_SQL = "SELECT t1 FROM dev WHERE t1='v999'"
@@ -83,23 +83,13 @@ def edge_baseline_checksum(sql, workload, tmp_path=None, name="Q"):
 
 
 def content_fingerprint(store, series) -> bytes:
-    """Byte-exact physical content of ``series`` in ``store``: its files'
-    bytes, then its memtable rows encoded as a page's columns."""
-    state = store._known(series)
-    out = bytearray()
-    for handle in state.files:
-        out += handle.path.read_bytes()
-    out += b"|mem|"
-    vt = state.value_type or ValueType.INT64
-    out += bytes([int(vt)])
-    _encode_rows(out, vt, state.mem_ts, state.mem_values)
-    return bytes(out)
+    """Byte-exact physical content of ``series`` in ``store``: its files' bytes."""
+    return b"".join(handle.path.read_bytes() for handle in store._known(series).files)
 
 
 def total_rows(store, series) -> int:
-    """Rows of ``series`` in ``store``, flushed and in the memtable."""
-    metas = store.chunk_metas(series)
-    return sum(m.row_count for m in metas)
+    """Rows of ``series`` in ``store``, over its files."""
+    return sum(m.row_count for m in store.chunk_metas(series))
 
 
 def parent(path: SeriesPath) -> SeriesPath:

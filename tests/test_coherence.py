@@ -4,8 +4,8 @@ import pytest
 from conftest import content_fingerprint, rejections, total_rows
 
 from ced.coherence import CloudCache, decode_snapshot, encode_snapshot
-from ced.errors import MalformedMessage, StorageIoError
-from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
+from ced.errors import MalformedMessage
+from ced.tsstore import SeriesPath, SeriesStore, ValueType
 
 
 # --- admission and lookup ----------------------------------------------------------------
@@ -21,11 +21,10 @@ class Harness:
     def series(self, name):
         return SeriesPath.parse(f"root.ln.edge1.device1.{name}")
 
-    def seed_series(self, name, rows=10):
+    def seed_series(self, name, rows=10, chunk_target_rows=None):
         s = self.series(name)
         start = total_rows(self.edge, s) if self.edge.has_series(s) else 0
-        for i in range(rows):
-            self.edge.append(s, DataPoint(start + i, float(i)))
+        self.edge.flush(s, range(start, start + rows), [float(i) for i in range(rows)], chunk_target_rows)
         return s
 
     def ship_snapshot(self, series):
@@ -34,15 +33,10 @@ class Harness:
 
 def test_admitted_series_hit_and_others_miss(tmp_path):
     h = Harness(tmp_path)
-    t1 = h.seed_series("t1", rows=30)
-    h.edge.flush(t1, chunk_target_rows=10)
-    h.seed_series("t1", rows=5)
+    t1 = h.seed_series("t1", rows=30, chunk_target_rows=10)
+    h.seed_series("t1", rows=5, chunk_target_rows=10)
     t2 = h.seed_series("t2")
-    with pytest.raises(StorageIoError, match="not flushed"):
-        h.ship_snapshot(t1)                     # a snapshot carries flushed files only
     assert not h.cache.entries
-    h.edge.flush(t1, chunk_target_rows=10)
-    h.edge.flush(t2)
     h.ship_snapshot(t1)
     assert content_fingerprint(h.mirror, t1) == content_fingerprint(h.edge, t1)
     assert h.cache.cache_lookup(t1)
@@ -64,8 +58,7 @@ def test_never_accessed_series_misses(tmp_path):
 
 def test_snapshot_codec_roundtrip(tmp_path):
     h = Harness(tmp_path)
-    s = h.seed_series("t1", rows=30)
-    h.edge.flush(s, chunk_target_rows=10)
+    s = h.seed_series("t1", rows=30, chunk_target_rows=10)
     snap = h.edge.export_snapshot(s)
     decoded = decode_snapshot(encode_snapshot(snap))
     assert decoded["series"] == snap["series"]

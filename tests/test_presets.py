@@ -189,12 +189,20 @@ def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
     ("queries.concurrency", "2"), ("queries.concurrency", 1.5), ("queries.sql", 5),
     ("channel.queue_depth", 1.5), ("warm_series", "t1"), ("scenario", "x"), ("scenario", 5),
     ("link.bandwidth_mbps", float("nan")), ("io_throttle", float("inf")), ("cpu_hog_duty", True),
+    ("cost.row_cpu_cost_s", -1e-6), ("cost.recv_row_cost_s", -1.0),
+    # a value that only another mode allows: an edge_only query never migrates
+    pytest.param("forced_migration_at_rows", {"mode": "edge_only", "forced_migration_at_rows": 5000},
+                 id="edge_only-forced_migration_at_rows"),
+    pytest.param("forced_fallback_after_rows", {"mode": "edge_only", "forced_fallback_after_rows": 0},
+                 id="edge_only-forced_fallback_after_rows"),
 ])
 def test_out_of_range_scenario_value_is_a_scenario_error(tmp_path, key, value):
     raw = {"queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}]}
     section, _, name = key.rpartition(".")
     if name == "scenario":
         raw = value                            # the whole file
+    elif isinstance(value, dict):
+        raw.update(value)                      # several top-level keys at once
     elif section == "queries":
         raw["queries"][0][name] = value
     else:
@@ -248,6 +256,25 @@ def test_cli_reports_a_scenario_seed_key_as_unknown(tmp_path, capsys):
     path.write_text(json.dumps({"queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}], "seed": 7}))
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: unknown keys ['seed']")
+
+
+@pytest.mark.parametrize("sql,error", [
+    ("SELECT t1 FRM dev", "expected FROM"),                            # SqlSyntaxError
+    ("SELECT t1 FROM dev ORDER BY t1", "ORDER is outside"),            # UnsupportedFeature
+    ("SELECT t9 FROM dev", "root.ln.edge1.dev.t9"),                    # UnknownSeries
+    ("SELECT max_value(t1) FROM dev GROUP BY 5m", "max_value needs"),  # PlanError
+], ids=["syntax", "unsupported", "unknown-series", "plan"])
+def test_cli_reports_a_bad_query_as_an_error(tmp_path, capsys, sql, error):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "queries": [{"name": "Q1", "sql": sql}],
+        "workload": {"sensor_count": 3, "total_rows": 3000},
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-3", "0"])

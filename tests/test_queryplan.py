@@ -12,7 +12,7 @@ from ced.queryplan import (
     parse,
     plan,
 )
-from ced.tsstore import DataPoint, SeriesPath, SeriesStore, ValueType
+from ced.tsstore import SeriesPath, SeriesStore, ValueType
 
 Q1 = "SELECT t1 FROM dev WHERE t1='v999'"
 Q2 = "SELECT t3 FROM dev WHERE t3=497.44467"
@@ -239,7 +239,7 @@ def test_catalog_from_store_registers_a_typed_empty_series_without_bounds(tmp_pa
 
 def test_catalog_from_store_propagates_other_time_bounds_errors(monkeypatch, tmp_path):
     store = SeriesStore(tmp_path)
-    store.append(DEV.child("t1"), DataPoint(0, "v1"))
+    store.flush(DEV.child("t1"), [0], ["v1"])
 
     def broken(series):
         raise RuntimeError("index unreadable")

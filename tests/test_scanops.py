@@ -24,7 +24,7 @@ from ced.scanops import (
     build_operator,
     skip_to_offset,
 )
-from ced.tsstore import BLOCK_ROWS, DataPoint, SeriesPath, SeriesStore, TsBlock, ValueType
+from ced.tsstore import BLOCK_ROWS, SeriesPath, SeriesStore, TsBlock, ValueType
 
 S = SeriesPath.parse("root.ln.e1.d1.t3")
 
@@ -34,10 +34,9 @@ def build_store(tmp_path, chunk_rows_list, value=lambda i: float(i), start_ts=0,
     store = SeriesStore(tmp_path / name, page_rows=1000)
     ts = start_ts
     for chunk_rows in chunk_rows_list:
-        for _ in range(chunk_rows):
-            store.append(S, DataPoint(ts, value(ts)))
-            ts += 1
-        store.flush(S, chunk_target_rows=chunk_rows)
+        timestamps = range(ts, ts + chunk_rows)
+        store.flush(S, timestamps, [value(t) for t in timestamps], chunk_target_rows=chunk_rows)
+        ts += chunk_rows
     return store
 
 
@@ -249,9 +248,7 @@ def test_empty_window_emits_zero_count_and_null_max(tmp_path):
 
 def test_max_value_literal_from_value_pool(tmp_path):
     store = SeriesStore(tmp_path)
-    for ts, v in [(0, 1.0), (1, 497.44467), (2, 3.5)]:
-        store.append(S, DataPoint(ts, v))
-    store.flush(S)
+    store.flush(S, [0, 1, 2], [1.0, 497.44467, 3.5])
     spec = WindowSpec(0, 3, 3)
     assert collect_rows(AggregationScanOp(store, S, spec, "max_value")) == [(0, 497.44467)]
 
@@ -480,12 +477,8 @@ def test_merge_identical_timestamps_two_columns(tmp_path):
 def test_merge_null_fills_missing_timestamps(tmp_path):
     s2 = SeriesPath.parse("root.ln.e1.d1.t9")
     store = SeriesStore(tmp_path)
-    for ts in (0, 2, 4):
-        store.append(S, DataPoint(ts, float(ts)))
-    for ts in (1, 2, 3):
-        store.append(s2, DataPoint(ts, ts * 10.0))
-    store.flush(S)
-    store.flush(s2)
+    store.flush(S, [0, 2, 4], [0.0, 2.0, 4.0])
+    store.flush(s2, [1, 2, 3], [10.0, 20.0, 30.0])
     m = MergeOp([SeriesScanOp(store, S), SeriesScanOp(store, s2)], ["x", "y"])
     rows = collect_rows(m)
     assert rows == [
@@ -768,7 +761,7 @@ AGG_VALUE_POOLS = {
 
 @st.composite
 def aggregation_cases(draw):
-    """A series in random chunks (maybe a memtable tail), a window spec and a resume point."""
+    """A series in random chunks, a window spec and a resume point."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     values = AGG_VALUE_POOLS[draw(st.sampled_from(sorted(AGG_VALUE_POOLS)))]
     pool = rng.sample(values, draw(st.integers(1, 3)))    # few values: many ties
@@ -792,7 +785,6 @@ def aggregation_cases(draw):
     return dict(
         chunks=chunks, spec=WindowSpec(lo, hi, width), start=start,
         page_rows=draw(st.sampled_from([3, 250, 1000])),
-        memtable_tail=draw(st.booleans()),
     )
 
 
@@ -818,10 +810,8 @@ def _aggregation_trace(op_cls, store, case, fn):
 @pytest.mark.parametrize("fn", ["count", "max_value"])
 def test_aggregation_matches_row_at_a_time_reference(tmp_path_factory, fn, case):
     store = SeriesStore(tmp_path_factory.mktemp("agg"), page_rows=case["page_rows"])
-    for i, rows in enumerate(case["chunks"]):
-        store.append_columns(S, [t for t, _ in rows], [v for _, v in rows])
-        if i < len(case["chunks"]) - 1 or not case["memtable_tail"]:
-            store.flush(S, chunk_target_rows=len(rows))
+    for rows in case["chunks"]:
+        store.flush(S, [t for t, _ in rows], [v for _, v in rows], chunk_target_rows=len(rows))
     expected = _aggregation_trace(RowAggregationScanOp, store, case, fn)
     assert _aggregation_trace(AggregationScanOp, store, case, fn) == expected
 
@@ -836,8 +826,7 @@ def test_max_value_carried_across_chunks_keeps_ties_and_nan(tmp_path, chunks, ex
     store = SeriesStore(tmp_path)
     ts = 0
     for values in chunks:
-        store.append_columns(S, range(ts, ts + len(values)), values)
-        store.flush(S)
+        store.flush(S, range(ts, ts + len(values)), values)
         ts += len(values)
     case = {"spec": WindowSpec(0, ts, ts), "start": 0}
     trace = _aggregation_trace(AggregationScanOp, store, case, "max_value")

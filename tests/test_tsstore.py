@@ -1,8 +1,9 @@
-"""Storage engine: append/flush/iterate/load plus format round-trips."""
+"""Storage engine: flush/iterate/load plus format round-trips."""
 
 import random
 import struct
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from conftest import content_fingerprint, parent
@@ -17,7 +18,6 @@ from ced.tsstore import (
     DECODE_MEMO_ROWS,
     ChunkIterator,
     ChunkMeta,
-    DataPoint,
     RowMemo,
     SeriesPath,
     SeriesStore,
@@ -49,9 +49,10 @@ def store(tmp_path):
     return SeriesStore(tmp_path / "data")
 
 
-def fill(store, series, n, start=0, step=1, value=lambda i: float(i)):
-    for i in range(n):
-        store.append(series, DataPoint(start + i * step, value(i)))
+def fill(store, series, n, start=0, step=1, value=lambda i: float(i), chunk_target_rows=None):
+    """One flush of ``n`` rows of ``series``; its file handle."""
+    timestamps = range(start, start + n * step, step)
+    return store.flush(series, timestamps, [value(i) for i in range(n)], chunk_target_rows)
 
 
 def scan_all(store, series):
@@ -64,26 +65,28 @@ def scan_all(store, series):
     return out
 
 
-# --- append -------------------------------------------------------------
+# --- write checks ---------------------------------------------------------
 
 def test_append_then_scan_single_row(store):
-    store.append(S, DataPoint(1, 0.5))
+    store.flush(S, [1], [0.5])
     assert scan_all(store, S) == [(1, 0.5)]
 
 
 def test_append_equal_timestamp_rejected(store):
-    store.append(S, DataPoint(5, 1.0))
+    store.flush(S, [5], [1.0])
     with pytest.raises(OutOfOrderTimestamp):
-        store.append(S, DataPoint(5, 2.0))
+        store.flush(S, [5], [2.0])
 
 
 def append_points(store, series, timestamps, values):
+    """The run, one flush per row."""
     for ts, v in zip(timestamps, values):
-        store.append(series, DataPoint(ts, v))
+        store.flush(series, [ts], [v])
 
 
 def append_columns(store, series, timestamps, values):
-    store.append_columns(series, timestamps, values)
+    """The run, in one flush."""
+    store.flush(series, timestamps, values)
 
 
 LOADERS = [append_points, append_columns]
@@ -115,20 +118,22 @@ def test_load_mixed_bool_and_int_rejected(store, load):
     [([5, 6, 6], [1.0, 2.0, 3.0]), ([5, 6], [True, 1]), ([5, 6], [1.0, None])],
 )
 def test_rejected_bulk_load_changes_nothing(store, timestamps, values):
-    store.append_columns(S, [1, 2], [0.5, 1.5])
+    store.flush(S, [1, 2], [0.5, 1.5])
+    files = sorted(store.root.iterdir())
     with pytest.raises((OutOfOrderTimestamp, TypeError)):
-        store.append_columns(S, timestamps, values)
+        store.flush(S, timestamps, values)
     with pytest.raises((OutOfOrderTimestamp, TypeError)):
-        store.append_columns(SeriesPath.parse("root.ln.e1.d1.fresh"), timestamps, values)
+        store.flush(SeriesPath.parse("root.ln.e1.d1.fresh"), timestamps, values)
     assert store.series_names() == [str(S)]
+    assert sorted(store.root.iterdir()) == files
     assert scan_all(store, S) == [(1, 0.5), (2, 1.5)]
-    store.append_columns(S, [3], [2.5])           # the store still takes good rows
+    store.flush(S, [3], [2.5])           # the store still takes good rows
 
 
-def test_bulk_load_equals_point_appends(tmp_path):
+def test_flush_bytes_do_not_depend_on_the_column_sequence_type(tmp_path):
     rng = random.Random(7)
-    timestamps = sorted(rng.sample(range(10_000), 2345))
-    stores = [SeriesStore(tmp_path / name, page_rows=300) for name in ("points", "columns")]
+    timestamps = range(3, 3 * 2345, 3)
+    stores = [SeriesStore(tmp_path / name, page_rows=300) for name in ("lists", "range")]
     for vt, make in [
         ("bool", lambda: rng.random() < 0.5),
         ("int", lambda: rng.randrange(-(2**40), 2**40)),
@@ -137,12 +142,10 @@ def test_bulk_load_equals_point_appends(tmp_path):
     ]:
         series = parent(S).child(vt)
         values = [make() for _ in timestamps]
-        append_points(stores[0], series, timestamps, values)
-        for cut in range(0, len(timestamps), 1000):
-            stores[1].append_columns(series, timestamps[cut:cut + 1000], values[cut:cut + 1000])
-        for st_ in stores:
-            st_.flush(series, chunk_target_rows=700)
+        stores[0].flush(series, list(timestamps), values, chunk_target_rows=700)
+        stores[1].flush(series, timestamps, tuple(values), chunk_target_rows=700)
         assert content_fingerprint(stores[0], series) == content_fingerprint(stores[1], series)
+        assert scan_all(stores[1], series) == list(zip(timestamps, values))
 
 
 @pytest.mark.parametrize("load", LOADERS)
@@ -155,8 +158,7 @@ def test_load_type_change_against_existing_series_rejected(store, load):
 
 
 def test_2500_appends_flush_scan_gives_1000_1000_500_blocks(store):
-    fill(store, S, 2500)
-    store.flush(S, chunk_target_rows=4000)
+    fill(store, S, 2500, chunk_target_rows=4000)
     sizes = []
     it = store.open_chunk_iterator(S)
     for meta in drain(it):
@@ -167,51 +169,69 @@ def test_2500_appends_flush_scan_gives_1000_1000_500_blocks(store):
 # --- flush ---------------------------------------------------------------
 
 def test_flush_partitions_10000_rows_into_4000_4000_2000(store):
-    fill(store, S, 10_000)
-    handle = store.flush(S, chunk_target_rows=4000)
+    handle = fill(store, S, 10_000, chunk_target_rows=4000)
     assert [m.row_count for m in handle.chunk_index] == [4000, 4000, 2000]
     # page law: each chunk decodes into pages of <= 1000 rows
     for meta in handle.chunk_index:
         blocks = store.load_chunk_pages(meta)
         assert all(b.row_count <= 1000 for b in blocks)
-    with pytest.raises(StorageIoError, match="empty memtable"):      # the flush emptied it
-        store.flush(S)
 
 
-def test_flush_empty_memtable_is_error(store):
+def test_flush_of_no_rows_is_a_storage_error(store):
+    with pytest.raises(StorageIoError, match="no rows"):
+        store.flush(S, [], [])
+    assert not store.has_series(S)
     fill(store, S, 1)
-    store.flush(S)
-    with pytest.raises(StorageIoError):
-        store.flush(S)
+    with pytest.raises(StorageIoError, match="no rows"):
+        store.flush(S, (), ())
+    assert len(store.chunk_metas(S)) == 1
 
 
 def test_flush_single_row(store):
-    fill(store, S, 1)
-    handle = store.flush(S)
+    handle = fill(store, S, 1)
     assert len(handle.chunk_index) == 1
     assert handle.chunk_index[0].row_count == 1
+
+
+def test_a_failed_file_write_changes_nothing(store, monkeypatch):
+    first = fill(store, S, 10)
+    metas = store.chunk_metas(S)
+
+    def fail(self, data):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_bytes", fail)
+        with pytest.raises(StorageIoError, match="disk full"):
+            fill(store, S, 10, start=10)
+        with pytest.raises(StorageIoError):
+            fill(store, parent(S).child("fresh"), 10)
+    assert store.chunk_metas(S) == metas
+    assert store.series_names() == [str(S)]
+    assert sorted(store.root.iterdir()) == [first.path]
+    with pytest.raises(OutOfOrderTimestamp):           # last_ts is still 9
+        fill(store, S, 1, start=9)
+    second = fill(store, S, 10, start=10)
+    assert second.path.name == first.path.name.replace("000000", "000001")
 
 
 # --- chunk iterator ----------------------------------------------------------
 
 def test_iterator_full_range_yields_all_chunks_in_order(store):
-    fill(store, S, 9000)
-    store.flush(S, chunk_target_rows=3000)
+    fill(store, S, 9000, chunk_target_rows=3000)
     metas = drain(store.open_chunk_iterator(S))
     assert [m.min_ts for m in metas] == [0, 3000, 6000]
 
 
 def test_iterator_range_after_all_data_is_empty(store):
     fill(store, S, 100)
-    store.flush(S)
     it = chunk_iterator(store, S, (1000, 2000))
     assert not it.has_next()
 
 
 def test_iterator_interval_intersection_oracle(store):
     # chunks of 1000 rows at 1 ms: [0,999], [1000,1999], [2000,2999], [3000,3999]
-    fill(store, S, 4000)
-    store.flush(S, chunk_target_rows=1000)
+    fill(store, S, 4000, chunk_target_rows=1000)
     lo, hi = 1500, 2500
     got = [m.min_ts for m in drain(chunk_iterator(store, S, (lo, hi)))]
     oracle = [m.min_ts for m in store.chunk_metas(S) if m.min_ts < hi and m.max_ts >= lo]
@@ -223,35 +243,22 @@ def test_iterator_unknown_series(store):
         store.open_chunk_iterator(SeriesPath.parse("root.x.y.z"))
 
 
-def test_iterator_sees_memtable_tail(store):
-    fill(store, S, 1500)
-    store.flush(S, chunk_target_rows=1000)
-    for i in range(1500, 1600):
-        store.append(S, DataPoint(i, float(i)))
-    rows = scan_all(store, S)
-    assert len(rows) == 1600
-    assert rows[-1] == (1599, 1599.0)
-
-
 # --- load_chunk_pages ------------------------------------------------------------
 
 def test_chunk_of_4000_rows_loads_as_4_blocks(store):
-    fill(store, S, 4000)
-    handle = store.flush(S, chunk_target_rows=4000)
+    handle = fill(store, S, 4000, chunk_target_rows=4000)
     blocks = store.load_chunk_pages(handle.chunk_index[0])
     assert [b.row_count for b in blocks] == [1000] * 4
 
 
 def test_chunk_of_one_row(store):
-    fill(store, S, 1)
-    handle = store.flush(S)
+    handle = fill(store, S, 1)
     blocks = store.load_chunk_pages(handle.chunk_index[0])
     assert [b.row_count for b in blocks] == [1]
 
 
 def test_tampered_row_count_raises_corrupt_chunk(store):
-    fill(store, S, 10)
-    handle = store.flush(S)
+    handle = fill(store, S, 10)
     meta = handle.chunk_index[0]
     bad = type(meta)(
         meta.series, meta.file_path, meta.offset, meta.byte_len,
@@ -262,8 +269,7 @@ def test_tampered_row_count_raises_corrupt_chunk(store):
 
 
 def test_io_stats_count_exact_chunk_bytes(store):
-    fill(store, S, 2000)
-    handle = store.flush(S, chunk_target_rows=1000)
+    handle = fill(store, S, 2000, chunk_target_rows=1000)
     store.load_chunk_pages(handle.chunk_index[0])
     assert store.io.bytes_read == handle.chunk_index[0].byte_len
     assert store.io.chunks_loaded == 1
@@ -276,8 +282,7 @@ def _block_rows(blocks):
 
 
 def test_memo_hit_equals_miss_and_every_load_is_charged(store):
-    fill(store, S, 2500)
-    meta = store.flush(S, chunk_target_rows=2500).chunk_index[0]
+    meta = fill(store, S, 2500, chunk_target_rows=2500).chunk_index[0]
     miss = store.load_chunk_pages(meta)
     hit = store.load_chunk_pages(meta)
     assert _block_rows(hit) == _block_rows(miss)
@@ -289,8 +294,7 @@ def test_memo_hit_equals_miss_and_every_load_is_charged(store):
 
 
 def test_column_loads_are_charged_and_a_hit_returns_the_lists_of_the_miss(store):
-    fill(store, S, 2500)
-    meta = store.flush(S, chunk_target_rows=2500).chunk_index[0]
+    meta = fill(store, S, 2500, chunk_target_rows=2500).chunk_index[0]
     miss = store.load_chunk_columns(meta)
     hit = store.load_chunk_columns(meta)
     assert miss[0] == S
@@ -299,16 +303,10 @@ def test_column_loads_are_charged_and_a_hit_returns_the_lists_of_the_miss(store)
     store.load_chunk_pages(meta)
     assert (store.io.bytes_read, store.io.chunks_loaded, store.io.chunks_decoded) == (
         3 * meta.byte_len, 3, 1)
-    for i in range(2500, 2510):
-        store.append(S, DataPoint(i, float(i)))
-    tail = store.chunk_metas(S)[-1]
-    assert store.load_chunk_columns(tail) == (S, *tail.mem_rows)
-    assert (store.io.bytes_read, store.io.chunks_loaded) == (3 * meta.byte_len, 4)
 
 
 def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
-    fill(store, S, 3000, value=lambda i: float((i * 7919) % 1000))
-    store.flush(S, chunk_target_rows=1200)
+    fill(store, S, 3000, value=lambda i: float((i * 7919) % 1000), chunk_target_rows=1200)
     for fn in ("count", "max_value"):
         op = AggregationScanOp(store, S, WindowSpec(0, 3000, 7), fn)
         while op.next_block() is not None:
@@ -322,8 +320,7 @@ def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
 
 
 def test_mutating_a_loaded_block_does_not_change_the_next_load(store):
-    fill(store, S, 1500)
-    meta = store.flush(S).chunk_index[0]
+    meta = fill(store, S, 1500).chunk_index[0]
     first = store.load_chunk_pages(meta)
     for block in first:
         block.timestamps.reverse()
@@ -338,8 +335,6 @@ def test_reimported_file_of_the_same_name_decodes_fresh(tmp_path):
     src_a, src_b = SeriesStore(tmp_path / "a"), SeriesStore(tmp_path / "b")
     fill(src_a, S, 100)
     fill(src_b, S, 100, value=lambda i: -float(i))
-    src_a.flush(S)
-    src_b.flush(S)
     dst = SeriesStore(tmp_path / "dst")
     dst.import_snapshot(src_a.export_snapshot(S))
     assert scan_all(dst, S) == [(i, float(i)) for i in range(100)]
@@ -350,8 +345,7 @@ def test_reimported_file_of_the_same_name_decodes_fresh(tmp_path):
 
 
 def test_corrupt_chunk_is_never_memoized(store):
-    fill(store, S, 10)
-    meta = store.flush(S).chunk_index[0]
+    meta = fill(store, S, 10).chunk_index[0]
     store.load_chunk_pages(meta)
     bad = type(meta)(
         meta.series, meta.file_path, meta.offset, meta.byte_len,
@@ -373,8 +367,7 @@ def test_rows_retained_across_stores_never_exceed_the_bound(tmp_path):
     stores = []
     for i in range(7):                       # 7 x 2 x 1500 rows: more than the bound
         s = SeriesStore(tmp_path / f"s{i}")
-        s.append_columns(S, range(3000), [float(i)] * 3000)
-        s.flush(S, chunk_target_rows=1500)
+        s.flush(S, range(3000), [float(i)] * 3000, chunk_target_rows=1500)
         stores.append(s)
         for meta in s.chunk_metas(S):
             s.load_chunk_pages(meta)
@@ -391,8 +384,8 @@ def test_rows_retained_across_stores_never_exceed_the_bound(tmp_path):
     assert reload(stores[2]) == 2
     assert reload(stores[3]) == 4
     big = SeriesStore(tmp_path / "big")
-    big.append_columns(S, range(DECODE_MEMO_ROWS + 1), [1] * (DECODE_MEMO_ROWS + 1))
-    meta = big.flush(S, chunk_target_rows=DECODE_MEMO_ROWS + 1).chunk_index[0]
+    rows = DECODE_MEMO_ROWS + 1
+    meta = big.flush(S, range(rows), [1] * rows, chunk_target_rows=rows).chunk_index[0]
     big.load_chunk_pages(meta)               # larger than the bound: decoded, not retained
     assert decode_memo.rows == 10 * 1500
     big.load_chunk_pages(meta)
@@ -437,16 +430,13 @@ def test_roundtrip_any_sequence(tmp_path_factory, n, chunk_rows, vt):
     ts = 0
     for _ in range(n):
         ts += rng.randrange(1, 5)
-        v = make()
-        expected.append((ts, v))
-        store.append(S, DataPoint(ts, v))
-    store.flush(S, chunk_target_rows=chunk_rows)
+        expected.append((ts, make()))
+    store.flush(S, [t for t, _ in expected], [v for _, v in expected], chunk_target_rows=chunk_rows)
     assert scan_all(store, S) == expected
 
 
 def test_block_size_law_and_metadata_honesty(store):
-    fill(store, S, 5321)
-    store.flush(S, chunk_target_rows=2500)
+    fill(store, S, 5321, chunk_target_rows=2500)
     for meta in store.chunk_metas(S):
         blocks = store.load_chunk_pages(meta)
         # all full blocks except possibly the last of the chunk
@@ -459,10 +449,8 @@ def test_block_size_law_and_metadata_honesty(store):
 
 
 def test_multiple_flushes_merge_in_timestamp_order(store):
-    fill(store, S, 1000, start=0)
-    store.flush(S, chunk_target_rows=600)
-    fill(store, S, 1000, start=1000)
-    store.flush(S, chunk_target_rows=600)
+    fill(store, S, 1000, start=0, chunk_target_rows=600)
+    fill(store, S, 1000, start=1000, chunk_target_rows=600)
     rows = scan_all(store, S)
     assert [ts for ts, _ in rows] == list(range(2000))
 
@@ -470,15 +458,14 @@ def test_multiple_flushes_merge_in_timestamp_order(store):
 def test_flush_bytes_deterministic(tmp_path):
     def build(root):
         st_ = SeriesStore(root)
-        fill(st_, S, 500, value=lambda i: f"v{i % 7}")
-        return st_.flush(S, chunk_target_rows=200).path.read_bytes()
+        handle = fill(st_, S, 500, value=lambda i: f"v{i % 7}", chunk_target_rows=200)
+        return handle.path.read_bytes()
 
     assert build(tmp_path / "a") == build(tmp_path / "b")
 
 
 def test_file_index_roundtrip(store):
-    fill(store, S, 3000)
-    handle = store.flush(S, chunk_target_rows=1000)
+    handle = fill(store, S, 3000, chunk_target_rows=1000)
     again = read_file_index(handle.path)
     assert [(m.offset, m.byte_len, m.row_count, m.min_ts, m.max_ts) for m in again] == [
         (m.offset, m.byte_len, m.row_count, m.min_ts, m.max_ts) for m in handle.chunk_index
@@ -489,19 +476,11 @@ def test_file_index_roundtrip(store):
 
 def test_snapshot_roundtrip_produces_identical_fingerprint(tmp_path):
     src = SeriesStore(tmp_path / "src")
-    fill(src, S, 2300)
-    src.flush(S, chunk_target_rows=900)
+    fill(src, S, 2300, chunk_target_rows=900)
     dst = SeriesStore(tmp_path / "dst")
     dst.import_snapshot(src.export_snapshot(S))
     assert content_fingerprint(dst, S) == content_fingerprint(src, S)
     assert scan_all(dst, S) == scan_all(src, S)
-    # rows not yet flushed are refused: a snapshot or a copy carries files only
-    for i in range(2300, 2350):
-        src.append(S, DataPoint(i, float(i)))
-    with pytest.raises(StorageIoError, match="not flushed"):
-        src.export_snapshot(S)
-    with pytest.raises(StorageIoError, match="not flushed"):
-        src.copy_series(S, dst)
     assert scan_all(dst, S) == [(i, float(i)) for i in range(2300)]
 
 
@@ -590,16 +569,14 @@ def _page_rows_past_end(store, path, meta):
 ], ids=lambda f: f.__name__.strip("_"))
 @pytest.mark.parametrize("value", [float, str], ids=["float", "string"])
 def test_corrupt_file_raises_corrupt_chunk(store, corrupt, value):
-    fill(store, S, 10, value=value)
-    handle = store.flush(S)
+    handle = fill(store, S, 10, value=value)
     with pytest.raises(CorruptChunk):
         corrupt(store, handle.path, handle.chunk_index[0])
 
 
 def test_corrupt_page_row_count_is_rejected_before_a_row_codec_is_built(store):
     # a codec for the 10**6 rows the page claims would take tens of MiB
-    fill(store, S, 10)
-    handle = store.flush(S)
+    handle = fill(store, S, 10)
     codec._rows_codec.cache_clear()        # so no earlier test has built that codec already
     tracemalloc.start()
     try:
@@ -614,8 +591,7 @@ def test_corrupt_page_row_count_is_rejected_before_a_row_codec_is_built(store):
 @pytest.mark.parametrize("stamps", [(4, 3), (3, 3)], ids=["swapped", "repeated"])
 @pytest.mark.parametrize("value", [float, str], ids=["float", "string"])
 def test_chunk_rows_out_of_timestamp_order_raise_corrupt_chunk(store, value, stamps):
-    fill(store, S, 10, value=value)       # one page; its header bounds are rows 0 and 9
-    meta = store.flush(S).chunk_index[0]
+    meta = fill(store, S, 10, value=value).chunk_index[0]   # one page; its bounds are rows 0 and 9
     first = meta.offset + _CHUNK_HEAD + 25 + 20   # the page's timestamp column, ts i64 each
     for i, ts in zip((3, 4), stamps):
         _tamper(meta.file_path, first + i * 8, struct.pack("<q", ts))
@@ -633,8 +609,8 @@ _BODIES = _LENGTHS + 10 * 4     # and the bodies follow the lengths
     (_BODIES + 3, b"\xff"),                         # a row's one utf-8 byte is not utf-8
 ], ids=["last-past-end", "middle-past-end", "utf8"])
 def test_string_row_cut_short_or_not_utf8_raises_corrupt_chunk(store, at, raw):
-    fill(store, S, 10, value=str)        # columns: ts i64 * 10 | len u32 * 10 | one utf-8 byte * 10
-    meta = store.flush(S).chunk_index[0]
+    # columns: ts i64 * 10 | len u32 * 10 | one utf-8 byte * 10
+    meta = fill(store, S, 10, value=str).chunk_index[0]
     first = meta.offset + _CHUNK_HEAD + 25 + 20
     _tamper(meta.file_path, first + at, raw)
     with pytest.raises(CorruptChunk):
@@ -643,8 +619,7 @@ def test_string_row_cut_short_or_not_utf8_raises_corrupt_chunk(store, at, raw):
 
 def _string_page(store, values):
     """One flushed one-page STRING chunk of ``values``, and where its lengths are."""
-    store.append_columns(S, range(len(values)), values)
-    meta = store.flush(S).chunk_index[0]
+    meta = store.flush(S, range(len(values)), values).chunk_index[0]
     assert scan_all(store, S) == list(enumerate(values))
     return meta, meta.offset + _CHUNK_HEAD + 25 + 20 + 8 * len(values)
 
@@ -673,8 +648,7 @@ def test_a_string_body_that_is_not_utf8_raises_corrupt_chunk(store, first):
 
 @pytest.mark.parametrize("version", [1, 3])
 def test_a_file_of_another_format_version_raises_corrupt_chunk(store, version):
-    fill(store, S, 10)
-    path = store.flush(S).path
+    path = fill(store, S, 10).path
     _tamper(path, 4, struct.pack("<H", version))        # header := magic | version u16
     with pytest.raises(CorruptChunk, match="version"):
         read_file_index(path)
@@ -694,10 +668,8 @@ _STRINGS = st.text(
 )
 def test_string_pages_of_any_utf8_roundtrip(tmp_path_factory, values, page_rows, chunk_rows):
     store = SeriesStore(tmp_path_factory.mktemp("utf8"), chunk_target_rows=chunk_rows, page_rows=page_rows)
-    store.append_columns(S, range(0, 3 * len(values), 3), values)
-    memtable = scan_all(store, S)
-    store.flush(S)
-    assert scan_all(store, S) == memtable == list(zip(range(0, 3 * len(values), 3), values))
+    store.flush(S, range(0, 3 * len(values), 3), values)
+    assert scan_all(store, S) == list(zip(range(0, 3 * len(values), 3), values))
 
 
 @settings(max_examples=200, deadline=None)
@@ -709,8 +681,7 @@ def test_string_pages_of_any_utf8_roundtrip(tmp_path_factory, values, page_rows,
 )
 def test_any_corrupted_file_raises_only_corrupt_chunk(tmp_path_factory, value, at, junk, cut):
     store = SeriesStore(tmp_path_factory.mktemp("corrupt"), chunk_target_rows=10, page_rows=4)
-    fill(store, S, 25, value=value)
-    path = store.flush(S).path
+    path = fill(store, S, 25, value=value).path
     buf = path.read_bytes()
     at %= len(buf) + 1
     path.write_bytes(buf[:at] + junk + buf[at + cut:])
@@ -719,9 +690,3 @@ def test_any_corrupted_file_raises_only_corrupt_chunk(tmp_path_factory, value, a
             store.load_chunk_pages(meta)
     except CorruptChunk:
         pass
-
-
-def test_chunk_without_file_or_memtable_rows_is_a_storage_error(store):
-    meta = ChunkMeta(str(S), None, 0, 0, ValueType.FLOAT64, 1, 0, 0)
-    with pytest.raises(StorageIoError):
-        store.load_chunk_pages(meta)

@@ -488,8 +488,7 @@ def test_header_only_blocks_are_never_retained(monkeypatch):
 
 def _chunk_store(tmp_path, rows=6000, chunk_rows=1500) -> SeriesStore:
     store = SeriesStore(tmp_path / "s")
-    store.append_columns(S, range(rows), [float(i) for i in range(rows)])
-    store.flush(S, chunk_target_rows=chunk_rows)
+    store.flush(S, range(rows), [float(i) for i in range(rows)], chunk_target_rows=chunk_rows)
     return store
 
 
@@ -595,8 +594,8 @@ def test_equal_values_decoded_by_another_store_are_packed_again(tmp_path, monkey
     for name in ("a", "b"):
         decode_memo.clear()                  # so the second store decodes its own objects
         store = SeriesStore(tmp_path / name)
-        store.append_columns(S, range(0, 3000, 3), [i / 7 for i in range(1000)])
-        blocks += store.load_chunk_pages(store.flush(S).chunk_index[0])
+        handle = store.flush(S, range(0, 3000, 3), [i / 7 for i in range(1000)])
+        blocks += store.load_chunk_pages(handle.chunk_index[0])
     a, b = blocks
     assert a.values == b.values and a.values[0] is not b.values[0]
     assert encode_block(a) == encode_block(b) == _reference_block(b)

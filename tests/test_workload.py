@@ -13,7 +13,7 @@ from conftest import content_fingerprint, total_rows
 from ced.errors import OutOfOrderTimestamp
 from ced.harness.cli import main as ced_main
 from ced.harness.workload import WorkloadConfig, _randbelow, generate
-from ced.tsstore import DataPoint, SeriesPath, SeriesStore
+from ced.tsstore import SeriesPath, SeriesStore
 
 # all four value types (t1 STRING, t2 BOOL, t3 FLOAT64, t4 INT64, t5 STRING),
 # three flushes per sensor, pages of 250 rows in chunks of 600
@@ -118,17 +118,12 @@ def test_generate_appends_rows_in_order_and_flushes_every_flush_every_rows(
         page_rows=5, flush_every_rows=12, seed=1,
     )
     events = []
-    append_columns, flush = SeriesStore.append_columns, SeriesStore.flush
+    flush = SeriesStore.flush
 
-    def recorded_append(self, series, timestamps, values):
-        events.append((str(series), "append", list(zip(timestamps, values))))
-        return append_columns(self, series, timestamps, values)
+    def recorded_flush(self, series, timestamps, values, chunk_target_rows=None):
+        events.append((str(series), list(zip(timestamps, values)), chunk_target_rows))
+        return flush(self, series, timestamps, values, chunk_target_rows)
 
-    def recorded_flush(self, series, chunk_target_rows=None):
-        events.append((str(series), "flush", chunk_target_rows))
-        return flush(self, series, chunk_target_rows)
-
-    monkeypatch.setattr(SeriesStore, "append_columns", recorded_append)
     monkeypatch.setattr(SeriesStore, "flush", recorded_flush)
     store = store_for(tmp_path, config)
     generate(store, config)
@@ -137,8 +132,7 @@ def test_generate_appends_rows_in_order_and_flushes_every_flush_every_rows(
         rows = scan_rows(store, series)
         assert [ts for ts, _ in rows] == [3 * i for i in range(30)]
         for start, stop in ((0, 12), (12, 24), (24, 30)):
-            expected.append((str(series), "append", rows[start:stop]))
-            expected.append((str(series), "flush", 8))
+            expected.append((str(series), rows[start:stop], 8))
     assert events == expected
 
 
@@ -191,9 +185,8 @@ def test_reused_store_flushes_its_next_file_in_sequence(tmp_path):
     generate(store, config)
     series = series_of(config)[2]
     with pytest.raises(OutOfOrderTimestamp):
-        store.append(series, DataPoint(config.total_rows * 7 - 7, 1.0))
-    store.append(series, DataPoint(10**9, 1.0))
-    handle = store.flush(series)
+        store.flush(series, [config.total_rows * 7 - 7], [1.0])
+    handle = store.flush(series, [10**9], [1.0])
     assert handle.path.name == f"{series}__000001.cedf"
     assert total_rows(store, series) == config.total_rows + 1
 
@@ -220,7 +213,7 @@ def test_other_stores_and_configs_build_from_scratch(tmp_path, flushes, variant)
         kw["page_rows"] = PINNED.page_rows + 1
     store = store_for(tmp_path / "b", config, **kw)
     if variant == "non_empty":
-        store.append(SeriesPath.parse("root.other.dev.x"), DataPoint(0, 1))
+        store.flush(SeriesPath.parse("root.other.dev.x"), [0], [1])
     flushes.clear()
     generate(store, config)
     assert len(flushes) == 3 * config.sensor_count
