@@ -51,8 +51,11 @@ class CloudCache:
 # ``series`` must parse as a SeriesPath and each ``name`` must be one plain
 # path component, since the mirror writes the file under that name.
 # ``seq`` and ``mem_count`` are always 0: a snapshot carries flushed files
-# only.  Snapshot bytes are counted as link bytes, so the two fields stay
-# until the simulated figures are next re-baselined.
+# only.  ``vt``, ``last_ts`` and ``file_counter`` are derived from the files
+# on export and checked against them by ``SeriesStore.import_snapshot``,
+# which rejects an absent ``vt`` or ``last_ts``.  Snapshot bytes are counted
+# as link bytes, so these five fields stay until the simulated figures are
+# next re-baselined.
 
 def encode_snapshot(snapshot: dict) -> bytes:
     out = bytearray()

@@ -54,6 +54,9 @@ def _cmd_run(args) -> int:
 def _cmd_gen(args) -> int:
     config = load_config_file(WorkloadConfig, Path(args.workload), "workload")
     outdir = Path(args.out)
+    if any(outdir.glob("*.cedf")):
+        print(f"error: {outdir} already holds .cedf files; give an empty or new directory", file=sys.stderr)
+        return 1
     store = SeriesStore(
         outdir, chunk_target_rows=config.chunk_target_rows, page_rows=config.page_rows
     )

@@ -24,7 +24,8 @@ below; presets construct them in code.  Every key is optional except
                      first boundary where an edge leaf has read this many rows,
       "forced_fallback_after_rows": int | null,  a cloud producer falls back at
                      the first boundary where its leaf has read this many rows
-                     (both must be null in edge_only mode),
+                     (both must be null in edge_only mode, and this one in
+                     cloud_only mode),
       "warm_series": [sensor name, ...] or ["*"],   every name must be a sensor
                      of the edge store; ["*"] and cloud_only mode warm the
                      queried series
@@ -148,6 +149,8 @@ class ScenarioConfig:
                 raise ScenarioError(f"{name} must be >= 0")
             if self.mode == EDGE_ONLY and getattr(self, name) is not None:
                 raise ScenarioError(f"{name} must be null: edge_only queries never leave the edge")
+        if self.mode == CLOUD_ONLY and self.forced_fallback_after_rows is not None:
+            raise ScenarioError("forced_fallback_after_rows must be null: cloud_only never falls back")
         if self.channel.queue_depth < 1:
             raise ScenarioError("channel.queue_depth must be >= 1")
         if self.channel.probe_timeout_s <= 0:

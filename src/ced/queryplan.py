@@ -270,7 +270,7 @@ def parse(sql: str) -> Query:
 @dataclass(frozen=True)
 class SensorInfo:
     value_type: ValueType
-    time_bounds: Optional[tuple[int, int]]   # (min_ts, max_ts) or None when empty
+    time_bounds: tuple[int, int]   # (min_ts, max_ts)
 
 
 class Catalog:
@@ -291,7 +291,7 @@ class Catalog:
         device: SeriesPath,
         sensor: str,
         value_type: ValueType,
-        time_bounds: Optional[tuple[int, int]] = None,
+        time_bounds: tuple[int, int],
     ) -> None:
         self._devices.setdefault(str(device), {})[sensor] = SensorInfo(value_type, time_bounds)
 
@@ -303,10 +303,7 @@ class Catalog:
         for name in store.series_names():
             if name.startswith(prefix) and "." not in name[len(prefix):]:
                 series = SeriesPath.parse(name)
-                try:
-                    bounds = store.time_bounds(series)
-                except UnknownSeries:          # typed, but holds no rows yet
-                    bounds = None
+                bounds = store.time_bounds(series)
                 catalog.register_sensor(device, series.leaf, store.value_type(series), bounds)
         return catalog
 
@@ -375,7 +372,7 @@ def plan(query: Query, catalog: Catalog) -> OperatorNode:
             info = catalog.sensor_info(device, item.sensor)
             if item.func == "max_value" and info.value_type not in (ValueType.INT64, ValueType.FLOAT64):
                 raise PlanError(f"max_value needs a numeric sensor, {item.sensor} is {info.value_type.name}")
-            lo, hi = _window_domain(info.time_bounds)
+            lo, hi = info.time_bounds[0], info.time_bounds[1] + 1   # inclusive -> half-open
             children.append(
                 _node("agg_scan", {
                     "series": str(device.child(item.sensor)),
@@ -412,12 +409,6 @@ def plan(query: Query, catalog: Catalog) -> OperatorNode:
     if len(children) == 1:
         return children[0]
     return _node("merge", {"columns": tuple(i.render() for i in query.select_items)}, tuple(children))
-
-
-def _window_domain(bounds: Optional[tuple[int, int]]) -> tuple[int, int]:
-    if bounds is None:
-        return (0, 0)
-    return (bounds[0], bounds[1] + 1)   # [min_ts, max_ts] inclusive -> half-open
 
 
 def _check_literal_type(predicate: Predicate, vt: ValueType) -> None:

@@ -16,8 +16,9 @@ The shared base owns the whole switch:
   work the simulator charges CPU time for) and ``rows_remote``.
 
 Each kind supplies its index kind and the local half: ``_open_local``
-(reposition, rejecting a misaligned index), ``at_boundary``, ``_has_local``,
-``_next_local`` and ``_index_after`` (the index after a remote block).
+(reposition, rejecting a misaligned index), ``at_boundary``, ``_has_local``
+and ``_next_local``.  While remote, the leaf's index stays where the switch
+handed it over; the stream's end carries the index to resume from.
 
 * SeriesScanOp resumes from a ROW_OFFSET, the count of rows consumed.  It
   advances only when the last block of a chunk is handed over, so a
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .errors import GuardViolation, IndexKindMismatch, MisalignedOffset, UnknownSeries
+from .errors import GuardViolation, IndexKindMismatch, MisalignedOffset
 from .queryplan import OperatorNode
 from .tsstore import (
     BLOCK_ROWS,
@@ -271,13 +272,11 @@ class _ScanLeaf(_OperatorBase):
                 self.source_mode = "done"
                 return None
             # remigration or broken channel: continue locally from the index
-            index = result.final_index if result.final_index is not None else self.logical_index
-            self.resume_local(index)
+            self.resume_local(result.final_index)
             if self.boundary_listener is not None:
                 self.boundary_listener()
             return self.next_block() if self.has_next() else None
         self.rows_remote += result.row_count
-        self.logical_index = self._index_after(result)
         remote.acknowledge_consumed()
         return result
 
@@ -293,9 +292,6 @@ class _ScanLeaf(_OperatorBase):
         raise NotImplementedError
 
     def _next_local(self):
-        raise NotImplementedError
-
-    def _index_after(self, block: TsBlock) -> LogicalIndex:
         raise NotImplementedError
 
 
@@ -347,9 +343,6 @@ class SeriesScanOp(_ScanLeaf):
                 self.boundary_listener()
         return block
 
-    def _index_after(self, block: TsBlock) -> LogicalIndex:
-        return LogicalIndex.row_offset(self.logical_index.value + block.row_count)
-
 
 class AggregationScanOp(_ScanLeaf):
     """Windowed count/max_value over one series with metadata-level skipping."""
@@ -372,15 +365,7 @@ class AggregationScanOp(_ScanLeaf):
         # ((window start, end), (count, max)) of a window held across calls
         self._partial: Optional[tuple] = None
         super().__init__(store, series, start_index or LogicalIndex.window_start(spec.lo))
-        self._value_type = self._output_type()
-
-    def _output_type(self) -> ValueType:
-        if self.fn == "count":
-            return ValueType.INT64
-        try:
-            return self.store.value_type(self.series)
-        except UnknownSeries:
-            return ValueType.FLOAT64
+        self._value_type = ValueType.INT64 if fn == "count" else store.value_type(series)
 
     def _open_local(self, index: LogicalIndex) -> None:
         if index.value != self.spec.hi:
@@ -456,9 +441,6 @@ class AggregationScanOp(_ScanLeaf):
         if self.boundary_listener is not None:
             self.boundary_listener()
         return block
-
-    def _index_after(self, block: TsBlock) -> LogicalIndex:
-        return LogicalIndex.window_start(min(block.timestamps[-1] + self.spec.width, self.spec.hi))
 
 
 class FilterOp(_OperatorBase):

@@ -2,10 +2,24 @@
 
 One store owns a directory and holds immutable ``.cedf`` files only: each
 ``flush`` writes a run of one series' rows as one file of one or more chunks,
-and changes the series' state only once the file is written.  Readers
-iterate chunk metadata (from the file footer index) without touching page
-data, and load a chunk's pages on demand, repackaged into TsBlocks of at
-most ``BLOCK_ROWS`` rows.
+and the series gains the file only once it is written.  Readers iterate
+chunk metadata (from the file footer index) without touching page data, and
+load a chunk's pages on demand, repackaged into TsBlocks of at most
+``BLOCK_ROWS`` rows.
+
+A series is its list of files, and nothing else: its value type is its
+first chunk's, its last timestamp its last chunk's ``max_ts``, and its file
+counter the number of its files.  The invariant is that a known series has
+at least one file, every file at least one chunk, the i-th file is named
+``{series}__{i:06d}.cedf``, and every chunk names the series, has the
+series' one value type and lies wholly after the chunk before it.  ``flush``
+keeps it by construction.  ``import_snapshot`` is the one place files come
+in from outside, and checks it once, on the blobs' indexes, before it
+writes or removes anything; it also checks that the value type, last
+timestamp and file counter a snapshot declares are the ones its files
+imply.  A snapshot that breaks any rule is CorruptChunk, with the store
+unchanged.  ``copy_series`` copies a series of another store, which holds
+the invariant already.
 
 On-disk format (all integers little-endian):
 
@@ -61,8 +75,8 @@ import operator
 import shutil
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
-from itertools import accumulate, islice
+from dataclasses import dataclass, replace
+from itertools import accumulate, islice, pairwise
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -382,14 +396,18 @@ class ChunkIterator:
         return meta
 
 
-class _SeriesState:
-    __slots__ = ("value_type", "files", "last_ts", "file_counter")
+def _file_name(series: str, i: int) -> str:
+    """Name of the ``i``-th file of ``series``; ``flush`` writes it and the import checks it."""
+    return f"{series}__{i:06d}.cedf"
 
-    def __init__(self) -> None:
-        self.value_type: Optional[ValueType] = None
-        self.files: list[TsFileHandle] = []
-        self.last_ts: Optional[int] = None
-        self.file_counter = 0
+
+def _derived(files: list[TsFileHandle]) -> dict:
+    """A series' value type, last timestamp and file counter, read off its files."""
+    return {
+        "value_type": files[0].chunk_index[0].value_type,
+        "last_ts": files[-1].chunk_index[-1].max_ts,
+        "file_counter": len(files),
+    }
 
 
 class SeriesStore:
@@ -408,22 +426,15 @@ class SeriesStore:
         self.chunk_target_rows = chunk_target_rows
         self.page_rows = page_rows
         self.io = IoStats()
-        self._series: dict[str, _SeriesState] = {}
+        self._series: dict[str, list[TsFileHandle]] = {}
 
     # --- write path ---------------------------------------------------------
 
-    def _state(self, series: SeriesPath) -> _SeriesState:
-        key = str(series)
-        state = self._series.get(key)
-        if state is None:
-            state = self._series[key] = _SeriesState()
-        return state
-
-    def _known(self, series: SeriesPath) -> _SeriesState:
-        state = self._series.get(str(series))
-        if state is None:
+    def _files(self, series: SeriesPath) -> list[TsFileHandle]:
+        files = self._series.get(str(series))
+        if files is None:
             raise UnknownSeries(str(series))
-        return state
+        return files
 
     def flush(
         self,
@@ -437,8 +448,8 @@ class SeriesStore:
 
         Timestamps must strictly increase, within the run and after the
         series' last one, and every value must have the series' one value
-        type; each check is made once for the whole run.  The series' state
-        changes only once the file is written.
+        type; each check is made once for the whole run.  The series gains
+        the file only once it is written.
         """
         n = len(timestamps)
         if n != len(values):
@@ -446,21 +457,23 @@ class SeriesStore:
         key = str(series)
         if n == 0:
             raise StorageIoError(f"{key}: flush of no rows")
-        state = self._series.get(key) or _SeriesState()
-        if state.last_ts is not None and timestamps[0] <= state.last_ts:
-            raise OutOfOrderTimestamp(f"{key}: ts {timestamps[0]} <= last {state.last_ts}")
+        files = self._series.get(key, [])
+        if files:
+            last = files[-1].chunk_index[-1]
+            if timestamps[0] <= last.max_ts:
+                raise OutOfOrderTimestamp(f"{key}: ts {timestamps[0]} <= last {last.max_ts}")
+            vt = last.value_type
+        else:
+            vt = value_type_of(values[0])
         if not strictly_increasing(timestamps):
             t0, t1 = next(p for p in zip(timestamps, islice(timestamps, 1, None)) if p[1] <= p[0])
             raise OutOfOrderTimestamp(f"{key}: ts {t1} <= last {t0}")
-        vt = state.value_type
-        if vt is None:
-            vt = value_type_of(values[0])
         for run_vt in {_value_type_of_class(cls) for cls in set(map(type, values))}:
             if run_vt is not vt:
                 raise TypeError(f"{key}: value type changed from {vt.name} to {run_vt.name}")
 
         chunk_rows = chunk_target_rows or self.chunk_target_rows
-        path = self.root / f"{key}__{state.file_counter:06d}.cedf"
+        path = self.root / _file_name(key, len(files))
         out = bytearray(MAGIC)
         out += U16.pack(VERSION)
         index: list[ChunkMeta] = []
@@ -486,11 +499,7 @@ class SeriesStore:
             raise StorageIoError(f"writing {path}: {exc}") from exc
 
         handle = TsFileHandle(path, index)
-        self._series[key] = state
-        state.files.append(handle)
-        state.value_type = vt
-        state.last_ts = timestamps[-1]
-        state.file_counter += 1
+        self._series.setdefault(key, []).append(handle)
         return handle
 
     # --- read path ------------------------------------------------------------
@@ -502,27 +511,16 @@ class SeriesStore:
         return sorted(self._series)
 
     def value_type(self, series: SeriesPath) -> ValueType:
-        state = self._known(series)
-        if state.value_type is None:
-            raise UnknownSeries(str(series))
-        return state.value_type
+        return self._files(series)[0].chunk_index[0].value_type
 
     def time_bounds(self, series: SeriesPath) -> tuple[int, int]:
-        """(min_ts, max_ts) across the series' files."""
-        state = self._known(series)
-        if not state.files:
-            raise UnknownSeries(f"{series}: no data")
-        return (
-            min(h.chunk_index[0].min_ts for h in state.files),
-            max(h.chunk_index[-1].max_ts for h in state.files),
-        )
+        """(min_ts, max_ts) of the series: its first and last chunk's."""
+        files = self._files(series)
+        return files[0].chunk_index[0].min_ts, files[-1].chunk_index[-1].max_ts
 
     def chunk_metas(self, series: SeriesPath) -> list[ChunkMeta]:
-        """All chunk metadata in ascending min_ts order."""
-        state = self._known(series)
-        metas = [m for h in state.files for m in h.chunk_index]
-        metas.sort(key=lambda m: m.min_ts)
-        return metas
+        """All chunk metadata, in file order, which is ascending time order."""
+        return [m for h in self._files(series) for m in h.chunk_index]
 
     def open_chunk_iterator(self, series: SeriesPath) -> ChunkIterator:
         """Iterator over the series' chunks, metadata-only access."""
@@ -567,81 +565,80 @@ class SeriesStore:
     # --- replication helpers ----------------------------------------------------
 
     def export_snapshot(self, series: SeriesPath) -> dict:
-        """Full physical state of one series: its file blobs."""
-        state = self._known(series)
-        files = []
-        for handle in state.files:
+        """Full physical state of one series: its file blobs, and what they imply."""
+        files = self._files(series)
+        blobs = []
+        for handle in files:
             try:
-                files.append((handle.path.name, handle.path.read_bytes()))
+                blobs.append((handle.path.name, handle.path.read_bytes()))
             except OSError as exc:
                 raise StorageIoError(f"reading {handle.path}: {exc}") from exc
-        return {
-            "series": str(series),
-            "files": files,
-            "value_type": state.value_type,
-            "last_ts": state.last_ts,
-            "file_counter": state.file_counter,
-        }
+        return {"series": str(series), "files": blobs, **_derived(files)}
 
     def import_snapshot(self, snapshot: dict) -> None:
-        """Install a snapshot produced by :meth:`export_snapshot` (replaces the series)."""
-        series = SeriesPath.parse(snapshot["series"])
-        self.remove_series(series)
-        paths = []
-        for name, blob in snapshot["files"]:
+        """Install a snapshot produced by :meth:`export_snapshot` (replaces the series).
+
+        Every check of the invariant (see module docstring) is made on the
+        blobs before anything is written or removed, so a rejected snapshot
+        (CorruptChunk) leaves the store as it was.
+        """
+        key = snapshot["series"]
+        series = SeriesPath.parse(key)
+        if not snapshot["files"]:
+            raise CorruptChunk(f"{key}: snapshot of no files")
+        handles = []
+        for i, (name, blob) in enumerate(snapshot["files"]):
+            if name != _file_name(key, i):
+                raise CorruptChunk(f"{key}: snapshot file {i} is {name!r}, not {_file_name(key, i)!r}")
             path = self.root / name
+            index = _file_index(blob, path)
+            if not index:
+                raise CorruptChunk(f"{path}: file of no chunks")
+            handles.append(TsFileHandle(path, index))
+        metas = [m for h in handles for m in h.chunk_index]
+        if any(m.series != key for m in metas):
+            raise CorruptChunk(f"{key}: snapshot holds a chunk of another series")
+        if len({m.value_type for m in metas}) != 1:
+            raise CorruptChunk(f"{key}: snapshot chunks of more than one value type")
+        if any(m.min_ts > m.max_ts for m in metas) or any(a.max_ts >= b.min_ts for a, b in pairwise(metas)):
+            raise CorruptChunk(f"{key}: snapshot chunks out of timestamp order")
+        derived = _derived(handles)
+        declared = {name: snapshot[name] for name in derived}
+        if declared != derived:
+            raise CorruptChunk(f"{key}: snapshot declares {declared}, its files imply {derived}")
+
+        self.remove_series(series)
+        for handle, (_, blob) in zip(handles, snapshot["files"]):
             try:
-                path.write_bytes(blob)
+                handle.path.write_bytes(blob)
             except OSError as exc:
-                raise StorageIoError(f"writing {path}: {exc}") from exc
-            paths.append(path)
-        self._install(
-            series, paths, snapshot["value_type"], snapshot["last_ts"], snapshot["file_counter"],
-        )
+                raise StorageIoError(f"writing {handle.path}: {exc}") from exc
+        self._series[key] = handles
 
     def copy_series(self, series: SeriesPath, target: "SeriesStore") -> None:
         """Give ``target`` a copy of ``series``: its files copied into
         target's directory (replaces the series there)."""
-        state = self._known(series)
+        files = self._files(series)
         target.remove_series(series)
-        paths = []
-        for handle in state.files:
+        handles = []
+        for handle in files:
             path = target.root / handle.path.name
             try:
                 shutil.copyfile(handle.path, path)
             except OSError as exc:
                 raise StorageIoError(f"copying {handle.path} to {path}: {exc}") from exc
-            paths.append(path)
-        target._install(series, paths, state.value_type, state.last_ts, state.file_counter)
-
-    def _install(
-        self,
-        series: SeriesPath,
-        paths: list[Path],
-        value_type: Optional[ValueType],
-        last_ts: Optional[int],
-        file_counter: int,
-    ) -> None:
-        """Make ``series`` the flushed files ``paths`` (already under root)."""
-        state = self._state(series)
-        state.files = [TsFileHandle(path, read_file_index(path)) for path in paths]
-        state.value_type = value_type
-        state.last_ts = last_ts
-        state.file_counter = file_counter
+            handles.append(TsFileHandle(path, [replace(m, file_path=path) for m in handle.chunk_index]))
+        target._series[str(series)] = handles
 
     def remove_series(self, series: SeriesPath) -> None:
-        state = self._series.pop(str(series), None)
-        if state is None:
-            return
-        for handle in state.files:
+        for handle in self._series.pop(str(series), ()):
             try:
                 handle.path.unlink(missing_ok=True)
             except OSError as exc:
                 raise StorageIoError(f"removing {handle.path}: {exc}") from exc
 
     def snapshot_size_bytes(self, series: SeriesPath) -> int:
-        state = self._known(series)
-        return sum(h.path.stat().st_size for h in state.files)
+        return sum(h.path.stat().st_size for h in self._files(series))
 
 
 def read_file_index(path: Path) -> list[ChunkMeta]:
@@ -650,6 +647,11 @@ def read_file_index(path: Path) -> list[ChunkMeta]:
         buf = path.read_bytes()
     except OSError as exc:
         raise StorageIoError(f"reading {path}: {exc}") from exc
+    return _file_index(buf, path)
+
+
+def _file_index(buf: bytes, path: Path) -> list[ChunkMeta]:
+    """The chunk index of the file bytes ``buf``, which live at ``path``."""
     footer = len(buf) - _FOOTER.size
     if footer < 0 or buf[:4] != MAGIC or buf[-4:] != MAGIC:
         raise CorruptChunk(f"{path}: bad magic")

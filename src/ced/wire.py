@@ -39,8 +39,8 @@ Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 grammar violation with MalformedMessage: a field cut short, bad UTF-8, an
 unknown value tag, value type, message type, direction, terminate reason or
 index kind, bytes left over after the last field, timestamps of a tsblock
-that do not strictly increase, or a snapshot ``seq`` or ``mem_count`` other
-than 0.
+that do not strictly increase, a TERMINATE whose delta presence disagrees
+with its reason, or a snapshot ``seq`` or ``mem_count`` other than 0.
 
     channel  := addr_len u8 | addr utf8 | port u16 | fragment_id u32
                 | source_id u32 | query_id u64
@@ -62,7 +62,7 @@ Message payloads by type:
     7 DATA               tsblock
     8 CREDIT             (empty)
     9 TERMINATE          reason u8 (0 completed, 1 remigration)
-                         | presence u8 | [delta]
+                         | presence u8 | [delta]   (present iff remigration)
    10 CANCEL             reason utf8
 """
 
@@ -471,6 +471,9 @@ def decode_message(buf: bytes) -> Message:
         msg.terminate_reason = p.enum(TerminateReason, p.u8(), "terminate reason")
         if p.u8():
             msg.delta = read_delta(p)
+        if (msg.delta is None) is (msg.terminate_reason is TerminateReason.REMIGRATION):
+            has = "without" if msg.delta is None else "with"
+            raise p.fail(f"{msg.terminate_reason.name} TERMINATE {has} a delta")
     p.done()
     return msg
 

@@ -84,7 +84,7 @@ def edge_baseline_checksum(sql, workload, tmp_path=None, name="Q"):
 
 def content_fingerprint(store, series) -> bytes:
     """Byte-exact physical content of ``series`` in ``store``: its files' bytes."""
-    return b"".join(handle.path.read_bytes() for handle in store._known(series).files)
+    return b"".join(handle.path.read_bytes() for handle in store._files(series))
 
 
 def total_rows(store, series) -> int:

@@ -190,11 +190,15 @@ def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
     ("channel.queue_depth", 1.5), ("warm_series", "t1"), ("scenario", "x"), ("scenario", 5),
     ("link.bandwidth_mbps", float("nan")), ("io_throttle", float("inf")), ("cpu_hog_duty", True),
     ("cost.row_cpu_cost_s", -1e-6), ("cost.recv_row_cost_s", -1.0),
-    # a value that only another mode allows: an edge_only query never migrates
+    # a value that only another mode allows: an edge_only query never migrates, and
+    # a cloud_only one never falls back
     pytest.param("forced_migration_at_rows", {"mode": "edge_only", "forced_migration_at_rows": 5000},
                  id="edge_only-forced_migration_at_rows"),
     pytest.param("forced_fallback_after_rows", {"mode": "edge_only", "forced_fallback_after_rows": 0},
                  id="edge_only-forced_fallback_after_rows"),
+    pytest.param("forced_fallback_after_rows",
+                 {"mode": "cloud_only", "warm_series": ["t1"], "forced_fallback_after_rows": 5000},
+                 id="cloud_only-forced_fallback_after_rows"),
 ])
 def test_out_of_range_scenario_value_is_a_scenario_error(tmp_path, key, value):
     raw = {"queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}]}

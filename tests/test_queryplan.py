@@ -8,7 +8,6 @@ from ced.queryplan import (
     Predicate,
     Query,
     SelectItem,
-    SensorInfo,
     parse,
     plan,
 )
@@ -218,7 +217,7 @@ def test_max_value_requires_numeric_sensor():
 
 def test_suffix_resolution_is_unique_or_fails():
     catalog = make_catalog()
-    catalog.register_sensor(SeriesPath.parse("root.ln.edge2.dev"), "t1", ValueType.STRING, None)
+    catalog.register_sensor(SeriesPath.parse("root.ln.edge2.dev"), "t1", ValueType.STRING, (0, 9_999))
     with pytest.raises(PlanError):
         plan(parse(Q1), catalog)   # 'dev' now ambiguous
     tree = plan(parse("SELECT t1 FROM edge1.dev"), catalog)
@@ -226,16 +225,6 @@ def test_suffix_resolution_is_unique_or_fails():
 
 
 # --- catalog from a store ------------------------------------------------------------
-
-def test_catalog_from_store_registers_a_typed_empty_series_without_bounds(tmp_path):
-    store = SeriesStore(tmp_path)
-    store.import_snapshot({
-        "series": str(DEV.child("t1")), "files": [],
-        "value_type": ValueType.STRING, "last_ts": None, "file_counter": 0,
-    })
-    catalog = Catalog.from_store(store, DEV)
-    assert catalog.sensor_info(DEV, "t1") == SensorInfo(ValueType.STRING, None)
-
 
 def test_catalog_from_store_propagates_other_time_bounds_errors(monkeypatch, tmp_path):
     store = SeriesStore(tmp_path)

@@ -96,17 +96,6 @@ def test_fresh_scan_blocks_and_offset_trace(tmp_path):
     assert not op.has_next()
 
 
-def test_empty_series_returns_none(tmp_path):
-    store = SeriesStore(tmp_path)
-    store.import_snapshot({
-        "series": str(S), "files": [],
-        "value_type": None, "last_ts": None, "file_counter": 0,
-    })
-    op = SeriesScanOp(store, S)
-    assert op.next_block() is None
-    assert not op.has_next()
-
-
 def test_has_next_polling_is_non_destructive(tmp_path):
     store = build_store(tmp_path, [1500, 800])
     pure = [b.row_count for b in drain_scan(SeriesScanOp(store, S))[0]]
@@ -365,7 +354,7 @@ def test_leaf_switch_to_remote_and_back_equals_fresh_scan(tmp_path, kind, end):
     leaf = make_leaf(store)
     remote = StubRemote(make_leaf, store, end)
     armed_at = None
-    out, remote_indexes = [], []
+    out = []
     while True:
         block = leaf.next_block()
         if block is PENDING:
@@ -375,8 +364,6 @@ def test_leaf_switch_to_remote_and_back_equals_fresh_scan(tmp_path, kind, end):
             break
         if block is not NOT_READY:
             out.extend(zip(block.timestamps, block.values))
-            if leaf.source_mode == "remote":
-                remote_indexes.append(leaf.logical_index.value)
         if armed_at is None and out and _mid_unit(leaf):
             # armed mid-chunk / mid-window: the switch waits for the boundary
             armed_at = leaf.logical_index.value
@@ -391,13 +378,10 @@ def test_leaf_switch_to_remote_and_back_equals_fresh_scan(tmp_path, kind, end):
         assert index.value in boundaries                 # chunk-aligned row offset
     else:
         assert index.value % 1500 == 0                   # a window start
-    assert len(remote_indexes) == len(remote.blocks) == remote.acks
+    assert len(remote.blocks) == remote.acks
     assert leaf.rows_remote == sum(b.row_count for b in remote.blocks)
     if end == "remigrate":
-        # each remote block moves the index; the last lands on the producer's boundary
         assert remote.blocks
-        assert [index.value] + remote_indexes == sorted(set([index.value] + remote_indexes))
-        assert remote_indexes[-1] == remote.final_index.value
     assert remote.final_index.value <= fresh[-1][0]      # local rows follow the remote ones
 
 

@@ -484,6 +484,69 @@ def test_snapshot_roundtrip_produces_identical_fingerprint(tmp_path):
     assert scan_all(dst, S) == [(i, float(i)) for i in range(2300)]
 
 
+T1, T2 = parent(S).child("t1"), parent(S).child("t2")
+
+
+def _name(series, i):
+    return f"{series}__{i:06d}.cedf"
+
+
+# header := magic | version u16; an index of no entries; footer := index_offset u64 | magic
+_FILE_OF_NO_CHUNKS = b"CEDF" + struct.pack("<H", 2) + struct.pack("<I", 0) + struct.pack("<Q4s", 6, b"CEDF")
+
+# (rule broken, its CorruptChunk message): ``t1`` is two FLOAT64 files of rows
+# 0..199, ``t2`` FLOAT64 rows 1000..1049, and ``later`` STRING rows of t1 at 200..249
+_BAD_SNAPSHOTS = [
+    pytest.param(
+        lambda t1, t2, later: dict(t1, files=[], value_type=None, last_ts=None, file_counter=0),
+        "of no files", id="no-files"),
+    pytest.param(
+        lambda t1, t2, later: dict(
+            t1, files=[*t1["files"], (_name(T1, 2), _FILE_OF_NO_CHUNKS)], file_counter=3),
+        "of no chunks", id="a-file-of-no-chunks"),
+    pytest.param(                                           # it would overwrite t2's file
+        lambda t1, t2, later: dict(t1, files=[(t2["files"][0][0], t1["files"][0][1]), t1["files"][1]]),
+        "snapshot file 0 is", id="a-file-named-as-another-series-file"),
+    pytest.param(
+        lambda t1, t2, later: dict(t2, series=str(T1), files=[(_name(T1, 0), t2["files"][0][1])]),
+        "another series", id="a-chunk-of-another-series"),
+    pytest.param(
+        lambda t1, t2, later: dict(
+            t1, files=[t1["files"][0], (_name(T1, 1), later["files"][0][1])], last_ts=249),
+        "more than one value type", id="chunks-of-two-value-types"),
+    pytest.param(
+        lambda t1, t2, later: dict(
+            t1, files=[(_name(T1, i), t1["files"][1 - i][1]) for i in (0, 1)], last_ts=99),
+        "out of timestamp order", id="files-out-of-time-order"),
+    pytest.param(
+        lambda t1, t2, later: dict(t1, value_type=ValueType.STRING), "declares", id="declared-value-type"),
+    pytest.param(lambda t1, t2, later: dict(t1, last_ts=200), "declares", id="declared-last-ts"),
+    pytest.param(lambda t1, t2, later: dict(t1, file_counter=5), "declares", id="declared-file-counter"),
+]
+
+
+@pytest.mark.parametrize("break_rule,message", _BAD_SNAPSHOTS)
+def test_a_snapshot_that_breaks_the_series_invariant_changes_nothing(tmp_path, break_rule, message):
+    src, other, dst = (SeriesStore(tmp_path / name) for name in ("src", "other", "dst"))
+    fill(src, T1, 100, chunk_target_rows=40)
+    fill(src, T1, 100, start=100, chunk_target_rows=40)
+    fill(src, T2, 50, start=1000, value=lambda i: -float(i))
+    fill(other, T1, 50, start=200, value=str)
+    t1, t2 = src.export_snapshot(T1), src.export_snapshot(T2)
+    dst.import_snapshot(t1)
+    dst.import_snapshot(t2)
+    files = {p.name: p.read_bytes() for p in dst.root.iterdir()}
+    rows = {s: scan_all(dst, s) for s in (T1, T2)}
+    with pytest.raises(CorruptChunk, match=message):
+        dst.import_snapshot(break_rule(t1, t2, other.export_snapshot(T1)))
+    assert {p.name: p.read_bytes() for p in dst.root.iterdir()} == files
+    assert dst.series_names() == [str(T1), str(T2)]
+    assert {s: scan_all(dst, s) for s in (T1, T2)} == rows
+    assert [dst.value_type(s) for s in (T1, T2)] == [ValueType.FLOAT64] * 2
+    dst.import_snapshot(t1)                             # an exported snapshot still imports
+    assert scan_all(dst, T1) == rows[T1]
+
+
 def test_series_path_validation():
     with pytest.raises(ValueError):
         SeriesPath.parse("ln.e1")

@@ -278,6 +278,16 @@ def test_empty_message_is_rejected():
         decode_message(b"")
 
 
+@pytest.mark.parametrize("reason,delta", [
+    (TerminateReason.REMIGRATION, None),
+    (TerminateReason.CLOUD_COMPLETED, _delta(Direction.CLOUD_TO_EDGE, _WINDOW)),
+], ids=["remigration-without-delta", "completed-with-delta"])
+def test_a_terminate_whose_delta_presence_disagrees_with_its_reason_is_rejected(reason, delta):
+    buf = encode_message(Message(MessageType.TERMINATE, CH, terminate_reason=reason, delta=delta))
+    with pytest.raises(MalformedMessage, match="TERMINATE"):
+        decode_message(buf)
+
+
 @pytest.mark.parametrize("at", [2, 1 + 24 + 4], ids=["address", "sql"])
 def test_bad_utf8_in_a_text_field_is_rejected(at):
     sample = encode_message(Message(MessageType.MIGRATION_REQUEST, CH, sql="SELECT t1 FROM dev"))

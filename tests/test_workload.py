@@ -254,3 +254,19 @@ def test_ced_gen_reports_a_bad_workload_file_as_an_error(tmp_path, capsys, conte
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_ced_gen_refuses_a_directory_that_already_holds_cedf_files(tmp_path, capsys):
+    config_file = tmp_path / "workload.json"
+    config_file.write_text(json.dumps({"sensor_count": 1, "total_rows": 2000, "flush_every_rows": 500}))
+    out = tmp_path / "out"
+    args = ["gen", "--workload", str(config_file), "--out", str(out)]
+    assert ced_main(args) == 0
+    before = file_digests(out)
+    assert len(before) == 4
+    capsys.readouterr()
+    config_file.write_text(json.dumps({"sensor_count": 1, "total_rows": 2000}))
+    assert ced_main(args) == 1                  # its one file would overwrite the first of four
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ".cedf" in err
+    assert file_digests(out) == before
