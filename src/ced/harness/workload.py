@@ -89,9 +89,6 @@ class GeneratedDataset:
     rows_per_sensor: int
     interval_ms: int
 
-    def series(self, sensor: str) -> SeriesPath:
-        return self.device.child(sensor)
-
     @property
     def total_points(self) -> int:
         return self.rows_per_sensor * len(self.sensors)

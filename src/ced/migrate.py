@@ -9,9 +9,9 @@ flows; data and control messages ride the reliable connection while the
 probe itself is a droppable heartbeat datagram covered by a retry budget.
 
 Flow control is credit-based: the producer may have at most
-``queue_depth`` unconsumed blocks outstanding, and every consumed block
-returns one credit, which is how the paper's on-demand pull behaves under
-a bounded receive queue.
+``queue_depth`` unconsumed blocks outstanding, and the edge returns one
+credit as ``poll`` hands each block to the leaf, which is how the paper's
+on-demand pull behaves under a bounded receive queue.
 
 Remigration works the same way in reverse: the producer stops at one of
 its own boundaries, sends a final delta plus the termination marker, and
@@ -313,6 +313,7 @@ class SinkChannel(RemoteSource):
     # -- RemoteSource surface (consumed by the scan leaf) ---------------------------
 
     def poll(self):
+        """The next queued item, or PENDING; a block handed out returns its credit."""
         if not self.recv_queue:
             return PENDING
         item = self.recv_queue.pop(0)
@@ -321,11 +322,9 @@ class SinkChannel(RemoteSource):
             self.close()
             return item
         self.telemetry.record(self.engine.now, "block", self.channel_id)
-        return item
-
-    def acknowledge_consumed(self) -> None:
         if self.phase != ChannelPhase.TERMINATED:
             self.transport.send_message(Message(MessageType.CREDIT, self.channel_id))
+        return item
 
 
 # --- cloud side ------------------------------------------------------------------------

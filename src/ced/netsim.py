@@ -12,8 +12,7 @@ heap with no handle, and takes its sequence number just the same.
 Cooperative processes are plain generators.  A process may yield:
 
 * a number  -- sleep that many simulated seconds,
-* a SimEvent -- suspend until someone triggers it (the trigger value is
-  sent back into the generator).
+* a SimEvent -- suspend until someone triggers it.
 
 Links model a full-duplex point-to-point connection with a serialization
 delay of ``payload_bytes * 8 / bandwidth`` per direction plus ``rtt/2``
@@ -28,7 +27,6 @@ import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Generator, Iterator, Optional
 
 from .errors import LinkClosed, ScenarioError
@@ -108,27 +106,25 @@ class Engine:
 class SimEvent:
     """One-shot waitable; triggering resumes every waiter at the current time."""
 
-    __slots__ = ("engine", "triggered", "value", "_waiters")
+    __slots__ = ("engine", "triggered", "_waiters")
 
     def __init__(self, engine: Engine):
         self.engine = engine
         self.triggered = False
-        self.value: Any = None
-        self._waiters: list[Callable[[Any], None]] = []
+        self._waiters: list[Callable[[], None]] = []
 
-    def trigger(self, value: Any = None) -> None:
+    def trigger(self) -> None:
         if self.triggered:
             return
         self.triggered = True
-        self.value = value
         waiters, self._waiters = self._waiters, []
         after = self.engine._after
         for resume in waiters:
-            after(0.0, partial(resume, value))
+            after(0.0, resume)
 
-    def add_callback(self, fn: Callable[[Any], None]) -> None:
+    def add_callback(self, fn: Callable[[], None]) -> None:
         if self.triggered:
-            self.engine._after(0.0, partial(fn, self.value))
+            self.engine._after(0.0, fn)
         else:
             self._waiters.append(fn)
 
@@ -170,15 +166,14 @@ class Process:
         self.engine = engine
         self.gen = gen
         self.alive = True
-        self._resume = self._step
-        self._wake = partial(self._step, None)
-        engine._after(0.0, self._wake)
+        self._resume = self._step       # the one bound method every wait resumes
+        engine._after(0.0, self._resume)
 
-    def _step(self, send_value: Any) -> None:
+    def _step(self) -> None:
         if not self.alive:
             return
         try:
-            yielded = self.gen.send(send_value)
+            yielded = next(self.gen)
         except StopIteration:
             self.alive = False
             return
@@ -187,7 +182,7 @@ class Process:
         elif isinstance(yielded, (int, float)):
             if yielded < 0:
                 raise ValueError(f"negative delay: {float(yielded)}")
-            self.engine._after(float(yielded), self._wake)
+            self.engine._after(float(yielded), self._resume)
         else:
             raise TypeError(f"process yielded {yielded!r}; expected delay or SimEvent")
 

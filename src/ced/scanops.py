@@ -34,8 +34,8 @@ The leaf holds its own state: the logical index, its source
 in flight, a series scan's undelivered blocks of the current chunk or an
 aggregation's partially aggregated window.
 
-The remote side is any object with the small surface described by
-:class:`RemoteSource`; the migration machinery supplies the real one.
+The remote side is any object with the surface of :class:`RemoteSource`,
+``activate`` and ``poll``; the migration machinery supplies the real one.
 """
 
 from __future__ import annotations
@@ -107,15 +107,12 @@ class RemoteEnd:
 
 
 class RemoteSource:
-    """Duck-typed surface a scan leaf needs from a streaming channel."""
+    """What a scan leaf needs of a streaming channel; ``poll`` returns each block's credit."""
 
     def activate(self, index: "LogicalIndex") -> None:   # send delta, start handshake
         raise NotImplementedError
 
     def poll(self):                                      # TsBlock | PENDING | RemoteEnd
-        raise NotImplementedError
-
-    def acknowledge_consumed(self) -> None:              # flow-control credit
         raise NotImplementedError
 
 
@@ -263,8 +260,7 @@ class _ScanLeaf(_OperatorBase):
         return self._next_local()
 
     def _next_remote(self):
-        remote = self.remote
-        result = remote.poll()
+        result = self.remote.poll()
         if result is PENDING:
             return PENDING
         if isinstance(result, RemoteEnd):
@@ -277,7 +273,6 @@ class _ScanLeaf(_OperatorBase):
                 self.boundary_listener()
             return self.next_block() if self.has_next() else None
         self.rows_remote += result.row_count
-        remote.acknowledge_consumed()
         return result
 
     # -- per-kind hooks -------------------------------------------------------------
@@ -477,8 +472,6 @@ class FilterOp(_OperatorBase):
     def next_block(self):
         # one child block per call: keeps simulated I/O charging per-chunk and
         # leaves gaps for a confirmed migration to flip the leaf's source
-        if len(self._buf_ts) >= BLOCK_ROWS:
-            return self._emit()
         if self._child_done or not self.child.has_next():
             self._child_done = True
             return self._emit()
@@ -562,17 +555,17 @@ class MergeOp(_OperatorBase):
     """Timestamp-aligned merge of N single-series streams with null fill.
 
     Each child has a cursor into its current block, and each child's
-    timestamps strictly increase.  Rows are emitted a segment at a time: a
-    segment is every buffered row up to ``end``, the earliest last timestamp
-    among the children's current blocks, capped at ``BLOCK_ROWS`` rows in the
-    output block.  When the children's timestamp slices are equal the
-    segment is that slice; otherwise it is their sorted union, and a child
-    without a row at a timestamp gives ``None`` there.  A segment that
-    reaches ``end`` has used up a block, and each child whose block it used
-    up is refilled in child order.  If a refill answers PENDING or NOT_READY
-    before the output block is full, each child's rows read during this call
-    are put back ahead of its unread rows, by position, so the next call
-    reads them again.
+    timestamps strictly increase.  The output block being built
+    (``_out_ts``, ``_out_cols``) is held across calls, so a stall neither
+    loses nor repeats a row.  A call loops: it refills each used-up child in
+    child order, and a refill that answers PENDING or NOT_READY returns that
+    answer while the block is short of ``BLOCK_ROWS``.  It emits the block
+    once it is full or no child has rows.  Otherwise it merges one segment:
+    every buffered row up to ``end``, the earliest last timestamp among the
+    children's current blocks, capped at the rows the block has room for.
+    When the children's timestamp slices are equal the segment is that
+    slice; otherwise it is their sorted union, and a child without a row at
+    a timestamp gives ``None`` there.
     """
 
     def __init__(self, children: Sequence[_OperatorBase], columns: Sequence[str]):
@@ -585,10 +578,14 @@ class MergeOp(_OperatorBase):
         self._pos = [0] * len(children)                         # cursor into that block
         self._types: list[ValueType] = [ValueType.FLOAT64] * len(children)
         self._done = [False] * len(children)
+        self._out_ts: list[int] = []                            # the block being built
+        self._out_cols: list[list] = [[] for _ in children]
 
     def has_next(self) -> bool:
-        return any(p < len(ts) for ts, p in zip(self._ts, self._pos)) or any(
-            not done and child.has_next() for done, child in zip(self._done, self.children)
+        return (
+            bool(self._out_ts)
+            or any(p < len(ts) for ts, p in zip(self._ts, self._pos))
+            or any(not done and child.has_next() for done, child in zip(self._done, self.children))
         )
 
     def _refill(self, i: int):
@@ -610,18 +607,15 @@ class MergeOp(_OperatorBase):
         return True
 
     def next_block(self):
-        for i in range(len(self.children)):
-            state = self._refill(i)
-            if state is not True:
-                return state
         ts_bufs, value_bufs, pos = self._ts, self._values, self._pos
-        # per child, each block read during this call and where the reading began
-        read = [[(t, v, p)] for t, v, p in zip(ts_bufs, value_bufs, pos)]
-        out_ts: list[int] = []
-        out_cols: list[list] = [[] for _ in self.children]
-        while len(out_ts) < BLOCK_ROWS:
+        out_ts, out_cols = self._out_ts, self._out_cols
+        while True:
+            for i in range(len(self.children)):
+                state = self._refill(i)
+                if state is not True and len(out_ts) < BLOCK_ROWS:
+                    return state
             ends = [t[-1] for t, p in zip(ts_bufs, pos) if p < len(t)]
-            if not ends:
+            if len(out_ts) >= BLOCK_ROWS or not ends:
                 break
             end = min(ends)
             slices = [t[p:bisect_right(t, end, p)] for t, p in zip(ts_bufs, pos)]
@@ -634,18 +628,9 @@ class MergeOp(_OperatorBase):
                 cells = values[p:p + n]
                 out_cols[i] += cells if aligned else map(dict(zip(s, cells)).get, segment)
                 pos[i] = p + n
-            for i, t in enumerate(ts_bufs):
-                if pos[i] == len(t) and not self._done[i]:
-                    state = self._refill(i)
-                    if state is not True and len(out_ts) < BLOCK_ROWS:
-                        for k, blocks in enumerate(read):      # put back by position
-                            ts_bufs[k] = [x for bt, _, start in blocks for x in bt[start:]]
-                            value_bufs[k] = [x for _, bv, start in blocks for x in bv[start:]]
-                            pos[k] = 0
-                        return state
-                    read[i].append((ts_bufs[i], value_bufs[i], pos[i]))
         if not out_ts:
             return None
+        self._out_ts, self._out_cols = [], [[] for _ in self.children]
         return ResultBlock(
             out_ts,
             [(name, vt, col) for name, vt, col in zip(self.columns, self._types, out_cols)],

@@ -14,11 +14,11 @@ at least one file, every file at least one chunk, the i-th file is named
 ``{series}__{i:06d}.cedf``, and every chunk names the series, has the
 series' one value type and lies wholly after the chunk before it.  ``flush``
 keeps it by construction.  ``import_snapshot`` is the one place files come
-in from outside, and checks it once, on the blobs' indexes, before it
-writes or removes anything; it also checks that the value type, last
-timestamp and file counter a snapshot declares are the ones its files
-imply.  A snapshot that breaks any rule is CorruptChunk, with the store
-unchanged.  ``copy_series`` copies a series of another store, which holds
+in from outside, and checks it once, on the blobs' indexes and each entry's
+chunk header, before it writes or removes anything; it also checks that the
+value type, last timestamp and file counter a snapshot declares are the ones
+its files imply.  A snapshot that breaks any rule is CorruptChunk, with the
+store unchanged.  ``copy_series`` copies a series of another store, which holds
 the invariant already.
 
 On-disk format (all integers little-endian):
@@ -44,9 +44,9 @@ columns' bytes are known to be there.  A STRING page's bodies are decoded
 as one UTF-8 blob and sliced by the lengths' running sums; when the blob is
 not all ASCII, each body is decoded on its own, so a character split across
 two bodies is an error.  Bytes that break this grammar (a file of another
-version, a field cut short, an unknown value type, page bounds or row
-counts that disagree with the rows, rows out of timestamp order) raise
-CorruptChunk.  Timestamps are integer milliseconds and strictly increase
+version, a field cut short, an unknown value type, a chunk header that
+disagrees with its index entry, chunk or page bounds or row counts that
+disagree with the rows, rows out of timestamp order) raise CorruptChunk.  Timestamps are integer milliseconds and strictly increase
 within a series.
 
 Timestamp order is checked once, by ``strictly_increasing``, where rows
@@ -93,7 +93,6 @@ __all__ = [
     "ChunkIterator",
     "IoStats",
     "SeriesStore",
-    "read_file_index",
     "strictly_increasing",
     "DECODE_MEMO_ROWS",
     "RowMemo",
@@ -110,7 +109,7 @@ BLOCK_ROWS = 1000
 DECODE_MEMO_ROWS = 16 * BLOCK_ROWS
 
 MAGIC = b"CEDF"
-VERSION = 2                 # pages of columns; read_file_index rejects any other
+VERSION = 2                 # pages of columns; _file_index rejects any other
 
 _CHUNK_FIXED = struct.Struct("<BIIqq")   # value_type, page_count, row_count, min_ts, max_ts
 _PAGE_FIXED = struct.Struct("<Iqq")      # row_count, min_ts, max_ts
@@ -303,14 +302,22 @@ def _encode_chunk(
         _encode_rows(out, vt, timestamps[p0:p1], values[p0:p1])
 
 
-def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[list[int], list]:
-    """The chunk's two columns, checked against its pages' headers and ``meta``."""
-    r = Reader(buf, CorruptChunk)
+def _chunk_header(r: Reader, meta: ChunkMeta) -> int:
+    """Read the chunk header at the cursor, check it against ``meta``; its page count."""
     series = r.text()
-    vt_raw, page_count, row_count, _min_ts, _max_ts = r.unpack(_CHUNK_FIXED)
+    vt_raw, page_count, row_count, min_ts, max_ts = r.unpack(_CHUNK_FIXED)
     vt = r.enum(ValueType, vt_raw, "value type")
-    if (series, vt, row_count) != (meta.series, meta.value_type, meta.row_count):
-        raise r.fail(f"chunk of {row_count} {vt.name} rows of {series} disagrees with {meta}")
+    head = (series, vt, row_count, min_ts, max_ts)
+    if head != (meta.series, meta.value_type, meta.row_count, meta.min_ts, meta.max_ts):
+        raise r.fail(f"chunk header (series, type, rows, min_ts, max_ts) {head} disagrees with {meta}")
+    return page_count
+
+
+def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[list[int], list]:
+    """The chunk's two columns, checked against its header, its pages' headers and ``meta``."""
+    r = Reader(buf, CorruptChunk)
+    page_count = _chunk_header(r, meta)
+    series, vt, row_count = meta.series, meta.value_type, meta.row_count
     timestamps: list[int] = []
     values: list = []
     for _ in range(page_count):
@@ -324,6 +331,8 @@ def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[list[int], list]:
         raise CorruptChunk(f"{series}: chunk declares {row_count} rows, decoded {len(timestamps)}")
     if not strictly_increasing(timestamps):
         raise CorruptChunk(f"{series}: chunk rows out of timestamp order")
+    if not timestamps or (timestamps[0], timestamps[-1]) != (meta.min_ts, meta.max_ts):
+        raise CorruptChunk(f"{series}: chunk bounds [{meta.min_ts}, {meta.max_ts}] disagree with its rows")
     return timestamps, values
 
 
@@ -594,6 +603,8 @@ class SeriesStore:
             index = _file_index(blob, path)
             if not index:
                 raise CorruptChunk(f"{path}: file of no chunks")
+            for meta in index:
+                _chunk_header(Reader(blob, CorruptChunk, meta.offset), meta)
             handles.append(TsFileHandle(path, index))
         metas = [m for h in handles for m in h.chunk_index]
         if any(m.series != key for m in metas):
@@ -639,15 +650,6 @@ class SeriesStore:
 
     def snapshot_size_bytes(self, series: SeriesPath) -> int:
         return sum(h.path.stat().st_size for h in self._files(series))
-
-
-def read_file_index(path: Path) -> list[ChunkMeta]:
-    """Decode the footer-resident chunk index of one ``.cedf`` file."""
-    try:
-        buf = path.read_bytes()
-    except OSError as exc:
-        raise StorageIoError(f"reading {path}: {exc}") from exc
-    return _file_index(buf, path)
 
 
 def _file_index(buf: bytes, path: Path) -> list[ChunkMeta]:

@@ -13,7 +13,7 @@ from ced.harness.runtime import Cluster
 from ced.harness.scenario import QuerySpec, ScenarioConfig
 from ced.harness.workload import WorkloadConfig
 from ced.migrate import ChannelPhase
-from ced.tsstore import SeriesPath, decode_memo
+from ced.tsstore import SeriesPath, _file_index, decode_memo
 from ced.wire import link_memo, pack_memo
 
 Q1_SQL = "SELECT t1 FROM dev WHERE t1='v999'"
@@ -90,6 +90,11 @@ def content_fingerprint(store, series) -> bytes:
 def total_rows(store, series) -> int:
     """Rows of ``series`` in ``store``, over its files."""
     return sum(m.row_count for m in store.chunk_metas(series))
+
+
+def read_file_index(path: Path) -> list:
+    """The chunk index of the ``.cedf`` file at ``path``, read from its footer."""
+    return _file_index(path.read_bytes(), path)
 
 
 def parent(path: SeriesPath) -> SeriesPath:

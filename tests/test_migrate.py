@@ -17,11 +17,12 @@ from conftest import (
 import ced.harness.runtime
 from ced.harness.scenario import CostModel, QuerySpec
 from ced.harness.workload import WorkloadConfig
-from ced.migrate import ChannelConfig, ChannelPhase, filter_above_leaf
-from ced.netsim import LinkConfig
+from ced.migrate import ChannelConfig, ChannelPhase, ProtocolTelemetry, SinkChannel, filter_above_leaf
+from ced.netsim import Engine, LinkConfig
 from ced.queryplan import Catalog, parse, plan
-from ced.tsstore import SeriesPath, ValueType
-from ced.wire import ChannelId
+from ced.scanops import PENDING, RemoteEnd
+from ced.tsstore import SeriesPath, TsBlock, ValueType
+from ced.wire import ChannelId, Message, MessageType, TerminateReason
 
 
 # --- transmission mode: predicate pushdown iff a filter sits above the leaf ----------
@@ -282,6 +283,41 @@ def test_stream_block_count_conservation(tmp_path):
     assert all(s.phase == ChannelPhase.TERMINATED for s in sinks)
 
 
+class RecordingTransport:
+    """The part of a Transport a SinkChannel uses; keeps the type of each message sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def register_channel(self, channel, handler):
+        pass
+
+    def unregister_channel(self, channel):
+        pass
+
+    def send_message(self, msg, droppable=False):
+        self.sent.append(msg.type)
+
+
+def test_poll_returns_one_credit_per_block_until_the_terminate_arrives():
+    series = SeriesPath.parse("root.ln.edge1.dev.t1")
+    channel = ChannelId("cloud", 9000, 1, 1, 1)
+    transport = RecordingTransport()
+    sink = SinkChannel(Engine(), transport, channel, TABLE_II["Q3"], series, ChannelConfig(),
+                       ProtocolTelemetry(), notify=lambda: None, on_confirmed=lambda _: None)
+    blocks = [TsBlock(series, [t], [float(t)], ValueType.FLOAT64) for t in range(3)]
+    for block in blocks:
+        sink.on_message(Message(MessageType.DATA, channel, block=block))
+    assert sink.poll() is blocks[0] and transport.sent == [MessageType.CREDIT]
+    assert sink.poll() is blocks[1] and transport.sent == [MessageType.CREDIT] * 2
+    sink.on_message(Message(MessageType.TERMINATE, channel,
+                            terminate_reason=TerminateReason.CLOUD_COMPLETED))
+    assert sink.poll() is blocks[2]                 # queued before the marker, handed out after it
+    assert sink.poll() == RemoteEnd("complete")
+    assert sink.poll() is PENDING
+    assert transport.sent == [MessageType.CREDIT] * 2
+
+
 def test_backpressure_queue_never_exceeds_depth(tmp_path):
     scenario = make_scenario(TABLE_II["Q3"], name="Q3", forced_migration_at_rows=1000)
     cluster, _ = run(scenario, tmp_path)
@@ -309,8 +345,6 @@ def test_terminate_idempotent(tmp_path):
     producer = next(iter(cluster.gateway.channels.values()))
     assert producer.phase == ChannelPhase.TERMINATED
     before = len(cluster.telemetry.events)
-    from ced.wire import TerminateReason
-
     producer._terminate(TerminateReason.CLOUD_COMPLETED)     # second call: no-op
     assert len(cluster.telemetry.events) == before
 

@@ -48,15 +48,15 @@ def test_process_delays_and_events():
         trace.append(("after-event", engine.now, value))
 
     engine.spawn(proc())
-    engine.schedule(4.0, lambda: gate.trigger("go"))
+    engine.schedule(4.0, gate.trigger)
     engine.run_until_idle()
-    assert trace == [("start", 0.0), ("after-delay", 1.5), ("after-event", 4.0, "go")]
+    assert trace == [("start", 0.0), ("after-delay", 1.5), ("after-event", 4.0, None)]
 
 
 def test_process_waiting_on_already_triggered_event_resumes_immediately():
     engine = Engine()
     gate = SimEvent(engine)
-    gate.trigger(7)
+    gate.trigger()
     out = []
 
     def proc():
@@ -65,7 +65,7 @@ def test_process_waiting_on_already_triggered_event_resumes_immediately():
 
     engine.spawn(proc())
     engine.run_until_idle()
-    assert out == [(0.0, 7)]
+    assert out == [(0.0, None)]
 
 
 def test_fifo_resource_serializes_requests():
@@ -199,7 +199,7 @@ def _scripted_mix():
     log = []
     disk = FifoResource(engine, rate=10.0)
     early, late = SimEvent(engine), SimEvent(engine)
-    early.trigger("early")
+    early.trigger()
     signal = Signal(engine)
     signal.notify()                      # no waiter yet: latched
 
@@ -210,10 +210,12 @@ def _scripted_mix():
         note(f"{name} start")
         yield disk.acquire(work)
         note(f"{name} disk")
-        note(f"{name} {(yield early)}")
+        yield early
+        note(f"{name} early")
         yield 0
         note(f"{name} zero")
-        note(f"{name} {(yield late)}")
+        yield late
+        note(f"{name} late")
         yield 0.25
         note(f"{name} slept")
 
@@ -231,7 +233,7 @@ def _scripted_mix():
     engine.schedule(1.0, lambda: note("cancelled")).cancel()
     engine.schedule(1.0, lambda: note("timer tie 2"))
     engine.schedule(0.75, signal.notify)
-    engine.schedule(1.0, lambda: late.trigger("late"))
+    engine.schedule(1.0, late.trigger)
     engine.run_until_idle()
     return log, engine.events_dispatched
 

@@ -324,7 +324,6 @@ class StubRemote:
         self.blocks = []
         self.final_index = None
         self.items = []
-        self.acks = 0
 
     def activate(self, index):
         self.activated.append(index)
@@ -340,9 +339,6 @@ class StubRemote:
 
     def poll(self):
         return self.items.pop(0)
-
-    def acknowledge_consumed(self):
-        self.acks += 1
 
 
 @pytest.mark.parametrize("end", ["remigrate", "broken"])
@@ -378,7 +374,6 @@ def test_leaf_switch_to_remote_and_back_equals_fresh_scan(tmp_path, kind, end):
         assert index.value in boundaries                 # chunk-aligned row offset
     else:
         assert index.value % 1500 == 0                   # a window start
-    assert len(remote.blocks) == remote.acks
     assert leaf.rows_remote == sum(b.row_count for b in remote.blocks)
     if end == "remigrate":
         assert remote.blocks
@@ -573,6 +568,22 @@ def test_merge_child_calls_and_blocks_are_pinned(children):
                     for i, ts in enumerate(block.timestamps))
     assert " ".join(log) == MERGE_TRACES[children]
     assert rows == _reference_merge(children)
+
+
+def test_a_stall_holds_the_partial_block_and_only_it_keeps_has_next_true():
+    log = []
+    a = ScriptedChild("a", _blocks(0, 500, 1, float), log)
+    b = ScriptedChild("b", [*_blocks(0, 500, 1, str), NOT_READY], log)
+    merge = MergeOp([a, b], ["a", "b"])
+    assert merge.next_block() is NOT_READY          # 500 rows merged, then b stalls
+    assert not a.script and not b.script            # the children are used up ...
+    assert merge.has_next()                         # ... and the held rows remain
+    block = merge.next_block()
+    assert block.timestamps == list(range(500))
+    assert [col for _, _, col in block.columns] == [
+        [float(t) for t in range(500)], [str(t) for t in range(500)]]
+    assert not merge.has_next() and merge.next_block() is None
+    assert " ".join(log) == "a? a! b? b! a? b? b! b?"
 
 
 class RowMergeOp(MergeOp):

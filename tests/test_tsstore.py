@@ -6,7 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import content_fingerprint, parent
+from conftest import content_fingerprint, parent, read_file_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,6 @@ from ced.tsstore import (
     ValueType,
     _decode_chunk,
     decode_memo,
-    read_file_index,
 )
 
 S = SeriesPath.parse("root.ln.e1.d1.t3")
@@ -494,6 +493,13 @@ def _name(series, i):
 # header := magic | version u16; an index of no entries; footer := index_offset u64 | magic
 _FILE_OF_NO_CHUNKS = b"CEDF" + struct.pack("<H", 2) + struct.pack("<I", 0) + struct.pack("<Q4s", 6, b"CEDF")
 
+def _index_min_ts(buf, series, min_ts):
+    """``buf``, the bytes of a file of ``series``, with its first index entry's min_ts set."""
+    # entry := series_len u16 | series | offset u64 | byte_len u32 | vt u8 | row_count u32 | min_ts i64
+    at = struct.unpack("<Q", buf[-12:-4])[0] + 4 + 2 + len(str(series)) + 17
+    return buf[:at] + struct.pack("<q", min_ts) + buf[at + 8:]
+
+
 # (rule broken, its CorruptChunk message): ``t1`` is two FLOAT64 files of rows
 # 0..199, ``t2`` FLOAT64 rows 1000..1049, and ``later`` STRING rows of t1 at 200..249
 _BAD_SNAPSHOTS = [
@@ -522,6 +528,10 @@ _BAD_SNAPSHOTS = [
         lambda t1, t2, later: dict(t1, value_type=ValueType.STRING), "declares", id="declared-value-type"),
     pytest.param(lambda t1, t2, later: dict(t1, last_ts=200), "declares", id="declared-last-ts"),
     pytest.param(lambda t1, t2, later: dict(t1, file_counter=5), "declares", id="declared-file-counter"),
+    pytest.param(                                           # the first chunk holds rows 0..39
+        lambda t1, t2, later: dict(
+            t1, files=[(t1["files"][0][0], _index_min_ts(t1["files"][0][1], T1, 10)), t1["files"][1]]),
+        "disagrees with", id="index-bounds-disagree-with-the-chunk-header"),
 ]
 
 
@@ -649,6 +659,17 @@ def test_corrupt_page_row_count_is_rejected_before_a_row_codec_is_built(store):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("index_too", [False, True], ids=["header", "header-and-index"])
+def test_chunk_bounds_that_disagree_with_the_rows_raise_corrupt_chunk(store, index_too):
+    handle = fill(store, S, 10)                          # rows 0..9, and the page says so
+    # chunk head: vt u8 | page_count u32 | row_count u32 | min_ts i64
+    _tamper(handle.path, handle.chunk_index[0].offset + _CHUNK_HEAD + 9, struct.pack("<q", 1))
+    if index_too:                                        # the index agrees with the header
+        handle.path.write_bytes(_index_min_ts(handle.path.read_bytes(), S, 1))
+    with pytest.raises(CorruptChunk, match="disagree"):
+        store.load_chunk_pages(read_file_index(handle.path)[0])
 
 
 @pytest.mark.parametrize("stamps", [(4, 3), (3, 3)], ids=["swapped", "repeated"])
