@@ -366,8 +366,8 @@ class AggregationScanOp(_ScanLeaf):
         if index.value != self.spec.hi:
             self.spec.window_at(index.value)     # validates alignment
         self._iterator = self.store.open_chunk_iterator(self.series)
-        self._buf_ts: list[int] = []
-        self._buf_values: list = []
+        self._buf_ts: Sequence[int] = []
+        self._buf_values: Sequence = []
         self._buf_pos = 0
 
     def at_boundary(self) -> bool:
@@ -524,10 +524,13 @@ class FilterOp(_OperatorBase):
 
 @dataclass
 class ResultBlock:
-    """Client-facing batch: timestamps plus one or more named columns (nullable)."""
+    """Client-facing batch: timestamps plus one or more named columns (nullable).
 
-    timestamps: list[int]
-    columns: list[tuple[str, ValueType, list]]
+    The columns are read-only, tuples or lists as ``TsBlock``'s are.
+    """
+
+    timestamps: Sequence[int]
+    columns: list[tuple[str, ValueType, Sequence]]
 
     @property
     def row_count(self) -> int:
@@ -555,17 +558,20 @@ class MergeOp(_OperatorBase):
     """Timestamp-aligned merge of N single-series streams with null fill.
 
     Each child has a cursor into its current block, and each child's
-    timestamps strictly increase.  The output block being built
-    (``_out_ts``, ``_out_cols``) is held across calls, so a stall neither
-    loses nor repeats a row.  A call loops: it refills each used-up child in
-    child order, and a refill that answers PENDING or NOT_READY returns that
-    answer while the block is short of ``BLOCK_ROWS``.  It emits the block
-    once it is full or no child has rows.  Otherwise it merges one segment:
-    every buffered row up to ``end``, the earliest last timestamp among the
-    children's current blocks, capped at the rows the block has room for.
-    When the children's timestamp slices are equal the segment is that
-    slice; otherwise it is their sorted union, and a child without a row at
-    a timestamp gives ``None`` there.
+    timestamps strictly increase.  The output block being built is held
+    across calls as a list of segments, so a stall neither loses nor repeats
+    a row.  A call loops: it refills each used-up child in child order, and a
+    refill that answers PENDING or NOT_READY returns that answer while the
+    block is short of ``BLOCK_ROWS``.  It emits the block once it is full or
+    no child has rows.  Otherwise it merges one segment: every buffered row
+    up to ``end``, the earliest last timestamp among the children's current
+    blocks, capped at the rows the block has room for.  When the children's
+    timestamp slices are equal the segment is that slice and each child's
+    value slice; otherwise it is their sorted union, and a child without a
+    row at a timestamp gives ``None`` there.  A block of one segment is
+    emitted as it is, so an aligned block that spans the children's whole
+    blocks carries their own columns (the memos' tuples, see ``ced.wire``);
+    a block of several segments is concatenated into fresh lists.
     """
 
     def __init__(self, children: Sequence[_OperatorBase], columns: Sequence[str]):
@@ -573,17 +579,17 @@ class MergeOp(_OperatorBase):
             raise ValueError("one column name per child")
         self.children = list(children)
         self.columns = list(columns)
-        self._ts: list[list[int]] = [[] for _ in children]     # current block per child
-        self._values: list[list] = [[] for _ in children]
+        self._ts: list[Sequence[int]] = [[] for _ in children]  # current block per child
+        self._values: list[Sequence] = [[] for _ in children]
         self._pos = [0] * len(children)                         # cursor into that block
         self._types: list[ValueType] = [ValueType.FLOAT64] * len(children)
         self._done = [False] * len(children)
-        self._out_ts: list[int] = []                            # the block being built
-        self._out_cols: list[list] = [[] for _ in children]
+        # the block being built: (timestamps, one column per child) per segment
+        self._segments: list[tuple[Sequence[int], list[Sequence]]] = []
 
     def has_next(self) -> bool:
         return (
-            bool(self._out_ts)
+            bool(self._segments)
             or any(p < len(ts) for ts, p in zip(self._ts, self._pos))
             or any(not done and child.has_next() for done, child in zip(self._done, self.children))
         )
@@ -608,32 +614,44 @@ class MergeOp(_OperatorBase):
 
     def next_block(self):
         ts_bufs, value_bufs, pos = self._ts, self._values, self._pos
-        out_ts, out_cols = self._out_ts, self._out_cols
+        segments = self._segments
+        rows = sum(len(ts) for ts, _ in segments)
         while True:
             for i in range(len(self.children)):
                 state = self._refill(i)
-                if state is not True and len(out_ts) < BLOCK_ROWS:
+                if state is not True and rows < BLOCK_ROWS:
                     return state
             ends = [t[-1] for t, p in zip(ts_bufs, pos) if p < len(t)]
-            if len(out_ts) >= BLOCK_ROWS or not ends:
+            if rows >= BLOCK_ROWS or not ends:
                 break
             end = min(ends)
             slices = [t[p:bisect_right(t, end, p)] for t, p in zip(ts_bufs, pos)]
             first = slices[0]
-            aligned = all(s == first for s in slices)
-            segment = (first if aligned else sorted(set().union(*slices)))[:BLOCK_ROWS - len(out_ts)]
-            out_ts += segment
-            for i, (s, values, p) in enumerate(zip(slices, value_bufs, pos)):
-                n = len(segment) if aligned else bisect_right(s, segment[-1])
-                cells = values[p:p + n]
-                out_cols[i] += cells if aligned else map(dict(zip(s, cells)).get, segment)
-                pos[i] = p + n
-        if not out_ts:
+            if all(s == first for s in slices):
+                segment = first[:BLOCK_ROWS - rows]
+                n = len(segment)
+                cells = [values[p:p + n] for values, p in zip(value_bufs, pos)]
+                pos[:] = [p + n for p in pos]
+            else:
+                segment = sorted(set().union(*slices))[:BLOCK_ROWS - rows]
+                cells = []
+                for i, (s, values, p) in enumerate(zip(slices, value_bufs, pos)):
+                    n = bisect_right(s, segment[-1])
+                    cells.append(list(map(dict(zip(s, values[p:p + n])).get, segment)))
+                    pos[i] = p + n
+            segments.append((segment, cells))
+            rows += len(segment)
+        if not segments:
             return None
-        self._out_ts, self._out_cols = [], [[] for _ in self.children]
+        self._segments = []
+        if len(segments) == 1:
+            timestamps, columns = segments[0]
+        else:
+            timestamps = list(chain.from_iterable(ts for ts, _ in segments))
+            columns = [list(chain.from_iterable(parts)) for parts in zip(*(cells for _, cells in segments))]
         return ResultBlock(
-            out_ts,
-            [(name, vt, col) for name, vt, col in zip(self.columns, self._types, out_cols)],
+            timestamps,
+            [(name, vt, col) for name, vt, col in zip(self.columns, self._types, columns)],
         )
 
 

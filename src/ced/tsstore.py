@@ -60,12 +60,16 @@ Decoded chunks are memoized process-wide, in an LRU (``decode_memo``, a
 bounded to ``DECODE_MEMO_ROWS`` retained rows.  The key holds the bytes, so
 an entry can never go stale and a hit implies every check the decode made.
 Every load still reads the chunk's bytes and is charged in ``IoStats``; only
-the decode is skipped.  ``load_chunk_columns`` returns the memo's own column
-lists, read-only, and ``load_chunk_pages`` slices them into fresh blocks.
-``ced.wire`` keeps two more ``RowMemo``s under the same bound, one of packed
-DATA blocks and checksum rows and one of decoded DATA blocks, so chunks and
-link blocks never evict each other and the three memos retain at most
-``3 * DECODE_MEMO_ROWS`` rows.
+the decode is skipped.  An entry holds the chunk's two columns as tuples and
+its ``BLOCK_ROWS``-row pages as tuples sliced from them, all built once, by
+the miss.  ``load_chunk_columns`` returns the chunk tuples and
+``load_chunk_pages`` wraps the page tuples in fresh TsBlocks, so every load
+of one chunk hands out the very same immutable columns, and a later layer
+can tell them apart from equal ones by identity (``ced.wire``'s
+``pack_memo``).  ``ced.wire`` keeps two more ``RowMemo``s under the same
+bound, one of packed DATA blocks and checksum rows and one of decoded DATA
+blocks, so chunks and link blocks never evict each other and the three
+memos retain at most ``3 * DECODE_MEMO_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -194,12 +198,14 @@ class TsBlock:
     """Columnar batch of at most BLOCK_ROWS rows; the atomic transfer unit.
 
     Its timestamps strictly increase; that is checked where the rows enter
-    the program, not here.
+    the program, not here.  The columns are read-only: tuples when they come
+    from a memo (a loaded chunk's page, a decoded DATA block), lists when an
+    operator built them.
     """
 
     series_id: SeriesPath
-    timestamps: list[int]
-    values: list
+    timestamps: Sequence[int]
+    values: Sequence
     value_type: ValueType
     is_header_only: bool = False
 
@@ -313,7 +319,7 @@ def _chunk_header(r: Reader, meta: ChunkMeta) -> int:
     return page_count
 
 
-def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[list[int], list]:
+def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[tuple[int, ...], tuple]:
     """The chunk's two columns, checked against its header, its pages' headers and ``meta``."""
     r = Reader(buf, CorruptChunk)
     page_count = _chunk_header(r, meta)
@@ -333,7 +339,7 @@ def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[list[int], list]:
         raise CorruptChunk(f"{series}: chunk rows out of timestamp order")
     if not timestamps or (timestamps[0], timestamps[-1]) != (meta.min_ts, meta.max_ts):
         raise CorruptChunk(f"{series}: chunk bounds [{meta.min_ts}, {meta.max_ts}] disagree with its rows")
-    return timestamps, values
+    return tuple(timestamps), tuple(values)
 
 
 def _series_path(text: str) -> SeriesPath:
@@ -346,8 +352,8 @@ def _series_path(text: str) -> SeriesPath:
 # a chunk's (series, value type, row count, chunk bytes), a DATA payload's
 # bytes, or a block's (series, value type, first ts, last ts, row count)
 _MemoKey = Union[tuple, bytes]
-# (series or payload, timestamps, values[, value type]): the second field
-# holds one entry per retained row
+# (series or payload, timestamps, values[, value type or pages]): the second
+# field holds one entry per retained row
 _Columns = tuple
 
 
@@ -535,28 +541,31 @@ class SeriesStore:
         """Iterator over the series' chunks, metadata-only access."""
         return ChunkIterator(self.chunk_metas(series))
 
-    def load_chunk_columns(self, meta: ChunkMeta) -> tuple[SeriesPath, list[int], list]:
-        """Load one chunk, charged in ``IoStats``: its series and its two columns.
-
-        The lists are the decode memo's own (a hit returns the miss's lists),
-        and are read-only: never change them.
-        """
-        buf = self._read_chunk_bytes(meta)
-        key = (meta.series, meta.value_type, meta.row_count, buf)
-        columns = decode_memo.get(key)
-        if columns is None:
-            columns = (_series_path(meta.series), *_decode_chunk(buf, meta))
-            self.io.chunks_decoded += 1
-            decode_memo.put(key, columns)
-        return columns
+    def load_chunk_columns(self, meta: ChunkMeta) -> tuple[SeriesPath, tuple[int, ...], tuple]:
+        """Load one chunk, charged in ``IoStats``: its series and its two
+        columns, the decode memo's own tuples (a hit returns the miss's)."""
+        return self._load_chunk(meta)[:3]
 
     def load_chunk_pages(self, meta: ChunkMeta) -> list[TsBlock]:
-        """Load one chunk and repackage its rows into fresh TsBlocks of <= BLOCK_ROWS."""
-        series, timestamps, values = self.load_chunk_columns(meta)
-        return [
-            TsBlock(series, timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS], meta.value_type)
-            for b0 in range(0, len(timestamps), BLOCK_ROWS)
-        ]
+        """Load one chunk as fresh TsBlocks over the memo's page tuples of <= BLOCK_ROWS rows."""
+        series, _timestamps, _values, pages = self._load_chunk(meta)
+        return [TsBlock(series, timestamps, values, meta.value_type) for timestamps, values in pages]
+
+    def _load_chunk(self, meta: ChunkMeta) -> tuple:
+        """(series, timestamps, values, pages) of one chunk, through ``decode_memo``."""
+        buf = self._read_chunk_bytes(meta)
+        key = (meta.series, meta.value_type, meta.row_count, buf)
+        entry = decode_memo.get(key)
+        if entry is None:
+            timestamps, values = _decode_chunk(buf, meta)
+            pages = tuple(
+                (timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS])
+                for b0 in range(0, len(timestamps), BLOCK_ROWS)
+            )
+            entry = (_series_path(meta.series), timestamps, values, pages)
+            self.io.chunks_decoded += 1
+            decode_memo.put(key, entry)
+        return entry
 
     def _read_chunk_bytes(self, meta: ChunkMeta) -> bytes:
         try:

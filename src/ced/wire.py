@@ -24,15 +24,20 @@ chunks and link blocks never evict each other.  ``pack_memo`` holds packed
 DATA blocks, keyed by ``(series, value type, first ts, last ts, row count)``,
 and packed result blocks of exactly ``BLOCK_ROWS`` rows (``encode_rows_once``),
 keyed by ``(first ts, last ts, row count, column count)``, a shape no DATA key
-has.  A lookup (``_pack_once``) hits only when the entry has as many columns
-and every element of every column is the very object the entry holds.  The
-cloud's producers slice their blocks from one memoized chunk, and concurrent
-queries' result rows come from the same memoized chunks or link blocks, so
-they hold the same objects.  The entry keeps those objects alive, so an
-identity is never reused, and values that are equal but pack apart (0.0 and
--0.0, NaNs of other bits, 1 and True and 1.0) never hit each other's entry.
-``link_memo`` holds decoded blocks keyed by their payload bytes
-(``_decode_data``), so only the first copy of a payload is parsed.
+has.  An entry holds the payload and the very column tuples it was packed
+from, and a lookup (``_pack_once``) hits only when each column *is* the
+entry's tuple: one identity test per column.  That is sound because a tuple
+cannot change and the entry keeps it alive, so its identity is never reused.
+Only columns that are all exact tuples enter the memo; a list column is
+packed on every call, to the same bytes.  The memos hand out their own
+tuples: the cloud's producers send a memoized chunk's page tuples
+(``ced.tsstore``), the edge receives a DATA block's ``link_memo`` tuples, and
+``MergeOp`` passes an aligned block's child tuples on, so concurrent queries
+present the same tuples.  Columns that are equal but other objects (a list,
+another tuple, values that pack apart such as 0.0 and -0.0, NaNs of other
+bits, 1 and True and 1.0) never hit.  ``link_memo`` holds decoded blocks
+keyed by their payload bytes (``_decode_data``), so only the first copy of a
+payload is parsed, and every copy decodes to the same tuples.
 
 Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 ``ced.coherence``) reads through ``ced.codec.Reader`` and rejects any
@@ -333,17 +338,16 @@ def encode_block(block: TsBlock) -> bytes:
 def _pack_once(key: tuple, columns: Sequence[Sequence], pack) -> bytes:
     """``pack()``, or the payload ``pack_memo`` retains under ``key``.
 
-    The payload is returned only when the entry has as many columns as
-    ``columns`` and every element of every column is the very object the
-    entry holds; otherwise ``pack()`` replaces the entry.
+    The payload is returned only when each of ``columns`` is the very tuple
+    the entry holds; otherwise ``pack()`` is called, and its payload replaces
+    the entry only when every column is an exact tuple.
     """
     entry = pack_memo.get(key)
-    if entry is not None and len(entry) == len(columns) + 1 and all(
-            len(column) == len(kept) and all(map(operator.is_, column, kept))
-            for column, kept in zip(columns, entry[1:])):
+    if entry is not None and len(entry) == len(columns) + 1 and all(map(operator.is_, columns, entry[1:])):
         return entry[0]
     payload = pack()
-    pack_memo.put(key, (payload, *map(tuple, columns)))
+    if all(type(column) is tuple for column in columns):
+        pack_memo.put(key, (payload, *columns))
     return payload
 
 
@@ -483,18 +487,17 @@ def _decode_data(p: Reader) -> TsBlock:
 
     The key is the payload's exact bytes.  A block with rows is retained
     only after the payload decoded to its last byte, so a hit implies every
-    check ``decode_block`` made.  The memo keeps tuples and each call gets
-    fresh lists, so no caller holds the memo's columns.
+    check ``decode_block`` made.  Each call gets a fresh block over the
+    memo's own tuples, so every copy of a payload decodes to the same
+    columns.
     """
     columns = link_memo.get(p.buf)
-    if columns is not None:
-        series, timestamps, values, vt = columns
-        p.pos = len(p.buf)
-        return TsBlock(series, list(timestamps), list(values), vt)
-    block, p.pos = decode_block(p.buf)
-    p.done()
-    if block.row_count:
+    if columns is None:
+        block, p.pos = decode_block(p.buf)
+        p.done()
+        if not block.row_count:
+            return block
         columns = (block.series_id, tuple(block.timestamps), tuple(block.values), block.value_type)
         link_memo.put(p.buf, columns)
-    return block
-
+    p.pos = len(p.buf)
+    return TsBlock(*columns)

@@ -1,23 +1,33 @@
-"""Check every preset's CSVs at full scale against pinned SHA-256 digests.
+"""Check every preset's CSVs at full scale against pinned SHA-256 digests,
+and the paper's claims as orderings of their mean query times.
 
     PYTHONPATH=src python tests/check_full_scale_digests.py [PRESET ...]
 
 Runs each named preset (all six by default) as ``ced run --scenario PRESET
 --scale 1`` would, into a temporary directory, and compares the SHA-256 of
 its ``metrics.csv``, ``decisions.csv`` and ``bytes.csv`` with
-``FULL_SCALE_DIGESTS``.  Exits 1 if any differs, naming the preset and
-printing the digests it found.  Tier-1 pins the same three files at a small
-scale (``tests/test_presets.py``); this check covers the scale the presets
-are reported at.  It takes about 9 s on a 2-core VM.
+``FULL_SCALE_DIGESTS``.  From the same ``metrics.csv`` it takes each run's
+mean query time (total time over query count, as
+``MetricsReport.query_execution_time``) and checks the orderings the paper
+claims (``claim_failures``): in ``io_sweep`` and ``cpu_sweep`` every query is
+faster ``collaborative`` than ``edge_only``, and in ``cache_sweep`` the mean
+falls as more of the queried series are warm in the cloud cache.  Exits 1 if
+a digest differs, naming the preset and printing the digests it found, or if
+an ordering breaks, printing both figures.  Tier-1 pins the same three files
+at a small scale (``tests/test_presets.py``); this check covers the scale
+the presets are reported at.  It takes about 9 s on a 2-core VM.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import sys
 import tempfile
+from collections import defaultdict
+from itertools import pairwise
 from pathlib import Path
 
 from ced.harness import cli
@@ -59,24 +69,51 @@ FULL_SCALE_DIGESTS = {
 }
 
 
-def preset_digests(name: str) -> dict[str, str]:
-    """SHA-256 of each CSV that ``ced run --scenario name --scale 1`` writes."""
+def run_preset(name: str) -> tuple[dict[str, str], dict[str, float]]:
+    """SHA-256 of each CSV that ``ced run --scenario name --scale 1`` writes,
+    and the mean query time of each run in its ``metrics.csv``."""
     with tempfile.TemporaryDirectory(prefix="ced-digests-") as out:
         with contextlib.redirect_stdout(io.StringIO()):
             status = cli.main(["run", "--scenario", name, "--scale", "1", "--out", out])
         if status != 0:
             raise SystemExit(f"{name}: ced run exited with status {status}")
-        return {
+        digests = {
             kind: hashlib.sha256((Path(out) / f"{kind}.csv").read_bytes()).hexdigest()
             for kind in ("metrics", "decisions", "bytes")
         }
+        durations = defaultdict(list)
+        with open(Path(out) / "metrics.csv", newline="") as fp:
+            for row in csv.DictReader(fp):
+                durations[row["run"]].append(float(row["duration_s"]))
+    return digests, {run: sum(d) / len(d) for run, d in durations.items()}
+
+
+def claim_failures(name: str, means: dict[str, float]) -> list[str]:
+    """The paper's orderings that a preset's mean query times break, each with both figures."""
+    failures = []
+    if name in ("io_sweep", "cpu_sweep"):
+        # runs are labelled {preset}/{query}/{mode}
+        for query in sorted({run.split("/")[1] for run in means}):
+            collab, edge = means[f"{name}/{query}/collaborative"], means[f"{name}/{query}/edge_only"]
+            if not collab < edge:
+                failures.append(f"{name} {query}: collaborative {collab:.3f} s is not below "
+                                f"edge_only {edge:.3f} s")
+    elif name == "cache_sweep":
+        # runs are labelled cache_sweep/hit_{warm}_of_{series}
+        runs = sorted(means, key=lambda run: int(run.split("_")[2]))
+        for fewer, more in pairwise(runs):
+            if not means[more] < means[fewer]:
+                failures.append(f"{name}: {more} {means[more]:.3f} s is not below "
+                                f"{fewer} {means[fewer]:.3f} s")
+    return failures
 
 
 def main(argv: list[str]) -> int:
     names = argv or list_presets()
-    failed = []
+    failed, broken = [], []
     for name in names:
-        found = preset_digests(name)
+        found, means = run_preset(name)
+        broken += claim_failures(name, means)
         if found == FULL_SCALE_DIGESTS.get(name):
             print(f"{name}: full-scale CSVs match the pinned digests")
             continue
@@ -90,8 +127,11 @@ def main(argv: list[str]) -> int:
             "FULL_SCALE_DIGESTS is a deliberate re-baseline: do it only with the "
             "reason in CHANGES.md"
         )
-        return 1
-    return 0
+    for failure in broken:
+        print(f"paper claim broken: {failure}")
+    if not broken:
+        print("the paper's orderings hold on every preset checked")
+    return 1 if failed or broken else 0
 
 
 if __name__ == "__main__":

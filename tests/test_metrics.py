@@ -181,15 +181,15 @@ def _nan(payload: int) -> float:
 
 
 def _full_columns(start=0):
-    """The timestamps and two columns of BLOCK_ROWS rows: strings and floats."""
+    """The timestamps and two columns of BLOCK_ROWS rows, strings and floats, as
+    tuples: the columns the memos hand out."""
     rows = range(start, start + BLOCK_ROWS)
-    return [i * 1000 for i in rows], [[f"v{i % 700}" for i in rows], [i * 0.37 for i in rows]]
+    return tuple(i * 1000 for i in rows), [tuple(f"v{i % 700}" for i in rows), tuple(i * 0.37 for i in rows)]
 
 
 def _result(timestamps, columns) -> ResultBlock:
-    """A block over new lists that hold the given objects, as each query's block does."""
-    return ResultBlock(list(timestamps), [(f"c{j}", ValueType.FLOAT64, list(values))
-                                          for j, values in enumerate(columns)])
+    """A block over the given column objects, as each query's block over one memo's columns is."""
+    return ResultBlock(timestamps, [(f"c{j}", ValueType.FLOAT64, values) for j, values in enumerate(columns)])
 
 
 def test_memo_hits_equal_misses(monkeypatch):
@@ -208,20 +208,34 @@ def test_memo_hits_equal_misses(monkeypatch):
                                         [[v for _, cols in rows for v in cols[j]] for j in range(2)])
 
 
-@pytest.mark.parametrize("first,lookalikes", [
-    (0.0, [-0.0, 0.0]),
-    (1, [True, 1.0, 1]),
-    (_nan(0), [_nan(1), float("nan"), _nan(0) + 0.0]),
-    (None, [None, 0.0]),
-], ids=["signed-zero", "one-true-one-point-zero", "nan-bits", "none"])
-def test_equal_values_in_other_objects_never_hit(first, lookalikes):
+def _middle(value):
+    """The column with its middle cell replaced by ``value``, in a new tuple."""
+    def make(column):
+        cells = list(column)
+        cells[BLOCK_ROWS // 2] = value
+        return tuple(cells)
+    return make
+
+
+@pytest.mark.parametrize("variants", [
+    [_middle(v) for v in (0.0, -0.0, 0.0)],
+    [_middle(v) for v in (1, True, 1.0, 1)],
+    [_middle(v) for v in (_nan(0), _nan(1), float("nan"), _nan(0) + 0.0)],
+    [_middle(v) for v in (None, None, 0.0)],
+    [tuple, list],
+    [tuple, lambda column: tuple(list(column))],
+], ids=["signed-zero", "one-true-one-point-zero", "nan-bits", "none", "list", "other-tuple"])
+def test_equal_values_in_other_objects_never_hit(monkeypatch, variants):
+    packs = _count_packs(monkeypatch)
     timestamps, columns = _full_columns()
-    for value in [first, *lookalikes]:
-        # the same timestamp and value objects but one cell, at the middle row
-        column = list(columns[1])
-        column[BLOCK_ROWS // 2] = value
+    for make in variants:
+        # the same timestamp and first-column tuples, and the second column
+        # in another container: equal to an earlier one or one cell apart
+        column = make(columns[1])
         block = _result(timestamps, [columns[0], column])
         assert digest([block])[1] == _reference_digest(timestamps, [columns[0], column])
+    assert len(packs) == len(variants)       # never a hit
+    assert pack_memo.get((timestamps[0], timestamps[-1], BLOCK_ROWS, 2))[1] is timestamps
 
 
 def test_a_data_block_and_a_result_block_never_answer_each_other():
@@ -253,15 +267,23 @@ def test_mutating_a_block_after_update_does_not_change_the_next_digest(monkeypat
     packs = _count_packs(monkeypatch)
     timestamps, columns = _full_columns()
     block = _result(timestamps, columns)
+    reference = _reference_digest(timestamps, columns)
+    assert digest([block])[1] == reference
+    for column in (timestamps, *columns):    # a memo's columns cannot be changed
+        with pytest.raises(TypeError):
+            column[500] = column[0]
+    assert digest([block])[1] == reference
+    assert len(packs) == 1                   # a miss, then a hit
+    # a block over lists is packed on every call, so a change always shows
+    block = _result(list(timestamps), [list(values) for values in columns])
     for row in (0, 500, BLOCK_ROWS - 1):
         digest([block])
         block.columns[0][2][row] = "changed"
         block.columns[1][2][row] = -1.5
         assert digest([block])[1] == _reference_digest(block.timestamps,
                                                        [values for _, _, values in block.columns])
-    block.timestamps[500] = int(str(block.timestamps[500]))      # equal, in another object
-    digest([block])
-    assert len(packs) == 1 + 3 + 1           # a miss after each mutation, a hit before it
+    assert len(packs) == 1 + 2 * 3
+    assert pack_memo.rows == BLOCK_ROWS
 
 
 @pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1])
@@ -298,6 +320,30 @@ def test_concurrent_queries_pack_each_full_block_once(tmp_path, monkeypatch, mod
     assert [q.rows for q in report.queries] == [6 * BLOCK_ROWS] * 4
     assert len({q.checksum for q in report.queries}) == 1
     assert packs == [BLOCK_ROWS] * 6
+
+
+def test_concurrent_cloud_queries_pack_and_decode_each_data_block_once(tmp_path, monkeypatch):
+    packed, decoded = [], []
+    real_pack, real_decode = wire._pack_block, wire.decode_block
+
+    def pack(block):
+        if block.row_count:
+            packed.append((str(block.series_id), block.timestamps[0]))
+        return real_pack(block)
+
+    def decode(buf):
+        block, end = real_decode(buf)
+        if block.row_count:
+            decoded.append((str(block.series_id), block.timestamps[0]))
+        return block, end
+
+    monkeypatch.setattr(wire, "_pack_block", pack)
+    monkeypatch.setattr(wire, "decode_block", decode)
+    q3 = QuerySpec("Q3", TABLE_II["Q3"], concurrency=4)
+    _, report = run(make_scenario(TABLE_II["Q3"], mode="cloud_only", queries=(q3,)), tmp_path)
+    assert [q.rows for q in report.queries] == [6 * BLOCK_ROWS] * 4
+    assert len(packed) == len(set(packed)) == 2 * 6      # two series of six 1000-row blocks
+    assert sorted(decoded) == sorted(packed)
 
 
 # --- blocks of every size and cell kind -------------------------------------------------

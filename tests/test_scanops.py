@@ -586,6 +586,45 @@ def test_a_stall_holds_the_partial_block_and_only_it_keeps_has_next_true():
     assert " ".join(log) == "a? a! b? b! a? b? b! b?"
 
 
+def _tuple_block(stamps, value):
+    """One block over tuples, as a memo hands its columns out."""
+    return TsBlock(S, tuple(stamps), tuple(map(value, stamps)), ValueType.FLOAT64)
+
+
+def test_an_aligned_full_block_is_its_childrens_own_tuples():
+    a = [_tuple_block(range(k, k + BLOCK_ROWS), float) for k in (0, BLOCK_ROWS)]
+    b = [_tuple_block(range(k, k + BLOCK_ROWS), str) for k in (0, BLOCK_ROWS)]
+    log = []
+    merge = MergeOp([ScriptedChild("a", a, log), ScriptedChild("b", b, log)], ["a", "b"])
+    for block_a, block_b in zip(a, b):
+        block = merge.next_block()
+        assert block.timestamps is block_a.timestamps
+        assert all(col is child.values for (_, _, col), child in zip(block.columns, (block_a, block_b)))
+    assert merge.next_block() is None
+
+
+@pytest.mark.parametrize("scripts", [
+    {   # an aligned segment of 300 rows, then a misaligned one: b has no row at 500
+        "a": [_tuple_block(range(BLOCK_ROWS), float)],
+        "b": [_tuple_block(range(300), str),
+              _tuple_block([t for t in range(300, BLOCK_ROWS) if t != 500], str)],
+    },
+    {   # two aligned segments with a stall between them
+        "a": [_tuple_block(range(BLOCK_ROWS), float)],
+        "b": [_tuple_block(range(500), str), NOT_READY, _tuple_block(range(500, BLOCK_ROWS), str)],
+    },
+], ids=["misaligned", "stall"])
+def test_a_block_of_several_segments_is_fresh_lists(scripts):
+    trace = _trace(MergeOp, scripts)
+    assert trace == _trace(RowMergeOp, scripts)
+    (timestamps, columns), = [step for step in trace if type(step) is tuple]
+    assert len(timestamps) == BLOCK_ROWS
+    children = [block for script in scripts.values() for block in script if isinstance(block, TsBlock)]
+    for column in (timestamps, *(col for _, _, col in columns)):
+        assert type(column) is list
+        assert all(column is not child.timestamps and column is not child.values for child in children)
+
+
 class RowMergeOp(MergeOp):
     """Reference: the row-at-a-time merge over list buffers popped from the front."""
 

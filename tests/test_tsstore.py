@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ced import codec
 from ced.errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSeries
-from ced.scanops import AggregationScanOp, WindowSpec
+from ced.scanops import AggregationScanOp, SeriesScanOp, WindowSpec
 from ced.tsstore import (
     BLOCK_ROWS,
     DECODE_MEMO_ROWS,
@@ -292,12 +292,12 @@ def test_memo_hit_equals_miss_and_every_load_is_charged(store):
     assert decode_memo.rows == 2500
 
 
-def test_column_loads_are_charged_and_a_hit_returns_the_lists_of_the_miss(store):
+def test_column_loads_are_charged_and_a_hit_returns_the_tuples_of_the_miss(store):
     meta = fill(store, S, 2500, chunk_target_rows=2500).chunk_index[0]
     miss = store.load_chunk_columns(meta)
     hit = store.load_chunk_columns(meta)
     assert miss[0] == S
-    assert miss[1] == list(range(2500)) and miss[2] == [float(i) for i in range(2500)]
+    assert miss[1] == tuple(range(2500)) and miss[2] == tuple(float(i) for i in range(2500))
     assert all(a is b for a, b in zip(hit, miss))
     store.load_chunk_pages(meta)
     assert (store.io.bytes_read, store.io.chunks_loaded, store.io.chunks_decoded) == (
@@ -315,19 +315,34 @@ def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
     for meta in metas:
         buf = meta.file_path.read_bytes()[meta.offset:meta.offset + meta.byte_len]
         retained = decode_memo.get((meta.series, meta.value_type, meta.row_count, buf))
-        assert retained[1:] == _decode_chunk(buf, meta)
+        assert retained[1:3] == _decode_chunk(buf, meta)
 
 
 def test_mutating_a_loaded_block_does_not_change_the_next_load(store):
     meta = fill(store, S, 1500).chunk_index[0]
     first = store.load_chunk_pages(meta)
-    for block in first:
-        block.timestamps.reverse()
-        block.values[0] = -1.0
+    for block in first:                      # the memo's columns cannot be changed
+        with pytest.raises(TypeError):
+            block.timestamps[0] = -1
+        with pytest.raises(TypeError):
+            block.values[0] = -1.0
+        block.timestamps, block.values = [-1], [-1.0]
     again = store.load_chunk_pages(meta)
     assert store.io.chunks_decoded == 1
     assert [t for b in again for t in b.timestamps] == list(range(1500))
     assert [v for b in again for v in b.values] == [float(i) for i in range(1500)]
+
+
+def test_four_scans_of_one_memoized_chunk_get_the_same_column_tuples(store):
+    fill(store, S, 2500, chunk_target_rows=2500)
+    scans = [SeriesScanOp(store, S) for _ in range(4)]
+    blocks = [[op.next_block() for _ in range(3)] for op in scans]
+    assert store.io.chunks_loaded == 4 and store.io.chunks_decoded == 1
+    assert [b.row_count for b in blocks[0]] == [1000, 1000, 500]
+    for first, *others in zip(*blocks):
+        assert type(first.timestamps) is tuple and type(first.values) is tuple
+        assert all(b is not first for b in others)       # fresh blocks
+        assert all(b.timestamps is first.timestamps and b.values is first.values for b in others)
 
 
 def test_reimported_file_of_the_same_name_decodes_fresh(tmp_path):

@@ -102,8 +102,8 @@ def test_message_roundtrip(msg):
         assert decoded.delta.logical_index == msg.delta.logical_index
         assert decoded.delta.direction == msg.delta.direction
     if msg.block is not None:
-        assert decoded.block.timestamps == msg.block.timestamps
-        assert decoded.block.values == msg.block.values
+        assert list(decoded.block.timestamps) == list(msg.block.timestamps)
+        assert list(decoded.block.values) == list(msg.block.values)
 
 
 def test_delta_index_kinds():
@@ -198,7 +198,7 @@ def test_leftover_bytes_after_the_last_cell_are_rejected():
     with pytest.raises(MalformedMessage):
         decode_message(bytes(head) + struct.pack("<I", len(payload)) + payload)
     intact = bytes(head) + struct.pack("<I", len(_FLOATS)) + _FLOATS
-    assert decode_message(intact).block.values == [1.5, 2.5, -0.25]
+    assert decode_message(intact).block.values == (1.5, 2.5, -0.25)
 
 
 # --- pinned message bytes ------------------------------------------------------------
@@ -453,10 +453,12 @@ def _count_decodes(monkeypatch) -> list:
 ])
 def test_link_memo_hit_equals_miss(monkeypatch, values, vt):
     calls = _count_decodes(monkeypatch)
-    block = TsBlock(S, [0, 1000, 2000], values, vt)
+    block = TsBlock(S, (0, 1000, 2000), tuple(values), vt)
     miss = decode_message(_data(block)).block
     hit = decode_message(_data(block)).block
     assert _block_fields(hit) == _block_fields(miss) == _block_fields(block)
+    assert hit is not miss
+    assert hit.timestamps is miss.timestamps and hit.values is miss.values
     assert len(calls) == 1
     assert link_memo.rows == 3
     assert decode_memo.rows == 0
@@ -466,11 +468,13 @@ def test_mutating_a_decoded_link_block_does_not_change_the_next_decode():
     buf = _data(TsBlock(S, [0, 1000, 2000], ["v1", None, "ü"], ValueType.STRING))
     for _ in range(3):                       # a miss, then hits
         block = decode_message(buf).block
-        assert block.timestamps == [0, 1000, 2000]
-        assert block.values == ["v1", None, "ü"]
-        block.timestamps.reverse()
-        block.values[0] = "changed"
-        block.values.append("extra")
+        assert block.timestamps == (0, 1000, 2000)
+        assert block.values == ("v1", None, "ü")
+        with pytest.raises(TypeError):       # the memo's columns cannot be changed
+            block.timestamps[0] = 5
+        with pytest.raises(TypeError):
+            block.values[0] = "changed"
+        block.timestamps, block.values = [5], ["changed"]
 
 
 def test_malformed_link_payload_is_never_retained(monkeypatch):
@@ -503,7 +507,7 @@ def _chunk_store(tmp_path, rows=6000, chunk_rows=1500) -> SeriesStore:
 
 
 def _links(count: int, rows: int = 1000) -> list[bytes]:
-    return [_data(TsBlock(S, list(range(k * rows, (k + 1) * rows)), [f"v{k}"] * rows, ValueType.STRING))
+    return [_data(TsBlock(S, tuple(range(k * rows, (k + 1) * rows)), (f"v{k}",) * rows, ValueType.STRING))
             for k in range(count)]
 
 
@@ -637,7 +641,7 @@ def test_the_blocks_of_one_memoized_chunk_loaded_by_four_scans_are_packed_once(t
     assert len(packs) == 3                   # 1000 + 1000 + 500 rows
     assert sent == sent[:3] * 4
     assert [decode_message(buf).block.values for buf in sent[:3]] == [
-        [float(i) for i in range(b0, min(b0 + 1000, 2500))] for b0 in (0, 1000, 2000)]
+        tuple(float(i) for i in range(b0, min(b0 + 1000, 2500))) for b0 in (0, 1000, 2000)]
 
 
 def test_concurrent_cloud_queries_pack_each_distinct_block_once(tmp_path, monkeypatch):
