@@ -21,23 +21,21 @@ __all__ = [
 
 
 class CloudCache:
-    """The set of edge series mirrored in the cloud store."""
+    """The edge series mirrored in the cloud store: the mirror's own series."""
 
     def __init__(self, mirror: SeriesStore):
         self.mirror = mirror
-        self.entries: set[str] = set()
         self.lookups = 0
         self.hits = 0
 
     def admit_snapshot(self, snapshot: dict) -> None:
         """Install a shipped snapshot into the mirror."""
         self.mirror.import_snapshot(snapshot)
-        self.entries.add(snapshot["series"])
 
     def cache_lookup(self, series: SeriesPath) -> bool:
-        """Hit iff the series is admitted."""
+        """Hit iff the mirror holds the series."""
         self.lookups += 1
-        hit = str(series) in self.entries
+        hit = self.mirror.has_series(series)
         self.hits += hit
         return hit
 

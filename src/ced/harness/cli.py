@@ -69,12 +69,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    if args.action == "list":
-        for name in list_presets():
-            print(name)
-        return 0
-    print(f"unknown presets action {args.action!r}", file=sys.stderr)
-    return 2
+    for name in list_presets():      # "list", the one action the parser accepts
+        print(name)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

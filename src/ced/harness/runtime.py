@@ -70,30 +70,19 @@ class QueryContext:
         self.end_s = 0.0
 
         self.plan_tree = plan(parse(sql), cluster.catalog)
-        self.leaf_ops: list = []
-        op = build_operator(
-            self.plan_tree,
-            cluster.edge_store,
-            leaf_sink=lambda node, leaf: self.leaf_ops.append(leaf),
-        )
+        op, self.leaf_ops = build_operator(self.plan_tree, cluster.edge_store)
         self.root = as_result_stream(self.plan_tree, op)
         self.channels: list[SinkChannel] = []      # one per leaf once migration starts
         if cluster.scenario.forced_migration_at_rows is not None:
             for leaf in self.leaf_ops:
-                leaf.boundary_listener = self._make_boundary_listener(leaf)
+                leaf.boundary_listener = self._on_boundary
 
     # --- migration triggers -------------------------------------------------
 
-    def _make_boundary_listener(self, leaf):
-        threshold = self.cluster.scenario.forced_migration_at_rows
-
-        def on_boundary() -> None:
-            if self.channels or not self.running:
-                return
-            if leaf.rows_local >= threshold:
-                self.start_migration()
-
-        return on_boundary
+    def _on_boundary(self, leaf) -> None:
+        """Force a migration at a boundary of a leaf that has read the threshold's rows."""
+        if leaf.rows_local >= self.cluster.scenario.forced_migration_at_rows:
+            self.start_migration()
 
     def start_migration(self) -> None:
         """Step 1: open one channel per leaf and send the quintuple + SQL."""
@@ -290,21 +279,13 @@ class Cluster:
             return None
         # predicate pushdown under a WHERE filter, block streaming otherwise
         subtree = filter_above_leaf(tree, leaf_node) or leaf_node
-
-        def build(delta):
-            captured = []
-            root = build_operator(
-                subtree, self.cloud_store, leaf_sink=lambda n, op: captured.append(op)
-            )
-            leaf_op = captured[0]
-            leaf_op.resume_local(delta.logical_index)
-            return root, leaf_op
-
+        root, (leaf,) = build_operator(subtree, self.cloud_store)
         return SourceChannel(
             self.engine,
             self.cloud_transport,
             msg.channel,
-            build,
+            root,
+            leaf,
             partial(self._step, self.cloud_store, self.cloud_disk, self.cloud_cpu),
             self.telemetry,
             queue_depth=self.scenario.channel.queue_depth,
@@ -338,7 +319,7 @@ class Cluster:
                 raise ScenarioError(f"warm series {device.child(sensor)} is not in the edge store")
         warm = self.warm_series_paths()
         for series in warm:
-            if str(series) not in self.cache.entries:
+            if not self.cloud_store.has_series(series):
                 self._request_sync(str(series))
         self.engine.run_until_idle()
         for series in warm:

@@ -55,6 +55,12 @@ class WorkloadConfig:
             raise ScenarioError("sampling_interval_ms must be >= 1 ms")
         if self.total_rows < 1:
             raise ScenarioError("total_rows must be >= 1")
+        if (self.total_rows - 1) * self.sampling_interval_ms >= 2**63:     # timestamps are i64
+            raise ScenarioError("sampling_interval_ms puts the last timestamp beyond the i64 range")
+        try:
+            SeriesPath.parse(self.device)
+        except ValueError as exc:
+            raise ScenarioError(f"device {self.device!r}: {exc}") from None
         if not (0 <= self.effective_plant_count <= self.total_rows):
             raise ScenarioError("plant_count out of range")
         for name in ("string_pool", "chunk_target_rows", "page_rows", "flush_every_rows"):

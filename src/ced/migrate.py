@@ -20,7 +20,8 @@ the edge resumes locally only after draining every queued block.
 The cloud producer runs one of two transmission modes, chosen by the plan
 (:func:`filter_above_leaf`): *predicate pushdown* runs the leaf's WHERE
 filter in the cloud and ships only matching rows; *block streaming* ships
-the leaf's blocks as they are.
+the leaf's blocks as they are.  A producer's operator is built when the
+gateway confirms, and the first DELTA resumes its leaf from the delta's index.
 
 Each channel end keeps its state in one field, ``phase``.  The edge
 end is ``PROBING`` from the delta until the ACK, and ``TERMINATED`` from
@@ -330,14 +331,15 @@ class SinkChannel(RemoteSource):
 # --- cloud side ------------------------------------------------------------------------
 
 class SourceChannel:
-    """Cloud endpoint: resumes the operator from the delta and streams blocks."""
+    """Cloud endpoint: resumes its operator from the delta and streams blocks."""
 
     def __init__(
         self,
         engine: Engine,
         transport: Transport,
         channel_id: ChannelId,
-        build_operator: Callable[[DeltaState], tuple],   # -> (root_op, leaf_op)
+        root_op,
+        leaf_op,
         step: Callable,                 # generator fn(root, leaves) -> block, charging its cost
         telemetry: ProtocolTelemetry,
         queue_depth: int = 4,
@@ -346,15 +348,14 @@ class SourceChannel:
         self.engine = engine
         self.transport = transport
         self.channel_id = channel_id
-        self.build_operator = build_operator
+        self.root_op = root_op
+        self.leaf_op = leaf_op
         self.step = step
         self.telemetry = telemetry
         self.fallback_after_rows = fallback_after_rows
         self.phase = ChannelPhase.CONFIRMED
         self.credits = queue_depth
         self.delta: Optional[DeltaState] = None
-        self.root_op = None
-        self.leaf_op = None
         self.remigrate_requested = False
         self._wake = Signal(engine)
         transport.register_channel(channel_id, self.on_message)
@@ -363,7 +364,7 @@ class SourceChannel:
         if msg.type is MessageType.DELTA:
             if self.delta is None:            # duplicates are idempotent
                 self.delta = msg.delta
-                self.root_op, self.leaf_op = self.build_operator(msg.delta)
+                self.leaf_op.resume_local(msg.delta.logical_index)
         elif msg.type is MessageType.PROBE:
             if self.delta is not None:
                 self.transport.send_message(Message(MessageType.ACK, self.channel_id))
@@ -404,7 +405,7 @@ class SourceChannel:
             yield from self._send_block(block)
 
     def _should_remigrate(self) -> bool:
-        if self.leaf_op is None or not self.leaf_op.at_boundary():
+        if not self.leaf_op.at_boundary():
             return False
         if self.remigrate_requested:
             return True

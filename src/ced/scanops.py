@@ -12,6 +12,8 @@ The shared base owns the whole switch:
   resumes it locally from the index it carries (``remigrate``, ``broken``);
 * ``resume_local``, through which the constructors also start;
 * ``export_index``, which hands out the logical index only at a boundary;
+* ``boundary_listener``, called with the leaf from one place, ``next_block``,
+  after each local pull that leaves the leaf at a boundary (once more at its end);
 * the counters ``rows_local`` (source rows read from local storage, the
   work the simulator charges CPU time for) and ``rows_remote``.
 
@@ -206,7 +208,7 @@ class _ScanLeaf(_OperatorBase):
         self.series = series
         self.rows_local = 0       # source rows read from local storage
         self.rows_remote = 0      # rows received from the remote source
-        self.boundary_listener: Optional[Callable[[], None]] = None
+        self.boundary_listener: Optional[Callable[["_ScanLeaf"], None]] = None
         self.pending_remote: Optional[RemoteSource] = None
         self.resume_local(start_index)
 
@@ -257,7 +259,10 @@ class _ScanLeaf(_OperatorBase):
             return self._next_remote()
         if self.source_mode == "done":
             return None
-        return self._next_local()
+        block = self._next_local()
+        if self.boundary_listener is not None and self.at_boundary():
+            self.boundary_listener(self)
+        return block
 
     def _next_remote(self):
         result = self.remote.poll()
@@ -269,8 +274,6 @@ class _ScanLeaf(_OperatorBase):
                 return None
             # remigration or broken channel: continue locally from the index
             self.resume_local(result.final_index)
-            if self.boundary_listener is not None:
-                self.boundary_listener()
             return self.next_block() if self.has_next() else None
         self.rows_remote += result.row_count
         return result
@@ -334,8 +337,6 @@ class SeriesScanOp(_ScanLeaf):
                 self.logical_index.value + self._current_chunk_rows
             )
             self._current_chunk_rows = 0
-            if self.boundary_listener is not None:
-                self.boundary_listener()
         return block
 
 
@@ -433,8 +434,6 @@ class AggregationScanOp(_ScanLeaf):
         self.logical_index = LogicalIndex.window_start(
             window_end if window_end < self.spec.hi else self.spec.hi
         )
-        if self.boundary_listener is not None:
-            self.boundary_listener()
         return block
 
 
@@ -665,31 +664,22 @@ def _comparator(op: str) -> Callable:
         raise ValueError(f"unknown comparison {op!r}") from None
 
 
-def build_operator(
-    node: OperatorNode,
-    store: SeriesStore,
-    leaf_sink: Optional[Callable[[OperatorNode, _OperatorBase], None]] = None,
-) -> _OperatorBase:
-    """Instantiate executable operators for a plan; ``leaf_sink`` observes scan leaves."""
+def build_operator(node: OperatorNode, store: SeriesStore) -> tuple[_OperatorBase, list[_ScanLeaf]]:
+    """Instantiate executable operators for a plan: the root and its scan leaves in plan order."""
     if node.kind == "series_scan":
-        series = SeriesPath.parse(node.param("series"))
-        op: _OperatorBase = SeriesScanOp(store, series)
-        if leaf_sink:
-            leaf_sink(node, op)
-        return op
+        leaf: _ScanLeaf = SeriesScanOp(store, SeriesPath.parse(node.param("series")))
+        return leaf, [leaf]
     if node.kind == "agg_scan":
-        series = SeriesPath.parse(node.param("series"))
         spec = WindowSpec(node.param("lo"), node.param("hi"), node.param("width"))
-        op = AggregationScanOp(store, series, spec, node.param("fn"))
-        if leaf_sink:
-            leaf_sink(node, op)
-        return op
+        leaf = AggregationScanOp(store, SeriesPath.parse(node.param("series")), spec, node.param("fn"))
+        return leaf, [leaf]
     if node.kind == "filter":
-        child = build_operator(node.children[0], store, leaf_sink)
-        return FilterOp(child, node.param("op"), node.param("literal"))
+        child, leaves = build_operator(node.children[0], store)
+        return FilterOp(child, node.param("op"), node.param("literal")), leaves
     if node.kind == "merge":
-        children = [build_operator(c, store, leaf_sink) for c in node.children]
-        return MergeOp(children, list(node.param("columns")))
+        built = [build_operator(c, store) for c in node.children]
+        leaves = [leaf for _, child_leaves in built for leaf in child_leaves]
+        return MergeOp([op for op, _ in built], list(node.param("columns"))), leaves
     raise ValueError(f"unknown operator kind {node.kind!r}")
 
 

@@ -43,9 +43,10 @@ Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 ``ced.coherence``) reads through ``ced.codec.Reader`` and rejects any
 grammar violation with MalformedMessage: a field cut short, bad UTF-8, an
 unknown value tag, value type, message type, direction, terminate reason or
-index kind, bytes left over after the last field, timestamps of a tsblock
-that do not strictly increase, a TERMINATE whose delta presence disagrees
-with its reason, or a snapshot ``seq`` or ``mem_count`` other than 0.
+index kind, a negative row offset, bytes left over after the last field,
+timestamps of a tsblock that do not strictly increase, a TERMINATE whose
+delta presence disagrees with its reason, or a snapshot ``seq`` or
+``mem_count`` other than 0.
 
     channel  := addr_len u8 | addr utf8 | port u16 | fragment_id u32
                 | source_id u32 | query_id u64
@@ -417,9 +418,11 @@ def read_delta(r: Reader) -> DeltaState:
     channel = read_channel(r)
     direction = r.enum(Direction, r.u8(), "direction")
     sql = r.text(U32)
-    kind, value = r.unpack(_INDEX)
-    index = LogicalIndex(r.enum(_INDEX_KINDS.__getitem__, kind, "index kind"), value)
-    return DeltaState(channel, sql, index, direction)
+    code, value = r.unpack(_INDEX)
+    kind = r.enum(_INDEX_KINDS.__getitem__, code, "index kind")
+    if kind is IndexKind.ROW_OFFSET and value < 0:
+        raise r.fail(f"row offset {value} is negative")    # a window start may be
+    return DeltaState(channel, sql, LogicalIndex(kind, value), direction)
 
 
 # --- messages ----------------------------------------------------------------------

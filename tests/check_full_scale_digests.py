@@ -69,12 +69,12 @@ FULL_SCALE_DIGESTS = {
 }
 
 
-def run_preset(name: str) -> tuple[dict[str, str], dict[str, float]]:
-    """SHA-256 of each CSV that ``ced run --scenario name --scale 1`` writes,
+def run_preset(name: str, scale: float) -> tuple[dict[str, str], dict[str, float]]:
+    """SHA-256 of each CSV that ``ced run --scenario name --scale scale`` writes,
     and the mean query time of each run in its ``metrics.csv``."""
     with tempfile.TemporaryDirectory(prefix="ced-digests-") as out:
         with contextlib.redirect_stdout(io.StringIO()):
-            status = cli.main(["run", "--scenario", name, "--scale", "1", "--out", out])
+            status = cli.main(["run", "--scenario", name, "--scale", str(scale), "--out", out])
         if status != 0:
             raise SystemExit(f"{name}: ced run exited with status {status}")
         digests = {
@@ -112,7 +112,7 @@ def main(argv: list[str]) -> int:
     names = argv or list_presets()
     failed, broken = [], []
     for name in names:
-        found, means = run_preset(name)
+        found, means = run_preset(name, 1)
         broken += claim_failures(name, means)
         if found == FULL_SCALE_DIGESTS.get(name):
             print(f"{name}: full-scale CSVs match the pinned digests")

@@ -36,7 +36,7 @@ def test_admitted_series_hit_and_others_miss(tmp_path):
     t1 = h.seed_series("t1", rows=30, chunk_target_rows=10)
     h.seed_series("t1", rows=5, chunk_target_rows=10)
     t2 = h.seed_series("t2")
-    assert not h.cache.entries
+    assert not h.mirror.series_names()
     h.ship_snapshot(t1)
     assert content_fingerprint(h.mirror, t1) == content_fingerprint(h.edge, t1)
     assert h.cache.cache_lookup(t1)
@@ -44,7 +44,7 @@ def test_admitted_series_hit_and_others_miss(tmp_path):
     h.ship_snapshot(t2)
     assert content_fingerprint(h.mirror, t2) == content_fingerprint(h.edge, t2)
     assert h.cache.cache_lookup(t1) and h.cache.cache_lookup(t2)
-    assert h.cache.entries == {str(t1), str(t2)}
+    assert h.mirror.series_names() == sorted([str(t1), str(t2)])
     assert (h.cache.lookups, h.cache.hits) == (4, 3)
 
 
@@ -136,4 +136,4 @@ def test_a_snapshot_naming_a_file_outside_the_mirror_writes_nothing(tmp_path):
     with pytest.raises(MalformedMessage):
         cache.admit_snapshot(decode_snapshot(buf))
     assert [p.name for p in tmp_path.iterdir()] == ["cloud"]
-    assert not cache.entries
+    assert not cache.mirror.series_names()

@@ -115,8 +115,9 @@ CACHE_RUNS = preset_runs("cache_sweep") + [
 def test_cached_series_match_the_edge_after_a_run(tmp_path, label, config):
     cluster = Cluster(config.scaled(SCALE), tmp_path)
     cluster.run(label)
-    assert len(cluster.cache.entries) == len(cluster.warm_series_paths()), label
-    for key in cluster.cache.entries:
+    cached = cluster.cloud_store.series_names()
+    assert len(cached) == len(cluster.warm_series_paths()), label
+    for key in cached:
         series = SeriesPath.parse(key)
         assert (
             content_fingerprint(cluster.cloud_store, series)
@@ -182,6 +183,7 @@ def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
     ("forced_migration_at_rows", -1), ("forced_fallback_after_rows", -1),
     ("workload.page_rows", 0), ("workload.chunk_target_rows", 0), ("workload.string_pool", 0),
     ("workload.flush_every_rows", 0), ("workload.flush_every_rows", -5),
+    ("workload.device", "dev"), ("workload.sampling_interval_ms", 2**62),
     ("channel.queue_depth", 0), ("channel.probe_timeout_s", 0), ("channel.probe_retries", -1),
     # a value of another type than its field's
     ("io_throttle", "x"), ("cpu_load", 1.5), ("link.bandwidth_mbps", "fast"),

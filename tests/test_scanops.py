@@ -473,8 +473,7 @@ def test_build_operator_from_plan_q1_shape(tmp_path):
     store = build_store(tmp_path, [1000], value=lambda t: f"v{t % 1000}")
     catalog = Catalog.from_store(store, parent(S))
     tree = plan(parse("SELECT t3 FROM d1 WHERE t3='v999'"), catalog)
-    leaves = []
-    op = build_operator(tree, store, leaf_sink=lambda node, leaf: leaves.append(leaf))
+    op, leaves = build_operator(tree, store)
     assert isinstance(op, FilterOp)
     assert len(leaves) == 1 and isinstance(leaves[0], SeriesScanOp)
     rows = collect_rows(op)

@@ -288,6 +288,20 @@ def test_a_terminate_whose_delta_presence_disagrees_with_its_reason_is_rejected(
         decode_message(buf)
 
 
+@pytest.mark.parametrize("type_,reason", [
+    (MessageType.DELTA, None), (MessageType.TERMINATE, TerminateReason.REMIGRATION),
+], ids=["delta", "terminate"])
+def test_a_negative_row_offset_is_rejected_and_a_negative_window_start_is_not(type_, reason):
+    for value in (-1, -4000):
+        delta = _delta(Direction.EDGE_TO_CLOUD, LogicalIndex(IndexKind.ROW_OFFSET, value))
+        buf = encode_message(Message(type_, CH, terminate_reason=reason, delta=delta))
+        with pytest.raises(MalformedMessage, match=f"row offset {value} is negative"):
+            decode_message(buf)
+    window = LogicalIndex.window_start(-600000)      # timestamps may be negative
+    msg = Message(type_, CH, terminate_reason=reason, delta=_delta(Direction.EDGE_TO_CLOUD, window))
+    assert decode_message(encode_message(msg)).delta.logical_index == window
+
+
 @pytest.mark.parametrize("at", [2, 1 + 24 + 4], ids=["address", "sql"])
 def test_bad_utf8_in_a_text_field_is_rejected(at):
     sample = encode_message(Message(MessageType.MIGRATION_REQUEST, CH, sql="SELECT t1 FROM dev"))

@@ -240,6 +240,8 @@ def test_ced_gen_writes_the_generated_bytes(tmp_path, capsys):
     (json.dumps({"total_rows": 0}), "total_rows must be >= 1"),
     (json.dumps({"flush_every_rows": 0}), "flush_every_rows must be >= 1"),
     (json.dumps({"flush_every_rows": -5}), "flush_every_rows must be >= 1"),
+    (json.dumps({"device": "dev"}), "device 'dev': series path needs >= 3 segments"),
+    (json.dumps({"sampling_interval_ms": 2**62}), "last timestamp beyond the i64 range"),
     ('{"total_rows": ', "cannot load workload"),
     (b"\xff\xfe", "cannot load workload"),
     (None, "cannot load workload"),
