@@ -34,12 +34,11 @@ from ..migrate import (
     SinkChannel,
     SourceChannel,
     Transport,
-    filter_above_leaf,
 )
 from ..monitor import ResourceMonitor
 from ..netsim import Engine, FifoResource, Link, Signal
 from ..queryplan import Catalog, parse, plan
-from ..scanops import NOT_READY, PENDING, as_result_stream, build_operator
+from ..scanops import NOT_READY, PENDING, build_operator, build_scan
 from ..tsstore import SeriesPath, SeriesStore
 from .metrics import ChecksumBuilder, MetricsReport, QueryResult
 from .scenario import CLOUD_ONLY, COLLABORATIVE, ScenarioConfig
@@ -69,9 +68,7 @@ class QueryContext:
         self.start_s = 0.0
         self.end_s = 0.0
 
-        self.plan_tree = plan(parse(sql), cluster.catalog)
-        op, self.leaf_ops = build_operator(self.plan_tree, cluster.edge_store)
-        self.root = as_result_stream(self.plan_tree, op)
+        self.root, self.leaf_ops = build_operator(plan(parse(sql), cluster.catalog), cluster.edge_store)
         self.channels: list[SinkChannel] = []      # one per leaf once migration starts
         if cluster.scenario.forced_migration_at_rows is not None:
             for leaf in self.leaf_ops:
@@ -266,20 +263,17 @@ class Cluster:
 
     def _make_producer(self, msg) -> Optional[SourceChannel]:
         try:
-            tree = plan(parse(msg.sql), self.catalog)
+            scans = plan(parse(msg.sql), self.catalog)
         except CedError:
             return None
-        leaves = tree.leaves()
         source_id = msg.channel.source_id
-        if not (1 <= source_id <= len(leaves)):
+        if not (1 <= source_id <= len(scans)):
             return None
-        leaf_node = leaves[source_id - 1]
-        series = SeriesPath.parse(leaf_node.param("series"))
-        if not self.cache.cache_lookup(series):
+        scan = scans[source_id - 1]
+        if not self.cache.cache_lookup(scan.series):
             return None
-        # predicate pushdown under a WHERE filter, block streaming otherwise
-        subtree = filter_above_leaf(tree, leaf_node) or leaf_node
-        root, (leaf,) = build_operator(subtree, self.cloud_store)
+        # predicate pushdown when the scan has a WHERE clause, block streaming otherwise
+        root, leaf = build_scan(scan, self.cloud_store)
         return SourceChannel(
             self.engine,
             self.cloud_transport,
@@ -295,13 +289,9 @@ class Cluster:
     # --- lifecycle -------------------------------------------------------------------
 
     def queried_series(self) -> list[SeriesPath]:
-        seen: dict[str, SeriesPath] = {}
-        for spec in self.scenario.queries:
-            tree = plan(parse(spec.sql), self.catalog)
-            for leaf in tree.leaves():
-                series = SeriesPath.parse(leaf.param("series"))
-                seen.setdefault(str(series), series)
-        return list(seen.values())
+        return list(dict.fromkeys(
+            scan.series for spec in self.scenario.queries for scan in plan(parse(spec.sql), self.catalog)
+        ))
 
     def warm_series_paths(self) -> list[SeriesPath]:
         warm = self.scenario.warm_series

@@ -17,11 +17,13 @@ Remigration works the same way in reverse: the producer stops at one of
 its own boundaries, sends a final delta plus the termination marker, and
 the edge resumes locally only after draining every queued block.
 
-The cloud producer runs one of two transmission modes, chosen by the plan
-(:func:`filter_above_leaf`): *predicate pushdown* runs the leaf's WHERE
-filter in the cloud and ships only matching rows; *block streaming* ships
-the leaf's blocks as they are.  A producer's operator is built when the
-gateway confirms, and the first DELTA resumes its leaf from the delta's index.
+The cloud producer runs one of two transmission modes, chosen by its
+scan's predicate: *predicate pushdown* runs the scan's WHERE filter in the
+cloud and ships only matching rows; *block streaming* ships the leaf's
+blocks as they are.  A producer's operator is built when the gateway
+confirms, and the first DELTA resumes its leaf from the delta's index.  A
+DELTA whose index the leaf cannot resume from is not taken: the probe gets
+no ACK, and the edge's handshake times out and resumes locally.
 
 Each channel end keeps its state in one field, ``phase``.  The edge
 end is ``PROBING`` from the delta until the ACK, and ``TERMINATED`` from
@@ -50,9 +52,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import PlanError
+from .errors import IndexKindMismatch, MisalignedOffset, PlanError
 from .netsim import Engine, Envelope, Link, Signal, Timer
-from .queryplan import OperatorNode
 from .scanops import NOT_READY, PENDING, LogicalIndex, RemoteEnd, RemoteSource
 from .tsstore import SeriesPath, TsBlock
 from .wire import (
@@ -76,7 +77,6 @@ __all__ = [
     "SinkChannel",
     "SourceChannel",
     "CloudGateway",
-    "filter_above_leaf",
 ]
 
 
@@ -166,19 +166,6 @@ class Transport:
         handler = self._tag_handlers.get(tag)
         if handler is not None:
             handler(envelope)
-
-
-# --- transmission-mode selection -----------------------------------------------------
-
-def filter_above_leaf(tree: OperatorNode, leaf: OperatorNode) -> Optional[OperatorNode]:
-    """The filter node directly above ``leaf`` (its WHERE clause), if any."""
-    if tree.kind == "filter" and tree.children[0] is leaf:
-        return tree
-    for child in tree.children:
-        found = filter_above_leaf(child, leaf)
-        if found is not None:
-            return found
-    return None
 
 
 # --- edge side ------------------------------------------------------------------------
@@ -363,8 +350,11 @@ class SourceChannel:
     def on_message(self, msg: Message) -> None:
         if msg.type is MessageType.DELTA:
             if self.delta is None:            # duplicates are idempotent
+                try:
+                    self.leaf_op.resume_local(msg.delta.logical_index)
+                except (IndexKindMismatch, MisalignedOffset):
+                    return                    # not a boundary of this leaf: no ACK follows
                 self.delta = msg.delta
-                self.leaf_op.resume_local(msg.delta.logical_index)
         elif msg.type is MessageType.PROBE:
             if self.delta is not None:
                 self.transport.send_message(Message(MessageType.ACK, self.channel_id))
@@ -471,13 +461,8 @@ class CloudGateway:
     def handle_message(self, msg: Message) -> None:
         if msg.type is not MessageType.MIGRATION_REQUEST:
             return      # stray message for an already-released channel
-        key = msg.channel.key()
-        if key in self.channels:
-            # duplicate request: idempotent re-confirmation.  Never rebuild a
-            # seen key, even once its producer terminated: the new producer
-            # would get no delta and never terminate.
-            self._confirm(msg.channel)
-            return
+        # A confirmed key never comes back here: its producer's handler stays
+        # registered for the whole run and ignores a repeated request.
         producer = self.make_producer(msg)
         if producer is None:
             self.transport.send_message(
@@ -485,7 +470,7 @@ class CloudGateway:
             )
             self.telemetry.record(self.engine.now, "reject", msg.channel)
             return
-        self.channels[key] = producer
+        self.channels[msg.channel.key()] = producer
         self._confirm(msg.channel)
 
     def _confirm(self, channel: ChannelId) -> None:

@@ -1,4 +1,4 @@
-"""SQL subset parser and Volcano plan builder.
+"""SQL subset parser and scan planner.
 
 The grammar covers single-device scans, one optional comparison predicate,
 and windowed aggregation:
@@ -10,9 +10,11 @@ and windowed aggregation:
     duration := integer unit, unit in {ms, s, m, h}
     path     := identifier ("." identifier)*
 
-Planning is a pure function of (SQL text, catalog): two nodes holding
-coherent catalogs produce byte-identical serialized plans, which is what
-makes shipping only the SQL statement sufficient for migration.
+A plan is its scans: one :class:`ScanPlan` per select item, in select
+order.  Planning is a pure function of (SQL text, catalog), so the cloud,
+re-planning a shipped statement against the same catalog, gets the same
+scans, and the channel's source id picks one of them: shipping only the SQL
+statement is sufficient for migration.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ __all__ = [
     "SelectItem",
     "Predicate",
     "Query",
-    "OperatorNode",
+    "ScanPlan",
     "Catalog",
     "parse",
     "plan",
@@ -276,8 +278,8 @@ class SensorInfo:
 class Catalog:
     """Device -> sensors map with value types and time bounds.
 
-    Both tiers build this from their own store; identical data implies an
-    identical catalog, which in turn makes planning deterministic.
+    One catalog is built from the edge store; the edge plans its queries
+    against it, and the cloud re-plans each shipped statement against it.
     """
 
     def __init__(self) -> None:
@@ -329,86 +331,50 @@ class Catalog:
         return sensors[sensor]
 
 
-# --- plan tree -----------------------------------------------------------------
+# --- plan -----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OperatorNode:
-    """Logical plan node: scans are leaves, Filter is unary, Merge is n-ary."""
+class ScanPlan:
+    """One select item's scan, the unit that migrates between the tiers.
 
-    kind: str                      # series_scan | agg_scan | filter | merge
-    params: tuple[tuple[str, object], ...]
-    children: tuple["OperatorNode", ...] = ()
+    ``label`` names the item's result column.  A plain column carries the
+    WHERE clause as ``predicate`` when it is the predicate's sensor; an
+    aggregate carries its function ``fn`` and its ``window``, ``(lo, hi,
+    width)`` with ``hi`` exclusive.  A query of several items merges its
+    scans on timestamp, each scan's label naming its column.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind in ("series_scan", "agg_scan") and self.children:
-            raise PlanError(f"{self.kind} must be a leaf")
-        if self.kind == "filter" and len(self.children) != 1:
-            raise PlanError("filter takes exactly one child")
-
-    def param(self, name: str):
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-    def leaves(self) -> list["OperatorNode"]:
-        if not self.children:
-            return [self]
-        return [leaf for child in self.children for leaf in child.leaves()]
+    series: SeriesPath
+    label: str
+    predicate: Optional[Predicate] = None
+    fn: Optional[str] = None
+    window: Optional[tuple[int, int, int]] = None
 
 
-def _node(kind: str, params: dict, children: tuple[OperatorNode, ...] = ()) -> OperatorNode:
-    return OperatorNode(kind, tuple(sorted(params.items())), children)
-
-
-def plan(query: Query, catalog: Catalog) -> OperatorNode:
-    """Deterministic operator tree: one scan leaf per selected sensor."""
+def plan(query: Query, catalog: Catalog) -> tuple[ScanPlan, ...]:
+    """One scan per select item, in select order."""
     device = catalog.resolve_device(query.source)
-    if query.is_aggregation:
-        if query.predicate is not None:
+    predicate = query.predicate
+    if predicate is not None:
+        if query.is_aggregation:
             raise UnsupportedFeature("predicates with aggregation are not supported")
-        children = []
-        for item in query.select_items:
-            info = catalog.sensor_info(device, item.sensor)
+        if predicate.sensor not in {item.sensor for item in query.select_items}:
+            raise PlanError("predicate sensor must appear in the select list")
+    scans = []
+    for item in query.select_items:
+        info = catalog.sensor_info(device, item.sensor)
+        series = device.child(item.sensor)
+        if query.is_aggregation:
             if item.func == "max_value" and info.value_type not in (ValueType.INT64, ValueType.FLOAT64):
                 raise PlanError(f"max_value needs a numeric sensor, {item.sensor} is {info.value_type.name}")
             lo, hi = info.time_bounds[0], info.time_bounds[1] + 1   # inclusive -> half-open
-            children.append(
-                _node("agg_scan", {
-                    "series": str(device.child(item.sensor)),
-                    "fn": item.func,
-                    "lo": lo,
-                    "hi": hi,
-                    "width": query.group_by_ms,
-                    "label": item.render(),
-                })
-            )
-        return children[0] if len(children) == 1 else _node(
-            "merge", {"columns": tuple(i.render() for i in query.select_items)}, tuple(children)
-        )
-
-    if query.predicate is not None:
-        selected = {item.sensor for item in query.select_items}
-        if query.predicate.sensor not in selected:
-            raise PlanError("predicate sensor must appear in the select list")
-    children = []
-    for item in query.select_items:
-        info = catalog.sensor_info(device, item.sensor)
-        leaf = _node("series_scan", {
-            "series": str(device.child(item.sensor)),
-            "label": item.sensor,
-        })
-        if query.predicate is not None and query.predicate.sensor == item.sensor:
-            _check_literal_type(query.predicate, info.value_type)
-            leaf = _node("filter", {
-                "sensor": item.sensor,
-                "op": query.predicate.op,
-                "literal": query.predicate.literal,
-            }, (leaf,))
-        children.append(leaf)
-    if len(children) == 1:
-        return children[0]
-    return _node("merge", {"columns": tuple(i.render() for i in query.select_items)}, tuple(children))
+            scans.append(ScanPlan(series, item.render(), fn=item.func, window=(lo, hi, query.group_by_ms)))
+        elif predicate is not None and predicate.sensor == item.sensor:
+            _check_literal_type(predicate, info.value_type)
+            scans.append(ScanPlan(series, item.render(), predicate))
+        else:
+            scans.append(ScanPlan(series, item.render()))
+    return tuple(scans)
 
 
 def _check_literal_type(predicate: Predicate, vt: ValueType) -> None:

@@ -50,7 +50,7 @@ from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .errors import GuardViolation, IndexKindMismatch, MisalignedOffset
-from .queryplan import OperatorNode
+from .queryplan import ScanPlan
 from .tsstore import (
     BLOCK_ROWS,
     ChunkIterator,
@@ -75,6 +75,7 @@ __all__ = [
     "MergeOp",
     "ResultBlock",
     "RootAdapter",
+    "build_scan",
     "build_operator",
 ]
 
@@ -571,6 +572,11 @@ class MergeOp(_OperatorBase):
     emitted as it is, so an aligned block that spans the children's whole
     blocks carries their own columns (the memos' tuples, see ``ced.wire``);
     a block of several segments is concatenated into fresh lists.
+
+    Pacing: a call that has pulled every child and merged a segment that
+    leaves the block short returns NOT_READY and holds the block.  So a merge
+    of aggregations, whose children give one-row window blocks, takes one
+    call per window, and a migration can switch its leaves between two.
     """
 
     def __init__(self, children: Sequence[_OperatorBase], columns: Sequence[str]):
@@ -585,6 +591,7 @@ class MergeOp(_OperatorBase):
         self._done = [False] * len(children)
         # the block being built: (timestamps, one column per child) per segment
         self._segments: list[tuple[Sequence[int], list[Sequence]]] = []
+        self._pulled: set[int] = set()      # children whose next_block this call called
 
     def has_next(self) -> bool:
         return (
@@ -600,6 +607,7 @@ class MergeOp(_OperatorBase):
                 self._done[i] = True
                 break
             block = self.children[i].next_block()
+            self._pulled.add(i)
             if block is PENDING or block is NOT_READY:
                 return block
             if block is None:
@@ -615,6 +623,7 @@ class MergeOp(_OperatorBase):
         ts_bufs, value_bufs, pos = self._ts, self._values, self._pos
         segments = self._segments
         rows = sum(len(ts) for ts, _ in segments)
+        self._pulled.clear()
         while True:
             for i in range(len(self.children)):
                 state = self._refill(i)
@@ -640,6 +649,8 @@ class MergeOp(_OperatorBase):
                     pos[i] = p + n
             segments.append((segment, cells))
             rows += len(segment)
+            if rows < BLOCK_ROWS and len(self._pulled) == len(self.children):
+                return NOT_READY         # one pull of every child per call, held
         if not segments:
             return None
         self._segments = []
@@ -664,35 +675,22 @@ def _comparator(op: str) -> Callable:
         raise ValueError(f"unknown comparison {op!r}") from None
 
 
-def build_operator(node: OperatorNode, store: SeriesStore) -> tuple[_OperatorBase, list[_ScanLeaf]]:
-    """Instantiate executable operators for a plan: the root and its scan leaves in plan order."""
-    if node.kind == "series_scan":
-        leaf: _ScanLeaf = SeriesScanOp(store, SeriesPath.parse(node.param("series")))
-        return leaf, [leaf]
-    if node.kind == "agg_scan":
-        spec = WindowSpec(node.param("lo"), node.param("hi"), node.param("width"))
-        leaf = AggregationScanOp(store, SeriesPath.parse(node.param("series")), spec, node.param("fn"))
-        return leaf, [leaf]
-    if node.kind == "filter":
-        child, leaves = build_operator(node.children[0], store)
-        return FilterOp(child, node.param("op"), node.param("literal")), leaves
-    if node.kind == "merge":
-        built = [build_operator(c, store) for c in node.children]
-        leaves = [leaf for _, child_leaves in built for leaf in child_leaves]
-        return MergeOp([op for op, _ in built], list(node.param("columns"))), leaves
-    raise ValueError(f"unknown operator kind {node.kind!r}")
+def build_scan(scan: ScanPlan, store: SeriesStore) -> tuple[_OperatorBase, _ScanLeaf]:
+    """A scan's ``(top, leaf)``: the top is the leaf, or a FilterOp over it for a predicate."""
+    if scan.window is None:
+        leaf: _ScanLeaf = SeriesScanOp(store, scan.series)
+    else:
+        leaf = AggregationScanOp(store, scan.series, WindowSpec(*scan.window), scan.fn)
+    if scan.predicate is None:
+        return leaf, leaf
+    return FilterOp(leaf, scan.predicate.op, scan.predicate.literal), leaf
 
 
-def root_column_label(node: OperatorNode) -> str:
-    if node.kind in ("series_scan", "agg_scan"):
-        return node.param("label")
-    if node.kind == "filter":
-        return root_column_label(node.children[0])
-    raise ValueError("root label only defined for single-stream trees")
-
-
-def as_result_stream(node: OperatorNode, op: _OperatorBase) -> _OperatorBase:
-    """Ensure the tree root emits ResultBlocks for the client."""
-    if node.kind == "merge":
-        return op
-    return RootAdapter(op, root_column_label(node))
+def build_operator(scans: Sequence[ScanPlan], store: SeriesStore) -> tuple[_OperatorBase, list[_ScanLeaf]]:
+    """A plan's client-facing root, emitting ResultBlocks, and its scan leaves in plan order."""
+    built = [build_scan(scan, store) for scan in scans]
+    if len(built) == 1:
+        root: _OperatorBase = RootAdapter(built[0][0], scans[0].label)
+    else:
+        root = MergeOp([top for top, _ in built], [scan.label for scan in scans])
+    return root, [leaf for _, leaf in built]

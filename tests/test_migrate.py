@@ -17,15 +17,15 @@ from conftest import (
 import ced.harness.runtime
 from ced.harness.scenario import CostModel, QuerySpec
 from ced.harness.workload import WorkloadConfig
-from ced.migrate import ChannelConfig, ChannelPhase, ProtocolTelemetry, SinkChannel, filter_above_leaf
+from ced.migrate import ChannelConfig, ChannelPhase, ProtocolTelemetry, SinkChannel
 from ced.netsim import Engine, LinkConfig
-from ced.queryplan import Catalog, parse, plan
-from ced.scanops import PENDING, RemoteEnd
+from ced.queryplan import Catalog, Predicate, parse, plan
+from ced.scanops import PENDING, FilterOp, LogicalIndex, RemoteEnd, SeriesScanOp, build_scan
 from ced.tsstore import SeriesPath, TsBlock, ValueType
 from ced.wire import ChannelId, Message, MessageType, TerminateReason
 
 
-# --- transmission mode: predicate pushdown iff a filter sits above the leaf ----------
+# --- transmission mode: predicate pushdown iff the scan carries the WHERE clause ----
 
 def catalog():
     c = Catalog()
@@ -35,26 +35,39 @@ def catalog():
     return c
 
 
+def predicates(sql):
+    return [scan.predicate for scan in plan(parse(sql), catalog())]
+
+
 def test_q1_selects_pushdown():
-    tree = plan(parse(TABLE_II["Q1"]), catalog())
-    assert [filter_above_leaf(tree, leaf) for leaf in tree.leaves()] == [tree]
+    assert predicates(TABLE_II["Q1"]) == [Predicate("t1", "=", "v999")]
 
 
 def test_q3_selects_block_streaming():
-    tree = plan(parse(TABLE_II["Q3"]), catalog())
-    assert [filter_above_leaf(tree, leaf) for leaf in tree.leaves()] == [None] * 2
+    assert predicates(TABLE_II["Q3"]) == [None] * 2
 
 
 def test_q4_aggregate_without_where_is_block_streaming():
-    tree = plan(parse(TABLE_II["Q4"]), catalog())
-    assert [filter_above_leaf(tree, leaf) for leaf in tree.leaves()] == [None]
+    assert predicates(TABLE_II["Q4"]) == [None]
 
 
 def test_leaf_mode_mixed_query():
-    tree = plan(parse("SELECT t1, t3 FROM dev WHERE t1='v1'"), catalog())
-    leaves = tree.leaves()
-    assert filter_above_leaf(tree, leaves[0]) is tree.children[0]   # t1 under filter
-    assert filter_above_leaf(tree, leaves[1]) is None
+    # t1 carries the filter, t3 streams its blocks
+    assert predicates("SELECT t1, t3 FROM dev WHERE t1='v1'") == [Predicate("t1", "=", "v1"), None]
+
+
+def test_each_producer_runs_its_own_scan(tmp_path):
+    sql = "SELECT t1, t3 FROM dev WHERE t3 < 100.0"
+    cluster, report = run(make_scenario(sql, forced_migration_at_rows=1000), tmp_path)
+    q = report.queries[0]
+    assert q.checksum == edge_baseline_checksum(sql, small_workload(), tmp_path)
+    producers = {p.channel_id.source_id: p for p in cluster.gateway.channels.values()}
+    assert sorted(producers) == [1, 2]
+    streaming, pushdown = producers[1], producers[2]
+    assert isinstance(streaming.root_op, SeriesScanOp) and streaming.root_op is streaming.leaf_op
+    assert isinstance(pushdown.root_op, FilterOp) and pushdown.root_op.child is pushdown.leaf_op
+    assert streaming.leaf_op.series.leaf == "t1" and pushdown.leaf_op.series.leaf == "t3"
+    assert (q.migrated, q.final_placement) == (2, "cloud")
 
 
 # --- six-step exchange --------------------------------------------------------------
@@ -123,22 +136,19 @@ def test_mismatched_confirmation_is_a_rejection(tmp_path):
     assert active_producers(cluster.gateway) == 0     # the producer got CANCEL
 
 
-def test_duplicate_request_is_idempotently_reconfirmed(tmp_path):
+def test_a_duplicate_request_reaches_the_confirmed_producer_and_is_ignored(tmp_path):
     scenario = make_scenario(forced_migration_at_rows=2000)
     cluster = make_cluster(scenario, tmp_path)
     report = cluster.run()
     assert report.queries[0].migrated == 1
     sink = cluster.contexts[0].channels[0]
-    from ced.wire import Message, MessageType
-
-    before = cluster.telemetry.events.count
-    cluster.gateway.handle_message(
+    cluster.edge_transport.send_message(
         Message(MessageType.MIGRATION_REQUEST, sink.channel_id, sql=sink.sql)
     )
-    # no new producer; the confirmation was simply re-sent
-    assert active_producers(cluster.gateway) == 0
-    confirms = [e for e in cluster.telemetry.events if e[1] == "confirm"]
-    assert len(confirms) == 2
+    cluster.engine.run_until_idle()
+    # the producer's own handler takes it: no second producer, no second confirmation
+    assert len(cluster.gateway.channels) == 1 and active_producers(cluster.gateway) == 0
+    assert cluster.telemetry.count("confirm") == 1
 
 
 def test_delta_switch_lands_on_chunk_boundary(tmp_path):
@@ -413,6 +423,44 @@ def test_transport_down_aborts_migration_and_query_completes(tmp_path):
     assert len(ctx.channels) <= len(ctx.leaf_ops)
 
 
+@pytest.mark.parametrize("sql, forge", [
+    (TABLE_II["Q1"], lambda index: LogicalIndex.row_offset(index.value + 500)),
+    (TABLE_II["Q4"], lambda index: LogicalIndex.row_offset(index.value)),
+    (TABLE_II["Q4"], lambda index: LogicalIndex.window_start(index.value + 1)),
+], ids=["row-offset-inside-a-chunk", "index-of-the-other-kind", "window-start-off-the-grid"])
+def test_a_delta_the_producer_cannot_resume_from_ends_in_a_local_resume(tmp_path, sql, forge):
+    cluster = make_cluster(make_scenario(sql, forced_migration_at_rows=2000), tmp_path)
+    send = cluster.edge_transport.send_message
+
+    def forge_delta(msg, droppable=False):
+        if msg.type is MessageType.DELTA:
+            index = forge(msg.delta.logical_index)
+            msg = dataclasses.replace(msg, delta=dataclasses.replace(msg.delta, logical_index=index))
+        send(msg, droppable)
+
+    cluster.edge_transport.send_message = forge_delta
+    q = cluster.run().queries[0]
+    # the producer takes no delta and ACKs no probe; the edge times out and cancels it
+    assert q.checksum == edge_baseline_checksum(sql, small_workload(), tmp_path)
+    assert (q.migrated, q.handshake_failures, q.final_placement) == (1, 1, "edge")
+    assert active_producers(cluster.gateway) == 0
+
+
+def test_a_merge_of_aggregations_pulls_once_per_window_so_a_switch_lands(tmp_path):
+    sql = "SELECT count(t1), max_value(t3) FROM dev GROUP BY 5m"
+    cluster = make_cluster(make_scenario(sql, mode="edge_only", warm_series=()), tmp_path)
+    step, pulls = cluster._step, []
+    cluster._step = lambda *args: pulls.append(args) or step(*args)
+    edge_only = cluster.run().queries[0]
+    assert edge_only.rows == 20                       # 6000 s of rows in 5 min windows
+    assert len(pulls) == edge_only.rows + 1           # one pull per window, one to end
+    for at_rows in (0, 1000, 3000):
+        _, report = run(make_scenario(sql, forced_migration_at_rows=at_rows), tmp_path)
+        q = report.queries[0]
+        assert (q.migrated, q.final_placement) == (2, "cloud"), at_rows
+        assert q.checksum == edge_only.checksum
+
+
 # --- pushdown economy --------------------------------------------------------------------------
 
 def bytes_to_edge(cluster):
@@ -426,7 +474,8 @@ def bytes_to_edge(cluster):
 def pushdown_and_streaming_runs(monkeypatch, scenario, tmp_path):
     """(cluster, report) of ``scenario`` as planned, then with the cloud streaming blocks."""
     pushdown = run(scenario, tmp_path)
-    monkeypatch.setattr(ced.harness.runtime, "filter_above_leaf", lambda tree, leaf: None)
+    monkeypatch.setattr(ced.harness.runtime, "build_scan",
+                        lambda scan, store: build_scan(dataclasses.replace(scan, predicate=None), store))
     return pushdown, run(scenario, tmp_path)
 
 

@@ -22,25 +22,6 @@ Q5 = "SELECT max_value(t3) FROM dev GROUP BY 5m"
 DEV = SeriesPath.parse("root.ln.edge1.dev")
 
 
-def serialize_plan(node) -> str:
-    """Canonical s-expression form; structural equality == string equality."""
-    params = " ".join(f"{k}={_fmt(v)}" for k, v in node.params)
-    if not node.children:
-        return f"({node.kind} {params})"
-    inner = " ".join(serialize_plan(child) for child in node.children)
-    return f"({node.kind} {params} {inner})" if params else f"({node.kind} {inner})"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return '"' + value.replace('"', '\\"') + '"'
-    if isinstance(value, tuple):
-        return "[" + ",".join(_fmt(v) for v in value) + "]"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def make_catalog(bounds=(0, 9_999)):
     catalog = Catalog()
     catalog.register_sensor(DEV, "t1", ValueType.STRING, bounds)
@@ -159,33 +140,27 @@ def test_render_roundtrip(sql):
 # --- planning ----------------------------------------------------------------
 
 def test_q3_plans_merge_over_two_scans():
-    tree = plan(parse(Q3), make_catalog())
-    assert tree.kind == "merge"
-    assert [c.kind for c in tree.children] == ["series_scan", "series_scan"]
-    assert tree.children[0].param("series") == "root.ln.edge1.dev.t1"
+    scans = plan(parse(Q3), make_catalog())
+    assert [scan.label for scan in scans] == ["t1", "t3"]
+    assert all(scan.window is None and scan.predicate is None for scan in scans)
+    assert scans[0].series == DEV.child("t1")
 
 
 def test_q5_plans_single_agg_leaf():
-    tree = plan(parse(Q5), make_catalog())
-    assert tree.kind == "agg_scan"
-    assert tree.param("fn") == "max_value"
-    assert tree.param("width") == 300_000
-    assert (tree.param("lo"), tree.param("hi")) == (0, 10_000)
+    scan, = plan(parse(Q5), make_catalog())
+    assert (scan.fn, scan.label) == ("max_value", "max_value(t3)")
+    assert scan.window == (0, 10_000, 300_000)
 
 
 def test_q1_plans_filter_above_scan():
-    tree = plan(parse(Q1), make_catalog())
-    assert tree.kind == "filter"
-    assert tree.children[0].kind == "series_scan"
-    assert tree.param("literal") == "v999"
+    scan, = plan(parse(Q1), make_catalog())
+    assert scan.window is None
+    assert scan.predicate == Predicate("t1", "=", "v999")
 
 
 def test_plan_deterministic_across_catalog_replicas():
     for sql in (Q1, Q2, Q3, Q4, Q5):
-        a = serialize_plan(plan(parse(sql), make_catalog()))
-        b = serialize_plan(plan(parse(sql), make_catalog()))
-        assert a == b
-        assert a.encode() == b.encode()
+        assert plan(parse(sql), make_catalog()) == plan(parse(sql), make_catalog())
 
 
 def test_unknown_sensor():
@@ -220,8 +195,8 @@ def test_suffix_resolution_is_unique_or_fails():
     catalog.register_sensor(SeriesPath.parse("root.ln.edge2.dev"), "t1", ValueType.STRING, (0, 9_999))
     with pytest.raises(PlanError):
         plan(parse(Q1), catalog)   # 'dev' now ambiguous
-    tree = plan(parse("SELECT t1 FROM edge1.dev"), catalog)
-    assert tree.param("series") == "root.ln.edge1.dev.t1"
+    scan, = plan(parse("SELECT t1 FROM edge1.dev"), catalog)
+    assert scan.series == DEV.child("t1")
 
 
 # --- catalog from a store ------------------------------------------------------------

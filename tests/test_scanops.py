@@ -19,6 +19,7 @@ from ced.scanops import (
     MergeOp,
     RemoteEnd,
     ResultBlock,
+    RootAdapter,
     SeriesScanOp,
     WindowSpec,
     build_operator,
@@ -472,12 +473,12 @@ def test_merge_null_fills_missing_timestamps(tmp_path):
 def test_build_operator_from_plan_q1_shape(tmp_path):
     store = build_store(tmp_path, [1000], value=lambda t: f"v{t % 1000}")
     catalog = Catalog.from_store(store, parent(S))
-    tree = plan(parse("SELECT t3 FROM d1 WHERE t3='v999'"), catalog)
-    op, leaves = build_operator(tree, store)
-    assert isinstance(op, FilterOp)
+    scans = plan(parse("SELECT t3 FROM d1 WHERE t3='v999'"), catalog)
+    op, leaves = build_operator(scans, store)
+    assert isinstance(op, RootAdapter) and isinstance(op.child, FilterOp)
     assert len(leaves) == 1 and isinstance(leaves[0], SeriesScanOp)
     rows = collect_rows(op)
-    assert rows == [(999, "v999")]
+    assert rows == [(999, ("v999",))]
 
 
 class ScriptedChild:
@@ -520,7 +521,7 @@ MERGE_SCRIPTS = {
 # "a?" has_next, "a!" next_block, P PENDING, N NOT_READY, Bn an n-row block, E end
 MERGE_TRACES = {
     "ab": (
-        "a? a! b? b! b? b! a? a! B1000 "
+        "a? a! b? b! N b? b! a? a! B1000 "
         "a? a! b? b! N "
         "b? b! a? a! B1000 "
         "b? b! P "
@@ -528,7 +529,7 @@ MERGE_TRACES = {
         "a? a! b? a? B802 E"
     ),
     "abc": (
-        "a? a! b? b! c? c! b? b! c? a? a! B1000 "
+        "a? a! b? b! c? c! N b? b! c? a? a! B1000 "
         "a? a! b? b! N "
         "b? b! a? a! B1000 "
         "b? b! P "
@@ -574,7 +575,8 @@ def test_a_stall_holds_the_partial_block_and_only_it_keeps_has_next_true():
     a = ScriptedChild("a", _blocks(0, 500, 1, float), log)
     b = ScriptedChild("b", [*_blocks(0, 500, 1, str), NOT_READY], log)
     merge = MergeOp([a, b], ["a", "b"])
-    assert merge.next_block() is NOT_READY          # 500 rows merged, then b stalls
+    assert merge.next_block() is NOT_READY          # 500 rows merged, each child pulled once
+    assert merge.next_block() is NOT_READY          # a ends, then b stalls
     assert not a.script and not b.script            # the children are used up ...
     assert merge.has_next()                         # ... and the held rows remain
     block = merge.next_block()
@@ -638,6 +640,7 @@ class RowMergeOp(MergeOp):
                 self._done[i] = True
                 break
             block = self.children[i].next_block()
+            self._pulled.add(i)
             if block is PENDING or block is NOT_READY:
                 return block
             if block is None:
@@ -649,6 +652,7 @@ class RowMergeOp(MergeOp):
         return True
 
     def next_block(self):
+        self._pulled.clear()
         for i in range(len(self.children)):
             state = self._refill(i)
             if state is not True:
@@ -662,13 +666,18 @@ class RowMergeOp(MergeOp):
                 break
             ts = min(live)
             out_ts.append(ts)
+            ask_pacing = True       # once per row that uses a child up, before its refills
             for i, head in enumerate(heads):
                 if head == ts:
                     value = self._buf_values[i].pop(0)
                     out_cols[i].append(value)
                     given[i].append((self._buf_ts[i].pop(0), value))
                     if not self._buf_ts[i]:
-                        state = self._refill(i)
+                        if ask_pacing and len(self._pulled) == len(self.children) and len(out_ts) < BLOCK_ROWS:
+                            state = NOT_READY           # every child pulled once this call
+                        else:
+                            state = self._refill(i)
+                        ask_pacing = False
                         if state is not True and len(out_ts) < BLOCK_ROWS:
                             for k, rows in enumerate(given):
                                 self._buf_ts[k][:0] = [t for t, _ in rows]
