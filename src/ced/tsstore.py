@@ -56,9 +56,12 @@ link bytes (MalformedMessage).  A TsBlock built from those rows does not
 check it again.
 
 Decoded chunks are memoized process-wide, in an LRU (``decode_memo``, a
-``RowMemo``) keyed by ``(series, value type, row count, chunk bytes)`` and
-bounded to ``DECODE_MEMO_ROWS`` retained rows.  The key holds the bytes, so
-an entry can never go stale and a hit implies every check the decode made.
+``RowMemo``) keyed by ``(file, series, value type, row count, min ts, max
+ts, byte length)`` and bounded to ``DECODE_MEMO_ROWS`` retained rows.  An
+entry keeps the bytes it decoded, and a load hits only when the bytes it
+read ``==`` them (hashing fresh bytes as a key would cost more), so an entry
+never goes stale and a hit implies every check the decode made; other bytes
+under the key (a file imported again) are decoded and replace the entry.
 Every load still reads the chunk's bytes and is charged in ``IoStats``; only
 the decode is skipped.  An entry holds the chunk's two columns as tuples and
 its ``BLOCK_ROWS``-row pages as tuples sliced from them, all built once, by
@@ -198,9 +201,9 @@ class TsBlock:
     """Columnar batch of at most BLOCK_ROWS rows; the atomic transfer unit.
 
     Its timestamps strictly increase; that is checked where the rows enter
-    the program, not here.  The columns are read-only: tuples when they come
-    from a memo (a loaded chunk's page, a decoded DATA block), lists when an
-    operator built them.
+    the program, not here.  The columns are read-only: tuples from a memo or
+    a decoder (a loaded chunk's page, a received DATA block, which may hold
+    its sender's page tuples), lists when an operator built them.
     """
 
     series_id: SeriesPath
@@ -349,11 +352,11 @@ def _series_path(text: str) -> SeriesPath:
         raise CorruptChunk(f"{text}: {exc}") from None
 
 
-# a chunk's (series, value type, row count, chunk bytes), a DATA payload's
-# bytes, or a block's (series, value type, first ts, last ts, row count)
+# a chunk's (file, series, value type, rows, min ts, max ts, byte length), a
+# DATA payload's bytes, or a block's (series, value type, first ts, last ts, n)
 _MemoKey = Union[tuple, bytes]
-# (series or payload, timestamps, values[, value type or pages]): the second
-# field holds one entry per retained row
+# (series or payload, timestamps, values[, value type or pages, bytes]): the
+# second field holds one entry per retained row
 _Columns = tuple
 
 
@@ -548,21 +551,22 @@ class SeriesStore:
 
     def load_chunk_pages(self, meta: ChunkMeta) -> list[TsBlock]:
         """Load one chunk as fresh TsBlocks over the memo's page tuples of <= BLOCK_ROWS rows."""
-        series, _timestamps, _values, pages = self._load_chunk(meta)
+        series, _, _, pages, _ = self._load_chunk(meta)
         return [TsBlock(series, timestamps, values, meta.value_type) for timestamps, values in pages]
 
     def _load_chunk(self, meta: ChunkMeta) -> tuple:
-        """(series, timestamps, values, pages) of one chunk, through ``decode_memo``."""
+        """(series, timestamps, values, pages, bytes) of one chunk, through ``decode_memo``."""
         buf = self._read_chunk_bytes(meta)
-        key = (meta.series, meta.value_type, meta.row_count, buf)
+        key = (meta.file_path, meta.series, meta.value_type, meta.row_count,
+               meta.min_ts, meta.max_ts, meta.byte_len)
         entry = decode_memo.get(key)
-        if entry is None:
+        if entry is None or entry[4] != buf:
             timestamps, values = _decode_chunk(buf, meta)
             pages = tuple(
                 (timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS])
                 for b0 in range(0, len(timestamps), BLOCK_ROWS)
             )
-            entry = (_series_path(meta.series), timestamps, values, pages)
+            entry = (_series_path(meta.series), timestamps, values, pages, buf)
             self.io.chunks_decoded += 1
             decode_memo.put(key, entry)
         return entry

@@ -36,8 +36,10 @@ tuples: the cloud's producers send a memoized chunk's page tuples
 present the same tuples.  Columns that are equal but other objects (a list,
 another tuple, values that pack apart such as 0.0 and -0.0, NaNs of other
 bits, 1 and True and 1.0) never hit.  ``link_memo`` holds decoded blocks
-keyed by their payload bytes (``_decode_data``), so only the first copy of a
-payload is parsed, and every copy decodes to the same tuples.
+keyed by their payload bytes (``_decode_data``): each payload the receiver
+parsed, so every copy decodes to the same tuples, and each block the sender
+packed from exact tuples that decode to themselves (``_pack_data``), so the
+receiver parses none of those and gets the sender's own tuples.
 
 Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 ``ced.coherence``) reads through ``ced.codec.Reader`` and rejects any
@@ -248,8 +250,8 @@ def encode_rows_once(timestamps, columns) -> bytes:
     return _pack_once(key, (timestamps, *columns), lambda: encode_rows(timestamps, columns))
 
 
-def _read_cells(r: Reader, n: int) -> list:
-    """Sequential parse of ``n`` cells.
+def _read_cells(r: Reader, n: int) -> tuple:
+    """Sequential parse of ``n`` cells, as a tuple.
 
     The loop reads ``r.buf`` inline; a field cut short or bad UTF-8 becomes
     ``r``'s error, and the end position is checked once, after the loop.
@@ -286,10 +288,10 @@ def _read_cells(r: Reader, n: int) -> list:
     if pos > len(buf):
         raise r.fail(f"cell runs {pos - len(buf)} bytes past the end")
     r.pos = pos
-    return values
+    return tuple(values)
 
 
-def _read_string_cells(r: Reader, n: int) -> list:
+def _read_string_cells(r: Reader, n: int) -> tuple:
     """``_read_cells`` for cells that are all present STRING, one unpack each.
 
     On the first other cell, or any bytes a cell cannot be read from, the
@@ -311,7 +313,7 @@ def _read_string_cells(r: Reader, n: int) -> list:
         else:
             if pos <= len(buf):
                 r.pos = pos
-                return values
+                return tuple(values)
     except (struct.error, UnicodeDecodeError):
         pass
     return _read_cells(r, n)
@@ -322,7 +324,7 @@ def _read_string_cells(r: Reader, n: int) -> list:
 _BLOCK_HEAD = struct.Struct("<BBI")        # flags, value_type, row_count
 
 # (payload, *columns) of recently packed blocks and checksum rows, and the
-# (series, timestamps, values, value type) of recently decoded DATA payloads
+# (series, timestamps, values, value type) of DATA payloads sent or received
 pack_memo = RowMemo(DECODE_MEMO_ROWS)
 link_memo = RowMemo(DECODE_MEMO_ROWS)
 
@@ -333,7 +335,7 @@ def encode_block(block: TsBlock) -> bytes:
     if not n or block.is_header_only:
         return _pack_block(block)
     key = (block.series_id, block.value_type, timestamps[0], timestamps[-1], n)
-    return _pack_once(key, (timestamps, values), lambda: _pack_block(block))
+    return _pack_once(key, (timestamps, values), lambda: _pack_data(block))
 
 
 def _pack_once(key: tuple, columns: Sequence[Sequence], pack) -> bytes:
@@ -352,6 +354,19 @@ def _pack_once(key: tuple, columns: Sequence[Sequence], pack) -> bytes:
     return payload
 
 
+def _pack_data(block: TsBlock) -> bytes:
+    """``_pack_block``, seeding ``link_memo`` when the payload decodes to the block's own column tuples."""
+    payload = _pack_block(block)
+    ts, values = block.timestamps, block.values
+    if type(ts) is tuple and type(values) is tuple and set(map(type, ts)) == {int} and strictly_increasing(ts):
+        try:
+            seed = TsBlock(SeriesPath.parse(str(block.series_id)), ts, values, ValueType(block.value_type))
+            link_memo.put(payload, (seed.series_id, ts, values, seed.value_type))
+        except ValueError:                   # decode_block would reject the payload
+            pass
+    return payload
+
+
 def _pack_block(block: TsBlock) -> bytes:
     raw = str(block.series_id).encode("utf-8")
     n = block.row_count
@@ -366,12 +381,12 @@ def _pack_block(block: TsBlock) -> bytes:
 
 
 def decode_block(buf: bytes) -> tuple[TsBlock, int]:
-    """Parse the ``tsblock`` at the start of ``buf``; returns it and its length."""
+    """Parse the ``tsblock`` at the start of ``buf``; returns it, over tuples, and its length."""
     r = Reader(buf, MalformedMessage)
     series = r.text()
     header_only, vt, n = r.unpack(_BLOCK_HEAD)
     vt = r.enum(ValueType, vt, "value type")
-    timestamps = list(struct.unpack(f"<{n}q", r.take(8 * n)))
+    timestamps = struct.unpack(f"<{n}q", r.take(8 * n))
     if not strictly_increasing(timestamps):
         raise r.fail("tsblock timestamps do not strictly increase")
     buf, pos = r.buf, r.pos
@@ -379,7 +394,7 @@ def decode_block(buf: bytes) -> tuple[TsBlock, int]:
     if buf[pos:end:10] == b"\x01" * n and buf[pos + 1:end:10] == bytes([_FLOAT64]) * n:
         # stride 10 holds present-FLOAT64 at every cell: exactly the bytes a
         # sequential parse would read, so unpack them in one pass
-        values = [v for _, _, v in _CELL_FLOAT64.iter_unpack(r.take(10 * n))]
+        values = tuple([v for _, _, v in _CELL_FLOAT64.iter_unpack(r.take(10 * n))])
     elif vt is ValueType.STRING:
         values = _read_string_cells(r, n)
     else:
@@ -489,10 +504,10 @@ def _decode_data(p: Reader) -> TsBlock:
     """The block of a whole DATA payload, through ``link_memo``.
 
     The key is the payload's exact bytes.  A block with rows is retained
-    only after the payload decoded to its last byte, so a hit implies every
-    check ``decode_block`` made.  Each call gets a fresh block over the
-    memo's own tuples, so every copy of a payload decodes to the same
-    columns.
+    only after the payload decoded to its last byte, or by ``_pack_data``
+    as its sender packed it, so a hit implies every check ``decode_block``
+    makes.  Each call gets a fresh block over the memo's own tuples, so
+    every copy of a payload decodes to the same columns.
     """
     columns = link_memo.get(p.buf)
     if columns is None:
@@ -500,7 +515,7 @@ def _decode_data(p: Reader) -> TsBlock:
         p.done()
         if not block.row_count:
             return block
-        columns = (block.series_id, tuple(block.timestamps), tuple(block.values), block.value_type)
+        columns = (block.series_id, block.timestamps, block.values, block.value_type)
         link_memo.put(p.buf, columns)
     p.pos = len(p.buf)
     return TsBlock(*columns)

@@ -343,7 +343,7 @@ def test_concurrent_cloud_queries_pack_and_decode_each_data_block_once(tmp_path,
     _, report = run(make_scenario(TABLE_II["Q3"], mode="cloud_only", queries=(q3,)), tmp_path)
     assert [q.rows for q in report.queries] == [6 * BLOCK_ROWS] * 4
     assert len(packed) == len(set(packed)) == 2 * 6      # two series of six 1000-row blocks
-    assert sorted(decoded) == sorted(packed)
+    assert decoded == []                     # each payload was seeded by its packer
 
 
 # --- blocks of every size and cell kind -------------------------------------------------

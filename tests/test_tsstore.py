@@ -314,8 +314,9 @@ def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
     assert store.io.chunks_loaded == 2 * len(metas)
     for meta in metas:
         buf = meta.file_path.read_bytes()[meta.offset:meta.offset + meta.byte_len]
-        retained = decode_memo.get((meta.series, meta.value_type, meta.row_count, buf))
-        assert retained[1:3] == _decode_chunk(buf, meta)
+        retained = decode_memo.get((meta.file_path, meta.series, meta.value_type, meta.row_count,
+                                    meta.min_ts, meta.max_ts, meta.byte_len))
+        assert retained[1:3] == _decode_chunk(buf, meta) and retained[4] == buf
 
 
 def test_mutating_a_loaded_block_does_not_change_the_next_load(store):

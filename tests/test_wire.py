@@ -54,8 +54,8 @@ def test_block_roundtrip(values, vt):
     block = TsBlock(S, ts, values, vt)
     decoded, consumed = decode_block(encode_block(block))
     assert consumed == len(encode_block(block))
-    assert decoded.timestamps == ts
-    assert decoded.values == values
+    assert decoded.timestamps == tuple(ts)
+    assert decoded.values == tuple(values)
     assert decoded.value_type == vt
     assert str(decoded.series_id) == str(S)
 
@@ -144,7 +144,7 @@ def test_block_bytes_are_pinned(values, vt, cells):
     assert encoded == expected
     decoded, consumed = decode_block(encoded)
     assert consumed == len(expected)
-    assert decoded.values == values and decoded.value_type == vt
+    assert decoded.values == tuple(values) and decoded.value_type == vt
 
 
 # --- malformed blocks ------------------------------------------------------------
@@ -187,8 +187,8 @@ def test_data_block_out_of_timestamp_order_is_rejected(stamps):
 
 
 def test_intact_blocks_decode():
-    assert decode_block(_FLOATS)[0].values == [1.5, 2.5, -0.25]
-    assert decode_block(_STRINGS)[0].values == ["v1", None, "ü"]
+    assert decode_block(_FLOATS)[0].values == (1.5, 2.5, -0.25)
+    assert decode_block(_STRINGS)[0].values == ("v1", None, "ü")
 
 
 def test_leftover_bytes_after_the_last_cell_are_rejected():
@@ -467,10 +467,11 @@ def _count_decodes(monkeypatch) -> list:
 ])
 def test_link_memo_hit_equals_miss(monkeypatch, values, vt):
     calls = _count_decodes(monkeypatch)
-    block = TsBlock(S, (0, 1000, 2000), tuple(values), vt)
+    block = TsBlock(S, [0, 1000, 2000], values, vt)       # list columns: never seeded by the packer
     miss = decode_message(_data(block)).block
     hit = decode_message(_data(block)).block
-    assert _block_fields(hit) == _block_fields(miss) == _block_fields(block)
+    assert _block_fields(hit) == _block_fields(miss) == _block_fields(
+        TsBlock(S, (0, 1000, 2000), tuple(values), vt))
     assert hit is not miss
     assert hit.timestamps is miss.timestamps and hit.values is miss.values
     assert len(calls) == 1
@@ -520,14 +521,14 @@ def _chunk_store(tmp_path, rows=6000, chunk_rows=1500) -> SeriesStore:
     return store
 
 
-def _links(count: int, rows: int = 1000) -> list[bytes]:
-    return [_data(TsBlock(S, tuple(range(k * rows, (k + 1) * rows)), (f"v{k}",) * rows, ValueType.STRING))
+def _links(count: int, rows: int = 1000, column=tuple) -> list[bytes]:
+    return [_data(TsBlock(S, column(range(k * rows, (k + 1) * rows)), column([f"v{k}"] * rows), ValueType.STRING))
             for k in range(count)]
 
 
 def test_loading_chunks_never_evicts_a_link_block(tmp_path, monkeypatch):
     calls = _count_decodes(monkeypatch)
-    links = _links(4)
+    links = _links(4, column=list)           # never seeded by the packer: each is decoded once
     for buf in links:
         decode_message(buf)
     store = _chunk_store(tmp_path, rows=24000)   # 16 x 1500 chunk rows: more than the bound
@@ -718,6 +719,95 @@ def test_encode_block_equals_the_uncached_packer(pool, steps):
         else:
             continue
         assert encode_block(block) == wire._pack_block(block)
+
+
+# --- link memo seeded by the packer ------------------------------------------------------
+
+_DOTTED = SeriesPath(("root", "ln", "e.1", "d1", "t1"))     # its text parses to six segments
+_UNPARSABLE = SeriesPath(("root", "ln.", "t1"))              # its text has an empty segment
+
+
+def _decoded_or_error(decode):
+    """A decoded block's fields, its values re-encoded so that they compare
+    cell-exactly (NaN bits, -0.0 against 0.0, True against 1); or the error."""
+    try:
+        block = decode()
+    except MalformedMessage as exc:
+        return str(exc)
+    return (block.series_id, type(block.timestamps), block.timestamps, list(map(type, block.timestamps)),
+            type(block.values), encode_cells(block.values), type(block.value_type), block.value_type,
+            block.is_header_only)
+
+
+@settings(deadline=None)
+@given(
+    pool=st.lists(_POOL_VALUES, min_size=6, max_size=6),
+    series=st.sampled_from([S, _DOTTED, _UNPARSABLE]),
+    vt=st.sampled_from([*ValueType, 2, 7]),                               # an int, and no value type
+    stamps=st.lists(st.sampled_from(_TS_POOL), min_size=1, max_size=4),   # in any order, repeats too
+    copy_ts=st.booleans(),
+    rows=st.lists(_ROW, min_size=4, max_size=4),
+    columns=st.tuples(st.sampled_from([tuple, list]), st.sampled_from([tuple, list])),
+)
+def test_a_sent_data_block_decodes_like_its_payload(pool, series, vt, stamps, copy_ts, rows, columns):
+    ts = [_copy(t) for t in stamps] if copy_ts else stamps
+    values = [_copy(pool[i]) if copied else pool[i] for i, copied in rows[:len(ts)]]
+    block = TsBlock(series, columns[0](ts), columns[1](values), vt)
+    link_memo.clear()
+    pack_memo.clear()
+    buf = encode_message(Message(MessageType.DATA, CH, block=block))
+    payload = wire._pack_block(block)
+    expected = _decoded_or_error(lambda: decode_block(payload)[0])
+    assert _decoded_or_error(lambda: decode_message(buf).block) == expected
+
+
+def test_a_block_packed_from_tuples_is_received_as_the_senders_tuples(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    block = TsBlock(S, (0, 1000, 2000), ("v1", None, "ü"), ValueType.STRING)
+    buf = encode_message(Message(MessageType.DATA, CH, block=block))
+    assert link_memo.rows == 3
+    for _ in range(2):
+        received = decode_message(buf).block
+        assert received is not block
+        assert received.timestamps is block.timestamps and received.values is block.values
+    assert calls == []
+
+
+@pytest.mark.parametrize("block,error", [
+    (TsBlock(S, (0, 2000, 1000), (1.5, 2.5, -0.25), ValueType.FLOAT64), "timestamp"),
+    (TsBlock(S, (0, 1000, 1000), (1.5, 2.5, -0.25), ValueType.FLOAT64), "timestamp"),
+    (TsBlock(_UNPARSABLE, (0, 1000), (1.5, 2.5), ValueType.FLOAT64), "invalid tsblock"),
+    (TsBlock(S, (0, 1000), (1.5, 2.5), 7), "value type"),
+], ids=["swapped-timestamps", "repeated-timestamps", "unparsable-series", "unknown-value-type"])
+def test_tuple_columns_the_decoder_rejects_are_never_seeded_and_still_rejected(block, error):
+    buf = encode_message(Message(MessageType.DATA, CH, block=block))
+    assert link_memo.rows == 0
+    with pytest.raises(MalformedMessage, match=error):
+        decode_message(buf)
+
+
+def test_timestamps_that_are_not_ints_are_never_seeded():
+    block = TsBlock(S, (False, True), (1.5, 2.5), ValueType.FLOAT64)
+    buf = encode_message(Message(MessageType.DATA, CH, block=block))
+    assert link_memo.rows == 0
+    received = decode_message(buf).block.timestamps
+    assert received == (0, 1) and list(map(type, received)) == [int, int]
+
+
+def test_a_series_whose_text_parses_apart_is_received_as_the_decoder_parses_it():
+    block = TsBlock(_DOTTED, (0, 1000), (1.5, 2.5), ValueType.FLOAT64)
+    buf = encode_message(Message(MessageType.DATA, CH, block=block))
+    received = decode_message(buf).block.series_id
+    assert received == decode_block(encode_block(block))[0].series_id == SeriesPath.parse(str(_DOTTED))
+    assert received != _DOTTED
+
+
+@pytest.mark.parametrize("columns", [(list, tuple), (tuple, list), (list, list)], ids=["ts", "values", "both"])
+def test_list_columns_are_never_seeded(columns):
+    block = TsBlock(S, columns[0]([0, 1000]), columns[1]([1.5, 2.5]), ValueType.FLOAT64)
+    for _ in range(2):
+        encode_message(Message(MessageType.DATA, CH, block=block))
+    assert link_memo.rows == 0 and pack_memo.rows == 0
 
 
 # --- string cells ----------------------------------------------------------------------
