@@ -19,7 +19,8 @@ and spliced in, to the same bytes.
 
 Concurrent queries that stream the same suffix send, receive and checksum
 the same rows, so each end memoizes them in a ``ced.tsstore.RowMemo`` of its
-own, bounded to ``DECODE_MEMO_ROWS`` rows like the store's chunk memo, so
+own, bounded to ``LINK_MEMO_ROWS`` rows (the window of blocks that
+concurrent streams share) and kept apart from the store's chunk memo, so
 chunks and link blocks never evict each other.  ``pack_memo`` holds packed
 DATA blocks, keyed by ``(series, value type, first ts, last ts, row count)``,
 and packed result blocks of exactly ``BLOCK_ROWS`` rows (``encode_rows_once``),
@@ -86,9 +87,7 @@ from typing import Optional, Sequence
 from .codec import F64, I64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
-from .tsstore import (
-    BLOCK_ROWS, DECODE_MEMO_ROWS, RowMemo, SeriesPath, TsBlock, ValueType, strictly_increasing,
-)
+from .tsstore import BLOCK_ROWS, RowMemo, SeriesPath, TsBlock, ValueType, strictly_increasing
 
 __all__ = [
     "ChannelId",
@@ -323,10 +322,15 @@ def _read_string_cells(r: Reader, n: int) -> tuple:
 
 _BLOCK_HEAD = struct.Struct("<BBI")        # flags, value_type, row_count
 
+# Most rows each link memo retains: the window of blocks that concurrent
+# streams share, not a series a later run re-reads (a larger bound only raises
+# peak RSS).
+LINK_MEMO_ROWS = 16 * BLOCK_ROWS
+
 # (payload, *columns) of recently packed blocks and checksum rows, and the
 # (series, timestamps, values, value type) of DATA payloads sent or received
-pack_memo = RowMemo(DECODE_MEMO_ROWS)
-link_memo = RowMemo(DECODE_MEMO_ROWS)
+pack_memo = RowMemo(LINK_MEMO_ROWS)
+link_memo = RowMemo(LINK_MEMO_ROWS)
 
 
 def encode_block(block: TsBlock) -> bytes:

@@ -13,8 +13,8 @@ from ced import wire
 from ced.harness.metrics import ChecksumBuilder
 from ced.harness.scenario import QuerySpec
 from ced.scanops import ResultBlock
-from ced.tsstore import BLOCK_ROWS, DECODE_MEMO_ROWS, SeriesPath, TsBlock, ValueType
-from ced.wire import encode_block, pack_memo
+from ced.tsstore import BLOCK_ROWS, SeriesPath, TsBlock, ValueType
+from ced.wire import LINK_MEMO_ROWS, encode_block, pack_memo
 
 ROWS = 2 * BLOCK_ROWS + 500
 
@@ -306,10 +306,10 @@ def test_the_slices_of_a_long_block_never_enter_the_memo():
 
 def test_the_memo_stays_within_its_bound():
     builder = ChecksumBuilder()
-    for k in range(2 * DECODE_MEMO_ROWS // BLOCK_ROWS):
+    for k in range(2 * LINK_MEMO_ROWS // BLOCK_ROWS):
         builder.update(_result(*_full_columns(k * BLOCK_ROWS)))
-        assert pack_memo.rows <= DECODE_MEMO_ROWS
-    assert pack_memo.rows == DECODE_MEMO_ROWS
+        assert pack_memo.rows <= LINK_MEMO_ROWS
+    assert pack_memo.rows == LINK_MEMO_ROWS
 
 
 @pytest.mark.parametrize("mode", ["edge_only", "cloud_only"])

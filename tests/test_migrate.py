@@ -70,6 +70,27 @@ def test_each_producer_runs_its_own_scan(tmp_path):
     assert (q.migrated, q.final_placement) == (2, "cloud")
 
 
+def test_a_forced_switch_sweep_decodes_each_chunk_once(tmp_path):
+    """Ten runs of Q1 over one dataset, each with its own edge copy and cloud
+    mirror of it, decode each ``t1`` chunk once in all: a chunk's decode memo
+    entry is keyed by what it holds, so every later load, in any run's store,
+    hits it."""
+    workload = small_workload()
+    scenarios = [make_scenario(mode="edge_only", warm_series=(), workload=workload)]
+    scenarios += [make_scenario(forced_migration_at_rows=rows, workload=workload)
+                  for rows in range(1000, 5001, 500)]
+    clusters, reports = zip(*(run(scenario, tmp_path) for scenario in scenarios))
+    assert len({r.queries[0].checksum for r in reports}) == 1
+    assert [r.queries[0].migrated for r in reports] == [0] + [1] * 9
+    t1 = clusters[0].dataset.device.child("t1")
+    stores = [store for c in clusters for store in (c.edge_store, c.cloud_store)]
+    distinct = {(m.min_ts, m.max_ts, m.byte_len) for store in stores if store.has_series(t1)
+                for m in store.chunk_metas(t1)}
+    assert len(distinct) == workload.total_rows // workload.chunk_target_rows
+    assert sum(store.io.chunks_loaded for store in stores) > 3 * len(distinct)
+    assert sum(store.io.chunks_decoded for store in stores) == len(distinct)
+
+
 # --- six-step exchange --------------------------------------------------------------
 
 def test_request_carries_quintuple_and_sql_and_triple_echoes(tmp_path):

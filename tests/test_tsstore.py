@@ -280,6 +280,15 @@ def _block_rows(blocks):
     return [(b.series_id, b.timestamps, b.values, b.value_type) for b in blocks]
 
 
+def _memo_key(meta):
+    """The ``decode_memo`` key of a chunk: what its index entry says it holds, not its file."""
+    return (meta.series, meta.value_type, meta.row_count, meta.min_ts, meta.max_ts, meta.byte_len)
+
+
+def _chunk_bytes(meta) -> bytes:
+    return meta.file_path.read_bytes()[meta.offset:meta.offset + meta.byte_len]
+
+
 def test_memo_hit_equals_miss_and_every_load_is_charged(store):
     meta = fill(store, S, 2500, chunk_target_rows=2500).chunk_index[0]
     miss = store.load_chunk_pages(meta)
@@ -313,9 +322,8 @@ def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
     metas = store.chunk_metas(S)
     assert store.io.chunks_loaded == 2 * len(metas)
     for meta in metas:
-        buf = meta.file_path.read_bytes()[meta.offset:meta.offset + meta.byte_len]
-        retained = decode_memo.get((meta.file_path, meta.series, meta.value_type, meta.row_count,
-                                    meta.min_ts, meta.max_ts, meta.byte_len))
+        buf = _chunk_bytes(meta)
+        retained = decode_memo.get(_memo_key(meta))
         assert retained[1:3] == _decode_chunk(buf, meta) and retained[4] == buf
 
 
@@ -378,16 +386,18 @@ def test_corrupt_chunk_is_never_memoized(store):
 
 
 def test_rows_retained_across_stores_never_exceed_the_bound(tmp_path):
-    assert DECODE_MEMO_ROWS == 16 * BLOCK_ROWS
+    chunk = DECODE_MEMO_ROWS // 8            # the memo holds 8 chunks, 4 stores' worth
     stores = []
-    for i in range(7):                       # 7 x 2 x 1500 rows: more than the bound
+    for i in range(6):                       # 6 x 2 chunks: more than the bound
         s = SeriesStore(tmp_path / f"s{i}")
-        s.flush(S, range(3000), [float(i)] * 3000, chunk_target_rows=1500)
+        # each store's chunks start at timestamps of their own: no two share a key
+        s.flush(S, range(2 * chunk * i, 2 * chunk * (i + 1)), [float(i)] * (2 * chunk),
+                chunk_target_rows=chunk)
         stores.append(s)
         for meta in s.chunk_metas(S):
             s.load_chunk_pages(meta)
             assert decode_memo.rows <= DECODE_MEMO_ROWS
-    assert decode_memo.rows == 10 * 1500
+    assert decode_memo.rows == 8 * chunk
 
     def reload(s):
         for meta in s.chunk_metas(S):
@@ -402,9 +412,69 @@ def test_rows_retained_across_stores_never_exceed_the_bound(tmp_path):
     rows = DECODE_MEMO_ROWS + 1
     meta = big.flush(S, range(rows), [1] * rows, chunk_target_rows=rows).chunk_index[0]
     big.load_chunk_pages(meta)               # larger than the bound: decoded, not retained
-    assert decode_memo.rows == 10 * 1500
+    assert decode_memo.rows == 8 * chunk
     big.load_chunk_pages(meta)
     assert big.io.chunks_decoded == 2
+
+
+def test_equal_shaped_chunks_of_other_bytes_take_turns_in_one_entry(tmp_path):
+    a, b = SeriesStore(tmp_path / "a"), SeriesStore(tmp_path / "b")
+    meta_a = fill(a, S, 1500).chunk_index[0]
+    meta_b = fill(b, S, 1500, value=lambda i: -1.0 - i).chunk_index[0]
+    assert _memo_key(meta_a) == _memo_key(meta_b) and _chunk_bytes(meta_a) != _chunk_bytes(meta_b)
+    for store, meta, value in ((a, meta_a, float), (b, meta_b, lambda i: -1.0 - i), (a, meta_a, float)):
+        assert store.load_chunk_columns(meta)[2] == tuple(map(value, range(1500)))
+        assert decode_memo.rows == 1500      # the other store's entry was replaced, not kept beside it
+    assert (a.io.chunks_decoded, b.io.chunks_decoded) == (2, 1)
+
+
+def test_a_copy_and_a_mirror_of_one_series_decode_each_chunk_once(tmp_path):
+    origin = SeriesStore(tmp_path / "origin")
+    fill(origin, S, 5000, chunk_target_rows=1000)
+    fill(origin, S, 2000, start=5000, chunk_target_rows=1000)
+    first = [origin.load_chunk_columns(meta) for meta in origin.chunk_metas(S)]
+    copy, mirror = SeriesStore(tmp_path / "copy"), SeriesStore(tmp_path / "mirror")
+    origin.copy_series(S, copy)
+    mirror.import_snapshot(origin.export_snapshot(S))
+    for store in (copy, mirror):
+        for meta, columns in zip(store.chunk_metas(S), first, strict=True):
+            assert all(a is b for a, b in zip(store.load_chunk_columns(meta), columns))
+        assert (store.io.chunks_loaded, store.io.chunks_decoded) == (7, 0)
+    assert origin.io.chunks_decoded == 7
+
+
+_VARIANTS = (float, lambda i: -1.0 - i, lambda i: 0.5 * i)   # equal-shaped FLOAT64 chunks of other bytes
+
+
+# Takes its example count from the profile: 60 in tier-1, 300 under --hypothesis-profile=oracle.
+@settings(deadline=None)
+@given(steps=st.lists(
+    st.tuples(st.sampled_from(["flush", "copy", "import", "load"]), st.integers(0, 2), st.integers(0, 2)),
+    min_size=1, max_size=12,
+))
+def test_every_load_through_the_memo_equals_a_fresh_decode(tmp_path_factory, steps):
+    """Up to three stores hold one series of three 10-row chunks, written by a
+    flush of one of three value variants, a copy or a snapshot import; each
+    chunk's key is the same in every store, its bytes equal or not."""
+    decode_memo.clear()
+    root = tmp_path_factory.mktemp("memo")
+    stores = [SeriesStore(root / f"s{j}", page_rows=4) for j in range(3)]
+    for kind, j, k in steps:
+        store, other = stores[j], stores[k]
+        if kind == "flush":
+            store.remove_series(S)
+            fill(store, S, 30, value=_VARIANTS[k], chunk_target_rows=10)
+        elif kind == "load" and store.has_series(S):
+            for meta in store.chunk_metas(S):
+                expected = _decode_chunk(_chunk_bytes(meta), meta)
+                assert store.load_chunk_columns(meta) == (S, *expected)
+                blocks = store.load_chunk_pages(meta)
+                assert tuple(t for b in blocks for t in b.timestamps) == expected[0]
+                assert tuple(v for b in blocks for v in b.values) == expected[1]
+        elif kind == "copy" and j != k and other.has_series(S):
+            other.copy_series(S, store)
+        elif kind == "import" and other.has_series(S):
+            store.import_snapshot(other.export_snapshot(S))
 
 
 def test_putting_a_retained_key_again_replaces_its_entry_and_its_rows():

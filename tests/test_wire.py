@@ -15,6 +15,7 @@ from ced.harness.scenario import QuerySpec
 from ced.scanops import IndexKind, LogicalIndex
 from ced.tsstore import DECODE_MEMO_ROWS, SeriesPath, SeriesStore, TsBlock, ValueType, decode_memo
 from ced.wire import (
+    LINK_MEMO_ROWS,
     ChannelId,
     DeltaState,
     Direction,
@@ -27,6 +28,7 @@ from ced.wire import (
     encode_cells,
     encode_channel,
     encode_message,
+    encode_rows_once,
     link_memo,
     pack_memo,
 )
@@ -526,12 +528,17 @@ def _links(count: int, rows: int = 1000, column=tuple) -> list[bytes]:
             for k in range(count)]
 
 
+def _past_the_bounds() -> int:
+    """Chunks of 1500 rows, or link blocks of 1000, that more than fill their memos."""
+    return max(DECODE_MEMO_ROWS // 1500, LINK_MEMO_ROWS // 1000) + 4
+
+
 def test_loading_chunks_never_evicts_a_link_block(tmp_path, monkeypatch):
     calls = _count_decodes(monkeypatch)
     links = _links(4, column=list)           # never seeded by the packer: each is decoded once
     for buf in links:
         decode_message(buf)
-    store = _chunk_store(tmp_path, rows=24000)   # 16 x 1500 chunk rows: more than the bound
+    store = _chunk_store(tmp_path, rows=_past_the_bounds() * 1500)   # more chunk rows than the bound
     for meta in store.chunk_metas(S):
         store.load_chunk_pages(meta)
         assert decode_memo.rows <= DECODE_MEMO_ROWS
@@ -546,11 +553,12 @@ def test_decoding_link_blocks_never_evicts_a_chunk(tmp_path, monkeypatch):
     store = _chunk_store(tmp_path)
     for meta in store.chunk_metas(S):
         store.load_chunk_pages(meta)
-    for buf in _links(20):                   # 20 x 1000 link rows: more than the bound
+    count = _past_the_bounds()
+    for buf in _links(count, column=list):   # more link rows than the bound, each a receiver's miss
         decode_message(buf)
-        assert link_memo.rows <= DECODE_MEMO_ROWS
-    assert len(calls) == 20
-    assert link_memo.rows == 16 * 1000       # the four oldest were evicted
+        assert link_memo.rows <= LINK_MEMO_ROWS
+    assert len(calls) == count
+    assert link_memo.rows == LINK_MEMO_ROWS  # the oldest were evicted
     for meta in store.chunk_metas(S):        # every chunk still retained
         store.load_chunk_pages(meta)
     assert store.io.chunks_decoded == 4
@@ -559,19 +567,23 @@ def test_decoding_link_blocks_never_evicts_a_chunk(tmp_path, monkeypatch):
 
 def test_each_memo_stays_within_its_bound(tmp_path, monkeypatch):
     calls = _count_decodes(monkeypatch)
-    store = _chunk_store(tmp_path, rows=30000)
-    links = _links(20)
-    for meta, buf in zip(store.chunk_metas(S), links):   # interleaved: 20 chunks and 20 links
+    count = _past_the_bounds()
+    store = _chunk_store(tmp_path, rows=count * 1500)
+    links = _links(count, column=list)
+    for k, (meta, buf) in enumerate(zip(store.chunk_metas(S), links, strict=True)):   # interleaved
         store.load_chunk_pages(meta)
         decode_message(buf)
-        for memo in (decode_memo, link_memo, pack_memo):
-            assert memo.rows <= DECODE_MEMO_ROWS
-    assert decode_memo.rows == 10 * 1500
-    assert link_memo.rows == pack_memo.rows == 16 * 1000
-    decode_message(links[4])                 # the oldest retained link block: a hit
-    assert len(calls) == 20
-    decode_message(links[3])                 # evicted, in its own memo's order
-    assert len(calls) == 21
+        encode_rows_once(tuple(range(k * 1000, (k + 1) * 1000)), ((f"v{k}",) * 1000,))   # its checksum rows
+        for memo, bound in ((decode_memo, DECODE_MEMO_ROWS), (link_memo, LINK_MEMO_ROWS),
+                            (pack_memo, LINK_MEMO_ROWS)):
+            assert memo.rows <= bound
+    assert decode_memo.rows == DECODE_MEMO_ROWS // 1500 * 1500
+    assert link_memo.rows == pack_memo.rows == LINK_MEMO_ROWS
+    oldest = count - LINK_MEMO_ROWS // 1000
+    decode_message(links[oldest])            # the oldest retained link block: a hit
+    assert len(calls) == count
+    decode_message(links[oldest - 1])        # evicted, in its own memo's order
+    assert len(calls) == count + 1
 
 
 # --- block pack memo -------------------------------------------------------------------
