@@ -6,8 +6,8 @@ from little-endian fixed-width fields (``U8 U16 U32 U64 I64 F64``) and
 from text and blobs prefixed by their length.  Writers append to a ``bytearray``.  A :class:`Reader` reads one
 buffer field by field and raises the error class its caller names
 (``CorruptChunk`` for disk bytes, ``MalformedMessage`` for link bytes) on a
-short read, bad UTF-8, an unknown enum byte or leftover bytes.  Per-row
-and per-cell loops read ``Reader.buf`` inline and check bounds once per run.
+short read, bad UTF-8, an unknown enum byte or leftover bytes.  Only the
+store's page reader (``tsstore._read_rows``) checks bounds once per column.
 
 Rows of fields are packed by :func:`pack_rows`, the one row packer: a store
 page's two columns (timestamps, then values or a STRING column's lengths;

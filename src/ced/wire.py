@@ -84,7 +84,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .codec import F64, I64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
+from .codec import F64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
 from .tsstore import BLOCK_ROWS, RowMemo, SeriesPath, TsBlock, ValueType, strictly_increasing
@@ -177,8 +177,6 @@ _BOOL, _INT64, _FLOAT64, _STRING = (int(vt) for vt in ValueType)
 _CELL_INT64 = struct.Struct("<BBq")       # presence, tag, value
 _CELL_FLOAT64 = struct.Struct("<BBd")
 _CELL_STRING = struct.Struct("<BBI")      # presence, tag, utf-8 length
-_STRING_HEAD = struct.Struct("<HI")       # presence and tag as one u16, utf-8 length
-_PRESENT_STRING = 1 | _STRING << 8
 
 
 def _string_cell(value: str) -> bytes:
@@ -250,72 +248,24 @@ def encode_rows_once(timestamps, columns) -> bytes:
 
 
 def _read_cells(r: Reader, n: int) -> tuple:
-    """Sequential parse of ``n`` cells, as a tuple.
-
-    The loop reads ``r.buf`` inline; a field cut short or bad UTF-8 becomes
-    ``r``'s error, and the end position is checked once, after the loop.
-    """
-    buf, pos = r.buf, r.pos
+    """``n`` cells read from ``r``, as a tuple."""
     values: list = []
-    append = values.append
-    unpack_u32, unpack_i64, unpack_f64 = U32.unpack_from, I64.unpack_from, F64.unpack_from
-    try:
-        for _ in range(n):
-            if not buf[pos]:
-                append(None)
-                pos += 1
-                continue
-            pos += 1
-            tag = buf[pos]
-            if tag == _STRING:
-                end = pos + 5 + unpack_u32(buf, pos + 1)[0]
-                append(buf[pos + 5:end].decode("utf-8"))
-                pos = end
-            elif tag == _FLOAT64:
-                append(unpack_f64(buf, pos + 1)[0])
-                pos += 9
-            elif tag == _INT64:
-                append(unpack_i64(buf, pos + 1)[0])
-                pos += 9
-            elif tag == _BOOL:
-                append(bool(buf[pos + 1]))
-                pos += 2
-            else:
-                raise r.error(f"unknown value tag {tag} at byte {pos}")
-    except (IndexError, struct.error, UnicodeDecodeError) as exc:
-        raise r.error(f"cell cut short or not utf-8 at byte {pos} ({exc})") from None
-    if pos > len(buf):
-        raise r.fail(f"cell runs {pos - len(buf)} bytes past the end")
-    r.pos = pos
-    return tuple(values)
-
-
-def _read_string_cells(r: Reader, n: int) -> tuple:
-    """``_read_cells`` for cells that are all present STRING, one unpack each.
-
-    On the first other cell, or any bytes a cell cannot be read from, the
-    cells are parsed again from the first by ``_read_cells``, which returns
-    them or raises its own MalformedMessage.
-    """
-    buf, pos = r.buf, r.pos
-    values: list = []
-    append = values.append
-    unpack_head = _STRING_HEAD.unpack_from
-    try:
-        for _ in range(n):
-            head, size = unpack_head(buf, pos)
-            if head != _PRESENT_STRING:
-                break
-            pos += 6
-            append(buf[pos:pos + size].decode("utf-8"))
-            pos += size
+    for _ in range(n):
+        if not r.u8():
+            values.append(None)
+            continue
+        tag = r.u8()
+        if tag == _STRING:
+            values.append(r.text(U32))
+        elif tag == _FLOAT64:
+            values.append(r.unpack(F64)[0])
+        elif tag == _INT64:
+            values.append(r.i64())
+        elif tag == _BOOL:
+            values.append(bool(r.u8()))
         else:
-            if pos <= len(buf):
-                r.pos = pos
-                return tuple(values)
-    except (struct.error, UnicodeDecodeError):
-        pass
-    return _read_cells(r, n)
+            raise r.fail(f"unknown value tag {tag}")
+    return tuple(values)
 
 
 # --- blocks ---------------------------------------------------------------------
@@ -393,16 +343,7 @@ def decode_block(buf: bytes) -> tuple[TsBlock, int]:
     timestamps = struct.unpack(f"<{n}q", r.take(8 * n))
     if not strictly_increasing(timestamps):
         raise r.fail("tsblock timestamps do not strictly increase")
-    buf, pos = r.buf, r.pos
-    end = pos + 10 * n
-    if buf[pos:end:10] == b"\x01" * n and buf[pos + 1:end:10] == bytes([_FLOAT64]) * n:
-        # stride 10 holds present-FLOAT64 at every cell: exactly the bytes a
-        # sequential parse would read, so unpack them in one pass
-        values = tuple([v for _, _, v in _CELL_FLOAT64.iter_unpack(r.take(10 * n))])
-    elif vt is ValueType.STRING:
-        values = _read_string_cells(r, n)
-    else:
-        values = _read_cells(r, n)
+    values = _read_cells(r, n)
     try:
         return TsBlock(SeriesPath.parse(series), timestamps, values, vt, bool(header_only)), r.pos
     except ValueError as exc:

@@ -172,6 +172,24 @@ def test_a_duplicate_request_reaches_the_confirmed_producer_and_is_ignored(tmp_p
     assert cluster.telemetry.count("confirm") == 1
 
 
+@pytest.mark.parametrize("sql,source_id", [
+    ("SELEC t1 FROM dev", 1),                   # does not parse
+    ("SELECT t9 FROM dev", 1),                  # names no sensor of the device
+    ("SELECT t1, t3 FROM dev", 0),              # source ids start at 1
+    ("SELECT t1, t3 FROM dev", 3),              # one past the query's two scans
+], ids=["unparsable", "unknown_sensor", "source_0", "source_past_scans"])
+def test_an_unplannable_request_is_rejected(tmp_path, sql, source_id):
+    cluster = make_cluster(make_scenario(), tmp_path)
+    channel = ChannelId("edge", 7000, 1, source_id, 99)
+    replies = []
+    cluster.edge_transport.register_channel(channel, replies.append)
+    cluster.edge_transport.send_message(Message(MessageType.MIGRATION_REQUEST, channel, sql=sql))
+    cluster.engine.run_until_idle()
+    assert [m.type for m in replies] == [MessageType.REJECTION]
+    assert [(kind, ch) for _, kind, ch in cluster.telemetry.events] == [("reject", channel)]
+    assert cluster.gateway.channels == {}
+
+
 def test_delta_switch_lands_on_chunk_boundary(tmp_path):
     scenario = make_scenario(forced_migration_at_rows=2000)
     cluster, report = run(scenario, tmp_path)

@@ -1,6 +1,8 @@
 """Every preset runs to completion at a small scale and stays exact across modes."""
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -262,6 +264,24 @@ def test_cli_reports_a_scenario_seed_key_as_unknown(tmp_path, capsys):
     path.write_text(json.dumps({"queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}], "seed": 7}))
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: unknown keys ['seed']")
+
+
+def test_cli_seed_reseeds_a_scenario_file(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "seeded",
+        "queries": [{"name": "Q1", "sql": "SELECT t1, t3 FROM dev"}],
+        "workload": {"sensor_count": 3, "total_rows": 3000},
+    }))
+    config = load_scenario_file(path)
+    seeded = emit([run_scenario(config.with_seed(7), tmp_path / "run", run_label=config.name)], tmp_path / "want")
+    csvs = {}
+    for out, seed in (("seed7", ["--seed", "7"]), ("unseeded", [])):
+        assert cli.main(["run", "--scenario", str(path), *seed, "--out", str(tmp_path / out)]) == 0
+        csvs[out] = (tmp_path / out / "metrics.csv").read_text()
+    assert csvs["seed7"] == seeded["metrics"].read_text()
+    checksums = {out: [row["checksum"] for row in csv.DictReader(io.StringIO(text))] for out, text in csvs.items()}
+    assert checksums["seed7"] != checksums["unseeded"]
 
 
 @pytest.mark.parametrize("sql,error", [

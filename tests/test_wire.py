@@ -822,20 +822,9 @@ def test_list_columns_are_never_seeded(columns):
     assert link_memo.rows == 0 and pack_memo.rows == 0
 
 
-# --- string cells ----------------------------------------------------------------------
+# --- cells ------------------------------------------------------------------------------
 
 _CELL_VALUES = st.one_of(st.text(max_size=6), st.none(), st.booleans(), _I64, _FLOATS_ANY)
-
-
-def _read_or_error(read, buf: bytes, n: int):
-    """The cells ``read`` parses, re-encoded so that they compare cell-exactly
-    (NaN bits, -0.0 against 0.0, True against 1), and the end position; or
-    its error."""
-    r = Reader(buf, MalformedMessage)
-    try:
-        return encode_cells(read(r, n)), r.pos
-    except MalformedMessage as exc:
-        return str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -847,9 +836,18 @@ def _read_or_error(read, buf: bytes, n: int):
     junk=st.binary(max_size=3),
     cut=st.integers(0, 3),
 )
-def test_string_cells_read_like_the_sequential_parse(values, lead, extra, at, junk, cut):
+def test_cells_parse_to_what_they_reencode_or_are_rejected(values, lead, extra, at, junk, cut):
+    """Cut, prefixed or corrupted cell runs either raise MalformedMessage or
+    end exactly where the cells read re-encode to; intact runs round-trip."""
     cells = lead + b"".join(encode_cells(values))
+    n = max(0, len(values) + extra)
     for buf in (cells, cells[:at % (len(cells) + 1)] + junk + cells[at % (len(cells) + 1) + cut:]):
-        n = max(0, len(values) + extra)
-        expected = _read_or_error(wire._read_cells, buf, n)
-        assert _read_or_error(wire._read_string_cells, buf, n) == expected
+        r = Reader(buf, MalformedMessage)
+        try:
+            read = wire._read_cells(r, n)
+        except MalformedMessage:
+            continue
+        reencoded = b"".join(encode_cells(read))
+        assert r.pos == len(reencoded)
+        if buf is cells and not lead and not extra:
+            assert reencoded == cells
