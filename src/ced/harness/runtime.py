@@ -37,7 +37,7 @@ from ..migrate import (
 )
 from ..monitor import ResourceMonitor
 from ..netsim import Engine, FifoResource, Link, Signal
-from ..queryplan import Catalog, parse, plan
+from ..queryplan import parse, plan
 from ..scanops import NOT_READY, PENDING, build_operator, build_scan
 from ..tsstore import SeriesPath, SeriesStore
 from .metrics import ChecksumBuilder, MetricsReport, QueryResult
@@ -68,7 +68,8 @@ class QueryContext:
         self.start_s = 0.0
         self.end_s = 0.0
 
-        self.root, self.leaf_ops = build_operator(plan(parse(sql), cluster.catalog), cluster.edge_store)
+        store = cluster.edge_store
+        self.root, self.leaf_ops = build_operator(plan(parse(sql), store, cluster.dataset.device), store)
         self.channels: list[SinkChannel] = []      # one per leaf once migration starts
         if cluster.scenario.forced_migration_at_rows is not None:
             for leaf in self.leaf_ops:
@@ -182,8 +183,6 @@ class Cluster:
         )
         self.dataset = generate(self.edge_store, workload)
 
-        self.catalog = Catalog.from_store(self.edge_store, self.dataset.device)
-
         self.link = Link(self.engine, scenario.link)
         self.edge_transport = Transport(self.engine, self.link, "edge", "cloud")
         self.cloud_transport = Transport(self.engine, self.link, "cloud", "edge")
@@ -262,8 +261,9 @@ class Cluster:
     # --- cloud producer construction -----------------------------------------------
 
     def _make_producer(self, msg) -> Optional[SourceChannel]:
+        # the shipped SQL, planned against the edge's metadata, gives the edge's scans
         try:
-            scans = plan(parse(msg.sql), self.catalog)
+            scans = plan(parse(msg.sql), self.edge_store, self.dataset.device)
         except CedError:
             return None
         source_id = msg.channel.source_id
@@ -290,7 +290,8 @@ class Cluster:
 
     def queried_series(self) -> list[SeriesPath]:
         return list(dict.fromkeys(
-            scan.series for spec in self.scenario.queries for scan in plan(parse(spec.sql), self.catalog)
+            scan.series for spec in self.scenario.queries
+            for scan in plan(parse(spec.sql), self.edge_store, self.dataset.device)
         ))
 
     def warm_series_paths(self) -> list[SeriesPath]:

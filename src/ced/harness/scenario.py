@@ -79,10 +79,9 @@ class CostModel:
     recv_row_cost_s: float = 2e-7       # edge-side cost per row received from the stream
 
     def validate(self) -> None:
-        if min(self.edge_disk_mb_s, self.cloud_disk_mb_s) <= 0:
-            raise ScenarioError("disk rates must be positive")
-        if min(self.edge_cpu_cores, self.cloud_cpu_cores) <= 0:
-            raise ScenarioError("core budgets must be positive")
+        for name in ("edge_disk_mb_s", "cloud_disk_mb_s", "edge_cpu_cores", "cloud_cpu_cores"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"cost.{name} must be > 0")
         for name in ("row_cpu_cost_s", "recv_row_cost_s"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"cost.{name} must be >= 0")
@@ -128,7 +127,7 @@ class ScenarioConfig:
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}")
         if not self.queries:
-            raise ScenarioError("scenario needs at least one query")
+            raise ScenarioError("queries must hold at least one query")
         for query in self.queries:
             query.validate()
         self.workload.validate()

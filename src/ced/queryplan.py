@@ -11,10 +11,11 @@ and windowed aggregation:
     path     := identifier ("." identifier)*
 
 A plan is its scans: one :class:`ScanPlan` per select item, in select
-order.  Planning is a pure function of (SQL text, catalog), so the cloud,
-re-planning a shipped statement against the same catalog, gets the same
-scans, and the channel's source id picks one of them: shipping only the SQL
-statement is sufficient for migration.
+order.  Planning is a pure function of (SQL text, the store's metadata for
+the device): each item's value type and, for an aggregate, its time bounds.
+The cloud re-plans a shipped statement against the edge store's metadata and
+gets the same scans, and the channel's source id picks one of them: shipping
+only the SQL statement is sufficient for migration.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import PlanError, SqlSyntaxError, UnknownSeries, UnsupportedFeature
-from .tsstore import SeriesPath, ValueType
+from .tsstore import SeriesPath, SeriesStore, ValueType
 
 __all__ = [
     "Literal",
@@ -31,7 +32,6 @@ __all__ = [
     "Predicate",
     "Query",
     "ScanPlan",
-    "Catalog",
     "parse",
     "plan",
 ]
@@ -267,70 +267,6 @@ def parse(sql: str) -> Query:
     return _Parser(_lex(sql)).parse_query()
 
 
-# --- catalog -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SensorInfo:
-    value_type: ValueType
-    time_bounds: tuple[int, int]   # (min_ts, max_ts)
-
-
-class Catalog:
-    """Device -> sensors map with value types and time bounds.
-
-    One catalog is built from the edge store; the edge plans its queries
-    against it, and the cloud re-plans each shipped statement against it.
-    """
-
-    def __init__(self) -> None:
-        self._devices: dict[str, dict[str, SensorInfo]] = {}
-
-    def register_device(self, device: SeriesPath) -> None:
-        self._devices.setdefault(str(device), {})
-
-    def register_sensor(
-        self,
-        device: SeriesPath,
-        sensor: str,
-        value_type: ValueType,
-        time_bounds: tuple[int, int],
-    ) -> None:
-        self._devices.setdefault(str(device), {})[sensor] = SensorInfo(value_type, time_bounds)
-
-    @classmethod
-    def from_store(cls, store, device: SeriesPath) -> "Catalog":
-        catalog = cls()
-        catalog.register_device(device)
-        prefix = str(device) + "."
-        for name in store.series_names():
-            if name.startswith(prefix) and "." not in name[len(prefix):]:
-                series = SeriesPath.parse(name)
-                bounds = store.time_bounds(series)
-                catalog.register_sensor(device, series.leaf, store.value_type(series), bounds)
-        return catalog
-
-    def resolve_device(self, source: tuple[str, ...]) -> SeriesPath:
-        """Exact path, or unique suffix match (Table II queries say just ``dev``)."""
-        dotted = ".".join(source)
-        if dotted in self._devices:
-            return SeriesPath.parse(dotted)
-        matches = [
-            name for name in sorted(self._devices)
-            if name.split(".")[-len(source):] == list(source)
-        ]
-        if not matches:
-            raise UnknownSeries(f"no device matches {dotted!r}")
-        if len(matches) > 1:
-            raise PlanError(f"ambiguous device {dotted!r}: {matches}")
-        return SeriesPath.parse(matches[0])
-
-    def sensor_info(self, device: SeriesPath, sensor: str) -> SensorInfo:
-        sensors = self._devices.get(str(device))
-        if sensors is None or sensor not in sensors:
-            raise UnknownSeries(f"{device}.{sensor}")
-        return sensors[sensor]
-
-
 # --- plan -----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -351,9 +287,14 @@ class ScanPlan:
     window: Optional[tuple[int, int, int]] = None
 
 
-def plan(query: Query, catalog: Catalog) -> tuple[ScanPlan, ...]:
-    """One scan per select item, in select order."""
-    device = catalog.resolve_device(query.source)
+def plan(query: Query, store: SeriesStore, device: SeriesPath) -> tuple[ScanPlan, ...]:
+    """One scan per select item, in select order, of ``device`` in ``store``.
+
+    The FROM path names the device by its whole path or a suffix of it
+    (Table II queries say just ``dev``).
+    """
+    if device.segments[-len(query.source):] != query.source:
+        raise UnknownSeries(f"no device matches {'.'.join(query.source)!r}")
     predicate = query.predicate
     if predicate is not None:
         if query.is_aggregation:
@@ -362,15 +303,16 @@ def plan(query: Query, catalog: Catalog) -> tuple[ScanPlan, ...]:
             raise PlanError("predicate sensor must appear in the select list")
     scans = []
     for item in query.select_items:
-        info = catalog.sensor_info(device, item.sensor)
         series = device.child(item.sensor)
+        value_type = store.value_type(series)
         if query.is_aggregation:
-            if item.func == "max_value" and info.value_type not in (ValueType.INT64, ValueType.FLOAT64):
-                raise PlanError(f"max_value needs a numeric sensor, {item.sensor} is {info.value_type.name}")
-            lo, hi = info.time_bounds[0], info.time_bounds[1] + 1   # inclusive -> half-open
-            scans.append(ScanPlan(series, item.render(), fn=item.func, window=(lo, hi, query.group_by_ms)))
+            if item.func == "max_value" and value_type not in (ValueType.INT64, ValueType.FLOAT64):
+                raise PlanError(f"max_value needs a numeric sensor, {item.sensor} is {value_type.name}")
+            lo, hi = store.time_bounds(series)
+            window = (lo, hi + 1, query.group_by_ms)   # inclusive -> half-open
+            scans.append(ScanPlan(series, item.render(), fn=item.func, window=window))
         elif predicate is not None and predicate.sensor == item.sensor:
-            _check_literal_type(predicate, info.value_type)
+            _check_literal_type(predicate, value_type)
             scans.append(ScanPlan(series, item.render(), predicate))
         else:
             scans.append(ScanPlan(series, item.render()))

@@ -188,10 +188,6 @@ class SeriesPath:
     def child(self, segment: str) -> "SeriesPath":
         return SeriesPath(self.segments + (segment,))
 
-    @property
-    def leaf(self) -> str:
-        return self.segments[-1]
-
     def __str__(self) -> str:
         return ".".join(self.segments)
 

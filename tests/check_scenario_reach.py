@@ -38,7 +38,8 @@ PRESET_SCALE = "0.3"
 GEN_WORKLOAD = {"sensor_count": 3, "total_rows": 2000, "flush_every_rows": 500}
 SCENARIO = {
     "name": "reach", "queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"},
-                                 {"name": "Q6", "sql": "SELECT count(t1), max_value(t3) FROM dev GROUP BY 5m"}],
+                                 {"name": "Q6", "sql": "SELECT count(t1), max_value(t3) FROM dev GROUP BY 5m"},
+                                 {"name": "Q7", "sql": "SELECT t3 FROM root.ln.edge1.dev WHERE t3 > 990"}],
     "workload": {"sensor_count": 3, "total_rows": 3000, "sampling_interval_ms": 1000},
     "warm_series": ["t1", "t3"], "forced_migration_at_rows": 1000,
 }

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import pytest
 from conftest import TABLE_II, make_scenario, run
@@ -136,6 +137,27 @@ def test_digest_equals_the_per_row_reference(rows, patterns, start, step, cuts):
         for lo, hi in zip(bounds, bounds[1:])
     ]
     assert digest(blocks) == (rows, _reference_digest(timestamps, columns))
+
+
+def test_a_long_block_is_packed_in_slices_of_bounded_memory():
+    # perfbench's oracle checksums Q3's 50,000-row reference result as one block
+    rows = 50_000
+    timestamps = list(range(rows))
+    columns = [("t1", ValueType.STRING, [f"v{i % 1000}" for i in range(rows)]),
+               ("t3", ValueType.FLOAT64, [i * 0.5 for i in range(rows)])]
+    whole = ChecksumBuilder()
+    tracemalloc.start()
+    try:
+        whole.update(ResultBlock(timestamps, columns))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    sliced = ChecksumBuilder()
+    for lo in range(0, rows, 1000):
+        sliced.update(ResultBlock(timestamps[lo:lo + 1000],
+                                  [(name, vt, values[lo:lo + 1000]) for name, vt, values in columns]))
+    assert (whole.rows, whole.hexdigest()) == (sliced.rows, sliced.hexdigest())
 
 
 class _Text(str):

@@ -19,7 +19,7 @@ from ced.harness.scenario import CostModel, QuerySpec
 from ced.harness.workload import WorkloadConfig
 from ced.migrate import ChannelConfig, ChannelPhase, ProtocolTelemetry, SinkChannel
 from ced.netsim import Engine, LinkConfig
-from ced.queryplan import Catalog, Predicate, parse, plan
+from ced.queryplan import Predicate, parse, plan
 from ced.scanops import PENDING, FilterOp, LogicalIndex, RemoteEnd, SeriesScanOp, build_scan
 from ced.tsstore import SeriesPath, TsBlock, ValueType
 from ced.wire import ChannelId, Message, MessageType, TerminateReason
@@ -27,16 +27,19 @@ from ced.wire import ChannelId, Message, MessageType, TerminateReason
 
 # --- transmission mode: predicate pushdown iff the scan carries the WHERE clause ----
 
-def catalog():
-    c = Catalog()
-    dev = SeriesPath.parse("root.ln.edge1.dev")
-    c.register_sensor(dev, "t1", ValueType.STRING, (0, 1000))
-    c.register_sensor(dev, "t3", ValueType.FLOAT64, (0, 1000))
-    return c
+class StoreMetadata:
+    """What ``plan`` reads of a store: ``t1`` is STRING and ``t3`` FLOAT64."""
+
+    def value_type(self, series):
+        return {"t1": ValueType.STRING, "t3": ValueType.FLOAT64}[series.segments[-1]]
+
+    def time_bounds(self, series):
+        return 0, 1000
 
 
 def predicates(sql):
-    return [scan.predicate for scan in plan(parse(sql), catalog())]
+    device = SeriesPath.parse("root.ln.edge1.dev")
+    return [scan.predicate for scan in plan(parse(sql), StoreMetadata(), device)]
 
 
 def test_q1_selects_pushdown():
@@ -66,7 +69,7 @@ def test_each_producer_runs_its_own_scan(tmp_path):
     streaming, pushdown = producers[1], producers[2]
     assert isinstance(streaming.root_op, SeriesScanOp) and streaming.root_op is streaming.leaf_op
     assert isinstance(pushdown.root_op, FilterOp) and pushdown.root_op.child is pushdown.leaf_op
-    assert streaming.leaf_op.series.leaf == "t1" and pushdown.leaf_op.series.leaf == "t3"
+    assert streaming.leaf_op.series.segments[-1] == "t1" and pushdown.leaf_op.series.segments[-1] == "t3"
     assert (q.migrated, q.final_placement) == (2, "cloud")
 
 
@@ -365,6 +368,34 @@ def test_poll_returns_one_credit_per_block_until_the_terminate_arrives():
     assert sink.poll() == RemoteEnd("complete")
     assert sink.poll() is PENDING
     assert transport.sent == [MessageType.CREDIT] * 2
+
+
+def test_a_data_block_before_the_ack_or_of_another_series_is_recorded_and_still_queued():
+    series = SeriesPath.parse("root.ln.edge1.dev.t1")
+    channel = ChannelId("cloud", 9000, 1, 1, 1)
+    telemetry = ProtocolTelemetry()
+    sink = SinkChannel(Engine(), RecordingTransport(), channel, TABLE_II["Q3"], series, ChannelConfig(),
+                       telemetry, notify=lambda: None, on_confirmed=lambda _: None)
+    sink.activate(LogicalIndex.row_offset(0))       # the delta is out, the ACK not yet in
+    early = TsBlock(series, [0], [0.0], ValueType.FLOAT64)
+    sink.on_message(Message(MessageType.DATA, channel, block=early))
+    sink.on_message(Message(MessageType.ACK, channel))
+    stray = TsBlock(SeriesPath.parse("root.ln.edge1.dev.t3"), [1], [1.0], ValueType.FLOAT64)
+    sink.on_message(Message(MessageType.DATA, channel, block=stray))
+    anomalies = [(kind, ch) for _, kind, ch in telemetry.events if kind not in ("delta", "probe", "streaming")]
+    assert anomalies == [("data_before_ack", channel), ("cross_channel_block", channel)]
+    assert sink.recv_queue == [early, stray]
+
+
+def test_the_gateway_drops_a_stray_message_for_an_unknown_channel(tmp_path):
+    cluster = make_cluster(make_scenario(), tmp_path)
+    channel = ChannelId("edge", 7000, 1, 1, 99)
+    replies = []
+    cluster.edge_transport.register_channel(channel, replies.append)
+    cluster.edge_transport.send_message(Message(MessageType.CREDIT, channel))
+    cluster.engine.run_until_idle()
+    assert replies == [] and cluster.telemetry.events == [] and cluster.gateway.channels == {}
+    assert [direction for _, direction in cluster.link.counters] == ["edge->cloud"]
 
 
 def test_backpressure_queue_never_exceeds_depth(tmp_path):

@@ -194,6 +194,13 @@ def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
     ("channel.queue_depth", 1.5), ("warm_series", "t1"), ("scenario", "x"), ("scenario", 5),
     ("link.bandwidth_mbps", float("nan")), ("io_throttle", float("inf")), ("cpu_hog_duty", True),
     ("cost.row_cpu_cost_s", -1e-6), ("cost.recv_row_cost_s", -1.0),
+    ("mode", "x"), ("queries", []), ("queries.concurrency", 0),
+    ("cost.edge_disk_mb_s", 0), ("cost.cloud_cpu_cores", 0),
+    ("io_throttle", 0.5), ("background_io_duty", 1.0), ("cpu_load", -1),
+    ("workload.sensor_count", 0), ("workload.sampling_interval_ms", 0), ("workload.plant_count", 10**6),
+    ("link.bandwidth_mbps", 0), ("link.rtt_ms", -1),
+    # ThresholdPolicy raises ValueError as it is built, which the file loader wraps
+    ("policy.low_watermark", 0.9), ("policy.dwell", 0),
     # a value that only another mode allows: an edge_only query never migrates, and
     # a cloud_only one never falls back
     pytest.param("forced_migration_at_rows", {"mode": "edge_only", "forced_migration_at_rows": 5000},
@@ -203,6 +210,7 @@ def test_scenario_file_with_a_removed_cache_key_is_rejected(tmp_path):
     pytest.param("forced_fallback_after_rows",
                  {"mode": "cloud_only", "warm_series": ["t1"], "forced_fallback_after_rows": 5000},
                  id="cloud_only-forced_fallback_after_rows"),
+    pytest.param("warm_series", {"mode": "cloud_only"}, id="cloud_only-warm_series"),
 ])
 def test_out_of_range_scenario_value_is_a_scenario_error(tmp_path, key, value):
     raw = {"queries": [{"name": "Q1", "sql": "SELECT t1 FROM dev"}]}
@@ -288,8 +296,9 @@ def test_cli_seed_reseeds_a_scenario_file(tmp_path):
     ("SELECT t1 FRM dev", "expected FROM"),                            # SqlSyntaxError
     ("SELECT t1 FROM dev ORDER BY t1", "ORDER is outside"),            # UnsupportedFeature
     ("SELECT t9 FROM dev", "root.ln.edge1.dev.t9"),                    # UnknownSeries
+    ("SELECT t1 FROM nowhere", "no device matches 'nowhere'"),         # UnknownSeries
     ("SELECT max_value(t1) FROM dev GROUP BY 5m", "max_value needs"),  # PlanError
-], ids=["syntax", "unsupported", "unknown-series", "plan"])
+], ids=["syntax", "unsupported", "unknown-series", "unknown-device", "plan"])
 def test_cli_reports_a_bad_query_as_an_error(tmp_path, capsys, sql, error):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ced.errors import GuardViolation, IndexKindMismatch, MisalignedOffset
-from ced.queryplan import Catalog, parse, plan
+from ced.queryplan import parse, plan
 from ced.scanops import (
     NOT_READY,
     PENDING,
@@ -472,8 +472,7 @@ def test_merge_null_fills_missing_timestamps(tmp_path):
 
 def test_build_operator_from_plan_q1_shape(tmp_path):
     store = build_store(tmp_path, [1000], value=lambda t: f"v{t % 1000}")
-    catalog = Catalog.from_store(store, parent(S))
-    scans = plan(parse("SELECT t3 FROM d1 WHERE t3='v999'"), catalog)
+    scans = plan(parse("SELECT t3 FROM d1 WHERE t3='v999'"), store, parent(S))
     op, leaves = build_operator(scans, store)
     assert isinstance(op, RootAdapter) and isinstance(op.child, FilterOp)
     assert len(leaves) == 1 and isinstance(leaves[0], SeriesScanOp)

@@ -649,7 +649,7 @@ def test_series_path_validation():
     with pytest.raises(ValueError):
         SeriesPath.parse("notroot.a.b")
     p = SeriesPath.parse("root.ln.edge1.device1.t1")
-    assert p.leaf == "t1"
+    assert p.segments[-1] == "t1"
     assert str(parent(p)) == "root.ln.edge1.device1"
     assert parent(parent(p)) == SeriesPath.parse("root.ln.edge1")
 
