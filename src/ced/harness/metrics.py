@@ -33,12 +33,12 @@ class ChecksumBuilder:
     ``encode_rows`` call, so a value that does not pack raises from that
     block's ``update``.  A column with ``None`` cells or mixed types is packed
     cell by cell there, and the other columns are not, to the same bytes.  A
-    block of exactly ``BLOCK_ROWS`` rows whose columns are all tuples is packed
-    once for all the concurrent queries that return it
-    (``ced.wire.encode_rows_once``): they share the tuples the memos hand out,
-    and a hit is one identity test per column.  A shorter block, or one with a
-    list column (a filter's output, a merge of several segments), is packed
-    anew, to the same bytes.
+    block of exactly ``BLOCK_ROWS`` rows whose columns are all tuples or
+    read-only int64 views (a loaded page's timestamps) is packed once for all
+    the concurrent queries that return it (``ced.wire.encode_rows_once``):
+    they share the columns the memos hand out, and a hit is one identity test
+    per column.  A shorter block, or one with a list column (a filter's
+    output, a merge of several segments), is packed anew, to the same bytes.
     """
 
     def __init__(self) -> None:

@@ -368,9 +368,8 @@ class AggregationScanOp(_ScanLeaf):
         if index.value != self.spec.hi:
             self.spec.window_at(index.value)     # validates alignment
         self._iterator = self.store.open_chunk_iterator(self.series)
-        self._buf_ts: Sequence[int] = []
-        self._buf_values: Sequence = []
-        self._buf_pos = 0
+        self._pages: list[TsBlock] = []      # the loaded chunk's pages not yet read to their end
+        self._page_pos = 0                   # rows of the first of them already read
 
     def at_boundary(self) -> bool:
         return self._partial is None
@@ -379,7 +378,7 @@ class AggregationScanOp(_ScanLeaf):
         return self.logical_index.value < self.spec.hi
 
     def _next_local(self):
-        """Aggregate the current window a chunk buffer at a time, by bisection.
+        """Aggregate the current window a page at a time, by bisection.
 
         At most one chunk is loaded per call; a window that needs another
         returns NOT_READY with its running aggregate held.  Rows before the
@@ -394,22 +393,27 @@ class AggregationScanOp(_ScanLeaf):
             (window_start, window_end), (count, maximum) = self._partial
         loaded = False          # at most one chunk load per call
         iterator = self._iterator
+        pages = self._pages
         while True:
-            buf_ts, pos = self._buf_ts, self._buf_pos
-            if pos < len(buf_ts):
-                end = bisect_left(buf_ts, window_end, pos)
-                first = bisect_left(buf_ts, window_start, pos, end)
+            if pages:
+                page_ts, pos = pages[0].timestamps, self._page_pos
+                end = bisect_left(page_ts, window_end, pos)
+                # past the first window, every row before the start was read already
+                first = pos if page_ts[pos] >= window_start else bisect_left(page_ts, window_start, pos, end)
                 if first < end:
                     count += end - first
                     if self.fn == "max_value":
                         # max() keeps its current item unless a later one is
                         # greater, exactly as a row loop with ``>``: ties and NaN
-                        rows = self._buf_values[first:end]
+                        rows = pages[0].values[first:end]
                         maximum = max(rows) if maximum is None else max(chain((maximum,), rows))
                 self.rows_local += end - pos
-                self._buf_pos = end
-                if end < len(buf_ts):
+                if end < len(page_ts):
+                    self._page_pos = end
                     break                # the next row opens a later window
+                del pages[0]
+                self._page_pos = 0
+                continue
             if not iterator.has_next():
                 break
             meta = iterator.peek()
@@ -425,9 +429,7 @@ class AggregationScanOp(_ScanLeaf):
                 self._partial = ((window_start, window_end), (count, maximum))
                 return NOT_READY
             iterator.advance()
-            # the chunk's own columns, read in place and never changed
-            _series, self._buf_ts, self._buf_values = self.store.load_chunk_columns(meta)
-            self._buf_pos = 0
+            pages[:] = self.store.load_chunk_pages(meta)
             loaded = True
         self._partial = None
         result = count if self.fn == "count" else maximum
@@ -526,7 +528,8 @@ class FilterOp(_OperatorBase):
 class ResultBlock:
     """Client-facing batch: timestamps plus one or more named columns (nullable).
 
-    The columns are read-only, tuples or lists as ``TsBlock``'s are.
+    The columns are read-only, tuples or read-only int64 views or lists as
+    ``TsBlock``'s are.
     """
 
     timestamps: Sequence[int]
@@ -570,8 +573,10 @@ class MergeOp(_OperatorBase):
     value slice; otherwise it is their sorted union, and a child without a
     row at a timestamp gives ``None`` there.  A block of one segment is
     emitted as it is, so an aligned block that spans the children's whole
-    blocks carries their own columns (the memos' tuples, see ``ced.wire``);
-    a block of several segments is concatenated into fresh lists.
+    blocks carries their very column objects (the memos' tuples and views,
+    see ``ced.wire``; ``_part`` never re-slices a whole column, since a view's
+    slice is always a new object); a block of several segments is
+    concatenated into fresh lists.
 
     Pacing: a call that has pulled every child and merged a segment that
     leaves the block short returns NOT_READY and holds the block.  So a merge
@@ -633,12 +638,12 @@ class MergeOp(_OperatorBase):
             if rows >= BLOCK_ROWS or not ends:
                 break
             end = min(ends)
-            slices = [t[p:bisect_right(t, end, p)] for t, p in zip(ts_bufs, pos)]
+            slices = [_part(t, p, bisect_right(t, end, p)) for t, p in zip(ts_bufs, pos)]
             first = slices[0]
             if all(s == first for s in slices):
-                segment = first[:BLOCK_ROWS - rows]
+                segment = _part(first, 0, BLOCK_ROWS - rows)
                 n = len(segment)
-                cells = [values[p:p + n] for values, p in zip(value_bufs, pos)]
+                cells = [_part(values, p, p + n) for values, p in zip(value_bufs, pos)]
                 pos[:] = [p + n for p in pos]
             else:
                 segment = sorted(set().union(*slices))[:BLOCK_ROWS - rows]
@@ -663,6 +668,11 @@ class MergeOp(_OperatorBase):
             timestamps,
             [(name, vt, col) for name, vt, col in zip(self.columns, self._types, columns)],
         )
+
+
+def _part(column: Sequence, lo: int, hi: int) -> Sequence:
+    """``column[lo:hi]``, or ``column`` itself when that is all of it."""
+    return column if lo == 0 and hi >= len(column) else column[lo:hi]
 
 
 _COMPARATORS = {"=": operator.eq, "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}

@@ -60,20 +60,28 @@ Decoded chunks are memoized process-wide, in an LRU (``decode_memo``, a
 value type, row count, min ts, max ts, byte length)``, not by the file that
 holds it, so every store holding equal chunk bytes (a ``copy_series`` copy, an
 imported snapshot) shares one entry and a sweep decodes each chunk once per
-process.  The LRU is bounded to ``DECODE_MEMO_ROWS`` retained rows, one whole
-series of the workloads' datasets.  An entry keeps the bytes it decoded, and
-a load hits only when the bytes it read ``==`` them (hashing fresh bytes as a
-key would cost more), so an entry never goes stale and a hit implies every
-check the decode made; other bytes under the key (a file imported again,
-another store's equal-shaped chunk) are decoded and replace the entry.
-Every load still reads the chunk's bytes and is charged in ``IoStats``; only
-the decode is skipped.  An entry holds the chunk's two columns as tuples and
-its ``BLOCK_ROWS``-row pages as tuples sliced from them, all built once, by
-the miss.  ``load_chunk_columns`` returns the chunk tuples and
-``load_chunk_pages`` wraps the page tuples in fresh TsBlocks, so every load
-of one chunk hands out the very same immutable columns, and a later layer
-can tell them apart from equal ones by identity (``ced.wire``'s
-``pack_memo``).  ``ced.wire`` keeps two more ``RowMemo``s under a smaller
+process.  The LRU is bounded to ``DECODE_MEMO_ROWS`` retained rows, the
+working set of a query over two whole series (see its comment).  An entry
+keeps the bytes it decoded, and a load hits only when the bytes it read
+``==`` them (hashing fresh bytes as a key would cost more), so an entry never
+goes stale and a hit implies every check the decode made; other bytes under
+the key (a file imported again, another store's equal-shaped chunk) are
+decoded and replace the entry.  Every load still reads the chunk's bytes and
+is charged in ``IoStats``; only the decode is skipped.
+
+An entry holds the chunk's ``BLOCK_ROWS``-row pages, built once, by the miss.
+A page's timestamps are a slice of one read-only int64 ``memoryview`` over
+the chunk's timestamp bytes, joined from its pages (8 bytes a row, where an
+int held in a tuple costs about 48), and its values are a tuple.
+``load_chunk_pages``, the one loader, wraps the pages in fresh TsBlocks, so
+every load of one chunk hands out the very same columns.  No block can
+change them: a view over ``bytes`` and a tuple reject writes.  (A view can
+still be released, which would make later loads of its chunk raise until
+the entry is evicted; nothing releases one.)  So a later
+layer can tell them apart from equal ones by identity (``frozen_column``;
+``ced.wire``'s ``pack_memo``).  The view reads the files' little-endian
+bytes in the host's byte order, so the module refuses to import on a
+big-endian host.  ``ced.wire`` keeps two more ``RowMemo``s under a smaller
 bound of their own, one of packed DATA blocks and checksum rows and one of
 decoded DATA blocks, so chunks and link blocks never evict each other.
 """
@@ -84,6 +92,7 @@ import enum
 import operator
 import shutil
 import struct
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from itertools import accumulate, islice, pairwise
@@ -104,6 +113,8 @@ __all__ = [
     "IoStats",
     "SeriesStore",
     "strictly_increasing",
+    "int64_view",
+    "frozen_column",
     "DECODE_MEMO_ROWS",
     "RowMemo",
     "decode_memo",
@@ -112,13 +123,14 @@ __all__ = [
 BLOCK_ROWS = 1000
 
 # Most decoded rows the process keeps for later loads of equal chunk bytes:
-# one whole series of a 50,000-row dataset in 4,000-row chunks (13 chunks), so
-# the runs of a sweep, each with its own copies of one dataset, re-read it
-# whole without a miss.  Against a 16,000-row bound it raises the perfbench
-# workloads' own peak RSS by 3.3-3.9 MiB.  The bound is per process, not per
-# store: a finished run's stores can stay alive until a cyclic garbage
-# collection.
-DECODE_MEMO_ROWS = 52 * BLOCK_ROWS
+# two whole series of a 50,000-row dataset in 4,000-row chunks (26 chunks,
+# 100,000 rows: Q3's t1 and t3, or ``bandwidth_sweep``'s), or the six
+# 20,000-row sensors ``cache_sweep`` reads, so the runs of a sweep, each with
+# its own copies of one dataset, re-read its working set without a miss.  A
+# row costs its timestamp's 8 bytes and its value.  The bound is per process,
+# not per store: a finished run's stores can stay alive until a cyclic
+# garbage collection.
+DECODE_MEMO_ROWS = 130 * BLOCK_ROWS
 
 MAGIC = b"CEDF"
 VERSION = 2                 # pages of columns; _file_index rejects any other
@@ -127,6 +139,18 @@ _CHUNK_FIXED = struct.Struct("<BIIqq")   # value_type, page_count, row_count, mi
 _PAGE_FIXED = struct.Struct("<Iqq")      # row_count, min_ts, max_ts
 _INDEX_FIXED = struct.Struct("<QIBIqq")  # offset, byte_len, value_type, row_count, min_ts, max_ts
 _FOOTER = struct.Struct("<Q4s")          # index_offset, magic
+
+
+def _require_little_endian(byteorder: str) -> None:
+    """Refuse a host whose int64 views would misread the files' little-endian timestamps."""
+    if byteorder != "little":
+        raise ImportError(
+            "ced.tsstore needs a little-endian host: decoded timestamps are int64 views over the "
+            f"files' little-endian bytes, read in the host's byte order, and this host is {byteorder}-endian"
+        )
+
+
+_require_little_endian(sys.byteorder)
 
 
 class ValueType(enum.IntEnum):
@@ -197,14 +221,26 @@ def strictly_increasing(timestamps: Sequence[int]) -> bool:
     return all(map(operator.lt, timestamps, islice(timestamps, 1, None)))
 
 
+def int64_view(column: Sequence) -> bool:
+    """Whether ``column`` is a one-dimensional native int64 ``memoryview``."""
+    return type(column) is memoryview and column.format == "q" and column.ndim == 1
+
+
+def frozen_column(column: Sequence) -> bool:
+    """Whether nothing can change ``column``: a tuple, or an int64 view over
+    ``bytes`` (a decoded chunk's timestamps)."""
+    return type(column) is tuple or (int64_view(column) and type(column.obj) is bytes)
+
+
 @dataclass
 class TsBlock:
     """Columnar batch of at most BLOCK_ROWS rows; the atomic transfer unit.
 
     Its timestamps strictly increase; that is checked where the rows enter
-    the program, not here.  The columns are read-only: tuples from a memo or
-    a decoder (a loaded chunk's page, a received DATA block, which may hold
-    its sender's page tuples), lists when an operator built them.
+    the program, not here.  The columns are read-only: tuples or read-only
+    int64 views from a memo or a decoder (a loaded chunk's page, whose
+    timestamps are a view; a received DATA block, which may hold its sender's
+    page columns), lists when an operator built them.
     """
 
     series_id: SeriesPath
@@ -276,16 +312,16 @@ def _encode_rows(out: bytearray, vt: ValueType, timestamps: Sequence[int], value
     out += b"".join(bodies)
 
 
-def _read_rows(r: Reader, vt: ValueType, n: int, timestamps: list[int], values: list) -> None:
-    """Append the ``n`` rows of the columns at the cursor; bounds checked per column."""
+def _read_rows(r: Reader, vt: ValueType, n: int, values: list) -> bytes:
+    """Append the values of the ``n`` rows at the cursor; their timestamps'
+    bytes.  Bounds checked per column."""
     layout = _VALUE_COLUMNS[vt]
     raw_ts = r.take(n * rows_struct(_TS_COLUMN, 1).size)   # bounds first: n may be corrupt
     raw_values = r.take(n * rows_struct(layout, 1).size)
-    timestamps += rows_struct(_TS_COLUMN, n).unpack(raw_ts)
     column = rows_struct(layout, n).unpack(raw_values)
     if vt is not ValueType.STRING:
         values += column
-        return
+        return raw_ts
     offsets = list(accumulate(column, initial=0))
     blob = r.take(offsets[-1])
     spans = zip(offsets, islice(offsets, 1, None))
@@ -297,6 +333,7 @@ def _read_rows(r: Reader, vt: ValueType, n: int, timestamps: list[int], values: 
             values += [blob[a:b].decode("utf-8") for a, b in spans]
     except UnicodeDecodeError as exc:
         raise r.fail(f"string body not utf-8 ({exc.reason})") from None
+    return raw_ts
 
 
 def _encode_chunk(
@@ -323,27 +360,31 @@ def _chunk_header(r: Reader, meta: ChunkMeta) -> int:
     return page_count
 
 
-def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[tuple[int, ...], tuple]:
-    """The chunk's two columns, checked against its header, its pages' headers and ``meta``."""
+def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[memoryview, tuple]:
+    """The chunk's two columns, checked against its header, its pages'
+    headers and ``meta``: its timestamps as a read-only int64 view over their
+    bytes, joined from its pages, and its values as a tuple."""
     r = Reader(buf, CorruptChunk)
     page_count = _chunk_header(r, meta)
     series, vt, row_count = meta.series, meta.value_type, meta.row_count
-    timestamps: list[int] = []
+    raw_ts: list[bytes] = []
     values: list = []
     for _ in range(page_count):
         n, pmin, pmax = r.unpack(_PAGE_FIXED)
-        first = len(timestamps)
-        _read_rows(r, vt, n, timestamps, values)
-        if n == 0 or timestamps[first] != pmin or timestamps[-1] != pmax:
+        raw = _read_rows(r, vt, n, values)
+        page = memoryview(raw).cast("q")
+        if n == 0 or page[0] != pmin or page[-1] != pmax:
             raise r.fail(f"{series}: page bounds [{pmin}, {pmax}] disagree with its {n} rows")
+        raw_ts.append(raw)
     r.done()
+    timestamps = memoryview(b"".join(raw_ts)).cast("q")
     if len(timestamps) != row_count:
         raise CorruptChunk(f"{series}: chunk declares {row_count} rows, decoded {len(timestamps)}")
     if not strictly_increasing(timestamps):
         raise CorruptChunk(f"{series}: chunk rows out of timestamp order")
     if not timestamps or (timestamps[0], timestamps[-1]) != (meta.min_ts, meta.max_ts):
         raise CorruptChunk(f"{series}: chunk bounds [{meta.min_ts}, {meta.max_ts}] disagree with its rows")
-    return tuple(timestamps), tuple(values)
+    return timestamps, tuple(values)
 
 
 def _series_path(text: str) -> SeriesPath:
@@ -356,8 +397,9 @@ def _series_path(text: str) -> SeriesPath:
 # a chunk's (series, value type, rows, min ts, max ts, byte length), a
 # DATA payload's bytes, or a block's (series, value type, first ts, last ts, n)
 _MemoKey = Union[tuple, bytes]
-# (series or payload, timestamps, values[, value type or pages, bytes]): the
-# second field holds one entry per retained row
+# (series, timestamps, pages, bytes), (series, timestamps, values, value type)
+# or (payload, timestamps, *columns): the second field holds one entry per
+# retained row
 _Columns = tuple
 
 
@@ -545,31 +587,24 @@ class SeriesStore:
         """Iterator over the series' chunks, metadata-only access."""
         return ChunkIterator(self.chunk_metas(series))
 
-    def load_chunk_columns(self, meta: ChunkMeta) -> tuple[SeriesPath, tuple[int, ...], tuple]:
-        """Load one chunk, charged in ``IoStats``: its series and its two
-        columns, the decode memo's own tuples (a hit returns the miss's)."""
-        return self._load_chunk(meta)[:3]
-
     def load_chunk_pages(self, meta: ChunkMeta) -> list[TsBlock]:
-        """Load one chunk as fresh TsBlocks over the memo's page tuples of <= BLOCK_ROWS rows."""
-        series, _, _, pages, _ = self._load_chunk(meta)
-        return [TsBlock(series, timestamps, values, meta.value_type) for timestamps, values in pages]
-
-    def _load_chunk(self, meta: ChunkMeta) -> tuple:
-        """(series, timestamps, values, pages, bytes) of one chunk, through ``decode_memo``."""
+        """Load one chunk, charged in ``IoStats``, as fresh TsBlocks over the
+        ``decode_memo`` entry's pages of <= BLOCK_ROWS rows (a hit hands out
+        the miss's columns)."""
         buf = self._read_chunk_bytes(meta)
         key = (meta.series, meta.value_type, meta.row_count, meta.min_ts, meta.max_ts, meta.byte_len)
         entry = decode_memo.get(key)
-        if entry is None or entry[4] != buf:
+        if entry is None or entry[3] != buf:
             timestamps, values = _decode_chunk(buf, meta)
             pages = tuple(
                 (timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS])
                 for b0 in range(0, len(timestamps), BLOCK_ROWS)
             )
-            entry = (_series_path(meta.series), timestamps, values, pages, buf)
+            entry = (_series_path(meta.series), timestamps, pages, buf)
             self.io.chunks_decoded += 1
             decode_memo.put(key, entry)
-        return entry
+        series, _, pages, _ = entry
+        return [TsBlock(series, timestamps, values, meta.value_type) for timestamps, values in pages]
 
     def _read_chunk_bytes(self, meta: ChunkMeta) -> bytes:
         try:

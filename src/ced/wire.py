@@ -25,22 +25,23 @@ chunks and link blocks never evict each other.  ``pack_memo`` holds packed
 DATA blocks, keyed by ``(series, value type, first ts, last ts, row count)``,
 and packed result blocks of exactly ``BLOCK_ROWS`` rows (``encode_rows_once``),
 keyed by ``(first ts, last ts, row count, column count)``, a shape no DATA key
-has.  An entry holds the payload and the very column tuples it was packed
-from, and a lookup (``_pack_once``) hits only when each column *is* the
-entry's tuple: one identity test per column.  That is sound because a tuple
-cannot change and the entry keeps it alive, so its identity is never reused.
-Only columns that are all exact tuples enter the memo; a list column is
-packed on every call, to the same bytes.  The memos hand out their own
-tuples: the cloud's producers send a memoized chunk's page tuples
-(``ced.tsstore``), the edge receives a DATA block's ``link_memo`` tuples, and
-``MergeOp`` passes an aligned block's child tuples on, so concurrent queries
-present the same tuples.  Columns that are equal but other objects (a list,
-another tuple, values that pack apart such as 0.0 and -0.0, NaNs of other
-bits, 1 and True and 1.0) never hit.  ``link_memo`` holds decoded blocks
-keyed by their payload bytes (``_decode_data``): each payload the receiver
-parsed, so every copy decodes to the same tuples, and each block the sender
-packed from exact tuples that decode to themselves (``_pack_data``), so the
-receiver parses none of those and gets the sender's own tuples.
+has.  An entry holds the payload and the very columns it was packed from,
+and a lookup (``_pack_once``) hits only when each column *is* the entry's:
+one identity test per column.  That is sound because nothing can change such
+a column, a tuple or an int64 view over ``bytes`` (``frozen_column``), and
+the entry keeps it alive, so its identity is never reused.  Only columns
+that are all frozen enter the memo; a list column is packed on every call,
+to the same bytes.  The memos hand out their own columns: the cloud's
+producers send a memoized chunk's page columns (``ced.tsstore``), the edge
+receives a DATA block's ``link_memo`` columns, and ``MergeOp`` passes an
+aligned block's child columns on, so concurrent queries present the same
+objects.  Columns that are equal but other objects (a list, another tuple or
+view, values that pack apart such as 0.0 and -0.0, NaNs of other bits, 1 and
+True and 1.0) never hit.  ``link_memo`` holds decoded blocks keyed by their
+payload bytes (``_decode_data``): each payload the receiver parsed, so every
+copy decodes to the same tuples, and each block the sender packed from
+frozen columns that decode to themselves (``_pack_data``), so the receiver
+parses none of those and gets the sender's own columns.
 
 Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 ``ced.coherence``) reads through ``ced.codec.Reader`` and rejects any
@@ -87,7 +88,16 @@ from typing import Optional, Sequence
 from .codec import F64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
-from .tsstore import BLOCK_ROWS, RowMemo, SeriesPath, TsBlock, ValueType, strictly_increasing
+from .tsstore import (
+    BLOCK_ROWS,
+    RowMemo,
+    SeriesPath,
+    TsBlock,
+    ValueType,
+    frozen_column,
+    int64_view,
+    strictly_increasing,
+)
 
 __all__ = [
     "ChannelId",
@@ -295,24 +305,27 @@ def encode_block(block: TsBlock) -> bytes:
 def _pack_once(key: tuple, columns: Sequence[Sequence], pack) -> bytes:
     """``pack()``, or the payload ``pack_memo`` retains under ``key``.
 
-    The payload is returned only when each of ``columns`` is the very tuple
+    The payload is returned only when each of ``columns`` is the very column
     the entry holds; otherwise ``pack()`` is called, and its payload replaces
-    the entry only when every column is an exact tuple.
+    the entry only when every column is frozen (``frozen_column``).
     """
     entry = pack_memo.get(key)
     if entry is not None and len(entry) == len(columns) + 1 and all(map(operator.is_, columns, entry[1:])):
         return entry[0]
     payload = pack()
-    if all(type(column) is tuple for column in columns):
+    if all(map(frozen_column, columns)):
         pack_memo.put(key, (payload, *columns))
     return payload
 
 
 def _pack_data(block: TsBlock) -> bytes:
-    """``_pack_block``, seeding ``link_memo`` when the payload decodes to the block's own column tuples."""
+    """``_pack_block``, seeding ``link_memo`` when the payload decodes to the
+    block's own frozen columns: int timestamps (an int64 view holds only
+    ints), and a tuple of values."""
     payload = _pack_block(block)
     ts, values = block.timestamps, block.values
-    if type(ts) is tuple and type(values) is tuple and set(map(type, ts)) == {int} and strictly_increasing(ts):
+    if (frozen_column(ts) and type(values) is tuple
+            and (int64_view(ts) or set(map(type, ts)) == {int}) and strictly_increasing(ts)):
         try:
             seed = TsBlock(SeriesPath.parse(str(block.series_id)), ts, values, ValueType(block.value_type))
             link_memo.put(payload, (seed.series_id, ts, values, seed.value_type))
@@ -323,13 +336,15 @@ def _pack_data(block: TsBlock) -> bytes:
 
 def _pack_block(block: TsBlock) -> bytes:
     raw = str(block.series_id).encode("utf-8")
-    n = block.row_count
+    n, ts = block.row_count, block.timestamps
+    # an int64 view already holds the little-endian bytes that struct packs
+    raw_ts = ts.tobytes() if int64_view(ts) else struct.pack(f"<{n}q", *ts)
     cells, packed = _cell_column(block.values)
     return b"".join([
         U16.pack(len(raw)),
         raw,
         _BLOCK_HEAD.pack(1 if block.is_header_only else 0, block.value_type, n),
-        struct.pack(f"<{n}q", *block.timestamps),
+        raw_ts,
         pack_rows((cells,), [packed]),
     ])
 
@@ -451,8 +466,8 @@ def _decode_data(p: Reader) -> TsBlock:
     The key is the payload's exact bytes.  A block with rows is retained
     only after the payload decoded to its last byte, or by ``_pack_data``
     as its sender packed it, so a hit implies every check ``decode_block``
-    makes.  Each call gets a fresh block over the memo's own tuples, so
-    every copy of a payload decodes to the same columns.
+    makes.  Each call gets a fresh block over the memo's own columns, so
+    every copy of a payload decodes to the same ones.
     """
     columns = link_memo.get(p.buf)
     if columns is None:

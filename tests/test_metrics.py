@@ -5,7 +5,7 @@ import struct
 import tracemalloc
 
 import pytest
-from conftest import TABLE_II, make_scenario, run
+from conftest import TABLE_II, make_scenario, run, small_workload
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -342,6 +342,28 @@ def test_concurrent_queries_pack_each_full_block_once(tmp_path, monkeypatch, mod
     assert [q.rows for q in report.queries] == [6 * BLOCK_ROWS] * 4
     assert len({q.checksum for q in report.queries}) == 1
     assert packs == [BLOCK_ROWS] * 6
+
+
+def test_three_modes_of_q3_share_one_decode_of_each_chunk_and_pack_each_merged_block_once(tmp_path, monkeypatch):
+    """Q3 reads two whole series of a 50,000-row dataset, 26 chunks of 4,000
+    rows, and three runs back to back read equal chunk bytes: the edge's, a
+    copy's, the cloud mirror's.  The decode memo holds that working set."""
+    packs = _count_packs(monkeypatch)
+    q3 = QuerySpec("Q3", TABLE_II["Q3"], concurrency=4)
+    workload = small_workload(total_rows=50_000, chunk_rows=4000)
+    decoded, checksums = 0, set()
+    for mode in ("edge_only", "collaborative", "cloud_only"):
+        packs.clear()
+        cluster, report = run(make_scenario(
+            TABLE_II["Q3"], mode=mode, queries=(q3,), workload=workload,
+            monitor_enabled=True, cpu_load=4, monitor_period_s=0.02,
+        ), tmp_path)
+        decoded += cluster.edge_store.io.chunks_decoded + cluster.cloud_store.io.chunks_decoded
+        assert [q.rows for q in report.queries] == [50_000] * 4
+        checksums |= {q.checksum for q in report.queries}
+        assert packs == [BLOCK_ROWS] * 50            # each merged block once, for all four queries
+    assert decoded == 26
+    assert len(checksums) == 1
 
 
 def test_concurrent_cloud_queries_pack_and_decode_each_data_block_once(tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from ced.tsstore import (
     TsBlock,
     ValueType,
     _decode_chunk,
+    _require_little_endian,
     decode_memo,
 )
 
@@ -276,6 +277,12 @@ def test_io_stats_count_exact_chunk_bytes(store):
 
 # --- decode memo ------------------------------------------------------------------
 
+def test_a_big_endian_host_is_refused_and_says_why():
+    _require_little_endian("little")
+    with pytest.raises(ImportError, match="little-endian host: decoded timestamps are int64 views.*big-endian"):
+        _require_little_endian("big")
+
+
 def _block_rows(blocks):
     return [(b.series_id, b.timestamps, b.values, b.value_type) for b in blocks]
 
@@ -287,6 +294,19 @@ def _memo_key(meta):
 
 def _chunk_bytes(meta) -> bytes:
     return meta.file_path.read_bytes()[meta.offset:meta.offset + meta.byte_len]
+
+
+def _read_only_int64(column) -> bool:
+    return type(column) is memoryview and column.readonly and column.format == "q" and column.itemsize == 8
+
+
+def _columns(block):
+    """What a load hands out of one page, compared by identity across loads."""
+    return block.series_id, block.timestamps, block.values
+
+
+def _same_objects(blocks, others) -> bool:
+    return all(a is b for x, y in zip(blocks, others, strict=True) for a, b in zip(_columns(x), _columns(y)))
 
 
 def test_memo_hit_equals_miss_and_every_load_is_charged(store):
@@ -301,13 +321,16 @@ def test_memo_hit_equals_miss_and_every_load_is_charged(store):
     assert decode_memo.rows == 2500
 
 
-def test_column_loads_are_charged_and_a_hit_returns_the_tuples_of_the_miss(store):
+def test_page_loads_are_charged_and_a_hit_returns_the_columns_of_the_miss(store):
     meta = fill(store, S, 2500, chunk_target_rows=2500).chunk_index[0]
-    miss = store.load_chunk_columns(meta)
-    hit = store.load_chunk_columns(meta)
-    assert miss[0] == S
-    assert miss[1] == tuple(range(2500)) and miss[2] == tuple(float(i) for i in range(2500))
-    assert all(a is b for a, b in zip(hit, miss))
+    miss = store.load_chunk_pages(meta)
+    hit = store.load_chunk_pages(meta)
+    starts = (0, 1000, 2000)
+    assert [b.series_id for b in miss] == [S] * 3
+    assert [b.timestamps.tolist() for b in miss] == [list(range(b0, min(b0 + 1000, 2500))) for b0 in starts]
+    assert [b.values for b in miss] == [tuple(float(i) for i in range(b0, min(b0 + 1000, 2500))) for b0 in starts]
+    assert all(_read_only_int64(b.timestamps) and type(b.values) is tuple for b in miss)
+    assert all(a is not b for a, b in zip(hit, miss)) and _same_objects(hit, miss)
     store.load_chunk_pages(meta)
     assert (store.io.bytes_read, store.io.chunks_loaded, store.io.chunks_decoded) == (
         3 * meta.byte_len, 3, 1)
@@ -323,8 +346,11 @@ def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
     assert store.io.chunks_loaded == 2 * len(metas)
     for meta in metas:
         buf = _chunk_bytes(meta)
-        retained = decode_memo.get(_memo_key(meta))
-        assert retained[1:3] == _decode_chunk(buf, meta) and retained[4] == buf
+        series, timestamps, pages, retained = decode_memo.get(_memo_key(meta))
+        fresh_ts, fresh_values = _decode_chunk(buf, meta)
+        assert series == S and retained == buf
+        assert timestamps == fresh_ts and [t for ts, _ in pages for t in ts] == fresh_ts.tolist()
+        assert tuple(v for _, values in pages for v in values) == fresh_values
 
 
 def test_mutating_a_loaded_block_does_not_change_the_next_load(store):
@@ -342,14 +368,36 @@ def test_mutating_a_loaded_block_does_not_change_the_next_load(store):
     assert [v for b in again for v in b.values] == [float(i) for i in range(1500)]
 
 
-def test_four_scans_of_one_memoized_chunk_get_the_same_column_tuples(store):
+def test_writing_into_a_loaded_blocks_timestamps_raises_and_the_next_load_is_unchanged(store):
+    meta = fill(store, S, 1500).chunk_index[0]
+    for block in store.load_chunk_pages(meta):
+        ts = block.timestamps
+        writes = (
+            lambda: ts.__setitem__(0, -1),
+            lambda: ts.__setitem__(slice(0, 1), memoryview(struct.pack("<q", -1)).cast("q")),
+            lambda: memoryview(ts).__setitem__(0, -1),
+            lambda: ts.cast("B").__setitem__(0, 255),
+            lambda: struct.pack_into("<q", ts, 0, -1),
+        )
+        for write in writes:
+            with pytest.raises(TypeError):
+                write()
+    again = store.load_chunk_pages(meta)
+    assert store.io.chunks_decoded == 1
+    assert [t for b in again for t in b.timestamps] == list(range(1500))
+    assert [v for b in again for v in b.values] == [float(i) for i in range(1500)]
+
+
+def test_four_scans_of_one_memoized_chunk_get_the_same_columns(store):
     fill(store, S, 2500, chunk_target_rows=2500)
     scans = [SeriesScanOp(store, S) for _ in range(4)]
     blocks = [[op.next_block() for _ in range(3)] for op in scans]
     assert store.io.chunks_loaded == 4 and store.io.chunks_decoded == 1
     assert [b.row_count for b in blocks[0]] == [1000, 1000, 500]
+    assert [t for b in blocks[0] for t in b.timestamps] == list(range(2500))
+    assert [v for b in blocks[0] for v in b.values] == [float(i) for i in range(2500)]
     for first, *others in zip(*blocks):
-        assert type(first.timestamps) is tuple and type(first.values) is tuple
+        assert _read_only_int64(first.timestamps) and type(first.values) is tuple
         assert all(b is not first for b in others)       # fresh blocks
         assert all(b.timestamps is first.timestamps and b.values is first.values for b in others)
 
@@ -423,7 +471,7 @@ def test_equal_shaped_chunks_of_other_bytes_take_turns_in_one_entry(tmp_path):
     meta_b = fill(b, S, 1500, value=lambda i: -1.0 - i).chunk_index[0]
     assert _memo_key(meta_a) == _memo_key(meta_b) and _chunk_bytes(meta_a) != _chunk_bytes(meta_b)
     for store, meta, value in ((a, meta_a, float), (b, meta_b, lambda i: -1.0 - i), (a, meta_a, float)):
-        assert store.load_chunk_columns(meta)[2] == tuple(map(value, range(1500)))
+        assert [v for b in store.load_chunk_pages(meta) for v in b.values] == list(map(value, range(1500)))
         assert decode_memo.rows == 1500      # the other store's entry was replaced, not kept beside it
     assert (a.io.chunks_decoded, b.io.chunks_decoded) == (2, 1)
 
@@ -432,13 +480,13 @@ def test_a_copy_and_a_mirror_of_one_series_decode_each_chunk_once(tmp_path):
     origin = SeriesStore(tmp_path / "origin")
     fill(origin, S, 5000, chunk_target_rows=1000)
     fill(origin, S, 2000, start=5000, chunk_target_rows=1000)
-    first = [origin.load_chunk_columns(meta) for meta in origin.chunk_metas(S)]
+    first = [origin.load_chunk_pages(meta) for meta in origin.chunk_metas(S)]
     copy, mirror = SeriesStore(tmp_path / "copy"), SeriesStore(tmp_path / "mirror")
     origin.copy_series(S, copy)
     mirror.import_snapshot(origin.export_snapshot(S))
     for store in (copy, mirror):
-        for meta, columns in zip(store.chunk_metas(S), first, strict=True):
-            assert all(a is b for a, b in zip(store.load_chunk_columns(meta), columns))
+        for meta, blocks in zip(store.chunk_metas(S), first, strict=True):
+            assert _same_objects(store.load_chunk_pages(meta), blocks)
         assert (store.io.chunks_loaded, store.io.chunks_decoded) == (7, 0)
     assert origin.io.chunks_decoded == 7
 
@@ -466,11 +514,15 @@ def test_every_load_through_the_memo_equals_a_fresh_decode(tmp_path_factory, ste
             fill(store, S, 30, value=_VARIANTS[k], chunk_target_rows=10)
         elif kind == "load" and store.has_series(S):
             for meta in store.chunk_metas(S):
-                expected = _decode_chunk(_chunk_bytes(meta), meta)
-                assert store.load_chunk_columns(meta) == (S, *expected)
+                timestamps, values = _decode_chunk(_chunk_bytes(meta), meta)
                 blocks = store.load_chunk_pages(meta)
-                assert tuple(t for b in blocks for t in b.timestamps) == expected[0]
-                assert tuple(v for b in blocks for v in b.values) == expected[1]
+                assert [b.series_id for b in blocks] == [S] * len(blocks)
+                assert [t for b in blocks for t in b.timestamps] == timestamps.tolist()
+                assert tuple(v for b in blocks for v in b.values) == values
+                assert all(_read_only_int64(b.timestamps) and type(b.values) is tuple for b in blocks)
+                decoded = store.io.chunks_decoded
+                assert _same_objects(store.load_chunk_pages(meta), blocks)     # a hit
+                assert store.io.chunks_decoded == decoded
         elif kind == "copy" and j != k and other.has_series(S):
             other.copy_series(S, store)
         elif kind == "import" and other.has_series(S):

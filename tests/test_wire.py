@@ -739,14 +739,28 @@ _DOTTED = SeriesPath(("root", "ln", "e.1", "d1", "t1"))     # its text parses to
 _UNPARSABLE = SeriesPath(("root", "ln.", "t1"))              # its text has an empty segment
 
 
+def _int64_view(timestamps) -> memoryview:
+    """A read-only int64 view over the timestamps' bytes, as a loaded chunk's page holds them."""
+    return memoryview(struct.pack(f"<{len(timestamps)}q", *timestamps)).cast("q")
+
+
+def _frozen(timestamps):
+    """A read-only int64 view as the tuple it stands for, which the decoder gives."""
+    if type(timestamps) is memoryview and timestamps.readonly and timestamps.format == "q":
+        return tuple(timestamps)
+    return timestamps
+
+
 def _decoded_or_error(decode):
     """A decoded block's fields, its values re-encoded so that they compare
-    cell-exactly (NaN bits, -0.0 against 0.0, True against 1); or the error."""
+    cell-exactly (NaN bits, -0.0 against 0.0, True against 1), and a
+    read-only int64 view of timestamps as its tuple; or the error."""
     try:
         block = decode()
     except MalformedMessage as exc:
         return str(exc)
-    return (block.series_id, type(block.timestamps), block.timestamps, list(map(type, block.timestamps)),
+    timestamps = _frozen(block.timestamps)
+    return (block.series_id, type(timestamps), timestamps, list(map(type, timestamps)),
             type(block.values), encode_cells(block.values), type(block.value_type), block.value_type,
             block.is_header_only)
 
@@ -759,7 +773,7 @@ def _decoded_or_error(decode):
     stamps=st.lists(st.sampled_from(_TS_POOL), min_size=1, max_size=4),   # in any order, repeats too
     copy_ts=st.booleans(),
     rows=st.lists(_ROW, min_size=4, max_size=4),
-    columns=st.tuples(st.sampled_from([tuple, list]), st.sampled_from([tuple, list])),
+    columns=st.tuples(st.sampled_from([tuple, list, _int64_view]), st.sampled_from([tuple, list])),
 )
 def test_a_sent_data_block_decodes_like_its_payload(pool, series, vt, stamps, copy_ts, rows, columns):
     ts = [_copy(t) for t in stamps] if copy_ts else stamps
@@ -769,6 +783,7 @@ def test_a_sent_data_block_decodes_like_its_payload(pool, series, vt, stamps, co
     pack_memo.clear()
     buf = encode_message(Message(MessageType.DATA, CH, block=block))
     payload = wire._pack_block(block)
+    assert payload == wire._pack_block(TsBlock(series, tuple(ts), block.values, vt))   # an int64 view's bytes
     expected = _decoded_or_error(lambda: decode_block(payload)[0])
     assert _decoded_or_error(lambda: decode_message(buf).block) == expected
 
@@ -790,7 +805,10 @@ def test_a_block_packed_from_tuples_is_received_as_the_senders_tuples(monkeypatc
     (TsBlock(S, (0, 1000, 1000), (1.5, 2.5, -0.25), ValueType.FLOAT64), "timestamp"),
     (TsBlock(_UNPARSABLE, (0, 1000), (1.5, 2.5), ValueType.FLOAT64), "invalid tsblock"),
     (TsBlock(S, (0, 1000), (1.5, 2.5), 7), "value type"),
-], ids=["swapped-timestamps", "repeated-timestamps", "unparsable-series", "unknown-value-type"])
+    (TsBlock(S, _int64_view((0, 2000, 1000)), (1.5, 2.5, -0.25), ValueType.FLOAT64), "timestamp"),
+    (TsBlock(S, _int64_view((0, 1000, 1000)), (1.5, 2.5, -0.25), ValueType.FLOAT64), "timestamp"),
+], ids=["swapped-timestamps", "repeated-timestamps", "unparsable-series", "unknown-value-type",
+        "swapped-view-timestamps", "repeated-view-timestamps"])
 def test_tuple_columns_the_decoder_rejects_are_never_seeded_and_still_rejected(block, error):
     buf = encode_message(Message(MessageType.DATA, CH, block=block))
     assert link_memo.rows == 0
