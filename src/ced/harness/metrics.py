@@ -10,15 +10,28 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from ..scanops import ResultBlock
-from ..tsstore import BLOCK_ROWS
-from ..wire import encode_rows, encode_rows_once
+from ..tsstore import BLOCK_ROWS, RowMemo, frozen_column
+from ..wire import encode_rows
 
-__all__ = ["ChecksumBuilder", "QueryResult", "MetricsReport", "emit"]
+__all__ = ["ChecksumBuilder", "DIGEST_MEMO_ROWS", "digest_memo", "QueryResult", "MetricsReport", "emit"]
+
+
+# Most result rows whose digest states the process keeps: one whole
+# desk-scale result (Q3's 50 blocks of BLOCK_ROWS rows), so the later runs of a
+# sweep resume from the first run's states.  An entry keeps its columns alive,
+# which costs memory when the decode memo has already evicted them.
+DIGEST_MEMO_ROWS = 52 * BLOCK_ROWS
+
+# (hash state after the block, timestamps, *columns) of full result blocks,
+# keyed by (digest of the rows hashed before the block, first ts, last ts,
+# column count)
+digest_memo = RowMemo(DIGEST_MEMO_ROWS)
 
 
 class ChecksumBuilder:
@@ -32,13 +45,22 @@ class ChecksumBuilder:
     Each block is hashed when it arrives, at most ``BLOCK_ROWS`` rows per
     ``encode_rows`` call, so a value that does not pack raises from that
     block's ``update``.  A column with ``None`` cells or mixed types is packed
-    cell by cell there, and the other columns are not, to the same bytes.  A
-    block of exactly ``BLOCK_ROWS`` rows whose columns are all tuples or
-    read-only int64 views (a loaded page's timestamps) is packed once for all
-    the concurrent queries that return it (``ced.wire.encode_rows_once``):
-    they share the columns the memos hand out, and a hit is one identity test
-    per column.  A shorter block, or one with a list column (a filter's
-    output, a merge of several segments), is packed anew, to the same bytes.
+    cell by cell there, and the other columns are not, to the same bytes.
+
+    Concurrent queries, and the runs of a sweep, return the same blocks in
+    the same order, so each builder would hash the same prefixes.  A block of
+    exactly ``BLOCK_ROWS`` rows whose columns are all frozen (tuples or
+    read-only int64 views, ``ced.tsstore.frozen_column``: the columns the
+    memos hand out) leaves the hash state it produced in ``digest_memo``,
+    under the digest of the rows hashed before it.  A builder at that digest
+    that is handed the very same column objects (one identity test per
+    column) takes a copy of that state, with no pack and no hash update.
+    That is sound because a SHA-256 state is a function of the bytes hashed
+    so far, which the digest stands for, and a frozen column cannot change
+    while the entry keeps it alive, so its identity is never reused.  A
+    shorter block, a list column (a filter's output, a merge of several
+    segments) or the slices of a longer block are hashed directly, to the
+    same digest.
     """
 
     def __init__(self) -> None:
@@ -48,8 +70,19 @@ class ChecksumBuilder:
     def update(self, block: ResultBlock) -> None:
         timestamps = block.timestamps
         columns = [values for _name, _vt, values in block.columns]
-        if len(timestamps) <= BLOCK_ROWS:
-            self._hash.update(encode_rows_once(timestamps, columns))
+        n = len(timestamps)
+        if n == BLOCK_ROWS:
+            key = (self._hash.digest(), timestamps[0], timestamps[-1], len(columns))
+            held = (timestamps, *columns)
+            entry = digest_memo.get(key)
+            if entry is not None and len(entry) == len(held) + 1 and all(map(operator.is_, held, entry[1:])):
+                self._hash = entry[0].copy()
+            else:
+                self._hash.update(encode_rows(timestamps, columns))
+                if all(map(frozen_column, held)):
+                    digest_memo.put(key, (self._hash.copy(), *held))
+        elif n < BLOCK_ROWS:
+            self._hash.update(encode_rows(timestamps, columns))
         else:
             # BLOCK_ROWS rows at a time, so that peak memory does not grow
             # with the size of the block; no other block repeats these slices.
@@ -57,10 +90,10 @@ class ChecksumBuilder:
             # checksums each reference result as one: Q3's 50,000 rows of two
             # columns peak at 0.6 MiB here (tracemalloc) and at 30 MiB packed
             # whole, which doubled stream_merge's reported peak_rss_mb.
-            for lo in range(0, len(timestamps), BLOCK_ROWS):
+            for lo in range(0, n, BLOCK_ROWS):
                 hi = lo + BLOCK_ROWS
                 self._hash.update(encode_rows(timestamps[lo:hi], [values[lo:hi] for values in columns]))
-        self.rows += len(timestamps)
+        self.rows += n
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()

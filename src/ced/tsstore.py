@@ -75,15 +75,17 @@ the chunk's timestamp bytes, joined from its pages (8 bytes a row, where an
 int held in a tuple costs about 48), and its values are a tuple.
 ``load_chunk_pages``, the one loader, wraps the pages in fresh TsBlocks, so
 every load of one chunk hands out the very same columns.  No block can
-change them: a view over ``bytes`` and a tuple reject writes.  (A view can
-still be released, which would make later loads of its chunk raise until
-the entry is evicted; nothing releases one.)  So a later
-layer can tell them apart from equal ones by identity (``frozen_column``;
-``ced.wire``'s ``pack_memo``).  The view reads the files' little-endian
-bytes in the host's byte order, so the module refuses to import on a
-big-endian host.  ``ced.wire`` keeps two more ``RowMemo``s under a smaller
-bound of their own, one of packed DATA blocks and checksum rows and one of
-decoded DATA blocks, so chunks and link blocks never evict each other.
+change them: a view over ``bytes`` and a tuple reject writes, and the entry
+holds a buffer export of each page's view, so ``release()`` on a view raises
+``BufferError`` instead of breaking later loads.  So a later layer can tell
+them apart from equal ones by identity (``frozen_column``; ``ced.wire``'s
+``pack_memo``, the checksum's ``digest_memo``).  The view reads the files'
+little-endian bytes in the host's byte order, so the module refuses to
+import on a big-endian host.
+``ced.wire`` keeps two more ``RowMemo``s under a smaller bound of their own,
+one of packed DATA blocks and one of decoded DATA blocks, so chunks and link
+blocks never evict each other; ``ced.harness.metrics`` keeps one of result
+digest states.
 """
 
 from __future__ import annotations
@@ -218,6 +220,8 @@ class SeriesPath:
 
 def strictly_increasing(timestamps: Sequence[int]) -> bool:
     """The one timestamp-order check, made where rows enter the program."""
+    if type(timestamps) is memoryview:       # a list's items compare faster than a view's
+        timestamps = timestamps.tolist()
     return all(map(operator.lt, timestamps, islice(timestamps, 1, None)))
 
 
@@ -394,12 +398,14 @@ def _series_path(text: str) -> SeriesPath:
         raise CorruptChunk(f"{text}: {exc}") from None
 
 
-# a chunk's (series, value type, rows, min ts, max ts, byte length), a
-# DATA payload's bytes, or a block's (series, value type, first ts, last ts, n)
-_MemoKey = Union[tuple, bytes]
-# (series, timestamps, pages, bytes), (series, timestamps, values, value type)
-# or (payload, timestamps, *columns): the second field holds one entry per
-# retained row
+# a chunk's (series, value type, rows, min ts, max ts, byte length), a DATA
+# payload's (series text, value type, n, first ts, last ts), a block's (series,
+# value type, first ts, last ts, n), or a result block's (digest before it,
+# first ts, last ts, column count)
+_MemoKey = tuple
+# (series, timestamps, pages, bytes, pins), (series, timestamps, values, value
+# type, payload), (payload, timestamps, values) or (hash state, timestamps,
+# *columns): the second field holds one entry per retained row
 _Columns = tuple
 
 
@@ -600,10 +606,15 @@ class SeriesStore:
                 (timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS])
                 for b0 in range(0, len(timestamps), BLOCK_ROWS)
             )
-            entry = (_series_path(meta.series), timestamps, pages, buf)
+            # An unconsumed ``struct.iter_unpack`` holds a buffer export of the
+            # view it reads, so ``release()`` on a handed-out page view raises
+            # BufferError.  (``pickle.PickleBuffer`` would do the same, but
+            # importing pickle adds about 0.4 MiB to each process's RSS.)
+            pins = tuple(struct.iter_unpack("<q", ts) for ts, _ in pages)
+            entry = (_series_path(meta.series), timestamps, pages, buf, pins)
             self.io.chunks_decoded += 1
             decode_memo.put(key, entry)
-        series, _, pages, _ = entry
+        series, _, pages, *_ = entry
         return [TsBlock(series, timestamps, values, meta.value_type) for timestamps, values in pages]
 
     def _read_chunk_bytes(self, meta: ChunkMeta) -> bytes:

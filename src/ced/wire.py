@@ -17,31 +17,32 @@ column, packed with the others in one cached ``Struct`` call; any other
 column, ``None`` cells included, is packed cell by cell (``encode_cells``)
 and spliced in, to the same bytes.
 
-Concurrent queries that stream the same suffix send, receive and checksum
-the same rows, so each end memoizes them in a ``ced.tsstore.RowMemo`` of its
-own, bounded to ``LINK_MEMO_ROWS`` rows (the window of blocks that
-concurrent streams share) and kept apart from the store's chunk memo, so
-chunks and link blocks never evict each other.  ``pack_memo`` holds packed
-DATA blocks, keyed by ``(series, value type, first ts, last ts, row count)``,
-and packed result blocks of exactly ``BLOCK_ROWS`` rows (``encode_rows_once``),
-keyed by ``(first ts, last ts, row count, column count)``, a shape no DATA key
-has.  An entry holds the payload and the very columns it was packed from,
-and a lookup (``_pack_once``) hits only when each column *is* the entry's:
-one identity test per column.  That is sound because nothing can change such
-a column, a tuple or an int64 view over ``bytes`` (``frozen_column``), and
-the entry keeps it alive, so its identity is never reused.  Only columns
-that are all frozen enter the memo; a list column is packed on every call,
-to the same bytes.  The memos hand out their own columns: the cloud's
+Concurrent queries that stream the same suffix send and receive the same
+blocks, so each end memoizes them in a ``ced.tsstore.RowMemo`` of its own,
+bounded to ``LINK_MEMO_ROWS`` rows (the window of blocks that concurrent
+streams share) and kept apart from the store's chunk memo, so chunks and
+link blocks never evict each other.  ``pack_memo`` holds packed DATA
+blocks, keyed by ``(series, value type, first ts, last ts, row count)``.  An
+entry holds the payload and the very columns it was packed from, and a
+lookup (``_pack_once``) hits only when each column *is* the entry's: one
+identity test per column.  That is sound because nothing can change such a
+column, a tuple or an int64 view over ``bytes`` (``frozen_column``), and the
+entry keeps it alive, so its identity is never reused.  Only columns that
+are all frozen enter the memo; a list column is packed on every call, to
+the same bytes.  The memos hand out their own columns: the cloud's
 producers send a memoized chunk's page columns (``ced.tsstore``), the edge
 receives a DATA block's ``link_memo`` columns, and ``MergeOp`` passes an
 aligned block's child columns on, so concurrent queries present the same
 objects.  Columns that are equal but other objects (a list, another tuple or
 view, values that pack apart such as 0.0 and -0.0, NaNs of other bits, 1 and
-True and 1.0) never hit.  ``link_memo`` holds decoded blocks keyed by their
-payload bytes (``_decode_data``): each payload the receiver parsed, so every
-copy decodes to the same tuples, and each block the sender packed from
-frozen columns that decode to themselves (``_pack_data``), so the receiver
-parses none of those and gets the sender's own columns.
+True and 1.0) never hit.  ``link_memo`` holds decoded blocks keyed by what
+a payload's head says, ``(series text, value type, row count, first ts,
+last ts)``, and each entry keeps its payload, which a hit must ``==``
+(``_decode_data``): each payload the receiver parsed, so every copy decodes
+to the same tuples, and each block the sender packed from frozen columns
+that decode to themselves (``_pack_data``), so the receiver parses none of
+those and gets the sender's own columns.  The checksum keeps a memo of its
+own (``digest_memo`` in ``ced.harness.metrics``).
 
 Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 ``ced.coherence``) reads through ``ced.codec.Reader`` and rejects any
@@ -85,7 +86,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .codec import F64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
+from .codec import F64, I64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
 from .errors import MalformedMessage
 from .scanops import IndexKind, LogicalIndex
 from .tsstore import (
@@ -107,7 +108,6 @@ __all__ = [
     "Message",
     "encode_cells",
     "encode_rows",
-    "encode_rows_once",
     "encode_block",
     "decode_block",
     "encode_message",
@@ -248,15 +248,6 @@ def encode_rows(timestamps, columns) -> bytes:
     return pack_rows(tuple(layout), values)
 
 
-def encode_rows_once(timestamps, columns) -> bytes:
-    """``encode_rows``, packed once per distinct block of exactly
-    ``BLOCK_ROWS`` rows; a shorter block is packed on every call."""
-    if len(timestamps) != BLOCK_ROWS:
-        return encode_rows(timestamps, columns)
-    key = (timestamps[0], timestamps[-1], BLOCK_ROWS, len(columns))
-    return _pack_once(key, (timestamps, *columns), lambda: encode_rows(timestamps, columns))
-
-
 def _read_cells(r: Reader, n: int) -> tuple:
     """``n`` cells read from ``r``, as a tuple."""
     values: list = []
@@ -287,8 +278,9 @@ _BLOCK_HEAD = struct.Struct("<BBI")        # flags, value_type, row_count
 # peak RSS).
 LINK_MEMO_ROWS = 16 * BLOCK_ROWS
 
-# (payload, *columns) of recently packed blocks and checksum rows, and the
-# (series, timestamps, values, value type) of DATA payloads sent or received
+# (payload, timestamps, values) of recently packed DATA blocks, and the
+# (series, timestamps, values, value type, payload) of DATA payloads sent or
+# received
 pack_memo = RowMemo(LINK_MEMO_ROWS)
 link_memo = RowMemo(LINK_MEMO_ROWS)
 
@@ -327,8 +319,10 @@ def _pack_data(block: TsBlock) -> bytes:
     if (frozen_column(ts) and type(values) is tuple
             and (int64_view(ts) or set(map(type, ts)) == {int}) and strictly_increasing(ts)):
         try:
-            seed = TsBlock(SeriesPath.parse(str(block.series_id)), ts, values, ValueType(block.value_type))
-            link_memo.put(payload, (seed.series_id, ts, values, seed.value_type))
+            series = str(block.series_id)
+            seed = TsBlock(SeriesPath.parse(series), ts, values, ValueType(block.value_type))
+            link_memo.put((series, seed.value_type, seed.row_count, ts[0], ts[-1]),
+                          (seed.series_id, ts, values, seed.value_type, payload))
         except ValueError:                   # decode_block would reject the payload
             pass
     return payload
@@ -352,9 +346,7 @@ def _pack_block(block: TsBlock) -> bytes:
 def decode_block(buf: bytes) -> tuple[TsBlock, int]:
     """Parse the ``tsblock`` at the start of ``buf``; returns it, over tuples, and its length."""
     r = Reader(buf, MalformedMessage)
-    series = r.text()
-    header_only, vt, n = r.unpack(_BLOCK_HEAD)
-    vt = r.enum(ValueType, vt, "value type")
+    series, header_only, vt, n = _read_block_head(r)
     timestamps = struct.unpack(f"<{n}q", r.take(8 * n))
     if not strictly_increasing(timestamps):
         raise r.fail("tsblock timestamps do not strictly increase")
@@ -363,6 +355,13 @@ def decode_block(buf: bytes) -> tuple[TsBlock, int]:
         return TsBlock(SeriesPath.parse(series), timestamps, values, vt, bool(header_only)), r.pos
     except ValueError as exc:
         raise r.fail(f"invalid tsblock ({exc})") from None
+
+
+def _read_block_head(r: Reader) -> tuple[str, int, ValueType, int]:
+    """A ``tsblock``'s series text, flags, value type and row count."""
+    series = r.text()
+    header_only, vt, n = r.unpack(_BLOCK_HEAD)
+    return series, header_only, r.enum(ValueType, vt, "value type"), n
 
 
 # --- channel / delta --------------------------------------------------------------
@@ -463,19 +462,26 @@ def decode_message(buf: bytes) -> Message:
 def _decode_data(p: Reader) -> TsBlock:
     """The block of a whole DATA payload, through ``link_memo``.
 
-    The key is the payload's exact bytes.  A block with rows is retained
-    only after the payload decoded to its last byte, or by ``_pack_data``
-    as its sender packed it, so a hit implies every check ``decode_block``
-    makes.  Each call gets a fresh block over the memo's own columns, so
-    every copy of a payload decodes to the same ones.
+    The key is what the block's head and its first and last timestamps say
+    it holds, ``(series text, value type, row count, first ts, last ts)``,
+    read without hashing the payload, and an entry keeps its payload: a
+    lookup hits only when the payload ``==`` it.  A block with rows is
+    retained only after the payload decoded to its last byte, or by
+    ``_pack_data`` as its sender packed it, so a hit implies every check
+    ``decode_block`` makes.  Each call gets a fresh block over the memo's own
+    columns, so every copy of a payload decodes to the same ones.
     """
-    columns = link_memo.get(p.buf)
-    if columns is None:
-        block, p.pos = decode_block(p.buf)
-        p.done()
-        if not block.row_count:
-            return block
-        columns = (block.series_id, block.timestamps, block.values, block.value_type)
-        link_memo.put(p.buf, columns)
-    p.pos = len(p.buf)
-    return TsBlock(*columns)
+    series, _, vt, n = _read_block_head(p)        # raises as decode_block would
+    key = None
+    end = p.pos + 8 * n                            # of the timestamps
+    if n and end <= len(p.buf):
+        key = (series, vt, n, I64.unpack_from(p.buf, p.pos)[0], I64.unpack_from(p.buf, end - 8)[0])
+        entry = link_memo.get(key)
+        if entry is not None and entry[4] == p.buf:
+            p.pos = len(p.buf)
+            return TsBlock(*entry[:4])
+    block, p.pos = decode_block(p.buf)
+    p.done()
+    if key is not None:
+        link_memo.put(key, (block.series_id, block.timestamps, block.values, block.value_type, p.buf))
+    return block

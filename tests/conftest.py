@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from ced.errors import MalformedMessage
+from ced.harness.metrics import digest_memo
 from ced.harness.runtime import Cluster
 from ced.harness.scenario import QuerySpec, ScenarioConfig
 from ced.harness.workload import WorkloadConfig
@@ -35,10 +36,10 @@ settings.load_profile("tier1")
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Each test starts with no decoded chunk, packed block or decoded link
-    block retained, so pack and decode counts do not depend on which tests ran
-    before it in the process."""
-    for memo in (decode_memo, pack_memo, link_memo):
+    """Each test starts with no decoded chunk, packed block, decoded link
+    block or checksum state retained, so pack and decode counts do not depend
+    on which tests ran before it in the process."""
+    for memo in (decode_memo, pack_memo, link_memo, digest_memo):
         memo.clear()
 
 

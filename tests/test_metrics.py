@@ -9,13 +9,14 @@ from conftest import TABLE_II, make_scenario, run, small_workload
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ced.codec import I64
 from ced import wire
-from ced.harness.metrics import ChecksumBuilder
+from ced.codec import I64
+from ced.harness import metrics
+from ced.harness.metrics import DIGEST_MEMO_ROWS, ChecksumBuilder, digest_memo
 from ced.harness.scenario import QuerySpec
 from ced.scanops import ResultBlock
 from ced.tsstore import BLOCK_ROWS, SeriesPath, TsBlock, ValueType
-from ced.wire import LINK_MEMO_ROWS, encode_block, pack_memo
+from ced.wire import encode_block, pack_memo
 
 ROWS = 2 * BLOCK_ROWS + 500
 
@@ -184,17 +185,21 @@ def test_unencodable_cells_raise_as_before(values, error, repeat):
         ChecksumBuilder().update(block)
 
 
-# --- full blocks through the pack memo ----------------------------------------------------
+# --- full blocks through the digest memo --------------------------------------------------
+
+EMPTY = hashlib.sha256().digest()            # the digest before the first row
+
 
 def _count_packs(monkeypatch) -> list:
+    """The row count of each checksum pack, and so of each SHA-256 update."""
     packs = []
-    real = wire.encode_rows
+    real = metrics.encode_rows
 
     def counted(timestamps, columns):
         packs.append(len(timestamps))
         return real(timestamps, columns)
 
-    monkeypatch.setattr(wire, "encode_rows", counted)
+    monkeypatch.setattr(metrics, "encode_rows", counted)
     return packs
 
 
@@ -217,17 +222,32 @@ def _result(timestamps, columns) -> ResultBlock:
 def test_memo_hits_equal_misses(monkeypatch):
     packs = _count_packs(monkeypatch)
     slices = [_full_columns(k * BLOCK_ROWS) for k in range(3)]
-    rows = [s for s in slices for _ in range(4)]         # four queries return each block
-    blocks = [_result(ts, columns) for ts, columns in rows]
-    hits = digest(blocks)
-    assert len(packs) == 3                   # each distinct block packed once
+    blocks = [_result(ts, columns) for ts, columns in slices]
+    builders = [ChecksumBuilder() for _ in range(4)]    # four queries return each block in turn
+    for block in blocks:
+        for builder in builders:
+            builder.update(block)
+    assert len(packs) == 3                   # each distinct prefix and block hashed once
+    hits = {(builder.rows, builder.hexdigest()) for builder in builders}
     builder = ChecksumBuilder()
     for block in blocks:
-        pack_memo.clear()
+        digest_memo.clear()
         builder.update(block)
-    assert (builder.rows, builder.hexdigest()) == hits
-    assert hits[1] == _reference_digest([t for ts, _ in rows for t in ts],
-                                        [[v for _, cols in rows for v in cols[j]] for j in range(2)])
+    assert hits == {(builder.rows, builder.hexdigest())}
+    assert builder.hexdigest() == _reference_digest([t for ts, _ in slices for t in ts],
+                                                    [[v for _, cols in slices for v in cols[j]] for j in range(2)])
+
+
+def test_the_same_block_after_another_prefix_never_hits(monkeypatch):
+    packs = _count_packs(monkeypatch)
+    first, second = _full_columns(), _full_columns(BLOCK_ROWS)
+    block = _result(*second)
+    for prefix in ([], [_result(*first)], [_kind_block(-5, 5, ("float",))], [_result(*first)]):
+        blocks = [*prefix, block]
+        assert digest(blocks)[1] == _reference_of(blocks)
+    # the block after each of three prefixes is hashed, and after the repeated one it hits
+    assert packs == [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS, 5, BLOCK_ROWS]
+    assert digest_memo.rows == 4 * BLOCK_ROWS
 
 
 def _middle(value):
@@ -257,26 +277,28 @@ def test_equal_values_in_other_objects_never_hit(monkeypatch, variants):
         block = _result(timestamps, [columns[0], column])
         assert digest([block])[1] == _reference_digest(timestamps, [columns[0], column])
     assert len(packs) == len(variants)       # never a hit
-    assert pack_memo.get((timestamps[0], timestamps[-1], BLOCK_ROWS, 2))[1] is timestamps
+    assert digest_memo.get((EMPTY, timestamps[0], timestamps[-1], 2))[1] is timestamps
 
 
-def test_a_data_block_and_a_result_block_never_answer_each_other():
+def test_a_data_block_and_a_result_block_never_answer_each_other(monkeypatch):
+    packs = _count_packs(monkeypatch)
     timestamps, (_, values) = _full_columns()
     series = SeriesPath.parse("root.ln.e1.d1.t3")
     reference = _reference_digest(timestamps, [values])
     block = TsBlock(series, timestamps, values, ValueType.FLOAT64)
     data = encode_block(block)
     assert digest([_result(timestamps, [values])])[1] == reference
-    pack_memo.clear()
+    digest_memo.clear()
     assert digest([_result(timestamps, [values])])[1] == reference
+    assert len(packs) == 2                   # the pack memo's DATA entry never answered the checksum
     assert encode_block(block) == data
-    assert pack_memo.rows == 2 * BLOCK_ROWS
+    assert pack_memo.rows == digest_memo.rows == BLOCK_ROWS
 
 
 def test_an_entry_with_fewer_columns_is_never_returned():
     timestamps, columns = _full_columns()
-    key = (timestamps[0], timestamps[-1], BLOCK_ROWS, 2)
-    pack_memo.put(key, (b"short", tuple(timestamps), tuple(columns[0])))
+    key = (EMPTY, timestamps[0], timestamps[-1], 2)
+    digest_memo.put(key, (hashlib.sha256(b"short"), tuple(timestamps), tuple(columns[0])))
     assert digest([_result(timestamps, columns)])[1] == _reference_digest(timestamps, columns)
     series = SeriesPath.parse("root.ln.e1.d1.t1")
     block = TsBlock(series, timestamps, columns[0], ValueType.STRING)
@@ -305,7 +327,7 @@ def test_mutating_a_block_after_update_does_not_change_the_next_digest(monkeypat
         assert digest([block])[1] == _reference_digest(block.timestamps,
                                                        [values for _, _, values in block.columns])
     assert len(packs) == 1 + 2 * 3
-    assert pack_memo.rows == BLOCK_ROWS
+    assert digest_memo.rows == BLOCK_ROWS
 
 
 @pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1])
@@ -314,24 +336,24 @@ def test_a_short_block_never_enters_the_memo(rows):
     block = _result(timestamps[:rows], [values[:rows] for values in columns])
     assert digest([block] * 2) == (2 * rows, _reference_digest(
         timestamps[:rows] * 2, [values[:rows] * 2 for values in columns]))
-    assert pack_memo.rows == 0
+    assert digest_memo.rows == 0
     digest([_result(timestamps, columns)])
-    assert pack_memo.rows == BLOCK_ROWS
+    assert digest_memo.rows == BLOCK_ROWS
 
 
 def test_the_slices_of_a_long_block_never_enter_the_memo():
     # a long block comes from outside the engine, and no other block repeats its slices
     assert digest([fixed_block()] * 2) == (2 * ROWS, _reference_digest(
         fixed_block().timestamps * 2, [values * 2 for _, _, values in fixed_block().columns]))
-    assert pack_memo.rows == 0
+    assert digest_memo.rows == 0
 
 
 def test_the_memo_stays_within_its_bound():
     builder = ChecksumBuilder()
-    for k in range(2 * LINK_MEMO_ROWS // BLOCK_ROWS):
+    for k in range(2 * DIGEST_MEMO_ROWS // BLOCK_ROWS):
         builder.update(_result(*_full_columns(k * BLOCK_ROWS)))
-        assert pack_memo.rows <= LINK_MEMO_ROWS
-    assert pack_memo.rows == LINK_MEMO_ROWS
+        assert digest_memo.rows <= DIGEST_MEMO_ROWS
+    assert digest_memo.rows == DIGEST_MEMO_ROWS
 
 
 @pytest.mark.parametrize("mode", ["edge_only", "cloud_only"])
@@ -347,13 +369,14 @@ def test_concurrent_queries_pack_each_full_block_once(tmp_path, monkeypatch, mod
 def test_three_modes_of_q3_share_one_decode_of_each_chunk_and_pack_each_merged_block_once(tmp_path, monkeypatch):
     """Q3 reads two whole series of a 50,000-row dataset, 26 chunks of 4,000
     rows, and three runs back to back read equal chunk bytes: the edge's, a
-    copy's, the cloud mirror's.  The decode memo holds that working set."""
+    copy's, the cloud mirror's.  The decode memo holds that working set, and
+    the digest memo the hash state after each of the 50 merged blocks, so
+    the later runs hash nothing."""
     packs = _count_packs(monkeypatch)
     q3 = QuerySpec("Q3", TABLE_II["Q3"], concurrency=4)
     workload = small_workload(total_rows=50_000, chunk_rows=4000)
     decoded, checksums = 0, set()
     for mode in ("edge_only", "collaborative", "cloud_only"):
-        packs.clear()
         cluster, report = run(make_scenario(
             TABLE_II["Q3"], mode=mode, queries=(q3,), workload=workload,
             monitor_enabled=True, cpu_load=4, monitor_period_s=0.02,
@@ -361,7 +384,7 @@ def test_three_modes_of_q3_share_one_decode_of_each_chunk_and_pack_each_merged_b
         decoded += cluster.edge_store.io.chunks_decoded + cluster.cloud_store.io.chunks_decoded
         assert [q.rows for q in report.queries] == [50_000] * 4
         checksums |= {q.checksum for q in report.queries}
-        assert packs == [BLOCK_ROWS] * 50            # each merged block once, for all four queries
+    assert packs == [BLOCK_ROWS] * 50        # each merged block once, for all twelve queries
     assert decoded == 26
     assert len(checksums) == 1
 
@@ -388,6 +411,49 @@ def test_concurrent_cloud_queries_pack_and_decode_each_data_block_once(tmp_path,
     assert [q.rows for q in report.queries] == [6 * BLOCK_ROWS] * 4
     assert len(packed) == len(set(packed)) == 2 * 6      # two series of six 1000-row blocks
     assert decoded == []                     # each payload was seeded by its packer
+
+
+# Block sequences that share prefixes: each step names a pooled block, built
+# once over tuples (the columns a memo hands out), or the same rows in a fresh
+# list, or their first rows only.
+_POOLED = [_full_columns(k * BLOCK_ROWS) for k in range(3)]
+
+
+def _pooled_block(which: int, form: str) -> ResultBlock:
+    timestamps, columns = _POOLED[which]
+    if form == "frozen":
+        return _result(timestamps, columns)
+    if form == "list":
+        return _result(list(timestamps), [list(values) for values in columns])
+    return _result(timestamps[:7], [values[:7] for values in columns])
+
+
+_SEQUENCES = st.lists(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["frozen", "frozen", "list", "short"])),
+                               max_size=5), min_size=2, max_size=4)
+
+
+# Takes its example count from the profile: 60 in tier-1, 300 under --hypothesis-profile=oracle.
+@settings(deadline=None)
+@given(sequences=_SEQUENCES, prefix=st.lists(st.tuples(st.integers(0, 2), st.just("frozen")), max_size=3),
+       order=st.randoms(use_true_random=False))
+def test_builders_fed_interleaved_sequences_equal_the_memo_less_reference(sequences, prefix, order):
+    """Each builder is fed a shared prefix and then its own sequence, one
+    block at a time, interleaved in a drawn order, as concurrent queries
+    are."""
+    digest_memo.clear()
+    plans = [prefix + sequence for sequence in sequences]
+    builders = [ChecksumBuilder() for _ in plans]
+    turns = [i for i, plan in enumerate(plans) for _ in plan]
+    order.shuffle(turns)
+    fed = [0] * len(plans)
+    for i in turns:
+        builders[i].update(_pooled_block(*plans[i][fed[i]]))
+        fed[i] += 1
+    for builder, plan in zip(builders, plans):
+        blocks = [_pooled_block(*step) for step in plan]
+        timestamps = [t for block in blocks for t in block.timestamps]
+        columns = [[v for block in blocks for v in block.columns[j][2]] for j in range(2)]
+        assert (builder.rows, builder.hexdigest()) == (len(timestamps), _reference_digest(timestamps, columns))
 
 
 # --- blocks of every size and cell kind -------------------------------------------------

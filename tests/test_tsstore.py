@@ -26,6 +26,7 @@ from ced.tsstore import (
     _decode_chunk,
     _require_little_endian,
     decode_memo,
+    strictly_increasing,
 )
 
 S = SeriesPath.parse("root.ln.e1.d1.t3")
@@ -346,7 +347,7 @@ def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
     assert store.io.chunks_loaded == 2 * len(metas)
     for meta in metas:
         buf = _chunk_bytes(meta)
-        series, timestamps, pages, retained = decode_memo.get(_memo_key(meta))
+        series, timestamps, pages, retained, _pins = decode_memo.get(_memo_key(meta))
         fresh_ts, fresh_values = _decode_chunk(buf, meta)
         assert series == S and retained == buf
         assert timestamps == fresh_ts and [t for ts, _ in pages for t in ts] == fresh_ts.tolist()
@@ -366,6 +367,26 @@ def test_mutating_a_loaded_block_does_not_change_the_next_load(store):
     assert store.io.chunks_decoded == 1
     assert [t for b in again for t in b.timestamps] == list(range(1500))
     assert [v for b in again for v in b.values] == [float(i) for i in range(1500)]
+
+
+def test_releasing_a_loaded_view_raises_and_the_next_load_is_unchanged(store):
+    meta = fill(store, S, 1500).chunk_index[0]
+    first = store.load_chunk_pages(meta)
+    for block in first:                      # the entry holds an export of each page's view
+        with pytest.raises(BufferError):
+            block.timestamps.release()
+    again = store.load_chunk_pages(meta)
+    assert store.io.chunks_decoded == 1
+    assert all(a.timestamps is b.timestamps and a.values is b.values for a, b in zip(first, again, strict=True))
+    assert [t for b in again for t in b.timestamps] == list(range(1500))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=12))
+def test_the_order_check_answers_alike_for_a_tuple_a_list_and_a_view(stamps):
+    view = memoryview(struct.pack(f"<{len(stamps)}q", *stamps)).cast("q")
+    expected = all(a < b for a, b in zip(stamps, stamps[1:]))
+    assert strictly_increasing(tuple(stamps)) is strictly_increasing(stamps) is strictly_increasing(view) is expected
 
 
 def test_writing_into_a_loaded_blocks_timestamps_raises_and_the_next_load_is_unchanged(store):

@@ -11,8 +11,9 @@ from ced import wire
 from ced.codec import Reader
 from ced.coherence import decode_snapshot, encode_snapshot
 from ced.errors import MalformedMessage
+from ced.harness.metrics import DIGEST_MEMO_ROWS, ChecksumBuilder, digest_memo
 from ced.harness.scenario import QuerySpec
-from ced.scanops import IndexKind, LogicalIndex
+from ced.scanops import IndexKind, LogicalIndex, ResultBlock
 from ced.tsstore import DECODE_MEMO_ROWS, SeriesPath, SeriesStore, TsBlock, ValueType, decode_memo
 from ced.wire import (
     LINK_MEMO_ROWS,
@@ -28,7 +29,6 @@ from ced.wire import (
     encode_cells,
     encode_channel,
     encode_message,
-    encode_rows_once,
     link_memo,
     pack_memo,
 )
@@ -506,6 +506,24 @@ def test_malformed_link_payload_is_never_retained(monkeypatch):
     assert link_memo.rows == 0
 
 
+def test_payloads_under_one_key_never_answer_each_other(monkeypatch):
+    # one series, value type, row count and first and last timestamp: one
+    # link-memo key, which a payload of other values or other middle
+    # timestamps must not hit
+    calls = _count_decodes(monkeypatch)
+    blocks = [TsBlock(S, [0, 1000, 2000], [1.5, 2.5, -0.25], ValueType.FLOAT64),
+              TsBlock(S, [0, 1000, 2000], [1.5, -0.0, -0.25], ValueType.FLOAT64),
+              TsBlock(S, [0, 1500, 2000], [1.5, 2.5, -0.25], ValueType.FLOAT64)]
+    for _ in range(2):
+        for block in blocks:
+            received = decode_message(_data(block)).block
+            assert _block_fields(received) == _block_fields(
+                TsBlock(S, tuple(block.timestamps), tuple(block.values), ValueType.FLOAT64))
+            assert encode_cells(received.values) == encode_cells(block.values)
+    assert len(calls) == 6                   # each replaced the entry the one before left
+    assert link_memo.rows == 3
+
+
 def test_header_only_blocks_are_never_retained(monkeypatch):
     calls = _count_decodes(monkeypatch)
     for t in (MessageType.PROBE, MessageType.DATA):
@@ -570,15 +588,19 @@ def test_each_memo_stays_within_its_bound(tmp_path, monkeypatch):
     count = _past_the_bounds()
     store = _chunk_store(tmp_path, rows=count * 1500)
     links = _links(count, column=list)
+    checksum = ChecksumBuilder()
     for k, (meta, buf) in enumerate(zip(store.chunk_metas(S), links, strict=True)):   # interleaved
         store.load_chunk_pages(meta)
         decode_message(buf)
-        encode_rows_once(tuple(range(k * 1000, (k + 1) * 1000)), ((f"v{k}",) * 1000,))   # its checksum rows
+        ts, values = tuple(range(k * 1000, (k + 1) * 1000)), (f"v{k}",) * 1000
+        checksum.update(ResultBlock(ts, [("t1", ValueType.STRING, values)]))         # its checksum rows
+        encode_block(TsBlock(_UNPARSABLE, ts, values, ValueType.STRING))   # packed and retained, never seeded
         for memo, bound in ((decode_memo, DECODE_MEMO_ROWS), (link_memo, LINK_MEMO_ROWS),
-                            (pack_memo, LINK_MEMO_ROWS)):
+                            (pack_memo, LINK_MEMO_ROWS), (digest_memo, DIGEST_MEMO_ROWS)):
             assert memo.rows <= bound
     assert decode_memo.rows == DECODE_MEMO_ROWS // 1500 * 1500
     assert link_memo.rows == pack_memo.rows == LINK_MEMO_ROWS
+    assert digest_memo.rows == DIGEST_MEMO_ROWS
     oldest = count - LINK_MEMO_ROWS // 1000
     decode_message(links[oldest])            # the oldest retained link block: a hit
     assert len(calls) == count
