@@ -8,7 +8,8 @@ class CedError(Exception):
 # --- storage layer ---
 
 class OutOfOrderTimestamp(CedError):
-    """Appended timestamp is not strictly greater than the previous one."""
+    """Appended timestamp is not strictly greater than the previous one, or is
+    above the store's ``MAX_TS``."""
 
 
 class StorageIoError(CedError):
@@ -41,12 +42,9 @@ class PlanError(CedError):
     """Query violates planner invariants (e.g. mixed aggregates and plain columns)."""
 
 
-class IndexKindMismatch(CedError):
-    """Logical index variant does not match the operator kind."""
-
-
 class MisalignedOffset(CedError):
-    """Row offset falls inside a chunk; exported offsets are chunk-aligned."""
+    """A resume index is no boundary of its scan leaf: a timestamp inside a
+    chunk, or one that starts no window; exported indexes are boundaries."""
 
 
 # --- transport / protocol ---

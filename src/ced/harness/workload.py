@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ScenarioError
-from ..tsstore import SeriesPath, SeriesStore, ValueType
+from ..tsstore import MAX_TS, SeriesPath, SeriesStore, ValueType
 
 __all__ = ["SENSOR_TYPE_CYCLE", "WorkloadConfig", "GeneratedDataset", "generate"]
 
@@ -55,8 +55,8 @@ class WorkloadConfig:
             raise ScenarioError("sampling_interval_ms must be >= 1 ms")
         if self.total_rows < 1:
             raise ScenarioError("total_rows must be >= 1")
-        if (self.total_rows - 1) * self.sampling_interval_ms >= 2**63:     # timestamps are i64
-            raise ScenarioError("sampling_interval_ms puts the last timestamp beyond the i64 range")
+        if (self.total_rows - 1) * self.sampling_interval_ms > MAX_TS:
+            raise ScenarioError("sampling_interval_ms puts the last timestamp above the store's MAX_TS")
         try:
             SeriesPath.parse(self.device)
         except ValueError as exc:

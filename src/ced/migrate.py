@@ -3,7 +3,8 @@
 The edge side opens one channel per scan leaf (quintuple identity), sends
 the migration request with the original SQL, and keeps reading locally
 until the cloud confirms.  At the next chunk/window boundary the leaf
-exports its logical index, ships the delta, and flips its data source to
+exports its index (the first timestamp not yet delivered, see
+``ced.scanops``), ships the delta, and flips its data source to
 the channel.  A header-only probe block must be ACKed before any data
 flows; data and control messages ride the reliable connection while the
 probe itself is a droppable heartbeat datagram covered by a retry budget.
@@ -52,9 +53,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import IndexKindMismatch, MisalignedOffset, PlanError
+from .errors import MisalignedOffset, PlanError
 from .netsim import Engine, Envelope, Link, Signal, Timer
-from .scanops import NOT_READY, PENDING, LogicalIndex, RemoteEnd, RemoteSource
+from .scanops import NOT_READY, PENDING, RemoteEnd, RemoteSource
 from .tsstore import SeriesPath, TsBlock
 from .wire import (
     ChannelId,
@@ -196,7 +197,7 @@ class SinkChannel(RemoteSource):
         self.on_confirmed = on_confirmed
 
         self.phase = ChannelPhase.REQUESTED
-        self.activation_index: Optional[LogicalIndex] = None
+        self.activation_index: Optional[int] = None
         self.recv_queue: list = []        # TsBlock | RemoteEnd items in arrival order
         self.max_queue_seen = 0
         self._probe_attempts = 0
@@ -212,7 +213,7 @@ class SinkChannel(RemoteSource):
         # recorded once sent: a closed link raises above, and no request left
         self.telemetry.record(self.engine.now, "request", self.channel_id)
 
-    def activate(self, index: LogicalIndex) -> None:
+    def activate(self, index: int) -> None:
         """Ship the delta and begin the probe handshake (leaf just hit a boundary)."""
         self.activation_index = index
         self.phase = ChannelPhase.PROBING
@@ -352,7 +353,7 @@ class SourceChannel:
             if self.delta is None:            # duplicates are idempotent
                 try:
                     self.leaf_op.resume_local(msg.delta.logical_index)
-                except (IndexKindMismatch, MisalignedOffset):
+                except MisalignedOffset:
                     return                    # not a boundary of this leaf: no ACK follows
                 self.delta = msg.delta
         elif msg.type is MessageType.PROBE:

@@ -2,8 +2,8 @@
 
 The collaborative scan is one migratable leaf.  It reads local storage,
 can hand its progress to a remote block stream mid-query and take it back,
-and carries a resumable logical index that either tier can resume from.
-The shared base owns the whole switch:
+and carries a resume index that either tier can resume from.  The shared
+base owns the whole switch:
 
 * ``request_switch`` arms a switch that is taken only when ``at_boundary()``
   holds, so the index handed to the remote side never falls inside a unit;
@@ -11,27 +11,31 @@ The shared base owns the whole switch:
   :class:`RemoteEnd` that either completes the scan (``complete``) or
   resumes it locally from the index it carries (``remigrate``, ``broken``);
 * ``resume_local``, through which the constructors also start;
-* ``export_index``, which hands out the logical index only at a boundary;
+* ``export_index``, which hands out the index only at a boundary;
 * ``boundary_listener``, called with the leaf from one place, ``next_block``,
   after each local pull that leaves the leaf at a boundary (once more at its end);
 * the counters ``rows_local`` (source rows read from local storage, the
   work the simulator charges CPU time for) and ``rows_remote``.
 
-Each kind supplies its index kind and the local half: ``_open_local``
-(reposition, rejecting a misaligned index), ``at_boundary``, ``_has_local``
-and ``_next_local``.  While remote, the leaf's index stays where the switch
-handed it over; the stream's end carries the index to resume from.
+Each kind supplies the local half: ``_open_local`` (reposition, rejecting a
+misaligned index), ``at_boundary``, ``_has_local`` and ``_next_local``.
+While remote, the leaf's index stays where the switch handed it over; the
+stream's end carries the index to resume from.
 
-* SeriesScanOp resumes from a ROW_OFFSET, the count of rows consumed.  It
-  advances only when the last block of a chunk is handed over, so a
-  boundary is "no block of a chunk in flight" and an exported offset
-  always lands exactly between chunks.
-* AggregationScanOp resumes from a WINDOW_START, the start of the next
-  unemitted window of an equal-width partition of its time range.  A
-  boundary is "no partially aggregated window held"; chunks lying wholly
-  before the window are skipped from metadata alone.
+The index is one ``int``, the first timestamp not yet delivered: every
+source row below it has been delivered, as itself or inside an emitted
+window.  Timestamps strictly increase within a series, so it names a
+position in either kind, and a leaf resumes only from one of its
+boundaries, raising MisalignedOffset otherwise.  SeriesScanOp starts below
+every timestamp and moves to a chunk's ``max_ts + 1`` when the chunk's last
+block is handed over, so a boundary is "no block of a chunk in flight" and
+the index always lies between chunks.  AggregationScanOp starts at the
+start of the first window of an equal-width partition of its time range
+and moves to the next window's start; a boundary is "no partially
+aggregated window held", and chunks lying wholly before the window are
+skipped from metadata alone.
 
-The leaf holds its own state: the logical index, its source
+The leaf holds its own state: the index, its source
 (``source_mode`` local, remote or done, and ``remote``), and the one unit
 in flight, a series scan's undelivered blocks of the current chunk or an
 aggregation's partially aggregated window.
@@ -42,18 +46,16 @@ The remote side is any object with the surface of :class:`RemoteSource`,
 
 from __future__ import annotations
 
-import enum
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .errors import GuardViolation, IndexKindMismatch, MisalignedOffset
+from .errors import GuardViolation, MisalignedOffset
 from .queryplan import ScanPlan
 from .tsstore import (
     BLOCK_ROWS,
-    ChunkIterator,
     SeriesPath,
     SeriesStore,
     TsBlock,
@@ -65,10 +67,7 @@ __all__ = [
     "NOT_READY",
     "RemoteEnd",
     "RemoteSource",
-    "IndexKind",
-    "LogicalIndex",
     "WindowSpec",
-    "skip_to_offset",
     "SeriesScanOp",
     "AggregationScanOp",
     "FilterOp",
@@ -106,40 +105,17 @@ class RemoteEnd:
     """Terminal state of a remote stream as observed by the consuming leaf."""
 
     kind: str                                   # complete | remigrate | broken
-    final_index: Optional["LogicalIndex"] = None
+    final_index: Optional[int] = None
 
 
 class RemoteSource:
     """What a scan leaf needs of a streaming channel; ``poll`` returns each block's credit."""
 
-    def activate(self, index: "LogicalIndex") -> None:   # send delta, start handshake
+    def activate(self, index: int) -> None:              # send delta, start handshake
         raise NotImplementedError
 
     def poll(self):                                      # TsBlock | PENDING | RemoteEnd
         raise NotImplementedError
-
-
-class IndexKind(enum.Enum):
-    ROW_OFFSET = "row_offset"
-    WINDOW_START = "window_start"
-
-
-@dataclass(frozen=True)
-class LogicalIndex:
-    """Resumable progress marker: consumed-row offset or next window start."""
-
-    kind: IndexKind
-    value: int
-
-    @classmethod
-    def row_offset(cls, rows: int) -> "LogicalIndex":
-        if rows < 0:
-            raise ValueError("row offset must be >= 0")
-        return cls(IndexKind.ROW_OFFSET, rows)
-
-    @classmethod
-    def window_start(cls, ts: int) -> "LogicalIndex":
-        return cls(IndexKind.WINDOW_START, ts)
 
 
 @dataclass(frozen=True)
@@ -163,30 +139,6 @@ class WindowSpec:
         return start, min(start + self.width, self.hi)
 
 
-def skip_to_offset(cur_offset: int, iterator: ChunkIterator) -> int:
-    """Position ``iterator`` at the first chunk not covered by ``cur_offset``.
-
-    Returns the residual offset, which is 0 whenever the offset is
-    chunk-aligned.  An offset beyond the data leaves the iterator
-    exhausted (a completed query, not an error); an offset strictly
-    inside a chunk raises MisalignedOffset since indexing is
-    chunk-granular.
-    """
-    if cur_offset < 0:
-        raise ValueError("offset must be >= 0")
-    remaining = cur_offset
-    while iterator.has_next():
-        row_count = iterator.peek().row_count
-        if remaining >= row_count:
-            iterator.advance()
-            remaining -= row_count
-        else:
-            break
-    if iterator.has_next() and remaining > 0:
-        raise MisalignedOffset(f"offset lands {remaining} rows inside a chunk")
-    return remaining
-
-
 class _OperatorBase:
     def has_next(self) -> bool:
         raise NotImplementedError
@@ -202,16 +154,14 @@ class _OperatorBase:
 class _ScanLeaf(_OperatorBase):
     """The migratable leaf: the switch, the remote stream and the resume (see above)."""
 
-    index_kind: IndexKind
-
-    def __init__(self, store: SeriesStore, series: SeriesPath, start_index: LogicalIndex):
+    def __init__(self, store: SeriesStore, series: SeriesPath, index: int):
         self.store = store
         self.series = series
         self.rows_local = 0       # source rows read from local storage
         self.rows_remote = 0      # rows received from the remote source
         self.boundary_listener: Optional[Callable[["_ScanLeaf"], None]] = None
         self.pending_remote: Optional[RemoteSource] = None
-        self.resume_local(start_index)
+        self.resume_local(index)
 
     # -- migration hooks ----------------------------------------------------
 
@@ -219,16 +169,14 @@ class _ScanLeaf(_OperatorBase):
         """Arm a source switch; it takes effect at the next boundary."""
         self.pending_remote = remote
 
-    def resume_local(self, index: LogicalIndex) -> None:
+    def resume_local(self, index: int) -> None:
         """Read locally from ``index``, which must be a boundary of this leaf."""
-        if index.kind is not self.index_kind:
-            raise IndexKindMismatch(f"{type(self).__name__} resumes from a {self.index_kind.value}")
         self._open_local(index)
         self.source_mode = "local"          # local | remote | done
         self.remote: Optional[RemoteSource] = None
         self.logical_index = index
 
-    def export_index(self) -> LogicalIndex:
+    def export_index(self) -> int:
         """The index to resume from; only a boundary may be handed to the other tier."""
         if not self.at_boundary():
             raise GuardViolation(
@@ -281,7 +229,7 @@ class _ScanLeaf(_OperatorBase):
 
     # -- per-kind hooks -------------------------------------------------------------
 
-    def _open_local(self, index: LogicalIndex) -> None:
+    def _open_local(self, index: int) -> None:
         raise NotImplementedError
 
     def at_boundary(self) -> bool:
@@ -297,22 +245,17 @@ class _ScanLeaf(_OperatorBase):
 class SeriesScanOp(_ScanLeaf):
     """Leaf scan over one series; ≤1000-row blocks in timestamp order."""
 
-    index_kind = IndexKind.ROW_OFFSET
-
-    def __init__(
-        self,
-        store: SeriesStore,
-        series: SeriesPath,
-        start_index: Optional[LogicalIndex] = None,
-    ):
+    def __init__(self, store: SeriesStore, series: SeriesPath):
         self._in_flight: list[TsBlock] = []      # undelivered blocks of the current chunk
-        self._current_chunk_rows = 0
-        super().__init__(store, series, start_index or LogicalIndex.row_offset(0))
+        super().__init__(store, series, -(2**63))       # below every i64 timestamp
 
-    def _open_local(self, index: LogicalIndex) -> None:
-        self._iterator = self.store.open_chunk_iterator(self.series)
-        if index.value:
-            skip_to_offset(index.value, self._iterator)
+    def _open_local(self, index: int) -> None:
+        """Skip, from metadata alone, every chunk delivered below ``index``."""
+        iterator = self._iterator = self.store.open_chunk_iterator(self.series)
+        while iterator.has_next() and iterator.peek().max_ts < index:
+            iterator.advance()
+        if iterator.has_next() and iterator.peek().min_ts < index:
+            raise MisalignedOffset(f"timestamp {index} lies inside a chunk of {self.series}")
 
     def at_boundary(self) -> bool:
         return not self._in_flight
@@ -330,30 +273,17 @@ class SeriesScanOp(_ScanLeaf):
                 return None
             meta = self._iterator.advance()
             self._in_flight = self.store.load_chunk_pages(meta)
-            self._current_chunk_rows = meta.row_count
         block = self._in_flight.pop(0)
         self.rows_local += block.row_count
         if not self._in_flight:
-            self.logical_index = LogicalIndex.row_offset(
-                self.logical_index.value + self._current_chunk_rows
-            )
-            self._current_chunk_rows = 0
+            self.logical_index = block.timestamps[-1] + 1    # the chunk's max_ts + 1
         return block
 
 
 class AggregationScanOp(_ScanLeaf):
     """Windowed count/max_value over one series with metadata-level skipping."""
 
-    index_kind = IndexKind.WINDOW_START
-
-    def __init__(
-        self,
-        store: SeriesStore,
-        series: SeriesPath,
-        spec: WindowSpec,
-        fn: str,
-        start_index: Optional[LogicalIndex] = None,
-    ):
+    def __init__(self, store: SeriesStore, series: SeriesPath, spec: WindowSpec, fn: str):
         if fn not in ("count", "max_value"):
             raise ValueError(f"unsupported aggregate {fn!r}")
         self.spec = spec
@@ -361,12 +291,12 @@ class AggregationScanOp(_ScanLeaf):
         self.chunks_skipped = 0
         # ((window start, end), (count, max)) of a window held across calls
         self._partial: Optional[tuple] = None
-        super().__init__(store, series, start_index or LogicalIndex.window_start(spec.lo))
+        super().__init__(store, series, spec.lo)
         self._value_type = ValueType.INT64 if fn == "count" else store.value_type(series)
 
-    def _open_local(self, index: LogicalIndex) -> None:
-        if index.value != self.spec.hi:
-            self.spec.window_at(index.value)     # validates alignment
+    def _open_local(self, index: int) -> None:
+        if index != self.spec.hi:
+            self.spec.window_at(index)     # validates alignment
         self._iterator = self.store.open_chunk_iterator(self.series)
         self._pages: list[TsBlock] = []      # the loaded chunk's pages not yet read to their end
         self._page_pos = 0                   # rows of the first of them already read
@@ -375,7 +305,7 @@ class AggregationScanOp(_ScanLeaf):
         return self._partial is None
 
     def _has_local(self) -> bool:
-        return self.logical_index.value < self.spec.hi
+        return self.logical_index < self.spec.hi
 
     def _next_local(self):
         """Aggregate the current window a page at a time, by bisection.
@@ -384,10 +314,10 @@ class AggregationScanOp(_ScanLeaf):
         returns NOT_READY with its running aggregate held.  Rows before the
         window start (a resume inside a chunk) are read but not aggregated.
         """
-        if self.logical_index.value >= self.spec.hi:
+        if self.logical_index >= self.spec.hi:
             return None
         if self._partial is None:
-            window_start, window_end = self.spec.window_at(self.logical_index.value)
+            window_start, window_end = self.spec.window_at(self.logical_index)
             count, maximum = 0, None
         else:
             (window_start, window_end), (count, maximum) = self._partial
@@ -434,9 +364,7 @@ class AggregationScanOp(_ScanLeaf):
         self._partial = None
         result = count if self.fn == "count" else maximum
         block = TsBlock(self.series, [window_start], [result], self._value_type)
-        self.logical_index = LogicalIndex.window_start(
-            window_end if window_end < self.spec.hi else self.spec.hi
-        )
+        self.logical_index = window_end       # the next window's start, or hi
         return block
 
 

@@ -47,7 +47,10 @@ two bodies is an error.  Bytes that break this grammar (a file of another
 version, a field cut short, an unknown value type, a chunk header that
 disagrees with its index entry, chunk or page bounds or row counts that
 disagree with the rows, rows out of timestamp order) raise CorruptChunk.  Timestamps are integer milliseconds and strictly increase
-within a series.
+within a series.  No timestamp is above ``MAX_TS`` (``2**63 - 2``), so the
+one after any row, a scan leaf's resume index (``ced.scanops``), is an i64:
+``flush`` refuses a row above it (OutOfOrderTimestamp), and an index entry
+above it is CorruptChunk.
 
 Timestamp order is checked once, by ``strictly_increasing``, where rows
 enter the program: ``flush`` (OutOfOrderTimestamp), a decoded
@@ -106,6 +109,7 @@ from .errors import CorruptChunk, OutOfOrderTimestamp, StorageIoError, UnknownSe
 
 __all__ = [
     "BLOCK_ROWS",
+    "MAX_TS",
     "ValueType",
     "SeriesPath",
     "TsBlock",
@@ -123,6 +127,7 @@ __all__ = [
 ]
 
 BLOCK_ROWS = 1000
+MAX_TS = 2**63 - 2       # the greatest timestamp the store holds
 
 # Most decoded rows the process keeps for later loads of equal chunk bytes:
 # two whole series of a 50,000-row dataset in 4,000-row chunks (26 chunks,
@@ -514,9 +519,9 @@ class SeriesStore:
         chunk_target-row chunks, all or nothing.
 
         Timestamps must strictly increase, within the run and after the
-        series' last one, and every value must have the series' one value
-        type; each check is made once for the whole run.  The series gains
-        the file only once it is written.
+        series' last one, up to ``MAX_TS``, and every value must have the
+        series' one value type; each check is made once for the whole run.
+        The series gains the file only once it is written.
         """
         n = len(timestamps)
         if n != len(values):
@@ -535,6 +540,8 @@ class SeriesStore:
         if not strictly_increasing(timestamps):
             t0, t1 = next(p for p in zip(timestamps, islice(timestamps, 1, None)) if p[1] <= p[0])
             raise OutOfOrderTimestamp(f"{key}: ts {t1} <= last {t0}")
+        if timestamps[-1] > MAX_TS:
+            raise OutOfOrderTimestamp(f"{key}: ts {timestamps[-1]} > MAX_TS {MAX_TS}")
         for run_vt in {_value_type_of_class(cls) for cls in set(map(type, values))}:
             if run_vt is not vt:
                 raise TypeError(f"{key}: value type changed from {vt.name} to {run_vt.name}")
@@ -728,6 +735,8 @@ def _file_index(buf: bytes, path: Path) -> list[ChunkMeta]:
         vt = r.enum(ValueType, vt_raw, "value type")
         if offset + byte_len > index_offset:
             raise r.fail(f"{path}: chunk at {offset} runs past the index")
+        if mx > MAX_TS:
+            raise r.fail(f"{path}: chunk at {offset} has max_ts {mx} > MAX_TS {MAX_TS}")
         metas.append(ChunkMeta(series, path, offset, byte_len, vt, rows, mn, mx))
     if r.pos != footer:
         raise r.fail(f"{path}: index does not end at the footer")

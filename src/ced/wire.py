@@ -47,15 +47,15 @@ own (``digest_memo`` in ``ced.harness.metrics``).
 Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 ``ced.coherence``) reads through ``ced.codec.Reader`` and rejects any
 grammar violation with MalformedMessage: a field cut short, bad UTF-8, an
-unknown value tag, value type, message type, direction, terminate reason or
-index kind, a negative row offset, bytes left over after the last field,
+unknown value tag, value type, message type, direction or terminate reason,
+an index kind other than 1, bytes left over after the last field,
 timestamps of a tsblock that do not strictly increase, a TERMINATE whose
 delta presence disagrees with its reason, or a snapshot ``seq`` or
 ``mem_count`` other than 0.
 
     channel  := addr_len u8 | addr utf8 | port u16 | fragment_id u32
                 | source_id u32 | query_id u64
-    index    := kind u8 (0 row offset, 1 window start) | value i64
+    index    := kind u8 (always 1) | value i64 (the next timestamp)
     delta    := channel | direction u8 (0 edge->cloud, 1 cloud->edge)
                 | sql_len u32 | sql utf8 | index
     tsblock  := series_len u16 | series utf8 | flags u8 (bit0 header-only)
@@ -88,7 +88,6 @@ from typing import Optional, Sequence
 
 from .codec import F64, I64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
 from .errors import MalformedMessage
-from .scanops import IndexKind, LogicalIndex
 from .tsstore import (
     BLOCK_ROWS,
     RowMemo,
@@ -143,11 +142,11 @@ class Direction(enum.IntEnum):
 
 @dataclass(frozen=True)
 class DeltaState:
-    """Lightweight migration payload: channel identity + SQL + logical index."""
+    """Lightweight migration payload: channel identity + SQL + resume index."""
 
     channel: ChannelId
     sql: str
-    logical_index: LogicalIndex
+    logical_index: int          # the first timestamp not yet delivered (``ced.scanops``)
     direction: Direction = Direction.EDGE_TO_CLOUD
 
 
@@ -279,8 +278,8 @@ _BLOCK_HEAD = struct.Struct("<BBI")        # flags, value_type, row_count
 LINK_MEMO_ROWS = 16 * BLOCK_ROWS
 
 # (payload, timestamps, values) of recently packed DATA blocks, and the
-# (series, timestamps, values, value type, payload) of DATA payloads sent or
-# received
+# (series, timestamps, values, value type, payload[, pin]) of DATA payloads
+# sent or received
 pack_memo = RowMemo(LINK_MEMO_ROWS)
 link_memo = RowMemo(LINK_MEMO_ROWS)
 
@@ -313,16 +312,20 @@ def _pack_once(key: tuple, columns: Sequence[Sequence], pack) -> bytes:
 def _pack_data(block: TsBlock) -> bytes:
     """``_pack_block``, seeding ``link_memo`` when the payload decodes to the
     block's own frozen columns: int timestamps (an int64 view holds only
-    ints), and a tuple of values."""
+    ints), and a tuple of values.  An entry seeded from a view holds a buffer
+    export of it, as ``decode_memo``'s do, so ``release()`` on the view a
+    receiver gets raises BufferError instead of breaking later decodes."""
     payload = _pack_block(block)
     ts, values = block.timestamps, block.values
+    view = int64_view(ts)
     if (frozen_column(ts) and type(values) is tuple
-            and (int64_view(ts) or set(map(type, ts)) == {int}) and strictly_increasing(ts)):
+            and (view or set(map(type, ts)) == {int}) and strictly_increasing(ts)):
         try:
             series = str(block.series_id)
             seed = TsBlock(SeriesPath.parse(series), ts, values, ValueType(block.value_type))
             link_memo.put((series, seed.value_type, seed.row_count, ts[0], ts[-1]),
-                          (seed.series_id, ts, values, seed.value_type, payload))
+                          (seed.series_id, ts, values, seed.value_type, payload,
+                           struct.iter_unpack("<q", ts) if view else None))
         except ValueError:                   # decode_block would reject the payload
             pass
     return payload
@@ -368,7 +371,7 @@ def _read_block_head(r: Reader) -> tuple[str, int, ValueType, int]:
 
 _CHANNEL_FIXED = struct.Struct("<HIIQ")    # port, fragment, source, query
 _INDEX = struct.Struct("<Bq")              # kind, value
-_INDEX_KINDS = (IndexKind.ROW_OFFSET, IndexKind.WINDOW_START)   # kind code -> IndexKind
+_INDEX_KIND = 1                            # the only kind: the next timestamp
 
 
 def encode_channel(out: bytearray, channel: ChannelId) -> None:
@@ -384,19 +387,17 @@ def encode_delta(out: bytearray, delta: DeltaState) -> None:
     encode_channel(out, delta.channel)
     out += U8.pack(int(delta.direction))
     write_text(out, delta.sql, U32)
-    index = delta.logical_index
-    out += _INDEX.pack(_INDEX_KINDS.index(index.kind), index.value)
+    out += _INDEX.pack(_INDEX_KIND, delta.logical_index)
 
 
 def read_delta(r: Reader) -> DeltaState:
     channel = read_channel(r)
     direction = r.enum(Direction, r.u8(), "direction")
     sql = r.text(U32)
-    code, value = r.unpack(_INDEX)
-    kind = r.enum(_INDEX_KINDS.__getitem__, code, "index kind")
-    if kind is IndexKind.ROW_OFFSET and value < 0:
-        raise r.fail(f"row offset {value} is negative")    # a window start may be
-    return DeltaState(channel, sql, LogicalIndex(kind, value), direction)
+    code, index = r.unpack(_INDEX)
+    if code != _INDEX_KIND:
+        raise r.fail(f"unknown index kind {code}")
+    return DeltaState(channel, sql, index, direction)
 
 
 # --- messages ----------------------------------------------------------------------

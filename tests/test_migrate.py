@@ -20,7 +20,7 @@ from ced.harness.workload import WorkloadConfig
 from ced.migrate import ChannelConfig, ChannelPhase, ProtocolTelemetry, SinkChannel
 from ced.netsim import Engine, LinkConfig
 from ced.queryplan import Predicate, parse, plan
-from ced.scanops import PENDING, FilterOp, LogicalIndex, RemoteEnd, SeriesScanOp, build_scan
+from ced.scanops import PENDING, FilterOp, RemoteEnd, SeriesScanOp, build_scan
 from ced.tsstore import SeriesPath, TsBlock, ValueType
 from ced.wire import ChannelId, Message, MessageType, TerminateReason
 
@@ -120,7 +120,7 @@ def test_edge_continues_local_reading_until_confirmation(tmp_path):
     cluster, report = run(scenario, tmp_path)
     sink = cluster.contexts[0].channels[0]
     assert sink.activation_index is not None
-    assert sink.activation_index.value > 1000      # kept reading past the trigger
+    assert sink.activation_index > 1000 * 1000     # kept reading past the trigger (row 1000, 1 s apart)
     assert report.queries[0].rows == 5
 
 
@@ -197,15 +197,16 @@ def test_delta_switch_lands_on_chunk_boundary(tmp_path):
     scenario = make_scenario(forced_migration_at_rows=2000)
     cluster, report = run(scenario, tmp_path)
     sink = cluster.contexts[0].channels[0]
-    assert sink.activation_index.value % 1000 == 0     # chunk-aligned
-    assert sink.activation_index.value >= 2000
+    # a chunk's max_ts + 1: 1000-row chunks of rows 1 s apart
+    assert sink.activation_index % (1000 * 1000) == 999 * 1000 + 1
+    assert sink.activation_index > 1999 * 1000         # past the trigger row
 
 
 def test_migration_at_query_start_is_row_offset_zero(tmp_path):
     scenario = make_scenario(mode="cloud_only", warm_series=("t1",))
     cluster, report = run(scenario, tmp_path)
     sink = cluster.contexts[0].channels[0]
-    assert sink.activation_index.value == 0
+    assert sink.activation_index == -(2**63)      # no row delivered: below every timestamp
     assert report.queries[0].migrated == 1
 
 
@@ -213,10 +214,7 @@ def test_aggregation_switch_exports_window_start(tmp_path):
     scenario = make_scenario(TABLE_II["Q4"], forced_migration_at_rows=1500)
     cluster, report = run(scenario, tmp_path)
     sink = cluster.contexts[0].channels[0]
-    from ced.scanops import IndexKind
-
-    assert sink.activation_index.kind is IndexKind.WINDOW_START
-    assert (sink.activation_index.value - 0) % 300_000 == 0
+    assert (sink.activation_index - 0) % 300_000 == 0
 
 
 def test_per_query_counts_come_from_that_query_s_channels(tmp_path):
@@ -376,7 +374,7 @@ def test_a_data_block_before_the_ack_or_of_another_series_is_recorded_and_still_
     telemetry = ProtocolTelemetry()
     sink = SinkChannel(Engine(), RecordingTransport(), channel, TABLE_II["Q3"], series, ChannelConfig(),
                        telemetry, notify=lambda: None, on_confirmed=lambda _: None)
-    sink.activate(LogicalIndex.row_offset(0))       # the delta is out, the ACK not yet in
+    sink.activate(-(2**63))                         # the delta is out, the ACK not yet in
     early = TsBlock(series, [0], [0.0], ValueType.FLOAT64)
     sink.on_message(Message(MessageType.DATA, channel, block=early))
     sink.on_message(Message(MessageType.ACK, channel))
@@ -494,10 +492,10 @@ def test_transport_down_aborts_migration_and_query_completes(tmp_path):
 
 
 @pytest.mark.parametrize("sql, forge", [
-    (TABLE_II["Q1"], lambda index: LogicalIndex.row_offset(index.value + 500)),
-    (TABLE_II["Q4"], lambda index: LogicalIndex.row_offset(index.value)),
-    (TABLE_II["Q4"], lambda index: LogicalIndex.window_start(index.value + 1)),
-], ids=["row-offset-inside-a-chunk", "index-of-the-other-kind", "window-start-off-the-grid"])
+    # the next chunk starts 999 ms after the index; 500 of its rows on, 1 s apart
+    (TABLE_II["Q1"], lambda index: index + 999 + 500 * 1000),
+    (TABLE_II["Q4"], lambda index: index + 1),
+], ids=["timestamp-inside-a-chunk", "window-start-off-the-grid"])
 def test_a_delta_the_producer_cannot_resume_from_ends_in_a_local_resume(tmp_path, sql, forge):
     cluster = make_cluster(make_scenario(sql, forced_migration_at_rows=2000), tmp_path)
     send = cluster.edge_transport.send_message

@@ -22,6 +22,7 @@ QUERIES = {
     **TABLE_II,
     "hot": "SELECT t3 FROM dev WHERE t3 > 900.0",
     "cold_pair": "SELECT t1, t3 FROM dev WHERE t3 < 100.0",
+    "agg_pair": "SELECT count(t1), max_value(t3) FROM dev GROUP BY 5m",   # two aggregation leaves merged
 }
 
 # every event kind the protocol may record is named in the module docstring

@@ -1,4 +1,4 @@
-"""Scan operators: logical indexing, resume, skipping, filter/merge plumbing."""
+"""Scan operators: the resume index, resume, skipping, filter/merge plumbing."""
 
 import math
 import random
@@ -8,14 +8,13 @@ from conftest import parent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ced.errors import GuardViolation, IndexKindMismatch, MisalignedOffset
+from ced.errors import GuardViolation, MisalignedOffset
 from ced.queryplan import parse, plan
 from ced.scanops import (
     NOT_READY,
     PENDING,
     AggregationScanOp,
     FilterOp,
-    LogicalIndex,
     MergeOp,
     RemoteEnd,
     ResultBlock,
@@ -23,15 +22,15 @@ from ced.scanops import (
     SeriesScanOp,
     WindowSpec,
     build_operator,
-    skip_to_offset,
 )
-from ced.tsstore import BLOCK_ROWS, SeriesPath, SeriesStore, TsBlock, ValueType
+from ced.tsstore import BLOCK_ROWS, MAX_TS, SeriesPath, SeriesStore, TsBlock, ValueType
 
 S = SeriesPath.parse("root.ln.e1.d1.t3")
 
 
 def build_store(tmp_path, chunk_rows_list, value=lambda i: float(i), start_ts=0, name="data"):
-    """One flush per listed chunk size, 1 ms spacing."""
+    """One flush per listed chunk size, 1 ms spacing: a row's timestamp is its
+    offset, so a chunk's ``max_ts + 1`` is the rows up to its end."""
     store = SeriesStore(tmp_path / name, page_rows=1000)
     ts = start_ts
     for chunk_rows in chunk_rows_list:
@@ -41,6 +40,10 @@ def build_store(tmp_path, chunk_rows_list, value=lambda i: float(i), start_ts=0,
     return store
 
 
+def resumed(leaf, index):
+    """``leaf`` after ``resume_local(index)``."""
+    leaf.resume_local(index)
+    return leaf
 
 
 def collect_rows(op) -> list:
@@ -75,14 +78,14 @@ def drain_blocks(op):
 
 
 def drain_scan(op):
-    """(blocks, offsets-after-each-block) trace."""
+    """(blocks, index-after-each-block) trace."""
     blocks, offsets = [], []
     while True:
         block = op.next_block()
         if block is None:
             return blocks, offsets
         blocks.append(block)
-        offsets.append(op.logical_index.value)
+        offsets.append(op.logical_index)
 
 
 # --- series scan -----------------------------------------------------------
@@ -92,8 +95,8 @@ def test_fresh_scan_blocks_and_offset_trace(tmp_path):
     op = SeriesScanOp(store, S)
     blocks, offsets = drain_scan(op)
     assert [b.row_count for b in blocks] == [1000] * 6
-    # offset advances only when the last block of a chunk is handed over
-    assert offsets == [0, 0, 0, 4000, 4000, 6000]
+    # the index advances to max_ts + 1 only when the last block of a chunk is handed over
+    assert offsets == [-(2**63)] * 3 + [4000, 4000, 6000]
     assert not op.has_next()
 
 
@@ -109,43 +112,39 @@ def test_has_next_polling_is_non_destructive(tmp_path):
     assert polled == pure
 
 
-# --- skip_to_offset (Algorithm 1) ------------------------------------------------
+# --- resume_local: skip whole chunks from metadata (Algorithm 1) -----------------
 
 def test_skip_positions_at_third_chunk(tmp_path):
     store = build_store(tmp_path, [4000, 4000, 2000])
-    it = store.open_chunk_iterator(S)
-    residual = skip_to_offset(8000, it)
-    assert residual == 0
-    assert it.peek().min_ts == 8000
-    assert store.io.chunks_loaded == 0
+    fresh = collect_rows(SeriesScanOp(store, S))
+    loaded = store.io.chunks_loaded
+    op = resumed(SeriesScanOp(store, S), 8000)          # the third chunk's min_ts
+    assert store.io.chunks_loaded == loaded
+    assert collect_rows(op) == fresh[8000:]
+    assert store.io.chunks_loaded == loaded + 1          # the skipped chunks are never loaded
 
 
 def test_skip_zero_is_identity(tmp_path):
     store = build_store(tmp_path, [1000, 1000])
-    it = store.open_chunk_iterator(S)
-    assert skip_to_offset(0, it) == 0
-    assert it.peek().min_ts == 0
+    assert collect_rows(resumed(SeriesScanOp(store, S), -(2**63))) == collect_rows(SeriesScanOp(store, S))
 
 
 def test_skip_to_total_rows_exhausts_iterator(tmp_path):
     store = build_store(tmp_path, [4000, 4000, 2000])
-    it = store.open_chunk_iterator(S)
-    skip_to_offset(10_000, it)
-    assert not it.has_next()
+    op = resumed(SeriesScanOp(store, S), 10_000)        # the last max_ts + 1
+    assert not op.has_next()
+    assert collect_rows(op) == []
 
 
 def test_skip_beyond_data_exhausts_not_raises(tmp_path):
     store = build_store(tmp_path, [1000])
-    it = store.open_chunk_iterator(S)
-    skip_to_offset(5000, it)
-    assert not it.has_next()
+    assert collect_rows(resumed(SeriesScanOp(store, S), 5000)) == []
 
 
 def test_intra_chunk_offset_rejected(tmp_path):
     store = build_store(tmp_path, [1000, 1000])
-    it = store.open_chunk_iterator(S)
     with pytest.raises(MisalignedOffset):
-        skip_to_offset(1500, it)
+        SeriesScanOp(store, S).resume_local(1500)
 
 
 # --- resume from a start index -----------------------------------------------------
@@ -153,14 +152,13 @@ def test_intra_chunk_offset_rejected(tmp_path):
 def test_resume_suffix_equality_at_chunk_boundary(tmp_path):
     store = build_store(tmp_path, [4000, 2000])
     fresh = collect_rows(SeriesScanOp(store, S))
-    resumed = collect_rows(SeriesScanOp(store, S, start_index=LogicalIndex.row_offset(4000)))
-    assert resumed == fresh[4000:]
+    resumed_rows = collect_rows(resumed(SeriesScanOp(store, S), 4000))
+    assert resumed_rows == fresh[4000:]
 
 
 def test_resume_zero_equals_fresh(tmp_path):
     store = build_store(tmp_path, [1200, 600])
-    resumed = SeriesScanOp(store, S, start_index=LogicalIndex.row_offset(0))
-    assert collect_rows(resumed) == collect_rows(SeriesScanOp(store, S))
+    assert collect_rows(resumed(SeriesScanOp(store, S), 0)) == collect_rows(SeriesScanOp(store, S))
 
 
 def test_resume_suffix_property_random_layouts(tmp_path):
@@ -172,23 +170,7 @@ def test_resume_suffix_property_random_layouts(tmp_path):
         boundary = 0
         for rows in layout[: rng.randrange(0, len(layout) + 1)]:
             boundary += rows
-        resumed = collect_rows(
-            SeriesScanOp(store, S, start_index=LogicalIndex.row_offset(boundary))
-        )
-        assert fresh[:boundary] + resumed == fresh
-
-
-def test_index_kind_mismatch(tmp_path):
-    store = build_store(tmp_path, [100])
-    with pytest.raises(IndexKindMismatch):
-        SeriesScanOp(store, S, start_index=LogicalIndex.window_start(0))
-    with pytest.raises(IndexKindMismatch):
-        SeriesScanOp(store, S).resume_local(LogicalIndex.window_start(0))
-    spec = WindowSpec(0, 100, 10)
-    with pytest.raises(IndexKindMismatch):
-        AggregationScanOp(store, S, spec, "count", start_index=LogicalIndex.row_offset(0))
-    with pytest.raises(IndexKindMismatch):
-        AggregationScanOp(store, S, spec, "count").resume_local(LogicalIndex.row_offset(0))
+        assert fresh[:boundary] + collect_rows(resumed(SeriesScanOp(store, S), boundary)) == fresh
 
 
 def test_export_guard_rejects_in_flight_blocks(tmp_path):
@@ -256,9 +238,7 @@ def test_agg_skip_soundness_and_io_counters(tmp_path):
         # resume mid-range: every window before the index was already served
         k = rng.randrange(0, len(oracle))
         resume_ts = spec.lo + k * width
-        op = AggregationScanOp(
-            store, S, spec, "max_value", start_index=LogicalIndex.window_start(resume_ts)
-        )
+        op = resumed(AggregationScanOp(store, S, spec, "max_value"), resume_ts)
         assert collect_rows(op) == oracle[k:]
         eligible = any(m.max_ts < resume_ts for m in store.chunk_metas(S))
         if eligible:
@@ -269,17 +249,14 @@ def test_window_start_resume_identity(tmp_path):
     store = build_store(tmp_path, [600])
     spec = WindowSpec(0, 600, 100)
     fresh = collect_rows(AggregationScanOp(store, S, spec, "count"))
-    resumed = collect_rows(
-        AggregationScanOp(store, S, spec, "count", start_index=LogicalIndex.window_start(0))
-    )
-    assert fresh == resumed
+    assert fresh == collect_rows(resumed(AggregationScanOp(store, S, spec, "count"), 0))
 
 
 def test_misaligned_window_start_rejected(tmp_path):
     store = build_store(tmp_path, [600])
     spec = WindowSpec(0, 600, 100)
     with pytest.raises(MisalignedOffset):
-        AggregationScanOp(store, S, spec, "count", start_index=LogicalIndex.window_start(123))
+        AggregationScanOp(store, S, spec, "count").resume_local(123)
 
 
 def test_export_guard_rejects_partial_window(tmp_path):
@@ -296,11 +273,9 @@ def test_export_guard_rejects_partial_window(tmp_path):
 SWITCH_LAYOUT = [600, 900, 500, 1200, 800, 700, 1300]     # 6000 rows, uneven chunks
 
 SWITCH_LEAVES = {
-    "series": lambda store, index=None: SeriesScanOp(store, S, start_index=index),
+    "series": lambda store: SeriesScanOp(store, S),
     # 1500 ms windows span chunks, so windows are held partial across calls
-    "aggregation": lambda store, index=None: AggregationScanOp(
-        store, S, WindowSpec(0, 6000, 1500), "max_value", start_index=index
-    ),
+    "aggregation": lambda store: AggregationScanOp(store, S, WindowSpec(0, 6000, 1500), "max_value"),
 }
 
 
@@ -330,7 +305,7 @@ class StubRemote:
         self.activated.append(index)
         self.final_index = index
         if self.end == "remigrate":
-            producer = self.make_leaf(self.store, index)
+            producer = resumed(self.make_leaf(self.store), index)
             while not self.blocks or _mid_unit(producer):
                 block = producer.next_block()
                 if block is not NOT_READY:
@@ -363,22 +338,85 @@ def test_leaf_switch_to_remote_and_back_equals_fresh_scan(tmp_path, kind, end):
             out.extend(zip(block.timestamps, block.values))
         if armed_at is None and out and _mid_unit(leaf):
             # armed mid-chunk / mid-window: the switch waits for the boundary
-            armed_at = leaf.logical_index.value
+            armed_at = leaf.logical_index
             leaf.request_switch(remote)
     assert out == fresh
     assert not leaf.has_next() and leaf.source_mode == "local"
 
     [index] = remote.activated
-    assert index.value > armed_at
+    assert index > armed_at
     if kind == "series":
-        boundaries = [sum(SWITCH_LAYOUT[:k]) for k in range(len(SWITCH_LAYOUT) + 1)]
-        assert index.value in boundaries                 # chunk-aligned row offset
+        boundaries = [m.max_ts + 1 for m in store.chunk_metas(S)]
+        assert index in boundaries                       # between chunks
     else:
-        assert index.value % 1500 == 0                   # a window start
+        assert index % 1500 == 0                         # a window start
     assert leaf.rows_remote == sum(b.row_count for b in remote.blocks)
     if end == "remigrate":
         assert remote.blocks
-    assert remote.final_index.value <= fresh[-1][0]      # local rows follow the remote ones
+    assert remote.final_index <= fresh[-1][0]            # local rows follow the remote ones
+
+
+# --- the resume rule, for either leaf, over random layouts -------------------------
+
+@st.composite
+def resume_cases(draw):
+    """A series in random chunks and pages, with gaps, anywhere in the store's
+    timestamp range, and a window spec of at most 40 windows over it."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    offsets, chunks = 0, []
+    for size in draw(st.lists(st.integers(1, 300), min_size=1, max_size=6)):
+        chunk = []
+        for _ in range(size):
+            chunk.append(offsets)
+            offsets += rng.choice((1,) * 6 + (2, 7, 500))
+        chunks.append(chunk)
+    span = chunks[-1][-1]
+    first = draw(st.sampled_from([-(2**63), -1000, 0, MAX_TS - span]))   # both ends of the range
+    chunks = [[first + t for t in chunk] for chunk in chunks]
+    lo = max(-(2**63), first - rng.randint(0, 20))
+    hi = min(2**63 - 1, first + span + 1 + rng.randint(0, 40))
+    width = max(1, round(math.exp(rng.uniform(math.log(max(1, (hi - lo) // 40)), math.log(hi - lo)))))
+    return dict(chunks=chunks, spec=WindowSpec(lo, hi, width), page_rows=draw(st.sampled_from([3, 50, 1000])))
+
+
+def _boundary_trace(leaf):
+    """A fresh scan's rows, and each boundary index it reaches with the rows delivered before it."""
+    rows, trace = [], [(leaf.logical_index, 0)]
+    while True:
+        block = leaf.next_block()
+        if block is None:
+            return rows, trace
+        if block is not NOT_READY:
+            rows.extend(zip(block.timestamps, block.values))
+        if leaf.at_boundary() and leaf.logical_index != trace[-1][0]:
+            trace.append((leaf.logical_index, len(rows)))
+
+
+@settings(deadline=None)
+@given(resume_cases())
+@pytest.mark.parametrize("kind", ["series", "aggregation"])
+def test_resuming_from_every_boundary_index_yields_the_fresh_suffix(tmp_path_factory, kind, case):
+    store = SeriesStore(tmp_path_factory.mktemp("resume"), page_rows=case["page_rows"])
+    for chunk in case["chunks"]:
+        store.flush(S, chunk, [t % 997 for t in chunk], chunk_target_rows=len(chunk))
+    spec = case["spec"]
+    if kind == "series":
+        make = lambda: SeriesScanOp(store, S)                    # noqa: E731
+        # every timestamp strictly inside a chunk: past its min_ts, up to its max_ts
+        misaligned = [t for c in case["chunks"] if len(c) > 1 for t in (c[0] + 1, c[len(c) // 2], c[-1])]
+    else:
+        make = lambda: AggregationScanOp(store, S, spec, "max_value")     # noqa: E731
+        # anything but a window start below hi, or hi
+        candidates = (spec.lo - 1, spec.lo + 1, spec.lo + spec.width // 2, spec.hi - 1, spec.hi + 1)
+        misaligned = [t for t in candidates if t != spec.hi and not (
+            spec.lo <= t < spec.hi and (t - spec.lo) % spec.width == 0)]
+    rows, trace = _boundary_trace(make())
+    assert len(trace) > 1
+    for index, delivered in trace:
+        assert collect_rows(resumed(make(), index)) == rows[delivered:], index
+    for t in misaligned:
+        with pytest.raises(MisalignedOffset):
+            make().resume_local(t)
 
 
 # --- filter / merge ----------------------------------------------------------------
@@ -740,10 +778,10 @@ class RowAggregationScanOp(AggregationScanOp):
         self._rows_ts, self._rows_values, self._rows_pos = [], [], 0
 
     def _next_local(self):
-        if self.logical_index.value >= self.spec.hi:
+        if self.logical_index >= self.spec.hi:
             return None
         if self._partial is None:
-            window_start, window_end = self.spec.window_at(self.logical_index.value)
+            window_start, window_end = self.spec.window_at(self.logical_index)
             count, maximum = 0, None
         else:
             (window_start, window_end), (count, maximum) = self._partial
@@ -766,7 +804,7 @@ class RowAggregationScanOp(AggregationScanOp):
         self._partial = None
         block = TsBlock(self.series, [window_start], [count if self.fn == "count" else maximum],
                         self._value_type)
-        self.logical_index = LogicalIndex.window_start(min(window_end, self.spec.hi))
+        self.logical_index = min(window_end, self.spec.hi)
         return block
 
     def _peek_row(self, window_start, window_end, loads_budget):
@@ -831,7 +869,7 @@ def aggregation_cases(draw):
 
 def _aggregation_trace(op_cls, store, case, fn):
     """Each call's return (NOT_READY, None or the block) and its rows_local delta."""
-    op = op_cls(store, S, case["spec"], fn, start_index=LogicalIndex.window_start(case["start"]))
+    op = resumed(op_cls(store, S, case["spec"], fn), case["start"])
     loaded = store.io.chunks_loaded
     log = []
     while True:

@@ -16,6 +16,7 @@ from ced.scanops import AggregationScanOp, SeriesScanOp, WindowSpec
 from ced.tsstore import (
     BLOCK_ROWS,
     DECODE_MEMO_ROWS,
+    MAX_TS,
     ChunkIterator,
     ChunkMeta,
     RowMemo,
@@ -106,6 +107,15 @@ def test_load_out_of_order_across_calls_rejected(store, load):
     with pytest.raises(OutOfOrderTimestamp):
         load(store, S, [3, 4], [4.0, 5.0])
     assert scan_all(store, S) == [(1, 1.0), (2, 2.0), (3, 3.0)]
+
+
+def test_a_timestamp_above_max_ts_is_refused_and_max_ts_is_stored(store):
+    # the timestamp after the last row is a scan leaf's resume index, an i64
+    with pytest.raises(OutOfOrderTimestamp, match="MAX_TS"):
+        store.flush(S, [0, MAX_TS + 1], [1.0, 2.0])
+    assert store.series_names() == []
+    store.flush(S, [0, MAX_TS], [1.0, 2.0])
+    assert scan_all(store, S) == [(0, 1.0), (MAX_TS, 2.0)]
 
 
 @pytest.mark.parametrize("load", LOADERS)
@@ -779,6 +789,13 @@ def _index_series(store, path, meta):
     store.load_chunk_pages(read_file_index(path)[0])
 
 
+def _index_max_ts(store, path, meta):
+    # entry: series | offset u64 | byte_len u32 | vt u8 | row_count u32 | min_ts i64 | max_ts i64
+    index_offset = struct.unpack("<Q", path.read_bytes()[-12:-4])[0]
+    _tamper(path, index_offset + 4 + _CHUNK_HEAD + 25, struct.pack("<q", MAX_TS + 1))
+    read_file_index(path)
+
+
 def _chunk_value_type(store, path, meta):
     _tamper(path, meta.offset + _CHUNK_HEAD, b"\x09")
     store.load_chunk_pages(meta)
@@ -797,7 +814,7 @@ def _page_rows_past_end(store, path, meta):
 
 @pytest.mark.parametrize("corrupt", [
     _magic_only, _footer_past_end, _bytes_before_footer, _chunk_past_index,
-    _index_series, _index_value_type, _chunk_value_type, _page_max_ts, _page_rows_past_end,
+    _index_series, _index_value_type, _index_max_ts, _chunk_value_type, _page_max_ts, _page_rows_past_end,
 ], ids=lambda f: f.__name__.strip("_"))
 @pytest.mark.parametrize("value", [float, str], ids=["float", "string"])
 def test_corrupt_file_raises_corrupt_chunk(store, corrupt, value):

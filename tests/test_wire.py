@@ -13,8 +13,8 @@ from ced.coherence import decode_snapshot, encode_snapshot
 from ced.errors import MalformedMessage
 from ced.harness.metrics import DIGEST_MEMO_ROWS, ChecksumBuilder, digest_memo
 from ced.harness.scenario import QuerySpec
-from ced.scanops import IndexKind, LogicalIndex, ResultBlock
-from ced.tsstore import DECODE_MEMO_ROWS, SeriesPath, SeriesStore, TsBlock, ValueType, decode_memo
+from ced.scanops import AggregationScanOp, ResultBlock, SeriesScanOp, WindowSpec
+from ced.tsstore import DECODE_MEMO_ROWS, MAX_TS, SeriesPath, SeriesStore, TsBlock, ValueType, decode_memo
 from ced.wire import (
     LINK_MEMO_ROWS,
     ChannelId,
@@ -79,7 +79,7 @@ def test_float_bits_survive_roundtrip():
     Message(MessageType.CONFIRMATION, CH, confirmation=(1, 2, 77)),
     Message(MessageType.REJECTION, CH, reason="cache miss"),
     Message(MessageType.DELTA, CH, delta=DeltaState(
-        CH, "SELECT t1 FROM dev", LogicalIndex.row_offset(4000), Direction.EDGE_TO_CLOUD)),
+        CH, "SELECT t1 FROM dev", 4000, Direction.EDGE_TO_CLOUD)),
     Message(MessageType.PROBE, CH, block=TsBlock.header_only(S)),
     Message(MessageType.ACK, CH),
     Message(MessageType.DATA, CH, block=TsBlock(S, [1, 2], ["a", "b"], ValueType.STRING)),
@@ -87,7 +87,7 @@ def test_float_bits_survive_roundtrip():
     Message(MessageType.TERMINATE, CH, terminate_reason=TerminateReason.CLOUD_COMPLETED),
     Message(MessageType.TERMINATE, CH, terminate_reason=TerminateReason.REMIGRATION,
             delta=DeltaState(CH, "SELECT count(t1) FROM dev GROUP BY 5m",
-                             LogicalIndex.window_start(600000), Direction.CLOUD_TO_EDGE)),
+                             600000, Direction.CLOUD_TO_EDGE)),
     Message(MessageType.CANCEL, CH, reason="handshake timeout"),
 ])
 def test_message_roundtrip(msg):
@@ -108,10 +108,21 @@ def test_message_roundtrip(msg):
         assert list(decoded.block.values) == list(msg.block.values)
 
 
-def test_delta_index_kinds():
-    for index in (LogicalIndex.row_offset(12345), LogicalIndex.window_start(86_400_000)):
-        msg = Message(MessageType.DELTA, CH, delta=DeltaState(CH, "SELECT t3 FROM dev", index))
-        assert decode_message(encode_message(msg)).delta.logical_index == index
+@pytest.mark.parametrize("kind", ["series", "aggregation"])
+def test_the_index_a_leaf_exports_after_the_last_timestamp_round_trips(tmp_path, kind):
+    store = SeriesStore(tmp_path)
+    store.flush(S, [0, MAX_TS], [1.5, 2.5])
+    if kind == "series":
+        leaf = SeriesScanOp(store, S)
+    else:
+        lo, hi = store.time_bounds(S)
+        leaf = AggregationScanOp(store, S, WindowSpec(lo, hi + 1, 2**62), "count")   # hi as planned
+    while leaf.next_block() is not None:
+        pass
+    index = leaf.export_index()
+    assert index == MAX_TS + 1 == 2**63 - 1
+    msg = Message(MessageType.DELTA, CH, delta=DeltaState(CH, "SELECT t1 FROM dev", index))
+    assert decode_message(encode_message(msg)).delta.logical_index == index
 
 
 def test_probe_size_is_stable():
@@ -209,8 +220,8 @@ def test_leftover_bytes_after_the_last_cell_are_rejected():
 _CHANNEL = "05 636c6f7564 2823 01000000 02000000 4d00000000000000"
 _SQL = "53454c4543542074312046524f4d20646576"          # "SELECT t1 FROM dev", 18 bytes
 _SERIES = "1000 726f6f742e6c6e2e65312e64312e7431"       # series_len u16 | "root.ln.e1.d1.t1"
-_ROWS, _WINDOW = LogicalIndex.row_offset(4000), LogicalIndex.window_start(600000)
-_INDEX = {_ROWS: "00 a00f000000000000", _WINDOW: "01 c027090000000000"}    # kind u8 | value i64
+_SERIES_INDEX, _WINDOW = 4000, 600000        # a chunk's max_ts + 1, a window start
+_INDEX = {_SERIES_INDEX: "01 a00f000000000000", _WINDOW: "01 c027090000000000"}    # kind u8 | value i64
 
 
 def _delta(direction, index):
@@ -229,7 +240,7 @@ _PINNED_MESSAGES = [
     (Message(MessageType.REJECTION, CH, reason="cache miss"), "0a000000", "6361636865206d697373"),
     *[(Message(MessageType.DELTA, CH, delta=_delta(direction, index)),
        "38000000", _delta_hex(direction, index))
-      for direction in Direction for index in (_ROWS, _WINDOW)],
+      for direction in Direction for index in (_SERIES_INDEX, _WINDOW)],
     (Message(MessageType.PROBE, CH, block=TsBlock.header_only(S)),
      "18000000", f"{_SERIES} 01 01 00000000"),
     (Message(MessageType.ACK, CH), "00000000", ""),
@@ -262,7 +273,7 @@ _DIRECTION, _KIND = 24, 24 + 1 + 4 + 18      # offsets inside a delta with _SQL
 
 
 @pytest.mark.parametrize("msg,enum_offsets", [
-    (Message(MessageType.DELTA, CH, delta=_delta(Direction.EDGE_TO_CLOUD, _ROWS)),
+    (Message(MessageType.DELTA, CH, delta=_delta(Direction.EDGE_TO_CLOUD, _SERIES_INDEX)),
      [0, _PAYLOAD + _DIRECTION, _PAYLOAD + _KIND]),
     (Message(MessageType.TERMINATE, CH, terminate_reason=TerminateReason.REMIGRATION,
              delta=_delta(Direction.CLOUD_TO_EDGE, _WINDOW)),
@@ -294,14 +305,14 @@ def test_a_terminate_whose_delta_presence_disagrees_with_its_reason_is_rejected(
     (MessageType.DELTA, None), (MessageType.TERMINATE, TerminateReason.REMIGRATION),
 ], ids=["delta", "terminate"])
 def test_a_negative_row_offset_is_rejected_and_a_negative_window_start_is_not(type_, reason):
-    for value in (-1, -4000):
-        delta = _delta(Direction.EDGE_TO_CLOUD, LogicalIndex(IndexKind.ROW_OFFSET, value))
-        buf = encode_message(Message(type_, CH, terminate_reason=reason, delta=delta))
-        with pytest.raises(MalformedMessage, match=f"row offset {value} is negative"):
-            decode_message(buf)
-    window = LogicalIndex.window_start(-600000)      # timestamps may be negative
+    window = -600000                                 # timestamps may be negative
     msg = Message(type_, CH, terminate_reason=reason, delta=_delta(Direction.EDGE_TO_CLOUD, window))
-    assert decode_message(encode_message(msg)).delta.logical_index == window
+    buf = encode_message(msg)
+    assert decode_message(buf).delta.logical_index == window
+    for code in (0, 2):                              # a kind byte other than 1
+        forged = buf[:-9] + bytes([code]) + buf[-8:]     # index := kind u8 | value i64, the last field
+        with pytest.raises(MalformedMessage, match=f"unknown index kind {code}"):
+            decode_message(forged)
 
 
 @pytest.mark.parametrize("at", [2, 1 + 24 + 4], ids=["address", "sql"])
@@ -820,6 +831,20 @@ def test_a_block_packed_from_tuples_is_received_as_the_senders_tuples(monkeypatc
         assert received is not block
         assert received.timestamps is block.timestamps and received.values is block.values
     assert calls == []
+
+
+def test_a_received_page_view_cannot_be_released_after_the_decode_memo_drops_its_chunk(tmp_path):
+    store = SeriesStore(tmp_path)
+    meta = store.flush(S, range(1000), [float(t) for t in range(1000)]).chunk_index[0]
+    [page] = store.load_chunk_pages(meta)
+    buf = encode_message(Message(MessageType.DATA, CH, block=page))
+    decode_memo.clear()                              # the link memo's entry now pins the view alone
+    received = decode_message(buf).block
+    assert received.timestamps is page.timestamps
+    with pytest.raises(BufferError):
+        received.timestamps.release()
+    again = decode_message(buf).block
+    assert again.timestamps is page.timestamps and list(again.timestamps) == list(range(1000))
 
 
 @pytest.mark.parametrize("block,error", [

@@ -10,10 +10,10 @@ import shutil
 import pytest
 from conftest import content_fingerprint, total_rows
 
-from ced.errors import OutOfOrderTimestamp
+from ced.errors import OutOfOrderTimestamp, ScenarioError
 from ced.harness.cli import main as ced_main
 from ced.harness.workload import WorkloadConfig, _randbelow, generate
-from ced.tsstore import SeriesPath, SeriesStore
+from ced.tsstore import MAX_TS, SeriesPath, SeriesStore
 
 # all four value types (t1 STRING, t2 BOOL, t3 FLOAT64, t4 INT64, t5 STRING),
 # three flushes per sensor, pages of 250 rows in chunks of 600
@@ -241,7 +241,7 @@ def test_ced_gen_writes_the_generated_bytes(tmp_path, capsys):
     (json.dumps({"flush_every_rows": 0}), "flush_every_rows must be >= 1"),
     (json.dumps({"flush_every_rows": -5}), "flush_every_rows must be >= 1"),
     (json.dumps({"device": "dev"}), "device 'dev': series path needs >= 3 segments"),
-    (json.dumps({"sampling_interval_ms": 2**62}), "last timestamp beyond the i64 range"),
+    (json.dumps({"sampling_interval_ms": 2**62}), "last timestamp above the store's MAX_TS"),
     ('{"total_rows": ', "cannot load workload"),
     (b"\xff\xfe", "cannot load workload"),
     (None, "cannot load workload"),
@@ -256,6 +256,12 @@ def test_ced_gen_reports_a_bad_workload_file_as_an_error(tmp_path, capsys, conte
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_the_last_generated_timestamp_may_be_max_ts_and_no_more():
+    WorkloadConfig(sensor_count=1, total_rows=2, sampling_interval_ms=MAX_TS).validate()
+    with pytest.raises(ScenarioError, match="MAX_TS"):
+        WorkloadConfig(sensor_count=1, total_rows=2, sampling_interval_ms=MAX_TS + 1).validate()
 
 
 def test_ced_gen_refuses_a_directory_that_already_holds_cedf_files(tmp_path, capsys):
