@@ -9,7 +9,7 @@ edge one and every lookup of it is a hit.
 
 from __future__ import annotations
 
-from .codec import I64, U32, U64, Reader, write_blob, write_text
+from .codec import I64, U32, U64, Reader, write_text
 from .errors import MalformedMessage
 from .tsstore import SeriesPath, SeriesStore, ValueType
 
@@ -56,20 +56,24 @@ class CloudCache:
 # next re-baselined.
 
 def encode_snapshot(snapshot: dict) -> bytes:
-    out = bytearray()
-    write_text(out, snapshot["series"])
-    out += U64.pack(0)
+    """One ``snapshot``, joined once from its fields and file blobs, so each
+    blob is copied only into the result."""
+    head = bytearray()
+    write_text(head, snapshot["series"])
+    head += U64.pack(0)
     vt = snapshot["value_type"]
-    out += b"\x00" if vt is None else bytes((1, vt))
+    head += b"\x00" if vt is None else bytes((1, vt))
     last_ts = snapshot["last_ts"]
-    out += b"\x00" if last_ts is None else b"\x01" + I64.pack(last_ts)
-    out += U32.pack(snapshot["file_counter"])
-    out += U32.pack(len(snapshot["files"]))
+    head += b"\x00" if last_ts is None else b"\x01" + I64.pack(last_ts)
+    head += U32.pack(snapshot["file_counter"])
+    head += U32.pack(len(snapshot["files"]))
+    parts = [head]
     for name, blob in snapshot["files"]:
-        write_text(out, name)
-        write_blob(out, blob)
-    out += U32.pack(0)
-    return bytes(out)
+        name_field = bytearray()
+        write_text(name_field, name)
+        parts += (name_field, U32.pack(len(blob)), blob)     # write_blob's u32 length, then the blob
+    parts.append(U32.pack(0))
+    return b"".join(parts)
 
 
 def decode_snapshot(buf: bytes) -> dict:

@@ -65,6 +65,7 @@ class QueryContext:
         self.signal = Signal(cluster.engine)
         self.checksum = ChecksumBuilder()
         self.running = True
+        cluster.queries_running += 1
         self.start_s = 0.0
         self.end_s = 0.0
 
@@ -137,6 +138,7 @@ class QueryContext:
             self.checksum.update(block)
         self.end_s = cluster.engine.now
         self.running = False
+        cluster.queries_running -= 1
         for sink in self.channels:
             sink.cancel("query complete")
         # a cancelled channel must not flip the leaf source afterwards
@@ -212,6 +214,7 @@ class Cluster:
 
         self.monitor: Optional[ResourceMonitor] = None
         self.contexts: list[QueryContext] = []
+        self.queries_running = 0      # contexts whose driver has not finished
         self._query_ids = itertools.count(1)
 
     # --- cache sync plumbing ---------------------------------------------------
@@ -318,7 +321,7 @@ class Cluster:
                 raise ScenarioError(f"warm-up failed to sync {series}")
 
     def any_running(self) -> bool:
-        return any(ctx.running for ctx in self.contexts)
+        return self.queries_running > 0
 
     def _hog_process(self, resource: FifoResource, duty: float):
         # open-loop demand: external tenants keep asking for disk or CPU time

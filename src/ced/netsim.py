@@ -241,12 +241,12 @@ class FifoResource:
         if work == 0:
             done.trigger()
             return done
-        start = max(self.engine.now, self.free_at)
-        duration = work / self.rate
-        end = start + duration
+        now, free_at = self.engine.now, self.free_at
+        start = now if now >= free_at else free_at      # max(now, free_at)
+        end = start + work / self.rate
         self.free_at = end
         self.tracker.add(start, end)
-        self.engine._after(end - self.engine.now, done.trigger)
+        self.engine._after(end - now, done.trigger)
         return done
 
     def utilization(self, t0: float, t1: float) -> float:

@@ -32,6 +32,7 @@ __all__ = [
     "Predicate",
     "Query",
     "ScanPlan",
+    "MAX_WINDOWS",
     "parse",
     "plan",
 ]
@@ -39,6 +40,12 @@ __all__ = [
 AGGREGATE_FUNCTIONS = ("count", "max_value")
 COMPARISON_OPS = ("=", "<", ">", "<=", ">=")
 _UNIT_MS = {"ms": 1, "s": 1000, "m": 60_000, "h": 3_600_000}
+
+# Most windows an aggregate may plan.  Its scan emits one block per window,
+# empty ones included, so the count bounds its work whatever the rows; this
+# is about 300 times the 3,334 windows of ``cpu_sweep --scale 20``, while a
+# series with rows at 0 and ``MAX_TS`` would plan about 3e13 windows of 5m.
+MAX_WINDOWS = 2**20
 
 Literal = Union[int, float, str]
 
@@ -291,7 +298,8 @@ def plan(query: Query, store: SeriesStore, device: SeriesPath) -> tuple[ScanPlan
     """One scan per select item, in select order, of ``device`` in ``store``.
 
     The FROM path names the device by its whole path or a suffix of it
-    (Table II queries say just ``dev``).
+    (Table II queries say just ``dev``).  An aggregate whose time range
+    holds more than ``MAX_WINDOWS`` windows is a PlanError.
     """
     if device.segments[-len(query.source):] != query.source:
         raise UnknownSeries(f"no device matches {'.'.join(query.source)!r}")
@@ -310,6 +318,10 @@ def plan(query: Query, store: SeriesStore, device: SeriesPath) -> tuple[ScanPlan
                 raise PlanError(f"max_value needs a numeric sensor, {item.sensor} is {value_type.name}")
             lo, hi = store.time_bounds(series)
             window = (lo, hi + 1, query.group_by_ms)   # inclusive -> half-open
+            windows = -(-(hi + 1 - lo) // query.group_by_ms)
+            if windows > MAX_WINDOWS:
+                raise PlanError(f"GROUP BY {query.group_by_ms}ms over {item.sensor} plans {windows} windows, "
+                                f"more than {MAX_WINDOWS}")
             scans.append(ScanPlan(series, item.render(), fn=item.func, window=window))
         elif predicate is not None and predicate.sensor == item.sensor:
             _check_literal_type(predicate, value_type)

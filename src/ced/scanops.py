@@ -47,6 +47,7 @@ The remote side is any object with the surface of :class:`RemoteSource`,
 from __future__ import annotations
 
 import operator
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -281,7 +282,15 @@ class SeriesScanOp(_ScanLeaf):
 
 
 class AggregationScanOp(_ScanLeaf):
-    """Windowed count/max_value over one series with metadata-level skipping."""
+    """Windowed count/max_value over one series with metadata-level skipping.
+
+    A window's maximum over the rows of one page is ``max`` of their values'
+    slice.  Its first non-empty slice in a page, taken while the running
+    maximum is None, is asked of the page's answers under ``("max", first,
+    end)``, so concurrent and repeated scans of the page compute it once;
+    a slice that continues a window takes ``max`` over the running maximum
+    and the slice, so ties and NaN resolve exactly as a row loop with ``>``.
+    """
 
     def __init__(self, store: SeriesStore, series: SeriesPath, spec: WindowSpec, fn: str):
         if fn not in ("count", "max_value"):
@@ -335,8 +344,11 @@ class AggregationScanOp(_ScanLeaf):
                     if self.fn == "max_value":
                         # max() keeps its current item unless a later one is
                         # greater, exactly as a row loop with ``>``: ties and NaN
-                        rows = pages[0].values[first:end]
-                        maximum = max(rows) if maximum is None else max(chain((maximum,), rows))
+                        values = pages[0].values
+                        if maximum is None:
+                            maximum = _page_answer(pages[0], ("max", first, end), _slice_max, values, first, end)
+                        else:
+                            maximum = max(chain((maximum,), values[first:end]))
                 self.rows_local += end - pos
                 if end < len(page_ts):
                     self._page_pos = end
@@ -376,8 +388,12 @@ class FilterOp(_OperatorBase):
     finds its matches with repeated ``list.index``, one C-level scan per
     block: that compares ``value == literal`` in the same direction as the
     row loop, its identity shortcut agrees with ``==`` for such a literal, and
-    a ``None`` value never equals one.  A NaN literal, which does not equal
-    itself, and the other operators take the row loop.
+    a ``None`` value never equals one.  The matching row positions are asked
+    of the block's page answers under ``("=", type(literal), literal)``, so
+    concurrent and repeated filters of a loaded page scan it once; equal keys
+    (``0.0`` and ``-0.0``) equal the same values, and the type keeps ``1``,
+    ``1.0`` and ``True`` apart.  A NaN literal, which does not equal itself,
+    and the other operators take the row loop.
     """
 
     def __init__(self, child: _OperatorBase, op: str, literal):
@@ -395,6 +411,7 @@ class FilterOp(_OperatorBase):
         self._find_equal = (
             op == "=" and type(literal) in (bool, int, float, str) and literal == literal
         )
+        self._answer_key = ("=", type(literal), literal)
 
     def has_next(self) -> bool:
         return bool(self._buf_ts) or (not self._child_done and self.child.has_next())
@@ -416,15 +433,10 @@ class FilterOp(_OperatorBase):
         self.rows_in += block.row_count
         literal = self.literal
         if self._find_equal:
-            timestamps, values = block.timestamps, block.values
-            i = -1
-            try:
-                while True:
-                    i = values.index(literal, i + 1)
-                    self._buf_ts.append(timestamps[i])
-                    self._buf_values.append(values[i])
-            except ValueError:
-                pass
+            values = block.values
+            positions = _page_answer(block, self._answer_key, _equal_positions, values, literal)
+            self._buf_ts += map(block.timestamps.__getitem__, positions)
+            self._buf_values += map(values.__getitem__, positions)
         else:
             compare = self._compare
             for ts, value in zip(block.timestamps, block.values):
@@ -601,6 +613,35 @@ class MergeOp(_OperatorBase):
 def _part(column: Sequence, lo: int, hi: int) -> Sequence:
     """``column[lo:hi]``, or ``column`` itself when that is all of it."""
     return column if lo == 0 and hi >= len(column) else column[lo:hi]
+
+
+def _page_answer(block: TsBlock, key: tuple, compute: Callable, *args):
+    """``compute(*args)``, computed once per page: kept in the block's page
+    answers under ``key`` when it has them (see ``ced.tsstore``)."""
+    answers = block.answers
+    if answers is None:
+        return compute(*args)
+    answer = answers.get(key)
+    if answer is None:
+        answer = answers[key] = compute(*args)
+    return answer
+
+
+def _slice_max(values: Sequence, first: int, end: int):
+    return max(values[first:end])
+
+
+def _equal_positions(values: Sequence, literal) -> array:
+    """Positions of the values equal to ``literal``, by repeated ``index``;
+    a page holds at most BLOCK_ROWS rows, so each fits an unsigned short."""
+    positions = array("H")
+    i = -1
+    try:
+        while True:
+            i = values.index(literal, i + 1)
+            positions.append(i)
+    except ValueError:
+        return positions
 
 
 _COMPARATORS = {"=": operator.eq, "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}

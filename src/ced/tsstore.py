@@ -75,9 +75,16 @@ is charged in ``IoStats``; only the decode is skipped.
 An entry holds the chunk's ``BLOCK_ROWS``-row pages, built once, by the miss.
 A page's timestamps are a slice of one read-only int64 ``memoryview`` over
 the chunk's timestamp bytes, joined from its pages (8 bytes a row, where an
-int held in a tuple costs about 48), and its values are a tuple.
-``load_chunk_pages``, the one loader, wraps the pages in fresh TsBlocks, so
-every load of one chunk hands out the very same columns.  No block can
+int held in a tuple costs about 48), and its values are a tuple.  Each page
+also carries its answers, one dict made with the page: what a scan operator
+computed from the page's columns, kept under a key naming the question, so
+every later scan of the page (a concurrent query, the next run of a sweep)
+reads it instead of computing it again.  ``ced.scanops`` keeps two kinds:
+an equality filter's matching row positions, and the maximum of a row range
+of the values.  The answers live and die with their entry, and an entry that
+replaces it starts with empty ones.  ``load_chunk_pages``, the one loader,
+wraps the pages in fresh TsBlocks, so every load of one chunk hands out the
+very same columns and answers.  No block can
 change them: a view over ``bytes`` and a tuple reject writes, and the entry
 holds a buffer export of each page's view, so ``release()`` on a view raises
 ``BufferError`` instead of breaking later loads.  So a later layer can tell
@@ -95,11 +102,12 @@ from __future__ import annotations
 
 import enum
 import operator
+import os
 import shutil
 import struct
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, islice, pairwise
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -250,6 +258,11 @@ class TsBlock:
     int64 views from a memo or a decoder (a loaded chunk's page, whose
     timestamps are a view; a received DATA block, which may hold its sender's
     page columns), lists when an operator built them.
+
+    ``answers`` is the decode-memo page's dict of answers (see the module
+    docstring) on a block ``load_chunk_pages`` built, and None on every other
+    block.  Its answers hold for the page's columns, which the block carries
+    and no consumer replaces.  It takes no part in ``==`` or ``repr``.
     """
 
     series_id: SeriesPath
@@ -257,6 +270,7 @@ class TsBlock:
     values: Sequence
     value_type: ValueType
     is_header_only: bool = False
+    answers: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.timestamps)
@@ -408,7 +422,8 @@ def _series_path(text: str) -> SeriesPath:
 # value type, first ts, last ts, n), or a result block's (digest before it,
 # first ts, last ts, column count)
 _MemoKey = tuple
-# (series, timestamps, pages, bytes, pins), (series, timestamps, values, value
+# (series, timestamps, pages, bytes, pins), each page (timestamps, values,
+# answers), or (series, timestamps, values, value
 # type, payload), (payload, timestamps, values) or (hash state, timestamps,
 # *columns): the second field holds one entry per retained row
 _Columns = tuple
@@ -603,32 +618,35 @@ class SeriesStore:
     def load_chunk_pages(self, meta: ChunkMeta) -> list[TsBlock]:
         """Load one chunk, charged in ``IoStats``, as fresh TsBlocks over the
         ``decode_memo`` entry's pages of <= BLOCK_ROWS rows (a hit hands out
-        the miss's columns)."""
+        the miss's columns and answers)."""
         buf = self._read_chunk_bytes(meta)
         key = (meta.series, meta.value_type, meta.row_count, meta.min_ts, meta.max_ts, meta.byte_len)
         entry = decode_memo.get(key)
         if entry is None or entry[3] != buf:
             timestamps, values = _decode_chunk(buf, meta)
             pages = tuple(
-                (timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS])
+                (timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS], {})
                 for b0 in range(0, len(timestamps), BLOCK_ROWS)
             )
             # An unconsumed ``struct.iter_unpack`` holds a buffer export of the
             # view it reads, so ``release()`` on a handed-out page view raises
             # BufferError.  (``pickle.PickleBuffer`` would do the same, but
             # importing pickle adds about 0.4 MiB to each process's RSS.)
-            pins = tuple(struct.iter_unpack("<q", ts) for ts, _ in pages)
+            pins = tuple(struct.iter_unpack("<q", ts) for ts, _, _ in pages)
             entry = (_series_path(meta.series), timestamps, pages, buf, pins)
             self.io.chunks_decoded += 1
             decode_memo.put(key, entry)
         series, _, pages, *_ = entry
-        return [TsBlock(series, timestamps, values, meta.value_type) for timestamps, values in pages]
+        vt = meta.value_type
+        return [TsBlock(series, timestamps, values, vt, answers=answers) for timestamps, values, answers in pages]
 
     def _read_chunk_bytes(self, meta: ChunkMeta) -> bytes:
         try:
-            with open(meta.file_path, "rb") as fp:
-                fp.seek(meta.offset)
-                buf = fp.read(meta.byte_len)
+            fd = os.open(meta.file_path, os.O_RDONLY)
+            try:
+                buf = os.pread(fd, meta.byte_len, meta.offset)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise StorageIoError(f"reading {meta.file_path}: {exc}") from exc
         if len(buf) != meta.byte_len:

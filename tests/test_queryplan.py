@@ -5,6 +5,7 @@ import re
 import pytest
 
 from ced.errors import PlanError, SqlSyntaxError, UnknownSeries, UnsupportedFeature
+from ced import queryplan
 from ced.queryplan import (
     Predicate,
     Query,
@@ -12,7 +13,7 @@ from ced.queryplan import (
     parse,
     plan,
 )
-from ced.tsstore import SeriesPath, SeriesStore
+from ced.tsstore import MAX_TS, SeriesPath, SeriesStore
 
 Q1 = "SELECT t1 FROM dev WHERE t1='v999'"
 Q2 = "SELECT t3 FROM dev WHERE t3=497.44467"
@@ -187,6 +188,21 @@ def test_q5_plans_single_agg_leaf(store):
     scan, = plan(parse(Q5), store, DEV)
     assert (scan.fn, scan.label) == ("max_value", "max_value(t3)")
     assert scan.window == (0, 10_000, 300_000)
+
+
+def test_an_aggregate_of_more_than_max_windows_windows_is_a_plan_error(tmp_path):
+    # rows at 0 and MAX_TS would give about 3e13 five-minute windows, a scan that never ends
+    store = SeriesStore(tmp_path)
+    store.flush(DEV.child("t1"), [0, MAX_TS], [1, 2])
+    with pytest.raises(PlanError, match="windows"):
+        plan(parse(Q4), store, DEV)
+    MAX_WINDOWS = queryplan.MAX_WINDOWS
+    store.flush(DEV.child("t3"), [0, MAX_WINDOWS - 1], [0.5, 1.5])
+    scan, = plan(parse("SELECT max_value(t3) FROM dev GROUP BY 1ms"), store, DEV)
+    assert scan.window == (0, MAX_WINDOWS, 1)        # exactly MAX_WINDOWS windows
+    store.flush(DEV.child("t3"), [MAX_WINDOWS], [2.5])
+    with pytest.raises(PlanError, match=f"{MAX_WINDOWS + 1} windows"):
+        plan(parse("SELECT max_value(t3) FROM dev GROUP BY 1ms"), store, DEV)
 
 
 def test_q1_plans_filter_above_scan(store):

@@ -1,5 +1,6 @@
 """Scan operators: the resume index, resume, skipping, filter/merge plumbing."""
 
+import builtins
 import math
 import random
 
@@ -8,6 +9,7 @@ from conftest import parent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ced import scanops
 from ced.errors import GuardViolation, MisalignedOffset
 from ced.queryplan import parse, plan
 from ced.scanops import (
@@ -913,3 +915,150 @@ def test_max_value_carried_across_chunks_keeps_ties_and_nan(tmp_path, chunks, ex
     log, _, loaded = trace
     assert [entry[1] for entry in log if len(entry) == 4] == [f"[{expected}]"]
     assert loaded == len(chunks)
+
+
+# --- page answers: concurrent and repeated scans share them -----------------------
+
+class RowFilterOp(FilterOp):
+    """Reference: the row loop for every operator, equality included."""
+
+    def __init__(self, child, op, literal):
+        super().__init__(child, op, literal)
+        self._find_equal = False
+
+
+SHARED_VALUE_POOLS = {
+    ValueType.BOOL: [True, False],
+    ValueType.INT64: [0, 1, 1, -1, 2**40],
+    ValueType.FLOAT64: [0.0, -0.0, 1.0, 1.0, _NAN, 2.5],     # ties, both zeros, NaN
+    ValueType.STRING: ["", "a", "a", "1", "ü"],
+}
+SHARED_LITERALS = [1, 1.0, True, False, 0, 0.0, -0.0, 2.5, _NAN, "a", "1", "ü"]
+
+
+@st.composite
+def shared_scan_cases(draw):
+    """A series of one value type in random chunks and pages, and 2-4 scans of
+    it: equality filters from a chunk boundary, or windowed aggregations from
+    a window start."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    vt = draw(st.sampled_from(sorted(SHARED_VALUE_POOLS)))
+    pool = SHARED_VALUE_POOLS[vt]
+    layout = draw(st.lists(st.integers(1, 2500), min_size=1, max_size=4))
+    ts, chunks = draw(st.integers(0, 50)), []
+    for size in layout:
+        rows = []
+        for _ in range(size):
+            rows.append((ts, rng.choice(pool)))
+            ts += rng.choice((1,) * 12 + (2, 3, 400))
+        chunks.append(rows)
+    first, last = chunks[0][0][0], chunks[-1][-1][0]
+    scans = []
+    for _ in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            start = rng.choice([-(2**63)] + [rows[-1][0] + 1 for rows in chunks])
+            scans.append(("filter", draw(st.sampled_from(SHARED_LITERALS)), start))
+            continue
+        lo = rng.randint(first - 20, (first + last) // 2)
+        width = rng.choice([1, 7, 250, 999, 1000, 1500, max(1, last - lo)])
+        hi = last + rng.randint(1, 40)
+        start = lo + width * rng.randint(0, (hi - lo - 1) // width)
+        scans.append((draw(st.sampled_from(["count", "max_value"])), WindowSpec(lo, hi, width), start))
+    return dict(vt=vt, chunks=chunks, page_rows=draw(st.sampled_from([3, 250, 1000])), scans=scans,
+                rounds=draw(st.integers(1, 2)))
+
+
+def _shared_scan_op(store, scan, reference):
+    """The op of ``scan``, or its row-at-a-time reference, its leaf and its kind."""
+    kind, arg, start = scan
+    if kind == "filter":
+        leaf = resumed(SeriesScanOp(store, S), start)
+        return (RowFilterOp if reference else FilterOp)(leaf, "=", arg), leaf, kind
+    leaf = resumed((RowAggregationScanOp if reference else AggregationScanOp)(store, S, arg, kind), start)
+    return leaf, leaf, kind
+
+
+def _step_trace(op, leaf, kind):
+    """One call's return and the leaf's rows_local delta; a filter's rows and
+    a maximum are the very value objects of the pages."""
+    before = leaf.rows_local
+    block = op.next_block()
+    delta = leaf.rows_local - before
+    if block is None or block is NOT_READY:
+        return block, (block, delta)
+    values = list(block.values)
+    objects = None if kind == "count" else [id(v) for v in values]
+    return block, (list(block.timestamps), repr(values), objects, block.value_type, delta)
+
+
+@settings(deadline=None)
+@given(shared_scan_cases())
+def test_scans_sharing_page_answers_match_the_row_at_a_time_reference(tmp_path_factory, case):
+    store = SeriesStore(tmp_path_factory.mktemp("shared"), page_rows=case["page_rows"])
+    for rows in case["chunks"]:
+        store.flush(S, [t for t, _ in rows], [v for _, v in rows], chunk_target_rows=len(rows))
+    expected = []
+    for scan in case["scans"]:
+        op = _shared_scan_op(store, scan, reference=True)
+        trace = [_step_trace(*op)[1]]
+        while trace[-1][0] is not None:
+            trace.append(_step_trace(*op)[1])
+        expected.append(trace)
+    for _ in range(case["rounds"]):          # a second round asks the answers the first kept
+        ops = [_shared_scan_op(store, scan, reference=False) for scan in case["scans"]]
+        traces = [[] for _ in ops]
+        live = set(range(len(ops)))
+        while live:                           # the scans take turns, a call each
+            for i in sorted(live):
+                block, step = _step_trace(*ops[i])
+                traces[i].append(step)
+                if block is None:
+                    live.discard(i)
+        assert traces == expected
+
+
+def test_concurrent_scans_of_a_chunk_compute_each_page_answer_once(tmp_path, monkeypatch):
+    store = build_store(tmp_path, [3000], value=lambda t: float((t * 7919) % 13))
+    maxima = []
+
+    def counting_max(*args):
+        maxima.append(args)
+        return builtins.max(*args)
+
+    monkeypatch.setattr(scanops, "max", counting_max, raising=False)
+
+    def alternate(make):
+        ops = [make(), make()]
+        outputs = [[], []]
+        live = [True, True]
+        while any(live):
+            for i, op in enumerate(ops):
+                if live[i]:
+                    block = op.next_block()
+                    if block is None:
+                        live[i] = False
+                    elif block is not NOT_READY:
+                        outputs[i] += zip(block.timestamps, block.values)
+        return outputs
+
+    # 250 ms windows never cross a 1000-row page: every maximum is a page answer
+    first, second = alternate(lambda: AggregationScanOp(store, S, WindowSpec(0, 3000, 250), "max_value"))
+    assert first == second == [(w, builtins.max(float((t * 7919) % 13) for t in range(w, w + 250)))
+                               for w in range(0, 3000, 250)]
+    assert len(maxima) == 12                  # one per window, not one per window and scan
+
+    answers = []
+    page_answer = scanops._page_answer
+
+    def recording_page_answer(block, key, compute, *args):
+        answer = page_answer(block, key, compute, *args)
+        answers.append((key, answer))
+        return answer
+
+    monkeypatch.setattr(scanops, "_page_answer", recording_page_answer)
+    first, second = alternate(lambda: FilterOp(SeriesScanOp(store, S), "=", 3.0))
+    assert first == second and len(first) == sum((t * 7919) % 13 == 3 for t in range(3000))
+    positions = [answer for key, answer in answers if key[0] == "="]
+    # the scans alternate page by page: the second's positions are the first's objects
+    assert len(positions) == 6
+    assert all(positions[i] is positions[i + 1] for i in range(0, 6, 2))

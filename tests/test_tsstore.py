@@ -1,5 +1,6 @@
 """Storage engine: flush/iterate/load plus format round-trips."""
 
+import os
 import random
 import struct
 import tracemalloc
@@ -204,6 +205,22 @@ def test_flush_single_row(store):
     assert handle.chunk_index[0].row_count == 1
 
 
+def test_a_chunk_read_of_a_missing_file_or_past_its_end_raises_and_closes_its_file(store):
+    handle = fill(store, S, 1500, chunk_target_rows=1000)
+    first, last = handle.chunk_index
+    data = handle.path.read_bytes()
+    handle.path.write_bytes(data[:last.offset + last.byte_len - 1])     # the last chunk cut short
+    open_files = sorted(os.listdir("/dev/fd"))
+    assert len(store.load_chunk_pages(first)) == 1
+    with pytest.raises(CorruptChunk, match="short read"):
+        store.load_chunk_pages(last)
+    handle.path.unlink()
+    with pytest.raises(StorageIoError, match="reading"):
+        store.load_chunk_pages(first)
+    assert store.io.chunks_loaded == 1
+    assert sorted(os.listdir("/dev/fd")) == open_files
+
+
 def test_a_failed_file_write_changes_nothing(store, monkeypatch):
     first = fill(store, S, 10)
     metas = store.chunk_metas(S)
@@ -355,13 +372,20 @@ def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
             pass
     metas = store.chunk_metas(S)
     assert store.io.chunks_loaded == 2 * len(metas)
+    asked = 0
     for meta in metas:
         buf = _chunk_bytes(meta)
         series, timestamps, pages, retained, _pins = decode_memo.get(_memo_key(meta))
         fresh_ts, fresh_values = _decode_chunk(buf, meta)
         assert series == S and retained == buf
-        assert timestamps == fresh_ts and [t for ts, _ in pages for t in ts] == fresh_ts.tolist()
-        assert tuple(v for _, values in pages for v in values) == fresh_values
+        assert timestamps == fresh_ts and [t for ts, _, _ in pages for t in ts] == fresh_ts.tolist()
+        assert tuple(v for _, values, _ in pages for v in values) == fresh_values
+        # each page's answers are the maxima of its decoded values' row ranges
+        for b0, (_, _, answers) in zip(range(0, meta.row_count, BLOCK_ROWS), pages):
+            for (kind, first, end), answer in answers.items():
+                assert kind == "max" and answer == max(fresh_values[b0 + first:b0 + end])
+            asked += len(answers)
+    assert asked > 0
 
 
 def test_mutating_a_loaded_block_does_not_change_the_next_load(store):
