@@ -155,6 +155,14 @@ class Reader:
         self.pos = end
         return self.buf[pos:end]
 
+    def skip(self, n: int) -> int:
+        """``take`` without the copy: the field's offset in ``buf``."""
+        pos, end = self.pos, self.pos + n
+        if end > len(self.buf):
+            raise self.fail(f"{n}-byte field runs {end - len(self.buf)} bytes past the end")
+        self.pos = end
+        return pos
+
     def unpack(self, fields: struct.Struct) -> tuple:
         return fields.unpack(self.take(fields.size))
 

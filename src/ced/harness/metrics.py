@@ -80,7 +80,7 @@ class ChecksumBuilder:
             else:
                 self._hash.update(encode_rows(timestamps, columns))
                 if all(map(frozen_column, held)):
-                    digest_memo.put(key, (self._hash.copy(), *held))
+                    digest_memo.put(key, (self._hash.copy(), *held), n)
         elif n < BLOCK_ROWS:
             self._hash.update(encode_rows(timestamps, columns))
         else:

@@ -72,30 +72,30 @@ the key (a file imported again, another store's equal-shaped chunk) are
 decoded and replace the entry.  Every load still reads the chunk's bytes and
 is charged in ``IoStats``; only the decode is skipped.
 
-An entry holds the chunk's ``BLOCK_ROWS``-row pages, built once, by the miss.
-A page's timestamps are a slice of one read-only int64 ``memoryview`` over
-the chunk's timestamp bytes, joined from its pages (8 bytes a row, where an
-int held in a tuple costs about 48), and its values are a tuple.  Each page
-also carries its answers, one dict made with the page: what a scan operator
-computed from the page's columns, kept under a key naming the question, so
-every later scan of the page (a concurrent query, the next run of a sweep)
-reads it instead of computing it again.  ``ced.scanops`` keeps two kinds:
-an equality filter's matching row positions, and the maximum of a row range
-of the values.  The answers live and die with their entry, and an entry that
-replaces it starts with empty ones.  ``load_chunk_pages``, the one loader,
-wraps the pages in fresh TsBlocks, so every load of one chunk hands out the
-very same columns and answers.  No block can
-change them: a view over ``bytes`` and a tuple reject writes, and the entry
-holds a buffer export of each page's view, so ``release()`` on a view raises
-``BufferError`` instead of breaking later loads.  So a later layer can tell
-them apart from equal ones by identity (``frozen_column``; ``ced.wire``'s
-``pack_memo``, the checksum's ``digest_memo``).  The view reads the files'
-little-endian bytes in the host's byte order, so the module refuses to
-import on a big-endian host.
-``ced.wire`` keeps two more ``RowMemo``s under a smaller bound of their own,
-one of packed DATA blocks and one of decoded DATA blocks, so chunks and link
-blocks never evict each other; ``ced.harness.metrics`` keeps one of result
-digest states.
+An entry holds the chunk's ``BLOCK_ROWS``-row pages, built once, by the miss,
+over the bytes it keeps.  A page's timestamps are a read-only int64
+``memoryview`` cast over their own bytes in the chunk (8 bytes a row, where an
+int held in a tuple costs about 48; a page that spans stored pages of another
+size joins their bytes), and its values are a tuple.  The decode checks their
+order within each stored page and across each page edge.  Each page also
+carries its answers, one dict made with the page: what a later layer computed
+from the page's columns, kept under a key naming the question, so every
+later reader of the page (a concurrent query, the next run of a sweep) reads
+it instead of computing it again.  ``ced.scanops`` keeps an equality
+filter's matching row positions and the maximum of a row range of the
+values, and ``ced.wire`` the page's DATA payload.  The answers live and die
+with their entry, and an entry that replaces it starts with empty ones.
+``load_chunk_pages``, the one loader, wraps the pages in fresh TsBlocks, so
+every load of one chunk hands out the very same columns and answers.  No
+block can change them: a view over ``bytes`` and a tuple reject writes, and
+the memo pins each page's view (``RowMemo``), so ``release()`` on a view
+raises ``BufferError`` instead of breaking later loads.  So a later layer can
+tell them apart from equal ones by identity (``frozen_column``; the
+checksum's ``digest_memo``).  The view reads the files' little-endian bytes
+in the host's byte order, so the module refuses to import on a big-endian
+host.  ``ced.wire`` keeps one more ``RowMemo``, of DATA blocks sent or
+received, under a smaller bound of its own, so chunks and link blocks never
+evict each other; ``ced.harness.metrics`` keeps one of result digest states.
 """
 
 from __future__ import annotations
@@ -335,16 +335,15 @@ def _encode_rows(out: bytearray, vt: ValueType, timestamps: Sequence[int], value
     out += b"".join(bodies)
 
 
-def _read_rows(r: Reader, vt: ValueType, n: int, values: list) -> bytes:
-    """Append the values of the ``n`` rows at the cursor; their timestamps'
-    bytes.  Bounds checked per column."""
+def _read_rows(r: Reader, vt: ValueType, n: int, values: list) -> int:
+    """Append the values of the ``n`` rows at the cursor; the offset of their
+    timestamps' bytes in ``r.buf``.  Bounds checked per column."""
     layout = _VALUE_COLUMNS[vt]
-    raw_ts = r.take(n * rows_struct(_TS_COLUMN, 1).size)   # bounds first: n may be corrupt
-    raw_values = r.take(n * rows_struct(layout, 1).size)
-    column = rows_struct(layout, n).unpack(raw_values)
+    at = r.skip(n * rows_struct(_TS_COLUMN, 1).size)        # bounds first: n may be corrupt
+    column = rows_struct(layout, n).unpack_from(r.buf, r.skip(n * rows_struct(layout, 1).size))
     if vt is not ValueType.STRING:
         values += column
-        return raw_ts
+        return at
     offsets = list(accumulate(column, initial=0))
     blob = r.take(offsets[-1])
     spans = zip(offsets, islice(offsets, 1, None))
@@ -356,7 +355,7 @@ def _read_rows(r: Reader, vt: ValueType, n: int, values: list) -> bytes:
             values += [blob[a:b].decode("utf-8") for a, b in spans]
     except UnicodeDecodeError as exc:
         raise r.fail(f"string body not utf-8 ({exc.reason})") from None
-    return raw_ts
+    return at
 
 
 def _encode_chunk(
@@ -383,31 +382,54 @@ def _chunk_header(r: Reader, meta: ChunkMeta) -> int:
     return page_count
 
 
-def _decode_chunk(buf: bytes, meta: ChunkMeta) -> tuple[memoryview, tuple]:
-    """The chunk's two columns, checked against its header, its pages'
-    headers and ``meta``: its timestamps as a read-only int64 view over their
-    bytes, joined from its pages, and its values as a tuple."""
+def _decode_chunk(buf: bytes, meta: ChunkMeta) -> list[tuple[memoryview, tuple]]:
+    """The chunk's ``(timestamps, values)`` in pages of ``BLOCK_ROWS`` rows
+    (the last may hold fewer), checked against its header, its pages' headers
+    and ``meta``: the timestamps a read-only int64 view over their bytes in
+    ``buf``, the values a tuple."""
     r = Reader(buf, CorruptChunk)
     page_count = _chunk_header(r, meta)
     series, vt, row_count = meta.series, meta.value_type, meta.row_count
-    raw_ts: list[bytes] = []
+    whole = memoryview(buf)
+    stamps: list[memoryview] = []          # each stored page's timestamps
     values: list = []
     for _ in range(page_count):
         n, pmin, pmax = r.unpack(_PAGE_FIXED)
-        raw = _read_rows(r, vt, n, values)
-        page = memoryview(raw).cast("q")
+        at = _read_rows(r, vt, n, values)
+        page = whole[at:at + 8 * n].cast("q")
         if n == 0 or page[0] != pmin or page[-1] != pmax:
             raise r.fail(f"{series}: page bounds [{pmin}, {pmax}] disagree with its {n} rows")
-        raw_ts.append(raw)
+        stamps.append(page)
     r.done()
-    timestamps = memoryview(b"".join(raw_ts)).cast("q")
-    if len(timestamps) != row_count:
-        raise CorruptChunk(f"{series}: chunk declares {row_count} rows, decoded {len(timestamps)}")
-    if not strictly_increasing(timestamps):
+    if len(values) != row_count:
+        raise CorruptChunk(f"{series}: chunk declares {row_count} rows, decoded {len(values)}")
+    # in order within each page and across each page edge
+    if not all(map(strictly_increasing, stamps)) or any(a[-1] >= b[0] for a, b in pairwise(stamps)):
         raise CorruptChunk(f"{series}: chunk rows out of timestamp order")
-    if not timestamps or (timestamps[0], timestamps[-1]) != (meta.min_ts, meta.max_ts):
+    if not stamps or (stamps[0][0], stamps[-1][-1]) != (meta.min_ts, meta.max_ts):
         raise CorruptChunk(f"{series}: chunk bounds [{meta.min_ts}, {meta.max_ts}] disagree with its rows")
-    return timestamps, tuple(values)
+    pages = _in_blocks(stamps)
+    return [(ts, tuple(values[b0:b0 + len(ts)])) for b0, ts in zip(range(0, row_count, BLOCK_ROWS), pages)]
+
+
+def _in_blocks(stamps: list[memoryview]) -> list[memoryview]:
+    """The timestamps of consecutive stored pages, regrouped into views of
+    ``BLOCK_ROWS`` rows (the last may hold fewer): a slice of one page's view
+    where a block lies within one page, else a view over a join of its parts
+    (only pages of other sizes than ``BLOCK_ROWS`` make one)."""
+    blocks, parts, filled = [], [], 0
+    for page in stamps:
+        at = 0
+        while at < len(page):
+            parts.append(page[at:at + BLOCK_ROWS - filled])
+            at += len(parts[-1])
+            filled += len(parts[-1])
+            if filled == BLOCK_ROWS:
+                blocks.append(parts)
+                parts, filled = [], 0
+    if parts:
+        blocks.append(parts)
+    return [p[0] if len(p) == 1 else memoryview(b"".join(p)).cast("q") for p in blocks]
 
 
 def _series_path(text: str) -> SeriesPath:
@@ -418,43 +440,54 @@ def _series_path(text: str) -> SeriesPath:
 
 
 # a chunk's (series, value type, rows, min ts, max ts, byte length), a DATA
-# payload's (series text, value type, n, first ts, last ts), a block's (series,
-# value type, first ts, last ts, n), or a result block's (digest before it,
-# first ts, last ts, column count)
+# payload's (series text, value type, n, first ts, last ts), or a result
+# block's (digest before it, first ts, last ts, column count)
 _MemoKey = tuple
-# (series, timestamps, pages, bytes, pins), each page (timestamps, values,
-# answers), or (series, timestamps, values, value
-# type, payload), (payload, timestamps, values) or (hash state, timestamps,
-# *columns): the second field holds one entry per retained row
-_Columns = tuple
+# (series, pages, bytes), each page (timestamps, values, answers); (series,
+# timestamps, values, value type, payload); or (hash state, timestamps,
+# *columns)
+_Entry = tuple
+# reads an int64 view, holding a buffer export of it while it lives
+# (``pickle.PickleBuffer`` would too, but importing pickle adds about 0.4 MiB of RSS)
+_PIN = struct.Struct("<q").iter_unpack
 
 
 class RowMemo:
-    """LRU of columns, bounded by the rows it retains (see module docstring)."""
+    """LRU of entries, bounded by the rows they retain (see module docstring).
+
+    Beside each entry the memo keeps its row count and a pin of each int64
+    view the entry hands out (an unconsumed iterator over the view, which
+    holds a buffer export of it), so ``release()`` on such a view raises
+    BufferError instead of breaking later hits.  A pin goes with its entry
+    and is never handed out, so no caller can put one in a reference cycle:
+    the garbage collector cannot release a view that a pin in the same cycle
+    exports, and the process crashes.
+    """
 
     def __init__(self, max_rows: int):
         self.max_rows = max_rows
         self.rows = 0
-        self._entries: OrderedDict[_MemoKey, _Columns] = OrderedDict()
+        self._entries: OrderedDict[_MemoKey, tuple[_Entry, int, tuple]] = OrderedDict()
 
-    def get(self, key: _MemoKey) -> Optional[_Columns]:
-        columns = self._entries.get(key)
-        if columns is not None:
-            self._entries.move_to_end(key)
-        return columns
+    def get(self, key: _MemoKey) -> Optional[_Entry]:
+        held = self._entries.get(key)
+        if held is None:
+            return None
+        self._entries.move_to_end(key)
+        return held[0]
 
-    def put(self, key: _MemoKey, columns: _Columns) -> None:
-        """Retain ``columns`` as the newest entry, replacing any under ``key``."""
+    def put(self, key: _MemoKey, entry: _Entry, rows: int, views: Sequence[memoryview] = ()) -> None:
+        """Retain ``entry``, of ``rows`` rows, as the newest entry, replacing
+        any under ``key``, and pin each of ``views`` while it is retained."""
         old = self._entries.pop(key, None)
         if old is not None:
-            self.rows -= len(old[1])
-        n = len(columns[1])
-        if n > self.max_rows:
+            self.rows -= old[1]
+        if rows > self.max_rows:
             return
-        while self.rows + n > self.max_rows:
-            self.rows -= len(self._entries.popitem(last=False)[1][1])
-        self._entries[key] = columns
-        self.rows += n
+        while self.rows + rows > self.max_rows:
+            self.rows -= self._entries.popitem(last=False)[1][1]
+        self._entries[key] = (entry, rows, tuple(map(_PIN, views)))
+        self.rows += rows
 
     def clear(self) -> None:
         self._entries.clear()
@@ -622,21 +655,12 @@ class SeriesStore:
         buf = self._read_chunk_bytes(meta)
         key = (meta.series, meta.value_type, meta.row_count, meta.min_ts, meta.max_ts, meta.byte_len)
         entry = decode_memo.get(key)
-        if entry is None or entry[3] != buf:
-            timestamps, values = _decode_chunk(buf, meta)
-            pages = tuple(
-                (timestamps[b0:b0 + BLOCK_ROWS], values[b0:b0 + BLOCK_ROWS], {})
-                for b0 in range(0, len(timestamps), BLOCK_ROWS)
-            )
-            # An unconsumed ``struct.iter_unpack`` holds a buffer export of the
-            # view it reads, so ``release()`` on a handed-out page view raises
-            # BufferError.  (``pickle.PickleBuffer`` would do the same, but
-            # importing pickle adds about 0.4 MiB to each process's RSS.)
-            pins = tuple(struct.iter_unpack("<q", ts) for ts, _, _ in pages)
-            entry = (_series_path(meta.series), timestamps, pages, buf, pins)
+        if entry is None or entry[2] != buf:
+            pages = tuple((timestamps, values, {}) for timestamps, values in _decode_chunk(buf, meta))
+            entry = (_series_path(meta.series), pages, buf)
             self.io.chunks_decoded += 1
-            decode_memo.put(key, entry)
-        series, _, pages, *_ = entry
+            decode_memo.put(key, entry, meta.row_count, [timestamps for timestamps, _, _ in pages])
+        series, pages, _ = entry
         vt = meta.value_type
         return [TsBlock(series, timestamps, values, vt, answers=answers) for timestamps, values, answers in pages]
 

@@ -17,32 +17,32 @@ column, packed with the others in one cached ``Struct`` call; any other
 column, ``None`` cells included, is packed cell by cell (``encode_cells``)
 and spliced in, to the same bytes.
 
-Concurrent queries that stream the same suffix send and receive the same
-blocks, so each end memoizes them in a ``ced.tsstore.RowMemo`` of its own,
-bounded to ``LINK_MEMO_ROWS`` rows (the window of blocks that concurrent
-streams share) and kept apart from the store's chunk memo, so chunks and
-link blocks never evict each other.  ``pack_memo`` holds packed DATA
-blocks, keyed by ``(series, value type, first ts, last ts, row count)``.  An
-entry holds the payload and the very columns it was packed from, and a
-lookup (``_pack_once``) hits only when each column *is* the entry's: one
-identity test per column.  That is sound because nothing can change such a
-column, a tuple or an int64 view over ``bytes`` (``frozen_column``), and the
-entry keeps it alive, so its identity is never reused.  Only columns that
-are all frozen enter the memo; a list column is packed on every call, to
-the same bytes.  The memos hand out their own columns: the cloud's
-producers send a memoized chunk's page columns (``ced.tsstore``), the edge
-receives a DATA block's ``link_memo`` columns, and ``MergeOp`` passes an
-aligned block's child columns on, so concurrent queries present the same
-objects.  Columns that are equal but other objects (a list, another tuple or
-view, values that pack apart such as 0.0 and -0.0, NaNs of other bits, 1 and
-True and 1.0) never hit.  ``link_memo`` holds decoded blocks keyed by what
-a payload's head says, ``(series text, value type, row count, first ts,
-last ts)``, and each entry keeps its payload, which a hit must ``==``
-(``_decode_data``): each payload the receiver parsed, so every copy decodes
-to the same tuples, and each block the sender packed from frozen columns
-that decode to themselves (``_pack_data``), so the receiver parses none of
-those and gets the sender's own columns.  The checksum keeps a memo of its
-own (``digest_memo`` in ``ced.harness.metrics``).
+Concurrent queries that stream the same suffix, and the runs of a sweep,
+send and receive the same blocks.  A block that ``load_chunk_pages`` built
+over a decode-memo page (one with ``answers``, see ``ced.tsstore``) is
+packed once per page: ``encode_block`` keeps the payload in the page's
+answers, with its ``link_memo`` key and seed, and every send of the page
+puts the seed back into ``link_memo``.  Any other block (a filter's or a
+merge's lists, tuples built elsewhere) is packed on every call and never
+seeded.  ``link_memo``, a ``ced.tsstore.RowMemo`` bounded to
+``LINK_MEMO_ROWS`` rows (the window of blocks that concurrent streams share)
+and kept apart from the store's chunk memo so that chunks and link blocks
+never evict each other, holds decoded blocks keyed by what a payload's head
+says, ``(series text, value type, row count, first ts, last ts)``.  Each
+entry keeps its payload, which a hit must ``==`` (``_decode_data``): each
+payload the receiver parsed, so every copy decodes to the same tuples, and
+each page's seed, so the receiver parses no page payload and gets the
+page's own columns.  A seed is sound because the page passed every check
+the decoder makes when its chunk was decoded (its series text parses, its
+timestamps are strictly increasing ints, its values a tuple of its value
+type's Python type), and its values decode to values of the same types and
+bits.  The memo pins a seed's timestamp view as ``decode_memo`` pins its
+pages' views.  The memos hand out their own columns: the cloud's producers
+send a memoized chunk's page columns, the edge receives a DATA block's
+``link_memo`` columns, and ``MergeOp`` passes an aligned block's child
+columns on, so concurrent queries present the same objects to the
+checksum, which keeps a memo of its own (``digest_memo`` in
+``ced.harness.metrics``).
 
 Every decoder of link bytes (tsblocks and messages here, cache snapshots in
 ``ced.coherence``) reads through ``ced.codec.Reader`` and rejects any
@@ -81,23 +81,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .codec import F64, I64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_blob, write_text
+from .codec import F64, I64, RAW, STR, U8, U16, U32, Reader, pack_rows, write_text
 from .errors import MalformedMessage
-from .tsstore import (
-    BLOCK_ROWS,
-    RowMemo,
-    SeriesPath,
-    TsBlock,
-    ValueType,
-    frozen_column,
-    int64_view,
-    strictly_increasing,
-)
+from .tsstore import BLOCK_ROWS, RowMemo, SeriesPath, TsBlock, ValueType, int64_view, strictly_increasing
 
 __all__ = [
     "ChannelId",
@@ -272,63 +262,34 @@ def _read_cells(r: Reader, n: int) -> tuple:
 
 _BLOCK_HEAD = struct.Struct("<BBI")        # flags, value_type, row_count
 
-# Most rows each link memo retains: the window of blocks that concurrent
+# Most rows the link memo retains: the window of blocks that concurrent
 # streams share, not a series a later run re-reads (a larger bound only raises
 # peak RSS).
 LINK_MEMO_ROWS = 16 * BLOCK_ROWS
 
-# (payload, timestamps, values) of recently packed DATA blocks, and the
-# (series, timestamps, values, value type, payload[, pin]) of DATA payloads
-# sent or received
-pack_memo = RowMemo(LINK_MEMO_ROWS)
+# (series, timestamps, values, value type, payload) of DATA payloads sent or
+# received
 link_memo = RowMemo(LINK_MEMO_ROWS)
+
+# the page-answers key of a decode-memo page's link-memo key and seed
+_SEED = "data"
 
 
 def encode_block(block: TsBlock) -> bytes:
-    """The ``tsblock`` bytes of ``block``, packed once per distinct block."""
-    timestamps, values, n = block.timestamps, block.values, block.row_count
-    if not n or block.is_header_only:
+    """The ``tsblock`` bytes of ``block``: packed once per decode-memo page
+    (see the module docstring) and on every call for any other block."""
+    answers = block.answers
+    if answers is None:
         return _pack_block(block)
-    key = (block.series_id, block.value_type, timestamps[0], timestamps[-1], n)
-    return _pack_once(key, (timestamps, values), lambda: _pack_data(block))
-
-
-def _pack_once(key: tuple, columns: Sequence[Sequence], pack) -> bytes:
-    """``pack()``, or the payload ``pack_memo`` retains under ``key``.
-
-    The payload is returned only when each of ``columns`` is the very column
-    the entry holds; otherwise ``pack()`` is called, and its payload replaces
-    the entry only when every column is frozen (``frozen_column``).
-    """
-    entry = pack_memo.get(key)
-    if entry is not None and len(entry) == len(columns) + 1 and all(map(operator.is_, columns, entry[1:])):
-        return entry[0]
-    payload = pack()
-    if all(map(frozen_column, columns)):
-        pack_memo.put(key, (payload, *columns))
-    return payload
-
-
-def _pack_data(block: TsBlock) -> bytes:
-    """``_pack_block``, seeding ``link_memo`` when the payload decodes to the
-    block's own frozen columns: int timestamps (an int64 view holds only
-    ints), and a tuple of values.  An entry seeded from a view holds a buffer
-    export of it, as ``decode_memo``'s do, so ``release()`` on the view a
-    receiver gets raises BufferError instead of breaking later decodes."""
-    payload = _pack_block(block)
-    ts, values = block.timestamps, block.values
-    view = int64_view(ts)
-    if (frozen_column(ts) and type(values) is tuple
-            and (view or set(map(type, ts)) == {int}) and strictly_increasing(ts)):
-        try:
-            series = str(block.series_id)
-            seed = TsBlock(SeriesPath.parse(series), ts, values, ValueType(block.value_type))
-            link_memo.put((series, seed.value_type, seed.row_count, ts[0], ts[-1]),
-                          (seed.series_id, ts, values, seed.value_type, payload,
-                           struct.iter_unpack("<q", ts) if view else None))
-        except ValueError:                   # decode_block would reject the payload
-            pass
-    return payload
+    seed = answers.get(_SEED)
+    if seed is None:
+        ts = block.timestamps
+        key = (str(block.series_id), block.value_type, block.row_count, ts[0], ts[-1])
+        seed = answers[_SEED] = key, (block.series_id, ts, block.values, block.value_type, _pack_block(block))
+    key, entry = seed
+    if link_memo.get(key) is not entry:
+        link_memo.put(key, entry, block.row_count, (entry[1],))
+    return entry[4]
 
 
 def _pack_block(block: TsBlock) -> bytes:
@@ -406,28 +367,30 @@ _CONFIRMATION = struct.Struct("<IIQ")      # fragment, source, query
 
 
 def encode_message(msg: Message) -> bytes:
-    payload = bytearray()
     t = msg.type
     if t is MessageType.MIGRATION_REQUEST:
-        payload += (msg.sql or "").encode("utf-8")
+        payload = (msg.sql or "").encode("utf-8")
     elif t is MessageType.CONFIRMATION:
-        payload += _CONFIRMATION.pack(*msg.confirmation)
+        payload = _CONFIRMATION.pack(*msg.confirmation)
     elif t in (MessageType.REJECTION, MessageType.CANCEL):
-        payload += (msg.reason or "").encode("utf-8")
+        payload = (msg.reason or "").encode("utf-8")
     elif t is MessageType.DELTA:
+        payload = bytearray()
         encode_delta(payload, msg.delta)
     elif t in (MessageType.PROBE, MessageType.DATA):
-        payload += encode_block(msg.block)
+        payload = encode_block(msg.block)
     elif t is MessageType.TERMINATE:
-        payload += bytes((msg.terminate_reason, msg.delta is not None))
+        payload = bytearray((msg.terminate_reason, msg.delta is not None))
         if msg.delta is not None:
             encode_delta(payload, msg.delta)
-    elif t not in (MessageType.ACK, MessageType.CREDIT):
+    elif t in (MessageType.ACK, MessageType.CREDIT):
+        payload = b""
+    else:
         raise ValueError(f"unhandled message type {t}")
-    out = bytearray(U8.pack(int(t)))
-    encode_channel(out, msg.channel)
-    write_blob(out, payload)
-    return bytes(out)
+    head = bytearray(U8.pack(int(t)))
+    encode_channel(head, msg.channel)
+    head += U32.pack(len(payload))
+    return b"".join((head, payload))        # the payload is copied once
 
 
 def decode_message(buf: bytes) -> Message:
@@ -467,9 +430,9 @@ def _decode_data(p: Reader) -> TsBlock:
     it holds, ``(series text, value type, row count, first ts, last ts)``,
     read without hashing the payload, and an entry keeps its payload: a
     lookup hits only when the payload ``==`` it.  A block with rows is
-    retained only after the payload decoded to its last byte, or by
-    ``_pack_data`` as its sender packed it, so a hit implies every check
-    ``decode_block`` makes.  Each call gets a fresh block over the memo's own
+    retained only after the payload decoded to its last byte, or as the seed
+    of the decode-memo page it was packed from (``encode_block``), so a hit
+    implies every check ``decode_block`` makes.  Each call gets a fresh block over the memo's own
     columns, so every copy of a payload decodes to the same ones.
     """
     series, _, vt, n = _read_block_head(p)        # raises as decode_block would
@@ -484,5 +447,5 @@ def _decode_data(p: Reader) -> TsBlock:
     block, p.pos = decode_block(p.buf)
     p.done()
     if key is not None:
-        link_memo.put(key, (block.series_id, block.timestamps, block.values, block.value_type, p.buf))
+        link_memo.put(key, (block.series_id, block.timestamps, block.values, block.value_type, p.buf), n)
     return block

@@ -15,7 +15,7 @@ from ced.harness.scenario import QuerySpec, ScenarioConfig
 from ced.harness.workload import WorkloadConfig
 from ced.migrate import ChannelPhase
 from ced.tsstore import SeriesPath, _file_index, decode_memo
-from ced.wire import link_memo, pack_memo
+from ced.wire import link_memo
 
 Q1_SQL = "SELECT t1 FROM dev WHERE t1='v999'"
 Q2_SQL = "SELECT t3 FROM dev WHERE t3=497.44467"
@@ -36,10 +36,10 @@ settings.load_profile("tier1")
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Each test starts with no decoded chunk, packed block, decoded link
-    block or checksum state retained, so pack and decode counts do not depend
-    on which tests ran before it in the process."""
-    for memo in (decode_memo, pack_memo, link_memo, digest_memo):
+    """Each test starts with no decoded chunk (nor its pages' packed
+    payloads), decoded link block or checksum state retained, so pack and
+    decode counts do not depend on which tests ran before it in the process."""
+    for memo in (decode_memo, link_memo, digest_memo):
         memo.clear()
 
 

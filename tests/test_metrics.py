@@ -15,8 +15,8 @@ from ced.harness import metrics
 from ced.harness.metrics import DIGEST_MEMO_ROWS, ChecksumBuilder, digest_memo
 from ced.harness.scenario import QuerySpec
 from ced.scanops import ResultBlock
-from ced.tsstore import BLOCK_ROWS, SeriesPath, TsBlock, ValueType
-from ced.wire import encode_block, pack_memo
+from ced.tsstore import BLOCK_ROWS, SeriesPath, SeriesStore, TsBlock, ValueType
+from ced.wire import encode_block, link_memo
 
 ROWS = 2 * BLOCK_ROWS + 500
 
@@ -280,31 +280,29 @@ def test_equal_values_in_other_objects_never_hit(monkeypatch, variants):
     assert digest_memo.get((EMPTY, timestamps[0], timestamps[-1], 2))[1] is timestamps
 
 
-def test_a_data_block_and_a_result_block_never_answer_each_other(monkeypatch):
+def test_a_data_block_and_a_result_block_never_answer_each_other(tmp_path, monkeypatch):
     packs = _count_packs(monkeypatch)
-    timestamps, (_, values) = _full_columns()
-    series = SeriesPath.parse("root.ln.e1.d1.t3")
+    _, (_, values) = _full_columns()
+    store = SeriesStore(tmp_path)
+    meta = store.flush(SeriesPath.parse("root.ln.e1.d1.t3"), [i * 1000 for i in range(BLOCK_ROWS)],
+                       list(values)).chunk_index[0]
+    [page] = store.load_chunk_pages(meta)
+    timestamps, values = page.timestamps, page.values
     reference = _reference_digest(timestamps, [values])
-    block = TsBlock(series, timestamps, values, ValueType.FLOAT64)
-    data = encode_block(block)
+    data = encode_block(page)
     assert digest([_result(timestamps, [values])])[1] == reference
     digest_memo.clear()
     assert digest([_result(timestamps, [values])])[1] == reference
-    assert len(packs) == 2                   # the pack memo's DATA entry never answered the checksum
-    assert encode_block(block) == data
-    assert pack_memo.rows == digest_memo.rows == BLOCK_ROWS
+    assert len(packs) == 2                   # the page's DATA payload never answered the checksum
+    assert encode_block(page) == data
+    assert link_memo.rows == digest_memo.rows == BLOCK_ROWS
 
 
 def test_an_entry_with_fewer_columns_is_never_returned():
     timestamps, columns = _full_columns()
     key = (EMPTY, timestamps[0], timestamps[-1], 2)
-    digest_memo.put(key, (hashlib.sha256(b"short"), tuple(timestamps), tuple(columns[0])))
+    digest_memo.put(key, (hashlib.sha256(b"short"), tuple(timestamps), tuple(columns[0])), BLOCK_ROWS)
     assert digest([_result(timestamps, columns)])[1] == _reference_digest(timestamps, columns)
-    series = SeriesPath.parse("root.ln.e1.d1.t1")
-    block = TsBlock(series, timestamps, columns[0], ValueType.STRING)
-    pack_memo.put((series, ValueType.STRING, timestamps[0], timestamps[-1], BLOCK_ROWS),
-                  (b"short", tuple(timestamps)))
-    assert encode_block(block) != b"short"
 
 
 def test_mutating_a_block_after_update_does_not_change_the_next_digest(monkeypatch):

@@ -375,11 +375,11 @@ def test_an_aggregation_scan_leaves_the_memo_columns_as_decoded(store):
     asked = 0
     for meta in metas:
         buf = _chunk_bytes(meta)
-        series, timestamps, pages, retained, _pins = decode_memo.get(_memo_key(meta))
-        fresh_ts, fresh_values = _decode_chunk(buf, meta)
+        series, pages, retained = decode_memo.get(_memo_key(meta))
+        fresh = _decode_chunk(buf, meta)
+        fresh_values = tuple(v for _, values in fresh for v in values)
         assert series == S and retained == buf
-        assert timestamps == fresh_ts and [t for ts, _, _ in pages for t in ts] == fresh_ts.tolist()
-        assert tuple(v for _, values, _ in pages for v in values) == fresh_values
+        assert [(ts.tolist(), values) for ts, values, _ in pages] == [(ts.tolist(), values) for ts, values in fresh]
         # each page's answers are the maxima of its decoded values' row ranges
         for b0, (_, _, answers) in zip(range(0, meta.row_count, BLOCK_ROWS), pages):
             for (kind, first, end), answer in answers.items():
@@ -569,11 +569,11 @@ def test_every_load_through_the_memo_equals_a_fresh_decode(tmp_path_factory, ste
             fill(store, S, 30, value=_VARIANTS[k], chunk_target_rows=10)
         elif kind == "load" and store.has_series(S):
             for meta in store.chunk_metas(S):
-                timestamps, values = _decode_chunk(_chunk_bytes(meta), meta)
+                pages = _decode_chunk(_chunk_bytes(meta), meta)
                 blocks = store.load_chunk_pages(meta)
                 assert [b.series_id for b in blocks] == [S] * len(blocks)
-                assert [t for b in blocks for t in b.timestamps] == timestamps.tolist()
-                assert tuple(v for b in blocks for v in b.values) == values
+                assert [(b.timestamps.tolist(), b.values) for b in blocks] == [
+                    (ts.tolist(), values) for ts, values in pages]
                 assert all(_read_only_int64(b.timestamps) and type(b.values) is tuple for b in blocks)
                 decoded = store.io.chunks_decoded
                 assert _same_objects(store.load_chunk_pages(meta), blocks)     # a hit
@@ -586,19 +586,59 @@ def test_every_load_through_the_memo_equals_a_fresh_decode(tmp_path_factory, ste
 
 def test_putting_a_retained_key_again_replaces_its_entry_and_its_rows():
     memo = RowMemo(10)
-    memo.put("a", ("a1", (1, 2, 3)))
-    memo.put("b", ("b", (1, 2)))
-    memo.put("a", ("a2", (1, 2, 3, 4)))     # replaces "a" and makes it the newest
+    memo.put("a", "a1", 3)
+    memo.put("b", "b", 2)
+    memo.put("a", "a2", 4)                  # replaces "a" and makes it the newest
     assert memo.rows == 6
-    assert memo.get("a") == ("a2", (1, 2, 3, 4))
-    memo.put("c", ("c", (1, 2, 3, 4)))      # fits the bound exactly: nothing evicted
+    assert memo.get("a") == "a2"
+    memo.put("c", "c", 4)                   # fits the bound exactly: nothing evicted
     assert memo.rows == 10 and memo.get("b") is not None
-    memo.put("d", ("d", (1,)))              # evicts the oldest, "a"
+    memo.put("d", "d", 1)                   # evicts the oldest, "a"
     assert memo.get("a") is None
     assert memo.rows == 2 + 4 + 1
-    memo.put("b", ("b2", tuple(range(11))))  # larger than the bound: the old entry goes too
+    memo.put("b", "b2", 11)                 # larger than the bound: the old entry goes too
     assert memo.get("b") is None
     assert memo.rows == 4 + 1
+
+
+def test_a_pinned_view_cannot_be_released_until_its_entry_goes():
+    memo = RowMemo(10)
+    views = [memoryview(struct.pack("<3q", 1, 2, 3)).cast("q") for _ in range(2)]
+    memo.put("a", ("a", views[0]), 3, [views[0]])
+    memo.put("b", ("b", views[1]), 3, [views[1]])
+    for view in views:
+        with pytest.raises(BufferError):
+            view.release()
+    memo.put("c", "c", 6)                   # evicts "a" and its pin
+    views[0].release()
+    memo.clear()
+    views[1].release()
+
+
+def test_each_page_s_timestamps_are_a_view_over_the_chunk_bytes_its_entry_keeps(store):
+    meta = fill(store, S, 2500, chunk_target_rows=2500).chunk_index[0]
+    blocks = store.load_chunk_pages(meta)
+    _, pages, retained = decode_memo.get(_memo_key(meta))
+    assert retained == _chunk_bytes(meta)
+    assert all(b.timestamps is ts and ts.obj is retained for b, (ts, _, _) in zip(blocks, pages, strict=True))
+
+
+@pytest.mark.parametrize("page_rows,over_the_bytes", [
+    (300, [False, False, False]),     # every block spans stored pages: joined
+    (1000, [True, True, True]),
+    (1600, [True, False, True]),      # rows 1000..1999 span the two stored pages
+    (2500, [True, True, True]),
+])
+def test_stored_pages_of_any_size_load_as_blocks_of_block_rows(tmp_path, page_rows, over_the_bytes):
+    store = SeriesStore(tmp_path, page_rows=page_rows)
+    meta = fill(store, S, 2500, chunk_target_rows=2500).chunk_index[0]
+    blocks = store.load_chunk_pages(meta)
+    starts = (0, 1000, 2000)
+    assert [b.timestamps.tolist() for b in blocks] == [list(range(b0, min(b0 + 1000, 2500))) for b0 in starts]
+    assert [b.values for b in blocks] == [tuple(float(i) for i in range(b0, min(b0 + 1000, 2500))) for b0 in starts]
+    assert all(_read_only_int64(b.timestamps) for b in blocks)
+    retained = decode_memo.get(_memo_key(meta))[2]
+    assert [b.timestamps.obj is retained for b in blocks] == over_the_bytes
 
 
 # --- invariants -------------------------------------------------------------
@@ -880,6 +920,18 @@ def test_chunk_rows_out_of_timestamp_order_raise_corrupt_chunk(store, value, sta
     for i, ts in zip((3, 4), stamps):
         _tamper(meta.file_path, first + i * 8, struct.pack("<q", ts))
     with pytest.raises(CorruptChunk, match="timestamp"):
+        store.load_chunk_pages(meta)
+
+
+@pytest.mark.parametrize("ts", [4, 3], ids=["repeated", "behind"])
+def test_a_page_that_starts_at_or_before_the_page_before_it_ends_raises_corrupt_chunk(tmp_path, ts):
+    store = SeriesStore(tmp_path, page_rows=5)
+    meta = fill(store, S, 10).chunk_index[0]       # two float pages: rows 0..4 and 5..9
+    # each page: rows u32 | min_ts i64 | max_ts i64 | ts i64 * 5 | f64 * 5
+    second = meta.offset + _CHUNK_HEAD + 25 + 20 + 5 * 8 * 2
+    _tamper(meta.file_path, second + 4, struct.pack("<q", ts))      # its min_ts
+    _tamper(meta.file_path, second + 20, struct.pack("<q", ts))     # and its first row's
+    with pytest.raises(CorruptChunk, match="timestamp order"):
         store.load_chunk_pages(meta)
 
 

@@ -1,6 +1,13 @@
 """Byte-exact round-trips for every wire encoding."""
 
+import os
+import random
 import struct
+import subprocess
+import sys
+from itertools import accumulate
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from conftest import TABLE_II, make_scenario, rejections, run
@@ -30,7 +37,6 @@ from ced.wire import (
     encode_channel,
     encode_message,
     link_memo,
-    pack_memo,
 )
 
 S = SeriesPath.parse("root.ln.e1.d1.t1")
@@ -543,7 +549,6 @@ def test_header_only_blocks_are_never_retained(monkeypatch):
             assert decode_message(buf).block.is_header_only
     assert len(calls) == 4
     assert link_memo.rows == 0
-    assert pack_memo.rows == 0
 
 
 def _chunk_store(tmp_path, rows=6000, chunk_rows=1500) -> SeriesStore:
@@ -605,12 +610,11 @@ def test_each_memo_stays_within_its_bound(tmp_path, monkeypatch):
         decode_message(buf)
         ts, values = tuple(range(k * 1000, (k + 1) * 1000)), (f"v{k}",) * 1000
         checksum.update(ResultBlock(ts, [("t1", ValueType.STRING, values)]))         # its checksum rows
-        encode_block(TsBlock(_UNPARSABLE, ts, values, ValueType.STRING))   # packed and retained, never seeded
         for memo, bound in ((decode_memo, DECODE_MEMO_ROWS), (link_memo, LINK_MEMO_ROWS),
-                            (pack_memo, LINK_MEMO_ROWS), (digest_memo, DIGEST_MEMO_ROWS)):
+                            (digest_memo, DIGEST_MEMO_ROWS)):
             assert memo.rows <= bound
     assert decode_memo.rows == DECODE_MEMO_ROWS // 1500 * 1500
-    assert link_memo.rows == pack_memo.rows == LINK_MEMO_ROWS
+    assert link_memo.rows == LINK_MEMO_ROWS
     assert digest_memo.rows == DIGEST_MEMO_ROWS
     oldest = count - LINK_MEMO_ROWS // 1000
     decode_message(links[oldest])            # the oldest retained link block: a hit
@@ -746,7 +750,6 @@ _STEP = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(pool=st.lists(_POOL_VALUES, min_size=6, max_size=6), steps=st.lists(_STEP, max_size=12))
 def test_encode_block_equals_the_uncached_packer(pool, steps):
-    pack_memo.clear()
     blocks = []
     for step in steps:
         if step[0] == "new":
@@ -813,7 +816,6 @@ def test_a_sent_data_block_decodes_like_its_payload(pool, series, vt, stamps, co
     values = [_copy(pool[i]) if copied else pool[i] for i, copied in rows[:len(ts)]]
     block = TsBlock(series, columns[0](ts), columns[1](values), vt)
     link_memo.clear()
-    pack_memo.clear()
     buf = encode_message(Message(MessageType.DATA, CH, block=block))
     payload = wire._pack_block(block)
     assert payload == wire._pack_block(TsBlock(series, tuple(ts), block.values, vt))   # an int64 view's bytes
@@ -821,16 +823,24 @@ def test_a_sent_data_block_decodes_like_its_payload(pool, series, vt, stamps, co
     assert _decoded_or_error(lambda: decode_message(buf).block) == expected
 
 
-def test_a_block_packed_from_tuples_is_received_as_the_senders_tuples(monkeypatch):
+def test_a_sent_page_is_received_as_its_own_columns_and_a_tuple_block_is_parsed(tmp_path, monkeypatch):
     calls = _count_decodes(monkeypatch)
     block = TsBlock(S, (0, 1000, 2000), ("v1", None, "ü"), ValueType.STRING)
     buf = encode_message(Message(MessageType.DATA, CH, block=block))
-    assert link_memo.rows == 3
+    assert link_memo.rows == 0               # a block that is not a page is never seeded
     for _ in range(2):
         received = decode_message(buf).block
-        assert received is not block
-        assert received.timestamps is block.timestamps and received.values is block.values
-    assert calls == []
+        assert _block_fields(received) == _block_fields(block) and received.values is not block.values
+    assert len(calls) == 1                   # parsed by the receiver once
+    store = SeriesStore(tmp_path)
+    meta = store.flush(S, range(0, 3000, 3), [f"v{i}ü" for i in range(1000)]).chunk_index[0]
+    [page] = store.load_chunk_pages(meta)
+    buf = encode_message(Message(MessageType.DATA, CH, block=page))
+    for _ in range(2):
+        received = decode_message(buf).block
+        assert received is not page
+        assert received.timestamps is page.timestamps and received.values is page.values
+    assert len(calls) == 1                   # the page's payload is never parsed
 
 
 def test_a_received_page_view_cannot_be_released_after_the_decode_memo_drops_its_chunk(tmp_path):
@@ -884,7 +894,134 @@ def test_list_columns_are_never_seeded(columns):
     block = TsBlock(S, columns[0]([0, 1000]), columns[1]([1.5, 2.5]), ValueType.FLOAT64)
     for _ in range(2):
         encode_message(Message(MessageType.DATA, CH, block=block))
-    assert link_memo.rows == 0 and pack_memo.rows == 0
+    assert link_memo.rows == 0
+
+
+def test_every_memo_entry_stays_collectable_when_its_holders_form_a_cycle(tmp_path):
+    """A buffer-export pin in a garbage cycle makes the collector fail to
+    release the view it pins, and the process crashes; the memos keep their
+    pins where no caller can reach them."""
+    script = (
+        "import gc, sys\n"
+        "from ced import tsstore, wire\n"
+        "from ced.harness import metrics\n"
+        "from ced.tsstore import RowMemo, SeriesPath, SeriesStore, decode_memo\n"
+        "from ced.wire import ChannelId, Message, MessageType, decode_message, encode_message\n"
+        "S = SeriesPath.parse('root.ln.e1.d1.t1')\n"
+        "store = SeriesStore(sys.argv[1])\n"
+        "meta = store.flush(S, range(2500), [float(t) for t in range(2500)], chunk_target_rows=2500).chunk_index[0]\n"
+        "blocks = store.load_chunk_pages(meta)\n"
+        "sent = [encode_message(Message(MessageType.DATA, ChannelId('cloud', 9000, 1, 2, 77), block=b))\n"
+        "        for b in blocks]\n"
+        "key = (meta.series, meta.value_type, meta.row_count, meta.min_ts, meta.max_ts, meta.byte_len)\n"
+        "cycle = [blocks, [b.answers for b in blocks], decode_memo.get(key),\n"
+        "         [decode_message(buf).block for buf in sent]]\n"
+        "cycle.append(cycle)\n"
+        "del blocks, cycle\n"
+        "for memo in (m for module in (tsstore, wire, metrics) for m in vars(module).values()):\n"
+        "    if isinstance(memo, RowMemo):\n"
+        "        memo.clear()\n"
+        "gc.collect()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wire.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
+def test_a_page_sent_by_four_concurrent_queries_in_three_runs_is_packed_once(tmp_path, monkeypatch):
+    packs = _count_packs(monkeypatch)
+    q3 = QuerySpec("Q3", TABLE_II["Q3"], concurrency=4)
+    for _ in range(3):
+        _, report = run(make_scenario(TABLE_II["Q3"], mode="cloud_only", queries=(q3,)), tmp_path)
+        assert len({q.checksum for q in report.queries}) == 1
+    data = [p for p in packs if not decode_block(p)[0].is_header_only]
+    assert len(data) == len(set(data)) == 2 * 6      # two series of six 1000-row pages, for 12 queries
+
+
+_PAGE_VALUES = {
+    ValueType.BOOL: st.booleans(),
+    ValueType.INT64: _I64,
+    ValueType.FLOAT64: st.one_of(_FLOATS_ANY, st.sampled_from([0.0, -0.0]), st.integers(0, 3).map(_nan)),
+    ValueType.STRING: st.one_of(st.text(max_size=4), st.sampled_from(["", "ü", "日本", "a" * 40])),
+}
+
+
+@st.composite
+def _paged_series(draw):
+    """Rows of one value type, with a pool of values drawn for them, and a chunk and page layout."""
+    vt = draw(st.sampled_from(ValueType))
+    pool = draw(st.lists(_PAGE_VALUES[vt], min_size=1, max_size=5))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 2300))
+    start = draw(st.integers(-(2**62), 2**62))
+    timestamps = list(accumulate((rng.randint(1, 5) for _ in range(n - 1)), initial=start))
+    values = [rng.choice(pool) for _ in range(n)]
+    layout = dict(chunk_rows=draw(st.sampled_from([700, 1000, 2300])),
+                  page_rows=draw(st.sampled_from([3, 250, 1000, 1600])))
+    return vt, timestamps, values, layout
+
+
+# Takes its example count from the profile: 60 in tier-1, 300 under --hypothesis-profile=oracle.
+@settings(deadline=None)
+@given(
+    case=_paged_series(),
+    share=st.sampled_from(["copy", "import"]),
+    steps=st.lists(st.tuples(st.sampled_from(["send", "send", "evict-link", "drop-chunks"]),
+                             st.integers(0, 1), st.integers(0, 3)), min_size=1, max_size=8),
+)
+def test_a_sent_page_is_packed_once_and_received_as_its_own_columns(tmp_path_factory, case, share, steps):
+    """Two stores share each chunk's decode-memo entry (a copy or an imported
+    snapshot of one flush); each step sends a chunk's pages from one of them
+    as DATA, twice, or evicts every link-memo entry, or drops every decoded
+    chunk."""
+    vt, timestamps, values, layout = case
+    decode_memo.clear()
+    link_memo.clear()
+    root = tmp_path_factory.mktemp("pages")
+    stores = [SeriesStore(root / name, page_rows=layout["page_rows"]) for name in ("a", "b")]
+    stores[0].flush(S, timestamps, values, chunk_target_rows=layout["chunk_rows"])
+    if share == "copy":
+        stores[0].copy_series(S, stores[1])
+    else:
+        stores[1].import_snapshot(stores[0].export_snapshot(S))
+    packed = {}                              # id of each page's answers: the answers and its payload
+    real_pack = wire._pack_block
+    with patch.object(wire, "_pack_block", wraps=real_pack) as pack:
+        for kind, j, k in steps:
+            if kind == "evict-link":         # an entry of the bound's rows evicts every other
+                link_memo.put(("filler",), (), LINK_MEMO_ROWS)
+                assert link_memo.rows == LINK_MEMO_ROWS
+                continue
+            if kind == "drop-chunks":
+                decode_memo.clear()
+                continue
+            metas = stores[j].chunk_metas(S)
+            k %= len(metas)
+            pages = stores[j].load_chunk_pages(metas[k])
+            lo = sum(meta.row_count for meta in metas[:k])
+            rows = slice(lo, lo + metas[k].row_count)
+            assert [t for page in pages for t in page.timestamps] == timestamps[rows]
+            assert encode_cells([v for page in pages for v in page.values]) == encode_cells(values[rows])
+            for page in pages:
+                payload = real_pack(page)
+                head = bytearray([int(MessageType.DATA)])
+                encode_channel(head, CH)
+                for _ in range(2):
+                    buf = encode_message(Message(MessageType.DATA, CH, block=page))
+                    assert buf == bytes(head) + struct.pack("<I", len(payload)) + payload
+                    received = decode_message(buf).block
+                    assert _decoded_or_error(lambda: received) == _decoded_or_error(
+                        lambda: decode_block(payload)[0])
+                    assert (received.series_id, received.timestamps, received.values) == (
+                        page.series_id, page.timestamps, page.values)
+                    assert received.timestamps is page.timestamps and received.values is page.values
+                    with pytest.raises(BufferError):
+                        received.timestamps.release()
+                first = packed.setdefault(id(page.answers), (page.answers, payload))[1]
+                assert encode_block(page) is encode_block(page) and encode_block(page) == first
+        assert pack.call_count == len(packed)  # each page's payload once, however often it was sent
 
 
 # --- cells ------------------------------------------------------------------------------
