@@ -181,7 +181,7 @@ class Reader:
     def utf8(self, n: int) -> str:
         raw = self.take(n)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")        # ``buf`` may be any bytes-like object
         except UnicodeDecodeError as exc:
             raise self.fail(f"bad utf-8 ({exc.reason})") from None
 

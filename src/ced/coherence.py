@@ -5,6 +5,11 @@ arrives as a physical snapshot of the edge series, installed into a mirror
 store, and stays for the rest of the run.  Nothing writes to the edge store
 after a snapshot ships, so a mirror series stays byte-identical to the
 edge one and every lookup of it is a hit.
+
+A snapshot's file bytes are copied twice: ``encode_snapshot`` joins the
+views of the edge's mapped files (``SeriesStore.export_snapshot``) into the
+payload, and ``decode_snapshot`` hands the mirror views of the payload, which
+``import_snapshot`` writes to the mirror's files.
 """
 
 from __future__ import annotations
@@ -77,7 +82,10 @@ def encode_snapshot(snapshot: dict) -> bytes:
 
 
 def decode_snapshot(buf: bytes) -> dict:
-    """Parse one ``snapshot``; raises MalformedMessage on any grammar violation."""
+    """Parse one ``snapshot``; raises MalformedMessage on any grammar violation.
+
+    Each file blob is a read-only view of its bytes in ``buf``, not a copy,
+    so every blob keeps the whole of ``buf`` alive while it lives."""
     r = Reader(buf, MalformedMessage)
     series = r.text()
     try:
@@ -90,12 +98,15 @@ def decode_snapshot(buf: bytes) -> dict:
     vt = r.enum(ValueType, r.u8(), "value type") if r.u8() else None
     last_ts = r.i64() if r.u8() else None
     file_counter = r.u32()
+    whole = memoryview(buf)
     files = []
     for _ in range(r.u32()):
         name = r.text()
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise r.fail(f"{series}: snapshot file name {name!r} is not one path component")
-        files.append((name, r.blob()))
+        n = r.u32()
+        at = r.skip(n)
+        files.append((name, whole[at:at + n]))
     mem_count = r.u32()
     if mem_count:
         raise r.fail(f"{series}: snapshot mem_count is {mem_count}, not 0")

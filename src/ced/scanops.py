@@ -617,8 +617,8 @@ def _part(column: Sequence, lo: int, hi: int) -> Sequence:
 
 def _page_answer(block: TsBlock, key: tuple, compute: Callable, *args):
     """``compute(*args)``, computed once per page: kept in the block's page
-    answers under ``key`` when it has them (see ``ced.tsstore``)."""
-    answers = block.answers
+    answers under ``key`` while it has them (see ``ced.tsstore``)."""
+    answers = block.current_answers
     if answers is None:
         return compute(*args)
     answer = answers.get(key)

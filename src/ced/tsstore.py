@@ -21,6 +21,14 @@ its files imply.  A snapshot that breaks any rule is CorruptChunk, with the
 store unchanged.  ``copy_series`` copies a series of another store, which holds
 the invariant already.
 
+A snapshot's file bytes are copied twice from the edge's files to the
+mirror's: into the link payload (``ced.coherence``) and into the mirror's
+file.  ``export_snapshot`` hands out each file as a read-only ``memoryview`` of
+a read-only map of it (``b""`` for an empty file, which cannot be mapped), and
+the view, or any slice of it, keeps the file's bytes alive, even once the file
+is removed.  ``import_snapshot`` writes each blob to a new file, so it never
+truncates a file that a live export maps.
+
 On-disk format (all integers little-endian):
 
     file   := header chunk* index footer
@@ -84,7 +92,9 @@ later reader of the page (a concurrent query, the next run of a sweep) reads
 it instead of computing it again.  ``ced.scanops`` keeps an equality
 filter's matching row positions and the maximum of a row range of the
 values, and ``ced.wire`` the page's DATA payload.  The answers live and die
-with their entry, and an entry that replaces it starts with empty ones.
+with their entry, and an entry that replaces it starts with empty ones.  They
+are bound to the page's column objects (``PageAnswers``), and a block that a
+consumer gave another column has none (``TsBlock.current_answers``).
 ``load_chunk_pages``, the one loader, wraps the pages in fresh TsBlocks, so
 every load of one chunk hands out the very same columns and answers.  No
 block can change them: a view over ``bytes`` and a tuple reject writes, and
@@ -101,6 +111,7 @@ evict each other; ``ced.harness.metrics`` keeps one of result digest states.
 from __future__ import annotations
 
 import enum
+import mmap
 import operator
 import os
 import shutil
@@ -121,6 +132,7 @@ __all__ = [
     "ValueType",
     "SeriesPath",
     "TsBlock",
+    "PageAnswers",
     "ChunkMeta",
     "TsFileHandle",
     "ChunkIterator",
@@ -249,6 +261,18 @@ def frozen_column(column: Sequence) -> bool:
     return type(column) is tuple or (int64_view(column) and type(column.obj) is bytes)
 
 
+class PageAnswers(dict):
+    """A decode-memo page's answers (see the module docstring), keyed by the
+    question, and the page's two column objects, which they hold for."""
+
+    __slots__ = ("timestamps", "values")
+
+    def __init__(self, timestamps: Sequence[int], values: Sequence):
+        super().__init__()
+        self.timestamps = timestamps
+        self.values = values
+
+
 @dataclass
 class TsBlock:
     """Columnar batch of at most BLOCK_ROWS rows; the atomic transfer unit.
@@ -259,10 +283,11 @@ class TsBlock:
     timestamps are a view; a received DATA block, which may hold its sender's
     page columns), lists when an operator built them.
 
-    ``answers`` is the decode-memo page's dict of answers (see the module
-    docstring) on a block ``load_chunk_pages`` built, and None on every other
-    block.  Its answers hold for the page's columns, which the block carries
-    and no consumer replaces.  It takes no part in ``==`` or ``repr``.
+    ``answers`` is the decode-memo page's ``PageAnswers`` on a block
+    ``load_chunk_pages`` built, and None on every other block.  They hold for
+    the page's column objects only, so a reader asks ``current_answers``,
+    which is None once a consumer replaced a column.  It takes no part in
+    ``==`` or ``repr``.
     """
 
     series_id: SeriesPath
@@ -270,7 +295,7 @@ class TsBlock:
     values: Sequence
     value_type: ValueType
     is_header_only: bool = False
-    answers: Optional[dict] = field(default=None, compare=False, repr=False)
+    answers: Optional[PageAnswers] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.timestamps)
@@ -286,6 +311,14 @@ class TsBlock:
     @property
     def row_count(self) -> int:
         return len(self.timestamps)
+
+    @property
+    def current_answers(self) -> Optional[PageAnswers]:
+        """``answers`` while the block carries the columns they hold for, else None."""
+        answers = self.answers
+        if answers is None or answers.timestamps is not self.timestamps or answers.values is not self.values:
+            return None
+        return answers
 
     @classmethod
     def header_only(cls, series_id: SeriesPath, value_type: ValueType = ValueType.INT64) -> "TsBlock":
@@ -616,7 +649,7 @@ class SeriesStore:
             )
         out += _FOOTER.pack(index_offset, MAGIC)
         try:
-            path.write_bytes(bytes(out))
+            path.write_bytes(out)
         except OSError as exc:
             raise StorageIoError(f"writing {path}: {exc}") from exc
 
@@ -656,7 +689,7 @@ class SeriesStore:
         key = (meta.series, meta.value_type, meta.row_count, meta.min_ts, meta.max_ts, meta.byte_len)
         entry = decode_memo.get(key)
         if entry is None or entry[2] != buf:
-            pages = tuple((timestamps, values, {}) for timestamps, values in _decode_chunk(buf, meta))
+            pages = tuple((ts, values, PageAnswers(ts, values)) for ts, values in _decode_chunk(buf, meta))
             entry = (_series_path(meta.series), pages, buf)
             self.io.chunks_decoded += 1
             decode_memo.put(key, entry, meta.row_count, [timestamps for timestamps, _, _ in pages])
@@ -682,14 +715,19 @@ class SeriesStore:
     # --- replication helpers ----------------------------------------------------
 
     def export_snapshot(self, series: SeriesPath) -> dict:
-        """Full physical state of one series: its file blobs, and what they imply."""
+        """Full physical state of one series: its file blobs, and what they
+        imply.  Each blob is a read-only view of its file, mapped (see the
+        module docstring)."""
         files = self._files(series)
         blobs = []
         for handle in files:
             try:
-                blobs.append((handle.path.name, handle.path.read_bytes()))
+                with open(handle.path, "rb") as f:
+                    size = os.fstat(f.fileno()).st_size
+                    blob = memoryview(mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)) if size else b""
             except OSError as exc:
                 raise StorageIoError(f"reading {handle.path}: {exc}") from exc
+            blobs.append((handle.path.name, blob))
         return {"series": str(series), "files": blobs, **_derived(files)}
 
     def import_snapshot(self, snapshot: dict) -> None:
@@ -729,6 +767,7 @@ class SeriesStore:
         self.remove_series(series)
         for handle, (_, blob) in zip(handles, snapshot["files"]):
             try:
+                handle.path.unlink(missing_ok=True)     # a live export may map the file there
                 handle.path.write_bytes(blob)
             except OSError as exc:
                 raise StorageIoError(f"writing {handle.path}: {exc}") from exc

@@ -19,9 +19,10 @@ and spliced in, to the same bytes.
 
 Concurrent queries that stream the same suffix, and the runs of a sweep,
 send and receive the same blocks.  A block that ``load_chunk_pages`` built
-over a decode-memo page (one with ``answers``, see ``ced.tsstore``) is
-packed once per page: ``encode_block`` keeps the payload in the page's
-answers, with its ``link_memo`` key and seed, and every send of the page
+over a decode-memo page, while it carries the page's own columns (its
+``current_answers``, see ``ced.tsstore``), is packed once per page:
+``encode_block`` keeps the payload in the page's answers, with its
+``link_memo`` key and seed, and every send of the page
 puts the seed back into ``link_memo``.  Any other block (a filter's or a
 merge's lists, tuples built elsewhere) is packed on every call and never
 seeded.  ``link_memo``, a ``ced.tsstore.RowMemo`` bounded to
@@ -278,7 +279,7 @@ _SEED = "data"
 def encode_block(block: TsBlock) -> bytes:
     """The ``tsblock`` bytes of ``block``: packed once per decode-memo page
     (see the module docstring) and on every call for any other block."""
-    answers = block.answers
+    answers = block.current_answers
     if answers is None:
         return _pack_block(block)
     seed = answers.get(_SEED)

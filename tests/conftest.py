@@ -128,3 +128,20 @@ def rejections(decode, sample: bytes, enum_offsets) -> list[str]:
         else:
             missed.append(f"{name}: accepted")
     return missed
+
+
+class ScriptedChild:
+    """Replays fixed next_block results and logs every call into a shared list."""
+
+    def __init__(self, name, script, log):
+        self.name = name
+        self.script = list(script)
+        self.log = log
+
+    def has_next(self):
+        self.log.append(f"{self.name}?")
+        return bool(self.script)
+
+    def next_block(self):
+        self.log.append(f"{self.name}!")
+        return self.script.pop(0)

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from conftest import parent
+from conftest import ScriptedChild, parent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -518,23 +518,6 @@ def test_build_operator_from_plan_q1_shape(tmp_path):
     assert len(leaves) == 1 and isinstance(leaves[0], SeriesScanOp)
     rows = collect_rows(op)
     assert rows == [(999, ("v999",))]
-
-
-class ScriptedChild:
-    """Replays fixed next_block results and logs every call into a shared list."""
-
-    def __init__(self, name, script, log):
-        self.name = name
-        self.script = list(script)
-        self.log = log
-
-    def has_next(self):
-        self.log.append(f"{self.name}?")
-        return bool(self.script)
-
-    def next_block(self):
-        self.log.append(f"{self.name}!")
-        return self.script.pop(0)
 
 
 def _blocks(lo, hi, step, value):

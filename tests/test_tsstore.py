@@ -728,6 +728,7 @@ _FILE_OF_NO_CHUNKS = b"CEDF" + struct.pack("<H", 2) + struct.pack("<I", 0) + str
 
 def _index_min_ts(buf, series, min_ts):
     """``buf``, the bytes of a file of ``series``, with its first index entry's min_ts set."""
+    buf = bytes(buf)                        # an exported blob is a view, which ``+`` does not join
     # entry := series_len u16 | series | offset u64 | byte_len u32 | vt u8 | row_count u32 | min_ts i64
     at = struct.unpack("<Q", buf[-12:-4])[0] + 4 + 2 + len(str(series)) + 17
     return buf[:at] + struct.pack("<q", min_ts) + buf[at + 8:]

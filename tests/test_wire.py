@@ -10,17 +10,17 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from conftest import TABLE_II, make_scenario, rejections, run
+from conftest import TABLE_II, ScriptedChild, make_scenario, rejections, run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ced import wire
+from ced import scanops, wire
 from ced.codec import Reader
 from ced.coherence import decode_snapshot, encode_snapshot
 from ced.errors import MalformedMessage
 from ced.harness.metrics import DIGEST_MEMO_ROWS, ChecksumBuilder, digest_memo
 from ced.harness.scenario import QuerySpec
-from ced.scanops import AggregationScanOp, ResultBlock, SeriesScanOp, WindowSpec
+from ced.scanops import NOT_READY, AggregationScanOp, FilterOp, ResultBlock, SeriesScanOp, WindowSpec
 from ced.tsstore import DECODE_MEMO_ROWS, MAX_TS, SeriesPath, SeriesStore, TsBlock, ValueType, decode_memo
 from ced.wire import (
     LINK_MEMO_ROWS,
@@ -928,6 +928,43 @@ def test_every_memo_entry_stays_collectable_when_its_holders_form_a_cycle(tmp_pa
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "Exception ignored" not in done.stderr
+
+
+def _equal_rows(block, literal):
+    """The rows of ``block`` an equality filter keeps."""
+    op, rows = FilterOp(ScriptedChild("page", [block], []), "=", literal), []
+    while (out := op.next_block()) is not None:
+        if out is not NOT_READY:
+            rows += zip(out.timestamps, out.values)
+    return rows
+
+
+def _page_max(block):
+    return scanops._page_answer(block, ("max", 0, 3), scanops._slice_max, block.values, 0, 3)
+
+
+@pytest.mark.parametrize("column,replacement", [("values", (9.0, 9.0, 9.0)), ("timestamps", (5, 6, 7))])
+def test_a_loaded_page_given_another_column_is_sent_and_scanned_as_it_now_is(tmp_path, column, replacement):
+    """A page's answers hold for its own columns only: a block whose column a
+    consumer replaced is packed and scanned from the column it carries."""
+    store = SeriesStore(tmp_path)
+    meta = store.flush(S, [0, 1000, 2000], [0.5, 1.5, 2.5]).chunk_index[0]
+    page, = store.load_chunk_pages(meta)
+    sent = encode_message(Message(MessageType.DATA, CH, block=page))      # the page keeps its payload
+    assert _equal_rows(page, 0.5) == [(0, 0.5)] and _page_max(page) == 2.5
+    setattr(page, column, replacement)
+    rows = list(zip(page.timestamps, page.values))
+    received = decode_message(encode_message(Message(MessageType.DATA, CH, block=page))).block
+    assert list(zip(received.timestamps, received.values)) == rows
+    assert encode_block(page) == encode_block(TsBlock(S, *map(list, zip(*rows)), ValueType.FLOAT64))
+    assert _equal_rows(page, 0.5) == [r for r in rows if r[1] == 0.5]
+    assert _equal_rows(page, 9.0) == [r for r in rows if r[1] == 9.0]
+    assert _page_max(page) == max(page.values)
+    # the page's own answers are untouched: a fresh load still answers from its columns
+    fresh, = store.load_chunk_pages(meta)
+    assert fresh.answers is page.answers
+    assert _equal_rows(fresh, 9.0) == [] and _page_max(fresh) == 2.5
+    assert encode_message(Message(MessageType.DATA, CH, block=fresh)) == sent
 
 
 def test_a_page_sent_by_four_concurrent_queries_in_three_runs_is_packed_once(tmp_path, monkeypatch):
