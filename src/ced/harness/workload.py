@@ -10,9 +10,9 @@ one ``SeriesStore.flush`` per ``flush_every_rows`` slice, one file each.
 
 Generation is deterministic per ``(WorkloadConfig, page_rows)`` and flushed
 files are immutable, so the last dataset built into an empty store is kept
-as a copy of its files in a private temporary directory (removed at exit).
-The next ``generate`` of the same config into an empty store copies those
-files in instead of rebuilding them.
+as links to its files in a private temporary directory (removed at exit).
+The next ``generate`` of the same config into an empty store links those
+files in (``SeriesStore.copy_series``) instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _make_values(config: WorkloadConfig, name: str, vt: ValueType) -> list:
     return values
 
 
-# (config, page_rows) of the last dataset built into an empty store, and a copy of it
+# (config, page_rows) of the last dataset built into an empty store, and a store linking its files
 _last_built: Optional[tuple[tuple[WorkloadConfig, int], SeriesStore]] = None
 
 

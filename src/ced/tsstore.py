@@ -21,13 +21,18 @@ its files imply.  A snapshot that breaks any rule is CorruptChunk, with the
 store unchanged.  ``copy_series`` copies a series of another store, which holds
 the invariant already.
 
+No file is written once finished.  ``copy_series`` copies a file as a hard
+link (a byte copy where the filesystem refuses the link, as across devices),
+so stores may share files, and every writer (``flush``, ``import_snapshot``,
+the copy's fallback) unlinks its path and creates a new file there.
+
 A snapshot's file bytes are copied twice from the edge's files to the
 mirror's: into the link payload (``ced.coherence``) and into the mirror's
 file.  ``export_snapshot`` hands out each file as a read-only ``memoryview`` of
 a read-only map of it (``b""`` for an empty file, which cannot be mapped), and
 the view, or any slice of it, keeps the file's bytes alive, even once the file
 is removed.  ``import_snapshot`` writes each blob to a new file, so it never
-truncates a file that a live export maps.
+changes a file that a live export maps or another store links.
 
 On-disk format (all integers little-endian):
 
@@ -114,7 +119,6 @@ import enum
 import mmap
 import operator
 import os
-import shutil
 import struct
 import sys
 from collections import OrderedDict
@@ -245,6 +249,8 @@ class SeriesPath:
 
 def strictly_increasing(timestamps: Sequence[int]) -> bool:
     """The one timestamp-order check, made where rows enter the program."""
+    if type(timestamps) is range:            # a generated run: its step says it
+        return timestamps.step > 0 or not timestamps[1:]
     if type(timestamps) is memoryview:       # a list's items compare faster than a view's
         timestamps = timestamps.tolist()
     return all(map(operator.lt, timestamps, islice(timestamps, 1, None)))
@@ -603,7 +609,12 @@ class SeriesStore:
         series' last one, up to ``MAX_TS``, and every value must have the
         series' one value type; each check is made once for the whole run.
         The series gains the file only once it is written.
+        ``chunk_target_rows`` of None takes the store's; one below 1 is
+        ValueError.
         """
+        chunk_rows = self.chunk_target_rows if chunk_target_rows is None else chunk_target_rows
+        if chunk_rows < 1:
+            raise ValueError(f"chunk_target_rows must be >= 1, not {chunk_rows}")
         n = len(timestamps)
         if n != len(values):
             raise ValueError("timestamps and values length mismatch")
@@ -627,7 +638,6 @@ class SeriesStore:
             if run_vt is not vt:
                 raise TypeError(f"{key}: value type changed from {vt.name} to {run_vt.name}")
 
-        chunk_rows = chunk_target_rows or self.chunk_target_rows
         path = self.root / _file_name(key, len(files))
         out = bytearray(MAGIC)
         out += U16.pack(VERSION)
@@ -649,7 +659,7 @@ class SeriesStore:
             )
         out += _FOOTER.pack(index_offset, MAGIC)
         try:
-            path.write_bytes(out)
+            _write_new_file(path, out)
         except OSError as exc:
             raise StorageIoError(f"writing {path}: {exc}") from exc
 
@@ -767,22 +777,26 @@ class SeriesStore:
         self.remove_series(series)
         for handle, (_, blob) in zip(handles, snapshot["files"]):
             try:
-                handle.path.unlink(missing_ok=True)     # a live export may map the file there
-                handle.path.write_bytes(blob)
+                _write_new_file(handle.path, blob)
             except OSError as exc:
                 raise StorageIoError(f"writing {handle.path}: {exc}") from exc
         self._series[key] = handles
 
     def copy_series(self, series: SeriesPath, target: "SeriesStore") -> None:
-        """Give ``target`` a copy of ``series``: its files copied into
-        target's directory (replaces the series there)."""
+        """Give ``target`` a copy of ``series`` (replaces the series there):
+        each of its files hard-linked into target's directory, so the two
+        stores share the file, or copied byte for byte to a new file where
+        the filesystem refuses the link (across devices, say)."""
         files = self._files(series)
         target.remove_series(series)
         handles = []
         for handle in files:
             path = target.root / handle.path.name
             try:
-                shutil.copyfile(handle.path, path)
+                try:
+                    os.link(handle.path, path)
+                except OSError:
+                    _write_new_file(path, handle.path.read_bytes())
             except OSError as exc:
                 raise StorageIoError(f"copying {handle.path} to {path}: {exc}") from exc
             handles.append(TsFileHandle(path, [replace(m, file_path=path) for m in handle.chunk_index]))
@@ -797,6 +811,13 @@ class SeriesStore:
 
     def snapshot_size_bytes(self, series: SeriesPath) -> int:
         return sum(h.path.stat().st_size for h in self._files(series))
+
+
+def _write_new_file(path: Path, data) -> None:
+    """Write ``data`` as a new file at ``path``; a file there is unlinked,
+    not written into, as another store may link it or an export map it."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
 
 
 def _file_index(buf: bytes, path: Path) -> list[ChunkMeta]:

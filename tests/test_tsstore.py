@@ -199,6 +199,21 @@ def test_flush_of_no_rows_is_a_storage_error(store):
     assert len(store.chunk_metas(S)) == 1
 
 
+@pytest.mark.parametrize("chunk_target_rows", [-1, 0])
+def test_a_flush_of_chunks_below_one_row_is_refused_and_changes_nothing(store, chunk_target_rows):
+    fresh = parent(S).child("fresh")
+    first = fill(store, S, 10)
+    metas = store.chunk_metas(S)
+    for series, start in ((S, 10), (fresh, 0)):
+        with pytest.raises(ValueError, match="chunk_target_rows"):
+            fill(store, series, 10, start=start, chunk_target_rows=chunk_target_rows)
+    assert store.series_names() == [str(S)]
+    assert store.chunk_metas(S) == metas
+    assert sorted(store.root.iterdir()) == [first.path]
+    assert store.time_bounds(S) == (0, 9)
+    assert fill(store, S, 10, start=10).path.name == first.path.name.replace("000000", "000001")
+
+
 def test_flush_single_row(store):
     handle = fill(store, S, 1)
     assert len(handle.chunk_index) == 1
@@ -423,6 +438,14 @@ def test_the_order_check_answers_alike_for_a_tuple_a_list_and_a_view(stamps):
     assert strictly_increasing(tuple(stamps)) is strictly_increasing(stamps) is strictly_increasing(view) is expected
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 500])
+@pytest.mark.parametrize("step", [1, 1000, -1])
+def test_the_order_check_answers_a_range_as_its_tuple(step, n):
+    for stamps in (range(0, n * step, step), range(7, 7 + n * step, step)[1:]):
+        assert strictly_increasing(stamps) is strictly_increasing(tuple(stamps))
+    assert strictly_increasing(range(0, step * 2**64, step)) is (step > 0)     # too long to scan or len()
+
+
 def test_writing_into_a_loaded_blocks_timestamps_raises_and_the_next_load_is_unchanged(store):
     meta = fill(store, S, 1500).chunk_index[0]
     for block in store.load_chunk_pages(meta):
@@ -544,6 +567,25 @@ def test_a_copy_and_a_mirror_of_one_series_decode_each_chunk_once(tmp_path):
             assert _same_objects(store.load_chunk_pages(meta), blocks)
         assert (store.io.chunks_loaded, store.io.chunks_decoded) == (7, 0)
     assert origin.io.chunks_decoded == 7
+
+
+@pytest.mark.parametrize("writer", ["flush", "import_snapshot"])
+def test_a_write_at_a_name_linked_from_another_store_leaves_that_stores_file(tmp_path, writer):
+    """Store files are immutable: a writer unlinks the name and creates a new
+    file, so another store sharing the old file by a link keeps its bytes."""
+    first, second, other = (SeriesStore(tmp_path / name) for name in ("first", "second", "other"))
+    shared = fill(first, S, 1500, chunk_target_rows=1000).path
+    before = shared.read_bytes()
+    os.link(shared, second.root / shared.name)          # the name second writes next
+    fill(other, S, 700, value=lambda i: -1.0 - i)
+    if writer == "flush":
+        fill(second, S, 700, value=lambda i: -1.0 - i)
+    else:
+        second.import_snapshot(other.export_snapshot(S))
+    assert shared.read_bytes() == before
+    assert scan_all(first, S) == [(i, float(i)) for i in range(1500)]
+    assert (second.root / shared.name).read_bytes() == other._files(S)[0].path.read_bytes()
+    assert scan_all(second, S) == [(i, -1.0 - i) for i in range(700)]
 
 
 _VARIANTS = (float, lambda i: -1.0 - i, lambda i: 0.5 * i)   # equal-shaped FLOAT64 chunks of other bytes

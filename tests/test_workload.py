@@ -2,8 +2,10 @@
 reuse of the last built dataset, and ``ced gen``."""
 
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import random
 import shutil
 
@@ -11,6 +13,7 @@ import pytest
 from conftest import content_fingerprint, total_rows
 
 from ced.errors import OutOfOrderTimestamp, ScenarioError
+from ced.harness import workload
 from ced.harness.cli import main as ced_main
 from ced.harness.workload import WorkloadConfig, _randbelow, generate
 from ced.tsstore import MAX_TS, SeriesPath, SeriesStore
@@ -160,6 +163,32 @@ def series_of(config):
 
 
 def test_second_generate_reuses_the_built_files(tmp_path, flushes):
+    assert_second_generate_reuses_the_built_files(tmp_path, flushes)
+
+
+def test_reused_files_share_the_kept_datasets_inodes(tmp_path):
+    first = store_for(tmp_path / "a", PINNED)
+    generate(first, PINNED)
+    second = store_for(tmp_path / "b", PINNED)
+    generate(second, PINNED)
+    kept = workload._last_built[1].root
+    for path in sorted(second.root.iterdir()):
+        assert path.stat().st_ino == (kept / path.name).stat().st_ino == (first.root / path.name).stat().st_ino
+
+
+def test_a_refused_link_reuses_by_a_byte_copy(tmp_path, flushes, monkeypatch):
+    """A filesystem that refuses the link (the kept dataset on another device)."""
+    def refuse(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link", str(src), None, str(dst))
+
+    monkeypatch.setattr(os, "link", refuse)
+    first, second = assert_second_generate_reuses_the_built_files(tmp_path, flushes)
+    for path in [*first.root.iterdir(), *second.root.iterdir()]:
+        assert path.stat().st_nlink == 1
+
+
+def assert_second_generate_reuses_the_built_files(tmp_path, flushes):
+    """Generate PINNED into two stores, the second by reuse; the two stores."""
     first = store_for(tmp_path / "a", PINNED)
     generate(first, PINNED)
     flushes.clear()
@@ -176,6 +205,7 @@ def test_second_generate_reuses_the_built_files(tmp_path, flushes):
         assert second.value_type(series) is first.value_type(series)
         assert all(m.file_path.parent == second.root for m in second.chunk_metas(series))
         assert scan_rows(second, series) == scan_rows(first, series)
+    return first, second
 
 
 def test_reused_store_flushes_its_next_file_in_sequence(tmp_path):
